@@ -1,12 +1,27 @@
 """Exact integer and rational linear algebra.
 
-Everything in here works on plain tuples/lists of Python ints or Fractions;
-matrices are sequences of row vectors.  All normal forms are deterministic so
-downstream outputs are byte-reproducible.
+Everything in here works on plain tuples/lists of exact rationals: an
+integral value is a Python ``int`` and only a non-integral one is a
+``Fraction`` (see :func:`exact`); floats never occur.  Matrices are sequences
+of row vectors.  Rank, determinant and linear solving use fraction-free
+integer elimination; only :func:`invert_rational` works over Fraction.
+All normal forms are deterministic so downstream outputs are
+byte-reproducible.
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
+
+
+def exact(x):
+    """The canonical exact value of a rational: an int when it is integral,
+    otherwise a Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def vec_gcd(v):
@@ -34,7 +49,7 @@ def primitive_signed(v):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_add(a, b):
@@ -49,14 +64,19 @@ def vec_scale(c, a):
     return tuple(c * x for x in a)
 
 
-def clear_denominators(v):
-    """Scale a rational vector to a primitive integer vector (positive scale)."""
+def denominator_lcm(v):
+    """The least common multiple of the denominators of a rational vector."""
     denom = 1
     for x in v:
-        if isinstance(x, Fraction):
+        if type(x) is not int:
             denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    return primitive(ints)
+    return denom
+
+
+def clear_denominators(v):
+    """Scale a rational vector to a primitive integer vector (positive scale)."""
+    denom = denominator_lcm(v)
+    return primitive([int(x * denom) for x in v])
 
 
 def mat_mul(a, b):
@@ -73,35 +93,56 @@ def transpose(m):
 
 
 def row_rank(rows):
-    """Rank of a matrix with integer or Fraction entries (fraction-free)."""
-    m = [[Fraction(x) for x in r] for r in rows]
+    """Rank of a matrix with integer or Fraction entries (fraction-free).
+
+    Rows are scaled to primitive integer rows, and each elimination step
+    p*a - f*b is reduced by its content again, so entries stay small and
+    no Fraction is ever formed.
+    """
+    m = [r for r in (clear_denominators(r) for r in rows) if any(r)]
     rank = 0
-    ncols = len(m[0]) if m else 0
-    row = 0
-    for col in range(ncols):
+    col = 0
+    while m:
         piv = None
-        for i in range(row, len(m)):
-            if m[i][col]:
+        for i, r in enumerate(m):
+            if r[col]:
                 piv = i
                 break
         if piv is None:
+            col += 1
             continue
-        m[row], m[piv] = m[piv], m[row]
-        for i in range(row + 1, len(m)):
-            if m[i][col]:
-                f = m[i][col] / m[row][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        row += 1
+        top = m.pop(piv)
+        p = top[col]
+        rest = []
+        for r in m:
+            f = r[col]
+            if f:
+                r = primitive([p * a - f * b for a, b in zip(r, top)])
+                if not any(r):
+                    continue
+            rest.append(r)
+        m = rest
         rank += 1
+        col += 1
     return rank
 
 
 def det(rows):
-    """Determinant of a square integer matrix via fraction-free Bareiss."""
+    """Determinant of a square rational matrix via fraction-free Bareiss.
+
+    Each row is first scaled by the lcm of its denominators, so the
+    elimination is integer-only; the result is divided by the product of
+    the scales at the end.
+    """
     n = len(rows)
     if n == 0:
         return 1
-    m = [list(r) for r in rows]
+    m = []
+    scale = 1
+    for r in rows:
+        s = denominator_lcm(r)
+        m.append([int(x * s) for x in r])
+        scale *= s
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -118,16 +159,20 @@ def det(rows):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[-1][-1]
+    d = sign * m[-1][-1]
+    return d if scale == 1 else exact(Fraction(d, scale))
 
 
 def solve_rational(a_rows, b):
-    """Solve A x = b exactly; returns a tuple of Fractions or None if inconsistent.
+    """Solve A x = b exactly; returns a tuple of exact rationals or None if
+    inconsistent.
 
+    Fraction-free Gauss-Jordan elimination on the augmented rows, each kept
+    as a primitive integer row; only the final quotients are rationals.
     When the system is underdetermined the solution with free variables set to
     zero (in elimination order) is returned, which keeps results deterministic.
     """
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a_rows, b)]
+    m = [clear_denominators(tuple(row) + (y,)) for row, y in zip(a_rows, b)]
     nrows = len(m)
     ncols = len(a_rows[0]) if a_rows else 0
     pivots = []
@@ -141,12 +186,12 @@ def solve_rational(a_rows, b):
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
+        top = m[row]
+        p = top[col]
         for i in range(nrows):
-            if i != row and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+            f = m[i][col]
+            if i != row and f:
+                m[i] = primitive([p * a - f * c for a, c in zip(m[i], top)])
         pivots.append(col)
         row += 1
         if row == nrows:
@@ -154,9 +199,9 @@ def solve_rational(a_rows, b):
     for i in range(row, nrows):
         if m[i][ncols]:
             return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
+        x[col] = exact(Fraction(m[r][ncols], m[r][col]))
     return tuple(x)
 
 

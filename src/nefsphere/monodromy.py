@@ -7,19 +7,21 @@ unipotent transformation of the tangent lattice of the base chart.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import FalsificationError
 from .linalg import (
     det,
     dot,
+    exact,
     identity,
     invert_rational,
+    mat_mul,
     saturated_perp_basis,
     saturated_span_basis,
     smith_normal_form,
     solve_rational,
     row_rank,
+    transpose,
 )
 from .sphere import full_subposet_complex
 
@@ -316,7 +318,7 @@ class AffineMap:
 
     @classmethod
     def identity(cls, d):
-        return cls(identity(d), (Fraction(0),) * d)
+        return cls(identity(d), (0,) * d)
 
     def apply(self, y):
         return tuple(dot(row, y) + c for row, c in zip(self.m, self.t))
@@ -326,10 +328,8 @@ class AffineMap:
 
     def compose(self, other):
         """self after other."""
-        m = tuple(tuple(dot(row, col) for col in zip(*other.m))
-                  for row in self.m)
         t = tuple(x + c for x, c in zip(self.apply_linear(other.t), self.t))
-        return AffineMap(m, t)
+        return AffineMap(mat_mul(self.m, other.m), t)
 
 
 def chart_transition(dst_cell, via_cell, weight, ambient):
@@ -340,9 +340,8 @@ def chart_transition(dst_cell, via_cell, weight, ambient):
     minimal partner on the other side.
     """
     r = len(dst_cell.slices)
-    m = [[Fraction(int(a == b)) for b in range(ambient)]
-         for a in range(ambient)]
-    t = [Fraction(0)] * ambient
+    m = [list(row) for row in identity(ambient)]
+    t = [0] * ambient
     for j in range(r):
         dst_j = dst_cell.slice_vertex(j)
         via_j = via_cell.slice_vertex(j)
@@ -387,7 +386,7 @@ def base_chart_data(base_cell, weight):
     ginv = invert_rational(gram)
     rhs = [weight(base_cell.slice_vertex(j)) for j in range(r)]
     z = [sum(ginv[i][j] * rhs[j] for j in range(r)) for i in range(r)]
-    x0 = tuple(sum(z[i] * Fraction(rows[i][a]) for i in range(r))
+    x0 = tuple(exact(sum(z[i] * rows[i][a] for i in range(r)))
                for a in range(d))
     return basis, x0
 
@@ -403,7 +402,7 @@ def restrict_to_chart(amb, basis, x0):
     k = len(basis)
     lin_rows = []
     for b in basis:
-        image = amb.apply_linear(tuple(Fraction(x) for x in b))
+        image = amb.apply_linear(b)
         coords = solve_rational([list(col) for col in zip(*basis)], image) \
             if k else ()
         if coords is None or any(c.denominator != 1 for c in coords):
@@ -411,7 +410,7 @@ def restrict_to_chart(amb, basis, x0):
                 "monodromy linear part is not integral on the tangent lattice",
                 {"vector": [str(x) for x in image]})
         lin_rows.append(tuple(int(c) for c in coords))
-    linear = _transpose_int(lin_rows, k)
+    linear = transpose(lin_rows)
     x0_image = amb.apply(x0)
     diff = tuple(a - b for a, b in zip(x0_image, x0))
     tcoords = solve_rational([list(col) for col in zip(*basis)], diff) \
@@ -424,29 +423,16 @@ def restrict_to_chart(amb, basis, x0):
         raise FalsificationError("monodromy determinant is not one",
                                  {"linear": [list(r) for r in linear]})
     nil = _mat_sub_identity(linear)
-    sq = _int_mat_mul(nil, nil)
+    sq = mat_mul(nil, nil)
     if any(any(row) for row in sq):
         raise FalsificationError("monodromy is not unipotent of order two",
                                  {"linear": [list(r) for r in linear]})
     return linear, tuple(tcoords)
 
 
-def _transpose_int(rows, k):
-    if k == 0:
-        return ()
-    return tuple(tuple(rows[j][i] for j in range(k)) for i in range(k))
-
-
 def _mat_sub_identity(m):
     return tuple(tuple(v - int(i == j) for j, v in enumerate(row))
                  for i, row in enumerate(m))
-
-
-def _int_mat_mul(a, b):
-    if not a:
-        return ()
-    bt = list(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def monodromy(sigma, loop, weight):
@@ -586,7 +572,7 @@ def local_group(sigma, pair_idx, weight):
 def _pairwise_commute(mats):
     for x in range(len(mats)):
         for y in range(x + 1, len(mats)):
-            if _int_mat_mul(mats[x], mats[y]) != _int_mat_mul(mats[y], mats[x]):
+            if mat_mul(mats[x], mats[y]) != mat_mul(mats[y], mats[x]):
                 return False
     return True
 
@@ -708,15 +694,15 @@ def duality_check(sigma, loop, mono, dual_sigma, dual_weight):
     b_sigma = mono.basis
     b_tau = dual_mono.basis
     pairing = [[dot(y, x) for x in b_sigma] for y in b_tau]
-    if _rational_matrix_rank(pairing) != len(b_sigma):
+    if row_rank(pairing) != len(b_sigma):
         raise FalsificationError(
             "degenerate pairing between tangent lattices",
             {"pairing": [list(map(int, row)) for row in pairing]})
     ok = True
     for y in b_tau:
-        ly = dual_mono.ambient.apply_linear(tuple(Fraction(v) for v in y))
+        ly = dual_mono.ambient.apply_linear(y)
         for x in b_sigma:
-            lx = mono.ambient.apply_linear(tuple(Fraction(v) for v in x))
+            lx = mono.ambient.apply_linear(x)
             if dot(ly, lx) != dot(y, x):
                 ok = False
     return {"passed": ok, "dual_loop_degenerate": dual_loop.degenerate}
@@ -729,7 +715,3 @@ def _index_by_cell(poset, cell):
             "dual pipeline poset does not contain the expected cell",
             {"cell": [[str(x) for x in v] for v in cell.vertices]})
     return idx
-
-
-def _rational_matrix_rank(rows):
-    return row_rank([tuple(r) for r in rows]) if rows else 0

@@ -142,7 +142,7 @@ def dual_nef_partition(np_):
     role = opposite_role(np_.role)
     duals = []
     for i, part in enumerate(np_.parts):
-        points = {(Fraction(0),) * np_.ambient}
+        points = {(0,) * np_.ambient}
         for y in part.vertices:
             if not any(y):
                 continue
@@ -289,7 +289,7 @@ def _strict_combination(hull, parts, max_doublings, role):
             lam = [x / len(feas.vertices) for x in lam]
             out = []
             for i in range(len(parts)):
-                acc = [Fraction(0)] * d
+                acc = [0] * d
                 for j in range(n):
                     if owner[j] == i:
                         for a in range(d):

@@ -1,5 +1,9 @@
 """Exact rational polytopes in both vertex and facet representation.
 
+Coordinates are exact rationals in canonical form (:func:`linalg.exact`): an
+int when integral, a Fraction only when not, never a float.  On lattice
+input nearly all arithmetic therefore stays in Python ints.
+
 Polytopes carry a role tag:  'M' for the functional side (where the partition
 parts Delta^(i) live) and 'N' for the vector side (the nabla side).  Pairings
 are only defined across roles.  All hyperplane data is stored in homogeneous
@@ -16,7 +20,9 @@ from . import linalg
 from .dd import cone_rays
 from .linalg import (
     clear_denominators,
+    det,
     dot,
+    exact,
     primitive,
     row_rank,
     saturated_span_basis,
@@ -38,7 +44,7 @@ class Vector:
     role: str
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(x) for x in self.coords))
+        object.__setattr__(self, "coords", as_fractions(self.coords))
 
     def __len__(self):
         return len(self.coords)
@@ -60,11 +66,12 @@ def pair(m, n):
 
 
 def as_fractions(point):
-    return tuple(Fraction(x) for x in point)
+    """The point with every coordinate in canonical exact form."""
+    return tuple(exact(x) for x in point)
 
 
 def is_integral(point):
-    return all(Fraction(x).denominator == 1 for x in point)
+    return all(type(x) is int for x in as_fractions(point))
 
 
 class GeometryError(ValueError):
@@ -269,7 +276,7 @@ class Polytope:
         for simplex in self.triangulation():
             pts = [chart.to_chart(self.vertices[i]) for i in simplex]
             rows = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
-            d = _rational_det(rows)
+            d = det(rows)
             total += abs(d)
         return total / fact
 
@@ -299,32 +306,6 @@ class Polytope:
                 raise GeometryError("facet tight set has wrong dimension")
 
 
-def _rational_det(rows):
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in r] for r in rows]
-    sign = 1
-    out = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        out *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return out * sign
-
-
 class AffineChart:
     """Exact coordinates on an affine subspace, adapted to its lattice."""
 
@@ -345,7 +326,8 @@ class AffineChart:
         return len(self.basis)
 
     def to_chart(self, point):
-        diff = tuple(Fraction(a) - b for a, b in zip(point, self.anchor))
+        point = as_fractions(point)
+        diff = tuple(a - b for a, b in zip(point, self.anchor))
         if not self.basis:
             if any(diff):
                 raise GeometryError("point is off the chart")
@@ -353,7 +335,7 @@ class AffineChart:
         rhs = [dot(diff, b) for b in self.basis]
         t = tuple(sum(self._solve[i][j] * rhs[j] for j in range(len(rhs)))
                   for i in range(len(self.basis)))
-        if self.from_chart(t) != tuple(Fraction(x) for x in point):
+        if self.from_chart(t) != point:
             raise GeometryError("point is off the chart")
         return t
 
@@ -399,14 +381,17 @@ def _reduce_mod_equations(row, eqs):
     """Reduce a homogeneous row modulo the equation rows; positive primitive."""
     if not eqs:
         return primitive(row)
-    work = [Fraction(x) for x in row]
+    work = list(row)
     for e in eqs:
         piv = next(j for j, x in enumerate(e) if x)
-        if work[piv]:
-            f = work[piv] / e[piv]
-            for j in range(len(work)):
-                work[j] -= f * e[j]
-    return clear_denominators(work)
+        f = work[piv]
+        if f:
+            # work - (f / p) e, scaled by |p| > 0 so the side is kept.
+            p = e[piv]
+            if p < 0:
+                p, f = -p, -f
+            work = [p * w - f * x for w, x in zip(work, e)]
+    return primitive(work)
 
 
 def _extreme_points(pts, facets, eqs, dim):
@@ -438,7 +423,7 @@ def polyhedron_generators(eq_rows, ineq_rows, ambient):
     rec = []
     for r in rays:
         if r[0] > 0:
-            vertices.append(tuple(Fraction(x, r[0]) for x in r[1:]))
+            vertices.append(tuple(exact(Fraction(x, r[0])) for x in r[1:]))
         elif r[0] == 0:
             rec.append(primitive(r[1:]))
         else:
@@ -472,7 +457,8 @@ def polar_dual(p):
         raise GeometryError("polar undefined")
     if any(f[0] <= 0 for f in p.facets):
         raise GeometryError("polar undefined")
-    vertices = sorted(tuple(Fraction(-u, f[0]) for u in f[1:]) for f in p.facets)
+    vertices = sorted(tuple(exact(Fraction(-u, f[0])) for u in f[1:])
+                      for f in p.facets)
     facets = tuple(sorted(clear_denominators((1,) + tuple(-x for x in v))
                           for v in p.vertices))
     return Polytope(p.ambient, opposite_role(p.role), tuple(vertices), (),
@@ -512,7 +498,7 @@ def dilate(p, k):
     k = Fraction(k)
     if k <= 0:
         raise GeometryError("dilation factor must be positive")
-    verts = tuple(sorted(tuple(k * x for x in v) for v in p.vertices))
+    verts = tuple(sorted(as_fractions(k * x for x in v) for v in p.vertices))
     eqs = tuple(sorted(clear_denominators((k * e[0],) + e[1:])
                        for e in p.equations))
     facets = tuple(sorted(clear_denominators((k * f[0],) + f[1:])
@@ -597,10 +583,10 @@ def _any_point(eq_rows, ineq_rows, ambient):
         rows.append(tuple(e))
         rows.append(tuple(-x for x in e))
     lin, rays = cone_rays(rows, ambient + 1)
-    cand = [Fraction(0)] * (ambient + 1)
+    cand = [0] * (ambient + 1)
     for r in rays:
         for i in range(ambient + 1):
             cand[i] += r[i]
     if cand[0] == 0:
         return None
-    return tuple(x / cand[0] for x in cand[1:])
+    return tuple(exact(Fraction(x, cand[0])) for x in cand[1:])

@@ -9,7 +9,7 @@ the boundary subdivision (side tag S or T).
 
 from fractions import Fraction
 
-from .linalg import dot
+from .linalg import dot, exact
 from .polytope import GeometryError, as_fractions, convex_hull
 
 
@@ -30,7 +30,7 @@ class WeightFunction:
             raise GeometryError(
                 f"weight function undefined on {len(missing)} lattice points")
         shift = table.get(origin, Fraction(0))
-        self.values = {pt: val - shift for pt, val in table.items()}
+        self.values = {pt: exact(val - shift) for pt, val in table.items()}
         self.preset = preset
 
     @classmethod
@@ -45,7 +45,7 @@ class WeightFunction:
         return cls(support, {tuple(pt): Fraction(v) for pt, v in pairs})
 
     def __call__(self, point):
-        key = tuple(int(Fraction(c)) for c in as_fractions(point))
+        key = tuple(int(c) for c in as_fractions(point))
         return self.values[key]
 
     def restrict(self, subsupport):
@@ -156,7 +156,7 @@ class BoundarySubdivision:
     def coned(self, cell):
         """The cell joined with the origin (its partner in the coned complex)."""
         if cell not in self._coned:
-            origin = (Fraction(0),) * self.parent.support.ambient
+            origin = (0,) * self.parent.support.ambient
             self._coned[cell] = convex_hull(cell.vertices + (origin,),
                                             cell.role, cell.ambient)
         return self._coned[cell]
@@ -177,7 +177,7 @@ def boundary_subdivision(subdivision):
     if not subdivision.is_central():
         raise GeometryError("subdivision not central")
     support = subdivision.support
-    origin = (Fraction(0),) * support.ambient
+    origin = (0,) * support.ambient
     boundary_cells = []
     for c in subdivision.maximal_cells:
         faces = c.face_sets()

@@ -47,12 +47,12 @@ def tropical_cell(cone_cell, weight, support):
     m0 = verts[0]
     eqs = []
     for m in verts[1:]:
-        u = tuple(Fraction(a) - Fraction(b) for a, b in zip(m, m0))
+        u = tuple(a - b for a, b in zip(m, m0))
         c = weight(m0) - weight(m)
         eqs.append(clear_denominators((c,) + u))
     ineqs = []
     for mpp in support.lattice_points():
-        u = tuple(Fraction(a) - Fraction(b) for a, b in zip(m0, mpp))
+        u = tuple(a - b for a, b in zip(m0, mpp))
         c = weight(mpp) - weight(m0)
         row = clear_denominators((c,) + u)
         if any(row):
