@@ -7,6 +7,7 @@ unipotent transformation of the tangent lattice of the base chart.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import FalsificationError
 from .linalg import (
@@ -70,18 +71,6 @@ def discriminant(sigma):
     return DiscriminantComplex(sigma, tuple(nonsmooth), cplx, comps, homs)
 
 
-def smooth_complement_complex(sigma):
-    """The full subcomplex of bsd(Sigma) on smooth vertices.
-
-    Its barycentric subdivision is literally the simplicial complement of
-    the open star neighborhood of the discriminant inside the second
-    barycentric subdivision.
-    """
-    smooth = sorted(k for k in range(len(sigma.pairs))
-                    if smooth_pair(sigma, k))
-    return full_subposet_complex(sigma, smooth)
-
-
 def complement_homology(sigma):
     """Homology of the complement complex, computed on the literal second
     barycentric subdivision (the order complex of the smooth-chain poset)."""
@@ -136,10 +125,6 @@ class ChartAtlas:
             self.v_charts[t] = frozenset(
                 k for k, (i, j) in enumerate(sigma.pairs)
                 if sigma.q_poset.leq(t, j))
-        self.pair_charts = {
-            k: frozenset(k2 for k2 in range(len(sigma.pairs))
-                         if sigma.leq(k, k2) or sigma.leq(k2, k))
-            for k in range(len(sigma.pairs))}
 
     def covering_report(self):
         covered = set()
@@ -570,11 +555,8 @@ def local_group(sigma, pair_idx, weight):
 
 
 def _pairwise_commute(mats):
-    for x in range(len(mats)):
-        for y in range(x + 1, len(mats)):
-            if mat_mul(mats[x], mats[y]) != mat_mul(mats[y], mats[x]):
-                return False
-    return True
+    return all(mat_mul(a, b) == mat_mul(b, a)
+               for a, b in combinations(sorted(set(mats)), 2))
 
 
 # -- global analysis -----------------------------------------------------------
@@ -598,22 +580,14 @@ def global_group(sigma, graph, loops, weight, discriminant_complex=None):
     transported = []
     skipped = 0
     loop_component = []
+    # node -> (base -> node, node -> base) along the tree, once per P-node.
+    transport = {base_node: (AffineMap.identity(d), AffineMap.identity(d))}
     for loop in loops:
         node = ("P", loop.p0)
         if node not in parent:
             skipped += 1
             continue
-        path = graph.tree_path(parent, node)
-        fwd = AffineMap.identity(d)
-        for step in range(0, len(path) - 1, 2):
-            dst = sigma.p_poset.elements[path[step + 2][1]]
-            via = sigma.q_poset.elements[path[step + 1][1]]
-            fwd = chart_transition(dst, via, weight, d).compose(fwd)
-        back = AffineMap.identity(d)
-        for step in range(len(path) - 1, 1, -2):
-            dst = sigma.p_poset.elements[path[step - 2][1]]
-            via = sigma.q_poset.elements[path[step - 1][1]]
-            back = chart_transition(dst, via, weight, d).compose(back)
+        fwd, back = _tree_transport(sigma, parent, transport, node, weight, d)
         amb = back.compose(loop_ambient_map(sigma, loop, weight)).compose(fwd)
         linear, _ = restrict_to_chart(amb, basis, x0)
         transported.append(linear)
@@ -651,6 +625,29 @@ def global_group(sigma, graph, loops, weight, discriminant_complex=None):
         "skipped_other_component": skipped,
         "base_component_size": len(base_comp),
     }
+
+
+def _tree_transport(sigma, parent, transport, node, weight, d):
+    """(base -> node, node -> base) chart maps along the spanning tree.
+
+    Each P-node is reached from its grandparent through its parent Q-node;
+    results are memoized in `transport`, which holds the base node.
+    """
+    path = []
+    walk = node
+    while walk not in transport:
+        path.append(walk)
+        walk = parent[parent[walk]]
+    for child in reversed(path):
+        grand = parent[parent[child]]
+        fwd, back = transport[grand]
+        via = sigma.q_poset.elements[parent[child][1]]
+        up = sigma.p_poset.elements[grand[1]]
+        down = sigma.p_poset.elements[child[1]]
+        transport[child] = (
+            chart_transition(down, via, weight, d).compose(fwd),
+            back.compose(chart_transition(up, via, weight, d)))
+    return transport[node]
 
 
 def _loop_discriminant_component(sigma, loop, disc):

@@ -10,7 +10,7 @@ subdivision is the order complex of the adjointness poset.
 from fractions import Fraction
 
 from .errors import FalsificationError
-from .homology import SimplicialComplex, order_complex_homology
+from .homology import SimplicialComplex, cellular_homology
 from .linalg import dot, smith_normal_form
 from .polytope import convex_hull, dilate, intersect, minkowski_sum_all
 
@@ -278,9 +278,25 @@ class SigmaComplex:
         self.dims = tuple(
             p_poset.elements[i].minkowski.dim + q_poset.elements[j].minkowski.dim
             for i, j in self.pairs)
+        self._above = self._product_order()
         self._successors = None
         self._verify_membership()
         self._verify_face_closure()
+
+    def _product_order(self):
+        """_above[k]: bitmask of the cells >= cell k in the product order.
+
+        P_up[i] is the union of the pair rows (i2, *) over i2 >= i, Q_up[j]
+        the same for the Q side; (i, j) <= (i2, j2) iff both factors are.
+        """
+        p_row = [0] * len(self.p_poset)
+        q_row = [0] * len(self.q_poset)
+        for k, (i, j) in enumerate(self.pairs):
+            p_row[i] |= 1 << k
+            q_row[j] |= 1 << k
+        p_up = [_union(p_row, self.p_poset.above(i)) for i in range(len(p_row))]
+        q_up = [_union(q_row, self.q_poset.above(j)) for j in range(len(q_row))]
+        return [p_up[i] & q_up[j] for i, j in self.pairs]
 
     def _verify_membership(self):
         for (i, j) in self.pairs:
@@ -314,28 +330,37 @@ class SigmaComplex:
         return max(self.dims) if self.dims else -1
 
     def leq(self, a, b):
-        ia, ja = self.pairs[a]
-        ib, jb = self.pairs[b]
-        return self.p_poset.leq(ia, ib) and self.q_poset.leq(ja, jb)
+        return (self._above[a] >> b) & 1 == 1
 
     def successors(self):
         """successors[k] = all cells strictly above cell k (for bsd chains)."""
         if self._successors is None:
-            n = len(self.pairs)
-            succ = [[] for _ in range(n)]
-            for a in range(n):
-                for b in range(n):
-                    if a != b and self.leq(a, b):
-                        succ[a].append(b)
-            self._successors = succ
+            self._successors = [_bits(mask & ~(1 << k))
+                                for k, mask in enumerate(self._above)]
         return self._successors
+
+    def facets(self):
+        """facets[k] = the codimension-one faces of cell k, ascending."""
+        out = [[] for _ in self.pairs]
+        for a, ups in enumerate(self.successors()):
+            for b in ups:
+                if self.dims[b] == self.dims[a] + 1:
+                    out[b].append(a)
+        return out
 
     def euler_characteristic(self):
         return sum((-1) ** d for d in self.dims)
 
     def homology(self):
-        """Integral homology of the barycentric subdivision (= of the complex)."""
-        return order_complex_homology(len(self.pairs), self.successors())
+        """Integral homology of Sigma, computed cellularly on its own cells.
+
+        Sigma is a polytopal, hence regular CW, complex, and the cellular
+        homology of a regular CW complex equals the homology of the order
+        complex of its face poset (Bjorner, "Posets, regular CW complexes
+        and Bruhat order", Europ. J. Combin. 1984), i.e. of the barycentric
+        subdivision, which is therefore not built here.
+        """
+        return cellular_homology(self.dims, self.facets())
 
     def bsd_chain_levels(self):
         """All chains of the cell poset by length (the bsd simplices)."""
@@ -370,18 +395,33 @@ class SigmaComplex:
         in_flags = set()
         for ch in flags:
             stack = [ch]
-            seen = set()
             while stack:
                 c = stack.pop()
-                if c in seen:
+                if c in in_flags:
                     continue
-                seen.add(c)
                 in_flags.add(c)
                 if len(c) > 1:
                     for i in range(len(c)):
                         stack.append(c[:i] + c[i + 1:])
         total = sum(len(lv) for lv in levels)
         return len(in_flags) == total
+
+
+def _union(rows, indices):
+    mask = 0
+    for i in indices:
+        mask |= rows[i]
+    return mask
+
+
+def _bits(mask):
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def build_sigma(p_poset, q_poset, pairs, r, expected_dim=None):

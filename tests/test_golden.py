@@ -1,9 +1,12 @@
-"""Byte-for-byte behaviour gate: canonical full reports of the small inputs.
+"""Byte-for-byte behaviour gate: canonical reports frozen under tests/data/golden.
 
-The files under tests/data/golden are the stdout of
-``nefsphere report INPUT --verify full --dual``, frozen before the exact
-kernel switched from all-Fraction to int-first arithmetic.  Any refactor of
-the arithmetic or the stages must reproduce them exactly.
+``NAME.json`` is the stdout of ``nefsphere report INPUT --verify full
+--dual`` for the small inputs, frozen before the exact kernel switched from
+all-Fraction to int-first arithmetic.  ``prism_pair_5d_fast.json`` is the
+stdout of ``nefsphere report prism_pair_5d.json --verify fast``, frozen
+before Sigma's homology moved from the barycentric subdivision to its own
+cells.  Any refactor of the arithmetic or the stages must reproduce them
+exactly.
 """
 
 import os
@@ -19,14 +22,23 @@ NAMES = ["triangle", "square_sum", "pentagon_pair", "simplex3",
          "segment_weighted"]
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_full_dual_report_matches_golden(name):
+def _assert_report_matches(input_name, golden_name, *flags):
     proc = subprocess.run(
-        [sys.executable, "-m", "nefsphere.cli", "report", path(f"{name}.json"),
-         "--verify", "full", "--dual"],
+        [sys.executable, "-m", "nefsphere.cli", "report",
+         path(f"{input_name}.json"), *flags],
         capture_output=True, cwd=BASE,
         env={**os.environ, "PYTHONPATH": os.path.join(BASE, "src")})
     assert proc.returncode == 0, proc.stderr.decode()
-    with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as fh:
+    with open(os.path.join(GOLDEN, f"{golden_name}.json"), "rb") as fh:
         want = fh.read()
     assert proc.stdout == want
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_full_dual_report_matches_golden(name):
+    _assert_report_matches(name, name, "--verify", "full", "--dual")
+
+
+def test_prism_fast_report_matches_golden():
+    _assert_report_matches("prism_pair_5d", "prism_pair_5d_fast",
+                           "--verify", "fast")

@@ -263,3 +263,57 @@ def test_generic_weight_simplex3_spreads_multiplicity():
     g = pipe.global_report()
     assert g["component_divisors"] == {i: [1] for i in range(24)}
     assert g["log_rank"] == 3
+
+
+def test_pairwise_commute_sees_pair_hidden_among_duplicates():
+    from nefsphere.monodromy import _pairwise_commute
+    shear_x = ((1, 1), (0, 1))
+    shear_y = ((1, 0), (1, 1))
+    one = identity(2)
+    assert _pairwise_commute([shear_x, one, shear_x, one, shear_x])
+    assert not _pairwise_commute(
+        [shear_x, one, shear_x, shear_x, shear_y, one, shear_x, shear_y])
+
+
+def test_memoized_tree_transport_matches_path_walk(simplex3_pipe):
+    # The per-node memo composes the same chart transitions as walking the
+    # tree path from the base, in either direction.  The BFS tree of the
+    # test inputs has depth one, so a depth-first tree is used to make
+    # memoized nodes serve as intermediate stops.
+    from nefsphere.monodromy import _tree_transport, chart_transition
+    sigma = simplex3_pipe.sigma()
+    graph = simplex3_pipe.graph()
+    w = simplex3_pipe.omega()
+    d = simplex3_pipe.nef.ambient
+    base = min(("P", i) for i in graph.p_nodes)
+    parent = {base: None}
+    stack = [base]
+    while stack:
+        v = stack[-1]
+        w_next = next((x for x in graph.neighbors(v) if x not in parent), None)
+        if w_next is None:
+            stack.pop()
+        else:
+            parent[w_next] = v
+            stack.append(w_next)
+    transport = {base: (AffineMap.identity(d), AffineMap.identity(d))}
+    # Deepest first: one call fills the memo along a whole path.
+    nodes = sorted((n for n in parent if n[0] == "P"),
+                   key=lambda n: -len(graph.tree_path(parent, n)))
+    assert len(graph.tree_path(parent, nodes[0])) >= 5
+    for node in nodes:
+        path = graph.tree_path(parent, node)
+        fwd = AffineMap.identity(d)
+        for step in range(0, len(path) - 1, 2):
+            dst = sigma.p_poset.elements[path[step + 2][1]]
+            via = sigma.q_poset.elements[path[step + 1][1]]
+            fwd = chart_transition(dst, via, w, d).compose(fwd)
+        back = AffineMap.identity(d)
+        for step in range(len(path) - 1, 1, -2):
+            dst = sigma.p_poset.elements[path[step - 2][1]]
+            via = sigma.q_poset.elements[path[step - 1][1]]
+            back = chart_transition(dst, via, w, d).compose(back)
+        got_fwd, got_back = _tree_transport(sigma, parent, transport, node,
+                                            w, d)
+        assert (got_fwd.m, got_fwd.t) == (fwd.m, fwd.t)
+        assert (got_back.m, got_back.t) == (back.m, back.t)

@@ -1,6 +1,23 @@
+import pytest
+
 from nefsphere import Pipeline
+from nefsphere.cli import load_input
+from nefsphere.homology import order_complex_homology
 from nefsphere.polytope import dilate, intersect
 from nefsphere.sphere import projection_images
+from test_cli import path
+
+INPUTS = ["triangle", "square_sum", "pentagon_pair", "simplex3",
+          "segment_weighted", "prism_pair_5d"]
+
+
+def _data_pipeline(name):
+    nef, omega, nu = load_input(path(f"{name}.json"))
+    return Pipeline(nef, omega_spec=omega, nu_spec=nu)
+
+
+def _bsd_homology(sigma):
+    return order_complex_homology(len(sigma.pairs), sigma.successors())
 
 
 def test_r1_every_cell_transversal(triangle_pipe):
@@ -121,3 +138,32 @@ def test_elliptic_dimension_has_empty_discriminant(randomized_partitions):
         assert discriminant(pipe.sigma()).is_empty()
         assert pipe.sigma_homology() == [(1, ()), (1, ())]
     assert seen > 0, "no d - r = 1 partition in the randomized sample"
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_cellular_homology_matches_bsd(name):
+    # Sigma is regular CW: its cellular homology equals the homology of the
+    # order complex of its face poset (the barycentric subdivision).
+    pipe = _data_pipeline(name)
+    for sigma in (pipe.sigma(), pipe.dual_pipeline().sigma()):
+        assert sigma.homology() == _bsd_homology(sigma)
+
+
+def test_cellular_homology_matches_bsd_randomized(randomized_partitions):
+    for nef in randomized_partitions:
+        sigma = Pipeline(nef).sigma()
+        assert sigma.homology() == _bsd_homology(sigma), \
+            f"parts {[p.vertices for p in nef.parts]}"
+
+
+@pytest.mark.parametrize("name", ["simplex3", "segment_weighted"])
+def test_sigma_order_is_the_product_order(name):
+    sigma = _data_pipeline(name).sigma()
+    p, q = sigma.p_poset, sigma.q_poset
+    n = len(sigma.pairs)
+    succ = sigma.successors()
+    for a, (i, j) in enumerate(sigma.pairs):
+        want = [b for b, (i2, j2) in enumerate(sigma.pairs)
+                if p.leq(i, i2) and q.leq(j, j2)]
+        assert [b for b in range(n) if sigma.leq(a, b)] == want
+        assert succ[a] == [b for b in want if b != a]
