@@ -3,11 +3,23 @@
 The single entry point :func:`cone_rays` converts a homogeneous inequality
 system into generators (lineality basis + extreme rays).  Both directions of
 polytope conversion (V->H and H->V) reduce to it after homogenization; see
-:mod:`nefsphere.polytope`.  All arithmetic is integer; rays are kept
-primitive, so there is no coefficient blow-up.
+:mod:`nefsphere.polytope`.
+
+After the lineality space is quotiented out, the iteration is the
+incremental double description of Fukuda and Prodon ("Double description
+method revisited", 1996).  It starts from a simplicial cone: the first rows
+that raise the rank (one incremental echelon) form an invertible base, and
+its initial rays are the columns of the base's inverse (one fraction-free
+Gauss-Jordan elimination), each oriented to the feasible side of its row.
+The remaining rows are then added one at a time, with rays kept as
+tightness bitmasks and combined only when combinatorially adjacent.  All
+arithmetic is integer; rays are kept primitive, so there is no coefficient
+blow-up.
 """
 
-from .linalg import dot, identity, kernel_basis, primitive, row_rank
+from math import lcm
+
+from .linalg import dot, identity, kernel_basis, primitive
 
 
 def cone_rays(ineqs, dim):
@@ -48,97 +60,90 @@ def _pointed_cone_rays(rows, dim):
     """Extreme rays of a pointed cone given by full-rank inequality rows."""
     if dim == 0:
         return ()
-    # Initial simplicial cone from dim independent inequalities.
-    base = []
-    for r in rows:
-        if row_rank(base + [r]) > len(base):
-            base.append(r)
-            if len(base) == dim:
-                break
+    base = _independent_rows(rows, dim)
     if len(base) < dim:
         raise ValueError("cone is not pointed after lineality reduction")
     rest = [r for r in rows if r not in base]
-    rays = []
-    for j in range(dim):
-        # Ray j of the initial cone: orthogonal to all base rows but row j,
-        # oriented to the feasible side.
-        minor_rows = [base[i] for i in range(dim) if i != j]
-        v = _signed_kernel_vector(minor_rows, dim)
-        s = dot(base[j], v)
-        if s == 0:
-            raise ValueError("degenerate initial cone")
-        if s < 0:
-            v = tuple(-x for x in v)
-        rays.append(primitive(v))
-    # Tightness bitmasks over the processed inequality list.
-    processed = list(base)
+    # Initial simplicial cone: ray j is orthogonal to every base row but row
+    # j, so it is column j of the inverse of the base, oriented to the
+    # feasible side of row j.  Rays map to their tightness bitmasks over the
+    # rows processed so far.
+    full = (1 << dim) - 1
     masks = {}
-    for v in rays:
-        m = 0
-        for i, r in enumerate(processed):
-            if dot(r, v) == 0:
-                m |= 1 << i
-        masks[v] = m
-    for r in rest:
-        vals = {v: dot(r, v) for v in rays}
-        if all(s >= 0 for s in vals.values()):
-            idx = len(processed)
-            processed.append(r)
-            for v in rays:
-                if vals[v] == 0:
-                    masks[v] |= 1 << idx
-            continue
-        pos = [v for v in rays if vals[v] > 0]
-        zero = [v for v in rays if vals[v] == 0]
-        neg = [v for v in rays if vals[v] < 0]
-        new_rays = []
-        for p in pos:
+    for j, v in enumerate(_inverse_columns(base)):
+        if dot(base[j], v) < 0:
+            v = [-x for x in v]
+        masks[primitive(v)] = full ^ (1 << j)
+    for idx, r in enumerate(rest, start=dim):
+        bit = 1 << idx
+        vals = {v: dot(r, v) for v in masks}
+        neg = [v for v, s in vals.items() if s < 0]
+        new = {}
+        for p, sp in vals.items():
+            if sp <= 0:
+                continue
             for n in neg:
                 common = masks[p] & masks[n]
                 # Combinatorial adjacency: no third ray is tight on the
                 # common tight set of p and n.
-                adjacent = True
-                for w in rays:
-                    if w is p or w is n:
-                        continue
-                    if (masks[w] & common) == common:
-                        adjacent = False
-                        break
-                if not adjacent:
+                if any(masks[w] & common == common for w in masks
+                       if w is not p and w is not n):
                     continue
-                combo = tuple(vals[p] * nx - vals[n] * px
-                              for px, nx in zip(p, n))
-                combo = primitive(combo)
-                new_rays.append((combo, common))
-        idx = len(processed)
-        processed.append(r)
-        next_rays = []
-        next_masks = {}
-        for v in pos:
-            next_rays.append(v)
-            next_masks[v] = masks[v]
-        for v in zero:
-            next_rays.append(v)
-            next_masks[v] = masks[v] | (1 << idx)
-        for v, common in new_rays:
-            if v in next_masks:
-                continue
-            m = common | (1 << idx)
-            # Recompute exact tightness (combo may be tight on more rows).
-            mm = 0
-            for i, rr in enumerate(processed):
-                if dot(rr, v) == 0:
-                    mm |= 1 << i
-            next_masks[v] = mm
-            next_rays.append(v)
-        rays = next_rays
-        masks = next_masks
-    return tuple(sorted(rays))
+                sn = vals[n]
+                combo = primitive([sp * nx - sn * px for px, nx in zip(p, n)])
+                # A positive combination of two feasible rays is tight on a
+                # processed row iff both are, so its mask is exact.
+                new[combo] = common | bit
+        for v in neg:
+            del masks[v]
+        for v, s in vals.items():
+            if s == 0:
+                masks[v] |= bit
+        for v, m in new.items():
+            masks.setdefault(v, m)
+    return tuple(sorted(masks))
 
 
-def _signed_kernel_vector(rows, dim):
-    """A nonzero integer vector orthogonal to dim-1 independent rows."""
-    k = kernel_basis(rows, dim)
-    if len(k) != 1:
-        raise ValueError("expected a one-dimensional kernel")
-    return k[0]
+def _independent_rows(rows, dim):
+    """The first rows, in order, that raise the rank, up to dim of them.
+
+    One incremental fraction-free echelon: a candidate is reduced against
+    the rows accepted so far and accepted when a nonzero entry is left.
+    """
+    base = []
+    echelon = []  # (pivot column, reduced row)
+    for r in rows:
+        w = r
+        for c, e in echelon:
+            f = w[c]
+            if f:
+                p = e[c]
+                w = primitive([p * a - f * b for a, b in zip(w, e)])
+        piv = next((c for c, x in enumerate(w) if x), None)
+        if piv is None:
+            continue
+        base.append(r)
+        echelon.append((piv, w))
+        if len(base) == dim:
+            break
+    return base
+
+
+def _inverse_columns(base):
+    """Integer multiples of the columns of the inverse of a square integer
+    matrix, by fraction-free Gauss-Jordan elimination of [base | I]."""
+    n = len(base)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(base)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if m[i][col])
+        m[col], m[piv] = m[piv], m[col]
+        top = m[col]
+        p = top[col]
+        for i in range(n):
+            f = m[i][col]
+            if i != col and f:
+                m[i] = primitive([p * a - f * b for a, b in zip(m[i], top)])
+    # Row i now reads d_i * (row i of the inverse) with d_i = m[i][i].
+    scale = lcm(*(m[i][i] for i in range(n)))
+    return [[m[i][n + j] * (scale // m[i][i]) for i in range(n)]
+            for j in range(n)]

@@ -24,16 +24,9 @@ def exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (0 stays 0)."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
@@ -279,6 +272,33 @@ def hermite_normal_form(rows):
     return tuple(tuple(r) for r in m)
 
 
+def _column_echelon(rows, ncols):
+    """Column-style echelon form A U = [L 0] with U unimodular.
+
+    Euclidean column operations, row by row.  Returns (columns, rank): each
+    column j is the list (column j of A U) + (column j of U), and the first
+    `rank` columns hold the pivots of L.
+    """
+    nrows = len(rows)
+    cols = [[r[j] for r in rows] + [int(i == j) for i in range(ncols)]
+            for j in range(ncols)]
+    colpos = 0
+    for r in range(nrows):
+        piv = next((j for j in range(colpos, ncols) if cols[j][r]), None)
+        if piv is None:
+            continue
+        cols[colpos], cols[piv] = cols[piv], cols[colpos]
+        for j in range(colpos + 1, ncols):
+            while cols[j][r]:
+                q = cols[colpos][r] // cols[j][r]
+                cols[colpos], cols[j] = cols[j], [
+                    a - q * b for a, b in zip(cols[colpos], cols[j])]
+        colpos += 1
+        if colpos == ncols:
+            break
+    return cols, colpos
+
+
 def kernel_basis(rows, ncols=None):
     """Canonical basis of the saturated integer kernel {x : A x = 0}.
 
@@ -290,45 +310,10 @@ def kernel_basis(rows, ncols=None):
         if not rows:
             raise ValueError("kernel_basis needs ncols for an empty matrix")
         ncols = len(rows[0])
-    # Column-style HNF on A, tracking the unimodular column transform.
-    m = [list(r) for r in rows]
-    u = [list(r) for r in identity(ncols)]  # columns of u track column ops
-
-    def col(mat, j):
-        return [mat[i][j] for i in range(len(mat))]
-
-    def addcol(mat, dst, src, q):
-        for i in range(len(mat)):
-            mat[i][dst] += q * mat[i][src]
-
-    def swapcol(mat, a, b):
-        for i in range(len(mat)):
-            mat[i][a], mat[i][b] = mat[i][b], mat[i][a]
-
-    colpos = 0
-    for r in range(len(m)):
-        piv = None
-        for j in range(colpos, ncols):
-            if m[r][j]:
-                piv = j
-                break
-        if piv is None:
-            continue
-        swapcol(m, colpos, piv)
-        swapcol(u, colpos, piv)
-        for j in range(colpos + 1, ncols):
-            while m[r][j]:
-                q = m[r][colpos] // m[r][j]
-                addcol(m, colpos, j, -q)
-                addcol(u, colpos, j, -q)
-                swapcol(m, colpos, j)
-                swapcol(u, colpos, j)
-        colpos += 1
-        if colpos == ncols:
-            break
-    kernel_cols = [j for j in range(ncols)
-                   if all(m[i][j] == 0 for i in range(len(m)))]
-    basis = [tuple(u[i][j] for i in range(ncols)) for j in kernel_cols]
+    # The columns of U that A U sends to zero span the saturated kernel.
+    nrows = len(rows)
+    cols, _ = _column_echelon(rows, ncols)
+    basis = [tuple(c[nrows:]) for c in cols if not any(c[:nrows])]
     return hermite_normal_form(basis)
 
 
@@ -440,32 +425,10 @@ def complete_to_unimodular(rows, ncols):
     # Column-style reduction A U = [L 0] with U unimodular.  Then the first
     # len(rows) rows of U^-1 span the same saturated lattice as `rows`, and
     # its remaining rows complete any basis of that lattice.
-    m = [list(r) for r in rows]
-    u = [list(r) for r in identity(ncols)]
-    colpos = 0
-    for r in range(len(m)):
-        piv = None
-        for j in range(colpos, ncols):
-            if m[r][j]:
-                piv = j
-                break
-        if piv is None:
-            continue
-        for mat in (m, u):
-            for row_ in mat:
-                row_[colpos], row_[piv] = row_[piv], row_[colpos]
-        for j in range(colpos + 1, ncols):
-            while m[r][j]:
-                q = m[r][colpos] // m[r][j]
-                for mat in (m, u):
-                    for row_ in mat:
-                        row_[colpos] -= q * row_[j]
-                for mat in (m, u):
-                    for row_ in mat:
-                        row_[colpos], row_[j] = row_[j], row_[colpos]
-        colpos += 1
+    cols, colpos = _column_echelon(rows, ncols)
     if colpos != len(rows):
         raise ValueError("rows are not linearly independent")
+    u = transpose([c[len(rows):] for c in cols])
     uinv = invert_rational(u)
     full = list(rows)
     for i in range(colpos, ncols):

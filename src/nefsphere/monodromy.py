@@ -7,6 +7,7 @@ unipotent transformation of the tangent lattice of the base chart.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import FalsificationError
@@ -347,13 +348,28 @@ class AffineMonodromy:
     ambient: AffineMap    # the underlying ambient affine map
 
 
-def loop_ambient_map(sigma, loop, weight):
-    """Ambient form of the holonomy around the loop, based at its first cell."""
+def transition_memo(sigma, weight):
+    """chart_transition by (destination P-index, via Q-index), built once
+    per pair: a transition depends on nothing else."""
     p_el = sigma.p_poset.elements
     q_el = sigma.q_poset.elements
-    d = p_el[loop.p0].cell.ambient
-    first = chart_transition(p_el[loop.p1], q_el[loop.q0], weight, d)
-    second = chart_transition(p_el[loop.p0], q_el[loop.q1], weight, d)
+
+    @lru_cache(maxsize=None)
+    def transition(i, j):
+        return chart_transition(p_el[i], q_el[j], weight, p_el[i].cell.ambient)
+
+    return transition
+
+
+def loop_ambient_map(sigma, loop, weight, transition=None):
+    """Ambient form of the holonomy around the loop, based at its first cell.
+
+    `transition` is a :func:`transition_memo` of the same sigma and weight,
+    to share transitions across loops."""
+    if transition is None:
+        transition = transition_memo(sigma, weight)
+    first = transition(loop.p1, loop.q0)
+    second = transition(loop.p0, loop.q1)
     return second.compose(first)
 
 
@@ -582,13 +598,15 @@ def global_group(sigma, graph, loops, weight, discriminant_complex=None):
     loop_component = []
     # node -> (base -> node, node -> base) along the tree, once per P-node.
     transport = {base_node: (AffineMap.identity(d), AffineMap.identity(d))}
+    transition = transition_memo(sigma, weight)
     for loop in loops:
         node = ("P", loop.p0)
         if node not in parent:
             skipped += 1
             continue
-        fwd, back = _tree_transport(sigma, parent, transport, node, weight, d)
-        amb = back.compose(loop_ambient_map(sigma, loop, weight)).compose(fwd)
+        fwd, back = _tree_transport(parent, transport, node, transition)
+        amb = back.compose(loop_ambient_map(sigma, loop, weight, transition))
+        amb = amb.compose(fwd)
         linear, _ = restrict_to_chart(amb, basis, x0)
         transported.append(linear)
         loop_component.append(_loop_discriminant_component(
@@ -627,11 +645,12 @@ def global_group(sigma, graph, loops, weight, discriminant_complex=None):
     }
 
 
-def _tree_transport(sigma, parent, transport, node, weight, d):
+def _tree_transport(parent, transport, node, transition):
     """(base -> node, node -> base) chart maps along the spanning tree.
 
     Each P-node is reached from its grandparent through its parent Q-node;
     results are memoized in `transport`, which holds the base node.
+    `transition` is a :func:`transition_memo`.
     """
     path = []
     walk = node
@@ -641,12 +660,9 @@ def _tree_transport(sigma, parent, transport, node, weight, d):
     for child in reversed(path):
         grand = parent[parent[child]]
         fwd, back = transport[grand]
-        via = sigma.q_poset.elements[parent[child][1]]
-        up = sigma.p_poset.elements[grand[1]]
-        down = sigma.p_poset.elements[child[1]]
-        transport[child] = (
-            chart_transition(down, via, weight, d).compose(fwd),
-            back.compose(chart_transition(up, via, weight, d)))
+        via = parent[child][1]
+        transport[child] = (transition(child[1], via).compose(fwd),
+                            back.compose(transition(grand[1], via)))
     return transport[node]
 
 

@@ -190,6 +190,14 @@ class Polytope:
         pts = [self.vertices[i] for i in sorted(vset)]
         return convex_hull(pts, self.role, self.ambient)
 
+    def face_keys(self, proper=False):
+        """The set of ``face_polytope(fs).key()`` over all faces (only the
+        proper ones when `proper`), without building a hull: a face's
+        vertices are exactly the polytope's vertices it contains."""
+        return {(self.role, tuple(self.vertices[i] for i in sorted(fs)))
+                for fs, d in self.face_sets().items()
+                if not proper or d < self.dim}
+
     def proper_face_polytopes(self):
         out = []
         for vset, d in sorted(self.face_sets().items(),
@@ -363,7 +371,7 @@ def convex_hull(points, role, ambient=None):
     eqs, rays = cone_rays(gens, ambient + 1)
     dim = ambient - len(eqs)
     facets = _canonical_facets(rays, eqs, gens)
-    vertices = _extreme_points(pts, facets, eqs, dim)
+    vertices = _extreme_points(pts, facets)
     return Polytope(ambient, role, vertices, eqs, facets, dim)
 
 
@@ -394,20 +402,21 @@ def _reduce_mod_equations(row, eqs):
     return primitive(work)
 
 
-def _extreme_points(pts, facets, eqs, dim):
-    verts = []
+def _extreme_points(pts, facets):
+    """The vertices among the distinct sorted points of a hull with these
+    facets.
+
+    A point is a vertex iff no other point is tight on every facet it is
+    tight on: otherwise the smallest face containing it has positive
+    dimension and so holds a second point.
+    """
+    masks = []
     for p in pts:
         hp = (1,) + p
-        tight = [f for f in facets if dot(f, hp) == 0]
-        rows = [f[1:] for f in tight] + [e[1:] for e in eqs]
-        rows = [r for r in rows if any(r)]
-        rank = row_rank(rows) if rows else 0
-        if rank == len(p):
-            verts.append(p)
-    if not verts:
-        # Zero-dimensional hull: the single deduped point.
-        verts = [pts[0]] if dim == 0 else verts
-    return tuple(sorted(verts))
+        masks.append(sum(1 << k for k, f in enumerate(facets)
+                         if dot(f, hp) == 0))
+    return tuple(p for i, (p, m) in enumerate(zip(pts, masks))
+                 if not any(o & m == m for k, o in enumerate(masks) if k != i))
 
 
 def polyhedron_generators(eq_rows, ineq_rows, ambient):

@@ -183,11 +183,11 @@ def minkowski_complex(poset, delta, r, parts_hull):
     for j in range(n):
         below = [i for i in range(n) if poset.leq(i, j)]
         mj = cells[j]
-        face_polys = {mj.face_polytope(fs) for fs in mj.face_sets()}
-        if len(face_polys) != len(below):
+        face_keys = mj.face_keys()
+        if len(face_keys) != len(below):
             face_ok = False
         for i in below:
-            if cells[i] not in face_polys:
+            if cells[i].key() not in face_keys:
                 face_ok = False
     checks["order_isomorphism"] = order_ok
     checks["face_lattices_match"] = face_ok
@@ -462,7 +462,7 @@ def lemma_slice_suite(subdivision, parts, dual_parts):
     slices_by_cell = compute_slices(subdivision, parts)
     for cell in subdivision.cells:
         slices = slices_by_cell[cell]
-        face_polys = None
+        face_keys = None
         for size in range(1, r + 1):
             for idxs in combinations(range(r), size):
                 chosen = [slices[i] for i in idxs if slices[i] is not None]
@@ -470,10 +470,9 @@ def lemma_slice_suite(subdivision, parts, dual_parts):
                     continue
                 pts = [v for s in chosen for v in s.vertices]
                 sigma_i = convex_hull(pts, cell.role, cell.ambient)
-                if face_polys is None:
-                    face_polys = {cell.face_polytope(fs)
-                                  for fs in cell.face_sets()}
-                if sigma_i not in face_polys:
+                if face_keys is None:
+                    face_keys = cell.face_keys()
+                if sigma_i.key() not in face_keys:
                     failures.append({"check": "slice_hull_is_face",
                                      "cell": _cell_key(cell),
                                      "index_set": list(idxs)})

@@ -10,7 +10,7 @@ the boundary subdivision (side tag S or T).
 from fractions import Fraction
 
 from .linalg import dot, exact
-from .polytope import GeometryError, as_fractions, convex_hull
+from .polytope import GeometryError, as_fractions, convex_hull, is_integral
 
 
 class WeightFunction:
@@ -23,8 +23,11 @@ class WeightFunction:
     def __init__(self, support, table, preset=None):
         self.support = support
         origin = (0,) * support.ambient
-        table = {tuple(int(c) for c in pt): Fraction(val)
-                 for pt, val in table.items()}
+        table = {as_fractions(pt): Fraction(val) for pt, val in table.items()}
+        off = next((pt for pt in table if not is_integral(pt)), None)
+        if off is not None:
+            raise GeometryError(f"weight table point {_point_str(off)} "
+                                "is not a lattice point")
         missing = [pt for pt in support.lattice_points() if pt not in table]
         if missing:
             raise GeometryError(
@@ -42,11 +45,17 @@ class WeightFunction:
 
     @classmethod
     def from_pairs(cls, support, pairs):
-        return cls(support, {tuple(pt): Fraction(v) for pt, v in pairs})
+        table = {}
+        for pt, v in pairs:
+            pt = as_fractions(pt)
+            if pt in table:
+                raise GeometryError(
+                    f"weight table lists the point {_point_str(pt)} twice")
+            table[pt] = Fraction(v)
+        return cls(support, table)
 
     def __call__(self, point):
-        key = tuple(int(c) for c in as_fractions(point))
-        return self.values[key]
+        return self.values[as_fractions(point)]
 
     def restrict(self, subsupport):
         """The same weights on a subpolytope's lattice points."""
@@ -55,6 +64,10 @@ class WeightFunction:
 
     def as_sorted_items(self):
         return sorted(self.values.items())
+
+
+def _point_str(pt):
+    return "[" + ", ".join(str(c) for c in pt) + "]"
 
 
 class ConedSubdivision:

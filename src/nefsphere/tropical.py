@@ -168,10 +168,9 @@ def order_complex_check(complex_):
 
 def bounded_amoeba_matches_zero_cell(amoeba_cells, f0):
     """Bounded amoeba cells coincide with the proper faces of the zero cell."""
-    bounded = {convex_hull(t.poly.vertices, t.poly.role, t.poly.ambient)
+    bounded = {convex_hull(t.poly.vertices, t.poly.role, t.poly.ambient).key()
                for t in amoeba_cells if t.bounded}
-    faces = {f0.face_polytope(fs) for fs, d in f0.face_sets().items()
-             if d < f0.dim}
+    faces = f0.face_keys(proper=True)
     return {
         "bounded_cells": len(bounded),
         "proper_zero_cell_faces": len(faces),

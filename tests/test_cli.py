@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 BASE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -113,6 +115,24 @@ def test_weight_table_roundtrip():
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     assert out["central"]["omega"] and out["passed"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([[1.5], 7], "weight table point [3/2] is not a lattice point"),
+    ([[1], 9], "weight table lists the point [1] twice"),
+])
+def test_bad_weight_table_exits_2(tmp_path, extra, message):
+    # A non-lattice or repeated table point must not silently overwrite the
+    # weight of a lattice point.
+    with open(path("segment_weighted.json")) as fh:
+        data = json.load(fh)
+    data["omega"]["table"].append(extra)
+    bad = tmp_path / "bad_weights.json"
+    bad.write_text(json.dumps(data))
+    proc = run_cli("report", str(bad))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
 
 
 def test_falsification_exit_code(monkeypatch, capsys):

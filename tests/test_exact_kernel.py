@@ -1,14 +1,33 @@
 """The int-first exact kernel: integer elimination agrees with Fraction
-elimination, and computed coordinates are canonical exact rationals."""
+elimination, the double description and the vertex test agree with
+brute-force oracles, and computed coordinates are canonical exact
+rationals."""
 
 import os
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
 from nefsphere import Pipeline
 from nefsphere.cli import load_input
-from nefsphere.linalg import det, exact, row_rank, solve_rational
+from nefsphere.dd import cone_rays
+from nefsphere.linalg import (
+    clear_denominators,
+    det,
+    dot,
+    exact,
+    kernel_basis,
+    primitive,
+    row_rank,
+    solve_rational,
+)
+from nefsphere.polytope import (
+    _canonical_facets,
+    _extreme_points,
+    as_fractions,
+    convex_hull,
+)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -161,3 +180,174 @@ def test_cell_coordinates_are_int_or_proper_fraction():
         assert not bad, (name, bad[:3])
         seen_fraction |= any(type(x) is Fraction for v in vertices for x in v)
     assert seen_fraction
+
+
+# -- double description ------------------------------------------------------
+
+
+def reference_kernel_line(rows, ncols):
+    """The primitive integer generator of a one-dimensional kernel (Fraction
+    reduced row echelon form), or None when the kernel is not a line."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        m[row] = [x / m[row][col] for x in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+        pivots.append(col)
+    free = [j for j in range(ncols) if j not in pivots]
+    if len(free) != 1:
+        return None
+    v = [Fraction(0)] * ncols
+    v[free[0]] = Fraction(1)
+    for row, col in enumerate(pivots):
+        v[col] = -m[row][free[0]]
+    return clear_denominators(v)
+
+
+def reference_cone_rays(ineqs, dim):
+    """Extreme rays of {x : a.x >= 0} modulo lineality, by enumeration.
+
+    The lineality space is quotiented out as ``cone_rays`` does (to the
+    coordinates off the pivot columns of its HNF basis).  There, every
+    (n-1)-subset of the rows with a one-dimensional kernel gives two
+    candidate directions; the feasible ones are the extreme rays.
+    """
+    rows = [tuple(r) for r in ineqs if any(r)]
+    lineality = kernel_basis(rows, dim)
+    pivots = [next(j for j, x in enumerate(l) if x) for l in lineality]
+    free = [j for j in range(dim) if j not in pivots]
+    qrows = [tuple(r[j] for j in free) for r in rows]
+    n = len(free)
+    if n == 0:
+        return lineality, ()
+    found = set()
+    for subset in combinations(qrows, n - 1):
+        line = reference_kernel_line(subset, n) if n > 1 else (1,)
+        if line is None:
+            continue
+        for v in (line, tuple(-x for x in line)):
+            if all(dot(r, v) >= 0 for r in qrows):
+                lift = [0] * dim
+                for j, t in zip(free, primitive(v)):
+                    lift[j] = t
+                found.add(tuple(lift))
+    return lineality, tuple(sorted(found))
+
+
+@st.composite
+def cone_systems(draw):
+    """Small integer inequality systems with duplicate rows, redundant rows
+    (positive combinations of others) and, optionally, a lineality line."""
+    dim = draw(st.integers(1, 4))
+    small = st.integers(-3, 3)
+    rows = [tuple(draw(st.lists(small, min_size=dim, max_size=dim)))
+            for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):
+            rows.append(rows[i])
+        else:
+            j = draw(st.integers(0, len(rows) - 1))
+            a, b = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+            rows.append(tuple(a * x + b * y for x, y in zip(rows[i], rows[j])))
+    line = tuple(draw(st.lists(small, min_size=dim, max_size=dim)))
+    if draw(st.booleans()) and any(line):
+        # Project every row orthogonally to the line (scaled to integers),
+        # so the line lies in the lineality space.
+        ll = dot(line, line)
+        rows = [tuple(ll * x - dot(r, line) * y for x, y in zip(r, line))
+                for r in rows]
+    return draw(st.permutations(rows)), dim
+
+
+@given(cone_systems())
+@settings(max_examples=300, deadline=None)
+def test_cone_rays_match_enumeration_oracle(system):
+    rows, dim = system
+    lineality, rays = cone_rays(rows, dim)
+    want_lineality, want_rays = reference_cone_rays(rows, dim)
+    assert lineality == want_lineality
+    assert rays == want_rays
+
+
+# -- vertices of a hull --------------------------------------------------------
+
+
+def reference_extreme_points(pts, facets, eqs):
+    """The rank criterion: a point is a vertex iff its tight facets and the
+    equations span the whole space."""
+    verts = []
+    for p in pts:
+        hp = (1,) + p
+        rows = [f[1:] for f in facets if dot(f, hp) == 0]
+        rows += [e[1:] for e in eqs]
+        rows = [r for r in rows if any(r)]
+        if (row_rank(rows) if rows else 0) == len(p):
+            verts.append(p)
+    return tuple(verts)
+
+
+@st.composite
+def point_clouds(draw):
+    """A few lattice points with interior points, edge midpoints and points
+    collinear with two others mixed in (rational where they fall so)."""
+    ambient = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3)
+    base = [tuple(draw(st.lists(coord, min_size=ambient, max_size=ambient)))
+            for _ in range(draw(st.integers(1, 5)))]
+    pts = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["centroid", "midpoint", "collinear"]))
+        a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        if kind == "centroid":
+            pts.append(tuple(Fraction(sum(c), len(base)) for c in zip(*base)))
+        elif kind == "midpoint":
+            pts.append(tuple(Fraction(x + y, 2) for x, y in zip(a, b)))
+        else:
+            t = draw(st.sampled_from([Fraction(1, 3), 2, -1]))
+            pts.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+    return ambient, pts
+
+
+@given(point_clouds())
+@settings(max_examples=300, deadline=None)
+def test_incidence_mask_vertices_match_rank_criterion(cloud):
+    ambient, points = cloud
+    pts = sorted({as_fractions(p) for p in points})
+    gens = [clear_denominators((1,) + p) for p in pts]
+    eqs, rays = cone_rays(gens, ambient + 1)
+    facets = _canonical_facets(rays, eqs, gens)
+    got = _extreme_points(pts, facets)
+    assert got == reference_extreme_points(pts, facets, eqs)
+    assert got == convex_hull(points, "M").vertices
+
+
+# -- face checks without face hulls --------------------------------------------
+
+
+def test_face_keys_match_face_polytopes():
+    checked = 0
+    for name in ("simplex3", "segment_weighted"):
+        nef, omega, nu = load_input(os.path.join(DATA, f"{name}.json"))
+        pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+        cells = list(pipe.s_boundary().cells) + list(pipe.t_boundary().cells)
+        for poset in (pipe.p_poset(), pipe.q_poset()):
+            cells.extend(e.minkowski for e in poset.elements)
+        cells.append(pipe.zero_cell())
+        for cell in cells:
+            faces = cell.face_sets()
+            assert cell.face_keys() == {cell.face_polytope(fs).key()
+                                        for fs in faces}
+            assert cell.face_keys(proper=True) == {
+                cell.face_polytope(fs).key()
+                for fs, d in faces.items() if d < cell.dim}
+            checked += 1
+    assert checked > 20

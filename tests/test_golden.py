@@ -5,7 +5,10 @@
 all-Fraction to int-first arithmetic.  ``prism_pair_5d_fast.json`` is the
 stdout of ``nefsphere report prism_pair_5d.json --verify fast``, frozen
 before Sigma's homology moved from the barycentric subdivision to its own
-cells.  Any refactor of the arithmetic or the stages must reproduce them
+cells.  ``prism_pair_5d_kinked_fast.json`` is the same for the prism with the
+non-integral weights omega = nu = 1 + |m_0|/4 (``prism_pair_5d_kinked.json``),
+frozen before the hull kernel's simplicial start and incidence-mask vertex
+test.  Any refactor of the arithmetic or the stages must reproduce them
 exactly.
 """
 
@@ -41,4 +44,9 @@ def test_full_dual_report_matches_golden(name):
 
 def test_prism_fast_report_matches_golden():
     _assert_report_matches("prism_pair_5d", "prism_pair_5d_fast",
+                           "--verify", "fast")
+
+
+def test_kinked_prism_fast_report_matches_golden():
+    _assert_report_matches("prism_pair_5d_kinked", "prism_pair_5d_kinked_fast",
                            "--verify", "fast")

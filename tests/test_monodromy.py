@@ -280,7 +280,8 @@ def test_memoized_tree_transport_matches_path_walk(simplex3_pipe):
     # tree path from the base, in either direction.  The BFS tree of the
     # test inputs has depth one, so a depth-first tree is used to make
     # memoized nodes serve as intermediate stops.
-    from nefsphere.monodromy import _tree_transport, chart_transition
+    from nefsphere.monodromy import (_tree_transport, chart_transition,
+                                     transition_memo)
     sigma = simplex3_pipe.sigma()
     graph = simplex3_pipe.graph()
     w = simplex3_pipe.omega()
@@ -297,6 +298,7 @@ def test_memoized_tree_transport_matches_path_walk(simplex3_pipe):
             parent[w_next] = v
             stack.append(w_next)
     transport = {base: (AffineMap.identity(d), AffineMap.identity(d))}
+    transition = transition_memo(sigma, w)
     # Deepest first: one call fills the memo along a whole path.
     nodes = sorted((n for n in parent if n[0] == "P"),
                    key=lambda n: -len(graph.tree_path(parent, n)))
@@ -313,7 +315,7 @@ def test_memoized_tree_transport_matches_path_walk(simplex3_pipe):
             dst = sigma.p_poset.elements[path[step - 2][1]]
             via = sigma.q_poset.elements[path[step - 1][1]]
             back = chart_transition(dst, via, w, d).compose(back)
-        got_fwd, got_back = _tree_transport(sigma, parent, transport, node,
-                                            w, d)
+        got_fwd, got_back = _tree_transport(parent, transport, node,
+                                            transition)
         assert (got_fwd.m, got_fwd.t) == (fwd.m, fwd.t)
         assert (got_back.m, got_back.t) == (back.m, back.t)
