@@ -73,39 +73,20 @@ def discriminant(sigma):
 
 
 def complement_homology(sigma):
-    """Homology of the complement complex, computed on the literal second
-    barycentric subdivision (the order complex of the smooth-chain poset)."""
+    """Homology of the complement complex: the order complex of the smooth
+    subposet of Sigma, i.e. the full subcomplex of bsd(Sigma) on the smooth
+    cells.
+
+    The complement of the full subcomplex on the non-smooth cells
+    deformation-retracts onto it (Munkres, Elements of Algebraic Topology,
+    Lemma 70.1), and a further subdivision would not change its homology.
+    """
     from .homology import order_complex_homology
-    smooth = sorted(k for k in range(len(sigma.pairs))
-                    if smooth_pair(sigma, k))
+    smooth = [k for k in range(len(sigma.pairs)) if smooth_pair(sigma, k)]
     pos = {k: t for t, k in enumerate(smooth)}
-    succ_sigma = sigma.successors()
-    sub_succ = [[pos[j] for j in succ_sigma[k] if j in pos] for k in smooth]
-    # Enumerate the chains (= simplices of the smooth subcomplex), then take
-    # the order complex of their containment poset.
-    chains = []
-    current = [(t,) for t in range(len(smooth))]
-    while current:
-        chains.extend(current)
-        nxt = []
-        for ch in current:
-            for j in sub_succ[ch[-1]]:
-                nxt.append(ch + (j,))
-        current = nxt
-    chain_ids = {ch: i for i, ch in enumerate(chains)}
-    succ = [[] for _ in chains]
-    for ch, i in chain_ids.items():
-        n = len(ch)
-        if n == 1:
-            continue
-        for mask in range(1, (1 << n) - 1):
-            sub = tuple(ch[t] for t in range(n) if mask >> t & 1)
-            j = chain_ids.get(sub)
-            if j is not None:
-                succ[j].append(i)
-    for lst in succ:
-        lst.sort()
-    return order_complex_homology(len(chains), succ)
+    succ = sigma.successors()
+    return order_complex_homology(
+        len(smooth), [[pos[j] for j in succ[k] if j in pos] for k in smooth])
 
 
 # -- charts and the bipartite graph -------------------------------------------
@@ -361,13 +342,11 @@ def transition_memo(sigma, weight):
     return transition
 
 
-def loop_ambient_map(sigma, loop, weight, transition=None):
+def loop_ambient_map(loop, transition):
     """Ambient form of the holonomy around the loop, based at its first cell.
 
-    `transition` is a :func:`transition_memo` of the same sigma and weight,
-    to share transitions across loops."""
-    if transition is None:
-        transition = transition_memo(sigma, weight)
+    `transition` is the :func:`transition_memo` of the loop's sigma and
+    weight."""
     first = transition(loop.p1, loop.q0)
     second = transition(loop.p0, loop.q1)
     return second.compose(first)
@@ -436,11 +415,13 @@ def _mat_sub_identity(m):
                  for i, row in enumerate(m))
 
 
-def monodromy(sigma, loop, weight):
-    """The affine holonomy around a primary loop, in canonical coordinates."""
+def monodromy(sigma, loop, weight, transition):
+    """The affine holonomy around a primary loop, in canonical coordinates.
+
+    `transition` is the :func:`transition_memo` of sigma and weight."""
     base = sigma.p_poset.elements[loop.p0]
     basis, x0 = base_chart_data(base, weight)
-    amb = loop_ambient_map(sigma, loop, weight)
+    amb = loop_ambient_map(loop, transition)
     linear, translation = restrict_to_chart(amb, basis, x0)
     return AffineMonodromy(loop, basis, x0, linear, translation, amb)
 
@@ -492,12 +473,13 @@ def _is_identity(mono):
         all(t == 0 for t in mono.translation)
 
 
-def local_group(sigma, pair_idx, weight):
+def local_group(sigma, pair_idx, weight, transition):
     """Monodromies of all loops inside the star of a single pair vertex.
 
     Verifies the abelian upper-triangular structure: commuting generators,
     image inside the tangent space of the tau-side Minkowski cell, and
-    vanishing on it.
+    vanishing on it.  `transition` is the :func:`transition_memo` of sigma
+    and weight.
     """
     i, j = sigma.pairs[pair_idx]
     p_poset, q_poset = sigma.p_poset, sigma.q_poset
@@ -515,7 +497,7 @@ def local_group(sigma, pair_idx, weight):
                 if a == b and pk == base_idx:
                     continue
                 loop = PrimaryLoop(base_idx, q_min[a], pk, q_min[b])
-                amb = loop_ambient_map(sigma, loop, weight)
+                amb = loop_ambient_map(loop, transition)
                 linear, _ = restrict_to_chart(amb, basis, x0)
                 mats.append(linear)
     # W: span of the slice-point differences over the tau side.
@@ -578,10 +560,12 @@ def _pairwise_commute(mats):
 # -- global analysis -----------------------------------------------------------
 
 
-def global_group(sigma, graph, loops, weight, discriminant_complex=None):
+def global_group(sigma, graph, loops, weight, transition,
+                 discriminant_complex=None):
     """Transport every primary loop to a fixed base chart and analyze the
     resulting subgroup: commutation, the Smith divisors of the log lattice,
-    and per-discriminant-component sublattices."""
+    and per-discriminant-component sublattices.  `transition` is the
+    :func:`transition_memo` of sigma and weight."""
     if not graph.p_nodes:
         return {"trivial": True, "divisors": [], "commuting": True,
                 "component_divisors": {}, "graph_components": 0,
@@ -598,14 +582,13 @@ def global_group(sigma, graph, loops, weight, discriminant_complex=None):
     loop_component = []
     # node -> (base -> node, node -> base) along the tree, once per P-node.
     transport = {base_node: (AffineMap.identity(d), AffineMap.identity(d))}
-    transition = transition_memo(sigma, weight)
     for loop in loops:
         node = ("P", loop.p0)
         if node not in parent:
             skipped += 1
             continue
         fwd, back = _tree_transport(parent, transport, node, transition)
-        amb = back.compose(loop_ambient_map(sigma, loop, weight, transition))
+        amb = back.compose(loop_ambient_map(loop, transition))
         amb = amb.compose(fwd)
         linear, _ = restrict_to_chart(amb, basis, x0)
         transported.append(linear)
@@ -687,12 +670,14 @@ def _loop_discriminant_component(sigma, loop, disc):
 # -- duality -------------------------------------------------------------------
 
 
-def duality_check(sigma, loop, mono, dual_sigma, dual_weight):
+def duality_check(sigma, loop, mono, dual_sigma, dual_weight,
+                  dual_transition):
     """Transpose-inverse pairing of the primal and dual loop monodromies.
 
     The dual loop is (tau0, sigma1, tau1, sigma0), run through the dual
     pipeline (roles interchanged); the pairing between the two tangent
-    lattices must be preserved exactly.
+    lattices must be preserved exactly.  `dual_transition` is the
+    :func:`transition_memo` of dual_sigma and dual_weight.
     """
     q0_cell = sigma.q_poset.elements[loop.q0].cell
     q1_cell = sigma.q_poset.elements[loop.q1].cell
@@ -703,7 +688,8 @@ def duality_check(sigma, loop, mono, dual_sigma, dual_weight):
     dual_loop = PrimaryLoop(
         p0=_index_by_cell(dp, q0_cell), q0=_index_by_cell(dq, p1_cell),
         p1=_index_by_cell(dp, q1_cell), q1=_index_by_cell(dq, p0_cell))
-    dual_mono = monodromy(dual_sigma, dual_loop, dual_weight)
+    dual_mono = monodromy(dual_sigma, dual_loop, dual_weight,
+                          dual_transition)
     b_sigma = mono.basis
     b_tau = dual_mono.basis
     pairing = [[dot(y, x) for x in b_sigma] for y in b_tau]

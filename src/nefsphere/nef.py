@@ -162,8 +162,12 @@ def dual_nef_partition(np_):
     return DualNefPartition(duals, np_)
 
 
-def validate_nef_partition(np_):
-    """Structured validity report; never raises on a failing check."""
+def validate_nef_partition(np_, dualize=dual_nef_partition):
+    """Structured validity report; never raises on a failing check.
+
+    `dualize` maps np_ to its dual partition; a caller that already holds
+    the dual passes it in to avoid a second computation.
+    """
     checks = []
     notes = ["psi_j is taken to be the support function of the j-th dual part "
              "(its vertices are the gradients of psi_j)."]
@@ -188,7 +192,7 @@ def validate_nef_partition(np_):
                                       "skipped: earlier checks failed"))
         return ValidationReport(checks, notes)
     try:
-        dual = dual_nef_partition(np_)
+        dual = dualize(np_)
         checks.append(ValidationCheck("dual_partition_integral", True))
     except NefPartitionError as exc:
         checks.append(ValidationCheck("dual_partition_integral", False, str(exc)))

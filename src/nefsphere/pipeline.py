@@ -10,7 +10,9 @@ from fractions import Fraction
 
 from . import monodromy as mono
 from . import sphere, tropical
+from .errors import FalsificationError
 from .nef import (
+    NefPartitionError,
     dual_nef_partition,
     interior_vectors,
     is_irreducible,
@@ -48,11 +50,17 @@ class Pipeline:
 
     @_cached
     def validation(self):
-        return validate_nef_partition(self.nef)
+        return validate_nef_partition(self.nef, lambda nef: self.dual())
 
     @_cached
     def dual(self):
         return dual_nef_partition(self.nef)
+
+    @_cached
+    def double_dual(self):
+        """The dual of the dual partition (the primal, by the involution);
+        its ``primal`` is the nef-partition of the role-swapped run."""
+        return dual_nef_partition(self.dual().as_nef_partition())
 
     @_cached
     def irreducibility(self):
@@ -138,14 +146,19 @@ class Pipeline:
                 for p in self.nef.parts]
 
     @_cached
+    def tropical_cells(self):
+        return tropical.TropicalCells()
+
+    @_cached
     def amoeba(self):
-        return tropical.amoeba(self.s_coned())
+        return tropical.amoeba(self.s_coned(), self.tropical_cells())
 
     @_cached
     def tropical_complex(self):
         return tropical.bounded_tropical_complex(self.p_poset(),
                                                  self.s_boundary(),
-                                                 self.nef.ambient)
+                                                 self.nef.ambient,
+                                                 self.tropical_cells())
 
     @_cached
     def zero_cell(self):
@@ -171,14 +184,20 @@ class Pipeline:
                                   self.t_boundary())
 
     @_cached
+    def transitions(self):
+        return mono.transition_memo(self.sigma(), self.omega())
+
+    @_cached
     def monodromies(self):
-        return [mono.monodromy(self.sigma(), loop, self.omega())
+        return [mono.monodromy(self.sigma(), loop, self.omega(),
+                               self.transitions())
                 for loop in self.loops()]
 
     @_cached
     def global_report(self):
         return mono.global_group(self.sigma(), self.graph(), self.loops(),
-                                 self.omega(), self.discriminant())
+                                 self.omega(), self.transitions(),
+                                 self.discriminant())
 
     @_cached
     def complement_homology(self):
@@ -186,21 +205,48 @@ class Pipeline:
 
     @_cached
     def dual_pipeline(self):
-        """The role-swapped run: dual parts with the weights interchanged."""
-        dual_nef = self.dual().as_nef_partition()
-        return Pipeline(dual_nef,
+        """The role-swapped run: dual parts with the weights interchanged.
+
+        By Batyrev-Borisov duality it is this run with the roles of Delta
+        and nabla swapped.  The duality equalities are checked by key, and
+        the dual run's subdivisions and posets are then this run's, swapped.
+        """
+        back = self.double_dual()
+        dual_nef = back.primal
+        pipe = Pipeline(dual_nef,
                         omega_spec=_weight_as_spec(self.nu()),
                         nu_spec=_weight_as_spec(self.omega()))
+        pipe._cache["_dual"] = back
+        _require_duality(
+            dual_nef.parts_hull.key() == self.nef.sum_polar.key(),
+            "the dual parts hull is not the polar of the sum")
+        _require_duality(
+            dual_nef.sum_polar.key() == self.nef.parts_hull.key(),
+            "the polar of the dual sum is not the parts hull")
+        _require_duality(pipe.omega().values == self.nu().values,
+                         "the dual omega table is not the nu table")
+        _require_duality(pipe.nu().values == self.omega().values,
+                         "the dual nu table is not the omega table")
+        _require_duality(
+            self._involution_holds()
+            and back.sum_polytope.key() == self.nef.sum_polytope.key(),
+            "the double-dual parts are not the parts")
+        for dual_stage, stage in (("s_coned", "t_coned"),
+                                  ("t_coned", "s_coned"),
+                                  ("s_boundary", "t_boundary"),
+                                  ("t_boundary", "s_boundary"),
+                                  ("p_poset", "q_poset"),
+                                  ("q_poset", "p_poset")):
+            pipe._cache["_" + dual_stage] = getattr(self, stage)()
+        return pipe
 
     # -- verification suites ---------------------------------------------------------
 
     def lemma_suite(self):
-        failures = sphere.lemma_slice_suite(self.s_boundary(),
-                                            list(self.nef.parts),
-                                            [p for p in self.dual().parts])
-        failures += sphere.lemma_slice_suite(self.t_boundary(),
-                                             list(self.dual().parts),
-                                             [p for p in self.nef.parts])
+        failures = sphere.lemma_slice_suite(self.p_poset(),
+                                            list(self.dual().parts))
+        failures += sphere.lemma_slice_suite(self.q_poset(),
+                                             list(self.nef.parts))
         failures += sphere.minimal_cells_unimodular(self.p_poset())
         failures += sphere.minimal_cells_unimodular(self.q_poset())
         return failures
@@ -214,7 +260,8 @@ class Pipeline:
                                                       self.zero_cell())
         report["bounded_cells"] = tropical.bounded_cells_check(
             list(self.nef.parts), self.part_subdivisions(),
-            self.s_boundary(), self.p_poset(), self.tropical_complex())
+            self.s_boundary(), self.p_poset(), self.tropical_complex(),
+            self.tropical_cells())
         report["mixed_subdivision"] = tropical.mixed_subdivision_check(
             list(self.nef.parts), self.s_coned(), self.nef.sum_polytope)
         return report
@@ -229,7 +276,8 @@ class Pipeline:
         reports = {}
         for k in range(len(self.sigma().pairs)):
             if not mono.smooth_pair(self.sigma(), k):
-                reports[k] = mono.local_group(self.sigma(), k, self.omega())
+                reports[k] = mono.local_group(self.sigma(), k, self.omega(),
+                                              self.transitions())
         return reports
 
     def duality_suite(self):
@@ -238,7 +286,8 @@ class Pipeline:
         out = []
         for loop, m in zip(self.loops(), self.monodromies()):
             out.append(mono.duality_check(self.sigma(), loop, m, dual_sigma,
-                                          dual_pipe.omega()))
+                                          dual_pipe.omega(),
+                                          dual_pipe.transitions()))
         return out
 
     # -- reporting --------------------------------------------------------------------
@@ -253,7 +302,7 @@ class Pipeline:
         dual = self.dual()
         stages["dual_partition"] = {
             "parts": [_poly_vertices(p) for p in dual.parts],
-            "involution": _involution_holds(self.nef, dual),
+            "involution": self._involution_holds(),
         }
         iv = self.interior_vectors()
         stages["interior_vectors"] = {
@@ -323,6 +372,16 @@ class Pipeline:
         rep["passed"] = _report_passed(rep)
         return rep
 
+    def _involution_holds(self):
+        """The double dual's parts are the parts; False when the double dual
+        cannot be formed (an invalid partition), any other error raises."""
+        try:
+            back = self.double_dual()
+        except (NefPartitionError, GeometryError):
+            return False
+        return [p.vertices for p in back.parts] == \
+            [p.vertices for p in self.nef.parts]
+
     def _input_description(self):
         return {
             "dim": self.nef.ambient,
@@ -331,6 +390,12 @@ class Pipeline:
             "omega": _weight_description(self.omega_spec),
             "nu": _weight_description(self.nu_spec),
         }
+
+
+def _require_duality(holds, claim):
+    if not holds:
+        raise FalsificationError(f"dual_pipeline: {claim}",
+                                 {"stage": "dual_pipeline"})
 
 
 def _weight(support, spec):
@@ -357,16 +422,6 @@ def _weight_description(spec):
 
 def _poly_vertices(p):
     return [[str(x) for x in v] for v in p.vertices]
-
-
-def _involution_holds(nef, dual):
-    try:
-        from .nef import dual_nef_partition as ddn
-        back = ddn(dual.as_nef_partition())
-        return [p.vertices for p in back.parts] == \
-            [p.vertices for p in nef.parts]
-    except Exception:
-        return False
 
 
 def _sign_pattern_holds(iv):

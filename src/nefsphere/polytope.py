@@ -4,6 +4,11 @@ Coordinates are exact rationals in canonical form (:func:`linalg.exact`): an
 int when integral, a Fraction only when not, never a float.  On lattice
 input nearly all arithmetic therefore stays in Python ints.
 
+Hulls are interned: while a polytope is alive, :func:`convex_hull` returns
+that one canonical object for every point list with the same role, ambient
+space and hull, so its lazily built face lattice, chart, lattice points and
+triangulation are computed once per run.
+
 Polytopes carry a role tag:  'M' for the functional side (where the partition
 parts Delta^(i) live) and 'N' for the vector side (the nabla side).  Pairings
 are only defined across roles.  All hyperplane data is stored in homogeneous
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 from itertools import product
+from weakref import WeakValueDictionary
 
 from . import linalg
 from .dd import cone_rays
@@ -83,11 +89,12 @@ class Polytope:
 
     Values are immutable after construction (face lattices and charts are
     cached lazily but idempotently), so independent computations can safely
-    share polytopes.
+    share polytopes; :func:`convex_hull` hands out one live object per hull.
     """
 
     __slots__ = ("ambient", "role", "vertices", "equations", "facets", "dim",
-                 "_faces", "_chart", "_lattice_points", "_triangulation")
+                 "_faces", "_chart", "_lattice_points", "_triangulation",
+                 "__weakref__")
 
     def __init__(self, ambient, role, vertices, equations, facets, dim):
         self.ambient = ambient
@@ -358,21 +365,39 @@ class AffineChart:
 # -- constructions ------------------------------------------------------------
 
 
+# (role, ambient, points) -> the live hull of those points, under both the
+# sorted distinct input points and the hull's own vertices.  Every field of a
+# hull is a function of its vertices (equations are HNF-canonical, facets
+# primitive and sorted), so any two hulls with one key are interchangeable.
+# The table is weak: it holds only hulls that are alive anyway.
+_HULLS = WeakValueDictionary()
+
+
 def convex_hull(points, role, ambient=None):
-    """Canonical hull of a nonempty point set (exact, any dimension)."""
-    pts = sorted({as_fractions(p) for p in points})
+    """Canonical hull of a nonempty point set (exact, any dimension).
+
+    Returns the one live :class:`Polytope` for this hull: permuting,
+    repeating or adding non-vertex points gives back the same object.
+    """
+    pts = tuple(sorted({as_fractions(p) for p in points}))
     if not pts:
         raise GeometryError("empty point set")
     if ambient is None:
         ambient = len(pts[0])
     if any(len(p) != ambient for p in pts):
         raise GeometryError("points of mixed dimension")
-    gens = [clear_denominators((1,) + p) for p in pts]
-    eqs, rays = cone_rays(gens, ambient + 1)
-    dim = ambient - len(eqs)
-    facets = _canonical_facets(rays, eqs, gens)
-    vertices = _extreme_points(pts, facets)
-    return Polytope(ambient, role, vertices, eqs, facets, dim)
+    key = (role, ambient, pts)
+    hull = _HULLS.get(key)
+    if hull is None:
+        gens = [clear_denominators((1,) + p) for p in pts]
+        eqs, rays = cone_rays(gens, ambient + 1)
+        facets = _canonical_facets(rays, eqs, gens)
+        vertices = _extreme_points(pts, facets)
+        hull = _HULLS.setdefault(
+            (role, ambient, vertices),
+            Polytope(ambient, role, vertices, eqs, facets, ambient - len(eqs)))
+        _HULLS[key] = hull
+    return hull
 
 
 def _canonical_facets(rays, eqs, gens):

@@ -35,12 +35,17 @@ class TransversalCell:
 
 
 class TransversalPoset:
-    """The transversal cells of a boundary subdivision, ordered by inclusion."""
+    """The transversal cells of a boundary subdivision, ordered by inclusion.
 
-    def __init__(self, subdivision, parts, elements):
+    `slices` maps every cell of the subdivision, transversal or not, to its
+    part slices (:func:`compute_slices`), for the checks that need them all.
+    """
+
+    def __init__(self, subdivision, parts, elements, slices):
         self.subdivision = subdivision
         self.parts = parts
         self.elements = tuple(elements)
+        self.slices = slices
         n = len(self.elements)
         vsets = [frozenset(e.cell.vertices) for e in self.elements]
         self._above = [0] * n  # bitmask: j-th bit set iff element_i <= element_j
@@ -131,7 +136,7 @@ def transversal_poset(subdivision, parts, delta=None):
                         "transversal cells do not form an upper order ideal",
                         {"cell": _cell_key(cell), "superface": _cell_key(other)})
     elements.sort(key=lambda e: e.cell.key())
-    return TransversalPoset(subdivision, parts, elements)
+    return TransversalPoset(subdivision, parts, elements, slices_by_cell)
 
 
 def minkowski_cell(slices, cell, r, delta=None):
@@ -448,20 +453,20 @@ def projection_images(sigma):
     return report
 
 
-def lemma_slice_suite(subdivision, parts, dual_parts):
+def lemma_slice_suite(poset, dual_parts):
     """The face/lattice-distance/unimodularity checks on every cell.
 
-    For every subdivision cell and index set I: Conv of the I-slices is a
-    face of the cell; complementary nonempty slices are at lattice distance
-    one (certified by the sum of the dual support functions); minimal
-    transversal cells are unimodular (r-1)-simplices.
+    For every cell of the poset's subdivision and index set I: Conv of the
+    I-slices is a face of the cell; complementary nonempty slices are at
+    lattice distance one (certified by the sum of the dual support
+    functions); minimal transversal cells are unimodular (r-1)-simplices.
+    The slices are the ones the poset was built from.
     """
     from itertools import combinations
-    r = len(parts)
+    r = len(poset.parts)
     failures = []
-    slices_by_cell = compute_slices(subdivision, parts)
-    for cell in subdivision.cells:
-        slices = slices_by_cell[cell]
+    for cell in poset.subdivision.cells:
+        slices = poset.slices[cell]
         face_keys = None
         for size in range(1, r + 1):
             for idxs in combinations(range(r), size):

@@ -64,21 +64,41 @@ def tropical_cell(cone_cell, weight, support):
     return TropicalCell(cone_cell, poly, support.key())
 
 
+class TropicalCells:
+    """:func:`tropical_cell` of subdivision cells, built once per
+    (support, cell).
+
+    Every subdivision passed to one memo must carry a restriction of one
+    weight function (a run's omega on its support and on the parts), so
+    the support and the cell fix the tropical cell.
+    """
+
+    def __init__(self):
+        self._memo = {}
+
+    def __call__(self, subdivision, cell):
+        key = (subdivision.support, cell)
+        if key not in self._memo:
+            self._memo[key] = tropical_cell(cell, subdivision.weight,
+                                            subdivision.support)
+        return self._memo[key]
+
+
 def _dual_role(role):
     return "N" if role == "M" else "M"
 
 
-def amoeba(subdivision):
+def amoeba(subdivision, tropical_cells):
     """All dual cells of positive-dimension subdivision cells.
 
     The subdivision is a coned (lower-hull) subdivision of its support; the
-    support's weight function supplies the heights.
+    support's weight function supplies the heights.  `tropical_cells` is
+    the :class:`TropicalCells` memo of the run.
     """
     out = []
     for cell in subdivision.cells():
         if cell.dim > 0:
-            out.append(tropical_cell(cell, subdivision.weight,
-                                     subdivision.support))
+            out.append(tropical_cells(subdivision, cell))
     out.sort(key=lambda t: t.generator.key())
     return out
 
@@ -105,17 +125,17 @@ class TropicalComplex:
         return len(self.cells)
 
 
-def bounded_tropical_complex(p_poset, boundary, ambient_dim):
+def bounded_tropical_complex(p_poset, boundary, ambient_dim, tropical_cells):
     """Build the bounded tropical complex over the transversal poset.
 
     Verifies that every cell is bounded, that dimensions are complementary,
     and that the face relation is opposite to the poset order.
+    `tropical_cells` is the :class:`TropicalCells` memo of the run.
     """
-    subdivision = boundary.parent
     cells = []
     for e in p_poset.elements:
         coned = boundary.coned(e.cell)
-        tc = tropical_cell(coned, subdivision.weight, subdivision.support)
+        tc = tropical_cells(boundary.parent, coned)
         if not tc.bounded:
             raise FalsificationError(
                 "tropical cell of a transversal cell is unbounded",
@@ -179,12 +199,13 @@ def bounded_amoeba_matches_zero_cell(amoeba_cells, f0):
 
 
 def bounded_cells_check(parts, part_subdivisions, boundary, p_poset,
-                        tropical_cplx):
+                        tropical_cplx, tropical_cells):
     """The bounded common refinement of the part amoebas equals the complex.
 
     Checks cell-wise F_cone = intersection of the per-part tropical cells of
     the sliced cones, and that every bounded refinement cell lands inside a
-    single complex cell.
+    single complex cell.  `tropical_cells` is the :class:`TropicalCells`
+    memo of the run.
     """
     subdivision = boundary.parent
     support = subdivision.support
@@ -192,7 +213,6 @@ def bounded_cells_check(parts, part_subdivisions, boundary, p_poset,
     report = {"cellwise_equal": True, "refinement_inside_complex": True,
               "complex_cells_realized": True, "sliced_cones_are_cells": True}
     part_cells = []
-    part_tropical = {}
     for sub in part_subdivisions:
         cellset = {}
         for c in sub.cells():
@@ -209,11 +229,7 @@ def bounded_cells_check(parts, part_subdivisions, boundary, p_poset,
                 report["sliced_cones_are_cells"] = False
                 ok = False
                 break
-            key = (i, sliced)
-            if key not in part_tropical:
-                part_tropical[key] = tropical_cell(sliced, sub.weight,
-                                                   sub.support)
-            pieces.append(part_tropical[key])
+            pieces.append(tropical_cells(sub, sliced))
         if not ok:
             continue
         eqs = [row for t in pieces for row in t.poly.eq_rows]
@@ -228,7 +244,7 @@ def bounded_cells_check(parts, part_subdivisions, boundary, p_poset,
         cells_i = []
         for c in sub.cells():
             if c.dim > 0:
-                cells_i.append(tropical_cell(c, sub.weight, sub.support))
+                cells_i.append(tropical_cells(sub, c))
         tropical_by_part.append(cells_i)
     tuples = [()]
     for cells_i in tropical_by_part:

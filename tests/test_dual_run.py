@@ -1,0 +1,102 @@
+"""The role-swapped run is seeded from the primal run.
+
+By Batyrev-Borisov duality the dual nef-partition's run is the primal's with
+the roles of Delta and nabla swapped, so ``dual_pipeline()`` reuses the
+primal's subdivisions and posets after checking the duality equalities.  The
+seeded run must equal the one computed from scratch.
+"""
+
+import pytest
+
+from nefsphere import Pipeline
+from nefsphere import pipeline as pipeline_module
+from nefsphere.cli import load_input
+from nefsphere.errors import FalsificationError
+from nefsphere.nef import NefPartitionError
+
+from test_cli import path
+
+INPUTS = ["triangle", "square_sum", "pentagon_pair", "simplex3",
+          "segment_weighted", "prism_pair_5d", "prism_pair_5d_kinked"]
+
+
+def _pipeline(name):
+    nef, omega, nu = load_input(path(f"{name}.json"))
+    return Pipeline(nef, omega_spec=omega, nu_spec=nu)
+
+
+def _coned(sub):
+    return sub.maximal_cells, sub.cells()
+
+
+def _boundary(sub):
+    return sub.side, sub.cells
+
+
+def _poset(poset):
+    return ([(e.cell, e.slices, e.index_set, e.minkowski)
+             for e in poset.elements],
+            [poset.above(i) for i in range(len(poset))], poset.minimal)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_seeded_dual_run_equals_unseeded(name):
+    primal = _pipeline(name)
+    seeded = primal.dual_pipeline()
+    fresh = Pipeline(seeded.nef, omega_spec=seeded.omega_spec,
+                     nu_spec=seeded.nu_spec)
+    for stage in ("s_coned", "t_coned"):
+        assert _coned(getattr(seeded, stage)()) == \
+            _coned(getattr(fresh, stage)()), stage
+    for stage in ("s_boundary", "t_boundary"):
+        assert _boundary(getattr(seeded, stage)()) == \
+            _boundary(getattr(fresh, stage)()), stage
+    for stage in ("p_poset", "q_poset"):
+        assert _poset(getattr(seeded, stage)()) == \
+            _poset(getattr(fresh, stage)()), stage
+    # The dual Sigma is the primal Sigma with (i, j) <-> (j, i).
+    swapped = {(j, i) for i, j in primal.sigma().pairs}
+    assert set(seeded.sigma().pairs) == swapped
+    assert set(fresh.sigma().pairs) == swapped
+
+
+def test_dual_run_shares_the_double_dual(simplex3_pipe):
+    dual_pipe = simplex3_pipe.dual_pipeline()
+    assert dual_pipe.dual() is simplex3_pipe.double_dual()
+    assert dual_pipe.nef is simplex3_pipe.double_dual().primal
+    assert dual_pipe.p_poset() is simplex3_pipe.q_poset()
+    assert dual_pipe.q_poset() is simplex3_pipe.p_poset()
+
+
+def test_tampered_weight_table_is_falsified(monkeypatch):
+    real = pipeline_module._weight_as_spec
+
+    def tampered(weight):
+        items = real(weight)
+        pt, value = items[-1]
+        return items[:-1] + [(pt, value + 1)]
+
+    pipe = _pipeline("simplex3")
+    monkeypatch.setattr(pipeline_module, "_weight_as_spec", tampered)
+    with pytest.raises(FalsificationError, match="dual_pipeline"):
+        pipe.dual_pipeline()
+
+
+def test_involution_reports_only_geometric_failures(monkeypatch):
+    real = pipeline_module.dual_nef_partition
+
+    def failing(exc):
+        def dualize(np_):
+            if np_.role == "N":  # the double dual
+                raise exc
+            return real(np_)
+        return dualize
+
+    monkeypatch.setattr(pipeline_module, "dual_nef_partition",
+                        failing(NefPartitionError("not a nef-partition")))
+    assert _pipeline("triangle")._involution_holds() is False
+    # Any other error is an internal fault and must not read as "false".
+    monkeypatch.setattr(pipeline_module, "dual_nef_partition",
+                        failing(ZeroDivisionError("bug")))
+    with pytest.raises(ZeroDivisionError):
+        _pipeline("triangle")._involution_holds()

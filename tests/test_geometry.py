@@ -203,6 +203,44 @@ def test_hull_idempotent_on_vertices():
         assert convex_hull(p.vertices, ROLE_M) == p
 
 
+def test_hull_is_interned():
+    # One live object per hull: permuted, repeated and non-vertex points
+    # (centroid, edge midpoints, a rational interior point) all give it back.
+    import random
+    rng = random.Random(11)
+    cube = [(a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+    hull = convex_hull(cube, ROLE_M)
+    padding = [(0, 0, 0), (1, 0, 1), (-1, 1, 0), (Fraction(1, 2), 0, 0)]
+    for _ in range(10):
+        pts = cube + rng.sample(cube, 3) + rng.sample(padding, 2)
+        rng.shuffle(pts)
+        assert convex_hull(pts, ROLE_M) is hull
+        assert convex_hull(pts, ROLE_M, 3) is hull
+    assert convex_hull(cube, ROLE_N) is not hull
+    # Lower-dimensional hulls too: a square face padded with its centre.
+    face = [(1, b, c) for b in (-1, 1) for c in (-1, 1)]
+    assert convex_hull(face + [(1, 0, 0)], ROLE_M) is \
+        convex_hull(list(reversed(face)), ROLE_M)
+    for fs in hull.facet_vertex_sets():
+        verts = [hull.vertices[i] for i in sorted(fs, reverse=True)]
+        assert hull.face_polytope(fs) is convex_hull(verts, ROLE_M)
+    # Hulls reached through other constructions are the same object.
+    assert intersect(hull, hull) is hull
+    assert minkowski_sum(convex_hull([(0, 0, 0)], ROLE_M), hull) is hull
+
+
+def test_interned_hull_leaves_table_when_dead():
+    import gc
+    from nefsphere import polytope
+    pts = [(0, 0, 0, 0, 7), (5, 0, 0, 0, 7), (0, 5, 0, 0, 7), (1, 1, 0, 0, 7)]
+    hull = convex_hull(pts, ROLE_N)
+    keys = [k for k, v in polytope._HULLS.items() if v is hull]
+    assert len(keys) == 2  # the input points and the vertices
+    del hull
+    gc.collect()
+    assert all(k not in polytope._HULLS for k in keys)
+
+
 def test_hrep_vrep_roundtrip_3d():
     import random
     from nefsphere.polytope import polytope_from_hrep

@@ -108,6 +108,48 @@ def test_complement_homology_no_discriminant(triangle_pipe):
         triangle_pipe.sigma_homology()
 
 
+def _complement_homology_on_chains(sigma):
+    """Oracle: the order complex of the chain poset of the smooth cells,
+    i.e. the second barycentric subdivision of the complement complex."""
+    from nefsphere.homology import order_complex_homology
+    smooth = sorted(k for k in range(len(sigma.pairs))
+                    if smooth_pair(sigma, k))
+    pos = {k: t for t, k in enumerate(smooth)}
+    succ_sigma = sigma.successors()
+    sub_succ = [[pos[j] for j in succ_sigma[k] if j in pos] for k in smooth]
+    chains = []
+    current = [(t,) for t in range(len(smooth))]
+    while current:
+        chains.extend(current)
+        current = [ch + (j,) for ch in current for j in sub_succ[ch[-1]]]
+    chain_ids = {ch: i for i, ch in enumerate(chains)}
+    succ = [[] for _ in chains]
+    for ch, i in chain_ids.items():
+        n = len(ch)
+        for mask in range(1, (1 << n) - 1):
+            j = chain_ids.get(tuple(ch[t] for t in range(n) if mask >> t & 1))
+            if j is not None:
+                succ[j].append(i)
+    return order_complex_homology(len(chains), [sorted(s) for s in succ])
+
+
+def test_complement_homology_matches_second_subdivision(
+        triangle_pipe, square_pipe, pentagon_pipe, simplex3_pipe,
+        randomized_partitions):
+    from nefsphere import Pipeline
+    from nefsphere.cli import load_input
+    from test_cli import path
+    nef, omega, nu = load_input(path("segment_weighted.json"))
+    pipes = [triangle_pipe, square_pipe, pentagon_pipe, simplex3_pipe,
+             Pipeline(nef, omega_spec=omega, nu_spec=nu)]
+    pipes += [Pipeline(nef) for nef in randomized_partitions]
+    for pipe in pipes:
+        for run in (pipe, pipe.dual_pipeline()):
+            sigma = run.sigma()
+            assert complement_homology(sigma) == \
+                _complement_homology_on_chains(sigma)
+
+
 def test_duality_pairing(simplex3_pipe, pentagon_pipe):
     for pipe in (simplex3_pipe, pentagon_pipe):
         results = pipe.duality_suite()
@@ -171,7 +213,7 @@ def test_holonomy_formula_matches_transition_composition(simplex3_pipe):
     w = simplex3_pipe.omega()
     d = simplex3_pipe.nef.ambient
     for loop in simplex3_pipe.loops()[:40]:
-        amb = loop_ambient_map(sigma, loop, w)
+        amb = loop_ambient_map(loop, simplex3_pipe.transitions())
         base = sigma.p_poset.elements[loop.p0]
         basis, x0 = base_chart_data(base, w)
         p1 = sigma.p_poset.elements[loop.p1]
@@ -217,7 +259,8 @@ def test_every_nonsmooth_vertex_obstructs_extension(simplex3_pipe,
                         if a == b:
                             continue
                         amb = loop_ambient_map(
-                            sigma, PrimaryLoop(p_min[0], a, pk, b), w)
+                            PrimaryLoop(p_min[0], a, pk, b),
+                            pipe.transitions())
                         lin, _ = restrict_to_chart(amb, basis, x0)
                         if lin != identity(len(basis)):
                             found = True
@@ -319,3 +362,25 @@ def test_memoized_tree_transport_matches_path_walk(simplex3_pipe):
                                             transition)
         assert (got_fwd.m, got_fwd.t) == (fwd.m, fwd.t)
         assert (got_back.m, got_back.t) == (back.m, back.t)
+
+
+def test_one_chart_transition_per_pair(monkeypatch):
+    # report --verify full --dual builds each (destination, via) transition
+    # once per run, across monodromies, the global group, the local groups
+    # and the dual monodromies.
+    from nefsphere import Pipeline, monodromy
+    from nefsphere.cli import load_input
+    from test_cli import path
+    calls = []
+    real = monodromy.chart_transition
+
+    def counted(dst_cell, via_cell, weight, ambient):
+        calls.append((dst_cell.cell.key(), via_cell.cell.key()))
+        return real(dst_cell, via_cell, weight, ambient)
+
+    monkeypatch.setattr(monodromy, "chart_transition", counted)
+    nef, omega, nu = load_input(path("simplex3.json"))
+    Pipeline(nef, omega_spec=omega, nu_spec=nu).report(
+        verify="full", include_dual=True)
+    assert calls
+    assert len(calls) == len(set(calls))

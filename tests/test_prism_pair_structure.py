@@ -90,7 +90,7 @@ def test_interval_kink_weight_separates_circles():
 
 
 def test_unit_weight_amoeba_regression(prism_pair_pipe):
-    from nefsphere.tropical import amoeba
+    from nefsphere.tropical import TropicalCells, amoeba
     assert len(prism_pair_pipe.amoeba()) == 304
     for sub in prism_pair_pipe.part_subdivisions():
-        assert len(amoeba(sub)) == 32
+        assert len(amoeba(sub, TropicalCells())) == 32

@@ -115,6 +115,20 @@ def test_lemma_suite_standard_inputs(triangle_pipe, square_pipe,
         assert pipe.lemma_suite() == []
 
 
+def test_lemma_suite_reuses_the_poset_slices(monkeypatch):
+    # Every subdivision cell is sliced once per run: the lemma suite reads
+    # the slices its poset was built from.
+    from nefsphere import sphere
+    calls = []
+    real = sphere._slice
+    monkeypatch.setattr(sphere, "_slice",
+                        lambda cell, part: calls.append((cell, part))
+                        or real(cell, part))
+    pipe = _data_pipeline("simplex3")
+    assert pipe.lemma_suite() == []
+    assert len(calls) == len(set(calls)) > 0
+
+
 def test_lemma_suite_randomized(randomized_partitions):
     assert randomized_partitions, "generator produced no partitions"
     saw_r2 = False

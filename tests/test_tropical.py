@@ -3,6 +3,7 @@ from fractions import Fraction
 from nefsphere.polytope import ROLE_M, convex_hull
 from nefsphere.subdivision import WeightFunction, lower_hull_subdivision
 from nefsphere.tropical import (
+    TropicalCells,
     amoeba,
     bounded_amoeba_matches_zero_cell,
     tropical_cell,
@@ -39,7 +40,7 @@ def test_tropical_cell_of_maximal_cone_is_vertex():
 def test_amoeba_1d_two_points():
     seg = convex_hull([(-1,), (1,)], ROLE_M)
     sub = lower_hull_subdivision(seg, WeightFunction.all_ones(seg))
-    cells = amoeba(sub)
+    cells = amoeba(sub, TropicalCells())
     bounded_pts = sorted(t.poly.vertices[0] for t in cells if t.bounded)
     assert bounded_pts == [(-1,), (1,)]
 
@@ -47,7 +48,7 @@ def test_amoeba_1d_two_points():
 def test_amoeba_triangle_trivalent_star():
     tri = convex_hull([(1, 0), (0, 1), (-1, -1)], ROLE_M)
     sub = lower_hull_subdivision(tri, WeightFunction.all_ones(tri))
-    cells = amoeba(sub)
+    cells = amoeba(sub, TropicalCells())
     unbounded = [t for t in cells if not t.bounded]
     bounded = [t for t in cells if t.bounded]
     # Hand oracle over 4 lattice points: three rays and the boundary of the
@@ -71,7 +72,7 @@ def test_bounded_amoeba_is_zero_cell_boundary():
     w = WeightFunction.all_ones(tri)
     sub = lower_hull_subdivision(tri, w)
     report = bounded_amoeba_matches_zero_cell(
-        amoeba(sub), tropical_zero_cell(tri, w))
+        amoeba(sub, TropicalCells()), tropical_zero_cell(tri, w))
     assert report["passed"]
 
 
@@ -124,3 +125,42 @@ def test_tropical_cell_rejects_non_cell():
     w = WeightFunction.all_ones(seg)
     with pytest.raises(GeometryError):
         tropical_cell(seg, w, seg)
+
+
+def test_tropical_cells_built_once_per_support_and_cell(monkeypatch):
+    # The amoeba, the bounded complex and both loops of bounded_cells_check
+    # share one tropical cell per (support, cell); with r = 1 the part
+    # subdivision has the amoeba's support.
+    from nefsphere import Pipeline, tropical
+    from nefsphere.cli import load_input
+    from test_cli import path
+    calls = []
+    real = tropical.tropical_cell
+
+    def counted(cone_cell, weight, support):
+        calls.append((support.key(), cone_cell.key()))
+        return real(cone_cell, weight, support)
+
+    monkeypatch.setattr(tropical, "tropical_cell", counted)
+    nef, omega, nu = load_input(path("simplex3.json"))
+    pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+    assert all(v["passed"] for v in pipe.tropical_suite().values())
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+def test_tropical_cells_memo_tells_supports_apart():
+    # The edge [0, (1, 0)] is a cell of the triangle's fan (an interior
+    # edge, bounded dual) and of a sub-triangle's trivial subdivision (a
+    # boundary edge, unbounded dual): the memo must not confuse them.
+    tri = convex_hull([(1, 0), (0, 1), (-1, -1)], ROLE_M)
+    w = WeightFunction.all_ones(tri)
+    part = convex_hull([(0, 0), (1, 0), (0, 1)], ROLE_M)
+    edge = convex_hull([(0, 0), (1, 0)], ROLE_M)
+    sub_tri = lower_hull_subdivision(tri, w)
+    sub_part = lower_hull_subdivision(part, w.restrict(part))
+    assert edge in sub_tri.cells() and edge in sub_part.cells()
+    cells = TropicalCells()
+    assert cells(sub_tri, edge).bounded
+    assert not cells(sub_part, edge).bounded
+    assert cells(sub_tri, edge) is cells(sub_tri, edge)
