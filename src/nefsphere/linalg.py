@@ -4,9 +4,10 @@ Everything in here works on plain tuples/lists of exact rationals: an
 integral value is a Python ``int`` and only a non-integral one is a
 ``Fraction`` (see :func:`exact`); floats never occur.  Matrices are sequences
 of row vectors.  Rank, determinant and linear solving use fraction-free
-integer elimination; only :func:`invert_rational` works over Fraction.
-All normal forms are deterministic so downstream outputs are
-byte-reproducible.
+integer elimination, and lattice coordinates come from an integer left
+inverse (:func:`lattice_left_inverse`): no routine here eliminates over
+Fractions, only final quotients can be non-integral.  All normal forms are
+deterministic so downstream outputs are byte-reproducible.
 """
 
 from fractions import Fraction
@@ -32,29 +33,16 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
-def primitive_signed(v):
-    """Primitive vector with the first nonzero entry positive."""
-    w = primitive(v)
-    for x in w:
-        if x:
-            return w if x > 0 else tuple(-y for y in w)
-    return w
 
 
 def dot(a, b):
     return sum(map(mul, a, b))
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
 
 
 def denominator_lcm(v):
@@ -64,6 +52,20 @@ def denominator_lcm(v):
         if type(x) is not int:
             denom = denom * x.denominator // gcd(denom, x.denominator)
     return denom
+
+
+def to_numerators(v, q):
+    """q v as an integer vector; q must be a common multiple of the
+    denominators of the exact rational vector v."""
+    return tuple(x * q if type(x) is int else x.numerator * (q // x.denominator)
+                 for x in v)
+
+
+def from_numerators(v, q):
+    """The exact rational vector v / q of an integer vector v (q > 0)."""
+    if q == 1:
+        return tuple(v)
+    return tuple(x // q if x % q == 0 else Fraction(x, q) for x in v)
 
 
 def clear_denominators(v):
@@ -198,27 +200,6 @@ def solve_rational(a_rows, b):
     return tuple(x)
 
 
-def invert_rational(rows):
-    """Inverse of a square matrix over the rationals; None if singular."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return tuple(tuple(r[n:]) for r in m)
 
 
 def hermite_normal_form(rows):
@@ -299,6 +280,36 @@ def _column_echelon(rows, ncols):
     return cols, colpos
 
 
+def lattice_left_inverse(basis, ncols):
+    """An integer k x ncols matrix L with L B^T = I for a saturated basis B.
+
+    B (k rows of length ncols) must be linearly independent and span a
+    saturated sublattice.  Column echelon form gives B U = [T 0] with U
+    unimodular, and T is then unimodular too, so L = (U_k T^-1)^T is
+    integral, where U_k is the first k columns of U (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).  For any p in the rational
+    span of the rows of B, L p is its coordinate vector in that basis.
+    """
+    k = len(basis)
+    cols, rank = _column_echelon([tuple(b) for b in basis], ncols)
+    if rank != k:
+        raise ValueError("rows are not linearly independent")
+    # T is lower triangular: T[r][c] = cols[c][r], zero for c > r.  Solve
+    # M T = U_k for M = L^T by back substitution over the columns c of T.
+    inverse = [None] * k
+    for c in range(k - 1, -1, -1):
+        row = cols[c][k:]
+        for r in range(c + 1, k):
+            f = cols[c][r]
+            if f:
+                row = [a - f * b for a, b in zip(row, inverse[r])]
+        p = cols[c][c]
+        if p not in (1, -1):
+            raise ValueError("basis is not saturated")
+        inverse[c] = tuple(p * a for a in row)
+    return tuple(inverse)
+
+
 def kernel_basis(rows, ncols=None):
     """Canonical basis of the saturated integer kernel {x : A x = 0}.
 
@@ -322,7 +333,9 @@ def saturated_perp_basis(ms, ambient):
 
     Empty input yields the identity basis of Z^ambient.
     """
-    rows = [tuple(int(x) for x in m) for m in ms]
+    rows = [tuple(m) for m in ms]
+    if any(type(x) is not int for r in rows for x in r):
+        raise ValueError("saturated_perp_basis needs integer vectors")
     rows = [r for r in rows if any(r)]
     if not rows:
         return identity(ambient)
@@ -412,31 +425,3 @@ def smith_normal_form(rows):
         top += 1
     return tuple(divisors), len(divisors)
 
-
-def complete_to_unimodular(rows, ncols):
-    """Extend a saturated integer basis to a basis of Z^ncols.
-
-    rows must be linearly independent and span a saturated sublattice; the
-    returned matrix has the given rows first and determinant +-1.
-    """
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        return identity(ncols)
-    # Column-style reduction A U = [L 0] with U unimodular.  Then the first
-    # len(rows) rows of U^-1 span the same saturated lattice as `rows`, and
-    # its remaining rows complete any basis of that lattice.
-    cols, colpos = _column_echelon(rows, ncols)
-    if colpos != len(rows):
-        raise ValueError("rows are not linearly independent")
-    u = transpose([c[len(rows):] for c in cols])
-    uinv = invert_rational(u)
-    full = list(rows)
-    for i in range(colpos, ncols):
-        full.append(tuple(int(x) for x in uinv[i]))
-    mat = tuple(full)
-    d = det(mat)
-    if abs(d) != 1:
-        raise ValueError("basis is not saturated; cannot complete unimodularly")
-    if d == -1:
-        mat = mat[:-1] + (tuple(-x for x in mat[-1]),)
-    return mat

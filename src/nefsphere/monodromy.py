@@ -9,21 +9,23 @@ unipotent transformation of the tangent lattice of the base chart.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from .errors import FalsificationError
 from .linalg import (
+    denominator_lcm,
     det,
     dot,
-    exact,
+    from_numerators,
     identity,
-    invert_rational,
+    lattice_left_inverse,
     mat_mul,
     saturated_perp_basis,
     saturated_span_basis,
     smith_normal_form,
     solve_rational,
     row_rank,
-    transpose,
+    to_numerators,
 )
 from .sphere import full_subposet_complex
 
@@ -275,28 +277,63 @@ def _span_pairs(poset, minimal, cells):
 
 
 class AffineMap:
-    """Exact affine map y -> M y + t on ambient space."""
+    """Exact affine map y -> M y + t on ambient space, kept in integers.
 
-    __slots__ = ("m", "t")
+    M is an integer matrix and the translation is t = num / den: integer
+    numerators over one positive denominator.  Points travel as the same
+    kind of pair (:meth:`push`), so composing and applying maps builds no
+    Fraction; :attr:`t` and :meth:`apply` give the exact rational values.
+    """
 
-    def __init__(self, m, t):
+    __slots__ = ("m", "num", "den")
+
+    def __init__(self, m, num, den=1):
         self.m = m
-        self.t = t
+        self.num = num
+        self.den = den
 
     @classmethod
     def identity(cls, d):
         return cls(identity(d), (0,) * d)
 
+    @property
+    def t(self):
+        return from_numerators(self.num, self.den)
+
+    def push(self, y, q):
+        """The image of the point y / q (y integral, q > 0) as the pair
+        (integer numerators, denominator q * den)."""
+        den = self.den
+        return (tuple(den * dot(row, y) + q * c
+                      for row, c in zip(self.m, self.num)), q * den)
+
     def apply(self, y):
-        return tuple(dot(row, y) + c for row, c in zip(self.m, self.t))
+        q = denominator_lcm(y)
+        return from_numerators(*self.push(to_numerators(y, q), q))
 
     def apply_linear(self, y):
         return tuple(dot(row, y) for row in self.m)
 
     def compose(self, other):
         """self after other."""
-        t = tuple(x + c for x, c in zip(self.apply_linear(other.t), self.t))
-        return AffineMap(mat_mul(self.m, other.m), t)
+        num, den = self.push(other.num, other.den)
+        g = gcd(den, *num)
+        if g > 1:
+            num = tuple(x // g for x in num)
+            den //= g
+        return AffineMap(mat_mul(self.m, other.m), num, den)
+
+
+def _lattice_slice_vertex(cell, j):
+    """The slice point j of a minimal transversal cell, which must be a
+    lattice point: the chart maps and lattices are built from it."""
+    v = cell.slice_vertex(j)
+    if any(type(x) is not int for x in v):
+        raise FalsificationError(
+            "slice point of a minimal transversal cell is not integral",
+            {"cell": [[str(x) for x in u] for u in cell.cell.vertices],
+             "slice": j, "point": [str(x) for x in v]})
+    return v
 
 
 def chart_transition(dst_cell, via_cell, weight, ambient):
@@ -310,13 +347,15 @@ def chart_transition(dst_cell, via_cell, weight, ambient):
     m = [list(row) for row in identity(ambient)]
     t = [0] * ambient
     for j in range(r):
-        dst_j = dst_cell.slice_vertex(j)
-        via_j = via_cell.slice_vertex(j)
+        dst_j = _lattice_slice_vertex(dst_cell, j)
+        via_j = _lattice_slice_vertex(via_cell, j)
         for a in range(ambient):
             for b in range(ambient):
                 m[a][b] -= via_j[a] * dst_j[b]
             t[a] += weight(dst_j) * via_j[a]
-    return AffineMap(tuple(tuple(row) for row in m), tuple(t))
+    den = denominator_lcm(t)
+    return AffineMap(tuple(tuple(row) for row in m), to_numerators(t, den),
+                     den)
 
 
 @dataclass
@@ -352,54 +391,101 @@ def loop_ambient_map(loop, transition):
     return second.compose(first)
 
 
+class BaseChart:
+    """The lattice chart of a minimal transversal cell.
+
+    `rows` are its slice points S, whose common kernel is the tangent space
+    (the perp test); `basis` is the saturated basis B of that kernel and
+    `inverse` its integer left inverse L (L B^T = I), so L v are the basis
+    coordinates of a tangent vector v.  The base point x0 = x0_num / x0_den
+    is the point of {S x = w(S)} orthogonal to the tangent space.
+    """
+
+    __slots__ = ("rows", "basis", "inverse", "x0_num", "x0_den")
+
+    def __init__(self, rows, basis, inverse, x0_num, x0_den):
+        self.rows = rows
+        self.basis = basis
+        self.inverse = inverse
+        self.x0_num = x0_num
+        self.x0_den = x0_den
+
+    @property
+    def x0(self):
+        return from_numerators(self.x0_num, self.x0_den)
+
+
 def base_chart_data(base_cell, weight):
-    """(lattice basis of the tangent space, base point) of a minimal cell."""
+    """The :class:`BaseChart` of a minimal cell."""
     r = len(base_cell.slices)
     d = base_cell.cell.ambient
-    rows = [tuple(int(x) for x in base_cell.slice_vertex(j)) for j in range(r)]
+    rows = tuple(_lattice_slice_vertex(base_cell, j) for j in range(r))
     if row_rank(rows) != r:
         raise FalsificationError(
             "minimal transversal cell is not linearly independent",
             {"cell": [[str(x) for x in v] for v in base_cell.cell.vertices]})
     basis = saturated_perp_basis(rows, d)
-    gram = [[dot(a, b) for b in rows] for a in rows]
-    ginv = invert_rational(gram)
-    rhs = [weight(base_cell.slice_vertex(j)) for j in range(r)]
-    z = [sum(ginv[i][j] * rhs[j] for j in range(r)) for i in range(r)]
-    x0 = tuple(exact(sum(z[i] * rows[i][a] for i in range(r)))
-               for a in range(d))
-    return basis, x0
+    inverse = lattice_left_inverse(basis, d) if basis else ()
+    # x0 = S^T z with (S S^T) z = w(S), by Cramer's rule on the integer
+    # system scaled by the weights' common denominator s: z = c / (g s).
+    rhs = [weight(v) for v in rows]
+    s = denominator_lcm(rhs)
+    rhs = to_numerators(rhs, s)
+    gram = [tuple(dot(a, b) for b in rows) for a in rows]
+    g = det(gram)
+    c = [det([row[:i] + (y,) + row[i + 1:] for row, y in zip(gram, rhs)])
+         for i in range(r)]
+    num = [sum(c[i] * rows[i][a] for i in range(r)) for a in range(d)]
+    den = g * s
+    k = gcd(den, *num)
+    return BaseChart(rows, basis, inverse, tuple(x // k for x in num),
+                     den // k)
 
 
-def restrict_to_chart(amb, basis, x0):
+def base_chart_memo(sigma, weight):
+    """base_chart_data by P-index, built once per minimal cell."""
+    p_el = sigma.p_poset.elements
+
+    @lru_cache(maxsize=None)
+    def base_chart(i):
+        return base_chart_data(p_el[i], weight)
+
+    return base_chart
+
+
+def restrict_to_chart(amb, chart):
     """Express an ambient affine self-map of the chart in lattice coordinates.
 
     Returns (linear, translation); raises a falsification certificate when
     the map does not preserve the chart or is not integral unimodular
     unipotent of order two.
     """
-    d = len(x0)
-    k = len(basis)
-    lin_rows = []
-    for b in basis:
-        image = amb.apply_linear(b)
-        coords = solve_rational([list(col) for col in zip(*basis)], image) \
-            if k else ()
-        if coords is None or any(c.denominator != 1 for c in coords):
+    image, den = amb.push(chart.x0_num, chart.x0_den)
+    linear, shift = _restrict(
+        chart, [amb.apply_linear(b) for b in chart.basis], image, den)
+    return linear, from_numerators(shift, den)
+
+
+def _restrict(chart, images, image, den):
+    """(linear, shift numerators over den) of an affine map of the chart
+    that sends the basis vectors to `images` and x0 to image / den, where
+    den is a multiple of x0_den; runs the checks of :func:`restrict_to_chart`.
+    """
+    for v in images:
+        if any(dot(s, v) for s in chart.rows):
             raise FalsificationError(
                 "monodromy linear part is not integral on the tangent lattice",
-                {"vector": [str(x) for x in image]})
-        lin_rows.append(tuple(int(c) for c in coords))
-    linear = transpose(lin_rows)
-    x0_image = amb.apply(x0)
-    diff = tuple(a - b for a, b in zip(x0_image, x0))
-    tcoords = solve_rational([list(col) for col in zip(*basis)], diff) \
-        if k else ()
-    if tcoords is None:
+                {"vector": [str(x) for x in v]})
+    linear = tuple(tuple(dot(row, v) for v in images)
+                   for row in chart.inverse)
+    scale = den // chart.x0_den
+    diff = tuple(a - scale * b for a, b in zip(image, chart.x0_num))
+    if any(dot(s, diff) for s in chart.rows):
         raise FalsificationError(
             "monodromy does not preserve the base chart",
-            {"base_point_image": [str(x) for x in x0_image]})
-    if k and det(linear) != 1:
+            {"base_point_image": [str(x)
+                                  for x in from_numerators(image, den)]})
+    if linear and det(linear) != 1:
         raise FalsificationError("monodromy determinant is not one",
                                  {"linear": [list(r) for r in linear]})
     nil = _mat_sub_identity(linear)
@@ -407,7 +493,7 @@ def restrict_to_chart(amb, basis, x0):
     if any(any(row) for row in sq):
         raise FalsificationError("monodromy is not unipotent of order two",
                                  {"linear": [list(r) for r in linear]})
-    return linear, tuple(tcoords)
+    return linear, tuple(dot(row, diff) for row in chart.inverse)
 
 
 def _mat_sub_identity(m):
@@ -415,15 +501,16 @@ def _mat_sub_identity(m):
                  for i, row in enumerate(m))
 
 
-def monodromy(sigma, loop, weight, transition):
+def monodromy(loop, transition, base_chart):
     """The affine holonomy around a primary loop, in canonical coordinates.
 
-    `transition` is the :func:`transition_memo` of sigma and weight."""
-    base = sigma.p_poset.elements[loop.p0]
-    basis, x0 = base_chart_data(base, weight)
+    `transition` and `base_chart` are the :func:`transition_memo` and
+    :func:`base_chart_memo` of the loop's sigma and weight."""
+    chart = base_chart(loop.p0)
     amb = loop_ambient_map(loop, transition)
-    linear, translation = restrict_to_chart(amb, basis, x0)
-    return AffineMonodromy(loop, basis, x0, linear, translation, amb)
+    linear, translation = restrict_to_chart(amb, chart)
+    return AffineMonodromy(loop, chart.basis, chart.x0, linear, translation,
+                           amb)
 
 
 # -- checks around loops -------------------------------------------------------
@@ -473,22 +560,21 @@ def _is_identity(mono):
         all(t == 0 for t in mono.translation)
 
 
-def local_group(sigma, pair_idx, weight, transition):
+def local_group(sigma, pair_idx, transition, base_chart):
     """Monodromies of all loops inside the star of a single pair vertex.
 
     Verifies the abelian upper-triangular structure: commuting generators,
     image inside the tangent space of the tau-side Minkowski cell, and
-    vanishing on it.  `transition` is the :func:`transition_memo` of sigma
-    and weight.
+    vanishing on it.  `transition` and `base_chart` are the
+    :func:`transition_memo` and :func:`base_chart_memo` of sigma and weight.
     """
     i, j = sigma.pairs[pair_idx]
     p_poset, q_poset = sigma.p_poset, sigma.q_poset
     p_min = sorted(s for s in p_poset.minimal if p_poset.leq(s, i))
     q_min = sorted(t for t in q_poset.minimal if q_poset.leq(t, j))
     base_idx = p_min[0]
-    base = p_poset.elements[base_idx]
-    basis, x0 = base_chart_data(base, weight)
-    d = base.cell.ambient
+    chart = base_chart(base_idx)
+    d = p_poset.elements[base_idx].cell.ambient
     r = sigma.r
     mats = []
     for pk in p_min:
@@ -498,7 +584,7 @@ def local_group(sigma, pair_idx, weight, transition):
                     continue
                 loop = PrimaryLoop(base_idx, q_min[a], pk, q_min[b])
                 amb = loop_ambient_map(loop, transition)
-                linear, _ = restrict_to_chart(amb, basis, x0)
+                linear, _ = restrict_to_chart(amb, chart)
                 mats.append(linear)
     # W: span of the slice-point differences over the tau side.
     diffs = []
@@ -507,8 +593,9 @@ def local_group(sigma, pair_idx, weight, transition):
             qa = q_poset.elements[q_min[a]]
             qb = q_poset.elements[q_min[b]]
             for jj in range(r):
-                diff = tuple(int(x - y) for x, y in
-                             zip(qa.slice_vertex(jj), qb.slice_vertex(jj)))
+                diff = tuple(x - y for x, y in
+                             zip(_lattice_slice_vertex(qa, jj),
+                                 _lattice_slice_vertex(qb, jj)))
                 if any(diff):
                     diffs.append(diff)
     w_basis = saturated_span_basis(diffs, d) if diffs else ()
@@ -523,19 +610,19 @@ def local_group(sigma, pair_idx, weight, transition):
         "block_cols_bound": sigma_dim - r + 1,
         "loops": len(mats),
     }
-    # Work in chart coordinates: express W inside the basis.
+    # Work in chart coordinates: express W inside the basis (an integer
+    # vector of the tangent space has integer coordinates, B is saturated).
     w_coords = []
     for w in w_basis:
-        coords = solve_rational([list(col) for col in zip(*basis)], w)
-        if coords is None or any(c.denominator != 1 for c in coords):
+        if any(dot(s, w) for s in chart.rows):
             report["image_in_w"] = False
             report["vanishes_on_w"] = False
             break
-        w_coords.append(tuple(int(c) for c in coords))
+        w_coords.append(tuple(dot(row, w) for row in chart.inverse))
     else:
+        k = len(chart.basis)
         for m in mats:
             nil = _mat_sub_identity(m)
-            k = len(basis)
             for col in range(k):
                 image = tuple(nil[row][col] for row in range(k))
                 if any(image):
@@ -560,12 +647,13 @@ def _pairwise_commute(mats):
 # -- global analysis -----------------------------------------------------------
 
 
-def global_group(sigma, graph, loops, weight, transition,
+def global_group(sigma, graph, loops, transition, base_chart,
                  discriminant_complex=None):
     """Transport every primary loop to a fixed base chart and analyze the
     resulting subgroup: commutation, the Smith divisors of the log lattice,
-    and per-discriminant-component sublattices.  `transition` is the
-    :func:`transition_memo` of sigma and weight."""
+    and per-discriminant-component sublattices.  `transition` and
+    `base_chart` are the :func:`transition_memo` and :func:`base_chart_memo`
+    of sigma and weight."""
     if not graph.p_nodes:
         return {"trivial": True, "divisors": [], "commuting": True,
                 "component_divisors": {}, "graph_components": 0,
@@ -573,28 +661,12 @@ def global_group(sigma, graph, loops, weight, transition,
     base_node = min(("P", i) for i in graph.p_nodes)
     comps = graph.components()
     base_comp = next(c for c in comps if base_node in c)
-    parent = graph.spanning_tree(base_node)
-    base = sigma.p_poset.elements[base_node[1]]
-    basis, x0 = base_chart_data(base, weight)
-    d = base.cell.ambient
-    transported = []
-    skipped = 0
-    loop_component = []
-    # node -> (base -> node, node -> base) along the tree, once per P-node.
-    transport = {base_node: (AffineMap.identity(d), AffineMap.identity(d))}
-    for loop in loops:
-        node = ("P", loop.p0)
-        if node not in parent:
-            skipped += 1
-            continue
-        fwd, back = _tree_transport(parent, transport, node, transition)
-        amb = back.compose(loop_ambient_map(loop, transition))
-        amb = amb.compose(fwd)
-        linear, _ = restrict_to_chart(amb, basis, x0)
-        transported.append(linear)
-        loop_component.append(_loop_discriminant_component(
-            sigma, loop, discriminant_complex))
-    k = len(basis)
+    moved = transported_loops(sigma, graph, loops, transition, base_chart)
+    transported = [linear for _, linear in moved]
+    skipped = len(loops) - len(moved)
+    loop_component = [_loop_discriminant_component(sigma, loop,
+                                                   discriminant_complex)
+                      for loop, _ in moved]
     logs = []
     for m in transported:
         nil = _mat_sub_identity(m)
@@ -626,6 +698,43 @@ def global_group(sigma, graph, loops, weight, transition,
         "skipped_other_component": skipped,
         "base_component_size": len(base_comp),
     }
+
+
+def transported_loops(sigma, graph, loops, transition, base_chart):
+    """(loop, linear part in the base chart) for every loop in the base
+    node's component of the chart graph, in order.
+
+    A loop at node n is transported as back_n o loop o fwd_n along the BFS
+    tree.  Instead of composing those maps, the base chart's basis vectors
+    and base point are pushed through fwd_n (once per node), then through
+    the loop's two transitions and back_n; :func:`restrict_to_chart`'s
+    checks run on the images.
+    """
+    base_node = min(("P", i) for i in graph.p_nodes)
+    parent = graph.spanning_tree(base_node)
+    chart = base_chart(base_node[1])
+    d = sigma.p_poset.elements[base_node[1]].cell.ambient
+    # node -> (base -> node, node -> base) along the tree, once per P-node.
+    transport = {base_node: (AffineMap.identity(d), AffineMap.identity(d))}
+    # node -> (fwd images of the basis, fwd image of x0), once per P-node.
+    pushed = {}
+    out = []
+    for loop in loops:
+        node = ("P", loop.p0)
+        if node not in parent:
+            continue
+        fwd, back = _tree_transport(parent, transport, node, transition)
+        if node not in pushed:
+            pushed[node] = ([fwd.apply_linear(b) for b in chart.basis],
+                            fwd.push(chart.x0_num, chart.x0_den))
+        cols, point = pushed[node]
+        for step in (transition(loop.p1, loop.q0),
+                     transition(loop.p0, loop.q1), back):
+            cols = [step.apply_linear(v) for v in cols]
+            point = step.push(*point)
+        linear, _ = _restrict(chart, cols, *point)
+        out.append((loop, linear))
+    return out
 
 
 def _tree_transport(parent, transport, node, transition):
@@ -670,14 +779,15 @@ def _loop_discriminant_component(sigma, loop, disc):
 # -- duality -------------------------------------------------------------------
 
 
-def duality_check(sigma, loop, mono, dual_sigma, dual_weight,
-                  dual_transition):
+def duality_check(sigma, loop, mono, dual_sigma, dual_transition,
+                  dual_base_chart):
     """Transpose-inverse pairing of the primal and dual loop monodromies.
 
     The dual loop is (tau0, sigma1, tau1, sigma0), run through the dual
     pipeline (roles interchanged); the pairing between the two tangent
-    lattices must be preserved exactly.  `dual_transition` is the
-    :func:`transition_memo` of dual_sigma and dual_weight.
+    lattices must be preserved exactly.  `dual_transition` and
+    `dual_base_chart` are the :func:`transition_memo` and
+    :func:`base_chart_memo` of dual_sigma and the dual weight.
     """
     q0_cell = sigma.q_poset.elements[loop.q0].cell
     q1_cell = sigma.q_poset.elements[loop.q1].cell
@@ -688,8 +798,7 @@ def duality_check(sigma, loop, mono, dual_sigma, dual_weight,
     dual_loop = PrimaryLoop(
         p0=_index_by_cell(dp, q0_cell), q0=_index_by_cell(dq, p1_cell),
         p1=_index_by_cell(dp, q1_cell), q1=_index_by_cell(dq, p0_cell))
-    dual_mono = monodromy(dual_sigma, dual_loop, dual_weight,
-                          dual_transition)
+    dual_mono = monodromy(dual_loop, dual_transition, dual_base_chart)
     b_sigma = mono.basis
     b_tau = dual_mono.basis
     pairing = [[dot(y, x) for x in b_sigma] for y in b_tau]

@@ -188,15 +188,18 @@ class Pipeline:
         return mono.transition_memo(self.sigma(), self.omega())
 
     @_cached
+    def base_charts(self):
+        return mono.base_chart_memo(self.sigma(), self.omega())
+
+    @_cached
     def monodromies(self):
-        return [mono.monodromy(self.sigma(), loop, self.omega(),
-                               self.transitions())
+        return [mono.monodromy(loop, self.transitions(), self.base_charts())
                 for loop in self.loops()]
 
     @_cached
     def global_report(self):
         return mono.global_group(self.sigma(), self.graph(), self.loops(),
-                                 self.omega(), self.transitions(),
+                                 self.transitions(), self.base_charts(),
                                  self.discriminant())
 
     @_cached
@@ -276,8 +279,9 @@ class Pipeline:
         reports = {}
         for k in range(len(self.sigma().pairs)):
             if not mono.smooth_pair(self.sigma(), k):
-                reports[k] = mono.local_group(self.sigma(), k, self.omega(),
-                                              self.transitions())
+                reports[k] = mono.local_group(self.sigma(), k,
+                                              self.transitions(),
+                                              self.base_charts())
         return reports
 
     def duality_suite(self):
@@ -286,8 +290,8 @@ class Pipeline:
         out = []
         for loop, m in zip(self.loops(), self.monodromies()):
             out.append(mono.duality_check(self.sigma(), loop, m, dual_sigma,
-                                          dual_pipe.omega(),
-                                          dual_pipe.transitions()))
+                                          dual_pipe.transitions(),
+                                          dual_pipe.base_charts()))
         return out
 
     # -- reporting --------------------------------------------------------------------

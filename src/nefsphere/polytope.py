@@ -18,20 +18,23 @@ c + u.x = 0 (equation).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
-from itertools import product
+from math import ceil, factorial, floor
+from itertools import chain, product
 from weakref import WeakValueDictionary
 
-from . import linalg
 from .dd import cone_rays
 from .linalg import (
     clear_denominators,
+    denominator_lcm,
     det,
     dot,
     exact,
+    from_numerators,
+    lattice_left_inverse,
     primitive,
     row_rank,
     saturated_span_basis,
+    to_numerators,
 )
 
 ROLE_M = "M"
@@ -138,10 +141,6 @@ class Polytope:
         return (all(dot(e, hx) == 0 for e in self.equations)
                 and all(dot(f, hx) > 0 for f in self.facets))
 
-    def hrep_rows(self):
-        """(equation rows, inequality rows) in homogeneous integer form."""
-        return self.equations, self.facets
-
     # -- faces ---------------------------------------------------------------
 
     def face_sets(self):
@@ -237,10 +236,11 @@ class Polytope:
     # -- charts and volume ------------------------------------------------------
 
     def chart(self):
-        """Lattice-adapted affine chart of the affine hull."""
+        """Integer lattice chart of the affine hull."""
         if self._chart is None:
-            self._chart = AffineChart(self.vertices[0], self.directions_basis(),
-                                      self.ambient)
+            self._chart = LatticeChart(self.vertices[0],
+                                       self.directions_basis(),
+                                       self.equations)
         return self._chart
 
     def directions_basis(self):
@@ -284,16 +284,15 @@ class Polytope:
         """Exact dim-volume measured in the given chart's lattice basis."""
         if self.dim == 0:
             return Fraction(0)
-        total = Fraction(0)
-        fact = 1
-        for i in range(2, self.dim + 1):
-            fact *= i
+        # Integer coordinates scaled by q: each simplex determinant is
+        # q^dim times the one in the chart's own coordinates.
+        coords, q = chart.scaled_coordinates(self.vertices)
+        total = 0
         for simplex in self.triangulation():
-            pts = [chart.to_chart(self.vertices[i]) for i in simplex]
-            rows = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
-            d = det(rows)
-            total += abs(d)
-        return total / fact
+            base = coords[simplex[0]]
+            total += abs(det([tuple(a - b for a, b in zip(coords[i], base))
+                              for i in simplex[1:]]))
+        return Fraction(total, q ** self.dim * factorial(self.dim))
 
     def lattice_volume(self):
         """Volume normalized so a unimodular simplex has volume 1/dim!."""
@@ -321,45 +320,47 @@ class Polytope:
                 raise GeometryError("facet tight set has wrong dimension")
 
 
-class AffineChart:
-    """Exact coordinates on an affine subspace, adapted to its lattice."""
+class LatticeChart:
+    """Integer coordinates on an affine subspace, adapted to its lattice.
 
-    __slots__ = ("anchor", "basis", "ambient", "_solve")
+    A point p of the subspace has the coordinates L (p - anchor) in the
+    saturated lattice basis B of the subspace's directions, where L is the
+    integer left inverse of B (L B^T = I).  A point is on the chart when
+    it satisfies the homogeneous equation rows (c, u): c + u.p = 0.
+    """
 
-    def __init__(self, anchor, basis, ambient):
+    __slots__ = ("anchor", "basis", "equations", "inverse")
+
+    def __init__(self, anchor, basis, equations):
         self.anchor = as_fractions(anchor)
         self.basis = tuple(tuple(b) for b in basis)
-        self.ambient = ambient
-        if self.basis:
-            gram = [[dot(a, b) for b in self.basis] for a in self.basis]
-            self._solve = linalg.invert_rational(gram)
-        else:
-            self._solve = ()
+        self.equations = tuple(equations)
+        self.inverse = lattice_left_inverse(self.basis, len(self.anchor)) \
+            if self.basis else ()
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def to_chart(self, point):
-        point = as_fractions(point)
-        diff = tuple(a - b for a, b in zip(point, self.anchor))
-        if not self.basis:
-            if any(diff):
+    def scaled_coordinates(self, points):
+        """(rows, q): q > 0 is the lcm of the denominators of the points and
+        the anchor, and each row is q times a point's chart coordinates, in
+        integers.  Raises GeometryError for a point off the chart."""
+        points = [as_fractions(p) for p in points]
+        q = denominator_lcm(chain(self.anchor, *points))
+        anchor = to_numerators(self.anchor, q)
+        rows = []
+        for p in points:
+            hp = (q,) + to_numerators(p, q)
+            if any(dot(e, hp) for e in self.equations):
                 raise GeometryError("point is off the chart")
-            return ()
-        rhs = [dot(diff, b) for b in self.basis]
-        t = tuple(sum(self._solve[i][j] * rhs[j] for j in range(len(rhs)))
-                  for i in range(len(self.basis)))
-        if self.from_chart(t) != point:
-            raise GeometryError("point is off the chart")
-        return t
+            diff = tuple(a - b for a, b in zip(hp[1:], anchor))
+            rows.append(tuple(dot(row, diff) for row in self.inverse))
+        return rows, q
 
-    def from_chart(self, t):
-        out = list(self.anchor)
-        for c, b in zip(t, self.basis):
-            for i in range(self.ambient):
-                out[i] += c * b[i]
-        return tuple(out)
+    def to_chart(self, point):
+        (row,), q = self.scaled_coordinates([point])
+        return from_numerators(row, q)
 
 
 # -- constructions ------------------------------------------------------------
@@ -602,11 +603,6 @@ class Polyhedron:
         hx = (1,) + as_fractions(point)
         return (all(dot(e, hx) == 0 for e in self.eq_rows)
                 and all(dot(f, hx) >= 0 for f in self.ineq_rows))
-
-    def as_polytope(self):
-        if not self.is_bounded():
-            raise GeometryError("polyhedron is unbounded")
-        return convex_hull(self.vertices, self.role, self.ambient)
 
 
 def _any_point(eq_rows, ineq_rows, ambient):

@@ -178,13 +178,10 @@ def minkowski_complex(poset, delta, r, parts_hull):
     cells = [e.minkowski for e in poset.elements]
     n = len(cells)
     checks["injective"] = len(set(cells)) == n
-    order_ok = True
+    contained = containment_order(cells)
+    order_ok = all(poset.leq(i, j) == (contained[i] >> j & 1 == 1)
+                   for i in range(n) for j in range(n))
     face_ok = True
-    for i in range(n):
-        for j in range(n):
-            sub = all(cells[j].contains(v) for v in cells[i].vertices)
-            if poset.leq(i, j) != sub:
-                order_ok = False
     for j in range(n):
         below = [i for i in range(n) if poset.leq(i, j)]
         mj = cells[j]
@@ -232,6 +229,37 @@ def minkowski_complex(poset, delta, r, parts_hull):
     checks["support_covers_dilated_boundary"] = cover_ok
     report = {"passed": all(checks.values()), "checks": checks}
     return MinkowskiComplex(poset, cells, report)
+
+
+def containment_order(cells):
+    """Bitmasks of polytope inclusion: bit j of entry i is set iff every
+    vertex of cells[i] lies in cells[j].
+
+    The distinct vertices of all cells are numbered and each is tested once
+    against each cell; then i <= j iff vmask[i] & inside[j] == vmask[i].
+    """
+    ids = {}
+    vmask = []
+    for c in cells:
+        mask = 0
+        for v in c.vertices:
+            mask |= 1 << ids.setdefault(v, len(ids))
+        vmask.append(mask)
+    inside = []
+    for c in cells:
+        mask = 0
+        for v, t in ids.items():
+            if c.contains(v):
+                mask |= 1 << t
+        inside.append(mask)
+    out = []
+    for vm in vmask:
+        mask = 0
+        for j, ins in enumerate(inside):
+            if vm & ins == vm:
+                mask |= 1 << j
+        out.append(mask)
+    return out
 
 
 def _facet_slab(poly, facet_row):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nefsphere.linalg import dot, row_rank
+from nefsphere.linalg import dot, row_rank, solve_rational
 from nefsphere.polytope import (
     GeometryError,
     ROLE_M,
@@ -285,3 +285,63 @@ def test_volume_additivity_under_stellar_split():
                             ROLE_M)
         pieces.append(piece.volume_in_chart(chart))
     assert sum(pieces) == total
+
+
+def _gram_chart_oracle(chart, point):
+    """The Gram route: solve (B B^T) t = B (p - anchor) in Fractions and
+    keep t only when anchor + B^T t gives the point back."""
+    diff = [Fraction(a) - Fraction(b) for a, b in zip(point, chart.anchor)]
+    gram = [[dot(a, b) for b in chart.basis] for a in chart.basis]
+    t = solve_rational(gram, [dot(diff, b) for b in chart.basis]) \
+        if chart.basis else ()
+    back = [Fraction(a) for a in chart.anchor]
+    for c, b in zip(t, chart.basis):
+        back = [x + c * y for x, y in zip(back, b)]
+    return tuple(t) if back == [Fraction(x) for x in point] else None
+
+
+@given(st.integers(1, 4), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_lattice_chart_matches_gram_route(k, seed):
+    # A k-dimensional polytope with rational vertices inside Q^4: the
+    # integer chart's coordinates equal the Gram route's on its vertices and
+    # rational combinations of them; a point off its affine hull raises.
+    import random
+    rng = random.Random(seed)
+    d = 4
+    anchor = tuple(Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
+                   for _ in range(d))
+    dirs = [tuple(rng.randrange(-3, 4) for _ in range(d)) for _ in range(k)]
+    if row_rank([v for v in dirs if any(v)] or [(0,) * d]) != k:
+        return
+    pts = [anchor]
+    for v in dirs:
+        c = Fraction(rng.randrange(1, 4), 2)
+        pts.append(tuple(a + c * x for a, x in zip(anchor, v)))
+    poly = convex_hull(pts, ROLE_M)
+    chart = poly.chart()
+    assert chart.dim == poly.dim == k
+    samples = list(poly.vertices)
+    samples.append(tuple(sum(c, Fraction(0)) / len(poly.vertices)
+                         for c in zip(*poly.vertices)))
+    for p in samples:
+        got = chart.to_chart(p)
+        assert got == _gram_chart_oracle(chart, p)
+    if k < d:
+        off = tuple(a + b for a, b in zip(samples[-1], poly.equations[0][1:]))
+        assert _gram_chart_oracle(chart, off) is None
+        with pytest.raises(GeometryError):
+            chart.to_chart(off)
+
+
+def test_lattice_chart_of_a_point_and_a_segment():
+    point = convex_hull([(Fraction(1, 2), 3)], ROLE_M)
+    assert point.chart().to_chart((Fraction(1, 2), 3)) == ()
+    with pytest.raises(GeometryError):
+        point.chart().to_chart((0, 3))
+    seg = convex_hull([(0, 0), (4, 6)], ROLE_M)
+    assert seg.chart().basis in (((2, 3),), ((-2, -3),))
+    assert abs(seg.chart().to_chart((4, 6))[0]) == 2
+    assert abs(seg.chart().to_chart((1, Fraction(3, 2)))[0]) == \
+        Fraction(1, 2)
+    assert seg.lattice_volume() == 2

@@ -8,7 +8,10 @@ before Sigma's homology moved from the barycentric subdivision to its own
 cells.  ``prism_pair_5d_kinked_fast.json`` is the same for the prism with the
 non-integral weights omega = nu = 1 + |m_0|/4 (``prism_pair_5d_kinked.json``),
 frozen before the hull kernel's simplicial start and incidence-mask vertex
-test.  Any refactor of the arithmetic or the stages must reproduce them
+test.  ``product_triangles_6d_fast.json`` is the same for the product of
+three reflexive triangles in their own coordinate planes (a reducible 6D
+r = 3 partition whose Sigma is a 3-torus), frozen before charts and chart
+maps moved to integer lattice coordinates.  Any refactor of the arithmetic or the stages must reproduce them
 exactly.
 """
 
@@ -50,3 +53,8 @@ def test_prism_fast_report_matches_golden():
 def test_kinked_prism_fast_report_matches_golden():
     _assert_report_matches("prism_pair_5d_kinked", "prism_pair_5d_kinked_fast",
                            "--verify", "fast")
+
+
+def test_product_triangles_fast_report_matches_golden():
+    _assert_report_matches("product_triangles_6d",
+                           "product_triangles_6d_fast", "--verify", "fast")

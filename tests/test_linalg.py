@@ -1,18 +1,21 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nefsphere.linalg import (
-    complete_to_unimodular,
     det,
     hermite_normal_form,
     identity,
     kernel_basis,
+    lattice_left_inverse,
     mat_mul,
     row_rank,
     saturated_perp_basis,
+    saturated_span_basis,
     smith_normal_form,
     solve_rational,
+    transpose,
 )
 
 
@@ -83,10 +86,42 @@ def test_hnf_canonical():
     assert hermite_normal_form(h) == h
 
 
-def test_complete_to_unimodular():
-    basis = complete_to_unimodular([(0, 1, -1)], 3)
-    assert basis[0] == (0, 1, -1)
-    assert det(basis) == 1
+def test_lattice_left_inverse():
+    basis = ((0, 1, -1),)
+    left = lattice_left_inverse(basis, 3)
+    assert mat_mul(left, transpose(basis)) == identity(1)
+    # Z^3 splits as span(B) + ker(L): B and a basis of ker(L) together
+    # form a unimodular matrix.
+    full = basis + kernel_basis(left, 3)
+    assert abs(det(full)) == 1
+    with pytest.raises(ValueError):
+        lattice_left_inverse([(2, 0, 0)], 3)
+    with pytest.raises(ValueError):
+        lattice_left_inverse([(1, 0, 0), (2, 0, 0)], 3)
+
+
+@given(st.integers(2, 6), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_lattice_left_inverse_of_saturated_bases(d, seed):
+    # L B^T = I for the saturated perp and span bases the charts use.
+    rng = random.Random(seed)
+    vectors = [tuple(rng.randrange(-4, 5) for _ in range(d))
+               for _ in range(rng.randrange(1, d + 1))]
+    for basis in (saturated_perp_basis(vectors, d),
+                  saturated_span_basis(vectors, d)):
+        if not basis:
+            continue
+        left = lattice_left_inverse(basis, d)
+        assert all(type(x) is int for row in left for x in row)
+        assert mat_mul(left, transpose(basis)) == identity(len(basis))
+        full = tuple(basis) + kernel_basis(left, d)
+        assert abs(det(full)) == 1
+
+
+def test_saturated_perp_basis_rejects_rational_vectors():
+    from fractions import Fraction
+    with pytest.raises(ValueError):
+        saturated_perp_basis([(Fraction(1, 2), 1, 0)], 3)
 
 
 def test_solve_rational():

@@ -1,4 +1,10 @@
-from nefsphere.linalg import identity
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nefsphere.linalg import exact, identity
 from nefsphere.monodromy import (
     AffineMap,
     ChartAtlas,
@@ -180,9 +186,9 @@ def test_parallel_transport_roundtrip(simplex3_pipe):
         dst = sigma.p_poset.elements[path[step - 2][1]]
         via = sigma.q_poset.elements[path[step - 1][1]]
         back = chart_transition(dst, via, w, d).compose(back)
-    basis, x0 = base_chart_data(sigma.p_poset.elements[base[1]], w)
-    linear, translation = restrict_to_chart(back.compose(fwd), basis, x0)
-    assert linear == identity(len(basis))
+    chart = base_chart_data(sigma.p_poset.elements[base[1]], w)
+    linear, translation = restrict_to_chart(back.compose(fwd), chart)
+    assert linear == identity(len(chart.basis))
     assert all(t == 0 for t in translation)
 
 
@@ -215,7 +221,8 @@ def test_holonomy_formula_matches_transition_composition(simplex3_pipe):
     for loop in simplex3_pipe.loops()[:40]:
         amb = loop_ambient_map(loop, simplex3_pipe.transitions())
         base = sigma.p_poset.elements[loop.p0]
-        basis, x0 = base_chart_data(base, w)
+        chart = base_chart_data(base, w)
+        basis, x0 = chart.basis, chart.x0
         p1 = sigma.p_poset.elements[loop.p1]
         q0 = sigma.q_poset.elements[loop.q0]
         q1 = sigma.q_poset.elements[loop.q1]
@@ -251,7 +258,7 @@ def test_every_nonsmooth_vertex_obstructs_extension(simplex3_pipe,
             q_min = sorted(t for t in sigma.q_poset.minimal
                            if sigma.q_poset.leq(t, j))
             base = sigma.p_poset.elements[p_min[0]]
-            basis, x0 = base_chart_data(base, w)
+            chart = base_chart_data(base, w)
             found = False
             for pk in p_min:
                 for a in q_min:
@@ -261,8 +268,8 @@ def test_every_nonsmooth_vertex_obstructs_extension(simplex3_pipe,
                         amb = loop_ambient_map(
                             PrimaryLoop(p_min[0], a, pk, b),
                             pipe.transitions())
-                        lin, _ = restrict_to_chart(amb, basis, x0)
-                        if lin != identity(len(basis)):
+                        lin, _ = restrict_to_chart(amb, chart)
+                        if lin != identity(len(chart.basis)):
                             found = True
                             break
                     if found:
@@ -379,6 +386,155 @@ def test_one_chart_transition_per_pair(monkeypatch):
         return real(dst_cell, via_cell, weight, ambient)
 
     monkeypatch.setattr(monodromy, "chart_transition", counted)
+    nef, omega, nu = load_input(path("simplex3.json"))
+    Pipeline(nef, omega_spec=omega, nu_spec=nu).report(
+        verify="full", include_dual=True)
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+def _fraction_affine(m, t):
+    """Reference affine map over Fractions: (M, t) with rational t."""
+    return ([[Fraction(x) for x in row] for row in m],
+            [Fraction(x) for x in t])
+
+
+def _fraction_compose(a, b):
+    (ma, ta), (mb, tb) = a, b
+    m = [[sum(ma[i][k] * mb[k][j] for k in range(len(mb)))
+          for j in range(len(mb[0]))] for i in range(len(ma))]
+    t = [sum(ma[i][k] * tb[k] for k in range(len(tb))) + ta[i]
+         for i in range(len(ma))]
+    return m, t
+
+
+@given(st.integers(1, 5), st.integers(0, 10 ** 6))
+@settings(max_examples=50, deadline=None)
+def test_integer_affine_map_matches_fraction_reference(d, seed):
+    import random
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.randrange(-9, 10), rng.choice([1, 1, 2, 3, 4, 6]))
+
+    maps = []
+    for _ in range(3):
+        m = tuple(tuple(rng.randrange(-3, 4) for _ in range(d))
+                  for _ in range(d))
+        t = tuple(rational() for _ in range(d))
+        den = 1
+        for x in t:
+            den = den * x.denominator // gcd(den, x.denominator)
+        amap = AffineMap(m, tuple(int(x * den) for x in t), den)
+        assert amap.t == tuple(exact(x) for x in t)
+        maps.append((amap, _fraction_affine(m, t)))
+    (f, rf), (g, rg), (h, rh) = maps
+    got = f.compose(g).compose(h)
+    want = _fraction_compose(_fraction_compose(rf, rg), rh)
+    assert got.m == tuple(tuple(row) for row in want[0])
+    assert got.den > 0 and got.t == tuple(exact(x) for x in want[1])
+    y = tuple(rational() for _ in range(d))
+    want_y = [sum(a * b for a, b in zip(row, y)) + c
+              for row, c in zip(want[0], want[1])]
+    assert got.apply(y) == tuple(exact(x) for x in want_y)
+    assert all(type(x) is int or x.denominator > 1 for x in got.apply(y))
+
+
+def _restrict_by_solving(amb, basis):
+    """The compose-then-solve route: the linear part of an ambient map in
+    the basis, by solving B^T c = M b for every basis vector b."""
+    from nefsphere.linalg import solve_rational, transpose
+    cols = [list(col) for col in zip(*basis)]
+    rows = []
+    for b in basis:
+        c = solve_rational(cols, amb.apply_linear(b))
+        assert c is not None and all(type(x) is int for x in c)
+        rows.append(c)
+    return transpose(rows) if rows else ()
+
+
+@pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
+def test_transported_linears_match_compose_then_solve(name):
+    # global_group pushes the basis through fwd, the loop and back; the
+    # old route composed back o loop o fwd and solved in the basis.  The
+    # kinked prism has rational translations and base points.
+    from nefsphere import Pipeline
+    from nefsphere.cli import load_input
+    from nefsphere.monodromy import (_tree_transport, loop_ambient_map,
+                                     transported_loops)
+    from test_cli import path
+    nef, omega, nu = load_input(path(f"{name}.json"))
+    pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+    sigma, graph = pipe.sigma(), pipe.graph()
+    moved = transported_loops(sigma, graph, pipe.loops(), pipe.transitions(),
+                              pipe.base_charts())
+    assert moved
+    base = min(("P", i) for i in graph.p_nodes)
+    parent = graph.spanning_tree(base)
+    basis = pipe.base_charts()(base[1]).basis
+    d = nef.ambient
+    transport = {base: (AffineMap.identity(d), AffineMap.identity(d))}
+    want = []
+    for loop in pipe.loops():
+        if ("P", loop.p0) not in parent:
+            continue
+        fwd, back = _tree_transport(parent, transport, ("P", loop.p0),
+                                    pipe.transitions())
+        amb = back.compose(loop_ambient_map(loop, pipe.transitions()))
+        want.append((loop, _restrict_by_solving(amb.compose(fwd), basis)))
+    assert moved == want
+
+
+def test_rational_slice_point_is_refused():
+    # A hand-built minimal cell whose first slice point is not a lattice
+    # point: the chart and the transitions refuse it, naming the cell,
+    # instead of truncating it.
+    from nefsphere.errors import FalsificationError
+    from nefsphere.monodromy import base_chart_data, chart_transition
+    from nefsphere.polytope import convex_hull
+    from nefsphere.sphere import TransversalCell
+    half = (Fraction(1, 2), 0, 0)
+    slices = (convex_hull([half], "M"), convex_hull([(0, 1, 0)], "M"))
+    cell = convex_hull([half, (0, 1, 0)], "M")
+    bad = TransversalCell(cell, slices, frozenset((0, 1)), cell)
+    good_slices = (convex_hull([(1, 0, 0)], "M"),
+                   convex_hull([(0, 1, 0)], "M"))
+    good_cell = convex_hull([(1, 0, 0), (0, 1, 0)], "M")
+    good = TransversalCell(good_cell, good_slices, frozenset((0, 1)),
+                           good_cell)
+
+    def weight(pt):
+        return 1
+
+    for call in (lambda: base_chart_data(bad, weight),
+                 lambda: chart_transition(bad, good, weight, 3),
+                 lambda: chart_transition(good, bad, weight, 3)):
+        with pytest.raises(FalsificationError) as err:
+            call()
+        assert "not integral" in err.value.claim
+        assert err.value.certificate["cell"] == [["0", "1", "0"],
+                                                 ["1/2", "0", "0"]]
+        assert err.value.certificate["point"] == ["1/2", "0", "0"]
+    chart = base_chart_data(good, weight)
+    assert chart.x0 == (1, 1, 0)
+    assert chart.basis == ((0, 0, 1),)
+
+
+def test_one_base_chart_per_cell(monkeypatch):
+    # report --verify full --dual builds each minimal cell's chart once per
+    # run, across monodromies, the global group, the local groups and the
+    # dual monodromies.
+    from nefsphere import Pipeline, monodromy
+    from nefsphere.cli import load_input
+    from test_cli import path
+    calls = []
+    real = monodromy.base_chart_data
+
+    def counted(base_cell, weight):
+        calls.append(base_cell.cell.key())
+        return real(base_cell, weight)
+
+    monkeypatch.setattr(monodromy, "base_chart_data", counted)
     nef, omega, nu = load_input(path("simplex3.json"))
     Pipeline(nef, omega_spec=omega, nu_spec=nu).report(
         verify="full", include_dual=True)

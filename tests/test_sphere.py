@@ -181,3 +181,24 @@ def test_sigma_order_is_the_product_order(name):
                 if p.leq(i, i2) and q.leq(j, j2)]
         assert [b for b in range(n) if sigma.leq(a, b)] == want
         assert succ[a] == [b for b in want if b != a]
+
+
+DATA_INPUTS = INPUTS + ["prism_pair_5d_kinked", "product_triangles_6d"]
+
+
+@pytest.mark.parametrize("name", DATA_INPUTS)
+def test_containment_order_matches_all_vertices_route(name):
+    # The bitmask relation is the brute-force one (every vertex of cell i
+    # tested against cell j), and it is the poset's order on both sides.
+    from nefsphere.sphere import containment_order
+    pipe = _data_pipeline(name)
+    for poset in (pipe.p_poset(), pipe.q_poset()):
+        cells = [e.minkowski for e in poset.elements]
+        n = len(cells)
+        got = containment_order(cells)
+        want = [sum(1 << j for j in range(n)
+                    if all(cells[j].contains(v) for v in cells[i].vertices))
+                for i in range(n)]
+        assert got == want
+        assert all(poset.leq(i, j) == bool(got[i] >> j & 1)
+                   for i in range(n) for j in range(n))
