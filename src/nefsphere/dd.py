@@ -3,7 +3,9 @@
 The single entry point :func:`cone_rays` converts a homogeneous inequality
 system into generators (lineality basis + extreme rays).  Both directions of
 polytope conversion (V->H and H->V) reduce to it after homogenization; see
-:mod:`nefsphere.polytope`.
+:mod:`nefsphere.polytope`.  It takes inequalities only: the H->V route
+solves its equations first and calls it in their solution lattice, so a
+slice of a 5D cell runs in as many coordinates as the slice needs.
 
 After the lineality space is quotiented out, the iteration is the
 incremental double description of Fukuda and Prodon ("Double description

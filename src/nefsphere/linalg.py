@@ -243,7 +243,9 @@ def hermite_normal_form(rows):
             if x:
                 pivcols.append(j)
                 break
-    for i in range(len(m) - 1, -1, -1):
+    # In pivot order: reducing by row i changes only columns >= its pivot,
+    # so the entries above earlier pivots stay reduced.
+    for i in range(len(m)):
         col = pivcols[i]
         p = m[i][col]
         for k in range(i):

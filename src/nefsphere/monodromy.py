@@ -58,6 +58,11 @@ class DiscriminantComplex:
     def is_empty(self):
         return not self.vertex_ids
 
+    def smooth_mask(self):
+        """Bitmask of Sigma's smooth cells: the cells off the discriminant."""
+        full = (1 << len(self.sigma.pairs)) - 1
+        return full ^ sum(1 << k for k in self.vertex_ids)
+
 
 def discriminant(sigma):
     nonsmooth = sorted(k for k in range(len(sigma.pairs))
@@ -516,7 +521,15 @@ def monodromy(loop, transition, base_chart):
 # -- checks around loops -------------------------------------------------------
 
 
-def triviality_equivalence_check(sigma, loop, mono):
+def encloses_smooth_pair(sigma, loop, smooth):
+    """Whether a smooth cell (i, j) of Sigma has both P nodes of the loop
+    below i and both Q nodes below j; `smooth` is the bitmask of smooth
+    cells (:meth:`DiscriminantComplex.smooth_mask`)."""
+    return bool(sigma.p_up[loop.p0] & sigma.p_up[loop.p1]
+                & sigma.q_up[loop.q0] & sigma.q_up[loop.q1] & smooth)
+
+
+def triviality_equivalence_check(sigma, loop, mono, smooth):
     """Equivalence of: trivial holonomy; existence of an enclosing smooth
     pair; and the absence of an index changing on both sides of the loop.
 
@@ -529,14 +542,7 @@ def triviality_equivalence_check(sigma, loop, mono):
         return {"degenerate": True, "trivial": _is_identity(mono), "passed":
                 _is_identity(mono)}
     cond1 = _is_identity(mono)
-    cond2 = False
-    for k, (i, j) in enumerate(sigma.pairs):
-        if smooth_pair(sigma, k) and \
-                sigma.p_poset.leq(loop.p0, i) and sigma.p_poset.leq(loop.p1, i) \
-                and sigma.q_poset.leq(loop.q0, j) and \
-                sigma.q_poset.leq(loop.q1, j):
-            cond2 = True
-            break
+    cond2 = encloses_smooth_pair(sigma, loop, smooth)
     common_changing_index = False
     p0 = sigma.p_poset.elements[loop.p0]
     p1 = sigma.p_poset.elements[loop.p1]

@@ -204,6 +204,10 @@ class Pipeline:
 
     @_cached
     def complement_homology(self):
+        # With no discriminant the complement is Sigma itself, whose
+        # cellular homology is the order complex's (Bjorner 1984).
+        if self.discriminant().is_empty():
+            return self.sigma_homology()
         return mono.complement_homology(self.sigma())
 
     @_cached
@@ -270,10 +274,9 @@ class Pipeline:
         return report
 
     def triviality_suite(self):
-        out = []
-        for loop, m in zip(self.loops(), self.monodromies()):
-            out.append(mono.triviality_equivalence_check(self.sigma(), loop, m))
-        return out
+        smooth = self.discriminant().smooth_mask()
+        return [mono.triviality_equivalence_check(self.sigma(), loop, m, smooth)
+                for loop, m in zip(self.loops(), self.monodromies())]
 
     def local_group_suite(self):
         reports = {}

@@ -14,6 +14,12 @@ parts Delta^(i) live) and 'N' for the vector side (the nabla side).  Pairings
 are only defined across roles.  All hyperplane data is stored in homogeneous
 integer form: a row (c, u_1, ..., u_d) means c + u.x >= 0 (inequality) or
 c + u.x = 0 (equation).
+
+Both conversions run on :func:`dd.cone_rays`.  V->H homogenizes the points;
+H->V (:func:`polyhedron_generators`) first solves the equations over the
+integers and runs the double description on the inequalities restricted to
+the saturated kernel lattice of the equation rows, so a low-dimensional
+slice or intersection is computed in its own dimension.
 """
 
 from dataclasses import dataclass
@@ -30,6 +36,8 @@ from .linalg import (
     dot,
     exact,
     from_numerators,
+    hermite_normal_form,
+    kernel_basis,
     lattice_left_inverse,
     primitive,
     row_rank,
@@ -446,21 +454,40 @@ def _extreme_points(pts, facets):
 
 
 def polyhedron_generators(eq_rows, ineq_rows, ambient):
-    """Solve a homogeneous H-system: returns (vertices, rays, lineality)."""
+    """Solve a homogeneous H-system: returns (vertices, rays, lineality).
+
+    The equations are solved before the double description: with K the
+    saturated integer kernel basis of the equation rows, every solution is
+    y K, the inequality rows restrict to rows a K^T on y, and the cone is
+    computed in those len(K) coordinates.  Rays are lifted by K and reduced
+    modulo the lifted lineality to the representative that vanishes on its
+    HNF pivot columns.  An empty K means that only 0 solves the equations.
+    """
     rows = [(1,) + (0,) * ambient]
     rows.extend(clear_denominators(r) for r in ineq_rows)
-    for e in eq_rows:
-        e = clear_denominators(e)
-        rows.append(tuple(e))
-        rows.append(tuple(-x for x in e))
-    lin, rays = cone_rays(rows, ambient + 1)
+    eqs = [e for e in (clear_denominators(e) for e in eq_rows) if any(e)]
+    if eqs:
+        basis = kernel_basis(eqs, ambient + 1)
+        if not basis:
+            return (), (), ()
+        cols = tuple(zip(*basis))
+        lin, qrays = cone_rays([tuple(dot(r, b) for b in basis) for r in rows],
+                               len(basis))
+        lin = hermite_normal_form([tuple(dot(l, c) for c in cols)
+                                   for l in lin])
+        # The lift of a primitive ray by a saturated basis is primitive; the
+        # reduction rescales it and makes it primitive again.
+        rays = [_reduce_mod_equations(tuple(dot(q, c) for c in cols), lin)
+                for q in qrays]
+    else:
+        lin, rays = cone_rays(rows, ambient + 1)
     vertices = []
     rec = []
     for r in rays:
         if r[0] > 0:
-            vertices.append(tuple(exact(Fraction(x, r[0])) for x in r[1:]))
+            vertices.append(from_numerators(r[1:], r[0]))
         elif r[0] == 0:
-            rec.append(primitive(r[1:]))
+            rec.append(r[1:])
         else:
             raise GeometryError("homogenization produced a negative-height ray")
     lineality = tuple(l[1:] for l in lin)
@@ -561,15 +588,10 @@ class Polyhedron:
     def from_hrep(cls, eq_rows, ineq_rows, role, ambient):
         vertices, rays, lineality = polyhedron_generators(eq_rows, ineq_rows,
                                                           ambient)
-        if not vertices and not any(any(l) for l in lineality):
-            return None
+        # Row (1, 0, ..., 0) keeps the lineality in x_0 = 0, so a nonempty
+        # polyhedron always has a generator of positive height.
         if not vertices:
-            # A nonempty polyhedron with no extreme points (pure lineality
-            # component) still needs an anchor; solve the equation system.
-            anchor = _any_point(eq_rows, ineq_rows, ambient)
-            if anchor is None:
-                return None
-            vertices = (anchor,)
+            return None
         return cls(ambient, role, vertices, rays, lineality,
                    tuple(tuple(e) for e in eq_rows),
                    tuple(tuple(r) for r in ineq_rows))
@@ -604,19 +626,3 @@ class Polyhedron:
         return (all(dot(e, hx) == 0 for e in self.eq_rows)
                 and all(dot(f, hx) >= 0 for f in self.ineq_rows))
 
-
-def _any_point(eq_rows, ineq_rows, ambient):
-    """A rational point of the system, via the generator decomposition."""
-    rows = [(1,) + (0,) * ambient]
-    rows.extend(tuple(r) for r in ineq_rows)
-    for e in eq_rows:
-        rows.append(tuple(e))
-        rows.append(tuple(-x for x in e))
-    lin, rays = cone_rays(rows, ambient + 1)
-    cand = [0] * (ambient + 1)
-    for r in rays:
-        for i in range(ambient + 1):
-            cand[i] += r[i]
-    if cand[0] == 0:
-        return None
-    return tuple(exact(Fraction(x, cand[0])) for x in cand[1:])

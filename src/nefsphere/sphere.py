@@ -319,17 +319,21 @@ class SigmaComplex:
     def _product_order(self):
         """_above[k]: bitmask of the cells >= cell k in the product order.
 
-        P_up[i] is the union of the pair rows (i2, *) over i2 >= i, Q_up[j]
+        p_up[i] is the union of the pair rows (i2, *) over i2 >= i, q_up[j]
         the same for the Q side; (i, j) <= (i2, j2) iff both factors are.
+        Both are kept: p_up[i] & q_up[j] is the set of cells above the
+        pair (i, j) whether or not that pair is a cell.
         """
         p_row = [0] * len(self.p_poset)
         q_row = [0] * len(self.q_poset)
         for k, (i, j) in enumerate(self.pairs):
             p_row[i] |= 1 << k
             q_row[j] |= 1 << k
-        p_up = [_union(p_row, self.p_poset.above(i)) for i in range(len(p_row))]
-        q_up = [_union(q_row, self.q_poset.above(j)) for j in range(len(q_row))]
-        return [p_up[i] & q_up[j] for i, j in self.pairs]
+        self.p_up = [_union(p_row, self.p_poset.above(i))
+                     for i in range(len(p_row))]
+        self.q_up = [_union(q_row, self.q_poset.above(j))
+                     for j in range(len(q_row))]
+        return [self.p_up[i] & self.q_up[j] for i, j in self.pairs]
 
     def _verify_membership(self):
         for (i, j) in self.pairs:

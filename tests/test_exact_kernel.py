@@ -7,7 +7,7 @@ import os
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nefsphere import Pipeline
 from nefsphere.cli import load_input
@@ -20,6 +20,7 @@ from nefsphere.linalg import (
     kernel_basis,
     primitive,
     row_rank,
+    saturated_perp_basis,
     solve_rational,
 )
 from nefsphere.polytope import (
@@ -27,6 +28,7 @@ from nefsphere.polytope import (
     _extreme_points,
     as_fractions,
     convex_hull,
+    polyhedron_generators,
 )
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -276,6 +278,109 @@ def test_cone_rays_match_enumeration_oracle(system):
     want_lineality, want_rays = reference_cone_rays(rows, dim)
     assert lineality == want_lineality
     assert rays == want_rays
+
+
+# -- H-systems with equations ------------------------------------------------
+
+
+def reference_polyhedron_generators(eq_rows, ineq_rows, ambient):
+    """The unreduced route: each equation enters the double description as
+    the two inequalities +e and -e, in all ambient + 1 coordinates."""
+    rows = [(1,) + (0,) * ambient]
+    rows.extend(clear_denominators(r) for r in ineq_rows)
+    for e in eq_rows:
+        e = clear_denominators(e)
+        rows.append(e)
+        rows.append(tuple(-x for x in e))
+    lin, rays = cone_rays(rows, ambient + 1)
+    vertices = sorted(tuple(exact(Fraction(x, r[0])) for x in r[1:])
+                      for r in rays if r[0] > 0)
+    rec = sorted(primitive(r[1:]) for r in rays if r[0] == 0)
+    return tuple(vertices), tuple(rec), tuple(l[1:] for l in lin)
+
+
+@st.composite
+def h_systems(draw):
+    """Homogeneous H-systems (c, u) in ambient dimension 1-4: equation rank
+    0 to ambient + 1, rational rows, optionally a lineality line or plane
+    (every row annihilates it), and optionally a contradictory pair of
+    inequalities.  Most systems are made feasible by passing every row
+    through (or past) one drawn point; few inequalities leave most of them
+    unbounded."""
+    ambient = draw(st.integers(1, 4))
+    n = ambient + 1
+    lin_dim = draw(st.integers(0, min(2, ambient)))
+    dirs = [(0,) + tuple(draw(st.lists(st.integers(-3, 3), min_size=ambient,
+                                       max_size=ambient)))
+            for _ in range(lin_dim)]
+    # Rows are integer combinations of a basis of the annihilator of dirs;
+    # dirs have height 0, so the constant term can be chosen freely.
+    span = saturated_perp_basis(dirs, n)
+    den = st.sampled_from([1, 1, 1, 2, 3])
+    point = tuple(Fraction(draw(st.integers(-2, 2)), draw(den))
+                  for _ in range(ambient))
+    anchored = draw(st.integers(0, 3)) > 0
+
+    def row(slack):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(span),
+                               max_size=len(span)))
+        d = draw(den)
+        r = [Fraction(sum(c * b[j] for c, b in zip(coeffs, span)), d)
+             for j in range(n)]
+        if anchored:
+            r[0] = slack - dot(r[1:], point)
+        return tuple(r)
+
+    eqs = [row(0) for _ in range(draw(st.integers(0, n)))]
+    if eqs and draw(st.booleans()):
+        # A dependent equation: a combination of two drawn ones.
+        a, b = draw(st.sampled_from(eqs)), draw(st.sampled_from(eqs))
+        eqs.append(tuple(x + 2 * y for x, y in zip(a, b)))
+    ineqs = [row(draw(st.integers(0, 2))) for _ in range(draw(st.integers(0, 5)))]
+    if ineqs and draw(st.integers(0, 3)) == 0:
+        # c + u.x >= 0 and -c - 1 - u.x >= 0 have no common solution.
+        c, *u = draw(st.sampled_from(ineqs))
+        ineqs.append((-c - 1,) + tuple(-x for x in u))
+    return ambient, draw(st.permutations(eqs)), draw(st.permutations(ineqs))
+
+
+@given(h_systems())
+# Lifting rays by the kernel lattice: a system whose reduced lift is not
+# primitive, and one whose lifted lineality basis is not yet in HNF.
+@example((4, [(2, -1, 2, -4, 4)],
+          [(-2, 3, 3, -2, 0), (2, 3, 2, 2, -5), (-3, 0, 1, 0, -1)]))
+@example((4, [(0, -3, 3, -18, -9), (-1, 0, 0, 0, 0)],
+          [(2, 2, -3, 15, 9), (2, -3, 3, -18, -9), (-2, 1, 3, -6, -9),
+           (-3, 1, -2, 9, 6)]))
+@settings(max_examples=400, deadline=None)
+def test_polyhedron_generators_match_unreduced_route(system):
+    ambient, eqs, ineqs = system
+    got = polyhedron_generators(eqs, ineqs, ambient)
+    assert got == reference_polyhedron_generators(eqs, ineqs, ambient)
+    for v in got[0]:
+        assert as_fractions(v) == v
+        hv = (1,) + v
+        assert all(dot(e, hv) == 0 for e in eqs)
+        assert all(dot(f, hv) >= 0 for f in ineqs)
+
+
+def test_polyhedron_generators_edge_cases():
+    # Equations of full rank d + 1: only 0 solves the cone, so no point.
+    assert polyhedron_generators([(1, 0), (0, 1)], [], 1) == ((), (), ())
+    # A point, cut out by d independent equations.
+    assert polyhedron_generators([(-1, 2, 0), (Fraction(-1, 3), 0, 1)], [],
+                                 2) == (((Fraction(1, 2), Fraction(1, 3)),),
+                                        (), ())
+    # The line x = y: lineality (1, 1), and one representative point with
+    # zero on the lineality's pivot column.
+    assert polyhedron_generators([(0, 1, -1)], [], 2) == \
+        (((0, 0),), (), ((1, 1),))
+    # A half-line on x = y, bounded below at x = 1.
+    assert polyhedron_generators([(0, 1, -1)], [(-1, 1, 0)], 2) == \
+        (((1, 1),), ((1, 1),), ())
+    # Equations with no solution: the line x = 1 meets x = 2 nowhere.
+    assert polyhedron_generators([(-1, 1, 0), (-2, 1, 0)], [], 2) == \
+        ((), (), ((0, 1),))
 
 
 # -- vertices of a hull --------------------------------------------------------

@@ -169,6 +169,27 @@ def test_double_description_agreement():
     assert q == p
 
 
+def test_polyhedron_with_a_lineality_line():
+    from nefsphere.polytope import Polyhedron
+    # The strip 0 <= x <= 1 contains every vertical line; its points of
+    # height zero represent its two minimal faces.
+    strip = Polyhedron.from_hrep([], [(0, 1, 0), (1, -1, 0)], ROLE_M, 2)
+    assert strip.vertices == ((0, 0), (1, 0))
+    assert strip.rays == ()
+    assert strip.lineality == ((0, 1),)
+    # x >= 1 and x <= 0 share that lineality line but have no point.
+    assert Polyhedron.from_hrep([], [(-1, 1, 0), (0, -1, 0)], ROLE_M, 2) \
+        is None
+    # The same in the plane z = 2 of R^3, with the equation solved first.
+    slab = Polyhedron.from_hrep([(-2, 0, 0, 1)], [(0, 1, 0, 0), (1, -1, 0, 0)],
+                                ROLE_M, 3)
+    assert slab.vertices == ((0, 0, 2), (1, 0, 2))
+    assert slab.lineality == ((0, 1, 0),)
+    assert Polyhedron.from_hrep([(-2, 0, 0, 1)],
+                                [(-1, 1, 0, 0), (0, -1, 0, 0)], ROLE_M, 3) \
+        is None
+
+
 def test_intersection():
     tri = convex_hull(TRI, ROLE_M)
     square = convex_hull([(1, 1), (1, -1), (-1, 1), (-1, -1)], ROLE_M)

@@ -84,6 +84,33 @@ def test_hnf_canonical():
     assert h == ((2, 0), (0, 4))
     # HNF of the HNF is itself (canonical form).
     assert hermite_normal_form(h) == h
+    # Entries above a later pivot stay reduced after an earlier pivot's
+    # reduction: two bases of one lattice give the same form.
+    assert hermite_normal_form([(1, 1, 0), (0, 1, 1), (0, 0, 3)]) == \
+        ((1, 0, 2), (0, 1, 1), (0, 0, 3))
+
+
+@given(st.integers(1, 4), st.integers(0, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_hnf_is_a_lattice_invariant(n, seed):
+    rng = random.Random(seed)
+    rows = [tuple(rng.randint(-4, 4) for _ in range(n))
+            for _ in range(rng.randint(1, n + 1))]
+    h = hermite_normal_form(rows)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in h]
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert h[i][c] > 0
+        assert all(0 <= h[k][c] < h[i][c] for k in range(i))
+    # Unimodular row operations change the generators, not the lattice.
+    work = [list(r) for r in rows]
+    for _ in range(6):
+        a, b = rng.sample(range(len(work)), 2) if len(work) > 1 else (0, 0)
+        if a != b:
+            f = rng.randint(-3, 3)
+            work[a] = [x + f * y for x, y in zip(work[a], work[b])]
+        rng.shuffle(work)
+    assert hermite_normal_form(work) == h
 
 
 def test_lattice_left_inverse():

@@ -114,6 +114,25 @@ def test_complement_homology_no_discriminant(triangle_pipe):
         triangle_pipe.sigma_homology()
 
 
+def test_pipeline_complement_of_empty_discriminant_is_sigma(monkeypatch):
+    # With no discriminant the stage reads Sigma's cellular homology and
+    # skips the order complex; the order complex still agrees with it.
+    import nefsphere.monodromy as mono
+    from nefsphere import Pipeline
+    from nefsphere.cli import load_input
+    from test_cli import path
+    oracle = mono.complement_homology
+    for name in ("triangle", "square_sum", "pentagon_pair",
+                 "segment_weighted"):
+        nef, omega, nu = load_input(path(f"{name}.json"))
+        pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+        assert pipe.discriminant().is_empty()
+        with monkeypatch.context() as patch:
+            patch.setattr(mono, "complement_homology", None)
+            got = pipe.complement_homology()
+        assert got == pipe.sigma_homology() == oracle(pipe.sigma())
+
+
 def _complement_homology_on_chains(sigma):
     """Oracle: the order complex of the chain poset of the smooth cells,
     i.e. the second barycentric subdivision of the complement complex."""
@@ -540,3 +559,31 @@ def test_one_base_chart_per_cell(monkeypatch):
         verify="full", include_dual=True)
     assert calls
     assert len(calls) == len(set(calls))
+
+
+def test_enclosing_smooth_pair_matches_pair_scan():
+    # The bitmask search gives the verdict of scanning every cell of Sigma
+    # for a smooth pair above all four nodes of the loop.
+    import glob
+    import os
+    from nefsphere import Pipeline
+    from nefsphere.cli import load_input
+    from nefsphere.monodromy import encloses_smooth_pair
+    from test_cli import DATA
+    checked = 0
+    for name in sorted(glob.glob(os.path.join(DATA, "*.json"))):
+        if name.endswith("malformed.json"):
+            continue
+        nef, omega, nu = load_input(name)
+        pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+        sigma = pipe.sigma()
+        smooth = pipe.discriminant().smooth_mask()
+        pp, qp = sigma.p_poset, sigma.q_poset
+        for loop in pipe.loops():
+            scan = any(smooth_pair(sigma, k)
+                       and pp.leq(loop.p0, i) and pp.leq(loop.p1, i)
+                       and qp.leq(loop.q0, j) and qp.leq(loop.q1, j)
+                       for k, (i, j) in enumerate(sigma.pairs))
+            assert encloses_smooth_pair(sigma, loop, smooth) == scan
+            checked += 1
+    assert checked == 6 + 30 + 756 + 1080 + 2160
