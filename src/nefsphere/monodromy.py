@@ -54,6 +54,8 @@ class DiscriminantComplex:
         self.complex = complex_
         self.components = components  # lists of pair indices
         self.component_homology = component_homology
+        self.component_masks = [sum(1 << k for k in comp)
+                                for comp in components]
 
     def is_empty(self):
         return not self.vertex_ids
@@ -100,51 +102,43 @@ def complement_homology(sigma):
 
 
 class ChartAtlas:
-    """Vertex sets of the chart covering, indexed by minimal transversal cells."""
+    """Vertex sets of the chart covering, indexed by minimal transversal cells.
+
+    A chart is the bitmask of Sigma's cells over its minimal cell: U_s is
+    Sigma's p_up[s], V_t its q_up[t].
+    """
 
     def __init__(self, sigma):
         self.sigma = sigma
-        self.u_charts = {}
-        self.v_charts = {}
-        for s in sigma.p_poset.minimal:
-            self.u_charts[s] = frozenset(
-                k for k, (i, j) in enumerate(sigma.pairs)
-                if sigma.p_poset.leq(s, i))
-        for t in sigma.q_poset.minimal:
-            self.v_charts[t] = frozenset(
-                k for k, (i, j) in enumerate(sigma.pairs)
-                if sigma.q_poset.leq(t, j))
+        self.u_charts = {s: sigma.p_up[s] for s in sigma.p_poset.minimal}
+        self.v_charts = {t: sigma.q_up[t] for t in sigma.q_poset.minimal}
 
     def covering_report(self):
-        covered = set()
-        for chart in self.u_charts.values():
-            covered |= chart
-        report = {"u_charts_cover": covered == set(range(len(self.sigma.pairs)))}
-        covered = set()
-        for chart in self.v_charts.values():
-            covered |= chart
-        report["v_charts_cover"] = covered == set(range(len(self.sigma.pairs)))
+        full = (1 << len(self.sigma.pairs)) - 1
+        report = {"u_charts_cover": _or_all(self.u_charts.values()) == full,
+                  "v_charts_cover": _or_all(self.v_charts.values()) == full}
         # U_s meets V_t exactly when (s, t) is an adjoint pair.
-        edge_ok = True
-        for s, us in self.u_charts.items():
-            for t, vs in self.v_charts.items():
-                if bool(us & vs) != ((s, t) in self.sigma.pair_index):
-                    edge_ok = False
-        report["chart_overlaps_match_adjacency"] = edge_ok
+        report["chart_overlaps_match_adjacency"] = all(
+            bool(us & vs) == ((s, t) in self.sigma.pair_index)
+            for s, us in self.u_charts.items()
+            for t, vs in self.v_charts.items())
         # Every chart intersection pattern is witnessed by a transversal cell.
-        nerve_ok = True
+        p_poset = self.sigma.p_poset
+        hit = _or_all(1 << i for i, _ in self.sigma.pairs)
         mins = sorted(self.u_charts)
-        for a_i, a in enumerate(mins):
-            for b in mins[a_i + 1:]:
-                meet = self.u_charts[a] & self.u_charts[b]
-                witnessed = any(
-                    self.sigma.p_poset.leq(a, i) and self.sigma.p_poset.leq(b, i)
-                    for (i, j) in self.sigma.pairs)
-                if bool(meet) != witnessed:
-                    nerve_ok = False
-        report["nerve_witnessed_by_poset"] = nerve_ok
+        report["nerve_witnessed_by_poset"] = all(
+            bool(self.u_charts[a] & self.u_charts[b])
+            == bool(p_poset._above[a] & p_poset._above[b] & hit)
+            for a_i, a in enumerate(mins) for b in mins[a_i + 1:])
         report["passed"] = all(v for k, v in report.items() if k != "passed")
         return report
+
+
+def _or_all(masks):
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
 
 
 class ChartGraph:
@@ -251,10 +245,8 @@ def primary_loops(sigma, s_boundary, t_boundary):
                    key=lambda i: sigma.p_poset.elements[i].cell.key())
     q_min = sorted(sigma.q_poset.minimal,
                    key=lambda j: sigma.q_poset.elements[j].cell.key())
-    s_cells = set(s_boundary.cells)
-    t_cells = set(t_boundary.cells)
-    p_pairs = _span_pairs(sigma.p_poset, p_min, s_cells)
-    q_pairs = _span_pairs(sigma.q_poset, q_min, t_cells)
+    p_pairs = _span_pairs(sigma.p_poset, p_min, s_boundary)
+    q_pairs = _span_pairs(sigma.q_poset, q_min, t_boundary)
     pair_set = set(sigma.pairs)
     loops = []
     for (a, b) in p_pairs:
@@ -267,18 +259,16 @@ def primary_loops(sigma, s_boundary, t_boundary):
     return loops
 
 
-def _span_pairs(poset, minimal, cells):
-    """Ordered pairs (i, j), i <= j canonically, whose union spans a cell."""
-    from .polytope import convex_hull
-    out = []
-    for x, i in enumerate(minimal):
-        for j in minimal[x:]:
-            ci = poset.elements[i].cell
-            cj = poset.elements[j].cell
-            hull = convex_hull(ci.vertices + cj.vertices, ci.role, ci.ambient)
-            if hull in cells:
-                out.append((i, j))
-    return out
+def _span_pairs(poset, minimal, boundary):
+    """Ordered pairs (i, j), i <= j canonically, whose union spans a cell.
+
+    Cells of a complex meet in faces, so conv(c_i u c_j) is a cell of the
+    boundary subdivision iff some cell has exactly the vertices of both.
+    """
+    spans = set(boundary.vertex_masks)
+    masks = {i: boundary.vertex_mask(poset.elements[i].cell) for i in minimal}
+    return [(i, j) for x, i in enumerate(minimal) for j in minimal[x:]
+            if masks[i] | masks[j] in spans]
 
 
 class AffineMap:
@@ -576,8 +566,8 @@ def local_group(sigma, pair_idx, transition, base_chart):
     """
     i, j = sigma.pairs[pair_idx]
     p_poset, q_poset = sigma.p_poset, sigma.q_poset
-    p_min = sorted(s for s in p_poset.minimal if p_poset.leq(s, i))
-    q_min = sorted(t for t in q_poset.minimal if q_poset.leq(t, j))
+    p_min = p_poset.minimal_below(i)
+    q_min = q_poset.minimal_below(j)
     base_idx = p_min[0]
     chart = base_chart(base_idx)
     d = p_poset.elements[base_idx].cell.ambient
@@ -768,18 +758,11 @@ def _loop_discriminant_component(sigma, loop, disc):
     """The discriminant component whose star contains the loop, if unique."""
     if disc is None or disc.is_empty():
         return None
-    hits = set()
-    for ci, comp in enumerate(disc.components):
-        for k in comp:
-            i, j = sigma.pairs[k]
-            if sigma.p_poset.leq(loop.p0, i) and sigma.p_poset.leq(loop.p1, i) \
-                    and sigma.q_poset.leq(loop.q0, j) and \
-                    sigma.q_poset.leq(loop.q1, j):
-                hits.add(ci)
-                break
-    if len(hits) == 1:
-        return hits.pop()
-    return None
+    star = (sigma.p_up[loop.p0] & sigma.p_up[loop.p1]
+            & sigma.q_up[loop.q0] & sigma.q_up[loop.q1])
+    hits = [ci for ci, mask in enumerate(disc.component_masks)
+            if star & mask]
+    return hits[0] if len(hits) == 1 else None
 
 
 # -- duality -------------------------------------------------------------------

@@ -5,6 +5,14 @@ transversal ones (every slice nonempty) form an upper order ideal P.  Their
 Minkowski cells tile part of the boundary of the sum polytope, and products
 of adjoint pairs of cells assemble into the sphere complex, whose barycentric
 subdivision is the order complex of the adjointness poset.
+
+Every order is kept as bitmasks: cells carry vertex masks, so faces are
+subset tests, and the posets and Sigma store the masks of the elements
+above and below each element.  Sigma's homology and its closed-pseudomanifold
+test are made on its cells, not on the chains of the barycentric
+subdivision: for a face poset graded by dimension, the pseudomanifold
+conditions on the order complex are conditions on cells and their facets
+(:func:`is_closed_pseudomanifold`).
 """
 
 from fractions import Fraction
@@ -46,19 +54,12 @@ class TransversalPoset:
         self.parts = parts
         self.elements = tuple(elements)
         self.slices = slices
-        n = len(self.elements)
-        vsets = [frozenset(e.cell.vertices) for e in self.elements]
-        self._above = [0] * n  # bitmask: j-th bit set iff element_i <= element_j
-        for i in range(n):
-            mask = 0
-            vi = vsets[i]
-            for j in range(n):
-                if vi <= vsets[j]:
-                    mask |= 1 << j
-            self._above[i] = mask
-        self.minimal = tuple(i for i in range(n)
-                             if not any((self._above[j] >> i) & 1 and j != i
-                                        for j in range(n)))
+        self._above, self._below = _inclusion_masks(
+            [subdivision.vertex_mask(e.cell) for e in self.elements])
+        self.minimal = tuple(i for i, mask in enumerate(self._below)
+                             if mask == 1 << i)
+        self._minimal_mask = sum(1 << i for i in self.minimal)
+        self._index = {e.cell: i for i, e in enumerate(self.elements)}
 
     def __len__(self):
         return len(self.elements)
@@ -67,25 +68,40 @@ class TransversalPoset:
         return (self._above[i] >> j) & 1 == 1
 
     def below(self, i):
-        return [j for j in range(len(self.elements))
-                if (self._above[j] >> i) & 1]
+        return _bits(self._below[i])
 
     def above(self, i):
-        mask = self._above[i]
-        out = []
-        j = 0
-        while mask:
-            if mask & 1:
-                out.append(j)
-            mask >>= 1
-            j += 1
-        return out
+        return _bits(self._above[i])
+
+    def minimal_below(self, i):
+        """The minimal elements below element i, ascending."""
+        return _bits(self._below[i] & self._minimal_mask)
 
     def index_of_cell(self, cell):
-        for i, e in enumerate(self.elements):
-            if e.cell == cell:
-                return i
-        return None
+        return self._index.get(cell)
+
+
+def _inclusion_masks(vertex_masks):
+    """(above, below) bitmasks of inclusion among vertex sets.
+
+    Bit j of above[i] (and bit i of below[j]) is set iff vertex set i is a
+    subset of vertex set j: above[i] is the AND, over the vertices of set
+    i, of the mask of sets holding that vertex.
+    """
+    holders = {}
+    for j, vm in enumerate(vertex_masks):
+        for v in _bits(vm):
+            holders[v] = holders.get(v, 0) | 1 << j
+    above = []
+    below = [0] * len(vertex_masks)
+    for i, vm in enumerate(vertex_masks):
+        mask = -1
+        for v in _bits(vm):
+            mask &= holders[v]
+        above.append(mask)
+        for j in _bits(mask):
+            below[j] |= 1 << i
+    return above, below
 
 
 def compute_slices(subdivision, parts):
@@ -128,13 +144,16 @@ def transversal_poset(subdivision, parts, delta=None):
         elements.append(TransversalCell(cell, slices, index_set, mink))
         transversal.add(cell)
     # Upper order ideal: any cell above a transversal cell is transversal.
-    for cell in subdivision.cells:
-        if cell in transversal:
-            for other in subdivision.cells:
-                if subdivision.leq(cell, other) and other not in transversal:
-                    raise FalsificationError(
-                        "transversal cells do not form an upper order ideal",
-                        {"cell": _cell_key(cell), "superface": _cell_key(other)})
+    cells = subdivision.cells
+    above, _ = _inclusion_masks(subdivision.vertex_masks)
+    outside = sum(1 << k for k, c in enumerate(cells) if c not in transversal)
+    for k, cell in enumerate(cells):
+        bad = above[k] & outside
+        if cell in transversal and bad:
+            other = cells[(bad & -bad).bit_length() - 1]
+            raise FalsificationError(
+                "transversal cells do not form an upper order ideal",
+                {"cell": _cell_key(cell), "superface": _cell_key(other)})
     elements.sort(key=lambda e: e.cell.key())
     return TransversalPoset(subdivision, parts, elements, slices_by_cell)
 
@@ -178,12 +197,10 @@ def minkowski_complex(poset, delta, r, parts_hull):
     cells = [e.minkowski for e in poset.elements]
     n = len(cells)
     checks["injective"] = len(set(cells)) == n
-    contained = containment_order(cells)
-    order_ok = all(poset.leq(i, j) == (contained[i] >> j & 1 == 1)
-                   for i in range(n) for j in range(n))
+    order_ok = containment_order(cells) == poset._above
     face_ok = True
     for j in range(n):
-        below = [i for i in range(n) if poset.leq(i, j)]
+        below = poset.below(j)
         mj = cells[j]
         face_keys = mj.face_keys()
         if len(face_keys) != len(below):
@@ -269,31 +286,36 @@ def _facet_slab(poly, facet_row):
 
 
 def adjoint_pairs(p_poset, q_poset):
-    """All (i, j) with <slice_a, slice_b> = delta_ab on every vertex pair."""
-    r = len(p_poset.parts)
-    p_vert = []
-    for e in p_poset.elements:
-        p_vert.append([s.vertices for s in e.slices])
-    q_vert = []
+    """All (i, j) with <slice_a, slice_b> = delta_ab on every vertex pair.
+
+    The distinct (part b, vertex x) of the Q-slices are numbered, and each
+    Q-cell j gets the mask of its own.  For every (part a, vertex m) of a
+    P-slice the mask of the (b, x) with <m, x> = delta_ab is built once;
+    ANDed over P-cell i's (a, m) it holds exactly the (b, x) adjoint to all
+    of i, so (i, j) is adjoint iff it contains j's mask.
+    """
+    q_ids = {}
+    q_masks = []
     for e in q_poset.elements:
-        q_vert.append([s.vertices for s in e.slices])
+        mask = 0
+        for b, s in enumerate(e.slices):
+            for x in s.vertices:
+                mask |= 1 << q_ids.setdefault((b, x), len(q_ids))
+        q_masks.append(mask)
+    good = {}
     pairs = []
-    for i, pv in enumerate(p_vert):
-        for j, qv in enumerate(q_vert):
-            if _is_adjoint(pv, qv, r):
-                pairs.append((i, j))
+    for i, e in enumerate(p_poset.elements):
+        mask = -1
+        for a, s in enumerate(e.slices):
+            for m in s.vertices:
+                if (a, m) not in good:
+                    good[a, m] = sum(
+                        1 << t for (b, x), t in q_ids.items()
+                        if dot(m, x) == (1 if a == b else 0))
+                mask &= good[a, m]
+        pairs.extend((i, j) for j, qm in enumerate(q_masks)
+                     if qm & mask == qm)
     return pairs
-
-
-def _is_adjoint(pv, qv, r):
-    for a in range(r):
-        for b in range(r):
-            want = 1 if a == b else 0
-            for m in pv[a]:
-                for x in qv[b]:
-                    if dot(m, x) != want:
-                        return False
-    return True
 
 
 class SigmaComplex:
@@ -311,13 +333,14 @@ class SigmaComplex:
         self.dims = tuple(
             p_poset.elements[i].minkowski.dim + q_poset.elements[j].minkowski.dim
             for i, j in self.pairs)
-        self._above = self._product_order()
+        self._product_order()
         self._successors = None
         self._verify_membership()
         self._verify_face_closure()
 
     def _product_order(self):
-        """_above[k]: bitmask of the cells >= cell k in the product order.
+        """_above[k] and _below[k]: bitmasks of the cells >= and <= cell k
+        in the product order.
 
         p_up[i] is the union of the pair rows (i2, *) over i2 >= i, q_up[j]
         the same for the Q side; (i, j) <= (i2, j2) iff both factors are.
@@ -333,7 +356,12 @@ class SigmaComplex:
                      for i in range(len(p_row))]
         self.q_up = [_union(q_row, self.q_poset.above(j))
                      for j in range(len(q_row))]
-        return [self.p_up[i] & self.q_up[j] for i, j in self.pairs]
+        p_down = [_union(p_row, self.p_poset.below(i))
+                  for i in range(len(p_row))]
+        q_down = [_union(q_row, self.q_poset.below(j))
+                  for j in range(len(q_row))]
+        self._above = [self.p_up[i] & self.q_up[j] for i, j in self.pairs]
+        self._below = [p_down[i] & q_down[j] for i, j in self.pairs]
 
     def _verify_membership(self):
         for (i, j) in self.pairs:
@@ -350,15 +378,20 @@ class SigmaComplex:
                                          "got": str(dot(m, x))})
 
     def _verify_face_closure(self):
-        # Componentwise subpairs of adjoint pairs must again be adjoint.
-        pair_set = set(self.pairs)
+        # Componentwise subpairs of adjoint pairs must again be adjoint:
+        # every j2 <= j must be a Q-partner of every i2 <= i.
+        partners = [0] * len(self.p_poset)
+        for i, j in self.pairs:
+            partners[i] |= 1 << j
         for (i, j) in self.pairs:
+            q_below = self.q_poset._below[j]
             for i2 in self.p_poset.below(i):
-                for j2 in self.q_poset.below(j):
-                    if (i2, j2) not in pair_set:
-                        raise FalsificationError(
-                            "face of an adjoint product cell is not a cell",
-                            {"pair": [i, j], "subpair": [i2, j2]})
+                missing = q_below & ~partners[i2]
+                if missing:
+                    j2 = (missing & -missing).bit_length() - 1
+                    raise FalsificationError(
+                        "face of an adjoint product cell is not a cell",
+                        {"pair": [i, j], "subpair": [i2, j2]})
 
     def __len__(self):
         return len(self.pairs)
@@ -370,7 +403,8 @@ class SigmaComplex:
         return (self._above[a] >> b) & 1 == 1
 
     def successors(self):
-        """successors[k] = all cells strictly above cell k (for bsd chains)."""
+        """successors[k] = all cells strictly above cell k (for order
+        complexes)."""
         if self._successors is None:
             self._successors = [_bits(mask & ~(1 << k))
                                 for k, mask in enumerate(self._above)]
@@ -378,12 +412,7 @@ class SigmaComplex:
 
     def facets(self):
         """facets[k] = the codimension-one faces of cell k, ascending."""
-        out = [[] for _ in self.pairs]
-        for a, ups in enumerate(self.successors()):
-            for b in ups:
-                if self.dims[b] == self.dims[a] + 1:
-                    out[b].append(a)
-        return out
+        return [_bits(fm) for fm in _facet_masks(self.dims, self._below)]
 
     def euler_characteristic(self):
         return sum((-1) ** d for d in self.dims)
@@ -399,49 +428,73 @@ class SigmaComplex:
         """
         return cellular_homology(self.dims, self.facets())
 
-    def bsd_chain_levels(self):
-        """All chains of the cell poset by length (the bsd simplices)."""
-        succ = self.successors()
-        levels = []
-        current = [(i,) for i in range(len(self.pairs))]
-        while current:
-            levels.append(tuple(current))
-            nxt = []
-            for ch in current:
-                for j in succ[ch[-1]]:
-                    nxt.append(ch + (j,))
-            current = nxt
-        return levels
-
     def is_closed_pseudomanifold(self):
-        levels = self.bsd_chain_levels()
-        top = len(levels)
-        if top <= 1:
-            return True
-        flags = levels[-1]
-        subcount = {}
-        for ch in flags:
-            for i in range(len(ch)):
-                subcount[ch[:i] + ch[i + 1:]] = \
-                    subcount.get(ch[:i] + ch[i + 1:], 0) + 1
-        if len(levels) >= 2 and len(subcount) != len(levels[-2]):
-            return False  # not pure
-        if any(c != 2 for c in subcount.values()):
+        return is_closed_pseudomanifold(self.dims, self._below)
+
+
+def _facet_masks(dims, below):
+    """For each cell, the mask of the cells one dimension lower below it."""
+    by_dim = {}
+    for k, d in enumerate(dims):
+        by_dim[d] = by_dim.get(d, 0) | 1 << k
+    return [below[k] & by_dim.get(d - 1, 0) for k, d in enumerate(dims)]
+
+
+def is_closed_pseudomanifold(dims, below):
+    """Whether the order complex of a cell poset is a closed pseudomanifold.
+
+    `below[k]` is the bitmask of the cells <= cell k (k itself included) and
+    `dims[k]` its dimension.  The test is made on the cells, not on the
+    chains of the barycentric subdivision:
+
+    - graded: every cell of dim > 0 has facets (faces one dimension lower)
+      and each of its strict faces lies under one of them; a cell of dim 0
+      has no strict face;
+    - pure: every cell lies under a cell of top dimension D;
+    - thin: each edge has two vertices, each codim-2 face of a cell lies in
+      exactly two of its facets, and each (D-1)-cell lies in exactly two
+      D-cells.
+
+    For a graded poset these are the conditions on the order complex.  Its
+    maximal chains are the flags c_0 < ... < c_D with dim c_i = i, and every
+    chain extends to a flag iff its top cell lies under a D-cell (purity).
+    A flag minus c_i lies in as many flags as there are i-cells strictly
+    between c_{i-1} and c_{i+1}: the vertices of the edge c_1 (i = 0), the
+    facets of c_{i+1} over c_{i-1}, or the D-cells over c_{D-1} (i = D).
+    """
+    if not dims:
+        return True
+    facets = _facet_masks(dims, below)
+    for k, d in enumerate(dims):
+        strict = below[k] & ~(1 << k)
+        covered = 0
+        for f in _bits(facets[k]):
+            covered |= below[f]
+        if (d > 0 and not facets[k]) or strict & ~covered:
             return False
-        # Purity below the top two levels: every chain extends to a flag.
-        in_flags = set()
-        for ch in flags:
-            stack = [ch]
-            while stack:
-                c = stack.pop()
-                if c in in_flags:
-                    continue
-                in_flags.add(c)
-                if len(c) > 1:
-                    for i in range(len(c)):
-                        stack.append(c[:i] + c[i + 1:])
-        total = sum(len(lv) for lv in levels)
-        return len(in_flags) == total
+    top = max(dims)
+    covered = 0
+    for k, d in enumerate(dims):
+        if d == top:
+            covered |= below[k]
+    if covered != (1 << len(dims)) - 1:
+        return False
+    ridge_count = {}
+    for k, d in enumerate(dims):
+        if d == 1 and facets[k].bit_count() != 2:
+            return False
+        if d == top:
+            for f in _bits(facets[k]):
+                ridge_count[f] = ridge_count.get(f, 0) + 1
+        if d >= 2:
+            count = {}
+            for f in _bits(facets[k]):
+                for g in _bits(facets[f]):
+                    count[g] = count.get(g, 0) + 1
+            if any(c != 2 for c in count.values()):
+                return False
+    return all(ridge_count.get(k, 0) == 2
+               for k, d in enumerate(dims) if d == top - 1)
 
 
 def _union(rows, indices):

@@ -153,6 +153,8 @@ class BoundarySubdivision:
                 seen.setdefault(f, True)
         self.cells = tuple(sorted(seen))
         self._index = {c: i for i, c in enumerate(self.cells)}
+        self._vertex_id = {}
+        self.vertex_masks = tuple(self.vertex_mask(c) for c in self.cells)
         self._coned = {}
 
     def index(self, cell):
@@ -161,10 +163,20 @@ class BoundarySubdivision:
     def __contains__(self, cell):
         return cell in self._index
 
+    def vertex_mask(self, cell):
+        """Bitmask of the cell's vertices; every vertex of the complex gets
+        one bit, numbered when first seen."""
+        ids = self._vertex_id
+        mask = 0
+        for v in cell.vertices:
+            mask |= 1 << ids.setdefault(v, len(ids))
+        return mask
+
     def leq(self, a, b):
         """Face relation: a is a face of b (cells of a complex share faces,
         so containment is equivalent to vertex-set inclusion)."""
-        return set(a.vertices) <= set(b.vertices)
+        ma = self.vertex_mask(a)
+        return self.vertex_mask(b) & ma == ma
 
     def coned(self, cell):
         """The cell joined with the origin (its partner in the coned complex)."""

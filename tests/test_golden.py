@@ -11,8 +11,10 @@ frozen before the hull kernel's simplicial start and incidence-mask vertex
 test.  ``product_triangles_6d_fast.json`` is the same for the product of
 three reflexive triangles in their own coordinate planes (a reducible 6D
 r = 3 partition whose Sigma is a 3-torus), frozen before charts and chart
-maps moved to integer lattice coordinates.  Any refactor of the arithmetic or the stages must reproduce them
-exactly.
+maps moved to integer lattice coordinates.  ``prism_pair_5d_full_dual.json``
+is the stdout of ``nefsphere report prism_pair_5d.json --verify full
+--dual``, frozen before Sigma's orders became bitmasks end to end.  Any
+refactor of the arithmetic or the stages must reproduce them exactly.
 """
 
 import os
@@ -58,3 +60,8 @@ def test_kinked_prism_fast_report_matches_golden():
 def test_product_triangles_fast_report_matches_golden():
     _assert_report_matches("product_triangles_6d",
                            "product_triangles_6d_fast", "--verify", "fast")
+
+
+def test_prism_full_dual_report_matches_golden():
+    _assert_report_matches("prism_pair_5d", "prism_pair_5d_full_dual",
+                           "--verify", "full", "--dual")

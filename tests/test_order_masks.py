@@ -1,0 +1,342 @@
+"""The orders of the sphere layer are bitmasks; the pair scans are oracles.
+
+Every order question of the fast path (faces in the boundary subdivision,
+the transversal posets, adjointness, Sigma's face closure and
+pseudomanifold test, the chart covering, the loops' discriminant
+components and the spanned cells) is answered by mask operations.  The
+routes they replaced live here: chain enumeration of the barycentric
+subdivision, ``leq`` scans, vertex-pair dot products and span hulls.  Each
+mask route must give the old route's answer on every ``tests/data`` input.
+"""
+
+import pytest
+
+from nefsphere import Pipeline
+from nefsphere.cli import load_input
+from nefsphere.errors import FalsificationError
+from nefsphere.linalg import dot
+from nefsphere.monodromy import (
+    ChartAtlas,
+    _loop_discriminant_component,
+    _span_pairs,
+)
+from nefsphere.polytope import convex_hull
+from nefsphere.sphere import (
+    SigmaComplex,
+    adjoint_pairs,
+    is_closed_pseudomanifold,
+)
+from test_cli import path
+
+DATA_INPUTS = ["triangle", "square_sum", "pentagon_pair", "simplex3",
+               "segment_weighted", "prism_pair_5d", "prism_pair_5d_kinked",
+               "product_triangles_6d"]
+
+
+def _data_pipeline(name):
+    nef, omega, nu = load_input(path(f"{name}.json"))
+    return Pipeline(nef, omega_spec=omega, nu_spec=nu)
+
+
+# -- oracles: the routes the masks replaced -----------------------------------
+
+
+def bsd_chain_levels(successors):
+    """All chains of a poset by length (the simplices of its order complex);
+    successors[k] lists the elements strictly above element k."""
+    levels = []
+    current = [(i,) for i in range(len(successors))]
+    while current:
+        levels.append(tuple(current))
+        nxt = []
+        for ch in current:
+            for j in successors[ch[-1]]:
+                nxt.append(ch + (j,))
+        current = nxt
+    return levels
+
+
+def bsd_pseudomanifold(successors):
+    """The order complex is a pure pseudomanifold without boundary: each
+    codimension-one chain lies in exactly two maximal-length chains and
+    every chain lies in one."""
+    levels = bsd_chain_levels(successors)
+    if len(levels) <= 1:
+        return True
+    flags = levels[-1]
+    subcount = {}
+    for ch in flags:
+        for i in range(len(ch)):
+            sub = ch[:i] + ch[i + 1:]
+            subcount[sub] = subcount.get(sub, 0) + 1
+    if len(subcount) != len(levels[-2]):
+        return False
+    if any(c != 2 for c in subcount.values()):
+        return False
+    in_flags = set()
+    for ch in flags:
+        stack = [ch]
+        while stack:
+            c = stack.pop()
+            if c in in_flags:
+                continue
+            in_flags.add(c)
+            if len(c) > 1:
+                stack.extend(c[:i] + c[i + 1:] for i in range(len(c)))
+    return len(in_flags) == sum(len(lv) for lv in levels)
+
+
+def _successors_of(below):
+    n = len(below)
+    return [[b for b in range(n) if b != a and below[b] >> a & 1]
+            for a in range(n)]
+
+
+def _is_adjoint(pv, qv, r):
+    return all(dot(m, x) == (1 if a == b else 0)
+               for a in range(r) for b in range(r)
+               for m in pv[a] for x in qv[b])
+
+
+def adjoint_pairs_by_dots(p_poset, q_poset):
+    r = len(p_poset.parts)
+    p_vert = [[s.vertices for s in e.slices] for e in p_poset.elements]
+    q_vert = [[s.vertices for s in e.slices] for e in q_poset.elements]
+    return [(i, j) for i, pv in enumerate(p_vert)
+            for j, qv in enumerate(q_vert) if _is_adjoint(pv, qv, r)]
+
+
+def span_pairs_by_hulls(poset, minimal, cells):
+    out = []
+    for x, i in enumerate(minimal):
+        for j in minimal[x:]:
+            ci = poset.elements[i].cell
+            cj = poset.elements[j].cell
+            hull = convex_hull(ci.vertices + cj.vertices, ci.role, ci.ambient)
+            if hull in cells:
+                out.append((i, j))
+    return out
+
+
+def loop_component_by_scan(sigma, loop, disc):
+    if disc is None or disc.is_empty():
+        return None
+    pp, qp = sigma.p_poset, sigma.q_poset
+    hits = set()
+    for ci, comp in enumerate(disc.components):
+        for k in comp:
+            i, j = sigma.pairs[k]
+            if pp.leq(loop.p0, i) and pp.leq(loop.p1, i) \
+                    and qp.leq(loop.q0, j) and qp.leq(loop.q1, j):
+                hits.add(ci)
+                break
+    return hits.pop() if len(hits) == 1 else None
+
+
+def covering_report_by_sets(sigma):
+    pp, qp = sigma.p_poset, sigma.q_poset
+    u = {s: frozenset(k for k, (i, _) in enumerate(sigma.pairs)
+                      if pp.leq(s, i)) for s in pp.minimal}
+    v = {t: frozenset(k for k, (_, j) in enumerate(sigma.pairs)
+                      if qp.leq(t, j)) for t in qp.minimal}
+    everything = set(range(len(sigma.pairs)))
+    report = {"u_charts_cover": set().union(*u.values()) == everything,
+              "v_charts_cover": set().union(*v.values()) == everything}
+    report["chart_overlaps_match_adjacency"] = all(
+        bool(us & vs) == ((s, t) in sigma.pair_index)
+        for s, us in u.items() for t, vs in v.items())
+    mins = sorted(u)
+    report["nerve_witnessed_by_poset"] = all(
+        bool(u[a] & u[b]) == any(pp.leq(a, i) and pp.leq(b, i)
+                                 for i, _ in sigma.pairs)
+        for x, a in enumerate(mins) for b in mins[x + 1:])
+    report["passed"] = all(v for k, v in report.items() if k != "passed")
+    return report, u, v
+
+
+def face_closure_certificate_by_scan(p_poset, q_poset, pairs):
+    """The first (pair, subpair) of the old scan, or None."""
+    ordered = sorted(pairs, key=lambda ij: (
+        p_poset.elements[ij[0]].minkowski.key(),
+        q_poset.elements[ij[1]].minkowski.key()))
+    pair_set = set(pairs)
+    for i, j in ordered:
+        for i2 in [x for x in range(len(p_poset)) if p_poset.leq(x, i)]:
+            for j2 in [y for y in range(len(q_poset)) if q_poset.leq(y, j)]:
+                if (i2, j2) not in pair_set:
+                    return {"pair": [i, j], "subpair": [i2, j2]}
+    return None
+
+
+def _mask_bits(mask):
+    return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+# -- every data input: mask routes against the oracles -------------------------
+
+
+@pytest.mark.parametrize("name", DATA_INPUTS)
+def test_mask_routes_match_the_scans(name):
+    pipe = _data_pipeline(name)
+    sigma = pipe.sigma()
+    for s in (sigma, pipe.dual_pipeline().sigma()):
+        assert s.is_closed_pseudomanifold() == \
+            bsd_pseudomanifold(s.successors())
+    p, q = pipe.p_poset(), pipe.q_poset()
+    assert adjoint_pairs(p, q) == adjoint_pairs_by_dots(p, q)
+    for poset, boundary in ((p, pipe.s_boundary()), (q, pipe.t_boundary())):
+        minimal = sorted(poset.minimal,
+                         key=lambda i: poset.elements[i].cell.key())
+        assert _span_pairs(poset, minimal, boundary) == \
+            span_pairs_by_hulls(poset, minimal, set(boundary.cells))
+    disc = pipe.discriminant()
+    for loop in pipe.loops():
+        assert _loop_discriminant_component(sigma, loop, disc) == \
+            loop_component_by_scan(sigma, loop, disc)
+    atlas = ChartAtlas(sigma)
+    want, u, v = covering_report_by_sets(sigma)
+    assert atlas.covering_report() == want
+    assert {s: _mask_bits(m) for s, m in atlas.u_charts.items()} == u
+    assert {t: _mask_bits(m) for t, m in atlas.v_charts.items()} == v
+
+
+@pytest.mark.parametrize("name", ["simplex3", "segment_weighted"])
+def test_transversal_orders_match_leq_scans(name):
+    pipe = _data_pipeline(name)
+    boundary = pipe.s_boundary()
+    cells = boundary.cells
+    poset = pipe.p_poset()
+    n = len(poset)
+    vsets = [set(e.cell.vertices) for e in poset.elements]
+    for i in range(n):
+        assert poset.above(i) == [j for j in range(n) if vsets[i] <= vsets[j]]
+        assert poset.below(i) == [j for j in range(n) if vsets[j] <= vsets[i]]
+    assert list(poset.minimal) == [
+        i for i in range(n) if not any(vsets[j] < vsets[i] for j in range(n))]
+    for a in cells:
+        for b in cells:
+            assert boundary.leq(a, b) == (set(a.vertices) <= set(b.vertices))
+    for i, e in enumerate(poset.elements):
+        assert poset.index_of_cell(e.cell) == i
+    assert poset.index_of_cell(pipe.t_boundary().cells[0]) is None
+
+
+def test_pseudomanifold_matches_bsd_randomized(randomized_partitions):
+    for nef in randomized_partitions:
+        pipe = Pipeline(nef)
+        for sigma in (pipe.sigma(), pipe.dual_pipeline().sigma()):
+            assert sigma.is_closed_pseudomanifold() == \
+                bsd_pseudomanifold(sigma.successors()), \
+                f"parts {[p.vertices for p in nef.parts]}"
+
+
+# -- hand-built cell posets ------------------------------------------------------
+
+
+def _poset(cells):
+    """(dims, below) of cells given as name -> (dim, facet names)."""
+    names = list(cells)
+    index = {c: k for k, c in enumerate(names)}
+    below = [0] * len(names)
+
+    def close(c):
+        k = index[c]
+        if not below[k]:
+            below[k] = 1 << k
+            for f in cells[c][1]:
+                below[k] |= close(f)
+        return below[k]
+
+    for c in names:
+        close(c)
+    return [cells[c][0] for c in names], below
+
+
+DIGON = {"v0": (0, []), "v1": (0, []),
+         "e0": (1, ["v0", "v1"]), "e1": (1, ["v0", "v1"])}
+BIGON_SPHERE = {**DIGON, "f0": (2, ["e0", "e1"]), "f1": (2, ["e0", "e1"])}
+HAND_BUILT = {
+    # Closed: the two-vertex circle and the two-cell 2-sphere.
+    "digon": (DIGON, True),
+    "bigon_sphere": (BIGON_SPHERE, True),
+    # A ridge in three top cells: the theta graph, and its suspension,
+    # where the edges from the poles lie in three triangles.
+    "theta": ({"v0": (0, []), "v1": (0, []), "e0": (1, ["v0", "v1"]),
+               "e1": (1, ["v0", "v1"]), "e2": (1, ["v0", "v1"])}, False),
+    "suspended_theta": (
+        {"v0": (0, []), "v1": (0, []), "n": (0, []), "s": (0, []),
+         **{f"e{k}": (1, ["v0", "v1"]) for k in range(3)},
+         **{f"{p}{v}": (1, [p, v]) for p in "ns" for v in ("v0", "v1")},
+         **{f"{p}e{k}": (2, [f"e{k}", f"{p}v0", f"{p}v1"])
+            for p in "ns" for k in range(3)}}, False),
+    # Not pure: the 2-sphere and an isolated vertex.
+    "sphere_and_point": ({**BIGON_SPHERE, "v2": (0, [])}, False),
+    # A broken diamond: the interval [v0, f0] has one middle element.
+    "broken_diamond": ({"v0": (0, []), "v1": (0, []), "v2": (0, []),
+                        "e0": (1, ["v0", "v1"]), "e1": (1, ["v1", "v2"]),
+                        "f0": (2, ["e0", "e1"]), "f1": (2, ["e0", "e1"])},
+                       False),
+    # A minimal 1-cell (no vertices) beside a circle: not graded.
+    "minimal_one_cell": ({**DIGON, "e2": (1, [])}, False),
+    "segment": ({"v0": (0, []), "v1": (0, []), "e0": (1, ["v0", "v1"])},
+                False),
+    "point": ({"v0": (0, [])}, True),
+    "empty": ({}, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_pseudomanifold_matches_bsd_on_hand_built_posets(name):
+    cells, want = HAND_BUILT[name]
+    dims, below = _poset(cells)
+    assert bsd_pseudomanifold(_successors_of(below)) == want
+    assert is_closed_pseudomanifold(dims, below) == want
+
+
+# -- certificates ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["triangle", "simplex3"])
+def test_face_closure_certificate_matches_scan(name):
+    # Drop one pair at a time: the mask check raises the scan's first
+    # certificate, or nothing when the scan finds nothing.
+    pipe = _data_pipeline(name)
+    sigma = pipe.sigma()
+    p, q = sigma.p_poset, sigma.q_poset
+    raised = 0
+    for pair in sigma.pairs:
+        pairs = [pq for pq in sigma.pairs if pq != pair]
+        want = face_closure_certificate_by_scan(p, q, pairs)
+        try:
+            SigmaComplex(p, q, pairs, sigma.r)
+            got = None
+        except FalsificationError as err:
+            assert err.claim == "face of an adjoint product cell is not a cell"
+            got = err.certificate
+            raised += 1
+        assert got == want
+    assert raised > 0
+
+
+def test_upper_ideal_certificate_matches_scan(monkeypatch):
+    # Declare one top cell non-transversal: the first transversal cell
+    # below it, in cell order, is the certificate of the leq scan.
+    from nefsphere import sphere
+    pipe = _data_pipeline("simplex3")
+    boundary = pipe.s_boundary()
+    top = boundary.maximal_cells[-1]
+    real = sphere._slice
+    monkeypatch.setattr(sphere, "_slice", lambda cell, part:
+                        None if cell == top else real(cell, part))
+    transversal = {c for c in boundary.cells if c != top
+                   and all(real(c, p) is not None for p in pipe.nef.parts)}
+    want = next(
+        {"cell": sphere._cell_key(a), "superface": sphere._cell_key(b)}
+        for a in boundary.cells if a in transversal
+        for b in boundary.cells
+        if boundary.leq(a, b) and b not in transversal)
+    with pytest.raises(FalsificationError) as err:
+        sphere.transversal_poset(boundary, list(pipe.nef.parts))
+    assert err.value.claim == \
+        "transversal cells do not form an upper order ideal"
+    assert err.value.certificate == want

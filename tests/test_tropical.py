@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from nefsphere.polytope import ROLE_M, convex_hull
 from nefsphere.subdivision import WeightFunction, lower_hull_subdivision
 from nefsphere.tropical import (
@@ -164,3 +166,44 @@ def test_tropical_cells_memo_tells_supports_apart():
     assert cells(sub_tri, edge).bounded
     assert not cells(sub_part, edge).bounded
     assert cells(sub_tri, edge) is cells(sub_tri, edge)
+
+
+def test_tropical_containment_is_the_pairwise_route(simplex3_pipe,
+                                                    pentagon_pipe):
+    # The stored relation is the vertex-by-vertex containment test of every
+    # pair of bounded cells, and it is the poset's order transposed.
+    for pipe in (simplex3_pipe, pentagon_pipe):
+        cplx = pipe.tropical_complex()
+        polys = [c.poly for c in cplx.cells]
+        n = len(polys)
+        assert cplx.containment == [
+            sum(1 << i for i in range(n)
+                if all(polys[i].contains(v) for v in polys[j].vertices))
+            for j in range(n)]
+        assert all(cplx.poset.leq(i, j) == bool(cplx.containment[j] >> i & 1)
+                   for i in range(n) for j in range(n))
+
+
+def test_flipped_containment_bit_fails_the_order_checks(simplex3_pipe):
+    # One flipped bit of the stored relation fails both checks, and the
+    # certificate is the first (i, j) in row order; a second flip later in
+    # row order does not change it.
+    import copy
+    from nefsphere.errors import FalsificationError
+    from nefsphere.tropical import _verify_opposite_order, order_complex_check
+    cplx = copy.copy(simplex3_pipe.tropical_complex())
+    n = len(cplx)
+    i, j = 2, n - 1
+    cplx.containment = list(cplx.containment)
+    cplx.containment[j] ^= 1 << i
+    cplx.containment[0] ^= 1 << (n - 1)
+    with pytest.raises(FalsificationError) as err:
+        _verify_opposite_order(cplx)
+    assert err.value.claim == \
+        "tropical face order is not opposite to the poset order"
+    leq = cplx.poset.leq(i, j)
+    assert err.value.certificate == {"i": i, "j": j, "poset_leq": leq,
+                                     "geometric_containment": not leq}
+    report = order_complex_check(cplx)
+    assert report["injective"]
+    assert not report["anti_isomorphism"] and not report["passed"]
