@@ -237,9 +237,8 @@ def _emit_complexes(pipe, directory):
             "components": [list(c) for c in disc.components],
         },
     }
-    for name, blob in [("complexes.json", payload)]:
-        with open(os.path.join(directory, name), "w") as fh:
-            fh.write(canonical_json(blob))
+    with open(os.path.join(directory, "complexes.json"), "w") as fh:
+        fh.write(canonical_json(payload))
 
 
 if __name__ == "__main__":

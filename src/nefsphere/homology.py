@@ -1,13 +1,12 @@
-"""Integral simplicial and cellular homology via sparse elimination and
-Smith form.
+"""Integral homology of finite posets and regular CW complexes via sparse
+elimination and Smith form.
 
-Three usage modes:
+Two usage modes:
 
-* :class:`SimplicialComplex` materializes a complex (fine for desk-size
-  inputs, discriminant components, oracles in tests).
 * :func:`order_complex_homology` computes the homology of the order complex
   of a finite poset degree by degree, holding only two chain levels at a
-  time.  This is what makes second barycentric subdivisions tractable.
+  time.  A discriminant component is an upper set of Sigma's cells, not a
+  subcomplex, so its homology is taken on this order complex.
 * :func:`cellular_homology` computes the cellular homology of a regular CW
   complex (a polytopal complex, say) on its own cells, without subdividing.
 
@@ -132,175 +131,6 @@ def boundary_columns(simplices, face_index):
             sign = -sign
         cols.append(col)
     return cols
-
-
-class SimplicialComplex:
-    """A finite simplicial complex on hashable vertex labels."""
-
-    def __init__(self, by_dim):
-        self.by_dim = {k: tuple(sorted(v)) for k, v in by_dim.items() if v}
-
-    @classmethod
-    def from_simplices(cls, simplices):
-        """Close a set of simplices (tuples of vertices) under faces."""
-        seen = set()
-        stack = [tuple(sorted(set(s))) for s in simplices]
-        for s in stack:
-            if not s:
-                raise ValueError("empty simplex")
-        while stack:
-            s = stack.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            if len(s) > 1:
-                for i in range(len(s)):
-                    stack.append(s[:i] + s[i + 1:])
-        by_dim = {}
-        for s in seen:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        return cls(by_dim)
-
-    @property
-    def dim(self):
-        return max(self.by_dim) if self.by_dim else -1
-
-    def f_vector(self):
-        return tuple(len(self.by_dim.get(k, ())) for k in range(self.dim + 1))
-
-    def euler_characteristic(self):
-        return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
-
-    def simplices(self, k):
-        return self.by_dim.get(k, ())
-
-    def vertices(self):
-        return tuple(s[0] for s in self.by_dim.get(0, ()))
-
-    def homology(self):
-        """Unreduced integral homology: [(betti_k, torsion divisors)] for all k."""
-        top = self.dim
-        if top < 0:
-            return []
-        ranks = {}
-        torsion = {}
-        for k in range(1, top + 1):
-            lower = self.by_dim.get(k - 1, ())
-            upper = self.by_dim.get(k, ())
-            face_index = {s: i for i, s in enumerate(lower)}
-            cols = boundary_columns(upper, face_index)
-            r, divs = sparse_rank_and_divisors(cols)
-            ranks[k] = r
-            torsion[k] = tuple(d for d in divs if d > 1)
-        out = []
-        for k in range(top + 1):
-            n_k = len(self.by_dim.get(k, ()))
-            betti = n_k - ranks.get(k, 0) - ranks.get(k + 1, 0)
-            out.append((betti, torsion.get(k + 1, ())))
-        return out
-
-    def connected_components(self):
-        """Vertex sets of the components (edges induce the relation)."""
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for v in self.vertices():
-            parent[v] = v
-        for e in self.by_dim.get(1, ()):
-            a, b = find(e[0]), find(e[1])
-            if a != b:
-                parent[a] = b
-        groups = {}
-        for v in self.vertices():
-            groups.setdefault(find(v), []).append(v)
-        return [tuple(sorted(g)) for g in
-                sorted(groups.values(), key=lambda g: sorted(g)[0])]
-
-    def full_subcomplex(self, vertex_subset):
-        keep = set(vertex_subset)
-        by_dim = {}
-        for k, simps in self.by_dim.items():
-            sel = [s for s in simps if all(v in keep for v in s)]
-            if sel:
-                by_dim[k] = sel
-        return SimplicialComplex(by_dim)
-
-    def is_pure(self):
-        if self.dim < 0:
-            return True
-        top = self.by_dim[self.dim]
-        covered = set()
-        for s in top:
-            for i in range(len(s)):
-                covered.add(s[:i] + s[i + 1:])
-        for k in range(self.dim):
-            for s in self.by_dim.get(k, ()):
-                if k == self.dim - 1 and s not in covered:
-                    return False
-        return True
-
-    def is_closed_pseudomanifold(self):
-        """Pure, and every codim-1 simplex lies in exactly two top simplices."""
-        top = self.dim
-        if top <= 0:
-            return True
-        if not self.is_pure():
-            return False
-        counts = {}
-        for s in self.by_dim[top]:
-            for i in range(len(s)):
-                f = s[:i] + s[i + 1:]
-                counts[f] = counts.get(f, 0) + 1
-        return all(c == 2 for c in counts.values()) and \
-            len(counts) == len(self.by_dim.get(top - 1, ()))
-
-    def barycentric_subdivision(self):
-        """The order complex of the face poset, vertices = old simplices."""
-        all_simps = sorted(s for simps in self.by_dim.values() for s in simps)
-        chains = order_complex_chains(all_simps)
-        by_dim = {}
-        for level, chain_list in enumerate(chains):
-            if chain_list:
-                by_dim[level] = chain_list
-        return SimplicialComplex(by_dim)
-
-
-def _subset_successors(simplices):
-    """For each simplex, the sorted ids of its strict supersets in the list."""
-    index = {s: i for i, s in enumerate(simplices)}
-    succ = [[] for _ in simplices]
-    for s, i in index.items():
-        n = len(s)
-        if n == 1:
-            continue
-        for mask in range(1, (1 << n) - 1):
-            sub = tuple(s[j] for j in range(n) if mask >> j & 1)
-            k = index.get(sub)
-            if k is not None:
-                succ[k].append(i)
-    for lst in succ:
-        lst.sort()
-    return succ
-
-
-def order_complex_chains(simplices):
-    """All chains of the face poset, as tuples of simplex ids, by length-1."""
-    succ = _subset_successors(simplices)
-    levels = []
-    current = [(i,) for i in range(len(simplices))]
-    while current:
-        levels.append(tuple(current))
-        nxt = []
-        for ch in current:
-            for j in succ[ch[-1]]:
-                nxt.append(ch + (j,))
-        current = nxt
-    return levels
 
 
 def order_complex_homology(n_elements, successors):

@@ -33,16 +33,8 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
-
-
 def dot(a, b):
     return sum(map(mul, a, b))
-
-
-
-
-
-
 
 
 def denominator_lcm(v):
@@ -198,8 +190,6 @@ def solve_rational(a_rows, b):
     for r, col in enumerate(pivots):
         x[col] = exact(Fraction(m[r][ncols], m[r][col]))
     return tuple(x)
-
-
 
 
 def hermite_normal_form(rows):

@@ -27,7 +27,8 @@ from .linalg import (
     row_rank,
     to_numerators,
 )
-from .sphere import full_subposet_complex
+from .homology import order_complex_homology
+from .sphere import _bits
 
 
 # -- smoothness and the discriminant -----------------------------------------
@@ -45,57 +46,78 @@ def smooth_pair(sigma, pair_idx):
 
 
 class DiscriminantComplex:
-    """Full subcomplex of bsd(Sigma) on the non-smooth pair vertices."""
+    """Sigma's non-smooth cells, whose order complex is the full subcomplex
+    of bsd(Sigma) on them.
 
-    def __init__(self, sigma, vertex_ids, complex_, components,
-                 component_homology):
+    They form an upper set of Sigma (a cell above a non-smooth cell is not
+    smooth), and so does each component: a class of the comparability
+    relation, grown from its lowest cell through Sigma's `_above | _below`
+    masks.  A component's homology is that of its order complex.
+    """
+
+    def __init__(self, sigma, mask, component_masks, component_homology):
         self.sigma = sigma
-        self.vertex_ids = vertex_ids  # pair indices, sorted
-        self.complex = complex_
-        self.components = components  # lists of pair indices
+        self.mask = mask  # the non-smooth cells
+        self.vertex_ids = tuple(_bits(mask))  # pair indices, sorted
+        self.component_masks = component_masks
+        self.components = [tuple(_bits(m)) for m in component_masks]
         self.component_homology = component_homology
-        self.component_masks = [sum(1 << k for k in comp)
-                                for comp in components]
 
     def is_empty(self):
-        return not self.vertex_ids
+        return not self.mask
 
     def smooth_mask(self):
         """Bitmask of Sigma's smooth cells: the cells off the discriminant."""
-        full = (1 << len(self.sigma.pairs)) - 1
-        return full ^ sum(1 << k for k in self.vertex_ids)
+        return ((1 << len(self.sigma.pairs)) - 1) & ~self.mask
 
 
 def discriminant(sigma):
-    nonsmooth = sorted(k for k in range(len(sigma.pairs))
-                       if not smooth_pair(sigma, k))
-    cplx = full_subposet_complex(sigma, nonsmooth)
-    if not nonsmooth:
-        return DiscriminantComplex(sigma, (), cplx, [], [])
-    pos_to_pair = {t: k for t, k in enumerate(nonsmooth)}
-    comps = []
+    mask = sum(1 << k for k in range(len(sigma.pairs))
+               if not smooth_pair(sigma, k))
+    component_masks = []
+    rest = mask
+    while rest:
+        comp = 0
+        grow = rest & -rest
+        while grow:
+            comp |= grow
+            reach = 0
+            for k in _bits(grow):
+                reach |= sigma._above[k] | sigma._below[k]
+            grow = reach & rest & ~comp
+        component_masks.append(comp)
+        rest &= ~comp
     homs = []
-    for comp in cplx.connected_components():
-        comps.append(tuple(pos_to_pair[t] for t in comp))
-        homs.append(cplx.full_subcomplex(comp).homology())
-    return DiscriminantComplex(sigma, tuple(nonsmooth), cplx, comps, homs)
+    for comp in component_masks:
+        cells = _bits(comp)
+        pos = {k: t for t, k in enumerate(cells)}
+        homs.append(order_complex_homology(
+            len(cells), [[pos[j] for j in _bits(sigma._above[k] & comp)
+                          if j != k] for k in cells]))
+    return DiscriminantComplex(sigma, mask, component_masks, homs)
 
 
-def complement_homology(sigma):
-    """Homology of the complement complex: the order complex of the smooth
-    subposet of Sigma, i.e. the full subcomplex of bsd(Sigma) on the smooth
-    cells.
+def complement_homology(sigma, smooth):
+    """Homology of the complement complex: Sigma's subcomplex on the cells
+    of the mask `smooth`, computed cellularly (:meth:`SigmaComplex.homology`).
 
-    The complement of the full subcomplex on the non-smooth cells
-    deformation-retracts onto it (Munkres, Elements of Algebraic Topology,
-    Lemma 70.1), and a further subdivision would not change its homology.
+    Smooth cells are closed under faces (a face's slices lie in the cell's
+    slices, so slice dimensions only drop); a smooth cell with a non-smooth
+    face raises a certificate naming both.  The complement of the full
+    subcomplex of bsd(Sigma) on the non-smooth cells deformation-retracts
+    onto the full subcomplex on the smooth ones (Munkres, Elements of
+    Algebraic Topology, Lemma 70.1), which is the barycentric subdivision
+    of this subcomplex.
     """
-    from .homology import order_complex_homology
-    smooth = [k for k in range(len(sigma.pairs)) if smooth_pair(sigma, k)]
-    pos = {k: t for t, k in enumerate(smooth)}
-    succ = sigma.successors()
-    return order_complex_homology(
-        len(smooth), [[pos[j] for j in succ[k] if j in pos] for k in smooth])
+    for k in _bits(smooth):
+        bad = sigma._below[k] & ~smooth
+        if bad:
+            face = (bad & -bad).bit_length() - 1
+            raise FalsificationError(
+                "a face of a smooth cell of Sigma is not smooth",
+                {"cell": list(sigma.pairs[k]),
+                 "face": list(sigma.pairs[face])})
+    return sigma.homology(smooth)
 
 
 # -- charts and the bipartite graph -------------------------------------------

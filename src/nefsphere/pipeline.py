@@ -204,11 +204,8 @@ class Pipeline:
 
     @_cached
     def complement_homology(self):
-        # With no discriminant the complement is Sigma itself, whose
-        # cellular homology is the order complex's (Bjorner 1984).
-        if self.discriminant().is_empty():
-            return self.sigma_homology()
-        return mono.complement_homology(self.sigma())
+        return mono.complement_homology(self.sigma(),
+                                        self.discriminant().smooth_mask())
 
     @_cached
     def dual_pipeline(self):
@@ -279,13 +276,9 @@ class Pipeline:
                 for loop, m in zip(self.loops(), self.monodromies())]
 
     def local_group_suite(self):
-        reports = {}
-        for k in range(len(self.sigma().pairs)):
-            if not mono.smooth_pair(self.sigma(), k):
-                reports[k] = mono.local_group(self.sigma(), k,
-                                              self.transitions(),
-                                              self.base_charts())
-        return reports
+        return {k: mono.local_group(self.sigma(), k, self.transitions(),
+                                    self.base_charts())
+                for k in self.discriminant().vertex_ids}
 
     def duality_suite(self):
         dual_pipe = self.dual_pipeline()

@@ -3,22 +3,22 @@
 Cells of the boundary subdivision are sliced by the partition parts; the
 transversal ones (every slice nonempty) form an upper order ideal P.  Their
 Minkowski cells tile part of the boundary of the sum polytope, and products
-of adjoint pairs of cells assemble into the sphere complex, whose barycentric
-subdivision is the order complex of the adjointness poset.
+of adjoint pairs of cells assemble into the sphere complex Sigma.
 
 Every order is kept as bitmasks: cells carry vertex masks, so faces are
 subset tests, and the posets and Sigma store the masks of the elements
-above and below each element.  Sigma's homology and its closed-pseudomanifold
-test are made on its cells, not on the chains of the barycentric
-subdivision: for a face poset graded by dimension, the pseudomanifold
-conditions on the order complex are conditions on cells and their facets
-(:func:`is_closed_pseudomanifold`).
+above and below each element.  Sigma's topology is read from those masks
+on its own cells, not from the chains of its barycentric subdivision: the
+homology of Sigma and of a subcomplex (the smooth cells, say) is cellular
+(:meth:`SigmaComplex.homology`), and for a face poset graded by dimension
+the pseudomanifold conditions on the order complex are conditions on cells
+and their facets (:func:`is_closed_pseudomanifold`).
 """
 
 from fractions import Fraction
 
 from .errors import FalsificationError
-from .homology import SimplicialComplex, cellular_homology
+from .homology import cellular_homology
 from .linalg import dot, smith_normal_form
 from .polytope import convex_hull, dilate, intersect, minkowski_sum_all
 
@@ -334,7 +334,6 @@ class SigmaComplex:
             p_poset.elements[i].minkowski.dim + q_poset.elements[j].minkowski.dim
             for i, j in self.pairs)
         self._product_order()
-        self._successors = None
         self._verify_membership()
         self._verify_face_closure()
 
@@ -402,23 +401,13 @@ class SigmaComplex:
     def leq(self, a, b):
         return (self._above[a] >> b) & 1 == 1
 
-    def successors(self):
-        """successors[k] = all cells strictly above cell k (for order
-        complexes)."""
-        if self._successors is None:
-            self._successors = [_bits(mask & ~(1 << k))
-                                for k, mask in enumerate(self._above)]
-        return self._successors
-
-    def facets(self):
-        """facets[k] = the codimension-one faces of cell k, ascending."""
-        return [_bits(fm) for fm in _facet_masks(self.dims, self._below)]
-
     def euler_characteristic(self):
         return sum((-1) ** d for d in self.dims)
 
-    def homology(self):
-        """Integral homology of Sigma, computed cellularly on its own cells.
+    def homology(self, cells=None):
+        """Integral homology of Sigma, or of its subcomplex on the cells of
+        the mask `cells` (closed under faces), computed cellularly on its
+        own cells.
 
         Sigma is a polytopal, hence regular CW, complex, and the cellular
         homology of a regular CW complex equals the homology of the order
@@ -426,7 +415,12 @@ class SigmaComplex:
         and Bruhat order", Europ. J. Combin. 1984), i.e. of the barycentric
         subdivision, which is therefore not built here.
         """
-        return cellular_homology(self.dims, self.facets())
+        keep = range(len(self.dims)) if cells is None else _bits(cells)
+        pos = {k: t for t, k in enumerate(keep)}
+        facets = _facet_masks(self.dims, self._below)
+        return cellular_homology([self.dims[k] for k in keep],
+                                 [[pos[f] for f in _bits(facets[k])]
+                                  for k in keep])
 
     def is_closed_pseudomanifold(self):
         return is_closed_pseudomanifold(self.dims, self._below)
@@ -615,29 +609,3 @@ def minimal_cells_unimodular(poset):
             failures.append({"check": "minimal_cell_unimodular_simplex",
                              "cell": _cell_key(e.cell)})
     return failures
-
-
-def full_subposet_complex(sigma, keep_indices):
-    """The full subcomplex of bsd(Sigma) on the given pair vertices.
-
-    Returns a SimplicialComplex whose vertices are positions in keep_indices.
-    """
-    keep = sorted(keep_indices)
-    pos = {k: t for t, k in enumerate(keep)}
-    succ = sigma.successors()
-    simplices = []
-    for k in keep:
-        simplices.append((pos[k],))
-    # Chains within the kept subposet.
-    sub_succ = {k: [j for j in succ[k] if j in pos] for k in keep}
-    current = [(k,) for k in keep]
-    while current:
-        nxt = []
-        for ch in current:
-            for j in sub_succ[ch[-1]]:
-                nxt.append(ch + (j,))
-        for ch in nxt:
-            simplices.append(tuple(pos[c] for c in ch))
-        current = nxt
-    return SimplicialComplex.from_simplices(simplices) if simplices else \
-        SimplicialComplex({})

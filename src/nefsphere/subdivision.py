@@ -83,20 +83,20 @@ class ConedSubdivision:
     def cells(self):
         """All cells (faces of maximal cells), canonical order."""
         if self._cells is None:
-            seen = {}
-            for c in self.maximal_cells:
-                seen[c] = True
-                for f in c.proper_face_polytopes():
-                    seen.setdefault(f, True)
-            self._cells = tuple(sorted(seen))
+            self._cells = _face_closure(self.maximal_cells)
         return self._cells
-
-    def contains_cell(self, poly):
-        return poly in set(self.cells())
 
     def is_central(self):
         origin = (0,) * self.support.ambient
         return all(c.contains(origin) for c in self.maximal_cells)
+
+
+def _face_closure(maximal_cells):
+    """The cells and all their faces, in canonical order."""
+    cells = set(maximal_cells)
+    for c in maximal_cells:
+        cells.update(c.proper_face_polytopes())
+    return tuple(sorted(cells))
 
 
 def lower_hull_subdivision(support, weight):
@@ -146,12 +146,7 @@ class BoundarySubdivision:
         self.parent = parent
         self.side = side
         self.maximal_cells = tuple(sorted(maximal_cells))
-        seen = {}
-        for c in self.maximal_cells:
-            seen[c] = True
-            for f in c.proper_face_polytopes():
-                seen.setdefault(f, True)
-        self.cells = tuple(sorted(seen))
+        self.cells = _face_closure(self.maximal_cells)
         self._index = {c: i for i, c in enumerate(self.cells)}
         self._vertex_id = {}
         self.vertex_masks = tuple(self.vertex_mask(c) for c in self.cells)

@@ -104,43 +104,45 @@ def test_2d_loops_all_trivial(triangle_pipe):
 
 def test_complement_homology_simplex3(simplex3_pipe):
     # S^2 minus 6 points retracts to a wedge of 5 circles.
-    assert complement_homology(simplex3_pipe.sigma()) == \
+    smooth = simplex3_pipe.discriminant().smooth_mask()
+    assert complement_homology(simplex3_pipe.sigma(), smooth) == \
         [(1, ()), (5, ()), (0, ())]
 
 
 def test_complement_homology_no_discriminant(triangle_pipe):
     # Empty discriminant: the complement is the sphere itself.
-    assert complement_homology(triangle_pipe.sigma()) == \
+    smooth = triangle_pipe.discriminant().smooth_mask()
+    assert smooth == (1 << len(triangle_pipe.sigma())) - 1
+    assert complement_homology(triangle_pipe.sigma(), smooth) == \
         triangle_pipe.sigma_homology()
 
 
-def test_pipeline_complement_of_empty_discriminant_is_sigma(monkeypatch):
-    # With no discriminant the stage reads Sigma's cellular homology and
-    # skips the order complex; the order complex still agrees with it.
-    import nefsphere.monodromy as mono
+def test_pipeline_complement_of_empty_discriminant_is_sigma():
+    # With no discriminant the smooth mask is all of Sigma, and the
+    # complement is Sigma's cellular homology, as the order complex of all
+    # of Sigma's cells confirms.
     from nefsphere import Pipeline
     from nefsphere.cli import load_input
     from test_cli import path
-    oracle = mono.complement_homology
+    from test_order_masks import complement_by_order_complex
     for name in ("triangle", "square_sum", "pentagon_pair",
                  "segment_weighted"):
         nef, omega, nu = load_input(path(f"{name}.json"))
         pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
         assert pipe.discriminant().is_empty()
-        with monkeypatch.context() as patch:
-            patch.setattr(mono, "complement_homology", None)
-            got = pipe.complement_homology()
-        assert got == pipe.sigma_homology() == oracle(pipe.sigma())
+        assert pipe.complement_homology() == pipe.sigma_homology() == \
+            complement_by_order_complex(pipe.sigma())
 
 
 def _complement_homology_on_chains(sigma):
     """Oracle: the order complex of the chain poset of the smooth cells,
     i.e. the second barycentric subdivision of the complement complex."""
     from nefsphere.homology import order_complex_homology
+    from test_order_masks import sigma_successors
     smooth = sorted(k for k in range(len(sigma.pairs))
                     if smooth_pair(sigma, k))
     pos = {k: t for t, k in enumerate(smooth)}
-    succ_sigma = sigma.successors()
+    succ_sigma = sigma_successors(sigma)
     sub_succ = [[pos[j] for j in succ_sigma[k] if j in pos] for k in smooth]
     chains = []
     current = [(t,) for t in range(len(smooth))]
@@ -170,9 +172,8 @@ def test_complement_homology_matches_second_subdivision(
     pipes += [Pipeline(nef) for nef in randomized_partitions]
     for pipe in pipes:
         for run in (pipe, pipe.dual_pipeline()):
-            sigma = run.sigma()
-            assert complement_homology(sigma) == \
-                _complement_homology_on_chains(sigma)
+            assert run.complement_homology() == \
+                _complement_homology_on_chains(run.sigma())
 
 
 def test_duality_pairing(simplex3_pipe, pentagon_pipe):

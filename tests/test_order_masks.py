@@ -14,11 +14,14 @@ import pytest
 from nefsphere import Pipeline
 from nefsphere.cli import load_input
 from nefsphere.errors import FalsificationError
+from nefsphere.homology import order_complex_homology
 from nefsphere.linalg import dot
 from nefsphere.monodromy import (
     ChartAtlas,
     _loop_discriminant_component,
     _span_pairs,
+    complement_homology,
+    smooth_pair,
 )
 from nefsphere.polytope import convex_hull
 from nefsphere.sphere import (
@@ -90,6 +93,49 @@ def _successors_of(below):
     n = len(below)
     return [[b for b in range(n) if b != a and below[b] >> a & 1]
             for a in range(n)]
+
+
+def sigma_successors(sigma):
+    """successors[k]: Sigma's cells strictly above cell k, ascending, read
+    from the product-order masks."""
+    return [[b for b in range(len(sigma)) if b != a and mask >> b & 1]
+            for a, mask in enumerate(sigma._above)]
+
+
+def complement_by_order_complex(sigma):
+    """The complement's homology by the order complex of the smooth
+    subposet: the full subcomplex of bsd(Sigma) on the smooth cells."""
+    smooth = [k for k in range(len(sigma)) if smooth_pair(sigma, k)]
+    pos = {k: t for t, k in enumerate(smooth)}
+    succ = sigma_successors(sigma)
+    return order_complex_homology(
+        len(smooth), [[pos[j] for j in succ[k] if j in pos] for k in smooth])
+
+
+def discriminant_by_union_find(sigma):
+    """The components of the non-smooth cells under the ``leq`` pairs, as
+    sorted cell tuples by least cell, with the homology of each one's
+    order complex."""
+    cells = [k for k in range(len(sigma)) if not smooth_pair(sigma, k)]
+    parent = {k: k for k in cells}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a in cells:
+        for b in cells:
+            if sigma.leq(a, b):
+                parent[find(a)] = find(b)
+    groups = {}
+    for k in cells:
+        groups.setdefault(find(k), []).append(k)
+    comps = sorted(tuple(g) for g in groups.values())
+    homs = [order_complex_homology(
+        len(comp), [[t for t, b in enumerate(comp) if a != b
+                     and sigma.leq(a, b)] for a in comp]) for comp in comps]
+    return comps, homs
 
 
 def _is_adjoint(pv, qv, r):
@@ -181,7 +227,7 @@ def test_mask_routes_match_the_scans(name):
     sigma = pipe.sigma()
     for s in (sigma, pipe.dual_pipeline().sigma()):
         assert s.is_closed_pseudomanifold() == \
-            bsd_pseudomanifold(s.successors())
+            bsd_pseudomanifold(sigma_successors(s))
     p, q = pipe.p_poset(), pipe.q_poset()
     assert adjoint_pairs(p, q) == adjoint_pairs_by_dots(p, q)
     for poset, boundary in ((p, pipe.s_boundary()), (q, pipe.t_boundary())):
@@ -198,6 +244,48 @@ def test_mask_routes_match_the_scans(name):
     assert atlas.covering_report() == want
     assert {s: _mask_bits(m) for s, m in atlas.u_charts.items()} == u
     assert {t: _mask_bits(m) for t, m in atlas.v_charts.items()} == v
+
+
+@pytest.mark.parametrize("name", DATA_INPUTS)
+def test_sigma_topology_matches_the_order_complex(name):
+    # The cellular complement and the mask-grown discriminant give the
+    # answers of the order-complex route on both runs.
+    pipe = _data_pipeline(name)
+    for run in (pipe, pipe.dual_pipeline()):
+        sigma = run.sigma()
+        disc = run.discriminant()
+        assert run.complement_homology() == complement_by_order_complex(sigma)
+        assert (disc.components, disc.component_homology) == \
+            discriminant_by_union_find(sigma)
+        assert disc.component_masks == [
+            sum(1 << k for k in comp) for comp in disc.components]
+
+
+@pytest.mark.parametrize("name", ["simplex3", "triangle"])
+def test_complement_rejects_a_mask_not_closed_under_faces(name):
+    # Drop one smooth cell from the smooth mask: if a smooth cell lies
+    # above it, the check names the lowest such cell and the dropped face.
+    pipe = _data_pipeline(name)
+    sigma = pipe.sigma()
+    smooth = pipe.discriminant().smooth_mask()
+    raised = 0
+    for face in range(len(sigma)):
+        if not smooth >> face & 1:
+            continue
+        mask = smooth & ~(1 << face)
+        above = sigma._above[face] & mask
+        if not above:
+            complement_homology(sigma, mask)
+            continue
+        with pytest.raises(FalsificationError) as err:
+            complement_homology(sigma, mask)
+        cell = (above & -above).bit_length() - 1
+        assert err.value.claim == \
+            "a face of a smooth cell of Sigma is not smooth"
+        assert err.value.certificate == {"cell": list(sigma.pairs[cell]),
+                                         "face": list(sigma.pairs[face])}
+        raised += 1
+    assert raised > 0
 
 
 @pytest.mark.parametrize("name", ["simplex3", "segment_weighted"])
@@ -226,7 +314,7 @@ def test_pseudomanifold_matches_bsd_randomized(randomized_partitions):
         pipe = Pipeline(nef)
         for sigma in (pipe.sigma(), pipe.dual_pipeline().sigma()):
             assert sigma.is_closed_pseudomanifold() == \
-                bsd_pseudomanifold(sigma.successors()), \
+                bsd_pseudomanifold(sigma_successors(sigma)), \
                 f"parts {[p.vertices for p in nef.parts]}"
 
 
