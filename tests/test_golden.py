@@ -13,8 +13,11 @@ three reflexive triangles in their own coordinate planes (a reducible 6D
 r = 3 partition whose Sigma is a 3-torus), frozen before charts and chart
 maps moved to integer lattice coordinates.  ``prism_pair_5d_full_dual.json``
 is the stdout of ``nefsphere report prism_pair_5d.json --verify full
---dual``, frozen before Sigma's orders became bitmasks end to end.  Any
-refactor of the arithmetic or the stages must reproduce them exactly.
+--dual``, frozen before Sigma's orders became bitmasks end to end.
+``prism_pair_5d_kinked_full_dual.json`` is the stdout of ``nefsphere report
+prism_pair_5d_kinked.json --verify full --dual`` (monodromies, local groups
+and the duality pairing on rational base points), frozen before every loop
+holonomy moved to pushing the base chart's frame.  Any refactor of the arithmetic or the stages must reproduce them exactly.
 """
 
 import os
@@ -64,4 +67,10 @@ def test_product_triangles_fast_report_matches_golden():
 
 def test_prism_full_dual_report_matches_golden():
     _assert_report_matches("prism_pair_5d", "prism_pair_5d_full_dual",
+                           "--verify", "full", "--dual")
+
+
+def test_kinked_prism_full_dual_report_matches_golden():
+    _assert_report_matches("prism_pair_5d_kinked",
+                           "prism_pair_5d_kinked_full_dual",
                            "--verify", "full", "--dual")
