@@ -20,7 +20,7 @@ from .errors import FalsificationError
 from .linalg import smith_normal_form
 
 
-def sparse_rank_and_divisors(columns, want_divisors=True):
+def sparse_rank_and_divisors(columns):
     """Rank and elementary divisors of a sparse integer matrix.
 
     `columns` is a list of dicts row->value (consumed).  Divisors of 1 are
@@ -114,8 +114,6 @@ def sparse_rank_and_divisors(columns, want_divisors=True):
         divs, extra_rank = smith_normal_form(dense)
         rank += extra_rank
         divisors.extend(divs)
-    if not want_divisors:
-        return rank, ()
     return rank, tuple(divisors)
 
 

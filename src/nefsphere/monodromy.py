@@ -1,9 +1,12 @@
 """Charts, discriminant locus, and monodromy of the affine structure.
 
 Chart transitions between minimal transversal cells follow the explicit
-affine maps of the model; composing them around a four-node loop of the
-bipartite chart graph gives the monodromy, whose linear part is an integral
-unipotent transformation of the tangent lattice of the base chart.
+affine maps of the model.  Every holonomy (loop monodromy, the local groups,
+global transport and the duality pairing) is computed one way: the base
+chart's frame, its tangent basis and base point, is pushed through the
+loop's transitions (:func:`_push`) and read off in the chart
+(:func:`_restrict`), whose linear part must be an integral unipotent
+transformation of the tangent lattice of the base chart.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,6 @@ from .linalg import (
     saturated_perp_basis,
     saturated_span_basis,
     smith_normal_form,
-    solve_rational,
     row_rank,
     to_numerators,
 )
@@ -34,15 +36,19 @@ from .sphere import _bits
 # -- smoothness and the discriminant -----------------------------------------
 
 
-def smooth_pair(sigma, pair_idx):
-    """dim of every slice pair multiplies to zero."""
+def pinched_parts(sigma, pair_idx):
+    """The partition indices a in which a cell of Sigma is pinched: the
+    dimensions of its two slices in part a multiply to a non-zero number."""
     i, j = sigma.pairs[pair_idx]
     e_p = sigma.p_poset.elements[i]
     e_q = sigma.q_poset.elements[j]
-    for a in range(sigma.r):
-        if e_p.slices[a].dim * e_q.slices[a].dim != 0:
-            return False
-    return True
+    return [a for a in range(sigma.r)
+            if e_p.slices[a].dim * e_q.slices[a].dim != 0]
+
+
+def smooth_pair(sigma, pair_idx):
+    """A cell is smooth when it is pinched in no part."""
+    return not pinched_parts(sigma, pair_idx)
 
 
 class DiscriminantComplex:
@@ -170,9 +176,9 @@ class ChartGraph:
         self.sigma = sigma
         self.p_nodes = tuple(sigma.p_poset.minimal)
         self.q_nodes = tuple(sigma.q_poset.minimal)
-        self.edges = tuple(sorted(
-            (i, j) for (i, j) in sigma.pairs
-            if i in set(self.p_nodes) and j in set(self.q_nodes)))
+        p_set, q_set = set(self.p_nodes), set(self.q_nodes)
+        self.edges = tuple(sorted((i, j) for (i, j) in sigma.pairs
+                                  if i in p_set and j in q_set))
         self._adj = {}
         for i, j in self.edges:
             self._adj.setdefault(("P", i), []).append(("Q", j))
@@ -228,16 +234,6 @@ class ChartGraph:
             path.append(parent[path[-1]])
         path.reverse()
         return path
-
-
-def chart_graph(sigma, atlas=None):
-    graph = ChartGraph(sigma)
-    if atlas is not None:
-        for (i, j) in graph.edges:
-            if not (atlas.u_charts[i] & atlas.v_charts[j]):
-                raise FalsificationError(
-                    "graph edge without chart overlap", {"edge": [i, j]})
-    return graph
 
 
 # -- primary loops and monodromy ----------------------------------------------
@@ -299,7 +295,7 @@ class AffineMap:
     M is an integer matrix and the translation is t = num / den: integer
     numerators over one positive denominator.  Points travel as the same
     kind of pair (:meth:`push`), so composing and applying maps builds no
-    Fraction; :attr:`t` and :meth:`apply` give the exact rational values.
+    Fraction.
     """
 
     __slots__ = ("m", "num", "den")
@@ -313,20 +309,12 @@ class AffineMap:
     def identity(cls, d):
         return cls(identity(d), (0,) * d)
 
-    @property
-    def t(self):
-        return from_numerators(self.num, self.den)
-
     def push(self, y, q):
         """The image of the point y / q (y integral, q > 0) as the pair
         (integer numerators, denominator q * den)."""
         den = self.den
         return (tuple(den * dot(row, y) + q * c
                       for row, c in zip(self.m, self.num)), q * den)
-
-    def apply(self, y):
-        q = denominator_lcm(y)
-        return from_numerators(*self.push(to_numerators(y, q), q))
 
     def apply_linear(self, y):
         return tuple(dot(row, y) for row in self.m)
@@ -379,10 +367,9 @@ def chart_transition(dst_cell, via_cell, weight, ambient):
 class AffineMonodromy:
     loop: PrimaryLoop
     basis: tuple          # rows: canonical lattice basis of the tangent space
-    base_point: tuple     # rational solution of <m, x> = w(m) over the base cell
     linear: tuple         # (d-r) x (d-r) integer matrix in the basis
     translation: tuple    # (d-r) rationals
-    ambient: AffineMap    # the underlying ambient affine map
+    images: tuple         # the basis vectors' images under the loop's map
 
 
 def transition_memo(sigma, weight):
@@ -398,14 +385,22 @@ def transition_memo(sigma, weight):
     return transition
 
 
-def loop_ambient_map(loop, transition):
-    """Ambient form of the holonomy around the loop, based at its first cell.
+def _loop_maps(loop, transition):
+    """The loop's two chart transitions, in the order they are run: into
+    sigma1 through tau0, then back into sigma0 through tau1.  `transition`
+    is the :func:`transition_memo` of the loop's sigma and weight."""
+    return (transition(loop.p1, loop.q0), transition(loop.p0, loop.q1))
 
-    `transition` is the :func:`transition_memo` of the loop's sigma and
-    weight."""
-    first = transition(loop.p1, loop.q0)
-    second = transition(loop.p0, loop.q1)
-    return second.compose(first)
+
+def _push(frame, maps):
+    """A frame (vectors, (numerators, denominator) of a point) carried
+    through the affine maps in order: the vectors by the linear parts, the
+    point by :meth:`AffineMap.push`."""
+    vectors, point = frame
+    for step in maps:
+        vectors = tuple(step.apply_linear(v) for v in vectors)
+        point = step.push(*point)
+    return vectors, point
 
 
 class BaseChart:
@@ -415,7 +410,8 @@ class BaseChart:
     (the perp test); `basis` is the saturated basis B of that kernel and
     `inverse` its integer left inverse L (L B^T = I), so L v are the basis
     coordinates of a tangent vector v.  The base point x0 = x0_num / x0_den
-    is the point of {S x = w(S)} orthogonal to the tangent space.
+    is the point of {S x = w(S)} orthogonal to the tangent space; `frame`
+    is the basis with x0, as :func:`_push` carries it.
     """
 
     __slots__ = ("rows", "basis", "inverse", "x0_num", "x0_den")
@@ -428,8 +424,8 @@ class BaseChart:
         self.x0_den = x0_den
 
     @property
-    def x0(self):
-        return from_numerators(self.x0_num, self.x0_den)
+    def frame(self):
+        return self.basis, (self.x0_num, self.x0_den)
 
 
 def base_chart_data(base_cell, weight):
@@ -470,23 +466,14 @@ def base_chart_memo(sigma, weight):
     return base_chart
 
 
-def restrict_to_chart(amb, chart):
-    """Express an ambient affine self-map of the chart in lattice coordinates.
-
-    Returns (linear, translation); raises a falsification certificate when
-    the map does not preserve the chart or is not integral unimodular
-    unipotent of order two.
-    """
-    image, den = amb.push(chart.x0_num, chart.x0_den)
-    linear, shift = _restrict(
-        chart, [amb.apply_linear(b) for b in chart.basis], image, den)
-    return linear, from_numerators(shift, den)
-
-
 def _restrict(chart, images, image, den):
-    """(linear, shift numerators over den) of an affine map of the chart
-    that sends the basis vectors to `images` and x0 to image / den, where
-    den is a multiple of x0_den; runs the checks of :func:`restrict_to_chart`.
+    """(linear, shift numerators over den) of an affine self-map of the
+    chart, in lattice coordinates, that sends the basis vectors to `images`
+    and x0 to image / den, where den is a multiple of x0_den (as
+    :func:`_push` leaves it).
+
+    Raises a falsification certificate when the map does not preserve the
+    chart or is not integral unimodular unipotent of order two.
     """
     for v in images:
         if any(dot(s, v) for s in chart.rows):
@@ -524,10 +511,10 @@ def monodromy(loop, transition, base_chart):
     `transition` and `base_chart` are the :func:`transition_memo` and
     :func:`base_chart_memo` of the loop's sigma and weight."""
     chart = base_chart(loop.p0)
-    amb = loop_ambient_map(loop, transition)
-    linear, translation = restrict_to_chart(amb, chart)
-    return AffineMonodromy(loop, chart.basis, chart.x0, linear, translation,
-                           amb)
+    images, (image, den) = _push(chart.frame, _loop_maps(loop, transition))
+    linear, shift = _restrict(chart, images, image, den)
+    return AffineMonodromy(loop, chart.basis, linear,
+                           from_numerators(shift, den), images)
 
 
 # -- checks around loops -------------------------------------------------------
@@ -601,9 +588,7 @@ def local_group(sigma, pair_idx, transition, base_chart):
                 if a == b and pk == base_idx:
                     continue
                 loop = PrimaryLoop(base_idx, q_min[a], pk, q_min[b])
-                amb = loop_ambient_map(loop, transition)
-                linear, _ = restrict_to_chart(amb, chart)
-                mats.append(linear)
+                mats.append(monodromy(loop, transition, base_chart).linear)
     # W: span of the slice-point differences over the tau side.
     diffs = []
     for a in range(len(q_min)):
@@ -638,20 +623,17 @@ def local_group(sigma, pair_idx, transition, base_chart):
             break
         w_coords.append(tuple(dot(row, w) for row in chart.inverse))
     else:
-        k = len(chart.basis)
+        # The W coordinates are independent, so every image column lies in
+        # their span exactly when adding the columns keeps the rank.
+        images = set()
         for m in mats:
             nil = _mat_sub_identity(m)
-            for col in range(k):
-                image = tuple(nil[row][col] for row in range(k))
-                if any(image):
-                    sol = solve_rational(
-                        [list(c) for c in zip(*w_coords)], image) \
-                        if w_coords else None
-                    if sol is None:
-                        report["image_in_w"] = False
+            images.update(col for col in zip(*nil) if any(col))
             for w in w_coords:
                 if any(dot(row, w) for row in nil):
                     report["vanishes_on_w"] = False
+        report["image_in_w"] = \
+            row_rank(w_coords + sorted(images)) == len(w_coords)
     report["passed"] = (report["w_dimension_matches"] and report["commuting"]
                         and report["image_in_w"] and report["vanishes_on_w"])
     return report
@@ -666,7 +648,7 @@ def _pairwise_commute(mats):
 
 
 def global_group(sigma, graph, loops, transition, base_chart,
-                 discriminant_complex=None):
+                 discriminant_complex):
     """Transport every primary loop to a fixed base chart and analyze the
     resulting subgroup: commutation, the Smith divisors of the log lattice,
     and per-discriminant-component sublattices.  `transition` and
@@ -682,29 +664,19 @@ def global_group(sigma, graph, loops, transition, base_chart,
     moved = transported_loops(sigma, graph, loops, transition, base_chart)
     transported = [linear for _, linear in moved]
     skipped = len(loops) - len(moved)
-    loop_component = [_loop_discriminant_component(sigma, loop,
-                                                   discriminant_complex)
-                      for loop, _ in moved]
     logs = []
-    for m in transported:
-        nil = _mat_sub_identity(m)
-        flat = tuple(v for row in nil for v in row)
+    per_comp = {}
+    for loop, m in moved:
+        flat = tuple(v for row in _mat_sub_identity(m) for v in row)
         if any(flat):
             logs.append(flat)
-    divisors, rank = smith_normal_form(logs) if logs else ((), 0)
-    comp_divisors = {}
-    if discriminant_complex is not None:
-        per_comp = {}
-        for mat, comp in zip(transported, loop_component):
-            if comp is None:
-                continue
-            nil = _mat_sub_identity(mat)
-            flat = tuple(v for row in nil for v in row)
-            if any(flat):
+            comp = _loop_discriminant_component(sigma, loop,
+                                                discriminant_complex)
+            if comp is not None:
                 per_comp.setdefault(comp, []).append(flat)
-        for comp, vecs in sorted(per_comp.items()):
-            divs, _ = smith_normal_form(vecs)
-            comp_divisors[comp] = list(divs)
+    divisors, rank = smith_normal_form(logs) if logs else ((), 0)
+    comp_divisors = {comp: list(smith_normal_form(vecs)[0])
+                     for comp, vecs in sorted(per_comp.items())}
     return {
         "trivial": not logs,
         "divisors": list(divisors),
@@ -723,40 +695,32 @@ def transported_loops(sigma, graph, loops, transition, base_chart):
     node's component of the chart graph, in order.
 
     A loop at node n is transported as back_n o loop o fwd_n along the BFS
-    tree.  Instead of composing those maps, the base chart's basis vectors
-    and base point are pushed through fwd_n (once per node), then through
-    the loop's two transitions and back_n; :func:`restrict_to_chart`'s
-    checks run on the images.
+    tree.  The base chart's frame is pushed along the tree to n (once per
+    node), then through the loop's two transitions and back_n, and read off
+    by :func:`_restrict`.
     """
     base_node = min(("P", i) for i in graph.p_nodes)
     parent = graph.spanning_tree(base_node)
     chart = base_chart(base_node[1])
     d = sigma.p_poset.elements[base_node[1]].cell.ambient
-    # node -> (base -> node, node -> base) along the tree, once per P-node.
-    transport = {base_node: (AffineMap.identity(d), AffineMap.identity(d))}
-    # node -> (fwd images of the basis, fwd image of x0), once per P-node.
-    pushed = {}
+    # node -> (frame pushed to node, node -> base map), once per P-node.
+    transport = {base_node: (chart.frame, AffineMap.identity(d))}
     out = []
     for loop in loops:
         node = ("P", loop.p0)
         if node not in parent:
             continue
-        fwd, back = _tree_transport(parent, transport, node, transition)
-        if node not in pushed:
-            pushed[node] = ([fwd.apply_linear(b) for b in chart.basis],
-                            fwd.push(chart.x0_num, chart.x0_den))
-        cols, point = pushed[node]
-        for step in (transition(loop.p1, loop.q0),
-                     transition(loop.p0, loop.q1), back):
-            cols = [step.apply_linear(v) for v in cols]
-            point = step.push(*point)
-        linear, _ = _restrict(chart, cols, *point)
+        frame, back = _tree_transport(parent, transport, node, transition)
+        images, (image, den) = _push(
+            frame, _loop_maps(loop, transition) + (back,))
+        linear, _ = _restrict(chart, images, image, den)
         out.append((loop, linear))
     return out
 
 
 def _tree_transport(parent, transport, node, transition):
-    """(base -> node, node -> base) chart maps along the spanning tree.
+    """(base frame pushed to node, node -> base chart map) along the
+    spanning tree.
 
     Each P-node is reached from its grandparent through its parent Q-node;
     results are memoized in `transport`, which holds the base node.
@@ -769,17 +733,15 @@ def _tree_transport(parent, transport, node, transition):
         walk = parent[parent[walk]]
     for child in reversed(path):
         grand = parent[parent[child]]
-        fwd, back = transport[grand]
+        frame, back = transport[grand]
         via = parent[child][1]
-        transport[child] = (transition(child[1], via).compose(fwd),
+        transport[child] = (_push(frame, (transition(child[1], via),)),
                             back.compose(transition(grand[1], via)))
     return transport[node]
 
 
 def _loop_discriminant_component(sigma, loop, disc):
     """The discriminant component whose star contains the loop, if unique."""
-    if disc is None or disc.is_empty():
-        return None
     star = (sigma.p_up[loop.p0] & sigma.p_up[loop.p1]
             & sigma.q_up[loop.q0] & sigma.q_up[loop.q1])
     hits = [ci for ci, mask in enumerate(disc.component_masks)
@@ -817,13 +779,9 @@ def duality_check(sigma, loop, mono, dual_sigma, dual_transition,
         raise FalsificationError(
             "degenerate pairing between tangent lattices",
             {"pairing": [list(map(int, row)) for row in pairing]})
-    ok = True
-    for y in b_tau:
-        ly = dual_mono.ambient.apply_linear(y)
-        for x in b_sigma:
-            lx = mono.ambient.apply_linear(x)
-            if dot(ly, lx) != dot(y, x):
-                ok = False
+    ok = all(dot(ly, lx) == dot(y, x)
+             for y, ly in zip(b_tau, dual_mono.images)
+             for x, lx in zip(b_sigma, mono.images))
     return {"passed": ok, "dual_loop_degenerate": dual_loop.degenerate}
 
 

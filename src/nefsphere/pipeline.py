@@ -108,13 +108,13 @@ class Pipeline:
     def p_poset(self):
         return sphere.transversal_poset(self.s_boundary(),
                                         list(self.nef.parts),
-                                        delta=self.nef.sum_polytope)
+                                        self.nef.sum_polytope)
 
     @_cached
     def q_poset(self):
         return sphere.transversal_poset(self.t_boundary(),
                                         list(self.dual().parts),
-                                        delta=self.dual().sum_polytope)
+                                        self.dual().sum_polytope)
 
     @_cached
     def p_minkowski_complex(self):
@@ -131,8 +131,7 @@ class Pipeline:
     def sigma(self):
         pairs = sphere.adjoint_pairs(self.p_poset(), self.q_poset())
         return sphere.build_sigma(self.p_poset(), self.q_poset(), pairs,
-                                  self.nef.r,
-                                  expected_dim=self.nef.ambient - self.nef.r)
+                                  self.nef.r, self.nef.ambient - self.nef.r)
 
     @_cached
     def sigma_homology(self):
@@ -172,7 +171,7 @@ class Pipeline:
 
     @_cached
     def graph(self):
-        return mono.chart_graph(self.sigma(), self.atlas())
+        return mono.ChartGraph(self.sigma())
 
     @_cached
     def discriminant(self):
@@ -455,11 +454,7 @@ def _component_parts(sigma, disc):
     for comp in disc.components:
         hit = set()
         for k in comp:
-            i, j = sigma.pairs[k]
-            for a in range(sigma.r):
-                if sigma.p_poset.elements[i].slices[a].dim * \
-                        sigma.q_poset.elements[j].slices[a].dim != 0:
-                    hit.add(a)
+            hit.update(mono.pinched_parts(sigma, k))
         out.append(sorted(hit))
     return out
 

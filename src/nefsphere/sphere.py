@@ -124,12 +124,12 @@ def _slice(cell, part):
     return intersect(cell, part)
 
 
-def transversal_poset(subdivision, parts, delta=None):
+def transversal_poset(subdivision, parts, delta):
     """All transversal cells with their Minkowski cells, as a poset.
 
-    Also verifies the upper-order-ideal property and, when `delta` is given,
-    the two Minkowski cell formulas (sum of slices vs r*cell intersected with
-    delta).
+    Also verifies the upper-order-ideal property and the two Minkowski cell
+    formulas (sum of slices vs r*cell intersected with the sum polytope
+    `delta`).
     """
     r = len(parts)
     slices_by_cell = compute_slices(subdivision, parts)
@@ -158,17 +158,16 @@ def transversal_poset(subdivision, parts, delta=None):
     return TransversalPoset(subdivision, parts, elements, slices_by_cell)
 
 
-def minkowski_cell(slices, cell, r, delta=None):
+def minkowski_cell(slices, cell, r, delta):
     """Sum of the slices; cross-checked against r*cell intersected with delta."""
     mink = minkowski_sum_all(list(slices))
-    if delta is not None:
-        other = intersect(dilate(cell, r), delta)
-        if other != mink:
-            raise FalsificationError(
-                "Minkowski cell differs from r*cell intersected with the sum",
-                {"cell": _cell_key(cell),
-                 "sum_of_slices": _cell_key(mink),
-                 "dilated_intersection": _cell_key(other) if other else None})
+    other = intersect(dilate(cell, r), delta)
+    if other != mink:
+        raise FalsificationError(
+            "Minkowski cell differs from r*cell intersected with the sum",
+            {"cell": _cell_key(cell),
+             "sum_of_slices": _cell_key(mink),
+             "dilated_intersection": _cell_key(other) if other else None})
     return mink
 
 
@@ -508,14 +507,13 @@ def _bits(mask):
     return out
 
 
-def build_sigma(p_poset, q_poset, pairs, r, expected_dim=None):
+def build_sigma(p_poset, q_poset, pairs, r, expected_dim):
     sigma = SigmaComplex(p_poset, q_poset, pairs, r)
-    if expected_dim is not None:
-        for d in sigma.dims:
-            if d > expected_dim:
-                raise FalsificationError(
-                    "product cell exceeds the expected dimension",
-                    {"dim": d, "bound": expected_dim})
+    for d in sigma.dims:
+        if d > expected_dim:
+            raise FalsificationError(
+                "product cell exceeds the expected dimension",
+                {"dim": d, "bound": expected_dim})
     return sigma
 
 

@@ -147,16 +147,9 @@ class BoundarySubdivision:
         self.side = side
         self.maximal_cells = tuple(sorted(maximal_cells))
         self.cells = _face_closure(self.maximal_cells)
-        self._index = {c: i for i, c in enumerate(self.cells)}
         self._vertex_id = {}
         self.vertex_masks = tuple(self.vertex_mask(c) for c in self.cells)
         self._coned = {}
-
-    def index(self, cell):
-        return self._index[cell]
-
-    def __contains__(self, cell):
-        return cell in self._index
 
     def vertex_mask(self, cell):
         """Bitmask of the cell's vertices; every vertex of the complex gets

@@ -24,12 +24,11 @@ from .subdivision import lower_hull_subdivision
 class TropicalCell:
     """The dual cell of a lower-hull cell, as an explicit polyhedron."""
 
-    __slots__ = ("generator", "poly", "support_key")
+    __slots__ = ("generator", "poly")
 
-    def __init__(self, generator, poly, support_key):
+    def __init__(self, generator, poly):
         self.generator = generator
         self.poly = poly
-        self.support_key = support_key
 
     @property
     def bounded(self):
@@ -62,7 +61,7 @@ def tropical_cell(cone_cell, weight, support):
                                 support.ambient)
     if poly is None:
         raise GeometryError("not a lower-hull cell for these weights")
-    return TropicalCell(cone_cell, poly, support.key())
+    return TropicalCell(cone_cell, poly)
 
 
 class TropicalCells:
@@ -104,14 +103,14 @@ def amoeba(subdivision, tropical_cells):
     return out
 
 
-def tropical_zero_cell(support, weight, role=None):
+def tropical_zero_cell(support, weight):
     """{y : <m, y> <= w(m) for every lattice point m of the support}."""
     rows = []
     for m in support.lattice_points():
         row = clear_denominators((weight(m),) + tuple(-x for x in m))
         rows.append(row)
     from .polytope import polytope_from_hrep
-    return polytope_from_hrep([], rows, role or _dual_role(support.role),
+    return polytope_from_hrep([], rows, _dual_role(support.role),
                               support.ambient)
 
 

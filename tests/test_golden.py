@@ -17,7 +17,8 @@ is the stdout of ``nefsphere report prism_pair_5d.json --verify full
 ``prism_pair_5d_kinked_full_dual.json`` is the stdout of ``nefsphere report
 prism_pair_5d_kinked.json --verify full --dual`` (monodromies, local groups
 and the duality pairing on rational base points), frozen before every loop
-holonomy moved to pushing the base chart's frame.  Any refactor of the arithmetic or the stages must reproduce them exactly.
+holonomy moved to pushing the base chart's frame.  Any refactor of the
+arithmetic or the stages must reproduce them exactly.
 """
 
 import os

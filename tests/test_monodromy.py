@@ -1,10 +1,19 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nefsphere.linalg import exact, identity
+from nefsphere.linalg import (
+    denominator_lcm,
+    exact,
+    from_numerators,
+    identity,
+    solve_rational,
+    to_numerators,
+    transpose,
+)
 from nefsphere.monodromy import (
     AffineMap,
     ChartAtlas,
@@ -17,6 +26,70 @@ from nefsphere.monodromy import (
 def _nilpotent(linear):
     return tuple(tuple(v - int(i == j) for j, v in enumerate(row))
                  for i, row in enumerate(linear))
+
+
+@lru_cache(maxsize=None)
+def _data_pipe(name):
+    from nefsphere import Pipeline
+    from nefsphere.cli import load_input
+    from test_cli import path
+    nef, omega, nu = load_input(path(f"{name}.json"))
+    return Pipeline(nef, omega_spec=omega, nu_spec=nu)
+
+
+# -- the compose-then-solve route, kept here as the oracle --------------------
+
+
+def _x0(chart):
+    return from_numerators(chart.x0_num, chart.x0_den)
+
+
+def _translation(amap):
+    """The exact translation vector of an AffineMap."""
+    return from_numerators(amap.num, amap.den)
+
+
+def _apply(amap, y):
+    """The exact image of a rational point under an AffineMap."""
+    q = denominator_lcm(y)
+    return from_numerators(*amap.push(to_numerators(y, q), q))
+
+
+def _composed_loop_map(loop, transition):
+    """The loop's two chart transitions composed into one ambient map."""
+    return transition(loop.p0, loop.q1).compose(transition(loop.p1, loop.q0))
+
+
+def _composed_tree_maps(graph, parent, node, transition, d):
+    """(base -> node, node -> base), composed along the tree path in R^d."""
+    path = graph.tree_path(parent, node)
+    fwd = back = AffineMap.identity(d)
+    for step in range(0, len(path) - 1, 2):
+        fwd = transition(path[step + 2][1], path[step + 1][1]).compose(fwd)
+    for step in range(len(path) - 1, 1, -2):
+        back = transition(path[step - 2][1], path[step - 1][1]).compose(back)
+    return fwd, back
+
+
+def _restrict_by_solving(amb, chart):
+    """(linear, translation) of an ambient self-map of the chart in its
+    basis, by solving B^T c = v for the image v = M b of every basis vector
+    b and for the displacement of x0."""
+    basis = chart.basis
+    cols = [list(col) for col in zip(*basis)]
+    rows = []
+    for b in basis:
+        c = solve_rational(cols, amb.apply_linear(b))
+        assert c is not None and all(type(x) is int for x in c)
+        rows.append(c)
+    x0 = _x0(chart)
+    shift = tuple(a - b for a, b in zip(_apply(amb, x0), x0))
+    if not basis:
+        assert not any(shift)
+        return (), ()
+    translation = solve_rational(cols, shift)
+    assert translation is not None
+    return transpose(rows), translation
 
 
 def test_smooth_pairs_with_minimal_factor(simplex3_pipe):
@@ -184,7 +257,10 @@ def test_duality_pairing(simplex3_pipe, pentagon_pipe):
 
 def test_parallel_transport_roundtrip(simplex3_pipe):
     # Transporting the trivial loop around a tree edge is the identity on
-    # the base chart: composition of a transition with its reverse.
+    # the base chart: composition of a transition with its reverse.  The
+    # frame is pushed along the path and back; the oracle composes the maps.
+    from nefsphere.monodromy import (_push, _restrict, base_chart_data,
+                                     chart_transition)
     sigma = simplex3_pipe.sigma()
     graph = simplex3_pipe.graph()
     base = ("P", graph.p_nodes[0])
@@ -192,23 +268,26 @@ def test_parallel_transport_roundtrip(simplex3_pipe):
     leaf = next(n for n in parent if n[0] == "P" and n != base
                 and parent[n] is not None)
     path = graph.tree_path(parent, leaf)
-    from nefsphere.monodromy import chart_transition, base_chart_data, \
-        restrict_to_chart
     w = simplex3_pipe.omega()
     d = simplex3_pipe.nef.ambient
-    fwd = AffineMap.identity(d)
-    for step in range(0, len(path) - 1, 2):
-        dst = sigma.p_poset.elements[path[step + 2][1]]
-        via = sigma.q_poset.elements[path[step + 1][1]]
-        fwd = chart_transition(dst, via, w, d).compose(fwd)
-    back = AffineMap.identity(d)
-    for step in range(len(path) - 1, 1, -2):
-        dst = sigma.p_poset.elements[path[step - 2][1]]
-        via = sigma.q_poset.elements[path[step - 1][1]]
-        back = chart_transition(dst, via, w, d).compose(back)
+
+    def transition(i, j):
+        return chart_transition(sigma.p_poset.elements[i],
+                                sigma.q_poset.elements[j], w, d)
+
+    steps = [transition(path[s + 2][1], path[s + 1][1])
+             for s in range(0, len(path) - 1, 2)]
+    steps += [transition(path[s - 2][1], path[s - 1][1])
+              for s in range(len(path) - 1, 1, -2)]
     chart = base_chart_data(sigma.p_poset.elements[base[1]], w)
-    linear, translation = restrict_to_chart(back.compose(fwd), chart)
-    assert linear == identity(len(chart.basis))
+    k = len(chart.basis)
+    images, (image, den) = _push(chart.frame, steps)
+    linear, shift = _restrict(chart, images, image, den)
+    assert linear == identity(k)
+    assert all(t == 0 for t in shift)
+    fwd, back = _composed_tree_maps(graph, parent, leaf, transition, d)
+    linear, translation = _restrict_by_solving(back.compose(fwd), chart)
+    assert linear == identity(k)
     assert all(t == 0 for t in translation)
 
 
@@ -233,40 +312,46 @@ def test_holonomy_formula_matches_transition_composition(simplex3_pipe):
     # Independent check of the loop map: on the base chart's affine subspace
     # the composition of the two chart transitions equals the closed formula
     # x + sum_j [<s1_j, x> - w(s1_j)](t1_j - t0_j).
-    from fractions import Fraction
-    from nefsphere.monodromy import base_chart_data, loop_ambient_map
+    # Points and the frame's vectors are pushed through the two transitions.
+    from nefsphere.monodromy import _loop_maps, _push, base_chart_data
     sigma = simplex3_pipe.sigma()
     w = simplex3_pipe.omega()
     d = simplex3_pipe.nef.ambient
     for loop in simplex3_pipe.loops()[:40]:
-        amb = loop_ambient_map(loop, simplex3_pipe.transitions())
+        maps = _loop_maps(loop, simplex3_pipe.transitions())
         base = sigma.p_poset.elements[loop.p0]
         chart = base_chart_data(base, w)
-        basis, x0 = chart.basis, chart.x0
+        basis, x0 = chart.basis, _x0(chart)
         p1 = sigma.p_poset.elements[loop.p1]
         q0 = sigma.q_poset.elements[loop.q0]
         q1 = sigma.q_poset.elements[loop.q1]
+
+        def formula(x, affine):
+            want = list(x)
+            for j in range(sigma.r):
+                s1 = p1.slice_vertex(j)
+                coeff = sum(a * b for a, b in zip(s1, x)) - affine * w(s1)
+                t0, t1 = q0.slice_vertex(j), q1.slice_vertex(j)
+                for a in range(d):
+                    want[a] += coeff * (t1[a] - t0[a])
+            return tuple(want)
+
         samples = [x0]
         for b in basis:
             samples.append(tuple(c + 2 * e for c, e in zip(x0, b)))
         for x in samples:
-            got = amb.apply(x)
-            want = list(x)
-            for j in range(sigma.r):
-                s1 = p1.slice_vertex(j)
-                coeff = sum(a * b for a, b in zip(s1, x)) - w(s1)
-                t0, t1 = q0.slice_vertex(j), q1.slice_vertex(j)
-                for a in range(d):
-                    want[a] += coeff * (t1[a] - t0[a])
-            assert got == tuple(want)
+            q = denominator_lcm(x)
+            _, point = _push(((), (to_numerators(x, q), q)), maps)
+            assert from_numerators(*point) == formula(x, 1)
+        images, _ = _push(chart.frame, maps)
+        assert images == tuple(formula(b, 0) for b in basis)
 
 
 def test_every_nonsmooth_vertex_obstructs_extension(simplex3_pipe,
                                                     prism_pair_pipe):
     # The affine structure must fail to extend across every vertex of the
     # discriminant: some local loop has nontrivial linear part.
-    from nefsphere.monodromy import (PrimaryLoop, base_chart_data,
-                                     loop_ambient_map, restrict_to_chart)
+    from nefsphere.monodromy import PrimaryLoop, base_chart_data, monodromy
     for pipe in (simplex3_pipe, prism_pair_pipe):
         sigma = pipe.sigma()
         w = pipe.omega()
@@ -285,10 +370,9 @@ def test_every_nonsmooth_vertex_obstructs_extension(simplex3_pipe,
                     for b in q_min:
                         if a == b:
                             continue
-                        amb = loop_ambient_map(
-                            PrimaryLoop(p_min[0], a, pk, b),
-                            pipe.transitions())
-                        lin, _ = restrict_to_chart(amb, chart)
+                        lin = monodromy(PrimaryLoop(p_min[0], a, pk, b),
+                                        pipe.transitions(),
+                                        pipe.base_charts()).linear
                         if lin != identity(len(chart.basis)):
                             found = True
                             break
@@ -346,12 +430,13 @@ def test_pairwise_commute_sees_pair_hidden_among_duplicates():
 
 
 def test_memoized_tree_transport_matches_path_walk(simplex3_pipe):
-    # The per-node memo composes the same chart transitions as walking the
-    # tree path from the base, in either direction.  The BFS tree of the
-    # test inputs has depth one, so a depth-first tree is used to make
-    # memoized nodes serve as intermediate stops.
-    from nefsphere.monodromy import (_tree_transport, chart_transition,
-                                     transition_memo)
+    # The per-node memo pushes the base frame, and composes the way back,
+    # through the same chart transitions as walking the tree path from the
+    # base.  The BFS tree of the test inputs has depth one, so a
+    # depth-first tree is used to make memoized nodes serve as intermediate
+    # stops.
+    from nefsphere.monodromy import (_tree_transport, base_chart_data,
+                                     chart_transition, transition_memo)
     sigma = simplex3_pipe.sigma()
     graph = simplex3_pipe.graph()
     w = simplex3_pipe.omega()
@@ -367,28 +452,26 @@ def test_memoized_tree_transport_matches_path_walk(simplex3_pipe):
         else:
             parent[w_next] = v
             stack.append(w_next)
-    transport = {base: (AffineMap.identity(d), AffineMap.identity(d))}
+    chart = base_chart_data(sigma.p_poset.elements[base[1]], w)
+    transport = {base: (chart.frame, AffineMap.identity(d))}
     transition = transition_memo(sigma, w)
+
+    def direct(i, j):
+        return chart_transition(sigma.p_poset.elements[i],
+                                sigma.q_poset.elements[j], w, d)
+
     # Deepest first: one call fills the memo along a whole path.
     nodes = sorted((n for n in parent if n[0] == "P"),
                    key=lambda n: -len(graph.tree_path(parent, n)))
     assert len(graph.tree_path(parent, nodes[0])) >= 5
     for node in nodes:
-        path = graph.tree_path(parent, node)
-        fwd = AffineMap.identity(d)
-        for step in range(0, len(path) - 1, 2):
-            dst = sigma.p_poset.elements[path[step + 2][1]]
-            via = sigma.q_poset.elements[path[step + 1][1]]
-            fwd = chart_transition(dst, via, w, d).compose(fwd)
-        back = AffineMap.identity(d)
-        for step in range(len(path) - 1, 1, -2):
-            dst = sigma.p_poset.elements[path[step - 2][1]]
-            via = sigma.q_poset.elements[path[step - 1][1]]
-            back = chart_transition(dst, via, w, d).compose(back)
-        got_fwd, got_back = _tree_transport(parent, transport, node,
-                                            transition)
-        assert (got_fwd.m, got_fwd.t) == (fwd.m, fwd.t)
-        assert (got_back.m, got_back.t) == (back.m, back.t)
+        fwd, back = _composed_tree_maps(graph, parent, node, direct, d)
+        (images, point), got_back = _tree_transport(parent, transport, node,
+                                                    transition)
+        assert images == tuple(fwd.apply_linear(b) for b in chart.basis)
+        assert from_numerators(*point) == _apply(fwd, _x0(chart))
+        assert (got_back.m, _translation(got_back)) == \
+            (back.m, _translation(back))
 
 
 def test_one_chart_transition_per_pair(monkeypatch):
@@ -432,6 +515,7 @@ def _fraction_compose(a, b):
 @settings(max_examples=50, deadline=None)
 def test_integer_affine_map_matches_fraction_reference(d, seed):
     import random
+    from nefsphere.monodromy import _push
     rng = random.Random(seed)
 
     def rational():
@@ -446,63 +530,161 @@ def test_integer_affine_map_matches_fraction_reference(d, seed):
         for x in t:
             den = den * x.denominator // gcd(den, x.denominator)
         amap = AffineMap(m, tuple(int(x * den) for x in t), den)
-        assert amap.t == tuple(exact(x) for x in t)
+        assert _translation(amap) == tuple(exact(x) for x in t)
         maps.append((amap, _fraction_affine(m, t)))
     (f, rf), (g, rg), (h, rh) = maps
     got = f.compose(g).compose(h)
     want = _fraction_compose(_fraction_compose(rf, rg), rh)
     assert got.m == tuple(tuple(row) for row in want[0])
-    assert got.den > 0 and got.t == tuple(exact(x) for x in want[1])
+    assert got.den > 0 and \
+        _translation(got) == tuple(exact(x) for x in want[1])
     y = tuple(rational() for _ in range(d))
     want_y = [sum(a * b for a, b in zip(row, y)) + c
               for row, c in zip(want[0], want[1])]
-    assert got.apply(y) == tuple(exact(x) for x in want_y)
-    assert all(type(x) is int or x.denominator > 1 for x in got.apply(y))
-
-
-def _restrict_by_solving(amb, basis):
-    """The compose-then-solve route: the linear part of an ambient map in
-    the basis, by solving B^T c = M b for every basis vector b."""
-    from nefsphere.linalg import solve_rational, transpose
-    cols = [list(col) for col in zip(*basis)]
-    rows = []
-    for b in basis:
-        c = solve_rational(cols, amb.apply_linear(b))
-        assert c is not None and all(type(x) is int for x in c)
-        rows.append(c)
-    return transpose(rows) if rows else ()
+    assert _apply(got, y) == tuple(exact(x) for x in want_y)
+    assert all(type(x) is int or x.denominator > 1 for x in _apply(got, y))
+    # Pushing a frame through h, g, f in turn agrees with the composite.
+    vectors = tuple(tuple(rng.randrange(-3, 4) for _ in range(d))
+                    for _ in range(2))
+    q = denominator_lcm(y)
+    images, point = _push((vectors, (to_numerators(y, q), q)), (h, g, f))
+    assert images == tuple(got.apply_linear(v) for v in vectors)
+    assert from_numerators(*point) == tuple(exact(x) for x in want_y)
 
 
 @pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
 def test_transported_linears_match_compose_then_solve(name):
-    # global_group pushes the basis through fwd, the loop and back; the
-    # old route composed back o loop o fwd and solved in the basis.  The
+    # global_group pushes the base frame along the tree, the loop and back;
+    # the oracle composes back o loop o fwd and solves in the basis.  The
     # kinked prism has rational translations and base points.
-    from nefsphere import Pipeline
-    from nefsphere.cli import load_input
-    from nefsphere.monodromy import (_tree_transport, loop_ambient_map,
-                                     transported_loops)
-    from test_cli import path
-    nef, omega, nu = load_input(path(f"{name}.json"))
-    pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+    from nefsphere.monodromy import transported_loops
+    pipe = _data_pipe(name)
     sigma, graph = pipe.sigma(), pipe.graph()
     moved = transported_loops(sigma, graph, pipe.loops(), pipe.transitions(),
                               pipe.base_charts())
     assert moved
     base = min(("P", i) for i in graph.p_nodes)
     parent = graph.spanning_tree(base)
-    basis = pipe.base_charts()(base[1]).basis
-    d = nef.ambient
-    transport = {base: (AffineMap.identity(d), AffineMap.identity(d))}
+    chart = pipe.base_charts()(base[1])
     want = []
     for loop in pipe.loops():
         if ("P", loop.p0) not in parent:
             continue
-        fwd, back = _tree_transport(parent, transport, ("P", loop.p0),
-                                    pipe.transitions())
-        amb = back.compose(loop_ambient_map(loop, pipe.transitions()))
-        want.append((loop, _restrict_by_solving(amb.compose(fwd), basis)))
+        fwd, back = _composed_tree_maps(graph, parent, ("P", loop.p0),
+                                        pipe.transitions(), pipe.nef.ambient)
+        amb = back.compose(_composed_loop_map(loop, pipe.transitions()))
+        want.append((loop, _restrict_by_solving(amb.compose(fwd), chart)[0]))
     assert moved == want
+
+
+@pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
+def test_monodromy_matches_compose_then_solve(name):
+    # monodromy() pushes the base chart's frame through the loop; the oracle
+    # composes the loop's two transitions and solves in the basis.  Its
+    # images are the composite's linear part applied to the basis, as the
+    # duality pairing reads them.
+    pipe = _data_pipe(name)
+    monos = pipe.monodromies()
+    assert len(monos) == len(pipe.loops()) > 0
+    for loop, mono in zip(pipe.loops(), monos):
+        assert mono.loop == loop
+        chart = pipe.base_charts()(loop.p0)
+        amb = _composed_loop_map(loop, pipe.transitions())
+        assert (mono.linear, mono.translation) == \
+            _restrict_by_solving(amb, chart)
+        assert mono.basis == chart.basis
+        assert mono.images == tuple(amb.apply_linear(b) for b in chart.basis)
+    if name == "prism_pair_5d_kinked":
+        assert any(type(x) is not int for m in monos for x in m.translation)
+
+
+def _image_in_w_by_solving(pipe, pair_idx, drop_last):
+    """local_group's image_in_w, one solve per image column: every non-zero
+    column of every loop's log lies in W's chart coordinates.  With
+    `drop_last`, W misses the last vector of its basis."""
+    from nefsphere.linalg import dot, saturated_span_basis
+    from nefsphere.monodromy import PrimaryLoop, monodromy
+    sigma = pipe.sigma()
+    i, j = sigma.pairs[pair_idx]
+    p_min = sigma.p_poset.minimal_below(i)
+    q_min = sigma.q_poset.minimal_below(j)
+    chart = pipe.base_charts()(p_min[0])
+    mats = [monodromy(PrimaryLoop(p_min[0], a, pk, b), pipe.transitions(),
+                      pipe.base_charts()).linear
+            for pk in p_min for a in q_min for b in q_min
+            if not (a == b and pk == p_min[0])]
+    diffs = []
+    for x, a in enumerate(q_min):
+        for b in q_min[x + 1:]:
+            qa = sigma.q_poset.elements[a]
+            qb = sigma.q_poset.elements[b]
+            for jj in range(sigma.r):
+                diff = tuple(u - v for u, v in zip(qa.slice_vertex(jj),
+                                                   qb.slice_vertex(jj)))
+                if any(diff):
+                    diffs.append(diff)
+    d = sigma.p_poset.elements[i].cell.ambient
+    w_basis = saturated_span_basis(diffs, d) if diffs else ()
+    if drop_last:
+        w_basis = w_basis[:-1]
+    w_coords = []
+    for w in w_basis:
+        if any(dot(s, w) for s in chart.rows):
+            return False
+        w_coords.append(tuple(dot(row, w) for row in chart.inverse))
+    for m in mats:
+        for col in zip(*_nilpotent(m)):
+            if any(col) and (not w_coords or solve_rational(
+                    [list(c) for c in zip(*w_coords)], col) is None):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
+def test_local_group_rank_test_matches_per_column_solve(name, monkeypatch):
+    # One rank test decides image_in_w; the oracle solves every column.  A
+    # W that misses one direction must be caught where the logs reach it.
+    from nefsphere import monodromy
+    pipe = _data_pipe(name)
+    sigma = pipe.sigma()
+    vertices = pipe.discriminant().vertex_ids
+    assert vertices
+    for k in vertices:
+        report = monodromy.local_group(sigma, k, pipe.transitions(),
+                                       pipe.base_charts())
+        assert report["image_in_w"] is _image_in_w_by_solving(pipe, k, False)
+        assert report["image_in_w"]
+    real = monodromy.saturated_span_basis
+    monkeypatch.setattr(monodromy, "saturated_span_basis",
+                        lambda vectors, d: real(vectors, d)[:-1])
+    missed = 0
+    for k in vertices:
+        report = monodromy.local_group(sigma, k, pipe.transitions(),
+                                       pipe.base_charts())
+        want = _image_in_w_by_solving(pipe, k, True)
+        assert report["image_in_w"] is want
+        missed += not want
+    assert missed > 0
+
+
+def test_component_parts_read_the_pinched_predicate(prism_pair_pipe):
+    # The discriminant and the report's component_parts read one predicate:
+    # a cell is off the smooth locus exactly when it is pinched in a part.
+    from nefsphere.monodromy import pinched_parts
+    from nefsphere.pipeline import _component_parts
+    sigma = prism_pair_pipe.sigma()
+    disc = prism_pair_pipe.discriminant()
+    nonsmooth = set(disc.vertex_ids)
+    for k in range(len(sigma.pairs)):
+        parts = pinched_parts(sigma, k)
+        assert smooth_pair(sigma, k) == (not parts) == (k not in nonsmooth)
+        i, j = sigma.pairs[k]
+        assert parts == [a for a in range(sigma.r)
+                         if sigma.p_poset.elements[i].slices[a].dim > 0
+                         and sigma.q_poset.elements[j].slices[a].dim > 0]
+    assert _component_parts(sigma, disc) == [
+        sorted({a for k in comp for a in pinched_parts(sigma, k)})
+        for comp in disc.components]
 
 
 def test_rational_slice_point_is_refused():
@@ -536,7 +718,7 @@ def test_rational_slice_point_is_refused():
                                                  ["1/2", "0", "0"]]
         assert err.value.certificate["point"] == ["1/2", "0", "0"]
     chart = base_chart_data(good, weight)
-    assert chart.x0 == (1, 1, 0)
+    assert _x0(chart) == (1, 1, 0)
     assert chart.basis == ((0, 0, 1),)
 
 

@@ -424,7 +424,8 @@ def test_upper_ideal_certificate_matches_scan(monkeypatch):
         for b in boundary.cells
         if boundary.leq(a, b) and b not in transversal)
     with pytest.raises(FalsificationError) as err:
-        sphere.transversal_poset(boundary, list(pipe.nef.parts))
+        sphere.transversal_poset(boundary, list(pipe.nef.parts),
+                                 pipe.nef.sum_polytope)
     assert err.value.claim == \
         "transversal cells do not form an upper order ideal"
     assert err.value.certificate == want
