@@ -108,12 +108,14 @@ class Pipeline:
     def p_poset(self):
         return sphere.transversal_poset(self.s_boundary(),
                                         list(self.nef.parts),
+                                        list(self.dual().parts),
                                         self.nef.sum_polytope)
 
     @_cached
     def q_poset(self):
         return sphere.transversal_poset(self.t_boundary(),
                                         list(self.dual().parts),
+                                        list(self.nef.parts),
                                         self.dual().sum_polytope)
 
     @_cached

@@ -20,6 +20,16 @@ H->V (:func:`polyhedron_generators`) first solves the equations over the
 integers and runs the double description on the inequalities restricted to
 the saturated kernel lattice of the equation rows, so a low-dimensional
 slice or intersection is computed in its own dimension.
+
+Faces of a known polytope take neither route.  The face lattice is the
+closure of the facet incidence masks under intersection, and a face's
+dimension is its grade in that lattice (0 for a vertex, else one more than
+its largest strict subface), so no rank is computed.  A face's polytope
+(:meth:`Polytope.face_polytope`) is cut from the parent's H-representation:
+its equations are the saturated kernel of its homogenized vertices, its
+facets the parent facet rows that meet it in a facet of the face, reduced
+modulo those equations.  That is field for field the polytope
+:func:`convex_hull` would build, and it is interned under the same key.
 """
 
 from dataclasses import dataclass
@@ -104,8 +114,8 @@ class Polytope:
     """
 
     __slots__ = ("ambient", "role", "vertices", "equations", "facets", "dim",
-                 "_faces", "_chart", "_lattice_points", "_triangulation",
-                 "__weakref__")
+                 "_faces", "_tight", "_chart", "_lattice_points",
+                 "_triangulation", "__weakref__")
 
     def __init__(self, ambient, role, vertices, equations, facets, dim):
         self.ambient = ambient
@@ -115,6 +125,7 @@ class Polytope:
         self.facets = facets
         self.dim = dim
         self._faces = None
+        self._tight = None
         self._chart = None
         self._lattice_points = None
         self._triangulation = None
@@ -155,43 +166,47 @@ class Polytope:
         """All nonempty faces as frozensets of vertex indices, with dims.
 
         Returns a dict face -> dimension.  Faces are generated by closing the
-        facet incidence sets under intersection, which is exact for polytopes.
+        facet incidence masks under intersection, which is exact for
+        polytopes.  Dimensions are read off the grading of the lattice: a
+        vertex has dimension 0, and any other face is one more than its
+        largest strict subface.  The facets of a face g are among its meets
+        g & s with the facet masks s, so that maximum runs over those meets.
         """
         if self._faces is not None:
             return self._faces
-        nv = len(self.vertices)
-        full = frozenset(range(nv))
-        hverts = [(1,) + v for v in self.vertices]
-        facet_sets = []
-        for f in self.facets:
-            facet_sets.append(frozenset(i for i, hv in enumerate(hverts)
-                                        if dot(f, hv) == 0))
-        faces = {full: self.dim}
+        tight = self._facet_masks()
+        full = (1 << len(self.vertices)) - 1
+        faces = {full}
         frontier = [full]
         while frontier:
             new = []
             for g in frontier:
-                for s in facet_sets:
+                for s in tight:
                     h = g & s
                     if h and h != g and h not in faces:
-                        faces[h] = self._affine_dim(h)
+                        faces.add(h)
                         new.append(h)
             frontier = new
-        self._faces = faces
-        return faces
+        dims = {}
+        # Every strict subface has fewer vertices, so it is graded first.
+        for g in sorted(faces, key=int.bit_count):
+            dims[g] = 1 + max((dims[g & s] for s in tight
+                               if g & s and g & s != g), default=-1)
+        if dims[full] != self.dim:
+            raise GeometryError("face lattice grade differs from the dimension")
+        nv = len(self.vertices)
+        self._faces = {frozenset(i for i in range(nv) if g >> i & 1): d
+                       for g, d in dims.items()}
+        return self._faces
 
-    def _affine_dim(self, vset):
-        idx = sorted(vset)
-        if len(idx) == 1:
-            return 0
-        base = self.vertices[idx[0]]
-        rows = [clear_denominators(tuple(a - b for a, b in
-                                         zip(self.vertices[i], base)))
-                for i in idx[1:]]
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            return 0
-        return row_rank(rows)
+    def _facet_masks(self):
+        """Per facet row, the bitmask of the vertices tight on it."""
+        if self._tight is None:
+            hverts = [(1,) + v for v in self.vertices]
+            self._tight = tuple(
+                sum(1 << i for i, hv in enumerate(hverts) if dot(f, hv) == 0)
+                for f in self.facets)
+        return self._tight
 
     def faces_of_dim(self, k):
         return sorted(f for f, d in self.face_sets().items() if d == k)
@@ -199,10 +214,51 @@ class Polytope:
     def facet_vertex_sets(self):
         return self.faces_of_dim(self.dim - 1) if self.dim > 0 else []
 
+    def is_face(self, vset):
+        """Whether the vertex indices `vset` are the vertices of a face: a
+        nonempty set equal to the meet of the facet masks containing it."""
+        mask = sum(1 << i for i in set(vset))
+        closure = (1 << len(self.vertices)) - 1
+        for m in self._facet_masks():
+            if m & mask == mask:
+                closure &= m
+        return mask != 0 and closure == mask
+
     def face_polytope(self, vset):
-        """Canonical sub-polytope spanned by a face's vertices."""
-        pts = [self.vertices[i] for i in sorted(vset)]
-        return convex_hull(pts, self.role, self.ambient)
+        """Canonical sub-polytope of the face on the vertex indices `vset`.
+
+        Read from this polytope's H-representation, with no double
+        description: the face's equations are the saturated integer kernel
+        of its homogenized vertices (the HNF lineality :func:`convex_hull`
+        gets from :func:`dd.cone_rays`), and its facets are the parent
+        facet rows whose meet with the face is an inclusion-maximal proper
+        meet, reduced modulo those equations.  Every facet of a face F is a
+        face F & G of the parent, and two rows tight on the same facet of F
+        agree on the affine hull of F up to a positive factor, so the
+        reduced rows are the ones the hull of F's vertices has.  Raises
+        GeometryError when `vset` is not a face (:meth:`is_face`).
+        """
+        idx = sorted(vset)
+        verts = tuple(self.vertices[i] for i in idx)
+        key = (self.role, self.ambient, verts)
+        face = _HULLS.get(key)
+        if face is not None:
+            return face
+        if not self.is_face(idx):
+            raise GeometryError("vertex set is not a face")
+        mask = sum(1 << i for i in idx)
+        tight = self._facet_masks()
+        meets = {m & mask for m in tight} - {0, mask}
+        facet_meets = {h for h in meets
+                       if not any(h != o and h & o == h for o in meets)}
+        eqs = kernel_basis([clear_denominators((1,) + v) for v in verts],
+                           self.ambient + 1)
+        facets = tuple(sorted({_reduce_mod_equations(f, eqs)
+                               for f, m in zip(self.facets, tight)
+                               if m & mask in facet_meets}))
+        return _HULLS.setdefault(
+            key, Polytope(self.ambient, self.role, verts, eqs, facets,
+                          self.ambient - len(eqs)))
 
     def face_keys(self, proper=False):
         """The set of ``face_polytope(fs).key()`` over all faces (only the
@@ -557,7 +613,7 @@ def minkowski_sum_all(polys):
 
 def dilate(p, k):
     """Scale by a positive rational factor."""
-    k = Fraction(k)
+    k = exact(k)
     if k <= 0:
         raise GeometryError("dilation factor must be positive")
     verts = tuple(sorted(as_fractions(k * x for x in v) for v in p.vertices))

@@ -13,6 +13,27 @@ homology of Sigma and of a subcomplex (the smooth cells, say) is cellular
 (:meth:`SigmaComplex.homology`), and for a face poset graded by dimension
 the pseudomanifold conditions on the order complex are conditions on cells
 and their facets (:func:`is_closed_pseudomanifold`).
+
+Slices are read as faces, with no intersection.  Let psi_j be the support
+function of the other side's part j, psi_j(v) = max <v, x> over that part,
+and delta_ij the Kronecker delta.  The slice lemma: if
+
+  (i)   psi_j(a) <= delta_ij at every vertex a of part i, and 0 lies in
+        every other-side part (so psi_j >= 0);
+  (ii)  sum_j psi_j(v) = 1 at every vertex v of the cell;
+  (iii) for each j one vertex of other-side part j attains psi_j at every
+        vertex of the cell, so psi_j is affine on the cell;
+  (iv)  every cell vertex v with psi_i(v) = 1 lies in part i;
+
+then the cell's slice by part i is the face on the vertices v with
+psi_i(v) = 1, and is empty when there are none.  Proof: take x in
+cell & part_i, x = sum lambda_v v.  By (iii) psi_j(x) = sum lambda_v
+psi_j(v); by (i) and convexity psi_j(x) <= 0 for j != i.  As psi_j >= 0,
+every v with lambda_v > 0 has psi_j(v) = 0 for all j != i, hence
+psi_i(v) = 1 by (ii).  Conversely psi_i <= 1 on the cell by (ii) and
+(iii), so {psi_i = 1} is a face of the cell, and by (iv) it lies in
+part_i.  All four conditions are checked on every run
+(:func:`compute_slices`).
 """
 
 from fractions import Fraction
@@ -104,35 +125,109 @@ def _inclusion_masks(vertex_masks):
     return above, below
 
 
-def compute_slices(subdivision, parts):
-    """cell -> tuple of (slice polytope or None) for every subdivision cell."""
-    out = {}
-    for cell in subdivision.cells:
-        out[cell] = tuple(_slice(cell, p) for p in parts)
-    return out
+def compute_slices(subdivision, parts, other_parts):
+    """cell -> tuple of (slice polytope or None) for every subdivision cell.
+
+    Each slice is read as a face of its cell, certified by the slice lemma
+    (module docstring): :class:`_Supports` checks its conditions (i), (ii)
+    and (iv), and :func:`_cell_slices` checks (iii) per cell.
+    """
+    supports = _Supports(parts, other_parts)
+    return {cell: _cell_slices(cell, supports) for cell in subdivision.cells}
 
 
-def _slice(cell, part):
-    """cell intersected with part, after a cheap separation test."""
-    for rows in (part.equations, part.facets):
-        for row in rows:
-            if all(dot(row, (1,) + v) < 0 for v in cell.vertices):
-                return None
-    for row in part.equations:
-        if all(dot(row, (1,) + v) > 0 for v in cell.vertices):
-            return None
-    return intersect(cell, part)
+class _Supports:
+    """The support functions psi_j(v) = max <v, x> over the other side's
+    part j, with the slice lemma's conditions (i), (ii) and (iv).
+
+    Values and argmax masks (over part j's vertices) are memoized once per
+    distinct cell vertex, and (ii) and (iv) are checked there.
+    """
+
+    def __init__(self, parts, other_parts):
+        self.parts = parts
+        self.others = [q.vertices for q in other_parts]
+        self._memo = {}
+        origin = (0,) * parts[0].ambient
+        for j, q in enumerate(other_parts):
+            if not q.contains(origin):
+                raise FalsificationError(
+                    "slice lemma (i): an other-side part misses the origin",
+                    {"other_part": j})
+        for i, part in enumerate(parts):
+            for a in part.vertices:
+                values, _ = self._psi(a)
+                for j, value in enumerate(values):
+                    if value > (1 if i == j else 0):
+                        raise FalsificationError(
+                            "slice lemma (i): psi_j exceeds delta_ij on "
+                            "part i",
+                            {"part": i, "other_part": j,
+                             "vertex": _point_key(a), "psi": str(value)})
+
+    def _psi(self, v):
+        values = []
+        argmax = []
+        for verts in self.others:
+            pairings = [dot(v, x) for x in verts]
+            top = max(pairings)
+            values.append(top)
+            argmax.append(sum(1 << k for k, p in enumerate(pairings)
+                              if p == top))
+        return tuple(values), tuple(argmax)
+
+    def at(self, v):
+        """(psi values, argmax masks) at a cell vertex."""
+        got = self._memo.get(v)
+        if got is None:
+            got = self._psi(v)
+            values = got[0]
+            if sum(values) != 1:
+                raise FalsificationError(
+                    "slice lemma (ii): the other-side supports do not sum "
+                    "to one at a cell vertex",
+                    {"vertex": _point_key(v),
+                     "psi": [str(x) for x in values]})
+            for i, value in enumerate(values):
+                if value == 1 and not self.parts[i].contains(v):
+                    raise FalsificationError(
+                        "slice lemma (iv): a cell vertex with psi_i = 1 "
+                        "lies outside part i",
+                        {"part": i, "vertex": _point_key(v)})
+            self._memo[v] = got
+        return got
 
 
-def transversal_poset(subdivision, parts, delta):
+def _cell_slices(cell, supports):
+    """The cell's slices by the parts, as faces, after checking (iii): for
+    each j one vertex of other-side part j attains psi_j at every vertex of
+    the cell, so psi_j is the affine pairing with it on the cell."""
+    at = [supports.at(v) for v in cell.vertices]
+    for j in range(len(supports.others)):
+        common = -1
+        for _, argmax in at:
+            common &= argmax[j]
+        if not common:
+            raise FalsificationError(
+                "slice lemma (iii): psi_j is not affine on a cell",
+                {"cell": _cell_key(cell), "other_part": j})
+    out = []
+    for i in range(len(supports.parts)):
+        face = [k for k, (values, _) in enumerate(at) if values[i] == 1]
+        out.append(cell.face_polytope(face) if face else None)
+    return tuple(out)
+
+
+def transversal_poset(subdivision, parts, other_parts, delta):
     """All transversal cells with their Minkowski cells, as a poset.
 
-    Also verifies the upper-order-ideal property and the two Minkowski cell
-    formulas (sum of slices vs r*cell intersected with the sum polytope
-    `delta`).
+    `other_parts` are the other side's parts, whose support functions
+    certify the slices (:func:`compute_slices`).  Also verifies the
+    upper-order-ideal property and the two Minkowski cell formulas (sum of
+    slices vs r*cell intersected with the sum polytope `delta`).
     """
     r = len(parts)
-    slices_by_cell = compute_slices(subdivision, parts)
+    slices_by_cell = compute_slices(subdivision, parts, other_parts)
     elements = []
     transversal = set()
     for cell in subdivision.cells:
@@ -172,7 +267,11 @@ def minkowski_cell(slices, cell, r, delta):
 
 
 def _cell_key(poly):
-    return [[str(x) for x in v] for v in poly.vertices]
+    return [_point_key(v) for v in poly.vertices]
+
+
+def _point_key(point):
+    return [str(x) for x in point]
 
 
 class MinkowskiComplex:
@@ -280,8 +379,8 @@ def containment_order(cells):
 
 def _facet_slab(poly, facet_row):
     """The facet of `poly` cut out by one of its facet rows, as a polytope."""
-    verts = [v for v in poly.vertices if dot(facet_row, (1,) + v) == 0]
-    return convex_hull(verts, poly.role, poly.ambient)
+    return poly.face_polytope([k for k, v in enumerate(poly.vertices)
+                               if dot(facet_row, (1,) + v) == 0])
 
 
 def adjoint_pairs(p_poset, q_poset):

@@ -193,21 +193,13 @@ def boundary_subdivision(subdivision):
     origin = (0,) * support.ambient
     boundary_cells = []
     for c in subdivision.maximal_cells:
-        faces = c.face_sets()
-        free = [fs for fs in faces
-                if not any(not any(c.vertices[i]) for i in fs)]
-        # fs is origin-free iff no vertex of fs is the zero vector.
-        maximal_free = [fs for fs in free
-                        if not any(fs < other for other in free)]
-        if len(maximal_free) != 1:
+        # A cell with the origin as a vertex whose other vertices form a
+        # face B is the pyramid conv(B, 0): B misses 0, so dim B < dim c,
+        # and c = conv(B + {0}) gives dim c <= dim B + 1.
+        base = [i for i, v in enumerate(c.vertices) if v != origin]
+        if len(base) == len(c.vertices) or not c.is_face(base):
             raise GeometryError(
                 "subdivision is not a cone with apex 0 over the boundary")
-        fs = maximal_free[0]
-        face = c.face_polytope(fs)
-        if origin not in c.vertices or \
-                set(c.vertices) != set(face.vertices) | {origin}:
-            raise GeometryError(
-                "subdivision is not a cone with apex 0 over the boundary")
-        boundary_cells.append(face)
+        boundary_cells.append(c.face_polytope(base))
     side = "S" if support.role == "M" else "T"
     return BoundarySubdivision(subdivision, side, boundary_cells)

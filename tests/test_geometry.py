@@ -366,3 +366,61 @@ def test_lattice_chart_of_a_point_and_a_segment():
     assert abs(seg.chart().to_chart((1, Fraction(3, 2)))[0]) == \
         Fraction(1, 2)
     assert seg.lattice_volume() == 2
+
+
+def _affine_rank(points):
+    """Oracle: the dimension of the affine hull of exact points."""
+    base = points[0]
+    rows = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
+    rows = [r for r in rows if any(r)]
+    return row_rank(rows) if rows else 0
+
+
+@st.composite
+def lattice_point_sets(draw):
+    d = draw(st.integers(1, 4))
+    coord = st.integers(-2, 2)
+    return draw(st.lists(st.tuples(*[coord] * d), min_size=1,
+                         max_size=d + 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_point_sets())
+def test_faces_from_the_h_representation_match_hulls(points):
+    # Every face built from the parent's H-representation is the hull of
+    # its vertices field for field; each hull runs in its own empty table,
+    # so neither route can hand back the other's object.
+    from unittest import mock
+    from weakref import WeakValueDictionary
+    from nefsphere import polytope
+    p = convex_hull(points, ROLE_M)
+    for fs, dim in p.face_sets().items():
+        verts = [p.vertices[i] for i in fs]
+        assert dim == _affine_rank(verts)
+        with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
+            face = p.face_polytope(fs)
+        with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
+            hull = convex_hull(verts, ROLE_M, p.ambient)
+        assert face is not hull
+        assert face.key() == hull.key()
+        assert face.equations == hull.equations
+        assert face.facets == hull.facets
+        assert face.dim == hull.dim == dim
+
+
+def test_face_polytope_rejects_a_vertex_set_that_is_not_a_face():
+    square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)], ROLE_M)
+    diagonal = [square.vertices.index(v) for v in ((0, 0), (1, 1))]
+    assert not square.is_face(diagonal) and not square.is_face([])
+    with pytest.raises(GeometryError, match="not a face"):
+        square.face_polytope(diagonal)
+
+
+def test_face_lattice_grade_must_match_the_dimension():
+    from nefsphere.polytope import Polytope
+    tri = convex_hull(TRI, ROLE_M)
+    wrong = Polytope(tri.ambient, tri.role, tri.vertices, tri.equations,
+                     tri.facets, tri.dim + 1)
+    with pytest.raises(GeometryError, match="grade"):
+        wrong.face_sets()
+

@@ -23,7 +23,7 @@ from nefsphere.monodromy import (
     complement_homology,
     smooth_pair,
 )
-from nefsphere.polytope import convex_hull
+from nefsphere.polytope import convex_hull, intersect
 from nefsphere.sphere import (
     SigmaComplex,
     adjoint_pairs,
@@ -413,11 +413,13 @@ def test_upper_ideal_certificate_matches_scan(monkeypatch):
     pipe = _data_pipeline("simplex3")
     boundary = pipe.s_boundary()
     top = boundary.maximal_cells[-1]
-    real = sphere._slice
-    monkeypatch.setattr(sphere, "_slice", lambda cell, part:
-                        None if cell == top else real(cell, part))
+    real = sphere._cell_slices
+    monkeypatch.setattr(sphere, "_cell_slices", lambda cell, supports:
+                        (None,) * pipe.nef.r if cell == top
+                        else real(cell, supports))
     transversal = {c for c in boundary.cells if c != top
-                   and all(real(c, p) is not None for p in pipe.nef.parts)}
+                   and all(intersect(c, p) is not None
+                           for p in pipe.nef.parts)}
     want = next(
         {"cell": sphere._cell_key(a), "superface": sphere._cell_key(b)}
         for a in boundary.cells if a in transversal
@@ -425,6 +427,7 @@ def test_upper_ideal_certificate_matches_scan(monkeypatch):
         if boundary.leq(a, b) and b not in transversal)
     with pytest.raises(FalsificationError) as err:
         sphere.transversal_poset(boundary, list(pipe.nef.parts),
+                                 list(pipe.dual().parts),
                                  pipe.nef.sum_polytope)
     assert err.value.claim == \
         "transversal cells do not form an upper order ideal"

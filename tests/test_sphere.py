@@ -1,15 +1,19 @@
+from types import SimpleNamespace
+
 import pytest
 
-from nefsphere import Pipeline
+from nefsphere import Pipeline, sphere
 from nefsphere.cli import load_input
+from nefsphere.errors import FalsificationError
 from nefsphere.homology import order_complex_homology
-from nefsphere.polytope import dilate, intersect
+from nefsphere.polytope import as_fractions, convex_hull, dilate, intersect
 from nefsphere.sphere import projection_images
 from test_cli import path
 from test_order_masks import sigma_successors
 
 INPUTS = ["triangle", "square_sum", "pentagon_pair", "simplex3",
           "segment_weighted", "prism_pair_5d"]
+DATA_INPUTS = INPUTS + ["prism_pair_5d_kinked", "product_triangles_6d"]
 
 
 def _data_pipeline(name):
@@ -121,13 +125,15 @@ def test_lemma_suite_reuses_the_poset_slices(monkeypatch):
     # the slices its poset was built from.
     from nefsphere import sphere
     calls = []
-    real = sphere._slice
-    monkeypatch.setattr(sphere, "_slice",
-                        lambda cell, part: calls.append((cell, part))
-                        or real(cell, part))
+    real = sphere._cell_slices
+    monkeypatch.setattr(sphere, "_cell_slices",
+                        lambda cell, supports: calls.append(cell)
+                        or real(cell, supports))
     pipe = _data_pipeline("simplex3")
     assert pipe.lemma_suite() == []
     assert len(calls) == len(set(calls)) > 0
+    assert set(calls) == set(pipe.s_boundary().cells) | \
+        set(pipe.t_boundary().cells)
 
 
 def test_lemma_suite_randomized(randomized_partitions):
@@ -203,3 +209,108 @@ def test_containment_order_matches_all_vertices_route(name):
         assert got == want
         assert all(poset.leq(i, j) == bool(got[i] >> j & 1)
                    for i in range(n) for j in range(n))
+
+
+def _assert_slices_are_intersections(pipe):
+    for poset, parts in ((pipe.p_poset(), pipe.nef.parts),
+                         (pipe.q_poset(), pipe.dual().parts)):
+        assert set(poset.slices) == set(poset.subdivision.cells)
+        for cell, slices in poset.slices.items():
+            assert slices == tuple(intersect(cell, p) for p in parts), \
+                f"slice differs from the intersection on {cell.vertices}"
+
+
+@pytest.mark.parametrize("name", DATA_INPUTS)
+def test_face_slices_equal_intersections(name):
+    # Oracle: the slices read as certified faces are the intersections.
+    _assert_slices_are_intersections(_data_pipeline(name))
+
+
+def test_face_slices_equal_intersections_randomized(randomized_partitions):
+    for nef in randomized_partitions:
+        _assert_slices_are_intersections(Pipeline(nef))
+
+
+def _slice_cells(pipe, cells, parts=None, other_parts=None):
+    """compute_slices on a bare list of cells of the S side."""
+    return sphere.compute_slices(
+        SimpleNamespace(cells=cells),
+        list(pipe.nef.parts if parts is None else parts),
+        list(pipe.dual().parts if other_parts is None else other_parts))
+
+
+def test_slice_lemma_i_rejects_swapped_dual_parts():
+    pipe = _data_pipeline("prism_pair_5d")
+    parts = pipe.nef.parts
+    swapped = list(reversed(pipe.dual().parts))
+    with pytest.raises(FalsificationError) as err:
+        sphere.transversal_poset(pipe.s_boundary(), list(parts), swapped,
+                                 pipe.nef.sum_polytope)
+    assert err.value.claim.startswith("slice lemma (i)")
+    cert = err.value.certificate
+    i, j = cert["part"], cert["other_part"]
+    vertex = as_fractions(cert["vertex"])
+    assert i != j and vertex in parts[i].vertices
+    assert max(sum(a * x for a, x in zip(vertex, v))
+               for v in swapped[j].vertices) == int(cert["psi"]) > 0
+
+
+def test_slice_lemma_i_rejects_an_other_part_missing_the_origin():
+    pipe = _data_pipeline("square_sum")
+    others = list(pipe.dual().parts)
+    far = tuple(2 for _ in range(pipe.nef.ambient))
+    others[1] = convex_hull([tuple(a + b for a, b in zip(v, far))
+                             for v in others[1].vertices], others[1].role)
+    with pytest.raises(FalsificationError) as err:
+        _slice_cells(pipe, [], other_parts=others)
+    assert err.value.claim.startswith("slice lemma (i)")
+    assert err.value.certificate == {"other_part": 1}
+
+
+def test_slice_lemma_ii_rejects_a_vertex_off_the_boundary():
+    # A cell vertex pushed off the boundary of the parts hull.
+    pipe = _data_pipeline("prism_pair_5d")
+    cell = pipe.s_boundary().maximal_cells[0]
+    far = tuple(2 * x for x in cell.vertices[-1])
+    bad = convex_hull(cell.vertices[:-1] + (far,), cell.role)
+    with pytest.raises(FalsificationError) as err:
+        _slice_cells(pipe, [bad])
+    assert err.value.claim.startswith("slice lemma (ii)")
+    assert err.value.certificate["vertex"] == [str(x) for x in far]
+    assert sum(int(x) for x in err.value.certificate["psi"]) == 2
+
+
+@pytest.mark.parametrize("name", ["square_sum", "prism_pair_5d"])
+def test_slice_lemma_iii_rejects_a_cell_across_two_cones(name):
+    # A cell vertex moved to a parts-hull vertex on the far side: every
+    # vertex is still on the boundary, but some psi_j bends on the cell.
+    pipe = _data_pipeline(name)
+    cell = pipe.s_boundary().maximal_cells[0]
+    moved = 0
+    for w in pipe.nef.parts_hull.vertices:
+        if w in cell.vertices:
+            continue
+        bad = convex_hull(cell.vertices[1:] + (w,), cell.role)
+        try:
+            _slice_cells(pipe, [bad])
+        except FalsificationError as err:
+            assert err.claim.startswith("slice lemma (iii)")
+            assert err.certificate == {
+                "cell": [[str(x) for x in v] for v in bad.vertices],
+                "other_part": err.certificate["other_part"]}
+            moved += 1
+    assert moved > 0
+
+
+def test_slice_lemma_iv_rejects_a_part_that_misses_its_slice():
+    # Part 0 shrunk to the origin still satisfies (i), but the cell
+    # vertices at psi_0 = 1 are no longer in it.
+    pipe = _data_pipeline("square_sum")
+    parts = list(pipe.nef.parts)
+    parts[0] = convex_hull([(0,) * pipe.nef.ambient], parts[0].role)
+    with pytest.raises(FalsificationError) as err:
+        _slice_cells(pipe, list(pipe.s_boundary().cells), parts=parts)
+    assert err.value.claim.startswith("slice lemma (iv)")
+    assert err.value.certificate["part"] == 0
+    vertex = as_fractions(err.value.certificate["vertex"])
+    assert pipe.nef.parts[0].contains(vertex) and not parts[0].contains(vertex)

@@ -6,6 +6,7 @@ import pytest
 from nefsphere.linalg import dot, row_rank, clear_denominators, kernel_basis
 from nefsphere.polytope import GeometryError, ROLE_M, convex_hull
 from nefsphere.subdivision import (
+    ConedSubdivision,
     WeightFunction,
     boundary_subdivision,
     is_central,
@@ -129,6 +130,23 @@ def test_affine_weight_gives_trivial_subdivision_and_is_rejected():
     assert is_central(sub)  # the single cell contains the origin
     with pytest.raises(GeometryError):
         boundary_subdivision(sub)  # but it is not a cone with apex 0
+
+
+def test_boundary_rejects_coned_cells_that_are_not_pyramids_over_it():
+    # The unit square has the origin as a vertex, but its other three
+    # vertices are not a face; the segment [-1, 1] misses the origin as a
+    # vertex.  Both are refused with one message.
+    for pts in ([(0, 0), (1, 0), (0, 1), (1, 1)], [(-1,), (1,)]):
+        cell = convex_hull(pts, ROLE_M)
+        sub = ConedSubdivision(cell, None, [cell], {})
+        assert sub.is_central()
+        with pytest.raises(GeometryError, match="^subdivision is not a cone "
+                           "with apex 0 over the boundary$"):
+            boundary_subdivision(sub)
+    # A triangle with apex 0 is the pyramid over its opposite edge.
+    tri = convex_hull([(0, 0), (1, 0), (0, 1)], ROLE_M)
+    boundary = boundary_subdivision(ConedSubdivision(tri, None, [tri], {}))
+    assert boundary.maximal_cells == (convex_hull([(1, 0), (0, 1)], ROLE_M),)
 
 
 def test_weight_function_requires_full_domain():
