@@ -17,7 +17,11 @@ is the stdout of ``nefsphere report prism_pair_5d.json --verify full
 ``prism_pair_5d_kinked_full_dual.json`` is the stdout of ``nefsphere report
 prism_pair_5d_kinked.json --verify full --dual`` (monodromies, local groups
 and the duality pairing on rational base points), frozen before every loop
-holonomy moved to pushing the base chart's frame.  Any refactor of the
+holonomy moved to pushing the base chart's frame.
+``product_triangles_6d_full.json`` is the stdout of ``nefsphere report
+product_triangles_6d.json --verify full`` (1 512 of its 2 160 loops are
+degenerate), frozen before degenerate loops stopped being transported to the
+base chart.  Any refactor of the
 arithmetic or the stages must reproduce them exactly.
 """
 
@@ -75,3 +79,8 @@ def test_kinked_prism_full_dual_report_matches_golden():
     _assert_report_matches("prism_pair_5d_kinked",
                            "prism_pair_5d_kinked_full_dual",
                            "--verify", "full", "--dual")
+
+
+def test_product_triangles_full_report_matches_golden():
+    _assert_report_matches("product_triangles_6d",
+                           "product_triangles_6d_full", "--verify", "full")
