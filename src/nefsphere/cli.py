@@ -23,24 +23,39 @@ def canonical_json(obj):
                       indent=1) + "\n"
 
 
+def _is_int(x):
+    """Whether a JSON value is an integer; JSON's true and false are not."""
+    return type(x) is int
+
+
 def _parse_rational(x):
-    if isinstance(x, int):
+    if _is_int(x):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise ValueError(f"not an exact rational: {x!r}")
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    raise ValueError(f"not an exact rational: {json.dumps(x)}")
 
 
 def load_input(path, omega_override=None, nu_override=None):
     with open(path) as fh:
         data = json.load(fh)
     dim = data["dim"]
+    if not _is_int(dim) or dim < 1:
+        raise ValueError(f"bad dim {json.dumps(dim)}: need a positive integer")
+    if not data["parts"]:
+        raise ValueError("no parts: need at least one part")
     parts = []
-    for plist in data["parts"]:
+    for k, plist in enumerate(data["parts"]):
+        if not plist:
+            raise ValueError(f"part {k} has no vertices")
         part = []
         for pt in plist:
-            if len(pt) != dim or not all(isinstance(c, int) for c in pt):
-                raise ValueError(f"bad vertex {pt}: need {dim} integers")
+            if len(pt) != dim or not all(_is_int(c) for c in pt):
+                raise ValueError(
+                    f"bad vertex {json.dumps(pt)}: need {dim} integers")
             part.append(tuple(pt))
         parts.append(part)
     nef = NefPartition.from_vertex_lists(parts)
@@ -53,6 +68,9 @@ def load_input(path, omega_override=None, nu_override=None):
             with open(source) as fh:
                 source = json.load(fh)
         table = source["table"] if isinstance(source, dict) else source
+        for pt, _ in table:
+            if any(isinstance(c, bool) for c in pt):
+                raise ValueError(f"bad weight table point {json.dumps(pt)}")
         return [(tuple(pt), _parse_rational(v)) for pt, v in table]
 
     omega = weight_spec(data.get("omega"), omega_override)

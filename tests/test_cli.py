@@ -149,3 +149,35 @@ def test_falsification_exit_code(monkeypatch, capsys):
     assert code == 3
     out = capsys.readouterr().out
     assert "synthetic claim" in out and "witness" in out
+
+
+SEGMENT = [[[1], [-1]]]
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"dim": 1, "parts": SEGMENT,
+      "omega": {"table": [[[-1], "1/0"], [[0], 0], [[1], 2]]}},
+     "zero denominator in '1/0'"),
+    ({"dim": True, "parts": [[[1, 0], [-1, 0]]]},
+     "bad dim true: need a positive integer"),
+    ({"dim": 0, "parts": [[[], []]]}, "bad dim 0: need a positive integer"),
+    ({"dim": 1, "parts": [[[True], [-1]]]},
+     "bad vertex [true]: need 1 integers"),
+    ({"dim": 1, "parts": SEGMENT,
+      "omega": {"table": [[[-1], True], [[0], 0], [[1], 2]]}},
+     "not an exact rational: true"),
+    ({"dim": 1, "parts": SEGMENT,
+      "nu": {"table": [[[True], 1], [[0], 0], [[-1], 2]]}},
+     "bad weight table point [true]"),
+    ({"dim": 1, "parts": []}, "no parts: need at least one part"),
+    ({"dim": 1, "parts": [SEGMENT[0], []]}, "part 1 has no vertices"),
+])
+def test_malformed_values_exit_2(tmp_path, data, message):
+    # JSON booleans are not integers, and a zero denominator or an empty
+    # part list is an input error, not a traceback.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    proc = run_cli("report", str(bad))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: {message}\n"
