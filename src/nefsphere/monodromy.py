@@ -651,7 +651,9 @@ def global_group(sigma, graph, loops, transition, base_chart,
                  discriminant_complex):
     """Transport every primary loop to a fixed base chart and analyze the
     resulting subgroup: commutation, the Smith divisors of the log lattice,
-    and per-discriminant-component sublattices.  `transition` and
+    and per-discriminant-component sublattices.  A degenerate loop enters
+    as the identity with no frame pushed: its holonomy is the identity by
+    the adjoint pairing (see :func:`transported_loops`).  `transition` and
     `base_chart` are the :func:`transition_memo` and :func:`base_chart_memo`
     of sigma and weight."""
     if not graph.p_nodes:
@@ -698,17 +700,36 @@ def transported_loops(sigma, graph, loops, transition, base_chart):
     tree.  The base chart's frame is pushed along the tree to n (once per
     node), then through the loop's two transitions and back_n, and read off
     by :func:`_restrict`.
+
+    A degenerate loop is the identity, so it is appended with the identity
+    linear part and nothing is pushed.  T(p, q) = chart_transition(p, q)
+    moves y by -sum_j [<p_j, y> - w(p_j)] q_j, which vanishes on chart p,
+    so T(p, q) fixes chart p pointwise and its tangent vectors.  For p0 = p1
+    both of the loop's transitions go into chart p0, starting from it.  For
+    q0 = q1 the loop is T(p0, q0) o T(p1, q0), and on chart p0 that is the
+    identity whenever (p0, q0) and (p1, q0) are adjoint pairs (<p_j, q_k> =
+    delta_jk, checked by :func:`sphere.adjoint_pairs`): T(p1, q0) moves y by
+    -c_j q0_j with c_j = <p1_j, y> - w(p1_j), which shifts <p0_k, .> by
+    -c_k, and T(p0, q0) then moves y by +c_k q0_k.  The same argument makes
+    back_n o fwd_n the identity on the base chart.  Under ``--verify full``
+    every degenerate loop's own monodromy is still computed and checked
+    (:func:`triviality_equivalence_check`).
     """
     base_node = min(("P", i) for i in graph.p_nodes)
     parent = graph.spanning_tree(base_node)
     chart = base_chart(base_node[1])
     d = sigma.p_poset.elements[base_node[1]].cell.ambient
-    # node -> (frame pushed to node, node -> base map), once per P-node.
+    one = identity(len(chart.basis))
+    # node -> (frame pushed to node, node -> base map), once per P-node
+    # with a non-degenerate loop.
     transport = {base_node: (chart.frame, AffineMap.identity(d))}
     out = []
     for loop in loops:
         node = ("P", loop.p0)
         if node not in parent:
+            continue
+        if loop.degenerate:
+            out.append((loop, one))
             continue
         frame, back = _tree_transport(parent, transport, node, transition)
         images, (image, den) = _push(

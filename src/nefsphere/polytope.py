@@ -15,20 +15,25 @@ are only defined across roles.  All hyperplane data is stored in homogeneous
 integer form: a row (c, u_1, ..., u_d) means c + u.x >= 0 (inequality) or
 c + u.x = 0 (equation).
 
-Both conversions run on :func:`dd.cone_rays`.  V->H homogenizes the points;
-H->V (:func:`polyhedron_generators`) first solves the equations over the
-integers and runs the double description on the inequalities restricted to
-the saturated kernel lattice of the equation rows, so a low-dimensional
-slice or intersection is computed in its own dimension.
+Each polytope costs at most one double description (:func:`dd.cone_rays`).
+V->H (:func:`convex_hull`) homogenizes the points.  H->V
+(:func:`polyhedron_generators`) first solves the equations over the integers
+and runs the double description on the inequalities restricted to the
+saturated kernel lattice of the equation rows, so a low-dimensional slice or
+intersection is computed in its own dimension.  A bounded H->V result
+(:func:`polytope_from_hrep`) then reads its facets from its own input rows,
+with no V->H hull of the vertices it has just computed.
 
 Faces of a known polytope take neither route.  The face lattice is the
 closure of the facet incidence masks under intersection, and a face's
 dimension is its grade in that lattice (0 for a vertex, else one more than
 its largest strict subface), so no rank is computed.  A face's polytope
-(:meth:`Polytope.face_polytope`) is cut from the parent's H-representation:
-its equations are the saturated kernel of its homogenized vertices, its
-facets the parent facet rows that meet it in a facet of the face, reduced
-modulo those equations.  That is field for field the polytope
+(:meth:`Polytope.face_polytope`) is cut from the parent's facet rows.
+
+Both shortcuts share one rule (:func:`_polytope_from_rows`): the equations
+are the saturated kernel of the homogenized vertices, and the facets are
+the given rows whose tight sets are the inclusion-maximal proper ones,
+reduced modulo those equations.  That is field for field the polytope
 :func:`convex_hull` would build, and it is interned under the same key.
 """
 
@@ -227,16 +232,11 @@ class Polytope:
     def face_polytope(self, vset):
         """Canonical sub-polytope of the face on the vertex indices `vset`.
 
-        Read from this polytope's H-representation, with no double
-        description: the face's equations are the saturated integer kernel
-        of its homogenized vertices (the HNF lineality :func:`convex_hull`
-        gets from :func:`dd.cone_rays`), and its facets are the parent
-        facet rows whose meet with the face is an inclusion-maximal proper
-        meet, reduced modulo those equations.  Every facet of a face F is a
-        face F & G of the parent, and two rows tight on the same facet of F
-        agree on the affine hull of F up to a positive factor, so the
-        reduced rows are the ones the hull of F's vertices has.  Raises
-        GeometryError when `vset` is not a face (:meth:`is_face`).
+        Read from this polytope's facet rows, with no double description
+        (:func:`_polytope_from_rows`): every facet of a face F is a face
+        F & G of the parent, so it is the meet of F with a parent facet
+        row.  Raises GeometryError when `vset` is not a face
+        (:meth:`is_face`).
         """
         idx = sorted(vset)
         verts = tuple(self.vertices[i] for i in idx)
@@ -247,18 +247,9 @@ class Polytope:
         if not self.is_face(idx):
             raise GeometryError("vertex set is not a face")
         mask = sum(1 << i for i in idx)
-        tight = self._facet_masks()
-        meets = {m & mask for m in tight} - {0, mask}
-        facet_meets = {h for h in meets
-                       if not any(h != o and h & o == h for o in meets)}
-        eqs = kernel_basis([clear_denominators((1,) + v) for v in verts],
-                           self.ambient + 1)
-        facets = tuple(sorted({_reduce_mod_equations(f, eqs)
-                               for f, m in zip(self.facets, tight)
-                               if m & mask in facet_meets}))
-        return _HULLS.setdefault(
-            key, Polytope(self.ambient, self.role, verts, eqs, facets,
-                          self.ambient - len(eqs)))
+        return _polytope_from_rows(
+            self.role, self.ambient, verts, self.facets,
+            [m & mask for m in self._facet_masks()], mask)
 
     def face_keys(self, proper=False):
         """The set of ``face_polytope(fs).key()`` over all faces (only the
@@ -551,13 +542,52 @@ def polyhedron_generators(eq_rows, ineq_rows, ambient):
 
 
 def polytope_from_hrep(eq_rows, ineq_rows, role, ambient):
-    """Bounded polytope from a homogeneous H-description (may be redundant)."""
+    """Bounded polytope from a homogeneous H-description (may be redundant).
+
+    The vertices come from :func:`polyhedron_generators`; the rest is read
+    from the input's own inequality rows (:func:`_polytope_from_rows`), so
+    no second double description runs.  Every facet of {E x = 0, A x >= 0}
+    is the tight set of some row of A.
+    """
     vertices, rays, lineality = polyhedron_generators(eq_rows, ineq_rows, ambient)
     if rays or any(any(l) for l in lineality):
         raise GeometryError("H-description is unbounded")
     if not vertices:
         return None
-    return convex_hull(vertices, role, ambient)
+    hull = _HULLS.get((role, ambient, vertices))
+    if hull is not None:
+        return hull
+    rows = [clear_denominators(r) for r in ineq_rows]
+    hverts = [clear_denominators((1,) + v) for v in vertices]
+    meets = [sum(1 << i for i, hv in enumerate(hverts) if dot(r, hv) == 0)
+             for r in rows]
+    return _polytope_from_rows(role, ambient, vertices, rows, meets,
+                               (1 << len(vertices)) - 1)
+
+
+def _polytope_from_rows(role, ambient, verts, rows, meets, full):
+    """The canonical polytope on the vertices `verts` whose facets are
+    among the integer inequality `rows`, interned like :func:`convex_hull`.
+
+    `meets` holds per row the bitmask of the vertices tight on it and
+    `full` the mask of all of them.  The equations are the saturated
+    integer kernel of the homogenized vertices (the HNF lineality
+    :func:`convex_hull` gets from :func:`dd.cone_rays`).  A row's tight set
+    is a face; the facets are the inclusion-maximal proper ones, and the
+    rows tight on one facet agree on the affine hull up to a positive
+    factor, so reduced modulo the equations they give the rows the hull of
+    `verts` has.
+    """
+    meets_set = set(meets) - {0, full}
+    facet_meets = {h for h in meets_set
+                   if not any(h != o and h & o == h for o in meets_set)}
+    eqs = kernel_basis([clear_denominators((1,) + v) for v in verts],
+                       ambient + 1)
+    facets = tuple(sorted({_reduce_mod_equations(f, eqs)
+                           for f, m in zip(rows, meets) if m in facet_meets}))
+    return _HULLS.setdefault(
+        (role, ambient, verts),
+        Polytope(ambient, role, verts, eqs, facets, ambient - len(eqs)))
 
 
 def intersect(p, q):

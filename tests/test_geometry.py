@@ -408,6 +408,69 @@ def test_faces_from_the_h_representation_match_hulls(points):
         assert face.dim == hull.dim == dim
 
 
+@st.composite
+def bounded_h_systems(draw):
+    """(equations, inequalities, ambient) of a nonempty bounded polytope.
+
+    A box of rational half-width bounds it; the other rows keep the origin
+    feasible.  Some rows are repeated or rescaled by a rational factor,
+    some come with their opposite row (an implicit equality), and a wider
+    box is added as redundant rows.
+    """
+    d = draw(st.integers(1, 4))
+    coord = st.integers(-2, 2)
+    width = draw(st.sampled_from([1, 2, Fraction(3, 2), Fraction(5, 2)]))
+    rows = []
+    for i in range(d):
+        for sign in (1, -1):
+            rows.append((width,) + tuple(sign * int(i == j) for j in range(d)))
+    for _ in range(draw(st.integers(0, 4))):
+        c = draw(st.sampled_from([0, 1, 2, Fraction(1, 2), Fraction(4, 3)]))
+        u = draw(st.tuples(*[coord] * d))
+        rows.append((c,) + u)
+        kind = draw(st.sampled_from(["plain", "repeat", "rescale",
+                                     "opposite"]))
+        if kind == "repeat":
+            rows.append((c,) + u)
+        elif kind == "rescale":
+            q = draw(st.sampled_from([2, Fraction(1, 3), Fraction(5, 2)]))
+            rows.append(tuple(q * x for x in (c,) + u))
+        elif kind == "opposite":
+            rows[-1] = (0,) + u
+            rows.append((0,) + tuple(-x for x in u))
+    if draw(st.booleans()):
+        rows.extend((width + 1,) + r[1:] for r in rows[:2 * d])
+    eqs = []
+    if draw(st.booleans()):
+        eqs.append((0,) + draw(st.tuples(*[coord] * d)))
+    order = draw(st.permutations(range(len(rows))))
+    return eqs, [rows[k] for k in order], d
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_h_systems())
+def test_polytope_from_hrep_matches_the_hull_of_its_vertices(system):
+    # The H->V result read from its own rows is the V->H hull of its
+    # vertices field for field; each route runs in its own empty table, so
+    # neither can hand back the other's object.
+    from unittest import mock
+    from weakref import WeakValueDictionary
+    from nefsphere import polytope
+    from nefsphere.polytope import polytope_from_hrep
+    eqs, ineqs, d = system
+    with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
+        got = polytope_from_hrep(eqs, ineqs, ROLE_M, d)
+    assert got is not None  # the origin is feasible
+    with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
+        hull = convex_hull(got.vertices, ROLE_M, d)
+    assert got is not hull
+    assert got.vertices == hull.vertices
+    assert got.equations == hull.equations
+    assert got.facets == hull.facets
+    assert got.dim == hull.dim
+    got.validate()
+
+
 def test_face_polytope_rejects_a_vertex_set_that_is_not_a_face():
     square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)], ROLE_M)
     diagonal = [square.vertices.index(v) for v in ((0, 0), (1, 1))]

@@ -577,6 +577,49 @@ def test_transported_linears_match_compose_then_solve(name):
     assert moved == want
 
 
+def _pushed_loops(sigma, graph, loops, transition, base_chart):
+    """Oracle for transported_loops that pushes the base frame for every
+    loop in the base component, degenerate ones included."""
+    from nefsphere.monodromy import (_loop_maps, _push, _restrict,
+                                     _tree_transport)
+    base = min(("P", i) for i in graph.p_nodes)
+    parent = graph.spanning_tree(base)
+    chart = base_chart(base[1])
+    d = sigma.p_poset.elements[base[1]].cell.ambient
+    transport = {base: (chart.frame, AffineMap.identity(d))}
+    out = []
+    for loop in loops:
+        if ("P", loop.p0) not in parent:
+            continue
+        frame, back = _tree_transport(parent, transport, ("P", loop.p0),
+                                      transition)
+        images, (image, den) = _push(
+            frame, _loop_maps(loop, transition) + (back,))
+        out.append((loop, _restrict(chart, images, image, den)[0]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
+def test_global_group_matches_pushing_every_loop(name, monkeypatch):
+    # transported_loops appends a degenerate loop as the identity without
+    # pushing a frame; the global report must equal the one built from
+    # pushing the frame around every loop.  Both kinds of degenerate loop
+    # occur in the base component.
+    from nefsphere import monodromy
+    pipe = _data_pipe(name)
+    sigma, graph, loops = pipe.sigma(), pipe.graph(), pipe.loops()
+    parent = graph.spanning_tree(min(("P", i) for i in graph.p_nodes))
+    based = [l for l in loops if ("P", l.p0) in parent]
+    assert any(l.p0 == l.p1 and l.q0 != l.q1 for l in based)
+    assert any(l.q0 == l.q1 and l.p0 != l.p1 for l in based)
+    assert any(not l.degenerate for l in based)
+    args = (sigma, graph, loops, pipe.transitions(), pipe.base_charts(),
+            pipe.discriminant())
+    got = monodromy.global_group(*args)
+    monkeypatch.setattr(monodromy, "transported_loops", _pushed_loops)
+    assert monodromy.global_group(*args) == got
+
+
 @pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
 def test_monodromy_matches_compose_then_solve(name):
     # monodromy() pushes the base chart's frame through the loop; the oracle
