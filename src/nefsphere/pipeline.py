@@ -462,10 +462,12 @@ def _component_parts(sigma, disc):
 
 
 def _summarize_triviality(results):
+    # A degenerate loop passes when its monodromy is the identity, as global
+    # transport assumes without pushing a frame.
     checked = [r for r in results if not r.get("degenerate")]
     return {
         "non_degenerate_checked": len(checked),
-        "all_equivalent": all(r["passed"] for r in checked),
+        "all_equivalent": all(r["passed"] for r in results),
         "trivial_count": sum(1 for r in results if r.get("trivial")),
     }
 

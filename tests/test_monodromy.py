@@ -169,6 +169,27 @@ def test_triviality_equivalence(simplex3_pipe, triangle_pipe, square_pipe,
             assert res["passed"], res
 
 
+def test_nontrivial_degenerate_loop_fails_the_full_report():
+    # Global transport takes every degenerate loop as the identity; the
+    # full report's triviality verdict is what checks that claim, so a
+    # degenerate loop whose own monodromy is not the identity must fail it.
+    from dataclasses import replace
+    from nefsphere import Pipeline
+    from nefsphere.cli import load_input
+    from test_cli import path
+    nef, omega, nu = load_input(path("simplex3.json"))
+    pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+    monos = pipe.monodromies()
+    k = next(i for i, l in enumerate(pipe.loops()) if l.degenerate)
+    n = len(monos[k].basis)
+    shear = tuple(tuple(int(i == j or (i, j) == (0, n - 1))
+                        for j in range(n)) for i in range(n))
+    monos[k] = replace(monos[k], linear=shear)
+    rep = pipe.report(verify="full")
+    assert not rep["stages"]["triviality"]["all_equivalent"]
+    assert not rep["passed"]
+
+
 def test_2d_loops_all_trivial(triangle_pipe):
     # d - r = 1: every primary loop is trivial.
     for res in triangle_pipe.triviality_suite():
