@@ -10,18 +10,25 @@ slice of a 5D cell runs in as many coordinates as the slice needs.
 After the lineality space is quotiented out, the iteration is the
 incremental double description of Fukuda and Prodon ("Double description
 method revisited", 1996).  It starts from a simplicial cone: the first rows
-that raise the rank (one incremental echelon) form an invertible base, and
-its initial rays are the columns of the base's inverse (one fraction-free
-Gauss-Jordan elimination), each oriented to the feasible side of its row.
-The remaining rows are then added one at a time, with rays kept as
-tightness bitmasks and combined only when combinatorially adjacent.  All
-arithmetic is integer; rays are kept primitive, so there is no coefficient
-blow-up.
+that raise the rank (the rows :func:`linalg.echelon` takes) form an
+invertible base, and its initial rays are the columns of the base's
+inverse, read from :func:`linalg.reduced_echelon` of [base | I].  The
+remaining rows are then added one at a time, with rays kept as tightness
+bitmasks and combined only when combinatorially adjacent.  All arithmetic
+is integer; rays are kept primitive, so there is no coefficient blow-up.
 """
 
 from math import lcm
 
-from .linalg import dot, identity, kernel_basis, primitive
+from .linalg import (
+    dot,
+    echelon,
+    identity,
+    kernel_basis,
+    leading_column,
+    primitive,
+    reduced_echelon,
+)
 
 
 def cone_rays(ineqs, dim):
@@ -37,12 +44,7 @@ def cone_rays(ineqs, dim):
     if lineality:
         # Quotient out the lineality: inequalities vanish on it, so they
         # descend to the coordinates complementary to the HNF pivot columns.
-        pivcols = []
-        for r in lineality:
-            for j, x in enumerate(r):
-                if x:
-                    pivcols.append(j)
-                    break
+        pivcols = [leading_column(r) for r in lineality]
         free = [j for j in range(dim) if j not in pivcols]
         qrows = sorted({r for r in
                         (tuple(row[j] for j in free) for row in rows) if any(r)})
@@ -62,19 +64,18 @@ def _pointed_cone_rays(rows, dim):
     """Extreme rays of a pointed cone given by full-rank inequality rows."""
     if dim == 0:
         return ()
-    base = _independent_rows(rows, dim)
-    if len(base) < dim:
+    _, taken = echelon(rows)
+    if len(taken) < dim:
         raise ValueError("cone is not pointed after lineality reduction")
-    rest = [r for r in rows if r not in base]
+    base = [rows[i] for i in taken]
+    rest = [r for i, r in enumerate(rows) if i not in taken]
     # Initial simplicial cone: ray j is orthogonal to every base row but row
-    # j, so it is column j of the inverse of the base, oriented to the
-    # feasible side of row j.  Rays map to their tightness bitmasks over the
-    # rows processed so far.
+    # j, so it is column j of the inverse of the base, which is positive on
+    # row j.  Rays map to their tightness bitmasks over the rows processed
+    # so far.
     full = (1 << dim) - 1
     masks = {}
     for j, v in enumerate(_inverse_columns(base)):
-        if dot(base[j], v) < 0:
-            v = [-x for x in v]
         masks[primitive(v)] = full ^ (1 << j)
     for idx, r in enumerate(rest, start=dim):
         bit = 1 << idx
@@ -106,46 +107,14 @@ def _pointed_cone_rays(rows, dim):
     return tuple(sorted(masks))
 
 
-def _independent_rows(rows, dim):
-    """The first rows, in order, that raise the rank, up to dim of them.
-
-    One incremental fraction-free echelon: a candidate is reduced against
-    the rows accepted so far and accepted when a nonzero entry is left.
-    """
-    base = []
-    echelon = []  # (pivot column, reduced row)
-    for r in rows:
-        w = r
-        for c, e in echelon:
-            f = w[c]
-            if f:
-                p = e[c]
-                w = primitive([p * a - f * b for a, b in zip(w, e)])
-        piv = next((c for c, x in enumerate(w) if x), None)
-        if piv is None:
-            continue
-        base.append(r)
-        echelon.append((piv, w))
-        if len(base) == dim:
-            break
-    return base
-
-
 def _inverse_columns(base):
-    """Integer multiples of the columns of the inverse of a square integer
-    matrix, by fraction-free Gauss-Jordan elimination of [base | I]."""
+    """Positive integer multiples of the columns of the inverse of a square
+    integer matrix.  In the :func:`linalg.reduced_echelon` of [base | I],
+    the row with pivot c reads d_c (e_c | row c of the inverse), so lcm(d)
+    times each column of the inverse is integral."""
     n = len(base)
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(base)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if m[i][col])
-        m[col], m[piv] = m[piv], m[col]
-        top = m[col]
-        p = top[col]
-        for i in range(n):
-            f = m[i][col]
-            if i != col and f:
-                m[i] = primitive([p * a - f * b for a, b in zip(m[i], top)])
-    # Row i now reads d_i * (row i of the inverse) with d_i = m[i][i].
-    scale = lcm(*(m[i][i] for i in range(n)))
-    return [[m[i][n + j] * (scale // m[i][i]) for i in range(n)]
+    rows = dict(reduced_echelon([tuple(r) + tuple(int(i == j) for j in range(n))
+                                 for i, r in enumerate(base)]))
+    scale = lcm(*(rows[c][c] for c in range(n)))
+    return [[rows[c][n + j] * (scale // rows[c][c]) for c in range(n)]
             for j in range(n)]

@@ -3,11 +3,17 @@
 Everything in here works on plain tuples/lists of exact rationals: an
 integral value is a Python ``int`` and only a non-integral one is a
 ``Fraction`` (see :func:`exact`); floats never occur.  Matrices are sequences
-of row vectors.  Rank, determinant and linear solving use fraction-free
-integer elimination, and lattice coordinates come from an integer left
-inverse (:func:`lattice_left_inverse`): no routine here eliminates over
-Fractions, only final quotients can be non-integral.  All normal forms are
-deterministic so downstream outputs are byte-reproducible.
+of row vectors.
+
+One fraction-free elimination serves rank, solving, the start of the double
+description and reduction modulo equations: :func:`reduce_row` clears an
+echelon's pivot columns from a primitive integer row by positive integer
+steps, :func:`echelon` keeps the rows that raise the rank and
+:func:`reduced_echelon` adds the Gauss-Jordan back pass.  No Fraction is
+formed; only final quotients can be non-integral.  The lattice routines
+(Hermite and Smith normal forms, :func:`lattice_left_inverse`) take
+Euclidean steps instead, and :func:`det` is Bareiss elimination.  All normal
+forms are deterministic so downstream outputs are byte-reproducible.
 """
 
 from fractions import Fraction
@@ -79,39 +85,65 @@ def transpose(m):
     return tuple(zip(*m))
 
 
-def row_rank(rows):
-    """Rank of a matrix with integer or Fraction entries (fraction-free).
+def leading_column(row):
+    """The index of the first nonzero entry of a row (None for a zero row)."""
+    return next((j for j, x in enumerate(row) if x), None)
 
-    Rows are scaled to primitive integer rows, and each elimination step
-    p*a - f*b is reduced by its content again, so entries stay small and
-    no Fraction is ever formed.
+
+def reduce_row(w, pairs):
+    """Reduce the integer row w against echelon (pivot column c, row e)
+    pairs in turn: |e[c]| w - (+-w[c]) e clears column c, and w is made
+    primitive.  The factor on w is positive, so w keeps its side of every
+    hyperplane."""
+    w = primitive(w)
+    for c, e in pairs:
+        f = w[c]
+        if f:
+            p = e[c]
+            if p < 0:
+                p, f = -p, -f
+            w = primitive([p * a - f * b for a, b in zip(w, e)])
+    return w
+
+
+def echelon(rows):
+    """Fraction-free echelon of integer rows, taken in input order.
+
+    Each row is reduced against the accepted ones and accepted when a
+    nonzero entry is left, its first one being its pivot; the scan stops at
+    full rank.  Returns the (pivot column, reduced row) pairs and the input
+    indices of the accepted rows.  Sorted by pivot the rows are in row
+    echelon form, so the pivots are those of the reduced row echelon form.
     """
-    m = [r for r in (clear_denominators(r) for r in rows) if any(r)]
-    rank = 0
-    col = 0
-    while m:
-        piv = None
-        for i, r in enumerate(m):
-            if r[col]:
-                piv = i
+    pairs = []
+    taken = []
+    for i, r in enumerate(rows):
+        w = reduce_row(r, pairs)
+        c = leading_column(w)
+        if c is not None:
+            pairs.append((c, w))
+            taken.append(i)
+            if len(pairs) == len(w):
                 break
-        if piv is None:
-            col += 1
-            continue
-        top = m.pop(piv)
-        p = top[col]
-        rest = []
-        for r in m:
-            f = r[col]
-            if f:
-                r = primitive([p * a - f * b for a, b in zip(r, top)])
-                if not any(r):
-                    continue
-            rest.append(r)
-        m = rest
-        rank += 1
-        col += 1
-    return rank
+    return pairs, taken
+
+
+def reduced_echelon(rows):
+    """The pairs of :func:`echelon` with each pivot also cleared from the
+    earlier rows: the row with pivot c is a multiple of that row of the
+    reduced row echelon form (fraction-free Gauss-Jordan)."""
+    pairs, _ = echelon(rows)
+    # Row k vanishes on every earlier pivot, so clearing its pivot from an
+    # earlier row keeps that row's cleared columns clear.
+    for k in range(1, len(pairs)):
+        for i in range(k):
+            pairs[i] = (pairs[i][0], reduce_row(pairs[i][1], [pairs[k]]))
+    return pairs
+
+
+def row_rank(rows):
+    """Rank of a matrix with integer or Fraction entries (fraction-free)."""
+    return len(echelon([clear_denominators(r) for r in rows])[0])
 
 
 def det(rows):
@@ -154,41 +186,18 @@ def solve_rational(a_rows, b):
     """Solve A x = b exactly; returns a tuple of exact rationals or None if
     inconsistent.
 
-    Fraction-free Gauss-Jordan elimination on the augmented rows, each kept
-    as a primitive integer row; only the final quotients are rationals.
-    When the system is underdetermined the solution with free variables set to
-    zero (in elimination order) is returned, which keeps results deterministic.
+    Read from the :func:`reduced_echelon` of the augmented rows; a pivot in
+    the b column means no solution.  When the system is underdetermined the
+    solution with the free (non-pivot) variables set to zero is returned,
+    which keeps results deterministic.
     """
-    m = [clear_denominators(tuple(row) + (y,)) for row, y in zip(a_rows, b)]
-    nrows = len(m)
     ncols = len(a_rows[0]) if a_rows else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(row, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        top = m[row]
-        p = top[col]
-        for i in range(nrows):
-            f = m[i][col]
-            if i != row and f:
-                m[i] = primitive([p * a - f * c for a, c in zip(m[i], top)])
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for i in range(row, nrows):
-        if m[i][ncols]:
-            return None
     x = [0] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = exact(Fraction(m[r][ncols], m[r][col]))
+    for c, e in reduced_echelon([clear_denominators(tuple(row) + (y,))
+                                 for row, y in zip(a_rows, b)]):
+        if c == ncols:
+            return None
+        x[c] = exact(Fraction(e[ncols], e[c]))
     return tuple(x)
 
 
@@ -227,12 +236,7 @@ def hermite_normal_form(rows):
             break
     m = [r for r in m if any(r)]
     # Reduce entries above pivots.
-    pivcols = []
-    for r in m:
-        for j, x in enumerate(r):
-            if x:
-                pivcols.append(j)
-                break
+    pivcols = [leading_column(r) for r in m]
     # In pivot order: reducing by row i changes only columns >= its pivot,
     # so the entries above earlier pivots stay reduced.
     for i in range(len(m)):

@@ -54,7 +54,8 @@ from .linalg import (
     hermite_normal_form,
     kernel_basis,
     lattice_left_inverse,
-    primitive,
+    leading_column,
+    reduce_row,
     row_rank,
     saturated_span_basis,
     to_numerators,
@@ -367,11 +368,8 @@ class Polytope:
             tight = [v for v in self.vertices if dot(f, (1,) + v) == 0]
             if not tight:
                 raise GeometryError("facet not tight anywhere")
-            rows = [clear_denominators(tuple(a - b for a, b in zip(v, tight[0])))
-                    for v in tight[1:]]
-            rows = [r for r in rows if any(r)]
-            got = row_rank(rows) if rows else 0
-            if got != self.dim - 1:
+            rows = [tuple(a - b for a, b in zip(v, tight[0])) for v in tight[1:]]
+            if row_rank(rows) != self.dim - 1:
                 raise GeometryError("facet tight set has wrong dimension")
 
 
@@ -467,20 +465,9 @@ def _canonical_facets(rays, eqs, gens):
 
 
 def _reduce_mod_equations(row, eqs):
-    """Reduce a homogeneous row modulo the equation rows; positive primitive."""
-    if not eqs:
-        return primitive(row)
-    work = list(row)
-    for e in eqs:
-        piv = next(j for j, x in enumerate(e) if x)
-        f = work[piv]
-        if f:
-            # work - (f / p) e, scaled by |p| > 0 so the side is kept.
-            p = e[piv]
-            if p < 0:
-                p, f = -p, -f
-            work = [p * w - f * x for w, x in zip(work, e)]
-    return primitive(work)
+    """Reduce a homogeneous row modulo the HNF equation rows, as a primitive
+    row on the same side of every hyperplane (:func:`linalg.reduce_row`)."""
+    return reduce_row(row, [(leading_column(e), e) for e in eqs])
 
 
 def _extreme_points(pts, facets):
@@ -700,12 +687,8 @@ class Polyhedron:
 
     def dim(self):
         base = self.vertices[0]
-        rows = [clear_denominators(tuple(a - b for a, b in zip(v, base)))
-                for v in self.vertices[1:]]
-        rows += [tuple(r) for r in self.rays]
-        rows += [tuple(l) for l in self.lineality]
-        rows = [r for r in rows if any(r)]
-        return row_rank(rows) if rows else 0
+        rows = [tuple(a - b for a, b in zip(v, base)) for v in self.vertices[1:]]
+        return row_rank(rows + list(self.rays) + list(self.lineality))
 
     def contains(self, point):
         hx = (1,) + as_fractions(point)
