@@ -68,8 +68,7 @@ def from_numerators(v, q):
 
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector (positive scale)."""
-    denom = denominator_lcm(v)
-    return primitive([int(x * denom) for x in v])
+    return primitive(to_numerators(v, denominator_lcm(v)))
 
 
 def mat_mul(a, b):
@@ -160,7 +159,7 @@ def det(rows):
     scale = 1
     for r in rows:
         s = denominator_lcm(r)
-        m.append([int(x * s) for x in r])
+        m.append(list(to_numerators(r, s)))
         scale *= s
     sign = 1
     prev = 1

@@ -249,7 +249,8 @@ class Polytope:
             raise GeometryError("vertex set is not a face")
         mask = sum(1 << i for i in idx)
         return _polytope_from_rows(
-            self.role, self.ambient, verts, self.facets,
+            self.role, self.ambient, verts,
+            [clear_denominators((1,) + v) for v in verts], self.facets,
             [m & mask for m in self._facet_masks()], mask)
 
     def face_keys(self, proper=False):
@@ -548,13 +549,14 @@ def polytope_from_hrep(eq_rows, ineq_rows, role, ambient):
     hverts = [clear_denominators((1,) + v) for v in vertices]
     meets = [sum(1 << i for i, hv in enumerate(hverts) if dot(r, hv) == 0)
              for r in rows]
-    return _polytope_from_rows(role, ambient, vertices, rows, meets,
+    return _polytope_from_rows(role, ambient, vertices, hverts, rows, meets,
                                (1 << len(vertices)) - 1)
 
 
-def _polytope_from_rows(role, ambient, verts, rows, meets, full):
-    """The canonical polytope on the vertices `verts` whose facets are
-    among the integer inequality `rows`, interned like :func:`convex_hull`.
+def _polytope_from_rows(role, ambient, verts, hverts, rows, meets, full):
+    """The canonical polytope on the vertices `verts` (homogenized and made
+    primitive in `hverts`) whose facets are among the integer inequality
+    `rows`, interned like :func:`convex_hull`.
 
     `meets` holds per row the bitmask of the vertices tight on it and
     `full` the mask of all of them.  The equations are the saturated
@@ -568,8 +570,7 @@ def _polytope_from_rows(role, ambient, verts, rows, meets, full):
     meets_set = set(meets) - {0, full}
     facet_meets = {h for h in meets_set
                    if not any(h != o and h & o == h for o in meets_set)}
-    eqs = kernel_basis([clear_denominators((1,) + v) for v in verts],
-                       ambient + 1)
+    eqs = kernel_basis(hverts, ambient + 1)
     facets = tuple(sorted({_reduce_mod_equations(f, eqs)
                            for f, m in zip(rows, meets) if m in facet_meets}))
     return _HULLS.setdefault(
