@@ -82,17 +82,11 @@ class Pipeline:
 
     @_cached
     def s_coned(self):
-        sub = lower_hull_subdivision(self.nef.parts_hull, self.omega())
-        if not sub.is_central():
-            raise GeometryError("subdivision not central (omega)")
-        return sub
+        return lower_hull_subdivision(self.nef.parts_hull, self.omega())
 
     @_cached
     def t_coned(self):
-        sub = lower_hull_subdivision(self.nef.sum_polar, self.nu())
-        if not sub.is_central():
-            raise GeometryError("subdivision not central (nu)")
-        return sub
+        return lower_hull_subdivision(self.nef.sum_polar, self.nu())
 
     @_cached
     def s_boundary(self):

@@ -185,11 +185,14 @@ def boundary_subdivision(subdivision):
     """Extract the boundary subdivision from a central coned subdivision.
 
     Every maximal cell must be central and in fact a pyramid with apex 0
-    over a single boundary face; otherwise the weight function is rejected.
+    over a single boundary face; otherwise the weight function (omega on
+    side S, nu on side T) is rejected.
     """
-    if not subdivision.is_central():
-        raise GeometryError("subdivision not central")
     support = subdivision.support
+    side = "S" if support.role == "M" else "T"
+    if not subdivision.is_central():
+        raise GeometryError("subdivision not central ("
+                            + ("omega" if side == "S" else "nu") + ")")
     origin = (0,) * support.ambient
     boundary_cells = []
     for c in subdivision.maximal_cells:
@@ -201,5 +204,4 @@ def boundary_subdivision(subdivision):
             raise GeometryError(
                 "subdivision is not a cone with apex 0 over the boundary")
         boundary_cells.append(c.face_polytope(base))
-    side = "S" if support.role == "M" else "T"
     return BoundarySubdivision(subdivision, side, boundary_cells)

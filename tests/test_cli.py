@@ -181,3 +181,32 @@ def test_malformed_values_exit_2(tmp_path, data, message):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"input error: {message}\n"
+
+
+# The single triangle part with omega = |x_0 - 1| on its 10 lattice points:
+# not every cell of the lower hull contains the origin.
+NON_CENTRAL = {
+    "dim": 2, "parts": [[[-1, -1], [2, -1], [-1, 2]]],
+    "omega": {"table": [[[x, y], abs(x - 1)] for x in range(-1, 3)
+                        for y in range(-1, 3) if x + y <= 1]},
+}
+
+
+def test_validate_reports_non_central_weight(tmp_path):
+    bad = tmp_path / "non_central.json"
+    bad.write_text(json.dumps(NON_CENTRAL))
+    proc = run_cli("validate", str(bad))
+    assert proc.returncode == 3, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["passed"]
+    assert out["central"] == {"omega": False, "nu": True}
+    assert out["coned_over_boundary"] == {"omega": False, "nu": True}
+
+
+def test_report_rejects_non_central_weight(tmp_path):
+    bad = tmp_path / "non_central.json"
+    bad.write_text(json.dumps(NON_CENTRAL))
+    proc = run_cli("report", str(bad))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input rejected: subdivision not central (omega)\n"
