@@ -42,39 +42,59 @@ def _parse_rational(x):
 def load_input(path, omega_override=None, nu_override=None):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("input is not a JSON object: need the fields dim "
+                         "and parts")
+    for field in ("dim", "parts"):
+        if field not in data:
+            raise ValueError(f"missing field {field!r}")
     dim = data["dim"]
     if not _is_int(dim) or dim < 1:
         raise ValueError(f"bad dim {json.dumps(dim)}: need a positive integer")
+    if not isinstance(data["parts"], list):
+        raise ValueError(
+            f"bad parts {json.dumps(data['parts'])}: need a list of parts")
     if not data["parts"]:
         raise ValueError("no parts: need at least one part")
     parts = []
     for k, plist in enumerate(data["parts"]):
+        if not isinstance(plist, list):
+            raise ValueError(
+                f"part {k} is not a list of vertices: {json.dumps(plist)}")
         if not plist:
             raise ValueError(f"part {k} has no vertices")
         part = []
         for pt in plist:
-            if len(pt) != dim or not all(_is_int(c) for c in pt):
+            if (not isinstance(pt, list) or len(pt) != dim
+                    or not all(_is_int(c) for c in pt)):
                 raise ValueError(
                     f"bad vertex {json.dumps(pt)}: need {dim} integers")
             part.append(tuple(pt))
         parts.append(part)
     nef = NefPartition.from_vertex_lists(parts)
 
-    def weight_spec(value, override):
+    def weight_spec(name, value, override):
         source = override if override is not None else value
         if source in (None, "all_ones", "all-ones"):
             return "all_ones"
         if isinstance(source, str):
             with open(source) as fh:
                 source = json.load(fh)
-        table = source["table"] if isinstance(source, dict) else source
-        for pt, _ in table:
-            if any(isinstance(c, bool) for c in pt):
+        table = source.get("table") if isinstance(source, dict) else source
+        if not isinstance(table, list):
+            raise ValueError(f"bad {name} {json.dumps(source)}: need all_ones, "
+                             "a weight file or a table of [point, value] pairs")
+        for entry in table:
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ValueError(f"bad {name} table entry {json.dumps(entry)}: "
+                                 "need a [point, value] pair")
+            pt = entry[0]
+            if not isinstance(pt, list) or any(isinstance(c, bool) for c in pt):
                 raise ValueError(f"bad weight table point {json.dumps(pt)}")
         return [(tuple(pt), _parse_rational(v)) for pt, v in table]
 
-    omega = weight_spec(data.get("omega"), omega_override)
-    nu = weight_spec(data.get("nu"), nu_override)
+    omega = weight_spec("omega", data.get("omega"), omega_override)
+    nu = weight_spec("nu", data.get("nu"), nu_override)
     return nef, omega, nu
 
 

@@ -183,6 +183,26 @@ def test_malformed_values_exit_2(tmp_path, data, message):
     assert proc.stderr == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"dim": 1, "parts": [5]}, "part 0 is not a list of vertices: 5"),
+    ({"dim": 1, "parts": SEGMENT, "omega": {"table": [[[1]]]}},
+     "bad omega table entry [[1]]: need a [point, value] pair"),
+    ([SEGMENT], "input is not a JSON object: need the fields dim and parts"),
+    ({"dim": 1}, "missing field 'parts'"),
+    ({"dim": 1, "parts": SEGMENT, "omega": 5},
+     "bad omega 5: need all_ones, a weight file or a table of "
+     "[point, value] pairs"),
+])
+def test_malformed_structure_exit_2(tmp_path, data, message):
+    # A wrong JSON shape is named by its field, not by Python's own error.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    proc = run_cli("validate", str(bad))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: {message}\n"
+
+
 # The single triangle part with omega = |x_0 - 1| on its 10 lattice points:
 # not every cell of the lower hull contains the origin.
 NON_CENTRAL = {
