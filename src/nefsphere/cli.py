@@ -15,6 +15,7 @@ from .errors import FalsificationError
 from .nef import NefPartition, NefPartitionError
 from .pipeline import Pipeline
 from .polytope import GeometryError
+from .sphere import _cell_key
 from .tropical import scene_export
 
 
@@ -183,8 +184,7 @@ def _dispatch(args, pipe):
     if cmd == "dualize":
         dual = pipe.dual()
         out = {
-            "parts": [[[str(x) for x in v] for v in p.vertices]
-                      for p in dual.parts],
+            "parts": [_cell_key(p) for p in dual.parts],
             "validation": pipe.validation().as_dict(),
         }
         return out, 0 if out["validation"]["passed"] else 3

@@ -30,7 +30,7 @@ from .linalg import (
     to_numerators,
 )
 from .homology import order_complex_homology
-from .sphere import _bits
+from .sphere import _bits, _cell_key, _point_key
 
 
 # -- smoothness and the discriminant -----------------------------------------
@@ -336,8 +336,8 @@ def _lattice_slice_vertex(cell, j):
     if any(type(x) is not int for x in v):
         raise FalsificationError(
             "slice point of a minimal transversal cell is not integral",
-            {"cell": [[str(x) for x in u] for u in cell.cell.vertices],
-             "slice": j, "point": [str(x) for x in v]})
+            {"cell": _cell_key(cell.cell), "slice": j,
+             "point": _point_key(v)})
     return v
 
 
@@ -436,7 +436,7 @@ def base_chart_data(base_cell, weight):
     if row_rank(rows) != r:
         raise FalsificationError(
             "minimal transversal cell is not linearly independent",
-            {"cell": [[str(x) for x in v] for v in base_cell.cell.vertices]})
+            {"cell": _cell_key(base_cell.cell)})
     basis = saturated_perp_basis(rows, d)
     inverse = lattice_left_inverse(basis, d) if basis else ()
     # x0 = S^T z with (S S^T) z = w(S), by Cramer's rule on the integer
@@ -479,7 +479,7 @@ def _restrict(chart, images, image, den):
         if any(dot(s, v) for s in chart.rows):
             raise FalsificationError(
                 "monodromy linear part is not integral on the tangent lattice",
-                {"vector": [str(x) for x in v]})
+                {"vector": _point_key(v)})
     linear = tuple(tuple(dot(row, v) for v in images)
                    for row in chart.inverse)
     scale = den // chart.x0_den
@@ -487,8 +487,7 @@ def _restrict(chart, images, image, den):
     if any(dot(s, diff) for s in chart.rows):
         raise FalsificationError(
             "monodromy does not preserve the base chart",
-            {"base_point_image": [str(x)
-                                  for x in from_numerators(image, den)]})
+            {"base_point_image": _point_key(from_numerators(image, den))})
     if linear and det(linear) != 1:
         raise FalsificationError("monodromy determinant is not one",
                                  {"linear": [list(r) for r in linear]})
@@ -811,5 +810,5 @@ def _index_by_cell(poset, cell):
     if idx is None:
         raise FalsificationError(
             "dual pipeline poset does not contain the expected cell",
-            {"cell": [[str(x) for x in v] for v in cell.vertices]})
+            {"cell": _cell_key(cell)})
     return idx

@@ -296,13 +296,13 @@ class Pipeline:
                                  "witness": list(witness) if witness else None}
         dual = self.dual()
         stages["dual_partition"] = {
-            "parts": [_poly_vertices(p) for p in dual.parts],
+            "parts": [sphere._cell_key(p) for p in dual.parts],
             "involution": self._involution_holds(),
         }
         iv = self.interior_vectors()
         stages["interior_vectors"] = {
-            "v": [[str(c) for c in vec.coords] for vec in iv.v],
-            "w": [[str(c) for c in vec.coords] for vec in iv.w],
+            "v": [sphere._point_key(vec) for vec in iv.v],
+            "w": [sphere._point_key(vec) for vec in iv.w],
             "sign_pattern": _sign_pattern_holds(iv) if irr else None,
         }
         stages["subdivisions"] = {
@@ -381,7 +381,7 @@ class Pipeline:
         return {
             "dim": self.nef.ambient,
             "r": self.nef.r,
-            "parts": [_poly_vertices(p) for p in self.nef.parts],
+            "parts": [sphere._cell_key(p) for p in self.nef.parts],
             "omega": _weight_description(self.omega_spec),
             "nu": _weight_description(self.nu_spec),
         }
@@ -413,10 +413,6 @@ def _weight_description(spec):
     if isinstance(spec, WeightFunction):
         return spec.preset or "table"
     return [[list(pt), str(Fraction(v))] for pt, v in spec]
-
-
-def _poly_vertices(p):
-    return [[str(x) for x in v] for v in p.vertices]
 
 
 def _sign_pattern_holds(iv):

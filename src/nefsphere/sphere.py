@@ -187,7 +187,7 @@ class _Supports:
                     "slice lemma (ii): the other-side supports do not sum "
                     "to one at a cell vertex",
                     {"vertex": _point_key(v),
-                     "psi": [str(x) for x in values]})
+                     "psi": _point_key(values)})
             for i, value in enumerate(values):
                 if value == 1 and not self.parts[i].contains(v):
                     raise FalsificationError(
@@ -469,8 +469,8 @@ class SigmaComplex:
                     if dot(m, x) != self.r:
                         raise FalsificationError(
                             "product cell vertex violates the pairing-level "
-                            "equation", {"m": [str(c) for c in m],
-                                         "n": [str(c) for c in x],
+                            "equation", {"m": _point_key(m),
+                                         "n": _point_key(x),
                                          "expected": self.r,
                                          "got": str(dot(m, x))})
 

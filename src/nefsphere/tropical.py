@@ -16,8 +16,9 @@ from .polytope import (
     convex_hull,
     intersect,
     minkowski_sum_all,
+    opposite_role,
 )
-from .sphere import containment_order
+from .sphere import _cell_key, _point_key, containment_order
 from .subdivision import lower_hull_subdivision
 
 
@@ -57,7 +58,7 @@ def tropical_cell(cone_cell, weight, support):
         row = clear_denominators((c,) + u)
         if any(row):
             ineqs.append(row)
-    poly = Polyhedron.from_hrep(eqs, ineqs, _dual_role(support.role),
+    poly = Polyhedron.from_hrep(eqs, ineqs, opposite_role(support.role),
                                 support.ambient)
     if poly is None:
         raise GeometryError("not a lower-hull cell for these weights")
@@ -84,10 +85,6 @@ class TropicalCells:
         return self._memo[key]
 
 
-def _dual_role(role):
-    return "N" if role == "M" else "M"
-
-
 def amoeba(subdivision, tropical_cells):
     """All dual cells of positive-dimension subdivision cells.
 
@@ -110,7 +107,7 @@ def tropical_zero_cell(support, weight):
         row = clear_denominators((weight(m),) + tuple(-x for x in m))
         rows.append(row)
     from .polytope import polytope_from_hrep
-    return polytope_from_hrep([], rows, _dual_role(support.role),
+    return polytope_from_hrep([], rows, opposite_role(support.role),
                               support.ambient)
 
 
@@ -144,7 +141,7 @@ def bounded_tropical_complex(p_poset, boundary, ambient_dim, tropical_cells):
         if not tc.bounded:
             raise FalsificationError(
                 "tropical cell of a transversal cell is unbounded",
-                {"cell": [[str(x) for x in v] for v in e.cell.vertices],
+                {"cell": _cell_key(e.cell),
                  "rays": [list(r) for r in tc.poly.rays],
                  "lineality": [list(l) for l in tc.poly.lineality]})
         if tc.dim() != ambient_dim - coned.dim:
@@ -309,13 +306,13 @@ def scene_export(cells, project=None):
     projected to chosen coordinate indices."""
     def proj(vec):
         if project is None:
-            return [str(x) for x in vec]
+            return _point_key(vec)
         return [str(vec[i]) for i in project]
 
     out = []
     for t in sorted(cells, key=lambda c: c.generator.key()):
         out.append({
-            "generator": [[str(x) for x in v] for v in t.generator.vertices],
+            "generator": _cell_key(t.generator),
             "vertices": [proj(v) for v in t.poly.vertices],
             "rays": [proj(r) for r in t.poly.rays],
             "lineality": [proj(l) for l in t.poly.lineality],
