@@ -7,18 +7,22 @@ import os
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nefsphere import Pipeline
 from nefsphere.cli import load_input
-from nefsphere.dd import cone_rays
+from nefsphere.dd import _inverse_columns, cone_rays
 from nefsphere.linalg import (
     clear_denominators,
     det,
     dot,
+    echelon,
     exact,
+    hermite_normal_form,
     kernel_basis,
     primitive,
+    reduce_row,
+    reduced_echelon,
     row_rank,
     saturated_perp_basis,
     solve_rational,
@@ -26,6 +30,7 @@ from nefsphere.linalg import (
 from nefsphere.polytope import (
     _canonical_facets,
     _extreme_points,
+    _reduce_mod_equations,
     as_fractions,
     convex_hull,
     polyhedron_generators,
@@ -143,6 +148,93 @@ def test_fraction_free_solve_matches_fraction_elimination(rows, data):
     assert x == reference_solve(rows, b)
     if x is not None:
         assert all(type(c) is int or c.denominator > 1 for c in x)
+
+
+def reference_rref(rows):
+    """Reduced row echelon form over Fraction: (pivot columns, rows)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        m[row] = [x / m[row][col] for x in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+        pivots.append(col)
+    return pivots, m[:len(pivots)]
+
+
+@given(rational_matrices())
+@settings(max_examples=200, deadline=None)
+def test_echelon_pivots_and_taken_rows(rows):
+    rows = [clear_denominators(r) for r in rows]
+    pairs, taken = echelon(rows)
+    pivots, rref = reference_rref(rows)
+    assert sorted(c for c, _ in pairs) == pivots
+    # The taken rows are the first rows that raise the rank.
+    want = [i for i in range(len(rows))
+            if reference_rank(rows[:i + 1]) > reference_rank(rows[:i])]
+    assert taken == want
+    # After the back pass each row is a multiple of its RREF row.
+    by_pivot = dict(zip(pivots, rref))
+    for c, e in reduced_echelon(rows):
+        assert [Fraction(x, e[c]) for x in e] == by_pivot[c]
+
+
+@given(rational_matrices(square=True))
+@settings(max_examples=200, deadline=None)
+def test_inverse_columns_are_positive_multiples(rows):
+    base = [clear_denominators(r) for r in rows]
+    assume(reference_rank(base) == len(base))
+    n = len(base)
+    _, inv = reference_rref([tuple(r) + tuple(int(i == j) for j in range(n))
+                             for i, r in enumerate(base)])
+    for j, v in enumerate(_inverse_columns(base)):
+        col = [inv[i][n + j] for i in range(n)]
+        c = next(i for i, x in enumerate(col) if x)
+        t = Fraction(v[c]) / col[c]
+        assert t > 0 and all(x == t * y for x, y in zip(v, col))
+
+
+def reference_reduce_mod_equations(row, eqs):
+    """Clear each HNF pivot column of the row over Fraction, then scale to
+    a primitive integer row by a positive factor."""
+    w = [Fraction(x) for x in row]
+    for e in eqs:
+        c = next(j for j, x in enumerate(e) if x)
+        f = w[c] / e[c]
+        w = [a - f * b for a, b in zip(w, e)]
+    return clear_denominators(w)
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_reduce_mod_equations_matches_fraction_reduction(n, data):
+    small = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    raw = data.draw(st.lists(small, max_size=n))
+    eqs = hermite_normal_form(raw)
+    row = tuple(data.draw(small))
+    got = _reduce_mod_equations(row, eqs)
+    assert got == reference_reduce_mod_equations(row, eqs)
+    # On the solutions of the equations a reduced row is a positive multiple
+    # of the row, also against the echelon of the raw rows, whose pivots
+    # can be negative: it keeps the row's side.
+    kernel = kernel_basis(eqs, n)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(kernel),
+                                max_size=len(kernel)))
+    x = [sum(a * k[j] for a, k in zip(coeffs, kernel)) for j in range(n)]
+    for w in (got, reduce_row(row, echelon(raw)[0])):
+        assert _sign(dot(w, x)) == _sign(dot(row, x))
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
 
 
 def test_exact_normaliser():
