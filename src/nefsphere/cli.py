@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import isfinite
 
 from .errors import FalsificationError
 from .nef import NefPartition, NefPartitionError
@@ -90,7 +91,8 @@ def load_input(path, omega_override=None, nu_override=None):
                 raise ValueError(f"bad {name} table entry {json.dumps(entry)}: "
                                  "need a [point, value] pair")
             pt = entry[0]
-            if not isinstance(pt, list) or any(isinstance(c, bool) for c in pt):
+            if not isinstance(pt, list) or not all(
+                    _is_int(c) or type(c) is float and isfinite(c) for c in pt):
                 raise ValueError(f"bad weight table point {json.dumps(pt)}")
         return [(tuple(pt), _parse_rational(v)) for pt, v in table]
 

@@ -192,6 +192,12 @@ def test_malformed_values_exit_2(tmp_path, data, message):
     ({"dim": 1, "parts": SEGMENT, "omega": 5},
      "bad omega 5: need all_ones, a weight file or a table of "
      "[point, value] pairs"),
+    ({"dim": 1, "parts": SEGMENT, "nu": {"table": [[["a"], 1]]}},
+     'bad weight table point ["a"]'),
+    ({"dim": 1, "parts": SEGMENT, "nu": {"table": [[[{}], 1]]}},
+     "bad weight table point [{}]"),
+    ({"dim": 1, "parts": SEGMENT, "nu": {"table": [[[float("inf")], 1]]}},
+     "bad weight table point [Infinity]"),
 ])
 def test_malformed_structure_exit_2(tmp_path, data, message):
     # A wrong JSON shape is named by its field, not by Python's own error.
