@@ -191,8 +191,8 @@ def boundary_subdivision(subdivision):
     support = subdivision.support
     side = "S" if support.role == "M" else "T"
     if not subdivision.is_central():
-        raise GeometryError("subdivision not central ("
-                            + ("omega" if side == "S" else "nu") + ")")
+        weight = "omega" if side == "S" else "nu"
+        raise GeometryError(f"subdivision not central ({weight})")
     origin = (0,) * support.ambient
     boundary_cells = []
     for c in subdivision.maximal_cells:
