@@ -132,12 +132,9 @@ def reduced_echelon(rows):
     earlier rows: the row with pivot c is a multiple of that row of the
     reduced row echelon form (fraction-free Gauss-Jordan)."""
     pairs, _ = echelon(rows)
-    # Row k vanishes on every earlier pivot, so clearing its pivot from an
-    # earlier row keeps that row's cleared columns clear.
-    for k in range(1, len(pairs)):
-        for i in range(k):
-            pairs[i] = (pairs[i][0], reduce_row(pairs[i][1], [pairs[k]]))
-    return pairs
+    # A row vanishes on every earlier pivot, so reducing a row against the
+    # rows after it clears their pivots and leaves its own.
+    return [(c, reduce_row(e, pairs[i + 1:])) for i, (c, e) in enumerate(pairs)]
 
 
 def row_rank(rows):
