@@ -94,6 +94,9 @@ def load_input(path, omega_override=None, nu_override=None):
             if not isinstance(pt, list) or not all(
                     _is_int(c) or type(c) is float and isfinite(c) for c in pt):
                 raise ValueError(f"bad weight table point {json.dumps(pt)}")
+            if len(pt) != dim:
+                raise ValueError(f"bad weight table point {json.dumps(pt)}: "
+                                 f"need {dim} coordinates")
         return [(tuple(pt), _parse_rational(v)) for pt, v in table]
 
     omega = weight_spec("omega", data.get("omega"), omega_override)

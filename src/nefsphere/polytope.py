@@ -35,6 +35,15 @@ are the saturated kernel of the homogenized vertices, and the facets are
 the given rows whose tight sets are the inclusion-maximal proper ones,
 reduced modulo those equations.  That is field for field the polytope
 :func:`convex_hull` would build, and it is interned under the same key.
+
+A Minkowski sum is built by :func:`minkowski_sum` as the V->H hull of every
+sum of vertices, but a claimed sum p is checked with no hull at all
+(:func:`is_minkowski_sum`).  The support function of a sum is the sum of
+the summands' support functions, so the sum lies in p iff p's equations
+hold at the summed minima and maxima and its facet rows at the summed
+minima; and p lies in the sum iff, for each vertex w, the summed minima of
+g_w (the sum of the normals of the facets tight at w, which p attains only
+at w) equal g_w.w.
 """
 
 from dataclasses import dataclass
@@ -180,7 +189,7 @@ class Polytope:
         """
         if self._faces is not None:
             return self._faces
-        tight = self._facet_masks()
+        tight = self.facet_masks()
         full = (1 << len(self.vertices)) - 1
         faces = {full}
         frontier = [full]
@@ -205,7 +214,7 @@ class Polytope:
                        for g, d in dims.items()}
         return self._faces
 
-    def _facet_masks(self):
+    def facet_masks(self):
         """Per facet row, the bitmask of the vertices tight on it."""
         if self._tight is None:
             hverts = [(1,) + v for v in self.vertices]
@@ -225,7 +234,7 @@ class Polytope:
         nonempty set equal to the meet of the facet masks containing it."""
         mask = sum(1 << i for i in set(vset))
         closure = (1 << len(self.vertices)) - 1
-        for m in self._facet_masks():
+        for m in self.facet_masks():
             if m & mask == mask:
                 closure &= m
         return mask != 0 and closure == mask
@@ -251,7 +260,7 @@ class Polytope:
         return _polytope_from_rows(
             self.role, self.ambient, verts,
             [clear_denominators((1,) + v) for v in verts], self.facets,
-            [m & mask for m in self._facet_masks()], mask)
+            [m & mask for m in self.facet_masks()], mask)
 
     def face_keys(self, proper=False):
         """The set of ``face_polytope(fs).key()`` over all faces (only the
@@ -627,6 +636,46 @@ def minkowski_sum_all(polys):
     for q in polys[1:]:
         out = minkowski_sum(out, q)
     return out
+
+
+def is_minkowski_sum(p, summands):
+    """Whether p is the Minkowski sum S of the polytopes `summands`, decided
+    from support functions, with no hull of the sums.
+
+    The minimum of a linear form g over S is the sum of its minima over the
+    summands, attained at the sum of their minimizers.  S lies in p iff at
+    those summed minima and maxima every equation of p holds with equality
+    and at the summed minima every facet row of p holds.  Then p lies in S
+    iff every vertex w of p does: with g_w the sum of the normals of the
+    facets tight at w, w is the unique minimizer of g_w over p (it is the
+    face where all those facets are tight), so S, inside p, reaches the
+    value g_w.w only at w.
+    """
+    for q in summands:
+        if q.ambient != p.ambient or q.role != p.role:
+            raise GeometryError("incompatible polytopes")
+
+    def summed_min(u):
+        return sum(min(dot(u, v) for v in q.vertices) for q in summands)
+
+    def summed_max(u):
+        return sum(max(dot(u, v) for v in q.vertices) for q in summands)
+
+    for e in p.equations:
+        u = e[1:]
+        if e[0] + summed_min(u) != 0 or e[0] + summed_max(u) != 0:
+            return False
+    if any(f[0] + summed_min(f[1:]) < 0 for f in p.facets):
+        return False
+    masks = p.facet_masks()
+    for k, w in enumerate(p.vertices):
+        g = [0] * p.ambient
+        for f, m in zip(p.facets, masks):
+            if m >> k & 1:
+                g = [a + b for a, b in zip(g, f[1:])]
+        if summed_min(g) != dot(g, w):
+            return False
+    return True
 
 
 def dilate(p, k):

@@ -34,6 +34,16 @@ psi_i(v) = 1 by (ii).  Conversely psi_i <= 1 on the cell by (ii) and
 (iii), so {psi_i = 1} is a face of the cell, and by (iv) it lies in
 part_i.  All four conditions are checked on every run
 (:func:`compute_slices`).
+
+Minkowski cells take one double description per maximal transversal cell
+C: M(C) = r*C & delta, by H->V.  Every other transversal cell C' is checked
+to be a face of the lowest-index maximal C above it, so C' is C cut by the
+facet rows (f0, u) of C tight on C', and r*C' & delta = M(C) & r*C' is the
+face of M(C) on its vertices w with r*f0 + u.w = 0 for all those rows:
+each row is valid on M(C), which lies in r*C, so that vertex set is a face.
+On every transversal cell the sum of the slices is then certified equal by
+support functions (:func:`polytope.is_minkowski_sum`), with no hull of the
+sums.
 """
 
 from fractions import Fraction
@@ -41,7 +51,8 @@ from fractions import Fraction
 from .errors import FalsificationError
 from .homology import cellular_homology
 from .linalg import dot, smith_normal_form
-from .polytope import convex_hull, dilate, intersect, minkowski_sum_all
+from .polytope import (convex_hull, dilate, intersect, is_minkowski_sum,
+                       minkowski_sum_all)
 
 
 class TransversalCell:
@@ -223,47 +234,93 @@ def transversal_poset(subdivision, parts, other_parts, delta):
 
     `other_parts` are the other side's parts, whose support functions
     certify the slices (:func:`compute_slices`).  Also verifies the
-    upper-order-ideal property and the two Minkowski cell formulas (sum of
-    slices vs r*cell intersected with the sum polytope `delta`).
+    upper-order-ideal property and, on every transversal cell, the two
+    Minkowski cell formulas: r*cell intersected with the sum polytope
+    `delta` is the sum of the slices (:func:`_minkowski_cells`).
     """
     r = len(parts)
     slices_by_cell = compute_slices(subdivision, parts, other_parts)
-    elements = []
-    transversal = set()
-    for cell in subdivision.cells:
-        slices = slices_by_cell[cell]
-        index_set = frozenset(i for i, s in enumerate(slices) if s is not None)
-        if len(index_set) != r:
-            continue
-        mink = minkowski_cell(slices, cell, r, delta)
-        elements.append(TransversalCell(cell, slices, index_set, mink))
-        transversal.add(cell)
-    # Upper order ideal: any cell above a transversal cell is transversal.
     cells = subdivision.cells
+    transversal = sum(
+        1 << k for k, c in enumerate(cells)
+        if all(s is not None for s in slices_by_cell[c]))
     above, _ = _inclusion_masks(subdivision.vertex_masks)
-    outside = sum(1 << k for k, c in enumerate(cells) if c not in transversal)
-    for k, cell in enumerate(cells):
-        bad = above[k] & outside
-        if cell in transversal and bad:
-            other = cells[(bad & -bad).bit_length() - 1]
+    # Upper order ideal: any cell above a transversal cell is transversal.
+    for k in _bits(transversal):
+        bad = above[k] & ~transversal
+        if bad:
             raise FalsificationError(
                 "transversal cells do not form an upper order ideal",
-                {"cell": _cell_key(cell), "superface": _cell_key(other)})
+                {"cell": _cell_key(cells[k]),
+                 "superface": _cell_key(cells[(bad & -bad).bit_length() - 1])})
+    minkowski = _minkowski_cells(cells, slices_by_cell, transversal, above,
+                                 r, delta)
+    elements = [TransversalCell(cells[k], slices_by_cell[cells[k]],
+                                frozenset(range(r)), minkowski[k])
+                for k in _bits(transversal)]
     elements.sort(key=lambda e: e.cell.key())
     return TransversalPoset(subdivision, parts, elements, slices_by_cell)
 
 
-def minkowski_cell(slices, cell, r, delta):
-    """Sum of the slices; cross-checked against r*cell intersected with delta."""
-    mink = minkowski_sum_all(list(slices))
-    other = intersect(dilate(cell, r), delta)
-    if other != mink:
+def _minkowski_cells(cells, slices_by_cell, transversal, above, r, delta):
+    """Cell index -> Minkowski cell r*cell & delta of every transversal cell
+    (the mask `transversal`), each certified to be the sum of its slices.
+
+    One double description runs per maximal transversal cell C.  Every other
+    transversal cell C' lies under C, the lowest-index maximal one above it,
+    as a face, so C' is C cut by the facet rows of C tight on C'; hence
+    r*C' & delta = (r*C & delta) & r*C' is the face of M(C) on its vertices
+    w where every such row (f0, u) has r*f0 + u.w = 0.  The sum of the
+    slices is compared by :func:`polytope.is_minkowski_sum`.
+    """
+    maximal = [k for k in _bits(transversal)
+               if above[k] & transversal == 1 << k]
+    maximal_mask = sum(1 << k for k in maximal)
+    out = {}
+    # Per maximal cell: its vertex positions and, per facet row of C, the
+    # mask of the vertices of M(C) tight on that row at scale r.
+    cut = {}
+    for k in maximal:
+        cell = cells[k]
+        mink = intersect(dilate(cell, r), delta)
+        _certify_minkowski(cell, slices_by_cell[cell], mink)
+        out[k] = mink
+        cut[k] = ({v: i for i, v in enumerate(cell.vertices)},
+                  [sum(1 << i for i, w in enumerate(mink.vertices)
+                       if r * f[0] + dot(f[1:], w) == 0)
+                   for f in cell.facets])
+    for k in _bits(transversal & ~maximal_mask):
+        sub = cells[k]
+        over = above[k] & maximal_mask
+        m = (over & -over).bit_length() - 1
+        cell = cells[m]
+        position, rows = cut[m]
+        face = [position[v] for v in sub.vertices]
+        if not cell.is_face(face):
+            raise FalsificationError(
+                "transversal cell is not a face of the maximal transversal "
+                "cell above it",
+                {"cell": _cell_key(sub), "maximal_cell": _cell_key(cell)})
+        face_mask = sum(1 << i for i in face)
+        keep = (1 << len(out[m].vertices)) - 1
+        for f_mask, row in zip(cell.facet_masks(), rows):
+            if f_mask & face_mask == face_mask:
+                keep &= row
+        mink = out[m].face_polytope(_bits(keep)) if keep else None
+        _certify_minkowski(sub, slices_by_cell[sub], mink)
+        out[k] = mink
+    return out
+
+
+def _certify_minkowski(cell, slices, mink):
+    """Raise unless `mink`, r*cell intersected with delta, is the sum of
+    the slices."""
+    if mink is None or not is_minkowski_sum(mink, slices):
         raise FalsificationError(
             "Minkowski cell differs from r*cell intersected with the sum",
             {"cell": _cell_key(cell),
-             "sum_of_slices": _cell_key(mink),
-             "dilated_intersection": _cell_key(other) if other else None})
-    return mink
+             "sum_of_slices": _cell_key(minkowski_sum_all(list(slices))),
+             "dilated_intersection": _cell_key(mink) if mink else None})
 
 
 def _cell_key(poly):
@@ -309,29 +366,24 @@ def minkowski_complex(poset, delta, r, parts_hull):
     checks["order_isomorphism"] = order_ok
     checks["face_lattices_match"] = face_ok
     # Support: every Minkowski cell lies on the boundary of r*nabla_vee ...
+    # tight[c] is the mask of the facets of r*nabla_vee that cell c lies on.
     scaled = dilate(parts_hull, r)
-    on_boundary = True
-    for mk in cells:
-        tight = False
-        for f in scaled.facets:
-            if all(dot(f, (1,) + v) == 0 for v in mk.vertices):
-                tight = True
-                break
-        if not tight or not all(delta.contains(v) for v in mk.vertices):
-            on_boundary = False
-    checks["cells_on_dilated_boundary"] = on_boundary
+    tight = [sum(1 << t for t, f in enumerate(scaled.facets)
+                 if all(dot(f, (1,) + v) == 0 for v in mk.vertices))
+             for mk in cells]
+    checks["cells_on_dilated_boundary"] = all(
+        t and all(delta.contains(v) for v in mk.vertices)
+        for mk, t in zip(cells, tight))
     # ... and the cells cover it: per facet of r*nabla_vee, exact volumes.
     cover_ok = True
-    for f in scaled.facets:
+    for t, f in enumerate(scaled.facets):
         region = intersect(_facet_slab(scaled, f), delta)
+        on_facet = [mk for mk, m in zip(cells, tight) if m >> t & 1]
         if region is None:
-            if any(all(dot(f, (1,) + v) == 0 for v in mk.vertices)
-                   for mk in cells):
+            if on_facet:
                 cover_ok = False
             continue
-        members = [mk for mk in cells
-                   if all(dot(f, (1,) + v) == 0 for v in mk.vertices)
-                   and mk.dim == region.dim]
+        members = [mk for mk in on_facet if mk.dim == region.dim]
         if region.dim == 0:
             if region not in members:
                 cover_ok = False

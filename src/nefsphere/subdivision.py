@@ -190,8 +190,8 @@ def boundary_subdivision(subdivision):
     """
     support = subdivision.support
     side = "S" if support.role == "M" else "T"
+    weight = "omega" if side == "S" else "nu"
     if not subdivision.is_central():
-        weight = "omega" if side == "S" else "nu"
         raise GeometryError(f"subdivision not central ({weight})")
     origin = (0,) * support.ambient
     boundary_cells = []
@@ -201,7 +201,7 @@ def boundary_subdivision(subdivision):
         # and c = conv(B + {0}) gives dim c <= dim B + 1.
         base = [i for i, v in enumerate(c.vertices) if v != origin]
         if len(base) == len(c.vertices) or not c.is_face(base):
-            raise GeometryError(
-                "subdivision is not a cone with apex 0 over the boundary")
+            raise GeometryError("subdivision is not a cone with apex 0 over "
+                                f"the boundary ({weight})")
         boundary_cells.append(c.face_polytope(base))
     return BoundarySubdivision(subdivision, side, boundary_cells)

@@ -198,6 +198,9 @@ def test_malformed_values_exit_2(tmp_path, data, message):
      "bad weight table point [{}]"),
     ({"dim": 1, "parts": SEGMENT, "nu": {"table": [[[float("inf")], 1]]}},
      "bad weight table point [Infinity]"),
+    ({"dim": 1, "parts": SEGMENT,
+      "omega": {"table": [[[-1, 0], 1], [[0], 0], [[1], 1]]}},
+     "bad weight table point [-1, 0]: need 1 coordinates"),
 ])
 def test_malformed_structure_exit_2(tmp_path, data, message):
     # A wrong JSON shape is named by its field, not by Python's own error.
@@ -236,3 +239,16 @@ def test_report_rejects_non_central_weight(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "input rejected: subdivision not central (omega)\n"
+
+
+def test_report_rejects_a_weight_that_is_no_pyramid(tmp_path):
+    # The affine omega = x_0 leaves the segment one cell, which has the
+    # origin inside, not as a vertex: the message names the weight.
+    bad = tmp_path / "affine.json"
+    bad.write_text(json.dumps({
+        "dim": 1, "parts": SEGMENT,
+        "omega": {"table": [[[-1], -1], [[0], 0], [[1], 1]]}}))
+    proc = run_cli("report", str(bad))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "(omega)" in proc.stderr

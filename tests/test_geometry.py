@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +13,10 @@ from nefsphere.polytope import (
     convex_hull,
     dilate,
     intersect,
+    is_minkowski_sum,
     is_reflexive,
     minkowski_sum,
+    minkowski_sum_all,
     pair,
     polar_dual,
 )
@@ -487,3 +489,56 @@ def test_face_lattice_grade_must_match_the_dimension():
     with pytest.raises(GeometryError, match="grade"):
         wrong.face_sets()
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 3), st.data())
+def test_is_minkowski_sum_agrees_with_the_hull_of_the_sums(d, k, data):
+    # Oracle: minkowski_sum_all, the V->H hull of every sum of vertices.
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+    summands = [convex_hull(data.draw(st.lists(point, min_size=1,
+                                               max_size=4)), ROLE_M)
+                for _ in range(k)]
+    total = minkowski_sum_all(summands)
+
+    def agrees(p, parts):
+        got = is_minkowski_sum(p, parts)
+        assert got == (p == minkowski_sum_all(parts))
+        return got
+
+    assert agrees(total, summands)
+    # p with a vertex dropped.
+    if len(total.vertices) > 1:
+        drop = data.draw(st.integers(0, len(total.vertices) - 1))
+        rest = total.vertices[:drop] + total.vertices[drop + 1:]
+        assert not agrees(convex_hull(rest, ROLE_M, d), summands)
+    # One summand shifted by a nonzero lattice vector.
+    shift = data.draw(point.filter(any))
+    j = data.draw(st.integers(0, k - 1))
+    moved = list(summands)
+    moved[j] = convex_hull([tuple(a + b for a, b in zip(v, shift))
+                            for v in summands[j].vertices], ROLE_M)
+    assert not agrees(total, moved)
+    # One summand grown by a point or shrunk to one of its vertices: p is
+    # then strictly larger or smaller than the sum.
+    extra = data.draw(point)
+    grown = list(summands)
+    grown[j] = convex_hull(summands[j].vertices + (extra,), ROLE_M)
+    agrees(total, grown)
+    shrunk = list(summands)
+    shrunk[j] = summands[j].face_polytope([0])
+    agrees(total, shrunk)
+    # p the hull of a proper subset of the sums.
+    sums = sorted({tuple(map(sum, zip(*vs)))
+                   for vs in product(*(q.vertices for q in summands))})
+    if len(sums) > 1:
+        subset = data.draw(st.lists(st.sampled_from(sums), min_size=1,
+                                    max_size=len(sums) - 1, unique=True))
+        agrees(convex_hull(subset, ROLE_M, d), summands)
+
+
+def test_is_minkowski_sum_rejects_other_roles():
+    square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)], ROLE_M)
+    seg = convex_hull([(0, 0), (1, 0)], ROLE_N)
+    with pytest.raises(GeometryError, match="incompatible"):
+        is_minkowski_sum(square, [seg, seg])

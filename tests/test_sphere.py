@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -6,7 +7,8 @@ from nefsphere import Pipeline, sphere
 from nefsphere.cli import load_input
 from nefsphere.errors import FalsificationError
 from nefsphere.homology import order_complex_homology
-from nefsphere.polytope import as_fractions, convex_hull, dilate, intersect
+from nefsphere.polytope import (as_fractions, convex_hull, dilate, intersect,
+                                minkowski_sum_all)
 from nefsphere.sphere import projection_images
 from test_cli import path
 from test_order_masks import sigma_successors
@@ -59,13 +61,82 @@ def test_minimal_transversal_cell_slices_are_points(pentagon_pipe):
             assert s.dim == 0
 
 
-def test_minkowski_formula_cross_check(prism_pair_pipe):
-    # sum of slices == r*cell intersected with the sum polytope
-    poset = prism_pair_pipe.p_poset()
-    nef = prism_pair_pipe.nef
-    for e in poset.elements[:20]:
-        direct = intersect(dilate(e.cell, nef.r), nef.sum_polytope)
-        assert direct == e.minkowski
+@pytest.mark.parametrize("name", ["pentagon_pair", "prism_pair_5d",
+                                  "prism_pair_5d_kinked"])
+def test_minkowski_cells_equal_both_old_routes(name):
+    # Oracles, on every transversal cell of both sides: the V->H hull of
+    # every sum of slice vertices, and the H->V intersection of r*cell with
+    # the sum polytope.
+    pipe = _data_pipeline(name)
+    for poset, nef in ((pipe.p_poset(), pipe.nef),
+                       (pipe.q_poset(), pipe.dual())):
+        for e in poset.elements:
+            summed = minkowski_sum_all(list(e.slices))
+            direct = intersect(dilate(e.cell, nef.r), nef.sum_polytope)
+            for oracle in (summed, direct):
+                assert e.minkowski.key() == oracle.key()
+                assert e.minkowski.equations == oracle.equations
+                assert e.minkowski.facets == oracle.facets
+
+
+def _corrupt_one_slice(monkeypatch, target):
+    """Make compute_slices replace a slice of the cell `target` that has
+    two or more vertices by its first vertex."""
+    real = sphere.compute_slices
+
+    def corrupted(subdivision, parts, other_parts):
+        out = real(subdivision, parts, other_parts)
+        if target in out:
+            slices = list(out[target])
+            i = next(i for i, s in enumerate(slices) if len(s.vertices) > 1)
+            slices[i] = slices[i].face_polytope([0])
+            out[target] = tuple(slices)
+        return out
+
+    monkeypatch.setattr(sphere, "compute_slices", corrupted)
+
+
+@pytest.mark.parametrize("maximal", [True, False])
+def test_a_corrupted_slice_falsifies_the_minkowski_cell(monkeypatch, capsys,
+                                                        maximal):
+    # The sum of the slices no longer equals r*cell intersected with the
+    # sum polytope, on a maximal transversal cell (read by H->V) and on a
+    # non-maximal one (read as a face of its maximal cell's).
+    from nefsphere import cli
+    poset = _data_pipeline("prism_pair_5d").p_poset()
+    target = next(
+        e.cell for i, e in enumerate(poset.elements)
+        if (poset.above(i) == [i]) == maximal
+        and any(len(s.vertices) > 1 for s in e.slices))
+    _corrupt_one_slice(monkeypatch, target)
+    assert cli.main(["report", path("prism_pair_5d.json")]) == 3
+    out = json.loads(capsys.readouterr().out)["falsified"]
+    assert out["claim"] == ("Minkowski cell differs from r*cell intersected "
+                            "with the sum")
+    cert = out["certificate"]
+    assert cert["cell"] == sphere._cell_key(target)
+    assert cert["dilated_intersection"] != cert["sum_of_slices"]
+
+
+def test_a_transversal_cell_that_is_no_face_of_its_maximal_cell_is_refused():
+    # r = 1 on the cube: a square facet and its diagonal, whose vertices lie
+    # on the square but which is not a face of it.
+    from conftest import make_pipeline
+    cube = [(a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+    pipe = make_pipeline([cube])
+    square = convex_hull([v for v in cube if v[0] == 1], "M")
+    diagonal = convex_hull([(1, 1, 1), (1, -1, -1)], "M")
+    cells = [diagonal, square]
+    masks = [sum(1 << cube.index(v) for v in c.vertices) for c in cells]
+    with pytest.raises(FalsificationError) as err:
+        sphere.transversal_poset(
+            SimpleNamespace(cells=cells, vertex_masks=masks),
+            list(pipe.nef.parts), list(pipe.dual().parts),
+            pipe.nef.sum_polytope)
+    assert err.value.claim == ("transversal cell is not a face of the "
+                               "maximal transversal cell above it")
+    assert err.value.certificate == {"cell": sphere._cell_key(diagonal),
+                                     "maximal_cell": sphere._cell_key(square)}
 
 
 def test_adjoint_pairs_triangle(triangle_pipe):

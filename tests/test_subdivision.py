@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from nefsphere.linalg import dot, row_rank, clear_denominators, kernel_basis
-from nefsphere.polytope import GeometryError, ROLE_M, convex_hull
+from nefsphere.polytope import GeometryError, ROLE_M, ROLE_N, convex_hull
 from nefsphere.subdivision import (
     ConedSubdivision,
     WeightFunction,
@@ -135,13 +135,17 @@ def test_affine_weight_gives_trivial_subdivision_and_is_rejected():
 def test_boundary_rejects_coned_cells_that_are_not_pyramids_over_it():
     # The unit square has the origin as a vertex, but its other three
     # vertices are not a face; the segment [-1, 1] misses the origin as a
-    # vertex.  Both are refused with one message.
-    for pts in ([(0, 0), (1, 0), (0, 1), (1, 1)], [(-1,), (1,)]):
-        cell = convex_hull(pts, ROLE_M)
+    # vertex.  Both are refused with one message, which names the weight
+    # of the cell's side.
+    for pts, role, weight in (([(0, 0), (1, 0), (0, 1), (1, 1)], ROLE_M,
+                               "omega"),
+                              ([(-1,), (1,)], ROLE_M, "omega"),
+                              ([(-1,), (1,)], ROLE_N, "nu")):
+        cell = convex_hull(pts, role)
         sub = ConedSubdivision(cell, None, [cell], {})
         assert sub.is_central()
         with pytest.raises(GeometryError, match="^subdivision is not a cone "
-                           "with apex 0 over the boundary$"):
+                           rf"with apex 0 over the boundary \({weight}\)$"):
             boundary_subdivision(sub)
     # A triangle with apex 0 is the pyramid over its opposite edge.
     tri = convex_hull([(0, 0), (1, 0), (0, 1)], ROLE_M)
