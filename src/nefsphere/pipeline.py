@@ -242,10 +242,8 @@ class Pipeline:
     # -- verification suites ---------------------------------------------------------
 
     def lemma_suite(self):
-        failures = sphere.lemma_slice_suite(self.p_poset(),
-                                            list(self.dual().parts))
-        failures += sphere.lemma_slice_suite(self.q_poset(),
-                                             list(self.nef.parts))
+        failures = sphere.lemma_slice_suite(self.p_poset())
+        failures += sphere.lemma_slice_suite(self.q_poset())
         failures += sphere.minimal_cells_unimodular(self.p_poset())
         failures += sphere.minimal_cells_unimodular(self.q_poset())
         return failures
@@ -258,11 +256,10 @@ class Pipeline:
             tropical.bounded_amoeba_matches_zero_cell(self.amoeba(),
                                                       self.zero_cell())
         report["bounded_cells"] = tropical.bounded_cells_check(
-            list(self.nef.parts), self.part_subdivisions(),
-            self.s_boundary(), self.p_poset(), self.tropical_complex(),
-            self.tropical_cells())
+            self.part_subdivisions(), self.s_boundary(), self.p_poset(),
+            self.tropical_complex(), self.tropical_cells())
         report["mixed_subdivision"] = tropical.mixed_subdivision_check(
-            list(self.nef.parts), self.s_coned(), self.nef.sum_polytope)
+            self.s_boundary(), self.p_poset(), self.nef.sum_polytope)
         return report
 
     def triviality_suite(self):

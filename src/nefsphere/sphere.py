@@ -19,7 +19,7 @@ function of the other side's part j, psi_j(v) = max <v, x> over that part,
 and delta_ij the Kronecker delta.  The slice lemma: if
 
   (i)   psi_j(a) <= delta_ij at every vertex a of part i, and 0 lies in
-        every other-side part (so psi_j >= 0);
+        every part of both sides (so psi_j >= 0);
   (ii)  sum_j psi_j(v) = 1 at every vertex v of the cell;
   (iii) for each j one vertex of other-side part j attains psi_j at every
         vertex of the cell, so psi_j is affine on the cell;
@@ -35,6 +35,11 @@ psi_i(v) = 1 by (ii).  Conversely psi_i <= 1 on the cell by (ii) and
 part_i.  All four conditions are checked on every run
 (:func:`compute_slices`).
 
+Coned form: conv(0, cell) meets part_i in conv(0, S_i), S_i the slice, or
+in {0} when S_i is empty.  By (iii) psi_j is linear on the cone, so for
+x = t*c in part_i (c in the cell, t > 0) (i) gives psi_j(c) = 0 for j != i,
+and c lies in S_i as above; conversely 0 and S_i lie in part_i.
+
 Minkowski cells take one double description per maximal transversal cell
 C: M(C) = r*C & delta, by H->V.  Every other transversal cell C' is checked
 to be a face of the lowest-index maximal C above it, so C' is C cut by the
@@ -43,7 +48,8 @@ face of M(C) on its vertices w with r*f0 + u.w = 0 for all those rows:
 each row is valid on M(C), which lies in r*C, so that vertex set is a face.
 On every transversal cell the sum of the slices is then certified equal by
 support functions (:func:`polytope.is_minkowski_sum`), with no hull of the
-sums.
+sums.  The part of delta on each facet of r times the parts hull is a face
+of delta (:func:`facet_region`).
 """
 
 from fractions import Fraction
@@ -51,19 +57,17 @@ from fractions import Fraction
 from .errors import FalsificationError
 from .homology import cellular_homology
 from .linalg import dot, smith_normal_form
-from .polytope import (convex_hull, dilate, intersect, is_minkowski_sum,
-                       minkowski_sum_all)
+from .polytope import dilate, intersect, is_minkowski_sum, minkowski_sum_all
 
 
 class TransversalCell:
     """A subdivision cell together with its part slices and Minkowski cell."""
 
-    __slots__ = ("cell", "slices", "index_set", "minkowski")
+    __slots__ = ("cell", "slices", "minkowski")
 
-    def __init__(self, cell, slices, index_set, minkowski):
+    def __init__(self, cell, slices, minkowski):
         self.cell = cell
         self.slices = slices
-        self.index_set = index_set
         self.minkowski = minkowski
 
     def slice_vertex(self, i):
@@ -78,12 +82,14 @@ class TransversalPoset:
     """The transversal cells of a boundary subdivision, ordered by inclusion.
 
     `slices` maps every cell of the subdivision, transversal or not, to its
-    part slices (:func:`compute_slices`), for the checks that need them all.
+    part slices (:func:`compute_slices`), for the checks that need them all,
+    and `supports` their psi values (:class:`_Supports`).
     """
 
-    def __init__(self, subdivision, parts, elements, slices):
+    def __init__(self, subdivision, supports, elements, slices):
         self.subdivision = subdivision
-        self.parts = parts
+        self.supports = supports
+        self.parts = supports.parts
         self.elements = tuple(elements)
         self.slices = slices
         self._above, self._below = _inclusion_masks(
@@ -160,11 +166,11 @@ class _Supports:
         self.others = [q.vertices for q in other_parts]
         self._memo = {}
         origin = (0,) * parts[0].ambient
-        for j, q in enumerate(other_parts):
-            if not q.contains(origin):
-                raise FalsificationError(
-                    "slice lemma (i): an other-side part misses the origin",
-                    {"other_part": j})
+        for name, side in (("part", parts), ("other_part", other_parts)):
+            for j, q in enumerate(side):
+                if not q.contains(origin):
+                    raise FalsificationError(
+                        "slice lemma (i): a part misses the origin", {name: j})
         for i, part in enumerate(parts):
             for a in part.vertices:
                 values, _ = self._psi(a)
@@ -256,10 +262,11 @@ def transversal_poset(subdivision, parts, other_parts, delta):
     minkowski = _minkowski_cells(cells, slices_by_cell, transversal, above,
                                  r, delta)
     elements = [TransversalCell(cells[k], slices_by_cell[cells[k]],
-                                frozenset(range(r)), minkowski[k])
+                                minkowski[k])
                 for k in _bits(transversal)]
     elements.sort(key=lambda e: e.cell.key())
-    return TransversalPoset(subdivision, parts, elements, slices_by_cell)
+    return TransversalPoset(subdivision, _Supports(parts, other_parts),
+                            elements, slices_by_cell)
 
 
 def _minkowski_cells(cells, slices_by_cell, transversal, above, r, delta):
@@ -346,7 +353,8 @@ def minkowski_complex(poset, delta, r, parts_hull):
     Checks: the map cell -> Minkowski cell is injective and an order
     isomorphism onto a face-closed complex, and the support equals the
     intersection of delta with the boundary of the r-fold dilation of
-    nabla_vee (by exact volume bookkeeping facet by facet).
+    nabla_vee (by exact volume bookkeeping facet by facet, on the regions
+    of :func:`facet_region`).
     """
     checks = {}
     cells = [e.minkowski for e in poset.elements]
@@ -377,7 +385,7 @@ def minkowski_complex(poset, delta, r, parts_hull):
     # ... and the cells cover it: per facet of r*nabla_vee, exact volumes.
     cover_ok = True
     for t, f in enumerate(scaled.facets):
-        region = intersect(_facet_slab(scaled, f), delta)
+        region = facet_region(f, delta)
         on_facet = [mk for mk, m in zip(cells, tight) if m >> t & 1]
         if region is None:
             if on_facet:
@@ -429,10 +437,21 @@ def containment_order(cells):
     return out
 
 
-def _facet_slab(poly, facet_row):
-    """The facet of `poly` cut out by one of its facet rows, as a polytope."""
-    return poly.face_polytope([k for k, v in enumerate(poly.vertices)
-                               if dot(facet_row, (1,) + v) == 0])
+def facet_region(f, delta):
+    """delta & {f = 0} for a facet row f of r times the parts hull: the face
+    of delta on its vertices w with f.(1, w) = 0, or None.  A row negative
+    on delta is refused, so delta lies on the row's valid side and this
+    face is delta's meet with the facet."""
+    tight = []
+    for k, w in enumerate(delta.vertices):
+        value = dot(f, (1,) + w)
+        if value < 0:
+            raise FalsificationError(
+                "the sum polytope leaves r times the parts hull",
+                {"facet": _point_key(f), "vertex": _point_key(w)})
+        if value == 0:
+            tight.append(k)
+    return delta.face_polytope(tight) if tight else None
 
 
 def adjoint_pairs(p_poset, q_poset):
@@ -681,62 +700,47 @@ def projection_images(sigma):
     return report
 
 
-def lemma_slice_suite(poset, dual_parts):
+def lemma_slice_suite(poset):
     """The face/lattice-distance/unimodularity checks on every cell.
 
     For every cell of the poset's subdivision and index set I: Conv of the
-    I-slices is a face of the cell; complementary nonempty slices are at
-    lattice distance one (certified by the sum of the dual support
-    functions); minimal transversal cells are unimodular (r-1)-simplices.
-    The slices are the ones the poset was built from.
+    I-slices is a face of the cell (:meth:`Polytope.is_face` on their
+    vertices, which are cell vertices); complementary nonempty slices are
+    at lattice distance one (certified by the sum of the poset's psi
+    values); minimal transversal cells are unimodular (r-1)-simplices.  The
+    slices are the ones the poset was built from.
     """
     from itertools import combinations
     r = len(poset.parts)
     failures = []
     for cell in poset.subdivision.cells:
         slices = poset.slices[cell]
-        face_keys = None
+        position = {v: k for k, v in enumerate(cell.vertices)}
         for size in range(1, r + 1):
             for idxs in combinations(range(r), size):
-                chosen = [slices[i] for i in idxs if slices[i] is not None]
+                chosen = [v for i in idxs if slices[i] is not None
+                          for v in slices[i].vertices]
                 if not chosen:
                     continue
-                pts = [v for s in chosen for v in s.vertices]
-                sigma_i = convex_hull(pts, cell.role, cell.ambient)
-                if face_keys is None:
-                    face_keys = cell.face_keys()
-                if sigma_i.key() not in face_keys:
+                if not cell.is_face([position[v] for v in chosen]):
                     failures.append({"check": "slice_hull_is_face",
                                      "cell": _cell_key(cell),
                                      "index_set": list(idxs)})
-                comp = [i for i in range(r) if i not in idxs]
-                comp_chosen = [slices[i] for i in comp
-                               if slices[i] is not None]
-                if comp_chosen:
-                    if not _distance_one(sigma_i, comp_chosen, dual_parts,
-                                         idxs):
-                        failures.append({"check": "lattice_distance_one",
-                                         "cell": _cell_key(cell),
-                                         "index_set": list(idxs)})
+                comp = [v for i in range(r)
+                        if i not in idxs and slices[i] is not None
+                        for v in slices[i].vertices]
+                if comp and not _distance_one(poset.supports, idxs, chosen,
+                                              comp):
+                    failures.append({"check": "lattice_distance_one",
+                                     "cell": _cell_key(cell),
+                                     "index_set": list(idxs)})
     return failures
 
 
-def _distance_one(sigma_i, comp_slices, dual_parts, idxs):
-    """Sum of the dual supports over idxs is 1 on sigma_i, 0 on the others."""
-    def psi(point):
-        total = Fraction(0)
-        for i in idxs:
-            total += max(dot(point, x) for x in dual_parts[i].vertices)
-        return total
-
-    for v in sigma_i.vertices:
-        if psi(v) != 1:
-            return False
-    for s in comp_slices:
-        for v in s.vertices:
-            if psi(v) != 0:
-                return False
-    return True
+def _distance_one(supports, idxs, chosen, comp):
+    """The sum of psi_i over idxs is 1 at `chosen` and 0 at `comp`."""
+    psi = [sum(supports.at(v)[0][i] for i in idxs) for v in chosen + comp]
+    return psi == [1] * len(chosen) + [0] * len(comp)
 
 
 def minimal_cells_unimodular(poset):

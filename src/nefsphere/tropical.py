@@ -4,6 +4,8 @@ A cell of the lifted lower hull determines the locus where its lattice
 points simultaneously realize the maximum of <m, y> - w(m); cells of
 positive dimension assemble into the amoeba.  The bounded subcomplex indexed
 by the coned transversal cells is the tropical model of the dual sphere.
+A sliced cone is read as the cone over the poset's slice (the coned slice
+lemma of :mod:`nefsphere.sphere`), with no intersection.
 """
 
 from fractions import Fraction
@@ -13,7 +15,6 @@ from .linalg import clear_denominators
 from .polytope import (
     GeometryError,
     Polyhedron,
-    convex_hull,
     intersect,
     minkowski_sum_all,
     opposite_role,
@@ -181,8 +182,10 @@ def order_complex_check(complex_):
 
 
 def bounded_amoeba_matches_zero_cell(amoeba_cells, f0):
-    """Bounded amoeba cells coincide with the proper faces of the zero cell."""
-    bounded = {convex_hull(t.poly.vertices, t.poly.role, t.poly.ambient).key()
+    """Bounded amoeba cells coincide with the proper faces of the zero cell.
+
+    A bounded cell's vertices are its extreme points, so they key it."""
+    bounded = {(t.poly.role, t.poly.vertices)
                for t in amoeba_cells if t.bounded}
     faces = f0.face_keys(proper=True)
     return {
@@ -192,7 +195,7 @@ def bounded_amoeba_matches_zero_cell(amoeba_cells, f0):
     }
 
 
-def bounded_cells_check(parts, part_subdivisions, boundary, p_poset,
+def bounded_cells_check(part_subdivisions, boundary, p_poset,
                         tropical_cplx, tropical_cells):
     """The bounded common refinement of the part amoebas equals the complex.
 
@@ -201,31 +204,18 @@ def bounded_cells_check(parts, part_subdivisions, boundary, p_poset,
     single complex cell.  `tropical_cells` is the :class:`TropicalCells`
     memo of the run.
     """
-    subdivision = boundary.parent
-    support = subdivision.support
-    ambient = support.ambient
+    ambient = boundary.parent.support.ambient
     report = {"cellwise_equal": True, "refinement_inside_complex": True,
               "complex_cells_realized": True, "sliced_cones_are_cells": True}
-    part_cells = []
-    for sub in part_subdivisions:
-        cellset = {}
-        for c in sub.cells():
-            cellset[c] = c
-        part_cells.append(cellset)
+    part_cells = [set(sub.cells()) for sub in part_subdivisions]
     # Cell-wise equality over transversal cells.
     for k, e in enumerate(p_poset.elements):
-        coned = boundary.coned(e.cell)
-        pieces = []
-        ok = True
-        for i, sub in enumerate(part_subdivisions):
-            sliced = intersect(coned, parts[i])
-            if sliced is None or sliced not in part_cells[i]:
-                report["sliced_cones_are_cells"] = False
-                ok = False
-                break
-            pieces.append(tropical_cells(sub, sliced))
-        if not ok:
+        sliced = [boundary.coned(s) for s in e.slices]
+        if any(c not in cells for c, cells in zip(sliced, part_cells)):
+            report["sliced_cones_are_cells"] = False
             continue
+        pieces = [tropical_cells(sub, c)
+                  for sub, c in zip(part_subdivisions, sliced)]
         eqs = [row for t in pieces for row in t.poly.eq_rows]
         ineqs = [row for t in pieces for row in t.poly.ineq_rows]
         meet = Polyhedron.from_hrep(eqs, ineqs, pieces[0].poly.role, ambient)
@@ -267,19 +257,19 @@ def bounded_cells_check(parts, part_subdivisions, boundary, p_poset,
     return report
 
 
-def mixed_subdivision_check(parts, subdivision, delta):
-    """The per-cell slice sums tile the sum polytope (exact volumes)."""
+def mixed_subdivision_check(boundary, poset, delta):
+    """The per-cell slice sums tile the sum polytope (exact volumes); the
+    cells are the cones over the boundary's maximal cells, whose empty
+    slices add only the origin."""
     report = {"full_dimensional": True, "volume_matches": True,
               "interiors_disjoint": True}
     chart = delta.chart()
     total = Fraction(0)
     mixed = []
-    for cell in subdivision.maximal_cells:
-        slices = [intersect(cell, p) for p in parts]
-        if any(s is None for s in slices):
-            report["full_dimensional"] = False
-            continue
-        cell_sum = minkowski_sum_all(slices)
+    for cell in boundary.maximal_cells:
+        cell_sum = minkowski_sum_all([boundary.coned(s)
+                                      for s in poset.slices[cell]
+                                      if s is not None])
         if cell_sum.dim != delta.dim:
             report["full_dimensional"] = False
             continue

@@ -34,7 +34,7 @@ def _boundary(sub):
 
 
 def _poset(poset):
-    return ([(e.cell, e.slices, e.index_set, e.minkowski)
+    return ([(e.cell, e.slices, e.minkowski)
              for e in poset.elements],
             [poset.above(i) for i in range(len(poset))], poset.minimal)
 

@@ -762,12 +762,11 @@ def test_rational_slice_point_is_refused():
     half = (Fraction(1, 2), 0, 0)
     slices = (convex_hull([half], "M"), convex_hull([(0, 1, 0)], "M"))
     cell = convex_hull([half, (0, 1, 0)], "M")
-    bad = TransversalCell(cell, slices, frozenset((0, 1)), cell)
+    bad = TransversalCell(cell, slices, cell)
     good_slices = (convex_hull([(1, 0, 0)], "M"),
                    convex_hull([(0, 1, 0)], "M"))
     good_cell = convex_hull([(1, 0, 0), (0, 1, 0)], "M")
-    good = TransversalCell(good_cell, good_slices, frozenset((0, 1)),
-                           good_cell)
+    good = TransversalCell(good_cell, good_slices, good_cell)
 
     def weight(pt):
         return 1

@@ -338,6 +338,19 @@ def test_slice_lemma_i_rejects_an_other_part_missing_the_origin():
     assert err.value.certificate == {"other_part": 1}
 
 
+def test_slice_lemma_i_rejects_a_part_missing_the_origin():
+    # The coned slice lemma needs 0 in every part of the poset's own side.
+    pipe = _data_pipeline("square_sum")
+    parts = list(pipe.nef.parts)
+    far = tuple(2 for _ in range(pipe.nef.ambient))
+    parts[1] = convex_hull([tuple(a + b for a, b in zip(v, far))
+                            for v in parts[1].vertices], parts[1].role)
+    with pytest.raises(FalsificationError) as err:
+        _slice_cells(pipe, [], parts=parts)
+    assert err.value.claim == "slice lemma (i): a part misses the origin"
+    assert err.value.certificate == {"part": 1}
+
+
 def test_slice_lemma_ii_rejects_a_vertex_off_the_boundary():
     # A cell vertex pushed off the boundary of the parts hull.
     pipe = _data_pipeline("prism_pair_5d")
@@ -385,3 +398,93 @@ def test_slice_lemma_iv_rejects_a_part_that_misses_its_slice():
     assert err.value.certificate["part"] == 0
     vertex = as_fractions(err.value.certificate["vertex"])
     assert pipe.nef.parts[0].contains(vertex) and not parts[0].contains(vertex)
+
+
+def _sides(pipe):
+    """(poset, parts, sum polytope, parts hull) of the P and the Q side."""
+    return ((pipe.p_poset(), pipe.nef.parts, pipe.nef.sum_polytope,
+             pipe.nef.parts_hull),
+            (pipe.q_poset(), pipe.dual().parts, pipe.dual().sum_polytope,
+             pipe.nef.sum_polar))
+
+
+def _assert_same_polytope(got, want):
+    assert got.key() == want.key()
+    assert got.equations == want.equations
+    assert got.facets == want.facets
+
+
+@pytest.mark.parametrize("name", DATA_INPUTS)
+def test_coned_slices_equal_intersections(name):
+    # Oracle: the cone over a cell sliced by a part, by H->V, is the cone
+    # over the cell's slice, or the origin where the slice is empty.
+    pipe = _data_pipeline(name)
+    origin = ((0,) * pipe.nef.ambient,)
+    for poset, parts, _, _ in _sides(pipe):
+        boundary = poset.subdivision
+        for cell, slices in poset.slices.items():
+            coned = boundary.coned(cell)
+            for s, part in zip(slices, parts):
+                oracle = intersect(coned, part)
+                if s is None:
+                    assert oracle.vertices == origin
+                else:
+                    _assert_same_polytope(boundary.coned(s), oracle)
+
+
+@pytest.mark.parametrize("name", DATA_INPUTS)
+def test_facet_regions_equal_intersections(name):
+    # Oracle: each facet of r times the parts hull intersected with the sum
+    # polytope by H->V.
+    pipe = _data_pipeline(name)
+    for _, _, delta, hull in _sides(pipe):
+        scaled = dilate(hull, pipe.nef.r)
+        for f in scaled.facets:
+            region = sphere.facet_region(f, delta)
+            facet = scaled.face_polytope(
+                [k for k, v in enumerate(scaled.vertices)
+                 if sum(a * b for a, b in zip(f, (1,) + v)) == 0])
+            oracle = intersect(facet, delta)
+            if oracle is None:
+                assert region is None
+            else:
+                _assert_same_polytope(region, oracle)
+
+
+def test_a_sum_polytope_outside_the_dilated_hull_is_refused():
+    # Undilated, the parts hull of the square sum does not hold the sum.
+    pipe = _data_pipeline("square_sum")
+    hull, delta = pipe.nef.parts_hull, pipe.nef.sum_polytope
+    with pytest.raises(FalsificationError) as err:
+        sphere.minkowski_complex(pipe.p_poset(), delta, 1, hull)
+    assert err.value.claim == "the sum polytope leaves r times the parts hull"
+    cert = err.value.certificate
+    f = as_fractions(cert["facet"])
+    w = as_fractions(cert["vertex"])
+    assert f in hull.facets and w in delta.vertices
+    assert sum(a * b for a, b in zip(f, (1,) + w)) < 0
+
+
+def test_lemma_suite_flags_a_non_face_and_swapped_slices():
+    # A slice whose vertices are no face of the cell, and two slices traded
+    # between parts, each fail their check of the lemma suite.
+    poset = _data_pipeline("prism_pair_5d").p_poset()
+    cell, pair = next(
+        (e.cell, (i, j)) for e in poset.elements
+        for i in range(len(e.cell.vertices))
+        for j in range(i + 1, len(e.cell.vertices))
+        if not e.cell.is_face([i, j]))
+    slices = poset.slices[cell]
+
+    def suite(cell_slices):
+        return sphere.lemma_slice_suite(SimpleNamespace(
+            parts=poset.parts, supports=poset.supports,
+            subdivision=SimpleNamespace(cells=[cell]),
+            slices={cell: cell_slices}))
+
+    assert suite(slices) == []
+    non_face = convex_hull([cell.vertices[k] for k in pair], cell.role)
+    for bad, check in (((non_face,) + slices[1:], "slice_hull_is_face"),
+                       (slices[::-1], "lattice_distance_one")):
+        assert {"check": check, "cell": sphere._cell_key(cell),
+                "index_set": [0]} in suite(bad)

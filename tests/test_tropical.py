@@ -11,6 +11,7 @@ from nefsphere.tropical import (
     tropical_cell,
     tropical_zero_cell,
 )
+from test_sphere import DATA_INPUTS, _data_pipeline
 
 
 def test_tropical_cell_1d():
@@ -207,3 +208,63 @@ def test_flipped_containment_bit_fails_the_order_checks(simplex3_pipe):
     report = order_complex_check(cplx)
     assert report["injective"]
     assert not report["anti_isomorphism"] and not report["passed"]
+
+
+@pytest.mark.parametrize("name", DATA_INPUTS)
+def test_bounded_amoeba_keys_equal_hull_keys(name):
+    # Oracle: the V->H hull of a bounded amoeba cell's vertices, on both
+    # sides (the role-swapped run's amoeba is the T side's).
+    pipe = _data_pipeline(name)
+    for side in (pipe, pipe.dual_pipeline()):
+        bounded = [t.poly for t in side.amoeba() if t.bounded]
+        assert bounded
+        for poly in bounded:
+            assert (poly.role, poly.vertices) == convex_hull(
+                poly.vertices, poly.role, poly.ambient).key()
+
+
+def test_a_corrupted_coned_slice_fails_the_bounded_cells_check(simplex3_pipe):
+    # One slice of a transversal cell shrunk to a vertex: its cone is still
+    # a cell of the part's subdivision, but the meet of the part tropical
+    # cells is no longer the complex cell.
+    from types import SimpleNamespace
+    from nefsphere.sphere import TransversalCell
+    from nefsphere.tropical import bounded_cells_check
+    pipe = simplex3_pipe
+    poset = pipe.p_poset()
+    elements = list(poset.elements)
+    k = next(k for k, e in enumerate(elements)
+             if len(e.slices[0].vertices) > 1)
+    e = elements[k]
+    elements[k] = TransversalCell(
+        e.cell, (e.slices[0].face_polytope([0]),) + e.slices[1:], e.minkowski)
+
+    def check(p_poset):
+        return bounded_cells_check(pipe.part_subdivisions(), pipe.s_boundary(),
+                                   p_poset, pipe.tropical_complex(),
+                                   pipe.tropical_cells())
+
+    assert check(poset)["passed"]
+    report = check(SimpleNamespace(elements=elements))
+    assert report["sliced_cones_are_cells"]
+    assert not report["cellwise_equal"] and not report["passed"]
+
+
+def test_a_corrupted_slice_fails_the_mixed_subdivision_check(pentagon_pipe):
+    # A two-vertex slice of a maximal boundary cell shrunk to a vertex: its
+    # cell's slice sum is no longer full-dimensional.
+    from types import SimpleNamespace
+    from nefsphere.tropical import mixed_subdivision_check
+    pipe = pentagon_pipe
+    boundary, poset = pipe.s_boundary(), pipe.p_poset()
+    delta = pipe.nef.sum_polytope
+    slices = dict(poset.slices)
+    cell = next(c for c in boundary.maximal_cells
+                if any(s is not None and len(s.vertices) > 1
+                       for s in slices[c]))
+    slices[cell] = tuple(s if s is None else s.face_polytope([0])
+                         for s in slices[cell])
+    assert mixed_subdivision_check(boundary, poset, delta)["passed"]
+    report = mixed_subdivision_check(boundary,
+                                     SimpleNamespace(slices=slices), delta)
+    assert not report["full_dimensional"] and not report["passed"]
