@@ -720,6 +720,7 @@ class Polyhedron:
                    tuple(tuple(r) for r in ineq_rows))
 
     def key(self):
+        # Bounded, its first two entries are its vertices' Polytope.key.
         return (self.role, self.vertices, self.rays, self.lineality)
 
     def __eq__(self, other):

@@ -58,6 +58,7 @@ from .errors import FalsificationError
 from .homology import cellular_homology
 from .linalg import dot, smith_normal_form
 from .polytope import dilate, intersect, is_minkowski_sum, minkowski_sum_all
+from .polytope import convex_hull as convex_hull  # for the bench tracer
 
 
 class TransversalCell:
@@ -86,10 +87,10 @@ class TransversalPoset:
     and `supports` their psi values (:class:`_Supports`).
     """
 
-    def __init__(self, subdivision, supports, elements, slices):
+    def __init__(self, subdivision, elements, slices):
         self.subdivision = subdivision
-        self.supports = supports
-        self.parts = supports.parts
+        self.supports = slices.supports
+        self.parts = self.supports.parts
         self.elements = tuple(elements)
         self.slices = slices
         self._above, self._below = _inclusion_masks(
@@ -147,10 +148,17 @@ def compute_slices(subdivision, parts, other_parts):
 
     Each slice is read as a face of its cell, certified by the slice lemma
     (module docstring): :class:`_Supports` checks its conditions (i), (ii)
-    and (iv), and :func:`_cell_slices` checks (iii) per cell.
+    and (iv), and :func:`_cell_slices` checks (iii) per cell.  The map
+    keeps that :class:`_Supports` as `supports`, for the poset to read.
     """
-    supports = _Supports(parts, other_parts)
-    return {cell: _cell_slices(cell, supports) for cell in subdivision.cells}
+    slices = _Slices()
+    slices.supports = supports = _Supports(parts, other_parts)
+    slices.update((c, _cell_slices(c, supports)) for c in subdivision.cells)
+    return slices
+
+
+class _Slices(dict):
+    """The map :func:`compute_slices` returns, with a `supports` field."""
 
 
 class _Supports:
@@ -265,8 +273,7 @@ def transversal_poset(subdivision, parts, other_parts, delta):
                                 minkowski[k])
                 for k in _bits(transversal)]
     elements.sort(key=lambda e: e.cell.key())
-    return TransversalPoset(subdivision, _Supports(parts, other_parts),
-                            elements, slices_by_cell)
+    return TransversalPoset(subdivision, elements, slices_by_cell)
 
 
 def _minkowski_cells(cells, slices_by_cell, transversal, above, r, delta):

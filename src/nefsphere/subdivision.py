@@ -167,11 +167,15 @@ class BoundarySubdivision:
         return self.vertex_mask(b) & ma == ma
 
     def coned(self, cell):
-        """The cell joined with the origin (its partner in the coned complex)."""
+        """The cell F joined with the origin, read as a face of a maximal
+        coned cell holding it: that is the pyramid with apex 0 over a
+        boundary cell B, F is a face of B, so conv(0, F) is a pyramid face."""
         if cell not in self._coned:
-            origin = (0,) * self.parent.support.ambient
-            self._coned[cell] = convex_hull(cell.vertices + (origin,),
-                                            cell.role, cell.ambient)
+            verts = set(cell.vertices) | {(0,) * cell.ambient}
+            pyramid = next(c for c in self.parent.maximal_cells
+                           if verts <= set(c.vertices))
+            self._coned[cell] = pyramid.face_polytope(
+                [k for k, v in enumerate(pyramid.vertices) if v in verts])
         return self._coned[cell]
 
     def f_vector(self):

@@ -1,8 +1,8 @@
 """Every import in src/nefsphere is read by its own module.
 
 A name bound by an import, at module level or inside a function, must be
-read somewhere in the same module or be re-exported through its
-``__all__``.  The source is read with the standard library's ``ast``, so
+read somewhere in the same module or be re-exported, through its
+``__all__`` or as ``import name as name``.  The source is read with the standard library's ``ast``, so
 the check needs no linter.
 """
 
@@ -23,8 +23,9 @@ def unused_imports(source):
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                bound.append((node.lineno,
-                              alias.asname or alias.name.split(".")[0]))
+                if alias.asname != alias.name:  # "as" itself re-exports
+                    bound.append((node.lineno,
+                                  alias.asname or alias.name.split(".")[0]))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -43,6 +44,7 @@ def test_every_import_is_read(module):
 def test_an_unread_import_is_found():
     source = ("import os\n"
               "from .polytope import convex_hull, dilate as grow\n"
+              "from .polytope import intersect as intersect\n"
               "__all__ = ['os']\n"
               "def f():\n"
               "    from itertools import combinations\n"

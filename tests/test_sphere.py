@@ -261,9 +261,6 @@ def test_sigma_order_is_the_product_order(name):
         assert succ[a] == [b for b in want if b != a]
 
 
-DATA_INPUTS = INPUTS + ["prism_pair_5d_kinked", "product_triangles_6d"]
-
-
 @pytest.mark.parametrize("name", DATA_INPUTS)
 def test_containment_order_matches_all_vertices_route(name):
     # The bitmask relation is the brute-force one (every vertex of cell i
@@ -430,6 +427,23 @@ def test_coned_slices_equal_intersections(name):
                     assert oracle.vertices == origin
                 else:
                     _assert_same_polytope(boundary.coned(s), oracle)
+
+
+@pytest.mark.parametrize("name", ["pentagon_pair", "prism_pair_5d"])
+def test_coned_cells_are_pyramid_faces_without_a_hull(monkeypatch, name):
+    # Oracle: the hull of the cell's vertices and the origin.  The coned
+    # cells of a fresh boundary are read with no hull run.
+    from nefsphere import subdivision
+    pipe = _data_pipeline(name)
+    origin = (0,) * pipe.nef.ambient
+    for coned in (pipe.s_coned(), pipe.t_coned()):
+        boundary = subdivision.boundary_subdivision(coned)
+        with monkeypatch.context() as m:
+            m.setattr(subdivision, "convex_hull", None)
+            got = [boundary.coned(cell) for cell in boundary.cells]
+        for cell, cone in zip(boundary.cells, got):
+            oracle = convex_hull(cell.vertices + (origin,), cell.role)
+            _assert_same_polytope(cone, oracle)
 
 
 @pytest.mark.parametrize("name", DATA_INPUTS)
