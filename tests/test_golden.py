@@ -21,7 +21,13 @@ holonomy moved to pushing the base chart's frame.
 ``product_triangles_6d_full.json`` is the stdout of ``nefsphere report
 product_triangles_6d.json --verify full`` (1 512 of its 2 160 loops are
 degenerate), frozen before degenerate loops stopped being transported to the
-base chart.  Any refactor of the
+base chart.  ``simplex_p5_222_fast.json``,
+``simplex_p5_222_full_dual.json``, ``simplex_p6_223_fast.json`` and
+``simplex_p6_223_full_dual.json`` are the ``--verify fast`` and ``--verify
+full --dual`` reports of the simplex family: the P^d simplex with vertices
+e_1, ..., e_d and -(e_1 + ... + e_d), split into groups of the sizes named
+(P^5 as 2+2+2, P^6 as 2+2+3), with 0 joined to each group; they were frozen
+before the interior vectors were read in closed form.  Any refactor of the
 arithmetic or the stages must reproduce them exactly.
 """
 
@@ -36,6 +42,7 @@ from test_cli import BASE, DATA, path
 GOLDEN = os.path.join(DATA, "golden")
 NAMES = ["triangle", "square_sum", "pentagon_pair", "simplex3",
          "segment_weighted"]
+SIMPLEX_FAMILY = ["simplex_p5_222", "simplex_p6_223"]
 
 
 def _assert_report_matches(input_name, golden_name, *flags):
@@ -84,3 +91,14 @@ def test_kinked_prism_full_dual_report_matches_golden():
 def test_product_triangles_full_report_matches_golden():
     _assert_report_matches("product_triangles_6d",
                            "product_triangles_6d_full", "--verify", "full")
+
+
+@pytest.mark.parametrize("name", SIMPLEX_FAMILY)
+def test_simplex_family_fast_report_matches_golden(name):
+    _assert_report_matches(name, f"{name}_fast", "--verify", "fast")
+
+
+@pytest.mark.parametrize("name", SIMPLEX_FAMILY)
+def test_simplex_family_full_dual_report_matches_golden(name):
+    _assert_report_matches(name, f"{name}_full_dual",
+                           "--verify", "full", "--dual")

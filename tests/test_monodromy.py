@@ -832,4 +832,4 @@ def test_enclosing_smooth_pair_matches_pair_scan():
                        for k, (i, j) in enumerate(sigma.pairs))
             assert encloses_smooth_pair(sigma, loop, smooth) == scan
             checked += 1
-    assert checked == 6 + 30 + 756 + 1080 + 2160
+    assert checked == 6 + 30 + 756 + 1080 + 2160 + 72 + 318
