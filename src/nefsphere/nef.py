@@ -23,7 +23,7 @@ from .polytope import (
     polar_dual,
     polytope_from_hrep,
 )
-from .linalg import dot
+from .linalg import dot, solve_rational
 
 
 class NefPartitionError(ValueError):
@@ -248,57 +248,60 @@ class InteriorVectors:
     w: tuple  # one N-side vector per part, summing to zero
 
 
-def interior_vectors(np_, dual, max_doublings=64):
-    """Strictly positive convex combinations of the vertex sets.
+def interior_vectors(np_, dual):
+    """The interior vectors v_i (M side) and w_j (N side).
 
-    Writes 0 as a convex combination of the vertices of nabla_vee with all
-    coefficients >= 1/K (K doubled until feasible) and collects the per-part
-    contributions; same on the delta_vee side.
+    0 is written as a strictly positive convex combination of the vertices
+    of nabla_vee = Conv(parts), and of delta_vee = Conv(dual parts), in
+    closed form (:func:`_strict_combination`); v_i collects the terms of the
+    vertices of the i-th part, and w_j those of the j-th dual part.
     """
-    v = _strict_combination(np_.parts_hull, list(np_.parts), max_doublings,
-                            np_.role)
-    w = _strict_combination(np_.sum_polar, list(dual.parts), max_doublings,
-                            dual.role)
+    v = _strict_combination(np_.parts_hull, np_.parts)
+    w = _strict_combination(np_.sum_polar, dual.parts)
     return InteriorVectors(tuple(v), tuple(w))
 
 
-def _strict_combination(hull, parts, max_doublings, role):
-    verts = hull.vertices
+def _strict_combination(hull, parts):
+    """Per part, its share of sum lambda_j v_j = 0 over the hull's vertices
+    v_1, ..., v_n, with lambda_j > 0 and sum lambda_j = 1.
+
+    Raises NefPartitionError when 0 is not in the hull's relative interior.
+    Let c = (v_1 + ... + v_n)/n.  If c = 0, lambda is uniform.  Otherwise
+    every facet row (b, a) has b > 0 (it is positive at 0), c lies in the
+    hull's linear span, and -t c stays in the hull exactly while t a.c <= b
+    on every row; as the hull is bounded, some row has a.c > 0, and
+    t = min b/(a.c) over those rows is positive with -t c in the hull.  A
+    simplex sigma of the hull's triangulation holds -t c, and as its
+    vertices are affinely independent, [V_sigma; 1] mu = [-t c; 1] has one
+    solution, non-negative exactly on such a sigma.  With
+    lambda = (t/n + mu)/(1 + t):
+      sum lambda_j = (t + 1)/(1 + t) = 1,
+      sum lambda_j v_j = (t c - t c)/(1 + t) = 0,
+      lambda_j >= t/(n (1 + t)) > 0.
+    """
+    verts, d = hull.vertices, hull.ambient
     n = len(verts)
-    d = hull.ambient
-    owner = []
-    for vtx in verts:
-        who = None
-        for i, p in enumerate(parts):
-            if vtx in p.vertices:
-                who = i
+    if not hull.interior_contains((0,) * d):
+        raise NefPartitionError("origin not interior")
+    owner = [next((i for i, p in enumerate(parts) if v in p.vertices), None)
+             for v in verts]
+    if None in owner:
+        raise NefPartitionError("hull vertex not a vertex of any part")
+    c = [Fraction(sum(v[a] for v in verts), n) for a in range(d)]
+    lam = [Fraction(1, n)] * n
+    if any(c):
+        t = min(f[0] / ac for f in hull.facets
+                for ac in [dot(f[1:], c)] if ac > 0)
+        target = [-t * x for x in c] + [1]
+        for simplex in hull.triangulation():
+            rows = [[verts[k][a] for k in simplex] for a in range(d)]
+            mu = solve_rational(rows + [[1] * len(simplex)], target)
+            if mu is not None and min(mu) >= 0:
                 break
-        if who is None:
-            raise NefPartitionError("hull vertex not a vertex of any part")
-        owner.append(who)
-    eqs = []
-    for a in range(d):
-        eqs.append((0,) + tuple(v[a] for v in verts))
-    eqs.append((-1,) + (1,) * n)
-    k = 2
-    for _ in range(max_doublings):
-        ineqs = [(-1,) + tuple(k if j == i else 0 for j in range(n))
-                 for i in range(n)]
-        feas = polytope_from_hrep(eqs, ineqs, role, n)
-        if feas is not None:
-            lam = [Fraction(0)] * n
-            for vertex in feas.vertices:
-                for j in range(n):
-                    lam[j] += vertex[j]
-            lam = [x / len(feas.vertices) for x in lam]
-            out = []
-            for i in range(len(parts)):
-                acc = [0] * d
-                for j in range(n):
-                    if owner[j] == i:
-                        for a in range(d):
-                            acc[a] += lam[j] * verts[j][a]
-                out.append(Vector(tuple(acc), role))
-            return out
-        k *= 2
-    raise NefPartitionError("origin not interior")
+        else:
+            raise GeometryError("no simplex of the triangulation holds -t c")
+        mu = dict(zip(simplex, mu))
+        lam = [(t / n + mu.get(j, 0)) / (1 + t) for j in range(n)]
+    return [Vector(tuple(sum(lam[j] * verts[j][a] for j in range(n)
+                             if owner[j] == i) for a in range(d)), hull.role)
+            for i in range(len(parts))]

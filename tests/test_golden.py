@@ -27,8 +27,12 @@ base chart.  ``simplex_p5_222_fast.json``,
 full --dual`` reports of the simplex family: the P^d simplex with vertices
 e_1, ..., e_d and -(e_1 + ... + e_d), split into groups of the sizes named
 (P^5 as 2+2+2, P^6 as 2+2+3), with 0 joined to each group; they were frozen
-before the interior vectors were read in closed form.  Any refactor of the
-arithmetic or the stages must reproduce them exactly.
+before the interior vectors were read in closed form.  That change
+refroze ``stages.interior_vectors.v`` and ``.w`` in ``pentagon_pair``, the
+four prism goldens and the simplex family, and nothing else in them (the
+closed form's oracle test in ``test_nef.py`` checks the rest of each report
+against the doubling search it replaced).  Any refactor of the arithmetic
+or the stages must reproduce them exactly.
 """
 
 import os

@@ -1,11 +1,17 @@
+import os
+from fractions import Fraction
+
 import pytest
 
-from nefsphere import NefPartition, dual_nef_partition, interior_vectors, \
-    is_irreducible, validate_nef_partition
-from nefsphere.nef import NefPartitionError
-from nefsphere.polytope import ROLE_N, Vector, pair, polar_dual
+from nefsphere import NefPartition, Pipeline, dual_nef_partition, \
+    interior_vectors, is_irreducible, validate_nef_partition
+from nefsphere.cli import load_input
+from nefsphere.nef import InteriorVectors, NefPartitionError
+from nefsphere.polytope import ROLE_N, Vector, pair, polar_dual, \
+    polytope_from_hrep
 
 from conftest import PENTAGON, PRISM_PAIR_5D, PRISM_PAIR_DUALS, SQUARE_SUM, TRIANGLE
+from test_cli import DATA, path
 
 
 def test_support_value_examples():
@@ -150,8 +156,125 @@ def test_part_pairings_bounded_by_kronecker():
 
 
 def test_interior_vectors_requires_interior_origin():
-    # Origin on the boundary of the parts hull: the feasibility search must
-    # fail with the dedicated error.
+    # Origin on the boundary of the parts hull: the up-front relative
+    # interior check must fail with the dedicated error.
     bad = NefPartition.from_vertex_lists([[(1, 0), (0, 1), (0, 0)]])
     with pytest.raises(NefPartitionError):
         interior_vectors(bad, None)
+
+
+# -- the doubling search, kept as the closed form's oracle -------------------
+
+def _doubling_combination(hull, parts, max_doublings=64):
+    """Per part, its share of a combination of the hull's vertices summing
+    to 0, with every coefficient at least 1/K: K is doubled until the
+    double description of that feasible set is nonempty, and the
+    coefficients are the average of its vertices."""
+    verts = hull.vertices
+    n = len(verts)
+    d = hull.ambient
+    owner = []
+    for vtx in verts:
+        who = None
+        for i, p in enumerate(parts):
+            if vtx in p.vertices:
+                who = i
+                break
+        if who is None:
+            raise NefPartitionError("hull vertex not a vertex of any part")
+        owner.append(who)
+    eqs = []
+    for a in range(d):
+        eqs.append((0,) + tuple(v[a] for v in verts))
+    eqs.append((-1,) + (1,) * n)
+    k = 2
+    for _ in range(max_doublings):
+        ineqs = [(-1,) + tuple(k if j == i else 0 for j in range(n))
+                 for i in range(n)]
+        feas = polytope_from_hrep(eqs, ineqs, hull.role, n)
+        if feas is not None:
+            lam = [Fraction(0)] * n
+            for vertex in feas.vertices:
+                for j in range(n):
+                    lam[j] += vertex[j]
+            lam = [x / len(feas.vertices) for x in lam]
+            out = []
+            for i in range(len(parts)):
+                acc = [0] * d
+                for j in range(n):
+                    if owner[j] == i:
+                        for a in range(d):
+                            acc[a] += lam[j] * verts[j][a]
+                out.append(Vector(tuple(acc), hull.role))
+            return out
+        k *= 2
+    raise NefPartitionError("origin not interior")
+
+
+def _oracle_interior_vectors(nef, dual):
+    return InteriorVectors(
+        tuple(_doubling_combination(nef.parts_hull, nef.parts)),
+        tuple(_doubling_combination(nef.sum_polar, dual.parts)))
+
+
+def _input_dim(name):
+    return load_input(path(f"{name}.json"))[0].ambient
+
+
+# The doubling search stalls from d = 7 on, which is why it was replaced.
+ORACLE_INPUTS = [name for name in sorted(
+    f[:-len(".json")] for f in os.listdir(DATA)
+    if f.endswith(".json") and f != "malformed.json") if _input_dim(name) < 7]
+SIMPLEX_FAMILY = ["simplex_p5_222", "simplex_p6_223"]
+
+
+def _report_without_vectors(nef, omega, nu, seeded):
+    pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+    if seeded:
+        pipe._cache["_interior_vectors"] = _oracle_interior_vectors(
+            nef, pipe.dual())
+    big = nef.ambient >= 5
+    rep = pipe.report(verify="fast" if big else "full", include_dual=not big)
+    stage = rep["stages"]["interior_vectors"]
+    return rep, (stage.pop("v"), stage.pop("w"))
+
+
+def _assert_reports_match_oracle(nef, omega="all_ones", nu="all_ones"):
+    closed, closed_vectors = _report_without_vectors(nef, omega, nu, False)
+    oracle, oracle_vectors = _report_without_vectors(nef, omega, nu, True)
+    assert closed == oracle  # sign_pattern and passed included
+    for vectors in (closed_vectors, oracle_vectors):
+        for side in vectors:
+            assert [sum(Fraction(x) for x in col) for col in zip(*side)] == \
+                [0] * len(side[0])
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_closed_form_report_matches_doubling_oracle(name):
+    _assert_reports_match_oracle(*load_input(path(f"{name}.json")))
+
+
+def _barycentre_is_zero(hull):
+    return not any(map(sum, zip(*hull.vertices)))
+
+
+@pytest.mark.parametrize("name", SIMPLEX_FAMILY)
+def test_interior_vectors_simplex_family(name):
+    nef = load_input(path(f"{name}.json"))[0]
+    # Both hulls are symmetric under permuting the simplex's vertices, so
+    # their vertex barycentres are 0: lambda is uniform on each side.
+    assert _barycentre_is_zero(nef.parts_hull)
+    assert _barycentre_is_zero(nef.sum_polar)
+    _check_interior_vector_invariants(nef)
+
+
+def test_interior_vectors_nonzero_barycentre(randomized_partitions):
+    # Where a hull's vertex barycentre c is not 0, lambda is read through
+    # the point -t c of the boundary and a simplex holding it.
+    skewed = [nef for nef in randomized_partitions
+              if nef.r > 1 and is_irreducible(nef)[0]
+              and not _barycentre_is_zero(nef.parts_hull)]
+    assert skewed
+    for nef in skewed:
+        _check_interior_vector_invariants(nef)
+        _assert_reports_match_oracle(nef)
