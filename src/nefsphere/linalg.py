@@ -80,10 +80,6 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def transpose(m):
-    return tuple(zip(*m))
-
-
 def leading_column(row):
     """The index of the first nonzero entry of a row (None for a zero row)."""
     return next((j for j, x in enumerate(row) if x), None)

@@ -69,9 +69,6 @@ class DiscriminantComplex:
         self.components = [tuple(_bits(m)) for m in component_masks]
         self.component_homology = component_homology
 
-    def is_empty(self):
-        return not self.mask
-
     def smooth_mask(self):
         """Bitmask of Sigma's smooth cells: the cells off the discriminant."""
         return ((1 << len(self.sigma.pairs)) - 1) & ~self.mask
@@ -227,13 +224,6 @@ class ChartGraph:
                     parent[w] = v
                     queue.append(w)
         return parent
-
-    def tree_path(self, parent, node):
-        path = [node]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
 
 
 # -- primary loops and monodromy ----------------------------------------------

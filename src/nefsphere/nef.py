@@ -5,6 +5,8 @@ each part a lattice polytope containing the origin, certified by integral
 convex PL functions taking value 1 on the nonzero vertices of their own part
 and 0 on the other parts.  The dual partition lives on the polar side and
 satisfies  nabla_vee = Conv(parts)  and  delta_vee = Conv(dual parts).
+The interior vectors write 0 as a strictly positive convex combination of
+the vertices of each of those hulls, in closed form, and split it by part.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,6 @@ from .polytope import (
     GeometryError,
     ROLE_M,
     Vector,
-    as_fractions,
     convex_hull,
     is_reflexive,
     minkowski_sum_all,
@@ -74,13 +75,6 @@ class NefPartition:
         if self._sum_polar is None:
             self._sum_polar = polar_dual(self.sum_polytope)
         return self._sum_polar
-
-    def support_value(self, i, x):
-        """phi_i(x) = max over the i-th part of <y, x>."""
-        if not 0 <= i < self.r:
-            raise NefPartitionError("part index out of range")
-        coords = x.coords if isinstance(x, Vector) else as_fractions(x)
-        return max(dot(v, coords) for v in self.parts[i].vertices)
 
 
 @dataclass

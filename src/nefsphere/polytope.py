@@ -223,12 +223,6 @@ class Polytope:
                 for f in self.facets)
         return self._tight
 
-    def faces_of_dim(self, k):
-        return sorted(f for f, d in self.face_sets().items() if d == k)
-
-    def facet_vertex_sets(self):
-        return self.faces_of_dim(self.dim - 1) if self.dim > 0 else []
-
     def is_face(self, vset):
         """Whether the vertex indices `vset` are the vertices of a face: a
         nonempty set equal to the meet of the facet masks containing it."""
@@ -359,28 +353,6 @@ class Polytope:
             total += abs(det([tuple(a - b for a, b in zip(coords[i], base))
                               for i in simplex[1:]]))
         return Fraction(total, q ** self.dim * factorial(self.dim))
-
-    def lattice_volume(self):
-        """Volume normalized so a unimodular simplex has volume 1/dim!."""
-        return self.volume_in_chart(self.chart())
-
-    def validate(self):
-        """Internal consistency: raises GeometryError on violation."""
-        for v in self.vertices:
-            hv = (1,) + v
-            if any(dot(e, hv) != 0 for e in self.equations):
-                raise GeometryError("vertex violates an equation")
-            if any(dot(f, hv) < 0 for f in self.facets):
-                raise GeometryError("vertex violates a facet inequality")
-        if self.dim != self.ambient - len(self.equations):
-            raise GeometryError("dimension does not match equation count")
-        for f in self.facets:
-            tight = [v for v in self.vertices if dot(f, (1,) + v) == 0]
-            if not tight:
-                raise GeometryError("facet not tight anywhere")
-            rows = [tuple(a - b for a, b in zip(v, tight[0])) for v in tight[1:]]
-            if row_rank(rows) != self.dim - 1:
-                raise GeometryError("facet tight set has wrong dimension")
 
 
 class LatticeChart:

@@ -23,6 +23,15 @@ PRISM_PAIR_DUALS = [
 ]
 
 
+def transpose(m):
+    return tuple(zip(*m))
+
+
+def lattice_volume(p):
+    """Volume normalized so a unimodular simplex has volume 1/dim!."""
+    return p.volume_in_chart(p.chart())
+
+
 def make_pipeline(lists, omega="all_ones", nu="all_ones"):
     return Pipeline(NefPartition.from_vertex_lists(lists),
                     omega_spec=omega, nu_spec=nu)

@@ -27,7 +27,10 @@ base chart.  ``simplex_p5_222_fast.json``,
 full --dual`` reports of the simplex family: the P^d simplex with vertices
 e_1, ..., e_d and -(e_1 + ... + e_d), split into groups of the sizes named
 (P^5 as 2+2+2, P^6 as 2+2+3), with 0 joined to each group; they were frozen
-before the interior vectors were read in closed form.  That change
+before the interior vectors were read in closed form.
+``simplex_p7_2222_fast.json`` and ``simplex_p7_2222_full_dual.json`` are the
+same for P^7 as 2+2+2+2, the intersection of four quadrics and the first
+r = 4 input, which the doubling search could not finish.  That change
 refroze ``stages.interior_vectors.v`` and ``.w`` in ``pentagon_pair``, the
 four prism goldens and the simplex family, and nothing else in them (the
 closed form's oracle test in ``test_nef.py`` checks the rest of each report
@@ -46,7 +49,7 @@ from test_cli import BASE, DATA, path
 GOLDEN = os.path.join(DATA, "golden")
 NAMES = ["triangle", "square_sum", "pentagon_pair", "simplex3",
          "segment_weighted"]
-SIMPLEX_FAMILY = ["simplex_p5_222", "simplex_p6_223"]
+SIMPLEX_FAMILY = ["simplex_p5_222", "simplex_p6_223", "simplex_p7_2222"]
 
 
 def _assert_report_matches(input_name, golden_name, *flags):

@@ -1,13 +1,18 @@
-"""Every import in src/nefsphere is read by its own module.
+"""Every import in src/nefsphere is read by its own module, and every
+function it defines is used by the program.
 
 A name bound by an import, at module level or inside a function, must be
 read somewhere in the same module or be re-exported, through its
-``__all__`` or as ``import name as name``.  The source is read with the standard library's ``ast``, so
-the check needs no linter.
+``__all__`` or as ``import name as name``.  A function or method that is
+not a dunder must be referenced somewhere in src/nefsphere outside its own
+body, or be listed in an ``__all__``; code that only the tests call lives
+in the tests.  The source is read with the standard library's ``ast``, so
+the checks need no linter.
 """
 
 import ast
 import os
+from collections import Counter
 
 import pytest
 
@@ -50,3 +55,77 @@ def test_an_unread_import_is_found():
               "    from itertools import combinations\n"
               "    return grow\n")
     assert unused_imports(source) == ["convex_hull", "combinations"]
+
+
+def _references(tree):
+    """The names a tree references: Name ids, Attribute names, the original
+    names of ``from ... import name as alias``, and ``__all__`` entries."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            out.update(ast.literal_eval(node.value))
+    return out
+
+
+def unused_definitions(sources):
+    """The (module, name) of every non-dunder function or method in
+    `sources` (module -> source) that nothing references outside its own
+    body, in module and source order."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = Counter()
+    for tree in trees.values():
+        referenced.update(_references(tree))
+    unused = []
+    for module, tree in sorted(trees.items()):
+        defs = sorted((node.lineno, node) for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef)))
+        for _, node in defs:
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if referenced[name] - _references(node)[name] == 0:
+                unused.append((module, name))
+    return unused
+
+
+def test_every_definition_is_used():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            sources[module] = fh.read()
+    assert unused_definitions(sources) == []
+
+
+def test_an_unused_definition_is_found():
+    sources = {
+        "a.py": ("from .b import used as alias\n"
+                 "__all__ = ['exported']\n"
+                 "def exported():\n"
+                 "    return alias\n"
+                 "def recursive(n):\n"
+                 "    return recursive(n - 1)\n"
+                 "class C:\n"
+                 "    def __init__(self):\n"
+                 "        self.called()\n"
+                 "    def called(self):\n"
+                 "        pass\n"
+                 "    def method(self):\n"
+                 "        def inner():\n"
+                 "            pass\n"
+                 "        return inner\n"),
+        "b.py": ("def used():\n"
+                 "    pass\n"
+                 "def dead():\n"
+                 "    return used\n"),
+    }
+    assert unused_definitions(sources) == [
+        ("a.py", "recursive"), ("a.py", "method"), ("b.py", "dead")]

@@ -15,8 +15,9 @@ from nefsphere.linalg import (
     saturated_span_basis,
     smith_normal_form,
     solve_rational,
-    transpose,
 )
+
+from conftest import transpose
 
 
 def test_snf_identity():

@@ -1,4 +1,6 @@
+import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,24 +8,32 @@ import pytest
 from nefsphere import NefPartition, Pipeline, dual_nef_partition, \
     interior_vectors, is_irreducible, validate_nef_partition
 from nefsphere.cli import load_input
-from nefsphere.nef import InteriorVectors, NefPartitionError
-from nefsphere.polytope import ROLE_N, Vector, pair, polar_dual, \
-    polytope_from_hrep
+from nefsphere.linalg import dot
+from nefsphere.nef import InteriorVectors, NefPartitionError, \
+    _strict_combination
+from nefsphere.polytope import ROLE_M, ROLE_N, Vector, convex_hull, pair, \
+    polar_dual, polytope_from_hrep
 
 from conftest import PENTAGON, PRISM_PAIR_5D, PRISM_PAIR_DUALS, SQUARE_SUM, TRIANGLE
 from test_cli import DATA, path
 
 
+def support_value(nef, i, x):
+    """phi_i(x) = max over the i-th part of <y, x>."""
+    assert 0 <= i < nef.r, "part index out of range"
+    return max(dot(v, x.coords) for v in nef.parts[i].vertices)
+
+
 def test_support_value_examples():
     nef = NefPartition.from_vertex_lists(PRISM_PAIR_5D)
     origin = Vector((0, 0, 0, 0, 0), ROLE_N)
-    assert nef.support_value(0, origin) == 0
+    assert support_value(nef, 0, origin) == 0
     # The first listed dual vertex evaluates to 1 under the first support.
-    assert nef.support_value(0, Vector((1, 0, 0, 0, 0), ROLE_N)) == 1
+    assert support_value(nef, 0, Vector((1, 0, 0, 0, 0), ROLE_N)) == 1
     # On the polar of the sum every support value is at most 1.
     for x in nef.sum_polar.vertices:
-        assert nef.support_value(0, Vector(x, ROLE_N)) <= 1
-        assert nef.support_value(1, Vector(x, ROLE_N)) <= 1
+        assert support_value(nef, 0, Vector(x, ROLE_N)) <= 1
+        assert support_value(nef, 1, Vector(x, ROLE_N)) <= 1
 
 
 def test_dual_r1_is_polar():
@@ -139,7 +149,7 @@ def test_dual_part_vertices_have_unit_support_value():
                 if not any(v):
                     continue
                 assert nef.sum_polar.contains(v)
-                assert nef.support_value(i, Vector(v, ROLE_N)) == 1
+                assert support_value(nef, i, Vector(v, ROLE_N)) == 1
 
 
 def test_part_pairings_bounded_by_kronecker():
@@ -159,7 +169,7 @@ def test_interior_vectors_requires_interior_origin():
     # Origin on the boundary of the parts hull: the up-front relative
     # interior check must fail with the dedicated error.
     bad = NefPartition.from_vertex_lists([[(1, 0), (0, 1), (0, 0)]])
-    with pytest.raises(NefPartitionError):
+    with pytest.raises(NefPartitionError, match="origin not interior"):
         interior_vectors(bad, None)
 
 
@@ -218,14 +228,15 @@ def _oracle_interior_vectors(nef, dual):
 
 
 def _input_dim(name):
-    return load_input(path(f"{name}.json"))[0].ambient
+    with open(path(f"{name}.json")) as fh:
+        return json.load(fh)["dim"]
 
 
 # The doubling search stalls from d = 7 on, which is why it was replaced.
 ORACLE_INPUTS = [name for name in sorted(
     f[:-len(".json")] for f in os.listdir(DATA)
     if f.endswith(".json") and f != "malformed.json") if _input_dim(name) < 7]
-SIMPLEX_FAMILY = ["simplex_p5_222", "simplex_p6_223"]
+SIMPLEX_FAMILY = ["simplex_p5_222", "simplex_p6_223", "simplex_p7_2222"]
 
 
 def _report_without_vectors(nef, omega, nu, seeded):
@@ -278,3 +289,38 @@ def test_interior_vectors_nonzero_barycentre(randomized_partitions):
     for nef in skewed:
         _check_interior_vector_invariants(nef)
         _assert_reports_match_oracle(nef)
+
+
+def test_strict_combination_coefficients_off_the_barycentre():
+    # With every vertex its own part, the i-th share is lambda_i v_i, so
+    # lambda is read back and checked against the closed form's proof:
+    # sum 1, combination 0, and min lambda = t/(n(1 + t)) with -t c on the
+    # boundary.  Planar hulls are also lifted to the plane z = x - y in 3D.
+    rng = random.Random(16)
+    checked = 0
+    for _ in range(60):
+        planar = [(rng.randint(-3, 3), rng.randint(-3, 3))
+                  for _ in range(rng.randint(3, 7))]
+        for pts in (planar, [(x, y, x - y) for x, y in planar],
+                    [(x, y, rng.randint(-3, 3)) for x, y in planar]):
+            dim = len(pts[0])
+            hull = convex_hull(pts, ROLE_M, dim)
+            verts = hull.vertices
+            n = len(verts)
+            c = [Fraction(sum(col), n) for col in zip(*verts)]
+            if not hull.interior_contains((0,) * dim) or not any(c):
+                continue
+            parts = [convex_hull([v], ROLE_M, dim) for v in verts]
+            shares = _strict_combination(hull, parts)
+            lam = [next(Fraction(x) / y for x, y in zip(share.coords, v) if y)
+                   for share, v in zip(shares, verts)]
+            assert sum(lam) == 1
+            assert [sum(l * v[a] for l, v in zip(lam, verts))
+                    for a in range(dim)] == [0] * dim
+            low = n * min(lam)
+            assert 0 < low < 1
+            t = low / (1 - low)
+            assert hull.contains([-t * x for x in c])
+            assert not hull.interior_contains([-t * x for x in c])
+            checked += 1
+    assert checked >= 20

@@ -165,7 +165,7 @@ def span_pairs_by_hulls(poset, minimal, cells):
 
 
 def loop_component_by_scan(sigma, loop, disc):
-    if disc is None or disc.is_empty():
+    if disc is None or not disc.mask:
         return None
     pp, qp = sigma.p_poset, sigma.q_poset
     hits = set()

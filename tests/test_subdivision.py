@@ -13,6 +13,8 @@ from nefsphere.subdivision import (
     lower_hull_subdivision,
 )
 
+from conftest import lattice_volume
+
 
 def brute_force_lower_cells(points, weight):
     """Oracle: lower-hull cells by hyperplane enumeration over lifted points."""
@@ -172,7 +174,7 @@ def test_boundary_cells_cover_boundary():
     tri = convex_hull([(1, 0), (0, 1), (-1, -1)], ROLE_M)
     sub = lower_hull_subdivision(tri, WeightFunction.all_ones(tri))
     boundary = boundary_subdivision(sub)
-    total = sum(c.lattice_volume() for c in boundary.maximal_cells)
+    total = sum(lattice_volume(c) for c in boundary.maximal_cells)
     # Three edges, each of lattice length one in its own chart.
     assert total == 3
     facecount = {}
