@@ -294,8 +294,8 @@ def _strict_combination(hull, parts):
                 break
         else:
             raise GeometryError("no simplex of the triangulation holds -t c")
-        mu = dict(zip(simplex, mu))
-        lam = [(t / n + mu.get(j, 0)) / (1 + t) for j in range(n)]
+        mu_at = dict(zip(simplex, mu))
+        lam = [(t / n + mu_at.get(j, 0)) / (1 + t) for j in range(n)]
     return [Vector(tuple(sum(lam[j] * verts[j][a] for j in range(n)
                              if owner[j] == i) for a in range(d)), hull.role)
             for i in range(len(parts))]
