@@ -7,6 +7,12 @@ chart's frame, its tangent basis and base point, is pushed through the
 loop's transitions (:func:`_push`) and read off in the chart
 (:func:`_restrict`), whose linear part must be an integral unipotent
 transformation of the tangent lattice of the base chart.
+
+Transitions and base charts read only the two transversal posets and the
+weight (:func:`transition_memo`, :func:`base_chart_memo`), not Sigma.  The
+role-swapped run's posets are this run's, swapped, so the duality pairing
+reads the dual holonomy from them (:func:`duality_check`) and no second
+Sigma is built.
 """
 
 from dataclasses import dataclass
@@ -362,11 +368,11 @@ class AffineMonodromy:
     images: tuple         # the basis vectors' images under the loop's map
 
 
-def transition_memo(sigma, weight):
+def transition_memo(p_poset, q_poset, weight):
     """chart_transition by (destination P-index, via Q-index), built once
     per pair: a transition depends on nothing else."""
-    p_el = sigma.p_poset.elements
-    q_el = sigma.q_poset.elements
+    p_el = p_poset.elements
+    q_el = q_poset.elements
 
     @lru_cache(maxsize=None)
     def transition(i, j):
@@ -378,7 +384,7 @@ def transition_memo(sigma, weight):
 def _loop_maps(loop, transition):
     """The loop's two chart transitions, in the order they are run: into
     sigma1 through tau0, then back into sigma0 through tau1.  `transition`
-    is the :func:`transition_memo` of the loop's sigma and weight."""
+    is the :func:`transition_memo` of the loop's posets and weight."""
     return (transition(loop.p1, loop.q0), transition(loop.p0, loop.q1))
 
 
@@ -445,9 +451,9 @@ def base_chart_data(base_cell, weight):
                      den // k)
 
 
-def base_chart_memo(sigma, weight):
+def base_chart_memo(p_poset, weight):
     """base_chart_data by P-index, built once per minimal cell."""
-    p_el = sigma.p_poset.elements
+    p_el = p_poset.elements
 
     @lru_cache(maxsize=None)
     def base_chart(i):
@@ -498,7 +504,7 @@ def monodromy(loop, transition, base_chart):
     """The affine holonomy around a primary loop, in canonical coordinates.
 
     `transition` and `base_chart` are the :func:`transition_memo` and
-    :func:`base_chart_memo` of the loop's sigma and weight."""
+    :func:`base_chart_memo` of the loop's posets and weight."""
     chart = base_chart(loop.p0)
     images, (image, den) = _push(chart.frame, _loop_maps(loop, transition))
     linear, shift = _restrict(chart, images, image, den)
@@ -560,7 +566,8 @@ def local_group(sigma, pair_idx, transition, base_chart):
     Verifies the abelian upper-triangular structure: commuting generators,
     image inside the tangent space of the tau-side Minkowski cell, and
     vanishing on it.  `transition` and `base_chart` are the
-    :func:`transition_memo` and :func:`base_chart_memo` of sigma and weight.
+    :func:`transition_memo` and :func:`base_chart_memo` of sigma's posets
+    and the weight.
     """
     i, j = sigma.pairs[pair_idx]
     p_poset, q_poset = sigma.p_poset, sigma.q_poset
@@ -644,7 +651,7 @@ def global_group(sigma, graph, loops, transition, base_chart,
     as the identity with no frame pushed: its holonomy is the identity by
     the adjoint pairing (see :func:`transported_loops`).  `transition` and
     `base_chart` are the :func:`transition_memo` and :func:`base_chart_memo`
-    of sigma and weight."""
+    of sigma's posets and the weight."""
     if not graph.p_nodes:
         return {"trivial": True, "divisors": [], "commuting": True,
                 "component_divisors": {}, "graph_components": 0,
@@ -762,25 +769,20 @@ def _loop_discriminant_component(sigma, loop, disc):
 # -- duality -------------------------------------------------------------------
 
 
-def duality_check(sigma, loop, mono, dual_sigma, dual_transition,
-                  dual_base_chart):
+def duality_check(loop, mono, dual_transition, dual_base_chart):
     """Transpose-inverse pairing of the primal and dual loop monodromies.
 
     The dual loop is (tau0, sigma1, tau1, sigma0), run through the dual
     pipeline (roles interchanged); the pairing between the two tangent
-    lattices must be preserved exactly.  `dual_transition` and
-    `dual_base_chart` are the :func:`transition_memo` and
-    :func:`base_chart_memo` of dual_sigma and the dual weight.
+    lattices must be preserved exactly.  The dual run's P-poset is this
+    run's Q-poset and its Q-poset this run's P-poset (Batyrev-Borisov
+    duality swaps the roles of Delta and nabla, and the dual pipeline is
+    seeded with this run's posets, swapped), so the dual loop has the same
+    indices, read on the other side, and no dual Sigma is built.
+    `dual_transition` and `dual_base_chart` are the :func:`transition_memo`
+    and :func:`base_chart_memo` of the dual run's posets and weight.
     """
-    q0_cell = sigma.q_poset.elements[loop.q0].cell
-    q1_cell = sigma.q_poset.elements[loop.q1].cell
-    p0_cell = sigma.p_poset.elements[loop.p0].cell
-    p1_cell = sigma.p_poset.elements[loop.p1].cell
-    dp = dual_sigma.p_poset
-    dq = dual_sigma.q_poset
-    dual_loop = PrimaryLoop(
-        p0=_index_by_cell(dp, q0_cell), q0=_index_by_cell(dq, p1_cell),
-        p1=_index_by_cell(dp, q1_cell), q1=_index_by_cell(dq, p0_cell))
+    dual_loop = PrimaryLoop(loop.q0, loop.p1, loop.q1, loop.p0)
     dual_mono = monodromy(dual_loop, dual_transition, dual_base_chart)
     b_sigma = mono.basis
     b_tau = dual_mono.basis
@@ -793,12 +795,3 @@ def duality_check(sigma, loop, mono, dual_sigma, dual_transition,
              for y, ly in zip(b_tau, dual_mono.images)
              for x, lx in zip(b_sigma, mono.images))
     return {"passed": ok, "dual_loop_degenerate": dual_loop.degenerate}
-
-
-def _index_by_cell(poset, cell):
-    idx = poset.index_of_cell(cell)
-    if idx is None:
-        raise FalsificationError(
-            "dual pipeline poset does not contain the expected cell",
-            {"cell": _cell_key(cell)})
-    return idx

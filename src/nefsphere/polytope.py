@@ -7,7 +7,8 @@ input nearly all arithmetic therefore stays in Python ints.
 Hulls are interned: while a polytope is alive, :func:`convex_hull` returns
 that one canonical object for every point list with the same role, ambient
 space and hull, so its lazily built face lattice, chart, lattice points and
-triangulation are computed once per run.
+triangulation are computed once per run.  :func:`polar_dual` returns
+through the same table.
 
 Polytopes carry a role tag:  'M' for the functional side (where the partition
 parts Delta^(i) live) and 'N' for the vector side (the nabla side).  Pairings
@@ -569,17 +570,24 @@ def intersect(p, q):
 
 
 def polar_dual(p):
-    """The polar {y : <x,y> <= 1 for all x in P}; requires 0 interior."""
+    """The polar {y : <x,y> <= 1 for all x in P}; requires 0 interior.
+
+    Interned like :func:`convex_hull`: the polar is full-dimensional with no
+    equations, and its facets, one primitive row per vertex of P, are
+    sorted, so it is field for field the hull of its vertices.
+    """
     if p.equations:
         raise GeometryError("polar undefined")
     if any(f[0] <= 0 for f in p.facets):
         raise GeometryError("polar undefined")
-    vertices = sorted(tuple(exact(Fraction(-u, f[0])) for u in f[1:])
-                      for f in p.facets)
+    vertices = tuple(sorted(tuple(exact(Fraction(-u, f[0])) for u in f[1:])
+                            for f in p.facets))
     facets = tuple(sorted(clear_denominators((1,) + tuple(-x for x in v))
                           for v in p.vertices))
-    return Polytope(p.ambient, opposite_role(p.role), tuple(vertices), (),
-                    facets, p.ambient)
+    role = opposite_role(p.role)
+    return _HULLS.setdefault(
+        (role, p.ambient, vertices),
+        Polytope(p.ambient, role, vertices, (), facets, p.ambient))
 
 
 def is_reflexive(p):

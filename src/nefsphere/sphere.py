@@ -33,7 +33,17 @@ every v with lambda_v > 0 has psi_j(v) = 0 for all j != i, hence
 psi_i(v) = 1 by (ii).  Conversely psi_i <= 1 on the cell by (ii) and
 (iii), so {psi_i = 1} is a face of the cell, and by (iv) it lies in
 part_i.  All four conditions are checked on every run
-(:func:`compute_slices`).
+(:func:`compute_slices`), and so is that the other side's parts are
+lattice polytopes.
+
+Corollary (unit psi): every cell vertex lies in exactly one slice, and for
+every index set I the I-slices span a face of the cell at lattice distance
+one from the other slices.  Cell vertices are lattice points (the
+subdivisions are read from lattice points) and so are the other side's
+vertices, so psi(v) is an integer vector; its entries are >= 0 by (i) and
+sum to 1 by (ii), so it is a unit vector.  By (iii) sum_{i in I} psi_i is
+affine on the cell; it is <= 1 there and equals 1 exactly on the vertices
+of the I-slices, which are therefore a face, and 0 on the other slices.
 
 Coned form: conv(0, cell) meets part_i in conv(0, S_i), S_i the slice, or
 in {0} when S_i is empty.  By (iii) psi_j is linear on the cone, so for
@@ -56,7 +66,7 @@ from fractions import Fraction
 
 from .errors import FalsificationError
 from .homology import cellular_homology
-from .linalg import dot, smith_normal_form
+from .linalg import clear_denominators, dot, smith_normal_form
 from .polytope import dilate, intersect, is_minkowski_sum, minkowski_sum_all
 from .polytope import convex_hull as convex_hull  # for the bench tracer
 
@@ -83,14 +93,11 @@ class TransversalPoset:
     """The transversal cells of a boundary subdivision, ordered by inclusion.
 
     `slices` maps every cell of the subdivision, transversal or not, to its
-    part slices (:func:`compute_slices`), for the checks that need them all,
-    and `supports` their psi values (:class:`_Supports`).
+    part slices (:func:`compute_slices`), for the checks that need them all.
     """
 
-    def __init__(self, subdivision, elements, slices):
-        self.subdivision = subdivision
-        self.supports = slices.supports
-        self.parts = self.supports.parts
+    def __init__(self, subdivision, parts, elements, slices):
+        self.parts = parts
         self.elements = tuple(elements)
         self.slices = slices
         self._above, self._below = _inclusion_masks(
@@ -98,7 +105,6 @@ class TransversalPoset:
         self.minimal = tuple(i for i, mask in enumerate(self._below)
                              if mask == 1 << i)
         self._minimal_mask = sum(1 << i for i in self.minimal)
-        self._index = {e.cell: i for i, e in enumerate(self.elements)}
 
     def __len__(self):
         return len(self.elements)
@@ -115,9 +121,6 @@ class TransversalPoset:
     def minimal_below(self, i):
         """The minimal elements below element i, ascending."""
         return _bits(self._below[i] & self._minimal_mask)
-
-    def index_of_cell(self, cell):
-        return self._index.get(cell)
 
 
 def _inclusion_masks(vertex_masks):
@@ -148,22 +151,17 @@ def compute_slices(subdivision, parts, other_parts):
 
     Each slice is read as a face of its cell, certified by the slice lemma
     (module docstring): :class:`_Supports` checks its conditions (i), (ii)
-    and (iv), and :func:`_cell_slices` checks (iii) per cell.  The map
-    keeps that :class:`_Supports` as `supports`, for the poset to read.
+    and (iv), and :func:`_cell_slices` checks (iii) per cell.
     """
-    slices = _Slices()
-    slices.supports = supports = _Supports(parts, other_parts)
-    slices.update((c, _cell_slices(c, supports)) for c in subdivision.cells)
-    return slices
-
-
-class _Slices(dict):
-    """The map :func:`compute_slices` returns, with a `supports` field."""
+    supports = _Supports(parts, other_parts)
+    return {c: _cell_slices(c, supports) for c in subdivision.cells}
 
 
 class _Supports:
     """The support functions psi_j(v) = max <v, x> over the other side's
-    part j, with the slice lemma's conditions (i), (ii) and (iv).
+    part j, with the slice lemma's conditions (i), (ii) and (iv).  The
+    other side's parts must be lattice polytopes, so that psi is integral
+    at the cell vertices (the unit-psi corollary).
 
     Values and argmax masks (over part j's vertices) are memoized once per
     distinct cell vertex, and (ii) and (iv) are checked there.
@@ -173,6 +171,12 @@ class _Supports:
         self.parts = parts
         self.others = [q.vertices for q in other_parts]
         self._memo = {}
+        for j, q in enumerate(other_parts):
+            if not q.is_lattice_polytope():
+                raise FalsificationError(
+                    "slice lemma: an other-side part is not a lattice "
+                    "polytope", {"other_part": j,
+                                 "vertices": _cell_key(q)})
         origin = (0,) * parts[0].ambient
         for name, side in (("part", parts), ("other_part", other_parts)):
             for j, q in enumerate(side):
@@ -273,7 +277,7 @@ def transversal_poset(subdivision, parts, other_parts, delta):
                                 minkowski[k])
                 for k in _bits(transversal)]
     elements.sort(key=lambda e: e.cell.key())
-    return TransversalPoset(subdivision, elements, slices_by_cell)
+    return TransversalPoset(subdivision, parts, elements, slices_by_cell)
 
 
 def _minkowski_cells(cells, slices_by_cell, transversal, above, r, delta):
@@ -495,7 +499,25 @@ def adjoint_pairs(p_poset, q_poset):
 
 
 class SigmaComplex:
-    """The polytopal complex of products over adjoint pairs."""
+    """The polytopal complex of products over adjoint pairs.
+
+    Two facts about a cell M x N, M the Minkowski cell of P-element i and N
+    that of Q-element j, follow from certificates raised earlier and are
+    not checked again here:
+
+    - pairing level: <m, n> = r on M x N.  Each Minkowski cell is certified
+      to be the sum of its slices (:func:`_certify_minkowski`), so m is a
+      sum of vertices m_a of the P-slices and n one of vertices n_b of the
+      Q-slices, and adjointness (:func:`adjoint_pairs`) gives <m_a, n_b> =
+      delta_ab, hence <m, n> = sum_{a,b} delta_ab = r;
+    - dimension: dim M + dim N <= d - r.  A direction of M is a sum of
+      differences of two points of one P-slice, each pairing to 0 with
+      every vertex of every Q-slice, so it is orthogonal to span(U_b N_b)
+      for the Q-slices N_b.  That span is the directions of N plus one
+      vertex n_b per slice, and the n_b are independent modulo those
+      directions (a vertex m_a pairs to delta_ab with them and to 0 with
+      the directions), so it has dimension dim N + r.
+    """
 
     def __init__(self, p_poset, q_poset, pairs, r):
         self.p_poset = p_poset
@@ -510,7 +532,6 @@ class SigmaComplex:
             p_poset.elements[i].minkowski.dim + q_poset.elements[j].minkowski.dim
             for i, j in self.pairs)
         self._product_order()
-        self._verify_membership()
         self._verify_face_closure()
 
     def _product_order(self):
@@ -538,20 +559,6 @@ class SigmaComplex:
         self._above = [self.p_up[i] & self.q_up[j] for i, j in self.pairs]
         self._below = [p_down[i] & q_down[j] for i, j in self.pairs]
 
-    def _verify_membership(self):
-        for (i, j) in self.pairs:
-            mk = self.p_poset.elements[i].minkowski
-            tn = self.q_poset.elements[j].minkowski
-            for m in mk.vertices:
-                for x in tn.vertices:
-                    if dot(m, x) != self.r:
-                        raise FalsificationError(
-                            "product cell vertex violates the pairing-level "
-                            "equation", {"m": _point_key(m),
-                                         "n": _point_key(x),
-                                         "expected": self.r,
-                                         "got": str(dot(m, x))})
-
     def _verify_face_closure(self):
         # Componentwise subpairs of adjoint pairs must again be adjoint:
         # every j2 <= j must be a Q-partner of every i2 <= i.
@@ -573,9 +580,6 @@ class SigmaComplex:
 
     def dim(self):
         return max(self.dims) if self.dims else -1
-
-    def leq(self, a, b):
-        return (self._above[a] >> b) & 1 == 1
 
     def euler_characteristic(self):
         return sum((-1) ** d for d in self.dims)
@@ -684,16 +688,6 @@ def _bits(mask):
     return out
 
 
-def build_sigma(p_poset, q_poset, pairs, r, expected_dim):
-    sigma = SigmaComplex(p_poset, q_poset, pairs, r)
-    for d in sigma.dims:
-        if d > expected_dim:
-            raise FalsificationError(
-                "product cell exceeds the expected dimension",
-                {"dim": d, "bound": expected_dim})
-    return sigma
-
-
 def projection_images(sigma):
     """Check that both projections hit every Minkowski cell on their side."""
     hit_p = {i for i, _ in sigma.pairs}
@@ -707,52 +701,8 @@ def projection_images(sigma):
     return report
 
 
-def lemma_slice_suite(poset):
-    """The face/lattice-distance/unimodularity checks on every cell.
-
-    For every cell of the poset's subdivision and index set I: Conv of the
-    I-slices is a face of the cell (:meth:`Polytope.is_face` on their
-    vertices, which are cell vertices); complementary nonempty slices are
-    at lattice distance one (certified by the sum of the poset's psi
-    values); minimal transversal cells are unimodular (r-1)-simplices.  The
-    slices are the ones the poset was built from.
-    """
-    from itertools import combinations
-    r = len(poset.parts)
-    failures = []
-    for cell in poset.subdivision.cells:
-        slices = poset.slices[cell]
-        position = {v: k for k, v in enumerate(cell.vertices)}
-        for size in range(1, r + 1):
-            for idxs in combinations(range(r), size):
-                chosen = [v for i in idxs if slices[i] is not None
-                          for v in slices[i].vertices]
-                if not chosen:
-                    continue
-                if not cell.is_face([position[v] for v in chosen]):
-                    failures.append({"check": "slice_hull_is_face",
-                                     "cell": _cell_key(cell),
-                                     "index_set": list(idxs)})
-                comp = [v for i in range(r)
-                        if i not in idxs and slices[i] is not None
-                        for v in slices[i].vertices]
-                if comp and not _distance_one(poset.supports, idxs, chosen,
-                                              comp):
-                    failures.append({"check": "lattice_distance_one",
-                                     "cell": _cell_key(cell),
-                                     "index_set": list(idxs)})
-    return failures
-
-
-def _distance_one(supports, idxs, chosen, comp):
-    """The sum of psi_i over idxs is 1 at `chosen` and 0 at `comp`."""
-    psi = [sum(supports.at(v)[0][i] for i in idxs) for v in chosen + comp]
-    return psi == [1] * len(chosen) + [0] * len(comp)
-
-
 def minimal_cells_unimodular(poset):
     """Minimal transversal cells must be unimodular (r-1)-simplices."""
-    from .linalg import clear_denominators
     failures = []
     r = len(poset.parts)
     for i in poset.minimal:

@@ -160,12 +160,6 @@ class BoundarySubdivision:
             mask |= 1 << ids.setdefault(v, len(ids))
         return mask
 
-    def leq(self, a, b):
-        """Face relation: a is a face of b (cells of a complex share faces,
-        so containment is equivalent to vertex-set inclusion)."""
-        ma = self.vertex_mask(a)
-        return self.vertex_mask(b) & ma == ma
-
     def coned(self, cell):
         """The cell F joined with the origin, read as a face of a maximal
         coned cell holding it: that is the pyramid with apex 0 over a

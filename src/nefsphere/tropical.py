@@ -18,6 +18,7 @@ from .polytope import (
     intersect,
     minkowski_sum_all,
     opposite_role,
+    polytope_from_hrep,
 )
 from .polytope import convex_hull as convex_hull  # for the bench tracer
 from .sphere import _cell_key, _point_key, containment_order
@@ -108,7 +109,6 @@ def tropical_zero_cell(support, weight):
     for m in support.lattice_points():
         row = clear_denominators((weight(m),) + tuple(-x for x in m))
         rows.append(row)
-    from .polytope import polytope_from_hrep
     return polytope_from_hrep([], rows, opposite_role(support.role),
                               support.ambient)
 

@@ -127,7 +127,7 @@ def test_criterion_06_lemma_suite(prism_pair_pipe, randomized_partitions):
     for nef in randomized_partitions:
         failures += Pipeline(nef).lemma_suite()
     ok = not failures
-    report_line(6, "slice/face/distance/unimodularity suite", ok,
+    report_line(6, "unimodular minimal cells, unit-psi slices", ok,
                 f"{len(randomized_partitions)} randomized inputs")
     assert failures == []
 

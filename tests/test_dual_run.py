@@ -12,6 +12,7 @@ from nefsphere import Pipeline
 from nefsphere import pipeline as pipeline_module
 from nefsphere.cli import load_input
 from nefsphere.errors import FalsificationError
+from nefsphere.monodromy import PrimaryLoop, duality_check
 from nefsphere.nef import NefPartitionError
 
 from test_cli import path
@@ -66,6 +67,46 @@ def test_dual_run_shares_the_double_dual(simplex3_pipe):
     assert dual_pipe.nef is simplex3_pipe.double_dual().primal
     assert dual_pipe.p_poset() is simplex3_pipe.q_poset()
     assert dual_pipe.q_poset() is simplex3_pipe.p_poset()
+
+
+def test_dual_run_shares_the_polar_hulls(simplex3_pipe):
+    # The dual parts hull is the polar of the sum, and the polar of the
+    # dual sum the parts hull: one live object each, scanned once.
+    dual_nef = simplex3_pipe.dual_pipeline().nef
+    assert dual_nef.parts_hull is simplex3_pipe.nef.sum_polar
+    assert dual_nef.sum_polar is simplex3_pipe.nef.parts_hull
+
+
+@pytest.mark.parametrize("name", ["prism_pair_5d", "prism_pair_5d_kinked"])
+def test_duality_suite_builds_no_dual_sigma(name):
+    pipe = _pipeline(name)
+    assert pipe.report(verify="full", include_dual=True)["passed"]
+    assert "_sigma" not in pipe.dual_pipeline()._cache
+
+
+@pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d"])
+def test_dual_loop_is_the_cell_lookup_in_an_unseeded_run(name):
+    # Oracle: the dual loop (tau0, sigma1, tau1, sigma0) found by cell in
+    # the posets of a dual run computed from scratch has the indices of
+    # the swap, and pairs the same way through that run's charts.
+    primal = _pipeline(name)
+    seeded = primal.dual_pipeline()
+    fresh = Pipeline(seeded.nef, omega_spec=seeded.omega_spec,
+                     nu_spec=seeded.nu_spec)
+    p_index = {e.cell: i for i, e in enumerate(fresh.p_poset().elements)}
+    q_index = {e.cell: i for i, e in enumerate(fresh.q_poset().elements)}
+    p_el, q_el = primal.p_poset().elements, primal.q_poset().elements
+    loops = primal.loops()
+    assert loops
+    for loop in loops:
+        assert PrimaryLoop(p_index[q_el[loop.q0].cell],
+                           q_index[p_el[loop.p1].cell],
+                           p_index[q_el[loop.q1].cell],
+                           q_index[p_el[loop.p0].cell]) == \
+            PrimaryLoop(loop.q0, loop.p1, loop.q1, loop.p0)
+    assert primal.duality_suite() == [
+        duality_check(loop, m, fresh.transitions(), fresh.base_charts())
+        for loop, m in zip(loops, primal.monodromies())]
 
 
 def test_tampered_weight_table_is_falsified(monkeypatch):

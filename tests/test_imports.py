@@ -1,9 +1,10 @@
-"""Every import in src/nefsphere is read by its own module, and every
-function it defines is used by the program.
+"""Every import in src/nefsphere is read by its own module and stands at
+module level, and every function it defines is used by the program.
 
-A name bound by an import, at module level or inside a function, must be
-read somewhere in the same module or be re-exported, through its
-``__all__`` or as ``import name as name``.  A function or method that is
+A name bound by an import must be read somewhere in the same module or be
+re-exported, through its ``__all__`` or as ``import name as name``.  No
+import stands inside a function, where a reader of the module's header
+would miss it.  A function or method that is
 not a dunder must be referenced somewhere in src/nefsphere outside its own
 body, or be listed in an ``__all__``; code that only the tests call lives
 in the tests.  The source is read with the standard library's ``ast``, so
@@ -55,6 +56,41 @@ def test_an_unread_import_is_found():
               "    from itertools import combinations\n"
               "    return grow\n")
     assert unused_imports(source) == ["convex_hull", "combinations"]
+
+
+def function_local_imports(source):
+    """(line, name) of every import made inside a function, in source
+    order."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    out.extend((inner.lineno, alias.asname or alias.name)
+                               for alias in inner.names)
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_import_inside_a_function(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert function_local_imports(fh.read()) == []
+
+
+def test_a_function_local_import_is_found():
+    source = ("import os\n"
+              "from .polytope import dilate\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        import math\n"
+              "        return math, os\n"
+              "def f():\n"
+              "    def g():\n"
+              "        from .linalg import dot as inner_dot\n"
+              "        return inner_dot\n"
+              "    return g, dilate\n")
+    assert function_local_imports(source) == [(5, "math"),
+                                              (9, "inner_dot")]
 
 
 def _references(tree):

@@ -486,7 +486,7 @@ def test_memoized_tree_transport_matches_path_walk(simplex3_pipe):
             stack.append(w_next)
     chart = base_chart_data(sigma.p_poset.elements[base[1]], w)
     transport = {base: (chart.frame, AffineMap.identity(d))}
-    transition = transition_memo(sigma, w)
+    transition = transition_memo(sigma.p_poset, sigma.q_poset, w)
 
     def direct(i, j):
         return chart_transition(sigma.p_poset.elements[i],
@@ -836,11 +836,12 @@ def test_enclosing_smooth_pair_matches_pair_scan():
         sigma = pipe.sigma()
         smooth = pipe.discriminant().smooth_mask()
         pp, qp = sigma.p_poset, sigma.q_poset
+        smooth_cells = [(i, j) for k, (i, j) in enumerate(sigma.pairs)
+                        if smooth_pair(sigma, k)]
         for loop in pipe.loops():
-            scan = any(smooth_pair(sigma, k)
-                       and pp.leq(loop.p0, i) and pp.leq(loop.p1, i)
+            scan = any(pp.leq(loop.p0, i) and pp.leq(loop.p1, i)
                        and qp.leq(loop.q0, j) and qp.leq(loop.q1, j)
-                       for k, (i, j) in enumerate(sigma.pairs))
+                       for i, j in smooth_cells)
             assert encloses_smooth_pair(sigma, loop, smooth) == scan
             checked += 1
     assert checked == 6 + 30 + 756 + 1080 + 2160 + 72 + 318 + 464 + 1170

@@ -1,4 +1,8 @@
+import glob
 import json
+import os
+from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -7,11 +11,12 @@ from nefsphere import Pipeline, sphere
 from nefsphere.cli import load_input
 from nefsphere.errors import FalsificationError
 from nefsphere.homology import order_complex_homology
+from nefsphere.linalg import dot
 from nefsphere.polytope import (as_fractions, convex_hull, dilate, intersect,
                                 minkowski_sum_all)
 from nefsphere.sphere import projection_images
-from test_cli import path
-from test_order_masks import sigma_successors
+from test_cli import DATA, path
+from test_order_masks import sigma_leq, sigma_successors
 
 INPUTS = ["triangle", "square_sum", "pentagon_pair", "simplex3",
           "segment_weighted", "prism_pair_5d"]
@@ -23,8 +28,71 @@ def _data_pipeline(name):
     return Pipeline(nef, omega_spec=omega, nu_spec=nu)
 
 
+ALL_INPUTS = sorted(
+    os.path.basename(f)[:-len(".json")]
+    for f in glob.glob(os.path.join(DATA, "*.json"))
+    if not f.endswith("malformed.json"))
+
+
 def _bsd_homology(sigma):
     return order_complex_homology(len(sigma.pairs), sigma_successors(sigma))
+
+
+# -- oracles: what the slice lemma and the Sigma certificates prove --------
+
+
+def lemma_slice_oracle(slices_by_cell, other_parts):
+    """The face and lattice-distance checks on every cell of a slice map
+    (a poset's `slices`), with psi read from the other side's parts.
+
+    For every index set I with a nonempty I-slice: the vertices of the
+    I-slices span a face of the cell, and sum_{i in I} psi_i is 1 on them
+    and 0 on the vertices of the other slices.  The unit-psi corollary of
+    the slice lemma (:mod:`nefsphere.sphere`) proves both on every run.
+    """
+    r = len(other_parts)
+    failures = []
+    for cell, slices in slices_by_cell.items():
+        position = {v: k for k, v in enumerate(cell.vertices)}
+        for size in range(1, r + 1):
+            for idxs in combinations(range(r), size):
+                chosen = [v for i in idxs if slices[i] is not None
+                          for v in slices[i].vertices]
+                if not chosen:
+                    continue
+                if not cell.is_face([position[v] for v in chosen]):
+                    failures.append({"check": "slice_hull_is_face",
+                                     "cell": sphere._cell_key(cell),
+                                     "index_set": list(idxs)})
+                comp = [v for i in range(r)
+                        if i not in idxs and slices[i] is not None
+                        for v in slices[i].vertices]
+                if not comp:
+                    continue
+                psi = [sum(max(dot(v, x) for x in other_parts[i].vertices)
+                           for i in idxs) for v in chosen + comp]
+                if psi != [1] * len(chosen) + [0] * len(comp):
+                    failures.append({"check": "lattice_distance_one",
+                                     "cell": sphere._cell_key(cell),
+                                     "index_set": list(idxs)})
+    return failures
+
+
+def pairing_level_failures(sigma):
+    """The vertex pairs (m, n) of Sigma's product cells with <m, n> != r."""
+    return [(m, n) for i, j in sigma.pairs
+            for m in sigma.p_poset.elements[i].minkowski.vertices
+            for n in sigma.q_poset.elements[j].minkowski.vertices
+            if dot(m, n) != sigma.r]
+
+
+def _removed_checks_hold(pipe):
+    for poset, other in ((pipe.p_poset(), pipe.dual().parts),
+                         (pipe.q_poset(), pipe.nef.parts)):
+        assert lemma_slice_oracle(poset.slices, other) == []
+    sigma = pipe.sigma()
+    assert pairing_level_failures(sigma) == []
+    assert all(d <= pipe.nef.ambient - pipe.nef.r for d in sigma.dims)
 
 
 def test_r1_every_cell_transversal(triangle_pipe):
@@ -193,7 +261,7 @@ def test_lemma_suite_standard_inputs(triangle_pipe, square_pipe,
 
 def test_lemma_suite_reuses_the_poset_slices(monkeypatch):
     # Every subdivision cell is sliced once per run: the lemma suite reads
-    # the slices its poset was built from.
+    # the minimal cells of the posets and slices nothing again.
     from nefsphere import sphere
     calls = []
     real = sphere._cell_slices
@@ -215,7 +283,29 @@ def test_lemma_suite_randomized(randomized_partitions):
         pipe = Pipeline(nef)
         assert pipe.lemma_suite() == [], \
             f"lemma suite failed for parts {[p.vertices for p in nef.parts]}"
+        _removed_checks_hold(pipe)
     assert saw_r2, "randomized sample contains no r >= 2 partition"
+
+
+@pytest.mark.parametrize("name", ALL_INPUTS)
+def test_checks_proved_by_certificates_hold(name):
+    # The slice faces and lattice distances (unit-psi corollary), the
+    # pairing-level equation and the dimension bound (SigmaComplex) are
+    # proved from the certificates each run raises; here they are checked.
+    _removed_checks_hold(_data_pipeline(name))
+
+
+def test_a_non_lattice_other_side_part_is_refused():
+    # psi is integral only when the other side's parts are lattice
+    # polytopes, so a part with a half-integral vertex is refused.
+    parts = [convex_hull([(1, 0), (0, 1), (-1, -1)], "M")]
+    other = [convex_hull([(0, 0), (Fraction(1, 2), 0), (0, 1)], "N")]
+    with pytest.raises(FalsificationError) as err:
+        sphere._Supports(parts, other)
+    assert err.value.claim == \
+        "slice lemma: an other-side part is not a lattice polytope"
+    assert err.value.certificate == {
+        "other_part": 0, "vertices": [["0", "0"], ["0", "1"], ["1/2", "0"]]}
 
 
 def test_elliptic_dimension_has_empty_discriminant(randomized_partitions):
@@ -257,7 +347,7 @@ def test_sigma_order_is_the_product_order(name):
     for a, (i, j) in enumerate(sigma.pairs):
         want = [b for b, (i2, j2) in enumerate(sigma.pairs)
                 if p.leq(i, i2) and q.leq(j, j2)]
-        assert [b for b in range(n) if sigma.leq(a, b)] == want
+        assert [b for b in range(n) if sigma_leq(sigma, a, b)] == want
         assert succ[a] == [b for b in want if b != a]
 
 
@@ -280,9 +370,10 @@ def test_containment_order_matches_all_vertices_route(name):
 
 
 def _assert_slices_are_intersections(pipe):
-    for poset, parts in ((pipe.p_poset(), pipe.nef.parts),
-                         (pipe.q_poset(), pipe.dual().parts)):
-        assert set(poset.slices) == set(poset.subdivision.cells)
+    for poset, boundary, parts in (
+            (pipe.p_poset(), pipe.s_boundary(), pipe.nef.parts),
+            (pipe.q_poset(), pipe.t_boundary(), pipe.dual().parts)):
+        assert set(poset.slices) == set(boundary.cells)
         for cell, slices in poset.slices.items():
             assert slices == tuple(intersect(cell, p) for p in parts), \
                 f"slice differs from the intersection on {cell.vertices}"
@@ -417,8 +508,8 @@ def test_coned_slices_equal_intersections(name):
     # over the cell's slice, or the origin where the slice is empty.
     pipe = _data_pipeline(name)
     origin = ((0,) * pipe.nef.ambient,)
-    for poset, parts, _, _ in _sides(pipe):
-        boundary = poset.subdivision
+    for (poset, parts, _, _), boundary in zip(
+            _sides(pipe), (pipe.s_boundary(), pipe.t_boundary())):
         for cell, slices in poset.slices.items():
             coned = boundary.coned(cell)
             for s, part in zip(slices, parts):
@@ -481,8 +572,9 @@ def test_a_sum_polytope_outside_the_dilated_hull_is_refused():
 
 def test_lemma_suite_flags_a_non_face_and_swapped_slices():
     # A slice whose vertices are no face of the cell, and two slices traded
-    # between parts, each fail their check of the lemma suite.
-    poset = _data_pipeline("prism_pair_5d").p_poset()
+    # between parts, each fail their check of the lemma oracle.
+    pipe = _data_pipeline("prism_pair_5d")
+    poset = pipe.p_poset()
     cell, pair = next(
         (e.cell, (i, j)) for e in poset.elements
         for i in range(len(e.cell.vertices))
@@ -491,10 +583,7 @@ def test_lemma_suite_flags_a_non_face_and_swapped_slices():
     slices = poset.slices[cell]
 
     def suite(cell_slices):
-        return sphere.lemma_slice_suite(SimpleNamespace(
-            parts=poset.parts, supports=poset.supports,
-            subdivision=SimpleNamespace(cells=[cell]),
-            slices={cell: cell_slices}))
+        return lemma_slice_oracle({cell: cell_slices}, pipe.dual().parts)
 
     assert suite(slices) == []
     non_face = convex_hull([cell.vertices[k] for k in pair], cell.role)
