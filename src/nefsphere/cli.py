@@ -147,6 +147,11 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
+        _check_options(args, nef.ambient)
+    except ValueError as exc:
+        print(f"option error: {exc}", file=sys.stderr)
+        return 2
+    try:
         pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
         out, code = _dispatch(args, pipe)
     except FalsificationError as exc:
@@ -160,6 +165,42 @@ def main(argv=None):
         return 4
     sys.stdout.write(canonical_json(out))
     return code
+
+
+def _check_options(args, dim):
+    """Refuse a bad option value before any stage runs (exit 2): parse
+    ``--project`` into indices in 0..dim-1, and make sure the
+    ``--emit-complexes`` directory exists (creating it) and is writable."""
+    project = getattr(args, "project", None)
+    if project is not None:
+        args.project = _project_indices(project, dim)
+    directory = getattr(args, "emit_complexes", None)
+    if directory is not None:
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"bad --emit-complexes {directory!r}: "
+                             f"{exc.strerror}") from None
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise ValueError(f"bad --emit-complexes {directory!r}: "
+                             "directory is not writable")
+
+
+def _project_indices(text, dim):
+    """The comma-separated coordinate indices of ``--project``, each an
+    integer in 0..dim-1."""
+    indices = []
+    for item in text.split(","):
+        try:
+            k = int(item)
+        except ValueError:
+            raise ValueError(f"bad --project {text!r}: {item!r} is not a "
+                             "coordinate index") from None
+        if not 0 <= k < dim:
+            raise ValueError(f"bad --project {text!r}: index {k} is not in "
+                             f"0..{dim - 1}")
+        indices.append(k)
+    return indices
 
 
 def _dispatch(args, pipe):
@@ -204,13 +245,10 @@ def _dispatch(args, pipe):
         }
         return out, 0
     if cmd == "tropical":
-        project = None
-        if args.project:
-            project = [int(x) for x in args.project.split(",")]
         cells = pipe.tropical_complex().cells
         out = {
             "bounded_cells": len(cells),
-            "scene": scene_export(cells, project=project),
+            "scene": scene_export(cells, project=args.project),
             "amoeba_cells": len(pipe.amoeba()),
         }
         return out, 0
@@ -241,7 +279,6 @@ def _dispatch(args, pipe):
 
 
 def _emit_complexes(pipe, directory):
-    os.makedirs(directory, exist_ok=True)
     points = {}
 
     def point_id(pt):

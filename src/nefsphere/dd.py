@@ -16,6 +16,16 @@ inverse, read from :func:`linalg.reduced_echelon` of [base | I].  The
 remaining rows are then added one at a time, with rays kept as tightness
 bitmasks and combined only when combinatorially adjacent.  All arithmetic
 is integer; rays are kept primitive, so there is no coefficient blow-up.
+
+Adjacency pre-filter (the algebraic adjacency test of the same paper).
+The processed rows always include the rank-dim base, so the cone they cut
+out is pointed.  Two extreme rays p, n of a pointed cone of dimension dim
+are adjacent iff the smallest face holding both is two-dimensional, that
+is, iff the rows tight on both have rank dim - 2.  A set of rank dim - 2
+has at least dim - 2 rows, so a pair whose common tight mask has fewer
+bits is not adjacent and is skipped before the third-ray scan.  Every pair
+that is left is still decided by the combinatorial test (no third ray is
+tight on the common set), so the rays produced do not change.
 """
 
 from math import lcm
@@ -85,8 +95,13 @@ def _pointed_cone_rays(rows, dim):
         for p, sp in vals.items():
             if sp <= 0:
                 continue
+            mp = masks[p]
             for n in neg:
-                common = masks[p] & masks[n]
+                common = mp & masks[n]
+                # Adjacent rays share at least dim - 2 tight rows (module
+                # docstring), so fewer settles the pair with no scan.
+                if common.bit_count() < dim - 2:
+                    continue
                 # Combinatorial adjacency: no third ray is tight on the
                 # common tight set of p and n.
                 if any(masks[w] & common == common for w in masks

@@ -254,6 +254,13 @@ def primary_loops(sigma, s_boundary, t_boundary):
 
     Loops with coincident ends on one side are kept (their monodromy is
     trivial) but marked degenerate; fully collapsed loops are dropped.
+
+    The loops are a join on bitmasks over the positions x of the Q-minimal
+    elements q_min: partners[a] is the mask of the x with (a, q_min[x])
+    adjoint, and later[x] the mask of the y >= x with (q_min[x], q_min[y])
+    a span pair.  (a, c, b, e) is a loop iff c and e lie in partners[a] &
+    partners[b], so each span pair (a, b) reads its loops from that meet,
+    in the order of the span pairs of Q.
     """
     p_min = sorted(sigma.p_poset.minimal,
                    key=lambda i: sigma.p_poset.elements[i].cell.key())
@@ -261,15 +268,21 @@ def primary_loops(sigma, s_boundary, t_boundary):
                    key=lambda j: sigma.q_poset.elements[j].cell.key())
     p_pairs = _span_pairs(sigma.p_poset, p_min, s_boundary)
     q_pairs = _span_pairs(sigma.q_poset, q_min, t_boundary)
-    pair_set = set(sigma.pairs)
+    position = {j: x for x, j in enumerate(q_min)}
+    partners = dict.fromkeys(p_min, 0)
+    for a, j in sigma.pairs:
+        if a in partners and j in position:
+            partners[a] |= 1 << position[j]
+    later = [0] * len(q_min)
+    for c, e in q_pairs:
+        later[position[c]] |= 1 << position[e]
     loops = []
-    for (a, b) in p_pairs:
-        for (c, e) in q_pairs:
-            if a == b and c == e:
-                continue
-            if all(pq in pair_set
-                   for pq in ((a, c), (a, e), (b, c), (b, e))):
-                loops.append(PrimaryLoop(a, c, b, e))
+    for a, b in p_pairs:
+        meet = partners[a] & partners[b]
+        for x in _bits(meet):
+            for y in _bits(meet & later[x]):
+                if a != b or x != y:
+                    loops.append(PrimaryLoop(a, q_min[x], b, q_min[y]))
     return loops
 
 

@@ -113,6 +113,24 @@ def as_fractions(point):
     return tuple(exact(x) for x in point)
 
 
+def point_ray(point):
+    """The point x as the primitive integer ray of (1, x).
+
+    The ray is a positive multiple of (1, x), so every homogeneous row has
+    the same sign on both: membership is read from integer dot products
+    with the integer rows (:func:`_satisfies`), with no Fraction.
+    """
+    return clear_denominators((1,) + as_fractions(point))
+
+
+def _satisfies(equations, inequalities, ray):
+    """Whether a homogeneous ray is tight on every equation row and
+    nonnegative on every inequality row: the one membership test of
+    :class:`Polytope` and :class:`Polyhedron`."""
+    return (all(dot(e, ray) == 0 for e in equations)
+            and all(dot(f, ray) >= 0 for f in inequalities))
+
+
 def is_integral(point):
     return all(type(x) is int for x in as_fractions(point))
 
@@ -166,9 +184,11 @@ class Polytope:
     # -- membership ---------------------------------------------------------
 
     def contains(self, point):
-        hx = (1,) + as_fractions(point)
-        return (all(dot(e, hx) == 0 for e in self.equations)
-                and all(dot(f, hx) >= 0 for f in self.facets))
+        return self.contains_ray(point_ray(point))
+
+    def contains_ray(self, ray):
+        """Membership of the point whose :func:`point_ray` is `ray`."""
+        return _satisfies(self.equations, self.facets, ray)
 
     def interior_contains(self, point):
         """Relative-interior membership."""
@@ -722,7 +742,9 @@ class Polyhedron:
         return row_rank(rows + list(self.rays) + list(self.lineality))
 
     def contains(self, point):
-        hx = (1,) + as_fractions(point)
-        return (all(dot(e, hx) == 0 for e in self.eq_rows)
-                and all(dot(f, hx) >= 0 for f in self.ineq_rows))
+        return self.contains_ray(point_ray(point))
+
+    def contains_ray(self, ray):
+        """Membership of the point whose :func:`point_ray` is `ray`."""
+        return _satisfies(self.eq_rows, self.ineq_rows, ray)
 

@@ -67,7 +67,13 @@ from fractions import Fraction
 from .errors import FalsificationError
 from .homology import cellular_homology
 from .linalg import clear_denominators, dot, smith_normal_form
-from .polytope import dilate, intersect, is_minkowski_sum, minkowski_sum_all
+from .polytope import (
+    dilate,
+    intersect,
+    is_minkowski_sum,
+    minkowski_sum_all,
+    point_ray,
+)
 from .polytope import convex_hull as convex_hull  # for the bench tracer
 
 
@@ -387,12 +393,13 @@ def minkowski_complex(poset, delta, r, parts_hull):
     # Support: every Minkowski cell lies on the boundary of r*nabla_vee ...
     # tight[c] is the mask of the facets of r*nabla_vee that cell c lies on.
     scaled = dilate(parts_hull, r)
+    # Each distinct vertex is read once as its integer ray.
+    rays = {v: point_ray(v) for mk in cells for v in mk.vertices}
     tight = [sum(1 << t for t, f in enumerate(scaled.facets)
-                 if all(dot(f, (1,) + v) == 0 for v in mk.vertices))
+                 if all(dot(f, rays[v]) == 0 for v in mk.vertices))
              for mk in cells]
-    checks["cells_on_dilated_boundary"] = all(
-        t and all(delta.contains(v) for v in mk.vertices)
-        for mk, t in zip(cells, tight))
+    checks["cells_on_dilated_boundary"] = all(tight) and all(
+        delta.contains_ray(ray) for ray in rays.values())
     # ... and the cells cover it: per facet of r*nabla_vee, exact volumes.
     cover_ok = True
     for t, f in enumerate(scaled.facets):
@@ -418,11 +425,13 @@ def minkowski_complex(poset, delta, r, parts_hull):
 
 
 def containment_order(cells):
-    """Bitmasks of polytope inclusion: bit j of entry i is set iff every
-    vertex of cells[i] lies in cells[j].
+    """Bitmasks of inclusion among polytopes or polyhedra: bit j of entry
+    i is set iff every vertex of cells[i] lies in cells[j].
 
-    The distinct vertices of all cells are numbered and each is tested once
-    against each cell; then i <= j iff vmask[i] & inside[j] == vmask[i].
+    The distinct vertices of all cells are numbered, each is read once as
+    its integer ray (:func:`polytope.point_ray`), and each ray is tested
+    once against each cell by the membership test both classes share
+    (``contains_ray``); then i <= j iff vmask[i] & inside[j] == vmask[i].
     """
     ids = {}
     vmask = []
@@ -431,11 +440,12 @@ def containment_order(cells):
         for v in c.vertices:
             mask |= 1 << ids.setdefault(v, len(ids))
         vmask.append(mask)
+    rays = [point_ray(v) for v in ids]
     inside = []
     for c in cells:
         mask = 0
-        for v, t in ids.items():
-            if c.contains(v):
+        for t, ray in enumerate(rays):
+            if c.contains_ray(ray):
                 mask |= 1 << t
         inside.append(mask)
     out = []

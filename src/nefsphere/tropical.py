@@ -18,6 +18,7 @@ from .polytope import (
     intersect,
     minkowski_sum_all,
     opposite_role,
+    point_ray,
     polytope_from_hrep,
 )
 from .polytope import convex_hull as convex_hull  # for the bench tracer
@@ -240,7 +241,8 @@ def bounded_cells_check(part_subdivisions, boundary, p_poset,
             continue
         if meet.key() in complex_keys:
             realized.add(complex_keys[meet.key()])
-        if not any(all(c.poly.contains(v) for v in meet.vertices)
+        rays = [point_ray(v) for v in meet.vertices]
+        if not any(all(c.poly.contains_ray(ray) for ray in rays)
                    for c in tropical_cplx.cells):
             report["refinement_inside_complex"] = False
     if len(realized) != len(tropical_cplx.cells):

@@ -93,6 +93,44 @@ def test_tropical_scene_projection():
     assert all(len(v) == 2 for cell in out["scene"] for v in cell["vertices"])
 
 
+@pytest.mark.parametrize("project, message", [
+    ("9", "index 9 is not in 0..1"),
+    ("2", "index 2 is not in 0..1"),
+    ("-1", "index -1 is not in 0..1"),
+    ("a", "'a' is not a coordinate index"),
+    ("0,,", "'' is not a coordinate index"),
+    ("", "'' is not a coordinate index"),
+    ("0.5", "'0.5' is not a coordinate index"),
+])
+def test_bad_project_exits_2(project, message):
+    proc = run_cli("tropical", path("triangle.json"), f"--project={project}")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "--project" in proc.stderr and message in proc.stderr
+
+
+def _refuse_pipeline(*args, **kwargs):
+    raise AssertionError("a stage ran before the option was checked")
+
+
+def test_emit_complexes_under_a_file_exits_2_before_any_stage(
+        tmp_path, monkeypatch, capsys):
+    from nefsphere import cli
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "out")
+    proc = run_cli("report", path("triangle.json"), "--emit-complexes",
+                   target)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "--emit-complexes" in proc.stderr
+    # In process: the option is refused before a Pipeline exists.
+    monkeypatch.setattr(cli, "Pipeline", _refuse_pipeline)
+    assert cli.main(["report", path("triangle.json"),
+                     "--emit-complexes", target]) == 2
+    assert "--emit-complexes" in capsys.readouterr().err
+
+
 def test_emit_complexes(tmp_path):
     proc = run_cli("report", path("triangle.json"),
                    "--emit-complexes", str(tmp_path))

@@ -28,11 +28,13 @@ from nefsphere.linalg import (
     solve_rational,
 )
 from nefsphere.polytope import (
+    Polyhedron,
     _canonical_facets,
     _extreme_points,
     _reduce_mod_equations,
     as_fractions,
     convex_hull,
+    point_ray,
     polyhedron_generators,
 )
 
@@ -372,6 +374,54 @@ def test_cone_rays_match_enumeration_oracle(system):
     assert rays == want_rays
 
 
+def _through(apex, u):
+    """u projected orthogonally to apex and scaled to integers: a row tight
+    at the ray apex."""
+    aa = dot(apex, apex)
+    return tuple(aa * x - dot(u, apex) * y for x, y in zip(u, apex))
+
+
+@st.composite
+def degenerate_cone_systems(draw):
+    """Inequality systems in dimension 5-6 where many rows are tight at one
+    or two rays: dim or dim + 1 rows through a drawn apex ray, or dim rows
+    through each of two, one or two rows positive at the first apex, and
+    sometimes a redundant row.  Pairs of rays then share many tight rows,
+    so the adjacency pre-filter's count (at least dim - 2 common tight
+    rows) falls on both sides of its line."""
+    dim = draw(st.integers(5, 6))
+
+    def vec():
+        v = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+        return tuple(v) if any(v) else (1,) + (0,) * (dim - 1)
+
+    apexes = [vec()]
+    if draw(st.booleans()):
+        apexes.append(vec())
+    rows = []
+    for apex in apexes:
+        for _ in range(draw(st.integers(dim, dim + 2 - len(apexes)))):
+            rows.append(_through(apex, vec()))
+    apex = apexes[0]
+    for _ in range(draw(st.integers(1, 2))):
+        u = vec()
+        shift = max(0, -dot(u, apex) // dot(apex, apex) + 1)
+        rows.append(tuple(x + shift * y for x, y in zip(u, apex)))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), \
+            draw(st.integers(0, len(rows) - 1))
+        rows.append(tuple(x + 2 * y for x, y in zip(rows[i], rows[j])))
+    return draw(st.permutations(rows)), dim
+
+
+@given(degenerate_cone_systems())
+@settings(max_examples=30, deadline=None)
+def test_cone_rays_match_enumeration_oracle_degenerate(system):
+    rows, dim = system
+    # Repeated rows change neither cone; the oracle enumerates subsets.
+    assert cone_rays(rows, dim) == reference_cone_rays(set(rows), dim)
+
+
 # -- H-systems with equations ------------------------------------------------
 
 
@@ -473,6 +523,71 @@ def test_polyhedron_generators_edge_cases():
     # Equations with no solution: the line x = 1 meets x = 2 nowhere.
     assert polyhedron_generators([(-1, 1, 0), (-2, 1, 0)], [], 2) == \
         ((), (), ((0, 1),))
+
+
+# -- membership by integer rays ------------------------------------------------
+
+
+def contains_by_fractions(equations, inequalities, point):
+    """Membership of a rational point, in Fraction arithmetic on (1, x):
+    the route the integer rays replaced."""
+    hx = (Fraction(1),) + tuple(Fraction(x) for x in point)
+    return (all(dot(e, hx) == 0 for e in equations)
+            and all(dot(f, hx) >= 0 for f in inequalities))
+
+
+@st.composite
+def membership_probes(draw):
+    """A lattice polytope in dimension 1-4, flat (on a drawn hyperplane)
+    or not, and rational points: one on a facet (a positive combination of
+    the facet's vertices), and the same point moved off that facet, or off
+    the affine hull, so that the row reads +1/q or -1/q there."""
+    ambient = draw(st.integers(1, 4))
+    coord = st.integers(-3, 3)
+    flat = ambient > 1 and draw(st.booleans())
+    pts = []
+    for _ in range(draw(st.integers(2, 7))):
+        p = draw(st.lists(coord, min_size=ambient, max_size=ambient))
+        if flat:
+            # The last coordinate is fixed by the others: x_d = x_1 + 1.
+            p[-1] = p[0] + 1
+        pts.append(tuple(p))
+    poly = convex_hull(pts, "M")
+    rows = list(poly.facets) + list(poly.equations)
+    row = draw(st.sampled_from(rows)) if rows else None
+    tight = [v for v in poly.vertices
+             if row is None or dot(row, (1,) + v) == 0]
+    weights = [draw(st.integers(1, 4)) for _ in tight]
+    on = tuple(Fraction(sum(w * v[k] for w, v in zip(weights, tight)),
+                        sum(weights))
+               for k in range(ambient))
+    probes = [on]
+    if row is not None:
+        k = draw(st.sampled_from([k for k in range(ambient) if row[1 + k]]))
+        q = draw(st.integers(1, 7))
+        for sign in (1, -1):
+            step = Fraction(sign, q * row[1 + k])
+            probes.append(tuple(x + step * (i == k)
+                                for i, x in enumerate(on)))
+    return poly, probes
+
+
+@given(membership_probes())
+@settings(max_examples=300, deadline=None)
+def test_contains_matches_fraction_oracle(probe):
+    poly, points = probe
+    hpoly = Polyhedron.from_hrep(poly.equations, poly.facets, poly.role,
+                                 poly.ambient)
+    assert poly.contains(points[0])
+    for x in points:
+        want = contains_by_fractions(poly.equations, poly.facets, x)
+        assert poly.contains(x) == want
+        assert hpoly.contains(x) == want
+        assert poly.contains_ray(point_ray(x)) == want
+    if len(points) > 1:
+        # One side of a facet gains 1/q, the other loses it; on an equation
+        # both sides leave the affine hull.
+        assert not all(poly.contains(x) for x in points[1:])
 
 
 # -- vertices of a hull --------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -16,13 +17,17 @@ from nefsphere.linalg import (
 from nefsphere.monodromy import (
     AffineMap,
     ChartAtlas,
+    PrimaryLoop,
+    _span_pairs,
     complement_homology,
     discriminant,
+    primary_loops,
     smooth_pair,
 )
 
 
 from conftest import transpose
+from test_cli import DATA
 
 
 def tree_path(parent, node):
@@ -37,6 +42,10 @@ def tree_path(parent, node):
 def _nilpotent(linear):
     return tuple(tuple(v - int(i == j) for j, v in enumerate(row))
                  for i, row in enumerate(linear))
+
+
+DATA_NAMES = sorted(f[:-len(".json")] for f in os.listdir(DATA)
+                    if f.endswith(".json") and f != "malformed.json")
 
 
 @lru_cache(maxsize=None)
@@ -821,18 +830,10 @@ def test_one_base_chart_per_cell(monkeypatch):
 def test_enclosing_smooth_pair_matches_pair_scan():
     # The bitmask search gives the verdict of scanning every cell of Sigma
     # for a smooth pair above all four nodes of the loop.
-    import glob
-    import os
-    from nefsphere import Pipeline
-    from nefsphere.cli import load_input
     from nefsphere.monodromy import encloses_smooth_pair
-    from test_cli import DATA
     checked = 0
-    for name in sorted(glob.glob(os.path.join(DATA, "*.json"))):
-        if name.endswith("malformed.json"):
-            continue
-        nef, omega, nu = load_input(name)
-        pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+    for name in DATA_NAMES:
+        pipe = _data_pipe(name)
         sigma = pipe.sigma()
         smooth = pipe.discriminant().smooth_mask()
         pp, qp = sigma.p_poset, sigma.q_poset
@@ -845,3 +846,47 @@ def test_enclosing_smooth_pair_matches_pair_scan():
             assert encloses_smooth_pair(sigma, loop, smooth) == scan
             checked += 1
     assert checked == 6 + 30 + 756 + 1080 + 2160 + 72 + 318 + 464 + 1170
+
+
+# -- primary loops: the partner-mask join against the pair scan ---------------
+
+
+def primary_loops_by_pair_scan(sigma, s_boundary, t_boundary):
+    """The route the partner masks replaced: every span pair of P against
+    every span pair of Q, with four lookups in the adjoint pairs."""
+    p_min = sorted(sigma.p_poset.minimal,
+                   key=lambda i: sigma.p_poset.elements[i].cell.key())
+    q_min = sorted(sigma.q_poset.minimal,
+                   key=lambda j: sigma.q_poset.elements[j].cell.key())
+    p_pairs = _span_pairs(sigma.p_poset, p_min, s_boundary)
+    q_pairs = _span_pairs(sigma.q_poset, q_min, t_boundary)
+    pair_set = set(sigma.pairs)
+    loops = []
+    for (a, b) in p_pairs:
+        for (c, e) in q_pairs:
+            if a == b and c == e:
+                continue
+            if all(pq in pair_set
+                   for pq in ((a, c), (a, e), (b, c), (b, e))):
+                loops.append(PrimaryLoop(a, c, b, e))
+    return loops
+
+
+def _assert_loops_match_pair_scan(pipe):
+    args = (pipe.sigma(), pipe.s_boundary(), pipe.t_boundary())
+    # List order included: loop indices name loops in the report.
+    assert primary_loops(*args) == primary_loops_by_pair_scan(*args)
+
+
+@pytest.mark.parametrize("name", DATA_NAMES)
+def test_primary_loops_match_the_pair_scan(name):
+    _assert_loops_match_pair_scan(_data_pipe(name))
+
+
+def test_primary_loops_match_the_pair_scan_randomized(randomized_partitions):
+    from nefsphere import Pipeline
+    assert randomized_partitions
+    for nef in randomized_partitions:
+        pipe = Pipeline(nef)
+        _assert_loops_match_pair_scan(pipe)
+        _assert_loops_match_pair_scan(pipe.dual_pipeline())

@@ -16,6 +16,7 @@ from nefsphere.polytope import (as_fractions, convex_hull, dilate, intersect,
                                 minkowski_sum_all)
 from nefsphere.sphere import projection_images
 from test_cli import DATA, path
+from test_exact_kernel import contains_by_fractions
 from test_order_masks import sigma_leq, sigma_successors
 
 INPUTS = ["triangle", "square_sum", "pentagon_pair", "simplex3",
@@ -32,6 +33,19 @@ ALL_INPUTS = sorted(
     os.path.basename(f)[:-len(".json")]
     for f in glob.glob(os.path.join(DATA, "*.json"))
     if not f.endswith("malformed.json"))
+
+
+def containment_order_by_fractions(polyhedra):
+    """Inclusion masks: polyhedron i lies in polyhedron j iff its vertices
+    are among the vertices of all of them that pass j's rows in Fraction
+    arithmetic on (1, v)."""
+    points = {v for c in polyhedra for v in c.vertices}
+    inside = [{v for v in points
+               if contains_by_fractions(c.eq_rows, c.ineq_rows, v)}
+              for c in polyhedra]
+    return [sum(1 << j for j, ins in enumerate(inside)
+                if ins.issuperset(ci.vertices))
+            for ci in polyhedra]
 
 
 def _bsd_homology(sigma):
@@ -367,6 +381,21 @@ def test_containment_order_matches_all_vertices_route(name):
         assert got == want
         assert all(poset.leq(i, j) == bool(got[i] >> j & 1)
                    for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("name", ["simplex3", "pentagon_pair",
+                                  "prism_pair_5d_kinked"])
+def test_containment_order_matches_fraction_oracle(name):
+    # The integer-ray route against Fraction arithmetic on (1, v), on the
+    # tropical complex's polyhedra (the kinked prism's have Fraction
+    # vertices).  The Minkowski cells are checked against `contains` above.
+    pipe = _data_pipeline(name)
+    tropical = [c.poly for c in pipe.tropical_complex().cells]
+    assert pipe.tropical_complex().containment == \
+        containment_order_by_fractions(tropical)
+    if name == "prism_pair_5d_kinked":
+        assert any(type(x) is Fraction
+                   for c in tropical for v in c.vertices for x in v)
 
 
 def _assert_slices_are_intersections(pipe):
