@@ -161,7 +161,9 @@ def main(argv=None):
         print(f"input rejected: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        stage = getattr(exc, "stage", args.command)
+        print(f"internal error in stage {stage}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 4
     sys.stdout.write(canonical_json(out))
     return code

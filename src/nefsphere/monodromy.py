@@ -15,10 +15,10 @@ reads the dual holonomy from them (:func:`duality_check`) and no second
 Sigma is built.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from operator import itemgetter
 
 from .errors import FalsificationError
 from .linalg import (
@@ -235,18 +235,24 @@ class ChartGraph:
 # -- primary loops and monodromy ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimaryLoop:
-    """A four-node loop (sigma0, tau0, sigma1, tau1) in the chart graph."""
+class PrimaryLoop(tuple):
+    """A four-node loop (sigma0, tau0, sigma1, tau1) in the chart graph: the
+    P-indices p0, p1 and Q-indices q0, q1 of its nodes, as an immutable
+    tuple (p0, q0, p1, q1)."""
 
-    p0: int
-    q0: int
-    p1: int
-    q1: int
+    __slots__ = ()
+
+    def __new__(cls, p0, q0, p1, q1):
+        return tuple.__new__(cls, (p0, q0, p1, q1))
+
+    p0 = property(itemgetter(0))
+    q0 = property(itemgetter(1))
+    p1 = property(itemgetter(2))
+    q1 = property(itemgetter(3))
 
     @property
     def degenerate(self):
-        return self.p0 == self.p1 or self.q0 == self.q1
+        return self[0] == self[2] or self[1] == self[3]
 
 
 def primary_loops(sigma, s_boundary, t_boundary):
@@ -372,13 +378,20 @@ def chart_transition(dst_cell, via_cell, weight, ambient):
                      den)
 
 
-@dataclass
 class AffineMonodromy:
-    loop: PrimaryLoop
-    basis: tuple          # rows: canonical lattice basis of the tangent space
-    linear: tuple         # (d-r) x (d-r) integer matrix in the basis
-    translation: tuple    # (d-r) rationals
-    images: tuple         # the basis vectors' images under the loop's map
+    """The affine holonomy of `loop`: `basis` rows are the canonical lattice
+    basis of the tangent space, `linear` the (d-r) x (d-r) integer matrix
+    and `translation` the (d-r) rationals of the map in that basis, and
+    `images` the basis vectors' images under the loop's map."""
+
+    __slots__ = ("loop", "basis", "linear", "translation", "images")
+
+    def __init__(self, loop, basis, linear, translation, images):
+        self.loop = loop
+        self.basis = basis
+        self.linear = linear
+        self.translation = translation
+        self.images = images
 
 
 def transition_memo(p_poset, q_poset, weight):

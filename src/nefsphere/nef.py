@@ -9,7 +9,6 @@ The interior vectors write 0 as a strictly positive convex combination of
 the vertices of each of those hulls, in closed form, and split it by part.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -77,11 +76,13 @@ class NefPartition:
         return self._sum_polar
 
 
-@dataclass
 class ValidationCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name, passed, detail=""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
 class ValidationReport:
@@ -236,10 +237,12 @@ def is_irreducible(np_):
     return True, None
 
 
-@dataclass
 class InteriorVectors:
-    v: tuple  # one M-side vector per part, summing to zero
-    w: tuple  # one N-side vector per part, summing to zero
+    __slots__ = ("v", "w")
+
+    def __init__(self, v, w):
+        self.v = v  # one M-side vector per part, summing to zero
+        self.w = w  # one N-side vector per part, summing to zero
 
 
 def interior_vectors(np_, dual):

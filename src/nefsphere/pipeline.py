@@ -27,11 +27,19 @@ from .subdivision import (
 
 
 def _cached(fn):
+    """A stage computed once per Pipeline.  An exception escaping it is
+    tagged ``stage`` with the stage's name, unless an inner stage tagged it
+    first, so the CLI can name the stage that raised."""
     name = "_" + fn.__name__
 
     def wrapper(self):
         if name not in self._cache:
-            self._cache[name] = fn(self)
+            try:
+                self._cache[name] = fn(self)
+            except Exception as exc:
+                if not hasattr(exc, "stage"):
+                    exc.stage = fn.__name__
+                raise
         return self._cache[name]
 
     wrapper.__name__ = fn.__name__

@@ -47,7 +47,6 @@ g_w (the sum of the normals of the facets tight at w, which p attains only
 at w) equal g_w.w.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, floor
 from itertools import chain, product
@@ -79,15 +78,29 @@ def opposite_role(role):
     return ROLE_N if role == ROLE_M else ROLE_M
 
 
-@dataclass(frozen=True)
 class Vector:
-    """A point of (R^d)* (role M) or R^d (role N)."""
+    """A point of (R^d)* (role M) or R^d (role N): an immutable value, equal
+    to a Vector with the same coordinates and role."""
 
-    coords: tuple
-    role: str
+    __slots__ = ("coords", "role")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", as_fractions(self.coords))
+    def __init__(self, coords, role):
+        object.__setattr__(self, "coords", as_fractions(coords))
+        object.__setattr__(self, "role", role)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords and self.role == other.role
+
+    def __hash__(self):
+        return hash((self.coords, self.role))
+
+    def __repr__(self):
+        return f"Vector(coords={self.coords!r}, role={self.role!r})"
 
     def __len__(self):
         return len(self.coords)
@@ -123,12 +136,14 @@ def point_ray(point):
     return clear_denominators((1,) + as_fractions(point))
 
 
-def _satisfies(equations, inequalities, ray):
-    """Whether a homogeneous ray is tight on every equation row and
-    nonnegative on every inequality row: the one membership test of
-    :class:`Polytope` and :class:`Polyhedron`."""
+def _satisfies(equations, inequalities, ray, least=0):
+    """Whether a homogeneous ray is tight on every equation row and at
+    least `least` on every inequality row: the one membership test of
+    :class:`Polytope` and :class:`Polyhedron`.  On an integer ray and
+    integer rows, ``least=1`` is the strict test of the relative
+    interior."""
     return (all(dot(e, ray) == 0 for e in equations)
-            and all(dot(f, ray) >= 0 for f in inequalities))
+            and all(dot(f, ray) >= least for f in inequalities))
 
 
 def is_integral(point):
@@ -191,10 +206,9 @@ class Polytope:
         return _satisfies(self.equations, self.facets, ray)
 
     def interior_contains(self, point):
-        """Relative-interior membership."""
-        hx = (1,) + as_fractions(point)
-        return (all(dot(e, hx) == 0 for e in self.equations)
-                and all(dot(f, hx) > 0 for f in self.facets))
+        """Relative-interior membership: every facet row is positive, so at
+        least 1, on the point's integer ray."""
+        return _satisfies(self.equations, self.facets, point_ray(point), 1)
 
     # -- faces ---------------------------------------------------------------
 

@@ -131,6 +131,34 @@ def test_emit_complexes_under_a_file_exits_2_before_any_stage(
     assert "--emit-complexes" in capsys.readouterr().err
 
 
+def _raising(name):
+    def stage(pipe):
+        raise RuntimeError(f"stub {name} raised")
+    stage.__name__ = name
+    return stage
+
+
+@pytest.mark.parametrize("stub, cached, named", [
+    ("sigma_homology", True, "sigma_homology"),
+    # report reaches omega only through s_boundary and s_coned: the
+    # innermost stage is named.
+    ("omega", True, "omega"),
+    # Raised by report itself, in no stage.
+    ("_input_description", False, "report"),
+])
+def test_internal_error_names_its_stage(monkeypatch, capsys, stub, cached,
+                                        named):
+    from nefsphere import cli
+    from nefsphere.pipeline import Pipeline, _cached
+    fn = _raising(stub)
+    monkeypatch.setattr(Pipeline, stub, _cached(fn) if cached else fn)
+    assert cli.main(["report", path("triangle.json")]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"internal error in stage {named}: RuntimeError: "
+                   f"stub {stub} raised\n")
+
+
 def test_emit_complexes(tmp_path):
     proc = run_cli("report", path("triangle.json"),
                    "--emit-complexes", str(tmp_path))

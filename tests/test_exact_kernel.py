@@ -590,6 +590,32 @@ def test_contains_matches_fraction_oracle(probe):
         assert not all(poly.contains(x) for x in points[1:])
 
 
+def interior_by_fractions(equations, inequalities, point):
+    """Relative-interior membership of a rational point, in Fraction
+    arithmetic on (1, x): the route the integer rays replaced."""
+    hx = (Fraction(1),) + tuple(Fraction(x) for x in point)
+    return (all(dot(e, hx) == 0 for e in equations)
+            and all(dot(f, hx) > 0 for f in inequalities))
+
+
+@given(membership_probes())
+@settings(max_examples=300, deadline=None)
+def test_interior_contains_matches_fraction_oracle(probe):
+    # The probes lie on a facet (or in the relative interior, when the drawn
+    # row is an equation) and 1/q off it; the vertex barycentre is always
+    # in the relative interior, flat polytopes and points included.
+    poly, points = probe
+    n = len(poly.vertices)
+    centre = tuple(Fraction(sum(v[k] for v in poly.vertices), n)
+                   for k in range(poly.ambient))
+    assert poly.interior_contains(centre)
+    for x in [centre] + points:
+        assert poly.interior_contains(x) == interior_by_fractions(
+            poly.equations, poly.facets, x)
+    on_facet = any(dot(f, (1,) + points[0]) == 0 for f in poly.facets)
+    assert poly.interior_contains(points[0]) == (not on_facet)
+
+
 # -- vertices of a hull --------------------------------------------------------
 
 

@@ -241,6 +241,23 @@ def test_pair_role_checked():
         pair(m, m)
 
 
+def test_vector_is_an_immutable_value():
+    v = Vector((1, Fraction(4, 2), "1/3"), ROLE_M)
+    assert v.coords == (1, 2, Fraction(1, 3))
+    assert [type(x) for x in v.coords] == [int, int, Fraction]
+    assert len(v) == 3 and v[2] == Fraction(1, 3) and list(v) == list(v.coords)
+    same = Vector((Fraction(1), 2, Fraction(2, 6)), ROLE_M)
+    assert v == same and hash(v) == hash(same)
+    assert len({v, same}) == 1
+    assert v != Vector(v.coords, ROLE_N)
+    assert v != Vector((1, 2, 0), ROLE_M)
+    assert v != v.coords
+    for field in ("coords", "role", "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, field, ())
+    assert v.coords == (1, 2, Fraction(1, 3)) and v.role == ROLE_M
+
+
 def test_hull_idempotent_on_vertices():
     import random
     rng = random.Random(7)

@@ -1,5 +1,6 @@
 """Every import in src/nefsphere is read by its own module and stands at
-module level, and every function it defines is used by the program.
+module level, every function it defines is used by the program, and no
+module imports a standard-library module only for declaration sugar.
 
 A name bound by an import must be read somewhere in the same module or be
 re-exported, through its ``__all__`` or as ``import name as name``.  No
@@ -9,10 +10,19 @@ not a dunder must be referenced somewhere in src/nefsphere outside its own
 body, or be listed in an ``__all__``; code that only the tests call lives
 in the tests.  The source is read with the standard library's ``ast``, so
 the checks need no linter.
+
+``dataclasses`` would pull ``inspect``, ``ast``, ``dis``, ``tokenize`` and
+more into every CLI process, and nothing else the CLI imports loads
+``typing``; so the record classes are written out with ``__slots__`` or as
+a ``tuple`` subclass.  A fresh interpreter checks that ``import
+nefsphere.cli`` loads neither ``dataclasses`` nor ``inspect``, through any
+module.
 """
 
 import ast
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -165,3 +175,53 @@ def test_an_unused_definition_is_found():
     }
     assert unused_definitions(sources) == [
         ("a.py", "recursive"), ("a.py", "method"), ("b.py", "dead")]
+
+
+SUGAR = ("dataclasses", "inspect", "typing")
+
+
+def sugar_imports(source):
+    """(line, module) of every absolute import of a SUGAR module, in source
+    order."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out.extend((node.lineno, name) for name in names
+                   if name.split(".")[0] in SUGAR)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_declaration_sugar_import(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert sugar_imports(fh.read()) == []
+
+
+def test_a_declaration_sugar_import_is_found():
+    source = ("import os, inspect\n"
+              "from dataclasses import dataclass\n"
+              "from . import typing\n"
+              "from .inspect import signature\n"
+              "import typing as t\n"
+              "def f():\n"
+              "    import dataclasses.fields\n")
+    assert sugar_imports(source) == [(1, "inspect"), (2, "dataclasses"),
+                                     (5, "typing"), (7, "dataclasses.fields")]
+
+
+def test_cli_import_loads_no_declaration_sugar():
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import nefsphere.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = proc.stdout.split()
+    assert "nefsphere.cli" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded

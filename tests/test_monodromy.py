@@ -16,6 +16,7 @@ from nefsphere.linalg import (
 )
 from nefsphere.monodromy import (
     AffineMap,
+    AffineMonodromy,
     ChartAtlas,
     PrimaryLoop,
     _span_pairs,
@@ -189,11 +190,35 @@ def test_triviality_equivalence(simplex3_pipe, triangle_pipe, square_pipe,
             assert res["passed"], res
 
 
+def test_primary_loop_is_a_hashable_value():
+    loop = PrimaryLoop(3, 1, 4, 2)
+    assert (loop.p0, loop.q0, loop.p1, loop.q1) == (3, 1, 4, 2)
+    assert loop == PrimaryLoop(3, 1, 4, 2)
+    assert hash(loop) == hash(PrimaryLoop(3, 1, 4, 2))
+    assert len({loop, PrimaryLoop(3, 1, 4, 2), PrimaryLoop(4, 1, 3, 2)}) == 2
+    assert loop != PrimaryLoop(3, 2, 4, 1)
+    assert not loop.degenerate
+    assert PrimaryLoop(3, 1, 3, 2).degenerate
+    assert PrimaryLoop(3, 1, 4, 1).degenerate
+    with pytest.raises(AttributeError):
+        loop.p0 = 4
+
+
+def test_affine_monodromy_fields():
+    loop = PrimaryLoop(0, 1, 2, 3)
+    m = AffineMonodromy(loop, ((1, 0), (0, 1)), ((1, 1), (0, 1)),
+                        (0, Fraction(1, 2)), ((1, 0), (1, 1)))
+    assert m.loop is loop
+    assert m.basis == ((1, 0), (0, 1))
+    assert m.linear == ((1, 1), (0, 1))
+    assert m.translation == (0, Fraction(1, 2))
+    assert m.images == ((1, 0), (1, 1))
+
+
 def test_nontrivial_degenerate_loop_fails_the_full_report():
     # Global transport takes every degenerate loop as the identity; the
     # full report's triviality verdict is what checks that claim, so a
     # degenerate loop whose own monodromy is not the identity must fail it.
-    from dataclasses import replace
     from nefsphere import Pipeline
     from nefsphere.cli import load_input
     from test_cli import path
@@ -204,7 +229,9 @@ def test_nontrivial_degenerate_loop_fails_the_full_report():
     n = len(monos[k].basis)
     shear = tuple(tuple(int(i == j or (i, j) == (0, n - 1))
                         for j in range(n)) for i in range(n))
-    monos[k] = replace(monos[k], linear=shear)
+    m = monos[k]
+    monos[k] = AffineMonodromy(m.loop, m.basis, shear, m.translation,
+                               m.images)
     rep = pipe.report(verify="full")
     assert not rep["stages"]["triviality"]["all_equivalent"]
     assert not rep["passed"]

@@ -10,7 +10,7 @@ from nefsphere import NefPartition, Pipeline, dual_nef_partition, \
 from nefsphere.cli import load_input
 from nefsphere.linalg import dot
 from nefsphere.nef import InteriorVectors, NefPartitionError, \
-    _strict_combination
+    ValidationCheck, _strict_combination
 from nefsphere.polytope import ROLE_M, ROLE_N, Vector, convex_hull, pair, \
     polar_dual, polytope_from_hrep
 
@@ -80,6 +80,17 @@ def test_validate_examples():
     report = validate_nef_partition(bad)
     assert not report.passed
     assert not report.checks[0].passed
+
+
+def test_record_fields():
+    check = ValidationCheck("psi_certificates", True)
+    assert (check.name, check.passed, check.detail) == \
+        ("psi_certificates", True, "")
+    assert ValidationCheck("x", False, "why").detail == "why"
+    v = (Vector((1, 0), ROLE_M), Vector((-1, 0), ROLE_M))
+    w = (Vector((0, 1), ROLE_N), Vector((0, -1), ROLE_N))
+    iv = InteriorVectors(v, w)
+    assert iv.v is v and iv.w is w
 
 
 def test_validator_never_raises_on_junk():
