@@ -1,5 +1,4 @@
-"""Integral homology of finite posets and regular CW complexes via sparse
-elimination and Smith form.
+"""Integral homology of finite posets and regular CW complexes, exactly.
 
 Two usage modes:
 
@@ -9,11 +8,19 @@ Two usage modes:
   subcomplex, so its homology is taken on this order complex.
 * :func:`cellular_homology` computes the cellular homology of a regular CW
   complex (a polytopal complex, say) on its own cells, without subdividing.
+  After the cells are oriented, a coreduction pass (:func:`chain_homology`)
+  walks the complex breadth-first from one vertex and removes every pair
+  of a cell and a face at a unit incidence where the cell has no other face
+  or the face no other coface.  Removing such a pair is a unimodular change
+  of basis that splits off an acyclic summand Z -> Z and changes no other
+  boundary, so no coefficient grows; on a sphere Sigma the pass leaves one
+  top cell.
 
-Unit pivots are eliminated sparsely (no coefficient growth); whatever is
-left goes through the dense Smith normal form for exact torsion.
+Whatever is left is eliminated sparsely at unit pivots, and the remainder
+goes through the dense Smith normal form for exact torsion.
 """
 
+from collections import deque
 from heapq import heappush, heappop
 
 from .errors import FalsificationError
@@ -173,19 +180,29 @@ def cellular_homology(dims, facets):
     """Integral homology of a regular CW complex from its face poset.
 
     dims[c] is the dimension of cell c and facets[c] lists its codimension-
-    one faces.  Incidence numbers are fixed cell by cell, in increasing
-    dimension: an edge gets {v0: -1, v1: +1}, and a cell of dimension >= 2
-    signs its facets by propagation across shared ridges, so that every
-    ridge cancels in the boundary of the boundary.  That needs every ridge of
-    the cell in exactly two of its facets (the diamond property), consistent
-    signs, and connected facets; a cell violating any of these raises a
-    falsification certificate naming it.  Returns [(betti_k, torsion_k)]
-    like :func:`order_complex_homology`, whose order complex (the
-    barycentric subdivision) has the same homology for a regular complex.
+    one faces.  Incidence numbers are fixed by :func:`oriented_boundaries`,
+    which raises a falsification certificate for a cell that is not a
+    regular cell; the chain complex they define is then reduced by
+    :func:`chain_homology`.  Returns [(betti_k, torsion_k)] like
+    :func:`order_complex_homology`, whose order complex (the barycentric
+    subdivision) has the same homology for a regular complex.
     """
     if not dims:
         return []
-    top = max(dims)
+    return chain_homology(dims, oriented_boundaries(dims, facets))
+
+
+def oriented_boundaries(dims, facets):
+    """Boundary dicts {face: incidence} of a regular CW complex.
+
+    Incidence numbers are fixed cell by cell, in increasing dimension: an
+    edge gets {v0: -1, v1: +1}, and a cell of dimension >= 2 signs its
+    facets by propagation across shared ridges, so that every ridge cancels
+    in the boundary of the boundary.  That needs every ridge of the cell in
+    exactly two of its facets (the diamond property), consistent signs, and
+    connected facets; a cell violating any of these raises a falsification
+    certificate naming it.
+    """
     boundary = [None] * len(dims)
     for c in sorted(range(len(dims)), key=dims.__getitem__):
         d = dims[c]
@@ -203,18 +220,134 @@ def cellular_homology(dims, facets):
             boundary[c] = {faces[0]: -1, faces[1]: 1}
         else:
             boundary[c] = _orient_facets(c, faces, boundary)
+    return boundary
+
+
+def chain_homology(dims, boundary):
+    """Homology of the chain complex with one generator per cell, cell c in
+    degree dims[c] with boundary {face: coefficient} `boundary[c]`
+    (consumed: the dicts are reduced in place).
+
+    The lowest-index vertex is dropped first, which leaves the relative
+    complex of (X, vertex): its homology is the reduced homology of X, and
+    1 is added back to b_0.  The complex is then walked breadth-first from
+    that vertex with a FIFO queue of the cells whose faces or cofaces
+    changed, and every coreduction pair (a cell with exactly one face left,
+    at a unit incidence) and collapse pair (a face with exactly one coface
+    left, at a unit incidence) is removed (Kaczynski-Mrozek-Slusarek,
+    "Homology computation by reduction of chain complexes", 1998;
+    Mrozek-Batko, "Coreduction homology algorithm", DCG 41, 2009).  When
+    the queue runs dry, one unit pair with fill-in is removed, from the cell
+    with the fewest faces left (then the lowest index), and the walk
+    resumes.  The cells left over go to :func:`sparse_rank_and_divisors`,
+    so torsion still comes from the exact Smith form.
+
+    Why removing a pair (a, b) with <db, a> = u = +-1 keeps the homology:
+    in degree dim b the basis b, x - <dx, a> u b (x != b) and in degree
+    dim a the basis db, y (y != a) are unimodular changes of basis, since
+    db has the unit u at a.  In the new bases b -> db is a summand
+    0 -> Z -> Z -> 0 with no homology, split off; the rest is the complex
+    without a and b in which each coface x of a has boundary
+    dx - <dx, a> u db, restricted.  When b has no face but a (coreduction)
+    or a no coface but b (collapse), that is the old boundary with a or b
+    left out: no fill-in.
+    """
+    n = len(dims)
+    top = max(dims)
+    cofaces = [[] for _ in range(n)]
+    for c, faces in enumerate(boundary):
+        for f in faces:
+            cofaces[f].append(c)
+    queue = deque()
+    _drop(dims.index(0), boundary, cofaces, queue)
+    while True:
+        while queue:
+            c = queue.popleft()
+            faces = boundary[c]
+            if faces is None:
+                continue
+            if len(faces) == 1:
+                (a, u), = faces.items()
+                if u == 1 or u == -1:
+                    _remove_pair(a, c, boundary, cofaces, queue)
+                    continue
+            up = cofaces[c]
+            if len(up) == 1:
+                b = up[0]
+                u = boundary[b][c]
+                if u == 1 or u == -1:
+                    _remove_pair(c, b, boundary, cofaces, queue)
+        pair = _fill_in_pivot(boundary, cofaces)
+        if pair is None:
+            break
+        _remove_pair(*pair, boundary, cofaces, queue)
     counts = [0] * (top + 1)
-    for d in dims:
-        counts[d] += 1
+    columns = [[] for _ in range(top + 1)]
+    for c, faces in enumerate(boundary):
+        if faces is not None:
+            counts[dims[c]] += 1
+            columns[dims[c]].append(faces)
+    counts[0] += 1
     ranks = [0] * (top + 2)
     torsions = [()] * (top + 1)
     for k in range(1, top + 1):
-        cols = [dict(boundary[c]) for c in range(len(dims)) if dims[c] == k]
-        r, divs = sparse_rank_and_divisors(cols)
-        ranks[k] = r
-        torsions[k - 1] = tuple(v for v in divs if v > 1)
+        if columns[k]:
+            r, divs = sparse_rank_and_divisors(columns[k])
+            ranks[k] = r
+            torsions[k - 1] = tuple(v for v in divs if v > 1)
     return [(counts[k] - ranks[k] - ranks[k + 1], torsions[k])
             for k in range(top + 1)]
+
+
+def _drop(c, boundary, cofaces, queue):
+    """Remove cell c from the complex; queue its faces and cofaces."""
+    for f in boundary[c]:
+        cofaces[f].remove(c)
+        queue.append(f)
+    for x in cofaces[c]:
+        del boundary[x][c]
+        queue.append(x)
+    boundary[c] = cofaces[c] = None
+
+
+def _remove_pair(a, b, boundary, cofaces, queue):
+    """Remove the pair (a, b), <db, a> = u a unit, after subtracting
+    <dx, a> u db from every other coface x of a (the fill-in).  Dropping b
+    queues its faces, the cells whose cofaces the fill-in changed."""
+    bb = boundary[b]
+    u = bb.pop(a)
+    cofaces[a].remove(b)
+    for x in cofaces[a]:
+        bx = boundary[x]
+        f = bx.pop(a) * u
+        for g, v in bb.items():
+            new = bx.get(g, 0) - f * v
+            if new:
+                if g not in bx:
+                    cofaces[g].append(x)
+                bx[g] = new
+            else:
+                del bx[g]
+                cofaces[g].remove(x)
+        queue.append(x)
+    cofaces[a] = []
+    _drop(a, boundary, cofaces, queue)
+    _drop(b, boundary, cofaces, queue)
+
+
+def _fill_in_pivot(boundary, cofaces):
+    """A unit pair (face, cell) for an elimination with fill-in: the cell
+    with the fewest faces left, then the lowest index, and its unit face
+    with the fewest cofaces left, then the lowest index; None when no
+    unit incidence is left."""
+    best = None
+    for c, faces in enumerate(boundary):
+        if faces and (best is None or len(faces) < best[0]):
+            units = [(len(cofaces[a]), a) for a, u in faces.items()
+                     if u == 1 or u == -1]
+            if units:
+                best = (len(faces), min(units)[1], c)
+    return None if best is None else best[1:]
 
 
 def _orient_facets(cell, faces, boundary):

@@ -691,6 +691,8 @@ def global_group(sigma, graph, loops, transition, base_chart,
     logs = []
     per_comp = {}
     for loop, m in moved:
+        if loop.degenerate:
+            continue  # the identity: its log is zero
         flat = tuple(v for row in _mat_sub_identity(m) for v in row)
         if any(flat):
             logs.append(flat)

@@ -471,6 +471,17 @@ def _summarize_duality(results):
     }
 
 
+def _sphere_homology(n):
+    """The report's homology of S^n: [1, 0, ..., 0, 1] for n >= 1, two
+    points for n = 0, and nothing for n = -1 (Sigma is empty when r =
+    d + 1)."""
+    if n < 0:
+        return []
+    if n == 0:
+        return [[2, []]]
+    return [[1, []]] + [[0, []]] * (n - 1) + [[1, []]]
+
+
 def _report_passed(rep):
     stages = rep["stages"]
     flags = [stages["validation"]["passed"],
@@ -480,9 +491,11 @@ def _report_passed(rep):
              stages["minkowski_complexes"]["P_side"]["passed"],
              stages["minkowski_complexes"]["Q_side"]["passed"],
              stages["monodromy"]["atlas"]["passed"]]
-    if stages["sigma"]["expected_euler"] is not None:
+    if stages["irreducible"]["irreducible"]:
         flags.append(stages["sigma"]["euler"] ==
                      stages["sigma"]["expected_euler"])
+        flags.append(stages["sigma"]["homology"] == _sphere_homology(
+            rep["input"]["dim"] - rep["input"]["r"]))
     if "lemma_suite_failures" in stages:
         flags.append(not stages["lemma_suite_failures"])
     if "tropical" in stages:

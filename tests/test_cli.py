@@ -159,6 +159,31 @@ def test_internal_error_names_its_stage(monkeypatch, capsys, stub, cached,
                    f"stub {stub} raised\n")
 
 
+def test_sigma_homology_gates_passed(monkeypatch, capsys):
+    # The Euler number cannot tell T^3 from S^3 (both are 0), so an
+    # irreducible input whose Sigma had T^3's groups must fail on them.
+    from nefsphere import cli
+    from nefsphere.pipeline import Pipeline
+    torus = [(1, ()), (3, ()), (3, ()), (1, ())]
+    monkeypatch.setattr(Pipeline, "sigma_homology", lambda pipe: torus)
+    assert cli.main(["report", path("prism_pair_5d.json")]) == 3
+    out = json.loads(capsys.readouterr().out)
+    sigma = out["stages"]["sigma"]
+    assert out["stages"]["irreducible"]["irreducible"]
+    assert sigma["euler"] == sigma["expected_euler"] == 0
+    assert sigma["homology"] == [[1, []], [3, []], [3, []], [1, []]]
+    assert out["passed"] is False
+
+
+@pytest.mark.parametrize("n, groups", [
+    (-1, []), (0, [[2, []]]), (1, [[1, []], [1, []]]),
+    (3, [[1, []], [0, []], [0, []], [1, []]]),
+])
+def test_sphere_homology(n, groups):
+    from nefsphere.pipeline import _sphere_homology
+    assert _sphere_homology(n) == groups
+
+
 def test_emit_complexes(tmp_path):
     proc = run_cli("report", path("triangle.json"),
                    "--emit-complexes", str(tmp_path))

@@ -1,20 +1,28 @@
-"""Integral homology of literal spaces, through both routes.
+"""Integral homology of literal spaces, through every route.
 
 Each space is the simplicial complex spanned by a list of simplices.  Its
-face poset feeds :func:`cellular_homology` (cells and their facets) and
-:func:`order_complex_homology` (the chains, i.e. the barycentric
-subdivision), and both must give the space's known groups.
+face poset feeds :func:`cellular_homology` (cells and their facets, reduced
+by coreductions), the per-dimension elimination of the same oriented
+boundaries kept here as the oracle, and :func:`order_complex_homology` (the
+chains, i.e. the barycentric subdivision), and all must give the space's
+known groups.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nefsphere import homology
 from nefsphere.errors import FalsificationError
 from nefsphere.homology import (
     cellular_homology,
+    chain_homology,
     order_complex_homology,
+    oriented_boundaries,
     sparse_rank_and_divisors,
 )
+from nefsphere.monodromy import smooth_pair
 from nefsphere.sphere import is_closed_pseudomanifold
+from test_monodromy import DATA_NAMES, _data_pipe
 
 TORUS = [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5),
          (3, 4, 6), (4, 6, 7), (4, 5, 7), (5, 7, 8), (3, 5, 8), (3, 6, 8),
@@ -24,6 +32,30 @@ RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2), (2, 3, 5),
 CIRCLE = [(0, 1), (1, 2), (0, 2)]
 S2 = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 S3 = [tuple(sorted(set(range(5)) - {i})) for i in range(5)]
+
+
+def per_dimension_homology(dims, boundary):
+    """The oracle: each boundary matrix eliminated on its own, with no
+    reduction of the complex first."""
+    if not dims:
+        return []
+    top = max(dims)
+    counts = [0] * (top + 1)
+    for d in dims:
+        counts[d] += 1
+    ranks = [0] * (top + 2)
+    torsions = [()] * (top + 1)
+    for k in range(1, top + 1):
+        cols = [dict(boundary[c]) for c in range(len(dims)) if dims[c] == k]
+        r, divs = sparse_rank_and_divisors(cols)
+        ranks[k] = r
+        torsions[k - 1] = tuple(v for v in divs if v > 1)
+    return [(counts[k] - ranks[k] - ranks[k + 1], torsions[k])
+            for k in range(top + 1)]
+
+
+def oracle_homology(dims, facets):
+    return per_dimension_homology(dims, oriented_boundaries(dims, facets))
 
 
 def face_poset(simplices):
@@ -70,6 +102,7 @@ def both_routes(simplices):
     order complex of its face poset has the same."""
     _, dims, facets, below = face_poset(simplices)
     hom = cellular_homology(dims, facets)
+    assert oracle_homology(dims, facets) == hom
     assert order_complex_homology(len(dims), successors(below)) == hom
     return hom
 
@@ -160,7 +193,8 @@ def test_cellular_homology_square_cell():
     dims = [0, 0, 0, 0, 1, 1, 1, 1, 2]
     facets = [[], [], [], [], [0, 1], [1, 2], [2, 3], [0, 3], [4, 5, 6, 7]]
     assert cellular_homology(dims, facets) == [(1, ()), (0, ()), (0, ())]
-    assert cellular_homology([], []) == []
+    assert oracle_homology(dims, facets) == [(1, ()), (0, ()), (0, ())]
+    assert cellular_homology([], []) == oracle_homology([], []) == []
 
 
 def test_cellular_homology_rejects_broken_diamond():
@@ -201,3 +235,97 @@ def test_cellular_homology_rejects_non_orientable_facets():
         cellular_homology(dims, facets)
     assert "inconsistent" in err.value.claim
     assert err.value.certificate["cell"] == len(dims) - 1
+
+
+# -- the coreduction pass against the per-dimension oracle --------------------
+
+
+def count_fill_in_pivots(monkeypatch):
+    """Wrap the pivot search: the returned list gets one entry per pair
+    eliminated with fill-in."""
+    found = []
+    search = homology._fill_in_pivot
+
+    def counted(*args):
+        pair = search(*args)
+        if pair is not None:
+            found.append(pair)
+        return pair
+
+    monkeypatch.setattr(homology, "_fill_in_pivot", counted)
+    return found
+
+
+def test_torus_takes_the_fill_in_path(monkeypatch):
+    # No vertex, edge or triangle ordering removes the whole torus by
+    # coreductions and collapses: two 1-cycles survive, so at least one
+    # pair is eliminated with fill-in, and the groups stay the torus's.
+    pivots = count_fill_in_pivots(monkeypatch)
+    assert both_routes(TORUS) == [(1, ()), (2, ()), (1, ())]
+    assert pivots
+
+
+def test_sphere_needs_no_fill_in(monkeypatch):
+    pivots = count_fill_in_pivots(monkeypatch)
+    assert both_routes(S3) == [(1, ()), (0, ()), (0, ()), (1, ())]
+    assert not pivots
+
+
+@pytest.mark.parametrize("dims, boundary, want", [
+    # RP^2 with one cell per dimension: the 2-cell wraps twice round the
+    # loop, so no pair is a unit and the Smith form gives the Z/2.
+    pytest.param([0, 1, 2], [{}, {}, {1: 2}],
+                 [(1, ()), (0, (2,)), (0, ())], id="rp2_cw"),
+    # An edge whose boundary is twice a difference of vertices: dropping
+    # vertex 0 leaves the edge with one face at incidence 2.
+    pytest.param([0, 0, 1], [{}, {}, {0: -2, 1: 2}],
+                 [(1, (2,)), (0, ())], id="double_edge"),
+    # The same edge e beside a unit edge e': the coreduction of e' leaves
+    # e with no face, the cycle e - 2e'.
+    pytest.param([0, 0, 1, 1], [{}, {}, {0: -1, 1: 1}, {0: -2, 1: 2}],
+                 [(1, ()), (1, ())], id="double_edge_beside_unit_edge"),
+])
+def test_non_unit_incidences_are_not_pivots(dims, boundary, want):
+    oracle = per_dimension_homology(dims, boundary)
+    assert chain_homology(dims, [dict(b) for b in boundary]) == oracle == want
+
+
+def test_each_component_keeps_its_vertex():
+    # Only the lowest vertex is dropped: each other component keeps one.
+    assert both_routes([(0, 1), (2, 3), (4,), (5, 6, 7)]) == \
+        [(4, ()), (0, ()), (0, ())]
+
+
+def sigma_cells(sigma, mask):
+    """(dims, facets) of Sigma's subcomplex on the cells of `mask`, with
+    the facets read from the product-order masks."""
+    keep = [k for k in range(len(sigma)) if mask >> k & 1]
+    pos = {k: t for t, k in enumerate(keep)}
+    return ([sigma.dims[k] for k in keep],
+            [[pos[j] for j in keep if sigma.dims[j] == sigma.dims[k] - 1
+              and sigma._above[j] >> k & 1] for k in keep])
+
+
+@pytest.mark.parametrize("name", DATA_NAMES)
+def test_reduction_matches_oracle_on_sigma(name):
+    sigma = _data_pipe(name).sigma()
+    every = (1 << len(sigma)) - 1
+    smooth = sum(1 << k for k in range(len(sigma)) if smooth_pair(sigma, k))
+    for mask in (every, smooth):
+        hom = sigma.homology(None if mask == every else mask)
+        assert hom == oracle_homology(*sigma_cells(sigma, mask)), name
+
+
+def simplicial_complexes():
+    """Complexes spanned by 1 to 20 simplices of dimension <= 3 on 7
+    vertices: dense enough in triangles to carry 1- and 2-cycles."""
+    return st.lists(
+        st.frozensets(st.integers(0, 6), min_size=1, max_size=4),
+        min_size=1, max_size=20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(simplicial_complexes())
+def test_reduction_matches_oracle_randomized(simplices):
+    _, dims, facets, _ = face_poset(simplices)
+    assert cellular_homology(dims, facets) == oracle_homology(dims, facets)
