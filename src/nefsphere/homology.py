@@ -230,7 +230,8 @@ def chain_homology(dims, boundary):
 
     The lowest-index vertex is dropped first, which leaves the relative
     complex of (X, vertex): its homology is the reduced homology of X, and
-    1 is added back to b_0.  The complex is then walked breadth-first from
+    1 is added back to b_0.  That needs the coefficients of each degree-1
+    boundary to sum to 0, as an edge's v1 - v0 does.  The complex is then walked breadth-first from
     that vertex with a FIFO queue of the cells whose faces or cofaces
     changed, and every coreduction pair (a cell with exactly one face left,
     at a unit incidence) and collapse pair (a face with exactly one coface
