@@ -472,14 +472,13 @@ def _summarize_duality(results):
 
 
 def _sphere_homology(n):
-    """The report's homology of S^n: [1, 0, ..., 0, 1] for n >= 1, two
-    points for n = 0, and nothing for n = -1 (Sigma is empty when r =
-    d + 1)."""
-    if n < 0:
-        return []
-    if n == 0:
-        return [[2, []]]
-    return [[1, []]] + [[0, []]] * (n - 1) + [[1, []]]
+    """The report's homology of S^n: b_0 = b_n = 1 (b_0 = 2 for n = 0),
+    no torsion, and nothing for n = -1 (Sigma is empty when r = d + 1)."""
+    betti = [0] * (n + 1)
+    if betti:
+        betti[0] += 1
+        betti[n] += 1
+    return [[b, []] for b in betti]
 
 
 def _report_passed(rep):
