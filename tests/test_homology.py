@@ -257,9 +257,9 @@ def count_fill_in_pivots(monkeypatch):
 
 
 def test_torus_takes_the_fill_in_path(monkeypatch):
-    # No vertex, edge or triangle ordering removes the whole torus by
-    # coreductions and collapses: two 1-cycles survive, so at least one
-    # pair is eliminated with fill-in, and the groups stay the torus's.
+    # On this triangulation the breadth-first walk runs dry before only
+    # the torus's three generators are left, so at least one pair is
+    # eliminated with fill-in, and the groups stay the torus's.
     pivots = count_fill_in_pivots(monkeypatch)
     assert both_routes(TORUS) == [(1, ()), (2, ()), (1, ())]
     assert pivots
