@@ -34,8 +34,15 @@ r = 4 input, which the doubling search could not finish.  That change
 refroze ``stages.interior_vectors.v`` and ``.w`` in ``pentagon_pair``, the
 four prism goldens and the simplex family, and nothing else in them (the
 closed form's oracle test in ``test_nef.py`` checks the rest of each report
-against the doubling search it replaced).  Any refactor of the arithmetic
-or the stages must reproduce them exactly.
+against the doubling search it replaced).  ``simplex_p6_34_fast.json`` and
+``simplex_p7_44_fast.json`` are the ``--verify fast`` reports of P^6 as 3+4
+and P^7 as 4+4, the scale goldens: Sigma is S^4 on 1 130 cells and S^5 on
+4 000, and each discriminant is one component, with b_2 = 42 and b_3 = 73.
+They were frozen while each discriminant component's order complex was
+still reduced by a heap-driven sparse elimination, before it went through
+the coreduction pass.  P^6 (3,4) is checked here; P^7 (4,4), the larger
+order complex, is checked by a CI step.  Any refactor of the arithmetic or
+the stages must reproduce them exactly.
 """
 
 import os
@@ -103,6 +110,11 @@ def test_product_triangles_full_report_matches_golden():
 @pytest.mark.parametrize("name", SIMPLEX_FAMILY)
 def test_simplex_family_fast_report_matches_golden(name):
     _assert_report_matches(name, f"{name}_fast", "--verify", "fast")
+
+
+def test_scale_simplex_fast_report_matches_golden():
+    _assert_report_matches("simplex_p6_34", "simplex_p6_34_fast",
+                           "--verify", "fast")
 
 
 @pytest.mark.parametrize("name", SIMPLEX_FAMILY)

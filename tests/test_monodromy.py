@@ -872,7 +872,9 @@ def test_enclosing_smooth_pair_matches_pair_scan():
                        for i, j in smooth_cells)
             assert encloses_smooth_pair(sigma, loop, smooth) == scan
             checked += 1
-    assert checked == 6 + 30 + 756 + 1080 + 2160 + 72 + 318 + 464 + 1170
+    # The last two terms are P^6 (3,4) and P^7 (4,4).
+    assert checked == \
+        6 + 30 + 756 + 1080 + 2160 + 72 + 318 + 464 + 1170 + 636 + 1680
 
 
 # -- primary loops: the partner-mask join against the pair scan ---------------
