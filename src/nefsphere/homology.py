@@ -1,27 +1,28 @@
 """Integral homology of finite posets and regular CW complexes, exactly.
 
-Two usage modes:
+Every homology goes through one kernel, :func:`chain_homology`, and the
+complexes reach it by two routes:
 
-* :func:`order_complex_homology` computes the homology of the order complex
-  of a finite poset degree by degree, holding only two chain levels at a
-  time.  A discriminant component is an upper set of Sigma's cells, not a
-  subcomplex, so its homology is taken on this order complex.
-* :func:`cellular_homology` computes the cellular homology of a regular CW
-  complex (a polytopal complex, say) on its own cells, without subdividing.
-  After the cells are oriented, a coreduction pass (:func:`chain_homology`)
-  walks the complex breadth-first from one vertex and removes every pair
-  of a cell and a face at a unit incidence where the cell has no other face
-  or the face no other coface.  Removing such a pair is a unimodular change
-  of basis that splits off an acyclic summand Z -> Z and changes no other
-  boundary, so no coefficient grows; on a sphere Sigma the pass leaves one
-  top cell.
+* :func:`cellular_homology` takes a regular CW complex (a polytopal complex,
+  say) on its own cells, without subdividing, after orienting them
+  (:func:`oriented_boundaries`).
+* :func:`order_complex_homology` takes the order complex of a finite poset:
+  one simplex per chain, with the simplicial boundary.  A discriminant
+  component is an upper set of Sigma's cells, not a subcomplex, so its
+  homology is taken on this order complex.
 
-Whatever is left is eliminated sparsely at unit pivots, and the remainder
-goes through the dense Smith normal form for exact torsion.
+The kernel walks the chain complex breadth-first from one vertex and
+removes every pair of a cell and a face at a unit incidence where the cell
+has no other face or the face no other coface (a coreduction or a
+collapse); when none is left it removes one unit pair with fill-in, and so
+on until no unit incidence is left.  Removing a pair is a unimodular change
+of basis that splits off an acyclic summand Z -> Z, so the homology is
+unchanged; on a sphere Sigma the pass leaves one top cell.  Whatever is
+left, with no unit entry, goes through the dense Smith normal form
+(:func:`sparse_rank_and_divisors`) for exact torsion.
 """
 
 from collections import deque
-from heapq import heappush, heappop
 
 from .errors import FalsificationError
 from .linalg import smith_normal_form
@@ -30,150 +31,53 @@ from .linalg import smith_normal_form
 def sparse_rank_and_divisors(columns):
     """Rank and elementary divisors of a sparse integer matrix.
 
-    `columns` is a list of dicts row->value (consumed).  Divisors of 1 are
-    included so the count equals the rank.
+    `columns` is a list of dicts row->value.  Zero entries and empty columns
+    are dropped, and the rest goes densely, on the rows still present, to
+    :func:`smith_normal_form`.  Divisors of 1 are included, so their count
+    equals the rank.  :func:`chain_homology` calls it on the columns its
+    reduction leaves, which hold no unit entry.
     """
-    col_entries = {}
-    row_cols = {}
-    for ci, col in enumerate(columns):
-        live = {r: v for r, v in col.items() if v}
-        if live:
-            col_entries[ci] = live
-            for r in live:
-                row_cols.setdefault(r, set()).add(ci)
-    rank = 0
-    heap = []
-    for r, cols in row_cols.items():
-        heappush(heap, (len(cols), r))
-    # Rows with no unit entry are parked until an elimination touches them;
-    # whatever is still parked at the end goes to the dense Smith step.
-    parked = {}
-    while heap:
-        nnz, r = heappop(heap)
-        cols = row_cols.get(r)
-        if not cols:
-            continue
-        if len(cols) != nnz:
-            heappush(heap, (len(cols), r))
-            continue
-        if parked.get(r) == nnz:
-            continue
-        # Pick a unit entry in this row, preferring short columns.
-        pivot_col = None
-        best = None
-        for c in cols:
-            v = col_entries[c][r]
-            if v == 1 or v == -1:
-                size = len(col_entries[c])
-                if best is None or size < best:
-                    best = size
-                    pivot_col = c
-        if pivot_col is None:
-            parked[r] = nnz
-            continue
-        parked.pop(r, None)
-        pcol = col_entries.pop(pivot_col)
-        pval = pcol[r]
-        for rr in pcol:
-            s = row_cols.get(rr)
-            if s is not None and pivot_col in s:
-                s.discard(pivot_col)
-                parked.pop(rr, None)
-                heappush(heap, (len(s), rr))
-        del row_cols[r]
-        rank += 1
-        targets = [c for c in cols if c != pivot_col]
-        for c in targets:
-            col = col_entries[c]
-            f = col[r] * pval  # pval is +-1, so f/pval == f*pval
-            for rr, vv in pcol.items():
-                if rr == r:
-                    continue
-                new = col.get(rr, 0) - f * vv
-                if new:
-                    if rr not in col:
-                        row_cols.setdefault(rr, set()).add(c)
-                    parked.pop(rr, None)
-                    heappush(heap, (len(row_cols[rr]), rr))
-                    col[rr] = new
-                else:
-                    if rr in col:
-                        del col[rr]
-                        s = row_cols.get(rr)
-                        if s is not None:
-                            s.discard(c)
-                            parked.pop(rr, None)
-                            heappush(heap, (len(s), rr))
-            del col[r]
-            if not col:
-                del col_entries[c]
-    divisors = [1] * rank
-    # Dense leftover block: rows/cols that never saw a unit pivot.
-    if col_entries:
-        live_rows = sorted({r for col in col_entries.values() for r in col})
-        idx = {r: i for i, r in enumerate(live_rows)}
-        dense = []
-        for c in sorted(col_entries):
-            row = [0] * len(live_rows)
-            for r, v in col_entries[c].items():
-                row[idx[r]] = v
-            dense.append(row)
-        divs, extra_rank = smith_normal_form(dense)
-        rank += extra_rank
-        divisors.extend(divs)
-    return rank, tuple(divisors)
-
-
-def boundary_columns(simplices, face_index):
-    """Sparse boundary columns for a list of k-simplices (k >= 1)."""
-    cols = []
-    for s in simplices:
-        col = {}
-        sign = 1
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            col[face_index[face]] = sign
-            sign = -sign
-        cols.append(col)
-    return cols
+    live = [c for c in ({r: v for r, v in col.items() if v}
+                        for col in columns) if c]
+    rows = sorted({r for col in live for r in col})
+    idx = {r: i for i, r in enumerate(rows)}
+    dense = []
+    for col in live:
+        row = [0] * len(rows)
+        for r, v in col.items():
+            row[idx[r]] = v
+        dense.append(row)
+    divisors, rank = smith_normal_form(dense)
+    return rank, divisors
 
 
 def order_complex_homology(n_elements, successors):
     """Homology of the order complex of a poset given by strict successors.
 
-    successors[i] lists all j with element_i < element_j.  Chains are built
-    level by level; only two adjacent levels are alive at any time.
+    successors[i] lists all j with element_i < element_j.  The chains are
+    enumerated level by level (chain length) and numbered in that order;
+    chain ch gets the simplicial boundary {ch without ch[i]: (-1)**i}, and
+    the complex goes to :func:`chain_homology`.  A degree-1 boundary
+    {(b,): +1, (a,): -1} sums to 0, which is the augmentation that
+    :func:`chain_homology`'s relative step needs.  The faces of a chain are
+    one level down, so only the previous level's numbering is kept.
     """
     if n_elements == 0:
         return []
-    prev = [(i,) for i in range(n_elements)]
-    counts = [len(prev)]
-    ranks = []
-    torsions = []
-    level = 1
-    while True:
-        nxt = []
-        for ch in prev:
+    dims = [0] * n_elements
+    boundary = [{} for _ in range(n_elements)]
+    level = {(i,): i for i in range(n_elements)}
+    while level:
+        nxt = {}
+        for ch in level:
             for j in successors[ch[-1]]:
-                nxt.append(ch + (j,))
-        if not nxt:
-            break
-        counts.append(len(nxt))
-        face_index = {ch: i for i, ch in enumerate(prev)}
-        cols = boundary_columns(nxt, face_index)
-        del face_index
-        r, divs = sparse_rank_and_divisors(cols)
-        ranks.append(r)
-        torsions.append(tuple(d for d in divs if d > 1))
-        prev = nxt
-        level += 1
-    out = []
-    for k in range(len(counts)):
-        rk = ranks[k - 1] if k >= 1 else 0
-        rk1 = ranks[k] if k < len(ranks) else 0
-        tor = torsions[k] if k < len(torsions) else ()
-        out.append((counts[k] - rk - rk1, tor))
-    return out
+                up = ch + (j,)
+                nxt[up] = len(dims)
+                dims.append(len(ch))
+                boundary.append({level[up[:i] + up[i + 1:]]: -1 if i & 1 else 1
+                                 for i in range(len(up))})
+        level = nxt
+    return chain_homology(dims, boundary)
 
 
 def cellular_homology(dims, facets):
@@ -184,8 +88,9 @@ def cellular_homology(dims, facets):
     which raises a falsification certificate for a cell that is not a
     regular cell; the chain complex they define is then reduced by
     :func:`chain_homology`.  Returns [(betti_k, torsion_k)] like
-    :func:`order_complex_homology`, whose order complex (the barycentric
-    subdivision) has the same homology for a regular complex.
+    :func:`order_complex_homology` on the face poset, whose order complex
+    (the barycentric subdivision) has the same homology for a regular
+    complex.
     """
     if not dims:
         return []
@@ -231,17 +136,19 @@ def chain_homology(dims, boundary):
     The lowest-index vertex is dropped first, which leaves the relative
     complex of (X, vertex): its homology is the reduced homology of X, and
     1 is added back to b_0.  That needs the coefficients of each degree-1
-    boundary to sum to 0, as an edge's v1 - v0 does.  The complex is then walked breadth-first from
-    that vertex with a FIFO queue of the cells whose faces or cofaces
-    changed, and every coreduction pair (a cell with exactly one face left,
-    at a unit incidence) and collapse pair (a face with exactly one coface
-    left, at a unit incidence) is removed (Kaczynski-Mrozek-Slusarek,
-    "Homology computation by reduction of chain complexes", 1998;
-    Mrozek-Batko, "Coreduction homology algorithm", DCG 41, 2009).  When
+    boundary to sum to 0, as an edge's v1 - v0 does.  The complex is then
+    walked breadth-first from that vertex with a FIFO queue of the cells
+    whose faces or cofaces changed, and every coreduction pair (a cell with
+    exactly one face left, at a unit incidence) and collapse pair (a face
+    with exactly one coface left, at a unit incidence) is removed
+    (Kaczynski-Mrozek-Slusarek, "Homology computation by reduction of chain
+    complexes", 1998; Mrozek-Batko, "Coreduction homology algorithm", DCG
+    41, 2009).  When
     the queue runs dry, one unit pair with fill-in is removed, from the cell
     with the fewest faces left (then the lowest index), and the walk
-    resumes.  The cells left over go to :func:`sparse_rank_and_divisors`,
-    so torsion still comes from the exact Smith form.
+    resumes.  The cells left over, with no unit incidence among them, go
+    to :func:`sparse_rank_and_divisors`, so torsion comes from the exact
+    Smith form.
 
     Why removing a pair (a, b) with <db, a> = u = +-1 keeps the homology:
     in degree dim b the basis b, x - <dx, a> u b (x != b) and in degree
