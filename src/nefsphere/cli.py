@@ -212,6 +212,10 @@ def _dispatch(args, pipe):
         irr, witness = pipe.irreducibility()
         report["irreducible"] = irr
         report["witness"] = list(witness) if witness else None
+        if not report["passed"]:
+            # The weights' subdivisions need a valid partition's support.
+            report["central"] = report["coned_over_boundary"] = None
+            return report, 3
         report["central"] = {
             "omega": pipe.s_coned().is_central(),
             "nu": pipe.t_coned().is_central(),
@@ -224,7 +228,7 @@ def _dispatch(args, pipe):
                 report["coned_over_boundary"][name] = True
             except GeometryError:
                 report["coned_over_boundary"][name] = False
-        ok = (report["passed"] and all(report["central"].values())
+        ok = (all(report["central"].values())
               and all(report["coned_over_boundary"].values()))
         if args.require_irreducible and not irr:
             ok = False

@@ -323,6 +323,21 @@ def test_validate_reports_non_central_weight(tmp_path):
     assert out["coned_over_boundary"] == {"omega": False, "nu": True}
 
 
+def test_validate_builds_no_subdivision_of_an_invalid_partition(tmp_path):
+    # A huge vertex makes the single part no nef-partition; the weights'
+    # subdivisions would scan its lattice points (an OverflowError here,
+    # a hang for smaller coordinates), so validate reports them as null.
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(
+        {"dim": 2, "parts": [[[10**30, 0], [0, 1], [-1, -1], [0, 0]]]}))
+    proc = run_cli("validate", str(bad))
+    assert proc.returncode == 3, proc.stderr
+    out = json.loads(proc.stdout)
+    assert not out["passed"]
+    assert out["central"] is None and out["coned_over_boundary"] is None
+    assert run_cli("report", str(bad)).returncode == 2
+
+
 def test_report_rejects_non_central_weight(tmp_path):
     bad = tmp_path / "non_central.json"
     bad.write_text(json.dumps(NON_CENTRAL))
