@@ -39,8 +39,9 @@ S2 = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 S3 = [tuple(sorted(set(range(5)) - {i})) for i in range(5)]
 # The inputs whose Sigma and discriminant are checked here: all but the
 # scale input P^7 (4,4), whose Sigma takes 4.5 s to build and whose
-# discriminant takes the heap oracle 13 s.  Its golden report, discriminant
-# included, was frozen from the heap route, and CI compares it byte for byte.
+# discriminant takes the heap oracle 13 s (one 2-vCPU host, CPython 3.11).
+# Its golden report, discriminant included, was frozen from the heap route,
+# and CI compares it byte for byte.
 ORACLE_NAMES = [name for name in DATA_NAMES if name != "simplex_p7_44"]
 
 
