@@ -7,7 +7,6 @@ tropical complexes, the discriminant locus, and monodromy certificates.
 
 from .errors import FalsificationError
 from .nef import (
-    DualNefPartition,
     NefPartition,
     NefPartitionError,
     dual_nef_partition,
@@ -35,7 +34,6 @@ from .subdivision import (
 
 __all__ = [
     "BoundarySubdivision",
-    "DualNefPartition",
     "FalsificationError",
     "GeometryError",
     "NefPartition",

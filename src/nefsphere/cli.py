@@ -207,6 +207,10 @@ def _project_indices(text, dim):
 
 def _dispatch(args, pipe):
     cmd = args.command
+    if cmd in ("complex", "tropical", "discriminant", "monodromy"):
+        # An invalid partition has no dual: reject it (exit 2) before the
+        # weights' subdivisions scan its lattice points.
+        pipe.dual()
     if cmd == "validate":
         report = pipe.validation().as_dict()
         irr, witness = pipe.irreducibility()

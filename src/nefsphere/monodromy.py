@@ -52,11 +52,6 @@ def pinched_parts(sigma, pair_idx):
             if e_p.slices[a].dim * e_q.slices[a].dim != 0]
 
 
-def smooth_pair(sigma, pair_idx):
-    """A cell is smooth when it is pinched in no part."""
-    return not pinched_parts(sigma, pair_idx)
-
-
 class DiscriminantComplex:
     """Sigma's non-smooth cells, whose order complex is the full subcomplex
     of bsd(Sigma) on them.
@@ -64,16 +59,19 @@ class DiscriminantComplex:
     They form an upper set of Sigma (a cell above a non-smooth cell is not
     smooth), and so does each component: a class of the comparability
     relation, grown from its lowest cell through Sigma's `_above | _below`
-    masks.  A component's homology is that of its order complex.
+    masks.  A component's homology is that of its order complex, and its
+    parts are the sorted partition indices its cells are pinched in.
     """
 
-    def __init__(self, sigma, mask, component_masks, component_homology):
+    def __init__(self, sigma, mask, component_masks, component_homology,
+                 component_parts):
         self.sigma = sigma
         self.mask = mask  # the non-smooth cells
         self.vertex_ids = tuple(_bits(mask))  # pair indices, sorted
         self.component_masks = component_masks
         self.components = [tuple(_bits(m)) for m in component_masks]
         self.component_homology = component_homology
+        self.component_parts = component_parts
 
     def smooth_mask(self):
         """Bitmask of Sigma's smooth cells: the cells off the discriminant."""
@@ -81,8 +79,10 @@ class DiscriminantComplex:
 
 
 def discriminant(sigma):
-    mask = sum(1 << k for k in range(len(sigma.pairs))
-               if not smooth_pair(sigma, k))
+    # A cell is smooth when it is pinched in no part.
+    pinched = {k: parts for k in range(len(sigma.pairs))
+               for parts in [pinched_parts(sigma, k)] if parts}
+    mask = sum(1 << k for k in pinched)
     component_masks = []
     rest = mask
     while rest:
@@ -96,14 +96,15 @@ def discriminant(sigma):
             grow = reach & rest & ~comp
         component_masks.append(comp)
         rest &= ~comp
-    homs = []
+    homs, parts = [], []
     for comp in component_masks:
         cells = _bits(comp)
         pos = {k: t for t, k in enumerate(cells)}
         homs.append(order_complex_homology(
             len(cells), [[pos[j] for j in _bits(sigma._above[k] & comp)
                           if j != k] for k in cells]))
-    return DiscriminantComplex(sigma, mask, component_masks, homs)
+        parts.append(sorted({a for k in cells for a in pinched[k]}))
+    return DiscriminantComplex(sigma, mask, component_masks, homs, parts)
 
 
 def complement_homology(sigma, smooth):
@@ -195,29 +196,13 @@ class ChartGraph:
         return (side, poset.elements[idx].cell.key())
 
     def nodes(self):
+        """P nodes, then Q nodes, each ascending; the first P node is the
+        base of global transport."""
         return [("P", i) for i in self.p_nodes] + \
                [("Q", j) for j in self.q_nodes]
 
     def neighbors(self, node):
         return self._adj.get(node, [])
-
-    def components(self):
-        seen = set()
-        comps = []
-        for start in sorted(self.nodes(), key=self._node_key):
-            if start in seen:
-                continue
-            comp = []
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                comp.append(v)
-                stack.extend(self.neighbors(v))
-            comps.append(sorted(comp, key=self._node_key))
-        return comps
 
     def spanning_tree(self, base):
         """BFS tree: node -> parent (None at the base)."""
@@ -682,9 +667,14 @@ def global_group(sigma, graph, loops, transition, base_chart,
         return {"trivial": True, "divisors": [], "commuting": True,
                 "component_divisors": {}, "graph_components": 0,
                 "transported": 0, "skipped_other_component": 0}
-    base_node = min(("P", i) for i in graph.p_nodes)
-    comps = graph.components()
-    base_comp = next(c for c in comps if base_node in c)
+    nodes = graph.nodes()
+    seen = graph.spanning_tree(nodes[0])
+    base_component_size = len(seen)
+    components = 1
+    for node in nodes:
+        if node not in seen:
+            seen.update(graph.spanning_tree(node))
+            components += 1
     moved = transported_loops(sigma, graph, loops, transition, base_chart)
     transported = [linear for _, linear in moved]
     skipped = len(loops) - len(moved)
@@ -709,10 +699,10 @@ def global_group(sigma, graph, loops, transition, base_chart,
         "log_rank": rank,
         "commuting": _pairwise_commute(transported),
         "component_divisors": comp_divisors,
-        "graph_components": len(comps),
+        "graph_components": components,
         "transported": len(transported),
         "skipped_other_component": skipped,
-        "base_component_size": len(base_comp),
+        "base_component_size": base_component_size,
     }
 
 
@@ -739,7 +729,7 @@ def transported_loops(sigma, graph, loops, transition, base_chart):
     every degenerate loop's own monodromy is still computed and checked
     (:func:`triviality_equivalence_check`).
     """
-    base_node = min(("P", i) for i in graph.p_nodes)
+    base_node = graph.nodes()[0]
     parent = graph.spanning_tree(base_node)
     chart = base_chart(base_node[1])
     d = sigma.p_poset.elements[base_node[1]].cell.ambient

@@ -103,30 +103,8 @@ class ValidationReport:
         }
 
 
-class DualNefPartition:
-    """The polytopes nabla^(i) = Conv{0, x in delta_vee : phi_i(x) = 1}."""
-
-    def __init__(self, parts, primal):
-        self.parts = tuple(parts)
-        self.primal = primal
-        self.role = parts[0].role
-        self.ambient = parts[0].ambient
-        self.r = len(parts)
-        self._sum = None
-
-    @property
-    def sum_polytope(self):
-        if self._sum is None:
-            self._sum = minkowski_sum_all(list(self.parts))
-        return self._sum
-
-    def as_nef_partition(self):
-        """The dual data as a nef-partition in its own right (role swapped)."""
-        return NefPartition(list(self.parts), self.parts[0].role)
-
-
 def dual_nef_partition(np_):
-    """Compute the dual nef-partition.
+    """The dual nef-partition, a NefPartition of the opposite role.
 
     The level set {phi_i = 1} inside delta_vee is assembled piecewise over
     the linearity domains of phi_i: for every vertex y of the i-th part the
@@ -154,7 +132,7 @@ def dual_nef_partition(np_):
         if not dual.is_lattice_polytope():
             raise NefPartitionError("input is not a valid nef-partition")
         duals.append(dual)
-    return DualNefPartition(duals, np_)
+    return NefPartition(duals, role)
 
 
 def validate_nef_partition(np_, dualize=dual_nef_partition):

@@ -66,9 +66,8 @@ class Pipeline:
 
     @_cached
     def double_dual(self):
-        """The dual of the dual partition (the primal, by the involution);
-        its ``primal`` is the nef-partition of the role-swapped run."""
-        return dual_nef_partition(self.dual().as_nef_partition())
+        """The dual of the dual partition (the primal, by the involution)."""
+        return dual_nef_partition(self.dual())
 
     @_cached
     def irreducibility(self):
@@ -222,7 +221,7 @@ class Pipeline:
         builds no dual Sigma.
         """
         back = self.double_dual()
-        dual_nef = back.primal
+        dual_nef = self.dual()
         pipe = Pipeline(dual_nef,
                         omega_spec=_weight_as_spec(self.nu()),
                         nu_spec=_weight_as_spec(self.omega()))
@@ -317,8 +316,8 @@ class Pipeline:
             "Q_minimal": len(self.q_poset().minimal),
         }
         stages["minkowski_complexes"] = {
-            "P_side": self.p_minkowski_complex().report,
-            "Q_side": self.q_minkowski_complex().report,
+            "P_side": self.p_minkowski_complex(),
+            "Q_side": self.q_minkowski_complex(),
         }
         sigma = self.sigma()
         d, r = self.nef.ambient, self.nef.r
@@ -344,7 +343,7 @@ class Pipeline:
             "components": len(disc.components),
             "component_homology": [_homology_json(h)
                                    for h in disc.component_homology],
-            "component_parts": _component_parts(self.sigma(), disc),
+            "component_parts": disc.component_parts,
         }
         loops = self.loops()
         stages["monodromy"] = {
@@ -440,17 +439,6 @@ def _boundary_stats(boundary):
 
 def _homology_json(hom):
     return [[betti, list(torsion)] for betti, torsion in hom]
-
-
-def _component_parts(sigma, disc):
-    """Which partition indices each discriminant component is pinched in."""
-    out = []
-    for comp in disc.components:
-        hit = set()
-        for k in comp:
-            hit.update(mono.pinched_parts(sigma, k))
-        out.append(sorted(hit))
-    return out
 
 
 def _summarize_triviality(results):

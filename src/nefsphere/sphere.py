@@ -355,17 +355,9 @@ def _point_key(point):
     return [str(x) for x in point]
 
 
-class MinkowskiComplex:
-    """The complex of Minkowski cells, with its isomorphism onto the poset."""
-
-    def __init__(self, poset, cells, report):
-        self.poset = poset
-        self.cells = cells  # index in poset -> polytope
-        self.report = report
-
-
 def minkowski_complex(poset, delta, r, parts_hull):
-    """Build the Minkowski-cell complex and verify its structure.
+    """Verify the complex of the poset's Minkowski cells and return the
+    report {"passed", "checks"}.
 
     Checks: the map cell -> Minkowski cell is injective and an order
     isomorphism onto a face-closed complex, and the support equals the
@@ -420,8 +412,7 @@ def minkowski_complex(poset, delta, r, parts_hull):
         if total != region.volume_in_chart(chart):
             cover_ok = False
     checks["support_covers_dilated_boundary"] = cover_ok
-    report = {"passed": all(checks.values()), "checks": checks}
-    return MinkowskiComplex(poset, cells, report)
+    return {"passed": all(checks.values()), "checks": checks}
 
 
 def containment_order(cells):

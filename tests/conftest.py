@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nefsphere import NefPartition, Pipeline
+from nefsphere.monodromy import pinched_parts
 from nefsphere.nef import validate_nef_partition
 from nefsphere.polytope import convex_hull, polytope_from_hrep
 
@@ -30,6 +31,11 @@ def transpose(m):
 def lattice_volume(p):
     """Volume normalized so a unimodular simplex has volume 1/dim!."""
     return p.volume_in_chart(p.chart())
+
+
+def smooth_pair(sigma, k):
+    """Whether cell k of Sigma is smooth: pinched in no part."""
+    return not pinched_parts(sigma, k)
 
 
 def make_pipeline(lists, omega="all_ones", nu="all_ones"):

@@ -142,8 +142,8 @@ def test_criterion_07_proposition_suites(prism_pair_pipe, simplex3_pipe,
     cases += [(f"random-{k}", Pipeline(nef))
               for k, nef in enumerate(randomized_partitions)]
     for name, pipe in cases:
-        pm = pipe.p_minkowski_complex().report["passed"]
-        qm = pipe.q_minkowski_complex().report["passed"]
+        pm = pipe.p_minkowski_complex()["passed"]
+        qm = pipe.q_minkowski_complex()["passed"]
         from nefsphere.sphere import projection_images
         pj = projection_images(pipe.sigma())["passed"]
         trop = pipe.tropical_suite()
@@ -221,7 +221,7 @@ def test_criterion_11_duality(prism_pair_pipe, pentagon_pipe):
         nef = NefPartition.from_vertex_lists(lists)
         from nefsphere.nef import dual_nef_partition
         dual = dual_nef_partition(nef)
-        back = dual_nef_partition(dual.as_nef_partition())
+        back = dual_nef_partition(dual)
         if [p.vertices for p in back.parts] != [p.vertices for p in nef.parts]:
             ok = False
     pairings = prism_pair_pipe.duality_suite() + pentagon_pipe.duality_suite()

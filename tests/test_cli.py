@@ -7,12 +7,15 @@ import pytest
 
 BASE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+# The slowest call here takes 0.3 s (pytest --durations, 2 vCPUs); a hang
+# raises TimeoutExpired in its own test instead of stalling the CI job.
+RUN_CLI_TIMEOUT_S = 60
 
 
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "nefsphere.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=RUN_CLI_TIMEOUT_S,
         cwd=BASE, env={**os.environ, "PYTHONPATH": os.path.join(BASE, "src")})
     return proc
 
@@ -326,7 +329,8 @@ def test_validate_reports_non_central_weight(tmp_path):
 def test_validate_builds_no_subdivision_of_an_invalid_partition(tmp_path):
     # A huge vertex makes the single part no nef-partition; the weights'
     # subdivisions would scan its lattice points (an OverflowError here,
-    # a hang for smaller coordinates), so validate reports them as null.
+    # a hang for smaller coordinates), so validate reports them as null,
+    # and every command that would build them rejects the input first.
     bad = tmp_path / "huge.json"
     bad.write_text(json.dumps(
         {"dim": 2, "parts": [[[10**30, 0], [0, 1], [-1, -1], [0, 0]]]}))
@@ -335,7 +339,11 @@ def test_validate_builds_no_subdivision_of_an_invalid_partition(tmp_path):
     out = json.loads(proc.stdout)
     assert not out["passed"]
     assert out["central"] is None and out["coned_over_boundary"] is None
-    assert run_cli("report", str(bad)).returncode == 2
+    for command in ("complex", "tropical", "discriminant", "monodromy",
+                    "report"):
+        proc = run_cli(command, str(bad))
+        assert proc.returncode == 2, (command, proc.stderr)
+        assert "internal error" not in proc.stderr, command
 
 
 def test_report_rejects_non_central_weight(tmp_path):

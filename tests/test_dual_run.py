@@ -64,7 +64,7 @@ def test_seeded_dual_run_equals_unseeded(name):
 def test_dual_run_shares_the_double_dual(simplex3_pipe):
     dual_pipe = simplex3_pipe.dual_pipeline()
     assert dual_pipe.dual() is simplex3_pipe.double_dual()
-    assert dual_pipe.nef is simplex3_pipe.double_dual().primal
+    assert dual_pipe.nef is simplex3_pipe.dual()
     assert dual_pipe.p_poset() is simplex3_pipe.q_poset()
     assert dual_pipe.q_poset() is simplex3_pipe.p_poset()
 

@@ -25,8 +25,9 @@ from nefsphere.homology import (
     oriented_boundaries,
     sparse_rank_and_divisors,
 )
-from nefsphere.monodromy import complement_homology, discriminant, smooth_pair
+from nefsphere.monodromy import complement_homology, discriminant
 from nefsphere.sphere import is_closed_pseudomanifold
+from conftest import smooth_pair
 from test_monodromy import DATA_NAMES, _data_pipe
 
 TORUS = [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5),

@@ -23,11 +23,10 @@ from nefsphere.monodromy import (
     complement_homology,
     discriminant,
     primary_loops,
-    smooth_pair,
 )
 
 
-from conftest import transpose
+from conftest import smooth_pair, transpose
 from test_cli import DATA
 
 
@@ -782,7 +781,6 @@ def test_component_parts_read_the_pinched_predicate(prism_pair_pipe):
     # The discriminant and the report's component_parts read one predicate:
     # a cell is off the smooth locus exactly when it is pinched in a part.
     from nefsphere.monodromy import pinched_parts
-    from nefsphere.pipeline import _component_parts
     sigma = prism_pair_pipe.sigma()
     disc = prism_pair_pipe.discriminant()
     nonsmooth = set(disc.vertex_ids)
@@ -793,7 +791,7 @@ def test_component_parts_read_the_pinched_predicate(prism_pair_pipe):
         assert parts == [a for a in range(sigma.r)
                          if sigma.p_poset.elements[i].slices[a].dim > 0
                          and sigma.q_poset.elements[j].slices[a].dim > 0]
-    assert _component_parts(sigma, disc) == [
+    assert disc.component_parts == [
         sorted({a for k in comp for a in pinched_parts(sigma, k)})
         for comp in disc.components]
 

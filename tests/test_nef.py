@@ -65,7 +65,7 @@ def test_dual_involution():
     for lists in (TRIANGLE, SQUARE_SUM, PENTAGON, PRISM_PAIR_5D):
         nef = NefPartition.from_vertex_lists(lists)
         dual = dual_nef_partition(nef)
-        back = dual_nef_partition(dual.as_nef_partition())
+        back = dual_nef_partition(dual)
         assert [p.vertices for p in back.parts] == \
             [p.vertices for p in nef.parts]
 

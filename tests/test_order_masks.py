@@ -21,7 +21,6 @@ from nefsphere.monodromy import (
     _loop_discriminant_component,
     _span_pairs,
     complement_homology,
-    smooth_pair,
 )
 from nefsphere.polytope import convex_hull, intersect
 from nefsphere.sphere import (
@@ -29,6 +28,7 @@ from nefsphere.sphere import (
     adjoint_pairs,
     is_closed_pseudomanifold,
 )
+from conftest import smooth_pair
 from test_cli import path
 
 DATA_INPUTS = ["triangle", "square_sum", "pentagon_pair", "simplex3",

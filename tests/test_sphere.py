@@ -130,10 +130,10 @@ def test_pentagon_transversal_cells(pentagon_pipe):
 def test_pentagon_minkowski_cells_and_support(pentagon_pipe):
     # Oracle: direct computation of the sum intersected with the scaled
     # boundary gives two single points.
-    cells = {c.vertices for c in pentagon_pipe.p_minkowski_complex().cells}
+    cells = {e.minkowski.vertices for e in pentagon_pipe.p_poset().elements}
     assert cells == {((0, -1),), ((1, 1),)}
-    assert pentagon_pipe.p_minkowski_complex().report["passed"]
-    assert pentagon_pipe.q_minkowski_complex().report["passed"]
+    assert pentagon_pipe.p_minkowski_complex()["passed"]
+    assert pentagon_pipe.q_minkowski_complex()["passed"]
 
 
 def test_minimal_transversal_cell_slices_are_points(pentagon_pipe):
