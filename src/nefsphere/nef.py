@@ -30,6 +30,9 @@ class NefPartitionError(ValueError):
     pass
 
 
+NOT_REFLEXIVE = "the Minkowski sum is not a reflexive d-polytope"
+
+
 class NefPartition:
     """An ordered list of lattice polytopes containing 0, summing to Delta."""
 
@@ -70,9 +73,13 @@ class NefPartition:
 
     @property
     def sum_polar(self):
-        """The polar dual of the Minkowski sum."""
+        """The polar dual of the Minkowski sum, which a non-reflexive sum
+        may lack (the input is then no nef-partition)."""
         if self._sum_polar is None:
-            self._sum_polar = polar_dual(self.sum_polytope)
+            try:
+                self._sum_polar = polar_dual(self.sum_polytope)
+            except GeometryError:
+                raise NefPartitionError(NOT_REFLEXIVE) from None
         return self._sum_polar
 
 
@@ -159,7 +166,7 @@ def validate_nef_partition(np_, dualize=dual_nef_partition):
         refl = False
     checks.append(ValidationCheck(
         "sum_is_reflexive", refl,
-        "" if refl else "the Minkowski sum is not a reflexive d-polytope"))
+        "" if refl else NOT_REFLEXIVE))
     if not (ok_origin and lattice_ok and refl):
         checks.append(ValidationCheck("dual_partition_integral", False,
                                       "skipped: earlier checks failed"))

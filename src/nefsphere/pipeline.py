@@ -132,9 +132,7 @@ class Pipeline:
 
     @_cached
     def sigma(self):
-        pairs = sphere.adjoint_pairs(self.p_poset(), self.q_poset())
-        return sphere.SigmaComplex(self.p_poset(), self.q_poset(), pairs,
-                                   self.nef.r)
+        return sphere.SigmaComplex(self.p_poset(), self.q_poset())
 
     @_cached
     def sigma_homology(self):
@@ -222,9 +220,7 @@ class Pipeline:
         """
         back = self.double_dual()
         dual_nef = self.dual()
-        pipe = Pipeline(dual_nef,
-                        omega_spec=_weight_as_spec(self.nu()),
-                        nu_spec=_weight_as_spec(self.omega()))
+        pipe = Pipeline(dual_nef, omega_spec=self.nu(), nu_spec=self.omega())
         pipe._cache["_dual"] = back
         _require_duality(
             dual_nef.parts_hull.key() == self.nef.sum_polar.key(),
@@ -232,10 +228,6 @@ class Pipeline:
         _require_duality(
             dual_nef.sum_polar.key() == self.nef.parts_hull.key(),
             "the polar of the dual sum is not the parts hull")
-        _require_duality(pipe.omega().values == self.nu().values,
-                         "the dual omega table is not the nu table")
-        _require_duality(pipe.nu().values == self.omega().values,
-                         "the dual nu table is not the omega table")
         _require_duality(
             self._involution_holds()
             and back.sum_polytope.key() == self.nef.sum_polytope.key(),
@@ -402,10 +394,6 @@ def _weight(support, spec):
     if spec == "all_ones":
         return WeightFunction.all_ones(support)
     return WeightFunction.from_pairs(support, spec)
-
-
-def _weight_as_spec(weight):
-    return [(pt, val) for pt, val in weight.as_sorted_items()]
 
 
 def _weight_description(spec):

@@ -6,7 +6,7 @@ input nearly all arithmetic therefore stays in Python ints.
 
 Hulls are interned: while a polytope is alive, :func:`convex_hull` returns
 that one canonical object for every point list with the same role, ambient
-space and hull, so its lazily built face lattice, chart, lattice points and
+space and hull, so its lazily built face lattice, lattice points and
 triangulation are computed once per run.  :func:`polar_dual` returns
 through the same table.
 
@@ -157,13 +157,13 @@ class GeometryError(ValueError):
 class Polytope:
     """Bounded convex polytope with canonical V- and H-representations.
 
-    Values are immutable after construction (face lattices and charts are
-    cached lazily but idempotently), so independent computations can safely
-    share polytopes; :func:`convex_hull` hands out one live object per hull.
+    Values are immutable after construction (face lattices, lattice points
+    and triangulations are cached lazily but idempotently), so independent
+    computations can safely share polytopes; :func:`convex_hull` hands out one live object per hull.
     """
 
     __slots__ = ("ambient", "role", "vertices", "equations", "facets", "dim",
-                 "_faces", "_tight", "_chart", "_lattice_points",
+                 "_faces", "_tight", "_lattice_points",
                  "_triangulation", "__weakref__")
 
     def __init__(self, ambient, role, vertices, equations, facets, dim):
@@ -175,7 +175,6 @@ class Polytope:
         self.dim = dim
         self._faces = None
         self._tight = None
-        self._chart = None
         self._lattice_points = None
         self._triangulation = None
 
@@ -332,11 +331,8 @@ class Polytope:
 
     def chart(self):
         """Integer lattice chart of the affine hull."""
-        if self._chart is None:
-            self._chart = LatticeChart(self.vertices[0],
-                                       self.directions_basis(),
-                                       self.equations)
-        return self._chart
+        return LatticeChart(self.vertices[0], self.directions_basis(),
+                            self.equations)
 
     def directions_basis(self):
         base = self.vertices[0]

@@ -1,7 +1,7 @@
 """The sphere complex: transversal cells, adjoint pairs, and homology.
 
 Cells of the boundary subdivision are sliced by the partition parts; the
-transversal ones (every slice nonempty) form an upper order ideal P.  Their
+transversal ones (every slice nonempty) form an upper set P.  Their
 Minkowski cells tile part of the boundary of the sum polytope, and products
 of adjoint pairs of cells assemble into the sphere complex Sigma.
 
@@ -50,16 +50,23 @@ in {0} when S_i is empty.  By (iii) psi_j is linear on the cone, so for
 x = t*c in part_i (c in the cell, t > 0) (i) gives psi_j(c) = 0 for j != i,
 and c lies in S_i as above; conversely 0 and S_i lie in part_i.
 
+Upper set: a cell is transversal iff each psi_i is 1 at one of its
+vertices, and a cell above another has all of its vertices, so the
+transversal cells form an upper set with no check.
+
 Minkowski cells take one double description per maximal transversal cell
-C: M(C) = r*C & delta, by H->V.  Every other transversal cell C' is checked
-to be a face of the lowest-index maximal C above it, so C' is C cut by the
-facet rows (f0, u) of C tight on C', and r*C' & delta = M(C) & r*C' is the
-face of M(C) on its vertices w with r*f0 + u.w = 0 for all those rows:
-each row is valid on M(C), which lies in r*C, so that vertex set is a face.
-On every transversal cell the sum of the slices is then certified equal by
-support functions (:func:`polytope.is_minkowski_sum`), with no hull of the
-sums.  The part of delta on each facet of r times the parts hull is a face
-of delta (:func:`facet_region`).
+C: M(C) = r*C & delta, by H->V, certified equal to the sum of C's slices
+by support functions (:func:`polytope.is_minkowski_sum`), with no hull of
+the sums.  Every other transversal cell C' is checked to be a face of the
+lowest-index maximal C above it, so it is C cut by the facet rows (f0, u)
+of C tight on C'.  M(C') is the face of M(C) on its vertices w with
+r*f0 + u.w = 0 for all those rows, and it inherits both formulas.  Each
+row is valid on M(C), in r*C, so the face is M(C) & r*C' = r*C' & delta.
+For w = sum s_i, s_i in S_i(C), r*f0 + u.w = sum (f0 + u.s_i) is a sum of
+terms >= 0, so it is 0 on every row iff every s_i lies in C' & part_i =
+S_i(C') (the slice lemma on C'); and S_i(C') lies in S_i(C) & C'.  The
+part of delta on each facet of r times the parts hull is a face of delta
+(:func:`facet_region`).
 """
 
 from fractions import Fraction
@@ -257,10 +264,9 @@ def transversal_poset(subdivision, parts, other_parts, delta):
     """All transversal cells with their Minkowski cells, as a poset.
 
     `other_parts` are the other side's parts, whose support functions
-    certify the slices (:func:`compute_slices`).  Also verifies the
-    upper-order-ideal property and, on every transversal cell, the two
-    Minkowski cell formulas: r*cell intersected with the sum polytope
-    `delta` is the sum of the slices (:func:`_minkowski_cells`).
+    certify the slices (:func:`compute_slices`).  The Minkowski cells,
+    r*cell intersected with the sum polytope `delta`, are the sums of the
+    slices (:func:`_minkowski_cells`).
     """
     r = len(parts)
     slices_by_cell = compute_slices(subdivision, parts, other_parts)
@@ -269,14 +275,6 @@ def transversal_poset(subdivision, parts, other_parts, delta):
         1 << k for k, c in enumerate(cells)
         if all(s is not None for s in slices_by_cell[c]))
     above, _ = _inclusion_masks(subdivision.vertex_masks)
-    # Upper order ideal: any cell above a transversal cell is transversal.
-    for k in _bits(transversal):
-        bad = above[k] & ~transversal
-        if bad:
-            raise FalsificationError(
-                "transversal cells do not form an upper order ideal",
-                {"cell": _cell_key(cells[k]),
-                 "superface": _cell_key(cells[(bad & -bad).bit_length() - 1])})
     minkowski = _minkowski_cells(cells, slices_by_cell, transversal, above,
                                  r, delta)
     elements = [TransversalCell(cells[k], slices_by_cell[cells[k]],
@@ -288,14 +286,12 @@ def transversal_poset(subdivision, parts, other_parts, delta):
 
 def _minkowski_cells(cells, slices_by_cell, transversal, above, r, delta):
     """Cell index -> Minkowski cell r*cell & delta of every transversal cell
-    (the mask `transversal`), each certified to be the sum of its slices.
+    (the mask `transversal`).
 
-    One double description runs per maximal transversal cell C.  Every other
-    transversal cell C' lies under C, the lowest-index maximal one above it,
-    as a face, so C' is C cut by the facet rows of C tight on C'; hence
-    r*C' & delta = (r*C & delta) & r*C' is the face of M(C) on its vertices
-    w where every such row (f0, u) has r*f0 + u.w = 0.  The sum of the
-    slices is compared by :func:`polytope.is_minkowski_sum`.
+    One double description runs per maximal transversal cell C, certified
+    to be the sum of C's slices.  Every other transversal cell C' is a face
+    of the lowest-index maximal C above it, and its Minkowski cell is a
+    face of C's, which inherits both formulas (module docstring).
     """
     maximal = [k for k in _bits(transversal)
                if above[k] & transversal == 1 << k]
@@ -330,9 +326,7 @@ def _minkowski_cells(cells, slices_by_cell, transversal, above, r, delta):
         for f_mask, row in zip(cell.facet_masks(), rows):
             if f_mask & face_mask == face_mask:
                 keep &= row
-        mink = out[m].face_polytope(_bits(keep)) if keep else None
-        _certify_minkowski(sub, slices_by_cell[sub], mink)
-        out[k] = mink
+        out[k] = out[m].face_polytope(_bits(keep))
     return out
 
 
@@ -502,15 +496,22 @@ def adjoint_pairs(p_poset, q_poset):
 class SigmaComplex:
     """The polytopal complex of products over adjoint pairs.
 
-    Two facts about a cell M x N, M the Minkowski cell of P-element i and N
-    that of Q-element j, follow from certificates raised earlier and are
-    not checked again here:
+    The pairs are :func:`adjoint_pairs` of the two posets.  Three facts
+    about a cell M x N, M the Minkowski cell of P-element i and N that of
+    Q-element j, follow from certificates raised earlier or from how the
+    pairs are found, and are not checked here:
 
-    - pairing level: <m, n> = r on M x N.  Each Minkowski cell is certified
-      to be the sum of its slices (:func:`_certify_minkowski`), so m is a
-      sum of vertices m_a of the P-slices and n one of vertices n_b of the
-      Q-slices, and adjointness (:func:`adjoint_pairs`) gives <m_a, n_b> =
-      delta_ab, hence <m, n> = sum_{a,b} delta_ab = r;
+    - face closure: every (i2, j2) with i2 <= i and j2 <= j is a cell.
+      Slice a of i2 is the face of its cell on the vertices with psi_a = 1
+      (:func:`_cell_slices`), and the vertices of i2 are vertices of i, so
+      the vertices of slice a of i2 are vertices of slice a of i; the same
+      holds on the Q side.  :func:`adjoint_pairs` tests every vertex pair,
+      so the pairs of (i2, j2) are among those of (i, j) and it is adjoint;
+    - pairing level: <m, n> = r on M x N.  Each Minkowski cell is the sum
+      of its slices (:func:`_minkowski_cells`), so m is a sum of vertices
+      m_a of the P-slices and n one of vertices n_b of the Q-slices, and
+      adjointness gives <m_a, n_b> = delta_ab, hence
+      <m, n> = sum_{a,b} delta_ab = r;
     - dimension: dim M + dim N <= d - r.  A direction of M is a sum of
       differences of two points of one P-slice, each pairing to 0 with
       every vertex of every Q-slice, so it is orthogonal to span(U_b N_b)
@@ -520,12 +521,12 @@ class SigmaComplex:
       the directions), so it has dimension dim N + r.
     """
 
-    def __init__(self, p_poset, q_poset, pairs, r):
+    def __init__(self, p_poset, q_poset):
         self.p_poset = p_poset
         self.q_poset = q_poset
-        self.r = r
+        self.r = len(p_poset.parts)
         self.pairs = tuple(sorted(
-            pairs,
+            adjoint_pairs(p_poset, q_poset),
             key=lambda ij: (p_poset.elements[ij[0]].minkowski.key(),
                             q_poset.elements[ij[1]].minkowski.key())))
         self.pair_index = {pq: k for k, pq in enumerate(self.pairs)}
@@ -533,7 +534,6 @@ class SigmaComplex:
             p_poset.elements[i].minkowski.dim + q_poset.elements[j].minkowski.dim
             for i, j in self.pairs)
         self._product_order()
-        self._verify_face_closure()
 
     def _product_order(self):
         """_above[k] and _below[k]: bitmasks of the cells >= and <= cell k
@@ -559,22 +559,6 @@ class SigmaComplex:
                   for j in range(len(q_row))]
         self._above = [self.p_up[i] & self.q_up[j] for i, j in self.pairs]
         self._below = [p_down[i] & q_down[j] for i, j in self.pairs]
-
-    def _verify_face_closure(self):
-        # Componentwise subpairs of adjoint pairs must again be adjoint:
-        # every j2 <= j must be a Q-partner of every i2 <= i.
-        partners = [0] * len(self.p_poset)
-        for i, j in self.pairs:
-            partners[i] |= 1 << j
-        for (i, j) in self.pairs:
-            q_below = self.q_poset._below[j]
-            for i2 in self.p_poset.below(i):
-                missing = q_below & ~partners[i2]
-                if missing:
-                    j2 = (missing & -missing).bit_length() - 1
-                    raise FalsificationError(
-                        "face of an adjoint product cell is not a cell",
-                        {"pair": [i, j], "subpair": [i2, j2]})
 
     def __len__(self):
         return len(self.pairs)

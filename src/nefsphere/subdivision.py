@@ -62,9 +62,6 @@ class WeightFunction:
         table = {pt: self.values[pt] for pt in subsupport.lattice_points()}
         return WeightFunction(subsupport, table, preset=self.preset)
 
-    def as_sorted_items(self):
-        return sorted(self.values.items())
-
 
 def _point_str(pt):
     return "[" + ", ".join(str(c) for c in pt) + "]"

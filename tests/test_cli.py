@@ -343,7 +343,36 @@ def test_validate_builds_no_subdivision_of_an_invalid_partition(tmp_path):
                     "report"):
         proc = run_cli(command, str(bad))
         assert proc.returncode == 2, (command, proc.stderr)
-        assert "internal error" not in proc.stderr, command
+        assert proc.stderr == \
+            "input rejected: input is not a valid nef-partition\n", command
+
+
+# Sums whose polar is undefined: a point, a segment in the plane, and a
+# triangle with the origin as a vertex.
+NOT_REFLEXIVE_SUMS = {
+    "point": {"dim": 1, "parts": [[[0]]]},
+    "flat_segment": {"dim": 2, "parts": [[[1, 0], [-1, 0]]]},
+    "origin_on_boundary": {"dim": 2, "parts": [[[0, 0], [1, 0], [0, 1]]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_REFLEXIVE_SUMS))
+def test_a_non_reflexive_sum_is_named_by_every_command(tmp_path, capsys,
+                                                       name):
+    # Every command that needs the dual names validate's cause (exit 2),
+    # not the polar that the cause leaves undefined.
+    from nefsphere import cli
+    cause = "the Minkowski sum is not a reflexive d-polytope"
+    bad = tmp_path / f"{name}.json"
+    bad.write_text(json.dumps(NOT_REFLEXIVE_SUMS[name]))
+    for command in ("report", "complex", "tropical", "discriminant",
+                    "monodromy", "dualize"):
+        assert cli.main([command, str(bad)]) == 2, command
+        assert capsys.readouterr() == ("", f"input rejected: {cause}\n")
+    assert cli.main(["validate", str(bad)]) == 3
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"]: c["detail"] for c in checks}["sum_is_reflexive"] == \
+        cause
 
 
 def test_report_rejects_non_central_weight(tmp_path):

@@ -1,9 +1,9 @@
 """The orders of the sphere layer are bitmasks; the pair scans are oracles.
 
 Every order question of the fast path (faces in the boundary subdivision,
-the transversal posets, adjointness, Sigma's face closure and
-pseudomanifold test, the chart covering, the loops' discriminant
-components and the spanned cells) is answered by mask operations.  The
+the transversal posets, adjointness, Sigma's pseudomanifold test, the
+chart covering, the loops' discriminant components and the spanned cells)
+is answered by mask operations.  The
 routes they replaced live here: chain enumeration of the barycentric
 subdivision, ``leq`` scans, vertex-pair dot products and span hulls.  Each
 mask route must give the old route's answer on every ``tests/data`` input.
@@ -22,12 +22,8 @@ from nefsphere.monodromy import (
     _span_pairs,
     complement_homology,
 )
-from nefsphere.polytope import convex_hull, intersect
-from nefsphere.sphere import (
-    SigmaComplex,
-    adjoint_pairs,
-    is_closed_pseudomanifold,
-)
+from nefsphere.polytope import convex_hull
+from nefsphere.sphere import adjoint_pairs, is_closed_pseudomanifold
 from conftest import smooth_pair
 from test_cli import path
 
@@ -213,20 +209,6 @@ def covering_report_by_sets(sigma):
     return report, u, v
 
 
-def face_closure_certificate_by_scan(p_poset, q_poset, pairs):
-    """The first (pair, subpair) of the old scan, or None."""
-    ordered = sorted(pairs, key=lambda ij: (
-        p_poset.elements[ij[0]].minkowski.key(),
-        q_poset.elements[ij[1]].minkowski.key()))
-    pair_set = set(pairs)
-    for i, j in ordered:
-        for i2 in [x for x in range(len(p_poset)) if p_poset.leq(x, i)]:
-            for j2 in [y for y in range(len(q_poset)) if q_poset.leq(y, j)]:
-                if (i2, j2) not in pair_set:
-                    return {"pair": [i, j], "subpair": [i2, j2]}
-    return None
-
-
 def _mask_bits(mask):
     return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
 
@@ -390,56 +372,3 @@ def test_pseudomanifold_matches_bsd_on_hand_built_posets(name):
     dims, below = _poset(cells)
     assert bsd_pseudomanifold(_successors_of(below)) == want
     assert is_closed_pseudomanifold(dims, below) == want
-
-
-# -- certificates ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", ["triangle", "simplex3"])
-def test_face_closure_certificate_matches_scan(name):
-    # Drop one pair at a time: the mask check raises the scan's first
-    # certificate, or nothing when the scan finds nothing.
-    pipe = _data_pipeline(name)
-    sigma = pipe.sigma()
-    p, q = sigma.p_poset, sigma.q_poset
-    raised = 0
-    for pair in sigma.pairs:
-        pairs = [pq for pq in sigma.pairs if pq != pair]
-        want = face_closure_certificate_by_scan(p, q, pairs)
-        try:
-            SigmaComplex(p, q, pairs, sigma.r)
-            got = None
-        except FalsificationError as err:
-            assert err.claim == "face of an adjoint product cell is not a cell"
-            got = err.certificate
-            raised += 1
-        assert got == want
-    assert raised > 0
-
-
-def test_upper_ideal_certificate_matches_scan(monkeypatch):
-    # Declare one top cell non-transversal: the first transversal cell
-    # below it, in cell order, is the certificate of the leq scan.
-    from nefsphere import sphere
-    pipe = _data_pipeline("simplex3")
-    boundary = pipe.s_boundary()
-    top = boundary.maximal_cells[-1]
-    real = sphere._cell_slices
-    monkeypatch.setattr(sphere, "_cell_slices", lambda cell, supports:
-                        (None,) * pipe.nef.r if cell == top
-                        else real(cell, supports))
-    transversal = {c for c in boundary.cells if c != top
-                   and all(intersect(c, p) is not None
-                           for p in pipe.nef.parts)}
-    want = next(
-        {"cell": sphere._cell_key(a), "superface": sphere._cell_key(b)}
-        for a in boundary.cells if a in transversal
-        for b in boundary.cells
-        if boundary_leq(boundary, a, b) and b not in transversal)
-    with pytest.raises(FalsificationError) as err:
-        sphere.transversal_poset(boundary, list(pipe.nef.parts),
-                                 list(pipe.dual().parts),
-                                 pipe.nef.sum_polytope)
-    assert err.value.claim == \
-        "transversal cells do not form an upper order ideal"
-    assert err.value.certificate == want

@@ -13,7 +13,7 @@ from nefsphere.errors import FalsificationError
 from nefsphere.homology import order_complex_homology
 from nefsphere.linalg import dot
 from nefsphere.polytope import (as_fractions, convex_hull, dilate, intersect,
-                                minkowski_sum_all)
+                                is_minkowski_sum, minkowski_sum_all)
 from nefsphere.sphere import projection_images
 from test_cli import DATA, path
 from test_exact_kernel import contains_by_fractions
@@ -100,6 +100,46 @@ def pairing_level_failures(sigma):
             if dot(m, n) != sigma.r]
 
 
+def minkowski_cell_failures(poset, r, delta):
+    """The transversal cells whose Minkowski cell is not r*cell & delta, by
+    H->V, or not the sum of their slices.  The run certifies this on the
+    maximal cells only; the faces inherit it (:mod:`nefsphere.sphere`)."""
+    return [sphere._cell_key(e.cell) for e in poset.elements
+            if e.minkowski.key() != intersect(dilate(e.cell, r), delta).key()
+            or not is_minkowski_sum(e.minkowski, e.slices)]
+
+
+def upper_set_failures(poset, boundary):
+    """The (transversal cell, non-transversal cell above it) pairs of a
+    boundary subdivision, by vertex sets.  Transversality is monotone by
+    construction: psi is read per vertex."""
+    transversal = {e.cell for e in poset.elements}
+    vsets = {c: frozenset(c.vertices) for c in boundary.cells}
+    return [(sphere._cell_key(a), sphere._cell_key(b))
+            for a in transversal for b in boundary.cells
+            if b not in transversal and vsets[a] <= vsets[b]]
+
+
+def face_closure_failures(sigma):
+    """The (pair, subpair) of Sigma with i2 <= i and j2 <= j whose subpair
+    is not a cell.  :func:`sphere.adjoint_pairs` tests every slice vertex
+    pair, and a face's slice vertices are among its cell's, so there are
+    none (:class:`sphere.SigmaComplex`)."""
+    pairs = set(sigma.pairs)
+    return [((i, j), (i2, j2)) for i, j in sigma.pairs
+            for i2 in sigma.p_poset.below(i)
+            for j2 in sigma.q_poset.below(j) if (i2, j2) not in pairs]
+
+
+def _transversal_facts_hold(pipe):
+    for poset, boundary, nef in (
+            (pipe.p_poset(), pipe.s_boundary(), pipe.nef),
+            (pipe.q_poset(), pipe.t_boundary(), pipe.dual())):
+        assert minkowski_cell_failures(poset, nef.r, nef.sum_polytope) == []
+        assert upper_set_failures(poset, boundary) == []
+    assert face_closure_failures(pipe.sigma()) == []
+
+
 def _removed_checks_hold(pipe):
     for poset, other in ((pipe.p_poset(), pipe.dual().parts),
                          (pipe.q_poset(), pipe.nef.parts)):
@@ -181,9 +221,11 @@ def _corrupt_one_slice(monkeypatch, target):
 @pytest.mark.parametrize("maximal", [True, False])
 def test_a_corrupted_slice_falsifies_the_minkowski_cell(monkeypatch, capsys,
                                                         maximal):
-    # The sum of the slices no longer equals r*cell intersected with the
-    # sum polytope, on a maximal transversal cell (read by H->V) and on a
-    # non-maximal one (read as a face of its maximal cell's).
+    # On a maximal transversal cell the sum of the slices no longer equals
+    # r*cell intersected with the sum polytope, read by H->V.  A face's
+    # Minkowski cell is read from its maximal cell's, with no certificate
+    # of its own, so there the corrupted slice shows in Sigma: the pairs
+    # adjoint to it no longer close up into a cell complex.
     from nefsphere import cli
     poset = _data_pipeline("prism_pair_5d").p_poset()
     target = next(
@@ -193,6 +235,10 @@ def test_a_corrupted_slice_falsifies_the_minkowski_cell(monkeypatch, capsys,
     _corrupt_one_slice(monkeypatch, target)
     assert cli.main(["report", path("prism_pair_5d.json")]) == 3
     out = json.loads(capsys.readouterr().out)["falsified"]
+    if not maximal:
+        assert out["claim"] == ("ridge of a cell does not lie in exactly two "
+                                "of its facets (diamond property)")
+        return
     assert out["claim"] == ("Minkowski cell differs from r*cell intersected "
                             "with the sum")
     cert = out["certificate"]
@@ -298,6 +344,7 @@ def test_lemma_suite_randomized(randomized_partitions):
         assert pipe.lemma_suite() == [], \
             f"lemma suite failed for parts {[p.vertices for p in nef.parts]}"
         _removed_checks_hold(pipe)
+        _transversal_facts_hold(pipe)
     assert saw_r2, "randomized sample contains no r >= 2 partition"
 
 
@@ -307,6 +354,45 @@ def test_checks_proved_by_certificates_hold(name):
     # pairing-level equation and the dimension bound (SigmaComplex) are
     # proved from the certificates each run raises; here they are checked.
     _removed_checks_hold(_data_pipeline(name))
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_INPUTS
+                                  if n != "simplex_p7_44"])
+def test_transversal_facts_proved_by_construction_hold(name):
+    # The faces' Minkowski cells, the upper set and Sigma's face closure
+    # are proved from the maximal cells' certificates and from the
+    # per-vertex slices; here they are checked.  P^7 (4,4) is left out for
+    # its 4.5 s Sigma.
+    _transversal_facts_hold(_data_pipeline(name))
+
+
+def test_the_transversal_oracles_can_fail(simplex3_pipe):
+    # Each oracle names a planted fault: a face's Minkowski cell swapped
+    # for its maximal cell's, a dropped top cell, and a dropped pair below
+    # another.
+    poset = simplex3_pipe.p_poset()
+    r, delta = simplex3_pipe.nef.r, simplex3_pipe.nef.sum_polytope
+    top = next(i for i in range(len(poset)) if poset.above(i) == [i])
+    face = next(i for i in poset.below(top) if i != top)
+    elements = list(poset.elements)
+    e = elements[face]
+    elements[face] = sphere.TransversalCell(e.cell, e.slices,
+                                            elements[top].minkowski)
+    assert minkowski_cell_failures(SimpleNamespace(elements=elements),
+                                   r, delta) == [sphere._cell_key(e.cell)]
+    boundary = simplex3_pipe.s_boundary()
+    dropped = poset.elements[top].cell
+    thinned = SimpleNamespace(elements=[x for x in poset.elements
+                                        if x.cell != dropped])
+    failures = upper_set_failures(thinned, boundary)
+    assert failures
+    assert all(b == sphere._cell_key(dropped) for _, b in failures)
+    sigma = simplex3_pipe.sigma()
+    low = next(k for k in range(len(sigma)) if sigma._above[k] != 1 << k)
+    thinned = SimpleNamespace(pairs=[pq for k, pq in enumerate(sigma.pairs)
+                                     if k != low],
+                              p_poset=sigma.p_poset, q_poset=sigma.q_poset)
+    assert face_closure_failures(thinned)
 
 
 def test_a_non_lattice_other_side_part_is_refused():
