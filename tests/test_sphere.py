@@ -224,8 +224,8 @@ def test_a_corrupted_slice_falsifies_the_minkowski_cell(monkeypatch, capsys,
     # On a maximal transversal cell the sum of the slices no longer equals
     # r*cell intersected with the sum polytope, read by H->V.  A face's
     # Minkowski cell is read from its maximal cell's, with no certificate
-    # of its own, so there the corrupted slice shows in Sigma: the pairs
-    # adjoint to it no longer close up into a cell complex.
+    # of its own, so there the corrupted slice shows in Sigma, whose cells
+    # on the changed adjoint pairs break the diamond property.
     from nefsphere import cli
     poset = _data_pipeline("prism_pair_5d").p_poset()
     target = next(
@@ -362,7 +362,7 @@ def test_transversal_facts_proved_by_construction_hold(name):
     # The faces' Minkowski cells, the upper set and Sigma's face closure
     # are proved from the maximal cells' certificates and from the
     # per-vertex slices; here they are checked.  P^7 (4,4) is left out for
-    # its 4.5 s Sigma.
+    # the time its Sigma takes.
     _transversal_facts_hold(_data_pipeline(name))
 
 
