@@ -23,6 +23,7 @@ left, with no unit entry, goes through the dense Smith normal form
 """
 
 from collections import deque
+from heapq import heapify, heappop, heappush
 
 from .errors import FalsificationError
 from .linalg import smith_normal_form
@@ -145,7 +146,8 @@ def chain_homology(dims, boundary):
     complexes", 1998; Mrozek-Batko, "Coreduction homology algorithm", DCG
     41, 2009).  When
     the queue runs dry, one unit pair with fill-in is removed, from the cell
-    with the fewest faces left (then the lowest index), and the walk
+    with the fewest faces left (then the lowest index), found on a heap
+    that every cell leaving the queue is pushed back onto, and the walk
     resumes.  The cells left over, with no unit incidence among them, go
     to :func:`sparse_rank_and_divisors`, so torsion comes from the exact
     Smith form.
@@ -166,6 +168,10 @@ def chain_homology(dims, boundary):
     for c, faces in enumerate(boundary):
         for f in faces:
             cofaces[f].append(c)
+    # (faces left, cell) of every cell with faces, re-pushed whenever the
+    # cell leaves the queue: the fill-in pivot search's candidates.
+    heap = [(len(faces), c) for c, faces in enumerate(boundary) if faces]
+    heapify(heap)
     queue = deque()
     _drop(dims.index(0), boundary, cofaces, queue)
     while True:
@@ -174,6 +180,8 @@ def chain_homology(dims, boundary):
             faces = boundary[c]
             if faces is None:
                 continue
+            if faces:
+                heappush(heap, (len(faces), c))
             if len(faces) == 1:
                 (a, u), = faces.items()
                 if u == 1 or u == -1:
@@ -185,7 +193,7 @@ def chain_homology(dims, boundary):
                 u = boundary[b][c]
                 if u == 1 or u == -1:
                     _remove_pair(c, b, boundary, cofaces, queue)
-        pair = _fill_in_pivot(boundary, cofaces)
+        pair = _fill_in_pivot(boundary, cofaces, heap)
         if pair is None:
             break
         _remove_pair(*pair, boundary, cofaces, queue)
@@ -243,19 +251,29 @@ def _remove_pair(a, b, boundary, cofaces, queue):
     _drop(b, boundary, cofaces, queue)
 
 
-def _fill_in_pivot(boundary, cofaces):
+def _fill_in_pivot(boundary, cofaces, heap):
     """A unit pair (face, cell) for an elimination with fill-in: the cell
     with the fewest faces left, then the lowest index, and its unit face
     with the fewest cofaces left, then the lowest index; None when no
-    unit incidence is left."""
-    best = None
-    for c, faces in enumerate(boundary):
-        if faces and (best is None or len(faces) < best[0]):
-            units = [(len(cofaces[a]), a) for a, u in faces.items()
-                     if u == 1 or u == -1]
-            if units:
-                best = (len(faces), min(units)[1], c)
-    return None if best is None else best[1:]
+    unit incidence is left.
+
+    `heap` holds (faces left, cell) for every cell with faces as it was
+    when the cell last changed, possibly among stale entries: every cell
+    whose faces change is queued and re-pushed when it leaves the queue,
+    and the queue is empty here.  Entries are popped in order; a stale
+    one is skipped, and so is a cell with no unit face, which can gain
+    one only through a change that re-pushes it.
+    """
+    while heap:
+        k, c = heappop(heap)
+        faces = boundary[c]
+        if faces is None or len(faces) != k:
+            continue
+        units = [(len(cofaces[a]), a) for a, u in faces.items()
+                 if u == 1 or u == -1]
+        if units:
+            return min(units)[1], c
+    return None
 
 
 def _orient_facets(cell, faces, boundary):

@@ -400,6 +400,58 @@ def count_fill_in_pivots(monkeypatch):
     return found
 
 
+def fill_in_pivot_by_scan(boundary, cofaces):
+    """The oracle: the pivot search as a full scan of the cells, with the
+    same choice rule as :func:`homology._fill_in_pivot`."""
+    best = None
+    for c, faces in enumerate(boundary):
+        if faces and (best is None or len(faces) < best[0]):
+            units = [(len(cofaces[a]), a) for a, u in faces.items()
+                     if u == 1 or u == -1]
+            if units:
+                best = (len(faces), min(units)[1], c)
+    return None if best is None else best[1:]
+
+
+def scan_checked_fill_in_pivots(monkeypatch):
+    """Wrap the pivot search: each pivot must be the one the full scan
+    picks on the same complex, so the whole sequence is the scan's; the
+    returned list gets one entry per pivot."""
+    found = []
+    search = homology._fill_in_pivot
+
+    def checked(boundary, cofaces, heap):
+        pair = search(boundary, cofaces, heap)
+        assert pair == fill_in_pivot_by_scan(boundary, cofaces)
+        if pair is not None:
+            found.append(pair)
+        return pair
+
+    monkeypatch.setattr(homology, "_fill_in_pivot", checked)
+    return found
+
+
+@pytest.mark.parametrize("simplices, want", [
+    (TORUS, [(1, ()), (2, ()), (1, ())]),
+    (RP2, [(1, ()), (0, (2,)), (0, ())]),
+], ids=["torus", "rp2"])
+def test_fill_in_pivots_match_the_full_scan(monkeypatch, simplices, want):
+    pivots = scan_checked_fill_in_pivots(monkeypatch)
+    assert both_routes(simplices) == want
+    assert pivots
+
+
+def test_fill_in_pivots_match_the_full_scan_on_an_order_complex(monkeypatch):
+    # The order complex of the 6D product's smooth cells (a 3-torus minus
+    # nothing: its discriminant is empty) takes 1 929 fill-in pivots.
+    from test_order_masks import complement_by_order_complex
+    sigma = _data_pipe("product_triangles_6d").sigma()
+    pivots = scan_checked_fill_in_pivots(monkeypatch)
+    assert complement_by_order_complex(sigma) == \
+        [(1, ()), (3, ()), (3, ()), (1, ())]
+    assert len(pivots) == 1929
+
+
 def test_torus_takes_the_fill_in_path(monkeypatch):
     # On this triangulation the breadth-first walk runs dry before only
     # the torus's three generators are left, so at least one pair is
