@@ -6,9 +6,9 @@ input nearly all arithmetic therefore stays in Python ints.
 
 Hulls are interned: while a polytope is alive, :func:`convex_hull` returns
 that one canonical object for every point list with the same role, ambient
-space and hull, so its lazily built face lattice, lattice points and
-triangulation are computed once per run.  :func:`polar_dual` returns
-through the same table.
+space and hull, so its lazily built face lattice, lattice points,
+triangulation and, for a face, H-representation are computed once per run.
+:func:`polar_dual` returns through the same table.
 
 Polytopes carry a role tag:  'M' for the functional side (where the partition
 parts Delta^(i) live) and 'N' for the vector side (the nabla side).  Pairings
@@ -31,11 +31,16 @@ dimension is its grade in that lattice (0 for a vertex, else one more than
 its largest strict subface), so no rank is computed.  A face's polytope
 (:meth:`Polytope.face_polytope`) is cut from the parent's facet rows.
 
-Both shortcuts share one rule (:func:`_polytope_from_rows`): the equations
-are the saturated kernel of the homogenized vertices, and the facets are
-the given rows whose tight sets are the inclusion-maximal proper ones,
-reduced modulo those equations.  That is field for field the polytope
-:func:`convex_hull` would build, and it is interned under the same key.
+Both shortcuts share one rule (:func:`_hrep_from_rows`): the equations are
+the saturated kernel of the homogenized vertices, and the facets are the
+given rows whose tight sets are the inclusion-maximal proper ones, one row
+per facet, reduced modulo those equations.  That is field for field the
+polytope :func:`convex_hull` would build, and it is interned under the same
+key.  A face whose dimension is already known (its grade, or a cell's
+dimension plus one for a cone over it) keeps its vertices, the parent's
+rows and their tight masks, and runs the rule the first time
+``equations`` or ``facets`` is read; a face never asked for its
+H-representation costs no kernel.  Any other polytope runs it at once.
 
 A Minkowski sum is built by :func:`minkowski_sum` as the V->H hull of every
 sum of vertices, but a claimed sum p is checked with no hull at all
@@ -157,26 +162,42 @@ class GeometryError(ValueError):
 class Polytope:
     """Bounded convex polytope with canonical V- and H-representations.
 
-    Values are immutable after construction (face lattices, lattice points
-    and triangulations are cached lazily but idempotently), so independent
-    computations can safely share polytopes; :func:`convex_hull` hands out one live object per hull.
+    Values are immutable after construction (face lattices, lattice points,
+    triangulations and a face's H-representation are cached lazily but
+    idempotently), so independent computations can safely share polytopes;
+    :func:`convex_hull` hands out one live object per hull.  Given `rows`,
+    the arguments of :func:`_hrep_from_rows` after the ambient dimension,
+    ``equations`` and ``facets`` are left unset until first read.
     """
 
     __slots__ = ("ambient", "role", "vertices", "equations", "facets", "dim",
-                 "_faces", "_tight", "_lattice_points",
+                 "_rows", "_faces", "_tight", "_lattice_points",
                  "_triangulation", "__weakref__")
 
-    def __init__(self, ambient, role, vertices, equations, facets, dim):
+    def __init__(self, ambient, role, vertices, equations, facets, dim,
+                 rows=None):
         self.ambient = ambient
         self.role = role
         self.vertices = vertices
-        self.equations = equations
-        self.facets = facets
+        if rows is None:
+            self.equations = equations
+            self.facets = facets
+        self._rows = rows
         self.dim = dim
         self._faces = None
         self._tight = None
         self._lattice_points = None
         self._triangulation = None
+
+    def __getattr__(self, name):
+        # Reached only for unset slots: a face built with its dimension
+        # known reads its H-representation from `_rows` on first use.
+        if name not in ("equations", "facets") or self._rows is None:
+            raise AttributeError(name)
+        self.equations, self.facets = _hrep_from_rows(self.ambient,
+                                                      *self._rows)
+        self._rows = None
+        return getattr(self, name)
 
     # -- canonical identity ------------------------------------------------
 
@@ -267,14 +288,15 @@ class Polytope:
                 closure &= m
         return mask != 0 and closure == mask
 
-    def face_polytope(self, vset):
+    def face_polytope(self, vset, dim=None):
         """Canonical sub-polytope of the face on the vertex indices `vset`.
 
         Read from this polytope's facet rows, with no double description
         (:func:`_polytope_from_rows`): every facet of a face F is a face
         F & G of the parent, so it is the meet of F with a parent facet
-        row.  Raises GeometryError when `vset` is not a face
-        (:meth:`is_face`).
+        row.  Given the face's dimension `dim`, the rows are read on first
+        use of its H-representation.  Raises GeometryError when `vset` is
+        not a face (:meth:`is_face`).
         """
         idx = sorted(vset)
         verts = tuple(self.vertices[i] for i in idx)
@@ -288,7 +310,7 @@ class Polytope:
         return _polytope_from_rows(
             self.role, self.ambient, verts,
             [clear_denominators((1,) + v) for v in verts], self.facets,
-            [m & mask for m in self.facet_masks()], mask)
+            [m & mask for m in self.facet_masks()], mask, dim)
 
     def face_keys(self, proper=False):
         """The set of ``face_polytope(fs).key()`` over all faces (only the
@@ -303,7 +325,7 @@ class Polytope:
         for vset, d in sorted(self.face_sets().items(),
                               key=lambda t: (t[1], sorted(t[0]))):
             if d < self.dim:
-                out.append(self.face_polytope(vset))
+                out.append(self.face_polytope(vset, d))
         return out
 
     # -- lattice ---------------------------------------------------------------
@@ -565,29 +587,44 @@ def polytope_from_hrep(eq_rows, ineq_rows, role, ambient):
                                (1 << len(vertices)) - 1)
 
 
-def _polytope_from_rows(role, ambient, verts, hverts, rows, meets, full):
+def _polytope_from_rows(role, ambient, verts, hverts, rows, meets, full,
+                        dim=None):
     """The canonical polytope on the vertices `verts` (homogenized and made
     primitive in `hverts`) whose facets are among the integer inequality
     `rows`, interned like :func:`convex_hull`.
 
     `meets` holds per row the bitmask of the vertices tight on it and
-    `full` the mask of all of them.  The equations are the saturated
-    integer kernel of the homogenized vertices (the HNF lineality
-    :func:`convex_hull` gets from :func:`dd.cone_rays`).  A row's tight set
-    is a face; the facets are the inclusion-maximal proper ones, and the
-    rows tight on one facet agree on the affine hull up to a positive
-    factor, so reduced modulo the equations they give the rows the hull of
-    `verts` has.
+    `full` the mask of all of them.  With `dim` given, the rows are kept
+    and :func:`_hrep_from_rows` reads them on first use of ``equations``
+    or ``facets``; otherwise it reads them now, and the dimension is the
+    ambient one minus the number of equations.
+    """
+    if dim is None:
+        eqs, facets = _hrep_from_rows(ambient, hverts, rows, meets, full)
+        poly = Polytope(ambient, role, verts, eqs, facets, ambient - len(eqs))
+    else:
+        poly = Polytope(ambient, role, verts, None, None, dim,
+                        (hverts, rows, meets, full))
+    return _HULLS.setdefault((role, ambient, verts), poly)
+
+
+def _hrep_from_rows(ambient, hverts, rows, meets, full):
+    """(equations, facets) of :func:`_polytope_from_rows`' polytope.
+
+    The equations are the saturated integer kernel of the homogenized
+    vertices (the HNF lineality :func:`convex_hull` gets from
+    :func:`dd.cone_rays`).  A row's tight set is a face; the facets are the
+    inclusion-maximal proper ones, and the rows tight on one facet agree on
+    the affine hull up to a positive factor, so one row per facet, reduced
+    modulo the equations, gives the row the hull of the vertices has.
     """
     meets_set = set(meets) - {0, full}
     facet_meets = {h for h in meets_set
                    if not any(h != o and h & o == h for o in meets_set)}
+    on_facet = {m: f for f, m in zip(rows, meets) if m in facet_meets}
     eqs = kernel_basis(hverts, ambient + 1)
-    facets = tuple(sorted({_reduce_mod_equations(f, eqs)
-                           for f, m in zip(rows, meets) if m in facet_meets}))
-    return _HULLS.setdefault(
-        (role, ambient, verts),
-        Polytope(ambient, role, verts, eqs, facets, ambient - len(eqs)))
+    return eqs, tuple(sorted(_reduce_mod_equations(f, eqs)
+                             for f in on_facet.values()))
 
 
 def intersect(p, q):

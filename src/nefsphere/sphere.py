@@ -357,13 +357,24 @@ def minkowski_complex(poset, delta, r, parts_hull):
     isomorphism onto a face-closed complex, and the support equals the
     intersection of delta with the boundary of the r-fold dilation of
     nabla_vee (by exact volume bookkeeping facet by facet, on the regions
-    of :func:`facet_region`).
+    of :func:`facet_region`).  Each distinct vertex is read once, as its
+    integer ray and the mask of the facets of r*nabla_vee it lies on; a
+    cell lies on the AND of its vertices' masks, and the order test skips
+    a vertex whose mask does not hold that AND (:func:`containment_order`).
     """
     checks = {}
     cells = [e.minkowski for e in poset.elements]
     n = len(cells)
     checks["injective"] = len(set(cells)) == n
-    order_ok = containment_order(cells) == poset._above
+    scaled = dilate(parts_hull, r)
+    marks = {}
+    for mk in cells:
+        for v in mk.vertices:
+            if v not in marks:
+                ray = point_ray(v)
+                marks[v] = ray, sum(1 << t for t, f in enumerate(scaled.facets)
+                                    if dot(f, ray) == 0)
+    order_ok = containment_order(cells, marks) == poset._above
     face_ok = True
     for j in range(n):
         below = poset.below(j)
@@ -378,14 +389,9 @@ def minkowski_complex(poset, delta, r, parts_hull):
     checks["face_lattices_match"] = face_ok
     # Support: every Minkowski cell lies on the boundary of r*nabla_vee ...
     # tight[c] is the mask of the facets of r*nabla_vee that cell c lies on.
-    scaled = dilate(parts_hull, r)
-    # Each distinct vertex is read once as its integer ray.
-    rays = {v: point_ray(v) for mk in cells for v in mk.vertices}
-    tight = [sum(1 << t for t, f in enumerate(scaled.facets)
-                 if all(dot(f, rays[v]) == 0 for v in mk.vertices))
-             for mk in cells]
+    tight = [_common_mask(mk, marks) for mk in cells]
     checks["cells_on_dilated_boundary"] = all(tight) and all(
-        delta.contains_ray(ray) for ray in rays.values())
+        delta.contains_ray(ray) for ray, _ in marks.values())
     # ... and the cells cover it: per facet of r*nabla_vee, exact volumes.
     cover_ok = True
     for t, f in enumerate(scaled.facets):
@@ -409,14 +415,20 @@ def minkowski_complex(poset, delta, r, parts_hull):
     return {"passed": all(checks.values()), "checks": checks}
 
 
-def containment_order(cells):
+def containment_order(cells, marks=None):
     """Bitmasks of inclusion among polytopes or polyhedra: bit j of entry
     i is set iff every vertex of cells[i] lies in cells[j].
 
     The distinct vertices of all cells are numbered, each is read once as
     its integer ray (:func:`polytope.point_ray`), and each ray is tested
-    once against each cell by the membership test both classes share
+    against each cell by the membership test both classes share
     (``contains_ray``); then i <= j iff vmask[i] & inside[j] == vmask[i].
+
+    `marks`, when given, maps each vertex to its ray and the mask of some
+    homogeneous rows that vanish at it.  A row that vanishes at every
+    vertex of a cell vanishes on all of the cell, by linearity, so a
+    vertex whose mask misses a bit of the AND of the cell's vertex masks
+    is not in the cell and is not tested.
     """
     ids = {}
     vmask = []
@@ -425,12 +437,15 @@ def containment_order(cells):
         for v in c.vertices:
             mask |= 1 << ids.setdefault(v, len(ids))
         vmask.append(mask)
-    rays = [point_ray(v) for v in ids]
+    if marks is None:
+        marks = {v: (point_ray(v), 0) for v in ids}
+    rays = [marks[v] for v in ids]
     inside = []
     for c in cells:
+        need = _common_mask(c, marks)
         mask = 0
-        for t, ray in enumerate(rays):
-            if c.contains_ray(ray):
+        for t, (ray, on) in enumerate(rays):
+            if on & need == need and c.contains_ray(ray):
                 mask |= 1 << t
         inside.append(mask)
     out = []
@@ -441,6 +456,14 @@ def containment_order(cells):
                 mask |= 1 << j
         out.append(mask)
     return out
+
+
+def _common_mask(cell, marks):
+    """The AND of the masks that `marks` gives the cell's vertices."""
+    mask = -1
+    for v in cell.vertices:
+        mask &= marks[v][1]
+    return mask
 
 
 def facet_region(f, delta):

@@ -160,13 +160,16 @@ class BoundarySubdivision:
     def coned(self, cell):
         """The cell F joined with the origin, read as a face of a maximal
         coned cell holding it: that is the pyramid with apex 0 over a
-        boundary cell B, F is a face of B, so conv(0, F) is a pyramid face."""
+        boundary cell B, F is a face of B, so conv(0, F) is a pyramid face.
+        The apex lies off the affine hull of B, so the face has dimension
+        dim F + 1."""
         if cell not in self._coned:
             verts = set(cell.vertices) | {(0,) * cell.ambient}
             pyramid = next(c for c in self.parent.maximal_cells
                            if verts <= set(c.vertices))
             self._coned[cell] = pyramid.face_polytope(
-                [k for k, v in enumerate(pyramid.vertices) if v in verts])
+                [k for k, v in enumerate(pyramid.vertices) if v in verts],
+                cell.dim + 1)
         return self._coned[cell]
 
     def f_vector(self):

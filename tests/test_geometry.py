@@ -432,8 +432,9 @@ def lattice_point_sets(draw):
 @given(lattice_point_sets())
 def test_faces_from_the_h_representation_match_hulls(points):
     # Every face built from the parent's H-representation is the hull of
-    # its vertices field for field; each hull runs in its own empty table,
-    # so neither route can hand back the other's object.
+    # its vertices field for field, whether its rows are read at once or,
+    # given its grade as dimension, on first use; each route runs in its
+    # own empty table, so none can hand back another's object.
     from unittest import mock
     from weakref import WeakValueDictionary
     from nefsphere import polytope
@@ -444,12 +445,16 @@ def test_faces_from_the_h_representation_match_hulls(points):
         with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
             face = p.face_polytope(fs)
         with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
+            deferred = p.face_polytope(fs, dim)
+        with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
             hull = convex_hull(verts, ROLE_M, p.ambient)
-        assert face is not hull
-        assert face.key() == hull.key()
-        assert face.equations == hull.equations
-        assert face.facets == hull.facets
-        assert face.dim == hull.dim == dim
+        assert deferred._rows is not None
+        for got in (face, deferred):
+            assert got is not hull
+            assert got.key() == hull.key()
+            assert got.equations == hull.equations
+            assert got.facets == hull.facets
+            assert got.dim == hull.dim == dim == p.ambient - len(got.equations)
 
 
 @st.composite

@@ -469,6 +469,28 @@ def test_containment_order_matches_all_vertices_route(name):
                    for i in range(n) for j in range(n))
 
 
+@pytest.mark.parametrize("name", ALL_INPUTS)
+def test_mask_filtered_containment_order_matches_the_unfiltered(name):
+    # Each vertex marked with the facets of r times the parts hull (P side)
+    # or of r times the sum polar (Q side) it lies on: skipping a vertex
+    # whose mask misses one of a cell's common facets changes nothing, and
+    # both give the poset's order, read from vertex sets.
+    from nefsphere.polytope import point_ray
+    from nefsphere.sphere import containment_order
+    pipe = _data_pipeline(name)
+    for poset, hull in ((pipe.p_poset(), pipe.nef.parts_hull),
+                        (pipe.q_poset(), pipe.nef.sum_polar)):
+        cells = [e.minkowski for e in poset.elements]
+        rows = dilate(hull, pipe.nef.r).facets
+        marks = {}
+        for v in {v for c in cells for v in c.vertices}:
+            ray = point_ray(v)
+            marks[v] = ray, sum(1 << t for t, f in enumerate(rows)
+                                if dot(f, ray) == 0)
+        assert containment_order(cells, marks) == containment_order(cells) \
+            == poset._above
+
+
 @pytest.mark.parametrize("name", ["simplex3", "pentagon_pair",
                                   "prism_pair_5d_kinked"])
 def test_containment_order_matches_fraction_oracle(name):

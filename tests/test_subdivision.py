@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
+from weakref import WeakValueDictionary
 
 import pytest
+
+from nefsphere import polytope
 
 from nefsphere.linalg import dot, row_rank, clear_denominators, kernel_basis
 from nefsphere.polytope import GeometryError, ROLE_M, ROLE_N, convex_hull
@@ -14,6 +21,8 @@ from nefsphere.subdivision import (
 )
 
 from conftest import lattice_volume
+from test_cli import BASE, path
+from test_monodromy import DATA_NAMES, _data_pipe
 
 
 def brute_force_lower_cells(points, weight):
@@ -201,3 +210,54 @@ def test_boundary_cells_intersect_in_common_faces():
                     continue
                 faces_b = {b.face_polytope(fs) for fs in b.face_sets()}
                 assert meet in faces_a and meet in faces_b
+
+
+# -- faces that read their H-representation on first use ----------------------
+
+
+def assert_is_the_hull_of_its_vertices(poly):
+    """`poly` is field for field the hull of its vertices, computed in an
+    empty table so that the hull cannot be `poly` itself."""
+    with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
+        hull = convex_hull(poly.vertices, poly.role, poly.ambient)
+    assert hull is not poly
+    assert poly.equations == hull.equations
+    assert poly.facets == hull.facets
+    assert poly.dim == hull.dim == poly.ambient - len(poly.equations)
+
+
+# P^7 (4,4) is left out: its boundary subdivisions are the largest input's.
+@pytest.mark.parametrize("name", [n for n in DATA_NAMES
+                                  if n != "simplex_p7_44"])
+def test_deferred_faces_are_the_hulls_of_their_vertices(name):
+    # The faces below a boundary subdivision's maximal cells take their
+    # dimension from the face lattice's grade, and the coned cells theirs
+    # from the cell's; either reads its rows on first use.
+    pipe = _data_pipe(name)
+    for boundary in (pipe.s_boundary(), pipe.t_boundary()):
+        for cell in boundary.cells:
+            assert_is_the_hull_of_its_vertices(cell)
+            assert_is_the_hull_of_its_vertices(boundary.coned(cell))
+
+
+def test_building_the_prism_boundary_reads_no_face_rows():
+    # Building the prism's S boundary subdivision reads the H-representation
+    # of its maximal cells (their face lattices need it) and of no face
+    # below them.  A fresh process, so no face comes read from the intern
+    # table.
+    script = (
+        "import sys\n"
+        "from nefsphere import Pipeline\n"
+        "from nefsphere.cli import load_input\n"
+        "nef, omega, nu = load_input(sys.argv[1])\n"
+        "boundary = Pipeline(nef, omega_spec=omega, nu_spec=nu).s_boundary()\n"
+        "faces = [c for c in boundary.cells\n"
+        "         if c not in boundary.maximal_cells]\n"
+        "print(len(faces), sum(c._rows is not None for c in faces))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, path("prism_pair_5d.json")],
+        capture_output=True, text=True, cwd=BASE,
+        env={**os.environ, "PYTHONPATH": os.path.join(BASE, "src")})
+    assert proc.returncode == 0, proc.stderr
+    faces, unread = map(int, proc.stdout.split())
+    assert faces > 0 and unread == faces
