@@ -44,8 +44,15 @@ the coreduction pass.  P^6 (3,4) is checked here; P^7 (4,4), the larger
 order complex, is checked by a CI step.  ``simplex_p7_332_fast.json`` is the
 ``--verify fast`` report of P^7 as 3+3+2 (Sigma is S^4 on 1 658 cells), frozen
 before a face's H-representation was computed on first read, which changes
-when its 7-dimensional faces read their rows.  Any refactor of the arithmetic or
-the stages must reproduce them exactly.
+when its 7-dimensional faces read their rows.  ``simplex3_monodromy.json``,
+``prism_pair_5d_kinked_monodromy.json`` and
+``product_triangles_6d_monodromy.json`` are the stdout of ``nefsphere
+monodromy`` on those inputs: every loop's triviality verdict and the global
+group, on integral charts, on rational translations (1 080 loops) and at
+r = 3 (2 160 loops).  They were frozen while each loop's holonomy was still
+read by pushing the base chart's frame through the loop's transitions,
+before it was read from the closed formula.  Any refactor of the arithmetic
+or the stages must reproduce them exactly.
 """
 
 import os
@@ -62,9 +69,10 @@ NAMES = ["triangle", "square_sum", "pentagon_pair", "simplex3",
 SIMPLEX_FAMILY = ["simplex_p5_222", "simplex_p6_223", "simplex_p7_2222"]
 
 
-def _assert_report_matches(input_name, golden_name, *flags):
+def _assert_report_matches(input_name, golden_name, *flags,
+                           command="report"):
     proc = subprocess.run(
-        [sys.executable, "-m", "nefsphere.cli", "report",
+        [sys.executable, "-m", "nefsphere.cli", command,
          path(f"{input_name}.json"), *flags],
         capture_output=True, cwd=BASE,
         env={**os.environ, "PYTHONPATH": os.path.join(BASE, "src")})
@@ -120,3 +128,9 @@ def test_simplex_family_fast_report_matches_golden(name):
 def test_simplex_family_full_dual_report_matches_golden(name):
     _assert_report_matches(name, f"{name}_full_dual",
                            "--verify", "full", "--dual")
+
+
+@pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked",
+                                  "product_triangles_6d"])
+def test_monodromy_command_matches_golden(name):
+    _assert_report_matches(name, f"{name}_monodromy", command="monodromy")
