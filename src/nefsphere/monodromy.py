@@ -1,24 +1,24 @@
 """Charts, discriminant locus, and monodromy of the affine structure.
 
-Chart transitions between minimal transversal cells follow the explicit
-affine maps of the model.  Every holonomy (loop monodromy, the local groups,
-global transport and the duality pairing) is computed one way: the base
-chart's frame, its tangent basis and base point, is pushed through the
-loop's transitions (:func:`_push`) and read off in the chart
-(:func:`_restrict`), whose linear part must be an integral unipotent
-transformation of the tangent lattice of the base chart.
+Chart changes follow the model's affine maps T(sigma, tau) y = y -
+sum_j [<m_j(sigma), y> - w(m_j(sigma))] n_j(tau) (:func:`chart_transition`).
+By the adjoint pairing the holonomy of a primary loop (sigma0, tau0,
+sigma1, tau1) on chart sigma0 is y -> y + sum_j [<m_j(sigma1), y> -
+w(m_j(sigma1))] (n_j(tau1) - n_j(tau0)), and every holonomy (loops, local
+groups, global transport, duality) is read from it (:func:`monodromy`);
+only global transport runs transitions, on the spanning tree's edges.
 
-Transitions and base charts read only the two transversal posets and the
-weight (:func:`transition_memo`, :func:`base_chart_memo`), not Sigma.  The
-role-swapped run's posets are this run's, swapped, so the duality pairing
-reads the dual holonomy from them (:func:`duality_check`) and no second
-Sigma is built.
+Slice points, transitions and base charts read only the two transversal
+posets and the weight (:func:`slice_point_memo`, :func:`transition_memo`,
+:func:`base_chart_memo`), not Sigma.  The role-swapped run's posets are
+this run's, swapped, so the duality pairing reads the dual holonomy from
+them (:func:`duality_check`) and no second Sigma is built.
 """
 
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .errors import FalsificationError
 from .linalg import (
@@ -289,46 +289,6 @@ def _span_pairs(poset, minimal, boundary):
             if masks[i] | masks[j] in spans]
 
 
-class AffineMap:
-    """Exact affine map y -> M y + t on ambient space, kept in integers.
-
-    M is an integer matrix and the translation is t = num / den: integer
-    numerators over one positive denominator.  Points travel as the same
-    kind of pair (:meth:`push`), so composing and applying maps builds no
-    Fraction.
-    """
-
-    __slots__ = ("m", "num", "den")
-
-    def __init__(self, m, num, den=1):
-        self.m = m
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def identity(cls, d):
-        return cls(identity(d), (0,) * d)
-
-    def push(self, y, q):
-        """The image of the point y / q (y integral, q > 0) as the pair
-        (integer numerators, denominator q * den)."""
-        den = self.den
-        return (tuple(den * dot(row, y) + q * c
-                      for row, c in zip(self.m, self.num)), q * den)
-
-    def apply_linear(self, y):
-        return tuple(dot(row, y) for row in self.m)
-
-    def compose(self, other):
-        """self after other."""
-        num, den = self.push(other.num, other.den)
-        g = gcd(den, *num)
-        if g > 1:
-            num = tuple(x // g for x in num)
-            den //= g
-        return AffineMap(mat_mul(self.m, other.m), num, den)
-
-
 def _lattice_slice_vertex(cell, j):
     """The slice point j of a minimal transversal cell, which must be a
     lattice point: the chart maps and lattices are built from it."""
@@ -341,26 +301,45 @@ def _lattice_slice_vertex(cell, j):
     return v
 
 
-def chart_transition(dst_cell, via_cell, weight, ambient):
-    """The map into the destination chart through a common adjoint partner.
+def slice_point_memo(p_poset, q_poset):
+    """The slice points of the minimal transversal cells by chart-graph
+    node, ("P", i) or ("Q", j), each cell's read once per run: the charts,
+    the transitions and every holonomy are built from them."""
+    elements = {"P": p_poset.elements, "Q": q_poset.elements}
 
-    y -> y - sum_j [<dst_j, y> - w(dst_j)] via_j,  where dst_j are the slice
-    points of the destination minimal cell and via_j those of the shared
-    minimal partner on the other side.
+    @lru_cache(maxsize=None)
+    def points(node):
+        cell = elements[node[0]][node[1]]
+        return tuple(_lattice_slice_vertex(cell, j)
+                     for j in range(len(cell.slices)))
+
+    return points
+
+
+def chart_transition(dst, via):
+    """The linear part I - sum_j n_j m_j^T of the chart change into the
+    minimal P-cell sigma through a common adjoint partner tau, from their
+    slice points m_j = dst[j] and n_j = via[j].
+
+    The change itself is T(sigma, tau) y = y - sum_j [<m_j, y> - w(m_j)] n_j.
+    By the adjoint pairing <m_k, n_j> = delta_kj it lands in chart sigma,
+    {<m_k, y> = w(m_k)}, and fixes that chart pointwise.
     """
-    r = len(dst_cell.slices)
-    m = [list(row) for row in identity(ambient)]
-    t = [0] * ambient
-    for j in range(r):
-        dst_j = _lattice_slice_vertex(dst_cell, j)
-        via_j = _lattice_slice_vertex(via_cell, j)
-        for a in range(ambient):
-            for b in range(ambient):
-                m[a][b] -= via_j[a] * dst_j[b]
-            t[a] += weight(dst_j) * via_j[a]
-    den = denominator_lcm(t)
-    return AffineMap(tuple(tuple(row) for row in m), to_numerators(t, den),
-                     den)
+    d = len(dst[0])
+    return tuple(tuple(int(a == b) - sum(n[a] * m[b] for m, n in zip(dst, via))
+                       for b in range(d)) for a in range(d))
+
+
+def transition_memo(points):
+    """chart_transition by (destination P-index, via Q-index), built once
+    per pair from the :func:`slice_point_memo`; global transport reads it on
+    the spanning tree's edges only."""
+
+    @lru_cache(maxsize=None)
+    def transition(i, j):
+        return chart_transition(points(("P", i)), points(("Q", j)))
+
+    return transition
 
 
 class AffineMonodromy:
@@ -379,37 +358,6 @@ class AffineMonodromy:
         self.images = images
 
 
-def transition_memo(p_poset, q_poset, weight):
-    """chart_transition by (destination P-index, via Q-index), built once
-    per pair: a transition depends on nothing else."""
-    p_el = p_poset.elements
-    q_el = q_poset.elements
-
-    @lru_cache(maxsize=None)
-    def transition(i, j):
-        return chart_transition(p_el[i], q_el[j], weight, p_el[i].cell.ambient)
-
-    return transition
-
-
-def _loop_maps(loop, transition):
-    """The loop's two chart transitions, in the order they are run: into
-    sigma1 through tau0, then back into sigma0 through tau1.  `transition`
-    is the :func:`transition_memo` of the loop's posets and weight."""
-    return (transition(loop.p1, loop.q0), transition(loop.p0, loop.q1))
-
-
-def _push(frame, maps):
-    """A frame (vectors, (numerators, denominator) of a point) carried
-    through the affine maps in order: the vectors by the linear parts, the
-    point by :meth:`AffineMap.push`."""
-    vectors, point = frame
-    for step in maps:
-        vectors = tuple(step.apply_linear(v) for v in vectors)
-        point = step.push(*point)
-    return vectors, point
-
-
 class BaseChart:
     """The lattice chart of a minimal transversal cell.
 
@@ -417,8 +365,7 @@ class BaseChart:
     (the perp test); `basis` is the saturated basis B of that kernel and
     `inverse` its integer left inverse L (L B^T = I), so L v are the basis
     coordinates of a tangent vector v.  The base point x0 = x0_num / x0_den
-    is the point of {S x = w(S)} orthogonal to the tangent space; `frame`
-    is the basis with x0, as :func:`_push` carries it.
+    is the point of {S x = w(S)} orthogonal to the tangent space.
     """
 
     __slots__ = ("rows", "basis", "inverse", "x0_num", "x0_den")
@@ -430,16 +377,11 @@ class BaseChart:
         self.x0_num = x0_num
         self.x0_den = x0_den
 
-    @property
-    def frame(self):
-        return self.basis, (self.x0_num, self.x0_den)
 
-
-def base_chart_data(base_cell, weight):
-    """The :class:`BaseChart` of a minimal cell."""
-    r = len(base_cell.slices)
-    d = base_cell.cell.ambient
-    rows = tuple(_lattice_slice_vertex(base_cell, j) for j in range(r))
+def base_chart_data(base_cell, rows, weight):
+    """The :class:`BaseChart` of a minimal cell with slice points `rows`."""
+    r = len(rows)
+    d = len(rows[0])
     if row_rank(rows) != r:
         raise FalsificationError(
             "minimal transversal cell is not linearly independent",
@@ -462,65 +404,95 @@ def base_chart_data(base_cell, weight):
                      den // k)
 
 
-def base_chart_memo(p_poset, weight):
-    """base_chart_data by P-index, built once per minimal cell."""
+def base_chart_memo(p_poset, points, weight):
+    """base_chart_data by P-index, built once per minimal cell from the
+    :func:`slice_point_memo`."""
     p_el = p_poset.elements
 
     @lru_cache(maxsize=None)
     def base_chart(i):
-        return base_chart_data(p_el[i], weight)
+        return base_chart_data(p_el[i], points(("P", i)), weight)
 
     return base_chart
 
 
-def _restrict(chart, images, image, den):
-    """(linear, shift numerators over den) of an affine self-map of the
-    chart, in lattice coordinates, that sends the basis vectors to `images`
-    and x0 to image / den, where den is a multiple of x0_den (as
-    :func:`_push` leaves it).
+def _loop_terms(loop, points):
+    """The (m_j(sigma1), dm_j, dn_j) of a primary loop over the indices j
+    that change on both sides, dm_j = m_j(sigma1) - m_j(sigma0) != 0 and
+    dn_j = n_j(tau1) - n_j(tau0) != 0, for its slice points m on the P
+    side and n on the Q side.  No other index moves a point of chart
+    sigma0: c_j = <m_j(sigma0), y> - w(m_j(sigma0)) = 0 there if dm_j = 0.
 
-    Raises a falsification certificate when the map does not preserve the
-    chart or is not integral unimodular unipotent of order two.
+    Two certificates, over every index, name the loop by its corners'
+    slice points.  The adjoint pairing at all four corners gives
+    <m_k(sigma0), dn_j> = 0, so every dn_j, hence every image and the shift
+    of x0, is tangent to chart sigma0: the map preserves the chart and is
+    integral on its lattice.  It gives <dm_i, dn_j> = 0 too, so the log
+    N = U V^T, U = L dn and V = B dm, has N^2 = U (V^T U) V^T = 0 (B^T L
+    fixes each tangent dn_j): the map is unipotent of order two, with
+    determinant one.
     """
-    for v in images:
-        if any(dot(s, v) for s in chart.rows):
-            raise FalsificationError(
-                "monodromy linear part is not integral on the tangent lattice",
-                {"vector": _point_key(v)})
-    linear = tuple(tuple(dot(row, v) for v in images)
-                   for row in chart.inverse)
-    scale = den // chart.x0_den
-    diff = tuple(a - scale * b for a, b in zip(image, chart.x0_num))
-    if any(dot(s, diff) for s in chart.rows):
-        raise FalsificationError(
-            "monodromy does not preserve the base chart",
-            {"base_point_image": _point_key(from_numerators(image, den))})
-    if linear and det(linear) != 1:
-        raise FalsificationError("monodromy determinant is not one",
-                                 {"linear": [list(r) for r in linear]})
-    nil = _mat_sub_identity(linear)
-    sq = mat_mul(nil, nil)
-    if any(any(row) for row in sq):
-        raise FalsificationError("monodromy is not unipotent of order two",
-                                 {"linear": [list(r) for r in linear]})
-    return linear, tuple(dot(row, diff) for row in chart.inverse)
+    corners = [points(node) for node in (("P", loop.p0), ("Q", loop.q0),
+                                         ("P", loop.p1), ("Q", loop.q1))]
+    m0, n0, m1, n1 = corners
+    dm = [tuple(map(sub, a, b)) for a, b in zip(m1, m0)]
+    dn = [tuple(map(sub, a, b)) for a, b in zip(n1, n0)]
+    for claim, rows in (("monodromy does not preserve the base chart", m0),
+                        ("monodromy is not unipotent of order two", dm)):
+        pairing = [[dot(m, n) for n in dn] for m in rows]
+        if any(map(any, pairing)):
+            raise FalsificationError(claim, {
+                "loop": [[_point_key(v) for v in c] for c in corners],
+                "pairing": pairing})
+    return [t for t in zip(m1, dm, dn) if any(t[1]) and any(t[2])]
 
 
-def _mat_sub_identity(m):
-    return tuple(tuple(v - int(i == j) for j, v in enumerate(row))
-                 for i, row in enumerate(m))
+def _unipotent(frame, coords, terms):
+    """(I + sum_j u_j v_j^T, the u_j, the v_j) over a loop's terms
+    (:func:`_loop_terms`): u_j = coords dn_j and v_j = (<dm_j, f>) over the
+    frame's vectors f, a basis of the loop's chart, where coords reads a
+    tangent vector's coordinates in the target basis."""
+    us = [tuple(dot(row, n) for row in coords) for _, _, n in terms]
+    vs = [tuple(dot(m, f) for f in frame) for _, m, _ in terms]
+    k = len(frame)
+    return tuple(tuple(int(a == b) + sum(u[a] * v[b] for u, v in zip(us, vs))
+                       for b in range(k)) for a in range(k)), us, vs
 
 
-def monodromy(loop, transition, base_chart):
-    """The affine holonomy around a primary loop, in canonical coordinates.
+def monodromy(loop, base_chart, points, weight):
+    """The affine holonomy around a primary loop (sigma0, tau0, sigma1,
+    tau1) in chart sigma0's lattice coordinates, from the closed formula.
 
-    `transition` and `base_chart` are the :func:`transition_memo` and
-    :func:`base_chart_memo` of the loop's posets and weight."""
+    The loop runs T(sigma1, tau0), then T(sigma0, tau1).  On chart sigma0
+    the first moves y by -sum_j c_j n_j(tau0), c_j = <m_j(sigma1), y> -
+    w(m_j(sigma1)); as <m_k(sigma0), n_j(tau0)> = delta_kj this shifts
+    <m_k(sigma0), y> by -c_k, and the second adds sum_k c_k n_k(tau1).  So
+    the holonomy is y -> y + sum_j c_j dn_j, unipotent of rank at most r
+    (Gross, Topological mirror symmetry, 2001).  A tangent vector v has
+    c_j = <dm_j, v>: the linear part is I + sum_j (L dn_j)(B dm_j)^T, the
+    basis images are B_b + sum_j <dm_j, B_b> dn_j, and the translation is
+    L sum_j c_j dn_j at x0, in integers over one denominator.  Only the
+    indices that change on both sides contribute (:func:`_loop_terms`), so
+    a degenerate loop, with dm = 0 or dn = 0, is the identity.
+    `base_chart` and `points` are the :func:`base_chart_memo` and
+    :func:`slice_point_memo` of the loop's posets, and `weight` their
+    weight.
+    """
     chart = base_chart(loop.p0)
-    images, (image, den) = _push(chart.frame, _loop_maps(loop, transition))
-    linear, shift = _restrict(chart, images, image, den)
+    terms = _loop_terms(loop, points)
+    linear, us, vs = _unipotent(chart.basis, chart.inverse, terms)
+    images = tuple(tuple(x + sum(v[b] * n[a]
+                                 for v, (_, _, n) in zip(vs, terms))
+                         for a, x in enumerate(f))
+                   for b, f in enumerate(chart.basis))
+    # c_j = C_j / (x0_den s), s the common denominator of the w(m_j).
+    heights = [weight(m) for m, _, _ in terms]
+    s = denominator_lcm(heights)
+    cs = [dot(m, chart.x0_num) * s - h * chart.x0_den
+          for (m, _, _), h in zip(terms, to_numerators(heights, s))]
+    shift = [sum(c * u[a] for c, u in zip(cs, us)) for a in range(len(linear))]
     return AffineMonodromy(loop, chart.basis, linear,
-                           from_numerators(shift, den), images)
+                           from_numerators(shift, chart.x0_den * s), images)
 
 
 # -- checks around loops -------------------------------------------------------
@@ -571,14 +543,14 @@ def _is_identity(mono):
         all(t == 0 for t in mono.translation)
 
 
-def local_group(sigma, pair_idx, transition, base_chart):
+def local_group(sigma, pair_idx, base_chart, points, weight):
     """Monodromies of all loops inside the star of a single pair vertex.
 
     Verifies the abelian upper-triangular structure: commuting generators,
     image inside the tangent space of the tau-side Minkowski cell, and
-    vanishing on it.  `transition` and `base_chart` are the
-    :func:`transition_memo` and :func:`base_chart_memo` of sigma's posets
-    and the weight.
+    vanishing on it.  `base_chart` and `points` are the
+    :func:`base_chart_memo` and :func:`slice_point_memo` of sigma's posets,
+    and `weight` their weight.
     """
     i, j = sigma.pairs[pair_idx]
     p_poset, q_poset = sigma.p_poset, sigma.q_poset
@@ -595,17 +567,15 @@ def local_group(sigma, pair_idx, transition, base_chart):
                 if a == b and pk == base_idx:
                     continue
                 loop = PrimaryLoop(base_idx, q_min[a], pk, q_min[b])
-                mats.append(monodromy(loop, transition, base_chart).linear)
+                mats.append(monodromy(loop, base_chart, points,
+                                      weight).linear)
     # W: span of the slice-point differences over the tau side.
     diffs = []
     for a in range(len(q_min)):
         for b in range(a + 1, len(q_min)):
-            qa = q_poset.elements[q_min[a]]
-            qb = q_poset.elements[q_min[b]]
-            for jj in range(r):
-                diff = tuple(x - y for x, y in
-                             zip(_lattice_slice_vertex(qa, jj),
-                                 _lattice_slice_vertex(qb, jj)))
+            for qa, qb in zip(points(("Q", q_min[a])),
+                              points(("Q", q_min[b]))):
+                diff = tuple(map(sub, qa, qb))
                 if any(diff):
                     diffs.append(diff)
     w_basis = saturated_span_basis(diffs, d) if diffs else ()
@@ -651,18 +621,23 @@ def _pairwise_commute(mats):
                for a, b in combinations(sorted(set(mats)), 2))
 
 
+def _mat_sub_identity(m):
+    return tuple(tuple(v - int(i == j) for j, v in enumerate(row))
+                 for i, row in enumerate(m))
+
+
 # -- global analysis -----------------------------------------------------------
 
 
-def global_group(sigma, graph, loops, transition, base_chart,
+def global_group(sigma, graph, loops, transition, base_chart, points,
                  discriminant_complex):
     """Transport every primary loop to a fixed base chart and analyze the
     resulting subgroup: commutation, the Smith divisors of the log lattice,
     and per-discriminant-component sublattices.  A degenerate loop enters
-    as the identity with no frame pushed: its holonomy is the identity by
-    the adjoint pairing (see :func:`transported_loops`).  `transition` and
-    `base_chart` are the :func:`transition_memo` and :func:`base_chart_memo`
-    of sigma's posets and the weight."""
+    as the identity (dm = 0 or dn = 0 in :func:`monodromy`'s formula).
+    `transition`, `base_chart` and `points` are the
+    :func:`transition_memo`, :func:`base_chart_memo` and
+    :func:`slice_point_memo` of sigma's posets and the weight."""
     if not graph.p_nodes:
         return {"trivial": True, "divisors": [], "commuting": True,
                 "component_divisors": {}, "graph_components": 0,
@@ -675,7 +650,7 @@ def global_group(sigma, graph, loops, transition, base_chart,
         if node not in seen:
             seen.update(graph.spanning_tree(node))
             components += 1
-    moved = transported_loops(sigma, graph, loops, transition, base_chart)
+    moved = transported_loops(graph, loops, transition, base_chart, points)
     transported = [linear for _, linear in moved]
     skipped = len(loops) - len(moved)
     logs = []
@@ -706,37 +681,28 @@ def global_group(sigma, graph, loops, transition, base_chart,
     }
 
 
-def transported_loops(sigma, graph, loops, transition, base_chart):
+def transported_loops(graph, loops, transition, base_chart, points):
     """(loop, linear part in the base chart) for every loop in the base
     node's component of the chart graph, in order.
 
     A loop at node n is transported as back_n o loop o fwd_n along the BFS
-    tree.  The base chart's frame is pushed along the tree to n (once per
-    node), then through the loop's two transitions and back_n, and read off
-    by :func:`_restrict`.
-
-    A degenerate loop is the identity, so it is appended with the identity
-    linear part and nothing is pushed.  T(p, q) = chart_transition(p, q)
-    moves y by -sum_j [<p_j, y> - w(p_j)] q_j, which vanishes on chart p,
-    so T(p, q) fixes chart p pointwise and its tangent vectors.  For p0 = p1
-    both of the loop's transitions go into chart p0, starting from it.  For
-    q0 = q1 the loop is T(p0, q0) o T(p1, q0), and on chart p0 that is the
-    identity whenever (p0, q0) and (p1, q0) are adjoint pairs (<p_j, q_k> =
-    delta_jk, checked by :func:`sphere.adjoint_pairs`): T(p1, q0) moves y by
-    -c_j q0_j with c_j = <p1_j, y> - w(p1_j), which shifts <p0_k, .> by
-    -c_k, and T(p0, q0) then moves y by +c_k q0_k.  The same argument makes
-    back_n o fwd_n the identity on the base chart.  Under ``--verify full``
-    every degenerate loop's own monodromy is still computed and checked
+    tree.  :func:`_tree_transport` gives F_n, the base basis pushed to n,
+    and G_n = L M_n, M_n the linear part of back_n, with G_n F_n = I.  The
+    loop moves a vector v tangent to chart n by sum_j <dm_j, v> dn_j, so
+    the transported linear part is I + sum_j (G_n dn_j)(<dm_j, F_n,b>)_b.
+    Its log squares to zero as in :func:`_loop_terms`: F_n G_n fixes
+    the tangent space of chart n, which F_n spans and dn_j lies in.  A
+    degenerate loop (dm = 0 or dn = 0) is appended as the identity with
+    nothing transported; ``--verify full`` still checks its own monodromy
     (:func:`triviality_equivalence_check`).
     """
     base_node = graph.nodes()[0]
     parent = graph.spanning_tree(base_node)
     chart = base_chart(base_node[1])
-    d = sigma.p_poset.elements[base_node[1]].cell.ambient
     one = identity(len(chart.basis))
-    # node -> (frame pushed to node, node -> base map), once per P-node
-    # with a non-degenerate loop.
-    transport = {base_node: (chart.frame, AffineMap.identity(d))}
+    # node -> (F_n, M_n, G_n), once per P-node with a non-degenerate loop.
+    transport = {base_node: (chart.basis, identity(len(chart.rows[0])),
+                             chart.inverse)}
     out = []
     for loop in loops:
         node = ("P", loop.p0)
@@ -745,21 +711,26 @@ def transported_loops(sigma, graph, loops, transition, base_chart):
         if loop.degenerate:
             out.append((loop, one))
             continue
-        frame, back = _tree_transport(parent, transport, node, transition)
-        images, (image, den) = _push(
-            frame, _loop_maps(loop, transition) + (back,))
-        linear, _ = _restrict(chart, images, image, den)
-        out.append((loop, linear))
+        frame, _, coords = _tree_transport(parent, transport, node,
+                                           transition, points, chart)
+        out.append((loop, _unipotent(frame, coords,
+                                     _loop_terms(loop, points))[0]))
     return out
 
 
-def _tree_transport(parent, transport, node, transition):
-    """(base frame pushed to node, node -> base chart map) along the
-    spanning tree.
+def _tree_transport(parent, transport, node, transition, points, chart):
+    """(F_n, M_n, G_n) at a P-node n: the base basis pushed to n by the
+    linear parts of the transitions along the spanning tree, the linear
+    part M_n of the way back, and G_n = L M_n.
 
     Each P-node is reached from its grandparent through its parent Q-node;
-    results are memoized in `transport`, which holds the base node.
-    `transition` is a :func:`transition_memo`.
+    results are memoized in `transport`, which holds the base node.  Per
+    node two facts are certified, naming the node by its slice points: F_n
+    is tangent to chart n, and M_n F_n is the base basis B, which makes
+    back_n map chart n's tangent space onto the base chart's and gives
+    G_n F_n = L B^T = I.  `transition` and `points` are the
+    :func:`transition_memo` and :func:`slice_point_memo`, and `chart` is
+    the base node's :class:`BaseChart`.
     """
     path = []
     walk = node
@@ -768,10 +739,19 @@ def _tree_transport(parent, transport, node, transition):
         walk = parent[parent[walk]]
     for child in reversed(path):
         grand = parent[parent[child]]
-        frame, back = transport[grand]
+        frame, back, _ = transport[grand]
         via = parent[child][1]
-        transport[child] = (_push(frame, (transition(child[1], via),)),
-                            back.compose(transition(grand[1], via)))
+        step = transition(child[1], via)
+        frame = tuple(tuple(dot(row, f) for row in step) for f in frame)
+        back = mat_mul(back, transition(grand[1], via))
+        rows = points(child)
+        if any(dot(m, f) for m in rows for f in frame) or \
+                tuple(tuple(dot(row, f) for row in back)
+                      for f in frame) != chart.basis:
+            raise FalsificationError(
+                "global transport does not carry the base frame to a chart "
+                "and back", {"node": [_point_key(v) for v in rows]})
+        transport[child] = (frame, back, mat_mul(chart.inverse, back))
     return transport[node]
 
 
@@ -787,7 +767,7 @@ def _loop_discriminant_component(sigma, loop, disc):
 # -- duality -------------------------------------------------------------------
 
 
-def duality_check(loop, mono, dual_transition, dual_base_chart):
+def duality_check(loop, mono, dual_base_chart, dual_points, dual_weight):
     """Transpose-inverse pairing of the primal and dual loop monodromies.
 
     The dual loop is (tau0, sigma1, tau1, sigma0), run through the dual
@@ -797,11 +777,13 @@ def duality_check(loop, mono, dual_transition, dual_base_chart):
     duality swaps the roles of Delta and nabla, and the dual pipeline is
     seeded with this run's posets, swapped), so the dual loop has the same
     indices, read on the other side, and no dual Sigma is built.
-    `dual_transition` and `dual_base_chart` are the :func:`transition_memo`
-    and :func:`base_chart_memo` of the dual run's posets and weight.
+    `dual_base_chart`, `dual_points` and `dual_weight` are the
+    :func:`base_chart_memo`, :func:`slice_point_memo` and weight of the
+    dual run.
     """
     dual_loop = PrimaryLoop(loop.q0, loop.p1, loop.q1, loop.p0)
-    dual_mono = monodromy(dual_loop, dual_transition, dual_base_chart)
+    dual_mono = monodromy(dual_loop, dual_base_chart, dual_points,
+                          dual_weight)
     b_sigma = mono.basis
     b_tau = dual_mono.basis
     pairing = [[dot(y, x) for x in b_sigma] for y in b_tau]

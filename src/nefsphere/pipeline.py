@@ -184,24 +184,29 @@ class Pipeline:
                                   self.t_boundary())
 
     @_cached
+    def slice_points(self):
+        return mono.slice_point_memo(self.p_poset(), self.q_poset())
+
+    @_cached
     def transitions(self):
-        return mono.transition_memo(self.p_poset(), self.q_poset(),
-                                    self.omega())
+        return mono.transition_memo(self.slice_points())
 
     @_cached
     def base_charts(self):
-        return mono.base_chart_memo(self.p_poset(), self.omega())
+        return mono.base_chart_memo(self.p_poset(), self.slice_points(),
+                                    self.omega())
 
     @_cached
     def monodromies(self):
-        return [mono.monodromy(loop, self.transitions(), self.base_charts())
+        return [mono.monodromy(loop, self.base_charts(), self.slice_points(),
+                               self.omega())
                 for loop in self.loops()]
 
     @_cached
     def global_report(self):
         return mono.global_group(self.sigma(), self.graph(), self.loops(),
                                  self.transitions(), self.base_charts(),
-                                 self.discriminant())
+                                 self.slice_points(), self.discriminant())
 
     @_cached
     def complement_homology(self):
@@ -268,14 +273,14 @@ class Pipeline:
                 for loop, m in zip(self.loops(), self.monodromies())]
 
     def local_group_suite(self):
-        return {k: mono.local_group(self.sigma(), k, self.transitions(),
-                                    self.base_charts())
+        return {k: mono.local_group(self.sigma(), k, self.base_charts(),
+                                    self.slice_points(), self.omega())
                 for k in self.discriminant().vertex_ids}
 
     def duality_suite(self):
         dual_pipe = self.dual_pipeline()
-        return [mono.duality_check(loop, m, dual_pipe.transitions(),
-                                   dual_pipe.base_charts())
+        return [mono.duality_check(loop, m, dual_pipe.base_charts(),
+                                   dual_pipe.slice_points(), dual_pipe.omega())
                 for loop, m in zip(self.loops(), self.monodromies())]
 
     # -- reporting --------------------------------------------------------------------

@@ -104,7 +104,8 @@ def test_dual_loop_is_the_cell_lookup_in_an_unseeded_run(name):
                            q_index[p_el[loop.p0].cell]) == \
             PrimaryLoop(loop.q0, loop.p1, loop.q1, loop.p0)
     assert primal.duality_suite() == [
-        duality_check(loop, m, fresh.transitions(), fresh.base_charts())
+        duality_check(loop, m, fresh.base_charts(), fresh.slice_points(),
+                      fresh.omega())
         for loop, m in zip(loops, primal.monodromies())]
 
 

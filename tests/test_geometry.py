@@ -433,12 +433,14 @@ def lattice_point_sets(draw):
 def test_faces_from_the_h_representation_match_hulls(points):
     # Every face built from the parent's H-representation is the hull of
     # its vertices field for field, whether its rows are read at once or,
-    # given its grade as dimension, on first use; each route runs in its
-    # own empty table, so none can hand back another's object.
+    # given its grade as dimension, on first use; the parent and each route
+    # are built in their own empty table, so none can hand back another's
+    # object, nor one that an earlier test left in the shared table.
     from unittest import mock
     from weakref import WeakValueDictionary
     from nefsphere import polytope
-    p = convex_hull(points, ROLE_M)
+    with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
+        p = convex_hull(points, ROLE_M)
     for fs, dim in p.face_sets().items():
         verts = [p.vertices[i] for i in fs]
         assert dim == _affine_rank(verts)

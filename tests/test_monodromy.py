@@ -14,8 +14,9 @@ from nefsphere.linalg import (
     solve_rational,
     to_numerators,
 )
+from nefsphere.linalg import dot, mat_mul
+from nefsphere.errors import FalsificationError
 from nefsphere.monodromy import (
-    AffineMap,
     AffineMonodromy,
     ChartAtlas,
     PrimaryLoop,
@@ -57,7 +58,142 @@ def _data_pipe(name):
     return Pipeline(nef, omega_spec=omega, nu_spec=nu)
 
 
-# -- the compose-then-solve route, kept here as the oracle --------------------
+# -- the routes through the chart transitions, kept here as oracles ------------
+#
+# The program reads every holonomy from the closed formula.  These oracles
+# run the loops through the affine chart transitions instead: pushing the
+# base chart's frame through them and reading it off in the chart
+# (_push, _restrict), or composing them and solving in the basis
+# (_restrict_by_solving).
+
+
+class AffineMap:
+    """Exact affine map y -> M y + t on ambient space, kept in integers.
+
+    M is an integer matrix and the translation is t = num / den: integer
+    numerators over one positive denominator.  Points travel as the same
+    kind of pair (:meth:`push`), so composing and applying maps builds no
+    Fraction.
+    """
+
+    __slots__ = ("m", "num", "den")
+
+    def __init__(self, m, num, den=1):
+        self.m = m
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def identity(cls, d):
+        return cls(identity(d), (0,) * d)
+
+    def push(self, y, q):
+        """The image of the point y / q (y integral, q > 0) as the pair
+        (integer numerators, denominator q * den)."""
+        den = self.den
+        return (tuple(den * dot(row, y) + q * c
+                      for row, c in zip(self.m, self.num)), q * den)
+
+    def apply_linear(self, y):
+        return tuple(dot(row, y) for row in self.m)
+
+    def compose(self, other):
+        """self after other."""
+        num, den = self.push(other.num, other.den)
+        g = gcd(den, *num)
+        if g > 1:
+            num = tuple(x // g for x in num)
+            den //= g
+        return AffineMap(mat_mul(self.m, other.m), num, den)
+
+
+def affine_transition(dst_cell, via_cell, weight, ambient):
+    """The chart change into the destination chart through a common
+    adjoint partner, y -> y - sum_j [<dst_j, y> - w(dst_j)] via_j, where
+    dst_j are the slice points of the destination minimal cell and via_j
+    those of the shared minimal partner on the other side."""
+    m = [list(row) for row in identity(ambient)]
+    t = [0] * ambient
+    for j in range(len(dst_cell.slices)):
+        dst_j = dst_cell.slice_vertex(j)
+        via_j = via_cell.slice_vertex(j)
+        for a in range(ambient):
+            for b in range(ambient):
+                m[a][b] -= via_j[a] * dst_j[b]
+            t[a] += weight(dst_j) * via_j[a]
+    den = denominator_lcm(t)
+    return AffineMap(tuple(tuple(row) for row in m), to_numerators(t, den),
+                     den)
+
+
+@lru_cache(maxsize=None)
+def affine_transitions(pipe):
+    """affine_transition by (destination P-index, via Q-index) of a run."""
+    p_el, q_el = pipe.p_poset().elements, pipe.q_poset().elements
+
+    @lru_cache(maxsize=None)
+    def transition(i, j):
+        return affine_transition(p_el[i], q_el[j], pipe.omega(),
+                                 pipe.nef.ambient)
+
+    return transition
+
+
+def _loop_maps(loop, transition):
+    """The loop's two chart transitions, in the order they are run: into
+    sigma1 through tau0, then back into sigma0 through tau1."""
+    return (transition(loop.p1, loop.q0), transition(loop.p0, loop.q1))
+
+
+def _frame(chart):
+    """The chart's basis with its base point, as _push carries it."""
+    return chart.basis, (chart.x0_num, chart.x0_den)
+
+
+def _push(frame, maps):
+    """A frame (vectors, (numerators, denominator) of a point) carried
+    through the affine maps in order: the vectors by the linear parts, the
+    point by AffineMap.push."""
+    vectors, point = frame
+    for step in maps:
+        vectors = tuple(step.apply_linear(v) for v in vectors)
+        point = step.push(*point)
+    return vectors, point
+
+
+def _restrict(chart, images, image, den):
+    """(linear, shift numerators over den) of an affine self-map of the
+    chart, in lattice coordinates, that sends the basis vectors to `images`
+    and x0 to image / den, where den is a multiple of x0_den; asserts that
+    the map preserves the chart and is unipotent of order two."""
+    for v in images:
+        assert not any(dot(s, v) for s in chart.rows)
+    linear = tuple(tuple(dot(row, v) for v in images)
+                   for row in chart.inverse)
+    scale = den // chart.x0_den
+    diff = tuple(a - scale * b for a, b in zip(image, chart.x0_num))
+    assert not any(dot(s, diff) for s in chart.rows)
+    nil = _nilpotent(linear)
+    assert not any(map(any, mat_mul(nil, nil)))
+    return linear, tuple(dot(row, diff) for row in chart.inverse)
+
+
+def _pushed_tree_transport(parent, transport, node, transition):
+    """(base frame pushed to node, node -> base chart map) along the
+    spanning tree, memoized per node in `transport`, which holds the base
+    node."""
+    path = []
+    walk = node
+    while walk not in transport:
+        path.append(walk)
+        walk = parent[parent[walk]]
+    for child in reversed(path):
+        grand = parent[parent[child]]
+        frame, back = transport[grand]
+        via = parent[child][1]
+        transport[child] = (_push(frame, (transition(child[1], via),)),
+                            back.compose(transition(grand[1], via)))
+    return transport[node]
 
 
 def _x0(chart):
@@ -326,29 +462,21 @@ def test_parallel_transport_roundtrip(simplex3_pipe):
     # Transporting the trivial loop around a tree edge is the identity on
     # the base chart: composition of a transition with its reverse.  The
     # frame is pushed along the path and back; the oracle composes the maps.
-    from nefsphere.monodromy import (_push, _restrict, base_chart_data,
-                                     chart_transition)
-    sigma = simplex3_pipe.sigma()
     graph = simplex3_pipe.graph()
     base = ("P", graph.p_nodes[0])
     parent = graph.spanning_tree(base)
     leaf = next(n for n in parent if n[0] == "P" and n != base
                 and parent[n] is not None)
     path = tree_path(parent, leaf)
-    w = simplex3_pipe.omega()
     d = simplex3_pipe.nef.ambient
-
-    def transition(i, j):
-        return chart_transition(sigma.p_poset.elements[i],
-                                sigma.q_poset.elements[j], w, d)
-
+    transition = affine_transitions(simplex3_pipe)
     steps = [transition(path[s + 2][1], path[s + 1][1])
              for s in range(0, len(path) - 1, 2)]
     steps += [transition(path[s - 2][1], path[s - 1][1])
               for s in range(len(path) - 1, 1, -2)]
-    chart = base_chart_data(sigma.p_poset.elements[base[1]], w)
+    chart = simplex3_pipe.base_charts()(base[1])
     k = len(chart.basis)
-    images, (image, den) = _push(chart.frame, steps)
+    images, (image, den) = _push(_frame(chart), steps)
     linear, shift = _restrict(chart, images, image, den)
     assert linear == identity(k)
     assert all(t == 0 for t in shift)
@@ -380,14 +508,12 @@ def test_holonomy_formula_matches_transition_composition(simplex3_pipe):
     # the composition of the two chart transitions equals the closed formula
     # x + sum_j [<s1_j, x> - w(s1_j)](t1_j - t0_j).
     # Points and the frame's vectors are pushed through the two transitions.
-    from nefsphere.monodromy import _loop_maps, _push, base_chart_data
     sigma = simplex3_pipe.sigma()
     w = simplex3_pipe.omega()
     d = simplex3_pipe.nef.ambient
     for loop in simplex3_pipe.loops()[:40]:
-        maps = _loop_maps(loop, simplex3_pipe.transitions())
-        base = sigma.p_poset.elements[loop.p0]
-        chart = base_chart_data(base, w)
+        maps = _loop_maps(loop, affine_transitions(simplex3_pipe))
+        chart = simplex3_pipe.base_charts()(loop.p0)
         basis, x0 = chart.basis, _x0(chart)
         p1 = sigma.p_poset.elements[loop.p1]
         q0 = sigma.q_poset.elements[loop.q0]
@@ -410,7 +536,7 @@ def test_holonomy_formula_matches_transition_composition(simplex3_pipe):
             q = denominator_lcm(x)
             _, point = _push(((), (to_numerators(x, q), q)), maps)
             assert from_numerators(*point) == formula(x, 1)
-        images, _ = _push(chart.frame, maps)
+        images, _ = _push(_frame(chart), maps)
         assert images == tuple(formula(b, 0) for b in basis)
 
 
@@ -418,10 +544,9 @@ def test_every_nonsmooth_vertex_obstructs_extension(simplex3_pipe,
                                                     prism_pair_pipe):
     # The affine structure must fail to extend across every vertex of the
     # discriminant: some local loop has nontrivial linear part.
-    from nefsphere.monodromy import PrimaryLoop, base_chart_data, monodromy
+    from nefsphere.monodromy import PrimaryLoop, monodromy
     for pipe in (simplex3_pipe, prism_pair_pipe):
         sigma = pipe.sigma()
-        w = pipe.omega()
         for k, (i, j) in enumerate(sigma.pairs):
             if smooth_pair(sigma, k):
                 continue
@@ -429,8 +554,7 @@ def test_every_nonsmooth_vertex_obstructs_extension(simplex3_pipe,
                            if sigma.p_poset.leq(s, i))
             q_min = sorted(t for t in sigma.q_poset.minimal
                            if sigma.q_poset.leq(t, j))
-            base = sigma.p_poset.elements[p_min[0]]
-            chart = base_chart_data(base, w)
+            chart = pipe.base_charts()(p_min[0])
             found = False
             for pk in p_min:
                 for a in q_min:
@@ -438,8 +562,9 @@ def test_every_nonsmooth_vertex_obstructs_extension(simplex3_pipe,
                         if a == b:
                             continue
                         lin = monodromy(PrimaryLoop(p_min[0], a, pk, b),
-                                        pipe.transitions(),
-                                        pipe.base_charts()).linear
+                                        pipe.base_charts(),
+                                        pipe.slice_points(),
+                                        pipe.omega()).linear
                         if lin != identity(len(chart.basis)):
                             found = True
                             break
@@ -497,16 +622,13 @@ def test_pairwise_commute_sees_pair_hidden_among_duplicates():
 
 
 def test_memoized_tree_transport_matches_path_walk(simplex3_pipe):
-    # The per-node memo pushes the base frame, and composes the way back,
-    # through the same chart transitions as walking the tree path from the
-    # base.  The BFS tree of the test inputs has depth one, so a
-    # depth-first tree is used to make memoized nodes serve as intermediate
-    # stops.
-    from nefsphere.monodromy import (_tree_transport, base_chart_data,
-                                     chart_transition, transition_memo)
-    sigma = simplex3_pipe.sigma()
+    # The per-node memo pushes the base basis, and multiplies the way back's
+    # linear parts, through the same chart transitions as walking the tree
+    # path from the base.  The BFS tree of the test inputs has depth one,
+    # so a depth-first tree is used to make memoized nodes serve as
+    # intermediate stops.
+    from nefsphere.monodromy import _tree_transport
     graph = simplex3_pipe.graph()
-    w = simplex3_pipe.omega()
     d = simplex3_pipe.nef.ambient
     base = min(("P", i) for i in graph.p_nodes)
     parent = {base: None}
@@ -519,48 +641,55 @@ def test_memoized_tree_transport_matches_path_walk(simplex3_pipe):
         else:
             parent[w_next] = v
             stack.append(w_next)
-    chart = base_chart_data(sigma.p_poset.elements[base[1]], w)
-    transport = {base: (chart.frame, AffineMap.identity(d))}
-    transition = transition_memo(sigma.p_poset, sigma.q_poset, w)
-
-    def direct(i, j):
-        return chart_transition(sigma.p_poset.elements[i],
-                                sigma.q_poset.elements[j], w, d)
-
+    chart = simplex3_pipe.base_charts()(base[1])
+    transport = {base: (chart.basis, identity(d), chart.inverse)}
     # Deepest first: one call fills the memo along a whole path.
     nodes = sorted((n for n in parent if n[0] == "P"),
                    key=lambda n: -len(tree_path(parent, n)))
     assert len(tree_path(parent, nodes[0])) >= 5
     for node in nodes:
-        fwd, back = _composed_tree_maps(graph, parent, node, direct, d)
-        (images, point), got_back = _tree_transport(parent, transport, node,
-                                                    transition)
-        assert images == tuple(fwd.apply_linear(b) for b in chart.basis)
-        assert from_numerators(*point) == _apply(fwd, _x0(chart))
-        assert (got_back.m, _translation(got_back)) == \
-            (back.m, _translation(back))
+        fwd, back = _composed_tree_maps(graph, parent, node,
+                                        affine_transitions(simplex3_pipe), d)
+        frame, got_back, coords = _tree_transport(
+            parent, transport, node, simplex3_pipe.transitions(),
+            simplex3_pipe.slice_points(), chart)
+        assert frame == tuple(fwd.apply_linear(b) for b in chart.basis)
+        assert got_back == back.m
+        assert coords == mat_mul(chart.inverse, back.m)
+        assert mat_mul(coords, transpose(frame)) == \
+            identity(len(chart.basis))
 
 
 def test_one_chart_transition_per_pair(monkeypatch):
     # report --verify full --dual builds each (destination, via) transition
-    # once per run, across monodromies, the global group, the local groups
-    # and the dual monodromies.
+    # once per run, and only on the edges of the spanning tree: every
+    # holonomy is read from the closed formula, and global transport runs
+    # the tree only.
     from nefsphere import Pipeline, monodromy
     from nefsphere.cli import load_input
     from test_cli import path
     calls = []
     real = monodromy.chart_transition
 
-    def counted(dst_cell, via_cell, weight, ambient):
-        calls.append((dst_cell.cell.key(), via_cell.cell.key()))
-        return real(dst_cell, via_cell, weight, ambient)
+    def counted(dst, via):
+        calls.append((dst, via))
+        return real(dst, via)
 
     monkeypatch.setattr(monodromy, "chart_transition", counted)
     nef, omega, nu = load_input(path("simplex3.json"))
-    Pipeline(nef, omega_spec=omega, nu_spec=nu).report(
-        verify="full", include_dual=True)
+    pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+    pipe.report(verify="full", include_dual=True)
     assert calls
     assert len(calls) == len(set(calls))
+    graph, points = pipe.graph(), pipe.slice_points()
+    parent = graph.spanning_tree(graph.nodes()[0])
+    tree_edges = set()
+    for node, up in parent.items():
+        if up is not None:
+            p_node, q_node = sorted((node, up))
+            tree_edges.add((points(p_node), points(q_node)))
+    assert set(calls) <= tree_edges
+    assert len(calls) < len(pipe.loops())
 
 
 def _fraction_affine(m, t):
@@ -582,7 +711,6 @@ def _fraction_compose(a, b):
 @settings(max_examples=50, deadline=None)
 def test_integer_affine_map_matches_fraction_reference(d, seed):
     import random
-    from nefsphere.monodromy import _push
     rng = random.Random(seed)
 
     def rational():
@@ -619,59 +747,94 @@ def test_integer_affine_map_matches_fraction_reference(d, seed):
     assert from_numerators(*point) == tuple(exact(x) for x in want_y)
 
 
+# Every tests/data input but P^7 (4,4), whose Sigma alone takes seconds.
+ORACLE_NAMES = [n for n in DATA_NAMES if n != "simplex_p7_44"]
+
+
+def _both_runs(pipe):
+    """The run and its role-swapped run, whose loops the duality suite
+    pairs with this run's."""
+    return pipe, pipe.dual_pipeline()
+
+
 @pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
 def test_transported_linears_match_compose_then_solve(name):
-    # global_group pushes the base frame along the tree, the loop and back;
-    # the oracle composes back o loop o fwd and solves in the basis.  The
-    # kinked prism has rational translations and base points.
+    # global_group reads each loop's transported linear part from the
+    # formula; the oracle composes back o loop o fwd and solves in the
+    # basis.  The kinked prism has rational translations and base points.
     from nefsphere.monodromy import transported_loops
     pipe = _data_pipe(name)
-    sigma, graph = pipe.sigma(), pipe.graph()
-    moved = transported_loops(sigma, graph, pipe.loops(), pipe.transitions(),
-                              pipe.base_charts())
+    graph = pipe.graph()
+    moved = transported_loops(graph, pipe.loops(), pipe.transitions(),
+                              pipe.base_charts(), pipe.slice_points())
     assert moved
     base = min(("P", i) for i in graph.p_nodes)
     parent = graph.spanning_tree(base)
     chart = pipe.base_charts()(base[1])
+    transition = affine_transitions(pipe)
     want = []
     for loop in pipe.loops():
         if ("P", loop.p0) not in parent:
             continue
         fwd, back = _composed_tree_maps(graph, parent, ("P", loop.p0),
-                                        pipe.transitions(), pipe.nef.ambient)
-        amb = back.compose(_composed_loop_map(loop, pipe.transitions()))
+                                        transition, pipe.nef.ambient)
+        amb = back.compose(_composed_loop_map(loop, transition))
         want.append((loop, _restrict_by_solving(amb.compose(fwd), chart)[0]))
     assert moved == want
 
 
-def _pushed_loops(sigma, graph, loops, transition, base_chart):
-    """Oracle for transported_loops that pushes the base frame for every
-    loop in the base component, degenerate ones included."""
-    from nefsphere.monodromy import (_loop_maps, _push, _restrict,
-                                     _tree_transport)
+def _pushed_loops(graph, loops, transition, base_chart):
+    """Oracle for transported_loops that pushes the base frame along the
+    spanning tree, around the loop and back through the affine chart
+    transitions `transition`, for every loop in the base component,
+    degenerate ones included."""
     base = min(("P", i) for i in graph.p_nodes)
     parent = graph.spanning_tree(base)
     chart = base_chart(base[1])
-    d = sigma.p_poset.elements[base[1]].cell.ambient
-    transport = {base: (chart.frame, AffineMap.identity(d))}
+    transport = {base: (_frame(chart),
+                        AffineMap.identity(len(chart.rows[0])))}
     out = []
     for loop in loops:
         if ("P", loop.p0) not in parent:
             continue
-        frame, back = _tree_transport(parent, transport, ("P", loop.p0),
-                                      transition)
+        frame, back = _pushed_tree_transport(parent, transport,
+                                             ("P", loop.p0), transition)
         images, (image, den) = _push(
             frame, _loop_maps(loop, transition) + (back,))
         out.append((loop, _restrict(chart, images, image, den)[0]))
     return out
 
 
+def _assert_transport_matches_pushing(pipe):
+    from nefsphere.monodromy import transported_loops
+    graph, loops = pipe.graph(), pipe.loops()
+    if not graph.p_nodes:
+        return
+    assert transported_loops(graph, loops, pipe.transitions(),
+                             pipe.base_charts(), pipe.slice_points()) == \
+        _pushed_loops(graph, loops, affine_transitions(pipe),
+                      pipe.base_charts())
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_transported_linears_match_pushing_through_the_tree(name):
+    for run in _both_runs(_data_pipe(name)):
+        _assert_transport_matches_pushing(run)
+
+
+def test_transported_linears_match_pushing_randomized(randomized_partitions):
+    from nefsphere import Pipeline
+    for nef in randomized_partitions:
+        for run in _both_runs(Pipeline(nef)):
+            _assert_transport_matches_pushing(run)
+
+
 @pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
 def test_global_group_matches_pushing_every_loop(name, monkeypatch):
     # transported_loops appends a degenerate loop as the identity without
-    # pushing a frame; the global report must equal the one built from
-    # pushing the frame around every loop.  Both kinds of degenerate loop
-    # occur in the base component.
+    # transporting anything; the global report must equal the one built
+    # from pushing the frame around every loop.  Both kinds of degenerate
+    # loop occur in the base component.
     from nefsphere import monodromy
     pipe = _data_pipe(name)
     sigma, graph, loops = pipe.sigma(), pipe.graph(), pipe.loops()
@@ -681,31 +844,49 @@ def test_global_group_matches_pushing_every_loop(name, monkeypatch):
     assert any(l.q0 == l.q1 and l.p0 != l.p1 for l in based)
     assert any(not l.degenerate for l in based)
     args = (sigma, graph, loops, pipe.transitions(), pipe.base_charts(),
-            pipe.discriminant())
+            pipe.slice_points(), pipe.discriminant())
     got = monodromy.global_group(*args)
-    monkeypatch.setattr(monodromy, "transported_loops", _pushed_loops)
+    monkeypatch.setattr(
+        monodromy, "transported_loops",
+        lambda graph, loops, transition, base_chart, points: _pushed_loops(
+            graph, loops, affine_transitions(pipe), base_chart))
     assert monodromy.global_group(*args) == got
 
 
-@pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
-def test_monodromy_matches_compose_then_solve(name):
-    # monodromy() pushes the base chart's frame through the loop; the oracle
-    # composes the loop's two transitions and solves in the basis.  Its
-    # images are the composite's linear part applied to the basis, as the
-    # duality pairing reads them.
-    pipe = _data_pipe(name)
+def _assert_formula_matches_compose_then_solve(pipe):
+    # The oracle composes the loop's two affine transitions and solves in
+    # the basis; its images are the composite's linear part applied to the
+    # basis, as the duality pairing reads them.
     monos = pipe.monodromies()
-    assert len(monos) == len(pipe.loops()) > 0
+    assert len(monos) == len(pipe.loops())
+    transition = affine_transitions(pipe)
     for loop, mono in zip(pipe.loops(), monos):
         assert mono.loop == loop
         chart = pipe.base_charts()(loop.p0)
-        amb = _composed_loop_map(loop, pipe.transitions())
+        amb = _composed_loop_map(loop, transition)
         assert (mono.linear, mono.translation) == \
             _restrict_by_solving(amb, chart)
         assert mono.basis == chart.basis
         assert mono.images == tuple(amb.apply_linear(b) for b in chart.basis)
-    if name == "prism_pair_5d_kinked":
-        assert any(type(x) is not int for m in monos for x in m.translation)
+    return monos
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_monodromy_matches_compose_then_solve(name):
+    # monodromy() reads every loop from the closed formula, on both runs.
+    for run in _both_runs(_data_pipe(name)):
+        monos = _assert_formula_matches_compose_then_solve(run)
+        if name == "prism_pair_5d_kinked":
+            assert any(type(x) is not int
+                       for m in monos for x in m.translation)
+
+
+def test_monodromy_matches_compose_then_solve_randomized(
+        randomized_partitions):
+    from nefsphere import Pipeline
+    for nef in randomized_partitions:
+        for run in _both_runs(Pipeline(nef)):
+            _assert_formula_matches_compose_then_solve(run)
 
 
 def _image_in_w_by_solving(pipe, pair_idx, drop_last):
@@ -719,8 +900,8 @@ def _image_in_w_by_solving(pipe, pair_idx, drop_last):
     p_min = sigma.p_poset.minimal_below(i)
     q_min = sigma.q_poset.minimal_below(j)
     chart = pipe.base_charts()(p_min[0])
-    mats = [monodromy(PrimaryLoop(p_min[0], a, pk, b), pipe.transitions(),
-                      pipe.base_charts()).linear
+    mats = [monodromy(PrimaryLoop(p_min[0], a, pk, b), pipe.base_charts(),
+                      pipe.slice_points(), pipe.omega()).linear
             for pk in p_min for a in q_min for b in q_min
             if not (a == b and pk == p_min[0])]
     diffs = []
@@ -760,8 +941,8 @@ def test_local_group_rank_test_matches_per_column_solve(name, monkeypatch):
     vertices = pipe.discriminant().vertex_ids
     assert vertices
     for k in vertices:
-        report = monodromy.local_group(sigma, k, pipe.transitions(),
-                                       pipe.base_charts())
+        report = monodromy.local_group(sigma, k, pipe.base_charts(),
+                                       pipe.slice_points(), pipe.omega())
         assert report["image_in_w"] is _image_in_w_by_solving(pipe, k, False)
         assert report["image_in_w"]
     real = monodromy.saturated_span_basis
@@ -769,8 +950,8 @@ def test_local_group_rank_test_matches_per_column_solve(name, monkeypatch):
                         lambda vectors, d: real(vectors, d)[:-1])
     missed = 0
     for k in vertices:
-        report = monodromy.local_group(sigma, k, pipe.transitions(),
-                                       pipe.base_charts())
+        report = monodromy.local_group(sigma, k, pipe.base_charts(),
+                                       pipe.slice_points(), pipe.omega())
         want = _image_in_w_by_solving(pipe, k, True)
         assert report["image_in_w"] is want
         missed += not want
@@ -798,10 +979,10 @@ def test_component_parts_read_the_pinched_predicate(prism_pair_pipe):
 
 def test_rational_slice_point_is_refused():
     # A hand-built minimal cell whose first slice point is not a lattice
-    # point: the chart and the transitions refuse it, naming the cell,
-    # instead of truncating it.
-    from nefsphere.errors import FalsificationError
-    from nefsphere.monodromy import base_chart_data, chart_transition
+    # point: the slice points every chart and transition is built from
+    # refuse it, on either side, naming the cell, instead of truncating it.
+    from types import SimpleNamespace
+    from nefsphere.monodromy import base_chart_data, slice_point_memo
     from nefsphere.polytope import convex_hull
     from nefsphere.sphere import TransversalCell
     half = (Fraction(1, 2), 0, 0)
@@ -812,20 +993,20 @@ def test_rational_slice_point_is_refused():
                    convex_hull([(0, 1, 0)], "M"))
     good_cell = convex_hull([(1, 0, 0), (0, 1, 0)], "M")
     good = TransversalCell(good_cell, good_slices, good_cell)
+    poset = SimpleNamespace(elements=(bad, good))
+    points = slice_point_memo(poset, poset)
 
     def weight(pt):
         return 1
 
-    for call in (lambda: base_chart_data(bad, weight),
-                 lambda: chart_transition(bad, good, weight, 3),
-                 lambda: chart_transition(good, bad, weight, 3)):
+    for node in (("P", 0), ("Q", 0)):
         with pytest.raises(FalsificationError) as err:
-            call()
+            points(node)
         assert "not integral" in err.value.claim
         assert err.value.certificate["cell"] == [["0", "1", "0"],
                                                  ["1/2", "0", "0"]]
         assert err.value.certificate["point"] == ["1/2", "0", "0"]
-    chart = base_chart_data(good, weight)
+    chart = base_chart_data(good, points(("P", 1)), weight)
     assert _x0(chart) == (1, 1, 0)
     assert chart.basis == ((0, 0, 1),)
 
@@ -840,9 +1021,9 @@ def test_one_base_chart_per_cell(monkeypatch):
     calls = []
     real = monodromy.base_chart_data
 
-    def counted(base_cell, weight):
+    def counted(base_cell, rows, weight):
         calls.append(base_cell.cell.key())
-        return real(base_cell, weight)
+        return real(base_cell, rows, weight)
 
     monkeypatch.setattr(monodromy, "base_chart_data", counted)
     nef, omega, nu = load_input(path("simplex3.json"))
@@ -850,6 +1031,90 @@ def test_one_base_chart_per_cell(monkeypatch):
         verify="full", include_dual=True)
     assert calls
     assert len(calls) == len(set(calls))
+
+
+def test_each_slice_point_is_read_once_per_run(monkeypatch):
+    # report --verify full reads each minimal cell's slice points once,
+    # across the charts, the transitions and every holonomy.
+    from nefsphere import Pipeline, monodromy
+    from nefsphere.cli import load_input
+    from test_cli import path
+    calls = []
+    real = monodromy._lattice_slice_vertex
+
+    def counted(cell, j):
+        calls.append((id(cell), j))
+        return real(cell, j)
+
+    monkeypatch.setattr(monodromy, "_lattice_slice_vertex", counted)
+    nef, omega, nu = load_input(path("prism_pair_5d_kinked.json"))
+    Pipeline(nef, omega_spec=omega, nu_spec=nu).report(verify="full")
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+def _falsified(capsys, name, monkeypatch, attr, corrupt):
+    """(exit code, certificate) of `nefsphere monodromy` on an input whose
+    run reads the monodromy memo `attr` through `corrupt`."""
+    import json
+    from nefsphere import cli, monodromy
+    from test_cli import path
+    real = getattr(monodromy, attr)
+    monkeypatch.setattr(monodromy, attr,
+                        lambda *args: corrupt(real(*args), *args))
+    code = cli.main(["monodromy", path(f"{name}.json")])
+    return code, json.loads(capsys.readouterr().out)["falsified"]
+
+
+def test_corrupted_loop_corner_raises_the_pairing_certificate(
+        monkeypatch, capsys):
+    # Double the first slice point n_0 of a Q corner tau of a loop that no
+    # tree path runs through, in the run's slice points: no transition
+    # reads it, and every non-degenerate loop at it then has
+    # <m_0(sigma0), dn_0> = +-<m_0(sigma0), n_0(tau)> = +-1.  The run stops
+    # with exit 3 and the pairing certificate, naming the loop.
+    pipe = _data_pipe("simplex3")
+    graph = pipe.graph()
+    parent = graph.spanning_tree(graph.nodes()[0])
+    vias = {parent[n] for n in parent if n[0] == "P"}
+    loop = next(l for l in pipe.loops() if not l.degenerate
+                and ("P", l.p0) in parent and ("Q", l.q1) not in vias)
+    target = pipe.q_poset().elements[loop.q1].cell.key()
+
+    def corrupt(points, p_poset, q_poset):
+        def read(node):
+            pts = points(node)
+            if node[0] == "Q" and \
+                    q_poset.elements[node[1]].cell.key() == target:
+                return (tuple(2 * x for x in pts[0]),) + pts[1:]
+            return pts
+        return read
+
+    code, falsified = _falsified(capsys, "simplex3", monkeypatch,
+                                 "slice_point_memo", corrupt)
+    assert code == 3
+    assert falsified["claim"] == "monodromy does not preserve the base chart"
+    cert = falsified["certificate"]
+    assert len(cert["loop"]) == 4
+    assert any(map(any, cert["pairing"]))
+    assert abs(cert["pairing"][0][0]) == 1
+
+
+def test_corrupted_tree_transition_raises_the_transport_certificate(
+        monkeypatch, capsys):
+    # Doubling every transition's linear part keeps the pushed frame
+    # tangent but brings it back as 4 B: the node certificate fires, and
+    # no loop certificate reads a transition.
+    def corrupt(transition, points):
+        return lambda i, j: tuple(tuple(2 * x for x in row)
+                                  for row in transition(i, j))
+
+    code, falsified = _falsified(capsys, "prism_pair_5d_kinked", monkeypatch,
+                                 "transition_memo", corrupt)
+    assert code == 3
+    assert falsified["claim"] == \
+        "global transport does not carry the base frame to a chart and back"
+    assert falsified["certificate"]["node"]
 
 
 def test_enclosing_smooth_pair_matches_pair_scan():
