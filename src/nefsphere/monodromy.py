@@ -1,12 +1,11 @@
 """Charts, discriminant locus, and monodromy of the affine structure.
 
-Chart changes follow the model's affine maps T(sigma, tau) y = y -
-sum_j [<m_j(sigma), y> - w(m_j(sigma))] n_j(tau) (:func:`chart_transition`).
-By the adjoint pairing the holonomy of a primary loop (sigma0, tau0,
-sigma1, tau1) on chart sigma0 is y -> y + sum_j [<m_j(sigma1), y> -
-w(m_j(sigma1))] (n_j(tau1) - n_j(tau0)), and every holonomy (loops, local
-groups, global transport, duality) is read from it (:func:`monodromy`);
-only global transport runs transitions, on the spanning tree's edges.
+Chart changes are the model's affine maps T(sigma, tau) y = y -
+sum_j [<m_j(sigma), y> - w(m_j(sigma))] n_j(tau).  By the adjoint pairing
+the holonomy of a primary loop (sigma0, tau0, sigma1, tau1) on chart
+sigma0 is y -> y + sum_j [<m_j(sigma1), y> - w(m_j(sigma1))] (n_j(tau1) -
+n_j(tau0)), and every holonomy is read from it (:func:`monodromy`); only
+global transport runs transitions, on the spanning tree's edges.
 
 Slice points, transitions and base charts read only the two transversal
 posets and the weight (:func:`slice_point_memo`, :func:`transition_memo`,
@@ -317,14 +316,10 @@ def slice_point_memo(p_poset, q_poset):
 
 
 def chart_transition(dst, via):
-    """The linear part I - sum_j n_j m_j^T of the chart change into the
-    minimal P-cell sigma through a common adjoint partner tau, from their
-    slice points m_j = dst[j] and n_j = via[j].
-
-    The change itself is T(sigma, tau) y = y - sum_j [<m_j, y> - w(m_j)] n_j.
-    By the adjoint pairing <m_k, n_j> = delta_kj it lands in chart sigma,
-    {<m_k, y> = w(m_k)}, and fixes that chart pointwise.
-    """
+    """The linear part I - sum_j n_j m_j^T of the chart change
+    T(sigma, tau) y = y - sum_j [<m_j, y> - w(m_j)] n_j into minimal P-cell
+    sigma through its adjoint partner tau, with slice points m_j = dst[j]
+    and n_j = via[j]; it lands in chart sigma, {<m_k, y> = w(m_k)}."""
     d = len(dst[0])
     return tuple(tuple(int(a == b) - sum(n[a] * m[b] for m, n in zip(dst, via))
                        for b in range(d)) for a in range(d))
@@ -417,20 +412,17 @@ def base_chart_memo(p_poset, points, weight):
 
 
 def _loop_terms(loop, points):
-    """The (m_j(sigma1), dm_j, dn_j) of a primary loop over the indices j
-    that change on both sides, dm_j = m_j(sigma1) - m_j(sigma0) != 0 and
-    dn_j = n_j(tau1) - n_j(tau0) != 0, for its slice points m on the P
-    side and n on the Q side.  No other index moves a point of chart
-    sigma0: c_j = <m_j(sigma0), y> - w(m_j(sigma0)) = 0 there if dm_j = 0.
+    """(m_j(sigma1), dm_j, dn_j) over the indices j that change on both
+    sides of a primary loop: dm_j = m_j(sigma1) - m_j(sigma0) != 0 and
+    dn_j = n_j(tau1) - n_j(tau0) != 0.  Other indices move nothing on chart
+    sigma0 (if dm_j = 0, c_j = <m_j(sigma0), y> - w(m_j(sigma0)) = 0).
 
-    Two certificates, over every index, name the loop by its corners'
-    slice points.  The adjoint pairing at all four corners gives
-    <m_k(sigma0), dn_j> = 0, so every dn_j, hence every image and the shift
-    of x0, is tangent to chart sigma0: the map preserves the chart and is
-    integral on its lattice.  It gives <dm_i, dn_j> = 0 too, so the log
-    N = U V^T, U = L dn and V = B dm, has N^2 = U (V^T U) V^T = 0 (B^T L
-    fixes each tangent dn_j): the map is unipotent of order two, with
-    determinant one.
+    Two certificates, over all indices, name the loop by its corners' slice
+    points.  The adjoint pairing at the four corners gives <m_k(sigma0),
+    dn_j> = 0, so the images and the shift of x0 are tangent: the map
+    preserves the chart, integrally.  It gives <dm_i, dn_j> = 0, so the log
+    N = U V^T (U = L dn, V = B dm) has N^2 = U (V^T U) V^T = 0, as B^T L
+    fixes the tangent dn_j: the map is unipotent of order two, det one.
     """
     corners = [points(node) for node in (("P", loop.p0), ("Q", loop.q0),
                                          ("P", loop.p1), ("Q", loop.q1))]
@@ -448,10 +440,8 @@ def _loop_terms(loop, points):
 
 
 def _unipotent(frame, coords, terms):
-    """(I + sum_j u_j v_j^T, the u_j, the v_j) over a loop's terms
-    (:func:`_loop_terms`): u_j = coords dn_j and v_j = (<dm_j, f>) over the
-    frame's vectors f, a basis of the loop's chart, where coords reads a
-    tangent vector's coordinates in the target basis."""
+    """(I + sum_j u_j v_j^T, the u_j, the v_j) over :func:`_loop_terms`:
+    u_j = coords dn_j, v_j = (<dm_j, f>) over the frame's vectors f."""
     us = [tuple(dot(row, n) for row in coords) for _, _, n in terms]
     vs = [tuple(dot(m, f) for f in frame) for _, m, _ in terms]
     k = len(frame)
@@ -460,23 +450,19 @@ def _unipotent(frame, coords, terms):
 
 
 def monodromy(loop, base_chart, points, weight):
-    """The affine holonomy around a primary loop (sigma0, tau0, sigma1,
-    tau1) in chart sigma0's lattice coordinates, from the closed formula.
+    """The affine holonomy of a primary loop (sigma0, tau0, sigma1, tau1)
+    in chart sigma0's lattice coordinates, from the closed formula.
 
     The loop runs T(sigma1, tau0), then T(sigma0, tau1).  On chart sigma0
     the first moves y by -sum_j c_j n_j(tau0), c_j = <m_j(sigma1), y> -
-    w(m_j(sigma1)); as <m_k(sigma0), n_j(tau0)> = delta_kj this shifts
-    <m_k(sigma0), y> by -c_k, and the second adds sum_k c_k n_k(tau1).  So
-    the holonomy is y -> y + sum_j c_j dn_j, unipotent of rank at most r
-    (Gross, Topological mirror symmetry, 2001).  A tangent vector v has
-    c_j = <dm_j, v>: the linear part is I + sum_j (L dn_j)(B dm_j)^T, the
-    basis images are B_b + sum_j <dm_j, B_b> dn_j, and the translation is
-    L sum_j c_j dn_j at x0, in integers over one denominator.  Only the
-    indices that change on both sides contribute (:func:`_loop_terms`), so
-    a degenerate loop, with dm = 0 or dn = 0, is the identity.
-    `base_chart` and `points` are the :func:`base_chart_memo` and
-    :func:`slice_point_memo` of the loop's posets, and `weight` their
-    weight.
+    w(m_j(sigma1)), which shifts <m_k(sigma0), y> by -c_k (adjoint pairing);
+    the second adds sum_k c_k n_k(tau1).  So y -> y + sum_j c_j dn_j, of
+    rank at most r (Gross, Topological mirror symmetry, 2001).  On tangent
+    vectors c_j = <dm_j, .>: the linear part is I + sum_j (L dn_j)(B dm_j)^T
+    and the images B_b + sum_j <dm_j, B_b> dn_j; the translation L sum_j
+    c_j dn_j at x0 is kept in integers over one denominator.  A degenerate
+    loop (dm = 0 or dn = 0) has no terms and is the identity.  `base_chart`
+    and `points` are :func:`base_chart_memo` and :func:`slice_point_memo`.
     """
     chart = base_chart(loop.p0)
     terms = _loop_terms(loop, points)
@@ -686,15 +672,12 @@ def transported_loops(graph, loops, transition, base_chart, points):
     node's component of the chart graph, in order.
 
     A loop at node n is transported as back_n o loop o fwd_n along the BFS
-    tree.  :func:`_tree_transport` gives F_n, the base basis pushed to n,
-    and G_n = L M_n, M_n the linear part of back_n, with G_n F_n = I.  The
-    loop moves a vector v tangent to chart n by sum_j <dm_j, v> dn_j, so
-    the transported linear part is I + sum_j (G_n dn_j)(<dm_j, F_n,b>)_b.
-    Its log squares to zero as in :func:`_loop_terms`: F_n G_n fixes
-    the tangent space of chart n, which F_n spans and dn_j lies in.  A
-    degenerate loop (dm = 0 or dn = 0) is appended as the identity with
-    nothing transported; ``--verify full`` still checks its own monodromy
-    (:func:`triviality_equivalence_check`).
+    tree.  With F_n and G_n of :func:`_tree_transport` (G_n F_n = I), it
+    moves F_n,b by sum_j <dm_j, F_n,b> dn_j, so its linear part is
+    I + sum_j (G_n dn_j)(<dm_j, F_n,b>)_b; the log squares to zero as in
+    :func:`_loop_terms`, F_n G_n fixing chart n's tangent space, which F_n
+    spans.  A degenerate loop is appended as the identity with nothing
+    transported; ``--verify full`` still checks its own monodromy.
     """
     base_node = graph.nodes()[0]
     parent = graph.spanning_tree(base_node)
@@ -719,18 +702,14 @@ def transported_loops(graph, loops, transition, base_chart, points):
 
 
 def _tree_transport(parent, transport, node, transition, points, chart):
-    """(F_n, M_n, G_n) at a P-node n: the base basis pushed to n by the
-    linear parts of the transitions along the spanning tree, the linear
-    part M_n of the way back, and G_n = L M_n.
+    """(F_n, M_n, G_n) at a P-node n: the base basis pushed to n along the
+    spanning tree, the linear part of the way back, and G_n = L M_n.
 
-    Each P-node is reached from its grandparent through its parent Q-node;
-    results are memoized in `transport`, which holds the base node.  Per
-    node two facts are certified, naming the node by its slice points: F_n
-    is tangent to chart n, and M_n F_n is the base basis B, which makes
-    back_n map chart n's tangent space onto the base chart's and gives
-    G_n F_n = L B^T = I.  `transition` and `points` are the
-    :func:`transition_memo` and :func:`slice_point_memo`, and `chart` is
-    the base node's :class:`BaseChart`.
+    Each P-node is reached from its grandparent through its parent Q-node,
+    memoized in `transport`.  A new node certifies, naming its slice
+    points, that F_n is tangent to chart n and M_n F_n = B: back_n maps
+    chart n's tangent space onto the base chart's, and G_n F_n = L B^T = I.
+    `chart` is the base node's :class:`BaseChart`.
     """
     path = []
     walk = node
