@@ -639,20 +639,22 @@ def global_group(sigma, graph, loops, transition, base_chart, points,
     moved = transported_loops(graph, loops, transition, base_chart, points)
     transported = [linear for _, linear in moved]
     skipped = len(loops) - len(moved)
-    logs = []
+    # The distinct logs, in first-seen order: a repeated row leaves the
+    # row lattice, and so its Smith divisors and rank, as they are.
+    logs = {}
     per_comp = {}
     for loop, m in moved:
         if loop.degenerate:
             continue  # the identity: its log is zero
         flat = tuple(v for row in _mat_sub_identity(m) for v in row)
         if any(flat):
-            logs.append(flat)
+            logs[flat] = None
             comp = _loop_discriminant_component(sigma, loop,
                                                 discriminant_complex)
             if comp is not None:
-                per_comp.setdefault(comp, []).append(flat)
-    divisors, rank = smith_normal_form(logs) if logs else ((), 0)
-    comp_divisors = {comp: list(smith_normal_form(vecs)[0])
+                per_comp.setdefault(comp, {})[flat] = None
+    divisors, rank = smith_normal_form(list(logs)) if logs else ((), 0)
+    comp_divisors = {comp: list(smith_normal_form(list(vecs))[0])
                      for comp, vecs in sorted(per_comp.items())}
     return {
         "trivial": not logs,

@@ -219,7 +219,8 @@ class Pipeline:
 
         By Batyrev-Borisov duality it is this run with the roles of Delta
         and nabla swapped.  The duality equalities are checked by key, and
-        the dual run's subdivisions and posets are then this run's, swapped.
+        the dual run's subdivisions, posets and slice points are then this
+        run's, swapped.
         The duality suite reads the dual holonomy from those posets; it
         builds no dual Sigma.
         """
@@ -244,6 +245,11 @@ class Pipeline:
                                   ("p_poset", "q_poset"),
                                   ("q_poset", "p_poset")):
             pipe._cache["_" + dual_stage] = getattr(self, stage)()
+        # Its posets hold this run's cells, so its slice points are these.
+        points = self.slice_points()
+        swap = {"P": "Q", "Q": "P"}
+        pipe._cache["_slice_points"] = \
+            lambda node: points((swap[node[0]], node[1]))
         return pipe
 
     # -- verification suites ---------------------------------------------------------

@@ -38,8 +38,11 @@ per facet, reduced modulo those equations.  That is field for field the
 polytope :func:`convex_hull` would build, and it is interned under the same
 key.  A face whose dimension is already known (its grade, or a cell's
 dimension plus one for a cone over it) keeps its vertices, the parent's
-rows and their tight masks, and runs the rule the first time
-``equations`` or ``facets`` is read; a face never asked for its
+equations, the parent's facet rows and their tight masks on the face, and
+runs the rule the first time ``equations`` or ``facets`` is read.  Until
+then it reads membership from those rows: a face F of P is the meet of P
+with the facets of P that hold F, so x lies in F iff it lies in P and every
+parent row tight on all of F vanishes at x.  A face never asked for its
 H-representation costs no kernel.  Any other polytope runs it at once.
 
 A Minkowski sum is built by :func:`minkowski_sum` as the V->H hull of every
@@ -166,8 +169,9 @@ class Polytope:
     triangulations and a face's H-representation are cached lazily but
     idempotently), so independent computations can safely share polytopes;
     :func:`convex_hull` hands out one live object per hull.  Given `rows`,
-    the arguments of :func:`_hrep_from_rows` after the ambient dimension,
-    ``equations`` and ``facets`` are left unset until first read.
+    the homogenized vertices, equation rows, inequality rows, tight masks
+    and full mask of :func:`_polytope_from_rows`, ``equations`` and
+    ``facets`` are left unset until first read.
     """
 
     __slots__ = ("ambient", "role", "vertices", "equations", "facets", "dim",
@@ -194,8 +198,9 @@ class Polytope:
         # known reads its H-representation from `_rows` on first use.
         if name not in ("equations", "facets") or self._rows is None:
             raise AttributeError(name)
-        self.equations, self.facets = _hrep_from_rows(self.ambient,
-                                                      *self._rows)
+        hverts, _, rows, meets, full = self._rows
+        self.equations, self.facets = _hrep_from_rows(self.ambient, hverts,
+                                                      rows, meets, full)
         self._rows = None
         return getattr(self, name)
 
@@ -222,8 +227,19 @@ class Polytope:
         return self.contains_ray(point_ray(point))
 
     def contains_ray(self, ray):
-        """Membership of the point whose :func:`point_ray` is `ray`."""
-        return _satisfies(self.equations, self.facets, ray)
+        """Membership of the point whose :func:`point_ray` is `ray`.
+
+        A face whose rows are not yet read answers from its parent's rows:
+        a face F of P is the meet of P with the facets of P that hold F, so
+        x lies in F iff it lies in P and every parent facet row tight on
+        all of F vanishes at x.
+        """
+        if self._rows is None:
+            return _satisfies(self.equations, self.facets, ray)
+        _, eqs, rows, meets, full = self._rows
+        return _satisfies(
+            chain(eqs, (f for f, m in zip(rows, meets) if m == full)),
+            rows, ray)
 
     def interior_contains(self, point):
         """Relative-interior membership: every facet row is positive, so at
@@ -309,8 +325,8 @@ class Polytope:
         mask = sum(1 << i for i in idx)
         return _polytope_from_rows(
             self.role, self.ambient, verts,
-            [clear_denominators((1,) + v) for v in verts], self.facets,
-            [m & mask for m in self.facet_masks()], mask, dim)
+            [clear_denominators((1,) + v) for v in verts], self.equations,
+            self.facets, [m & mask for m in self.facet_masks()], mask, dim)
 
     def face_keys(self, proper=False):
         """The set of ``face_polytope(fs).key()`` over all faces (only the
@@ -583,28 +599,33 @@ def polytope_from_hrep(eq_rows, ineq_rows, role, ambient):
     hverts = [clear_denominators((1,) + v) for v in vertices]
     meets = [sum(1 << i for i, hv in enumerate(hverts) if dot(r, hv) == 0)
              for r in rows]
-    return _polytope_from_rows(role, ambient, vertices, hverts, rows, meets,
-                               (1 << len(vertices)) - 1)
+    return _polytope_from_rows(role, ambient, vertices, hverts, eq_rows, rows,
+                               meets, (1 << len(vertices)) - 1)
 
 
-def _polytope_from_rows(role, ambient, verts, hverts, rows, meets, full,
+def _polytope_from_rows(role, ambient, verts, hverts, eqs, rows, meets, full,
                         dim=None):
     """The canonical polytope on the vertices `verts` (homogenized and made
     primitive in `hverts`) whose facets are among the integer inequality
     `rows`, interned like :func:`convex_hull`.
 
-    `meets` holds per row the bitmask of the vertices tight on it and
-    `full` the mask of all of them.  With `dim` given, the rows are kept
-    and :func:`_hrep_from_rows` reads them on first use of ``equations``
-    or ``facets``; otherwise it reads them now, and the dimension is the
-    ambient one minus the number of equations.
+    `eqs` are equation rows that hold on the polytope (for a face, the
+    parent's), `meets` holds per inequality row the bitmask of the vertices
+    tight on it and `full` the mask of all of them: the polytope is the
+    solution set of `eqs`, `rows`, and the rows tight at every vertex as
+    equations.  With `dim` given, all of them are kept, membership is read
+    from them (:meth:`Polytope.contains_ray`), and :func:`_hrep_from_rows`
+    reads them on first use of ``equations`` or ``facets``.  Otherwise it
+    reads them now, and the dimension is the ambient one minus the number
+    of equations.
     """
     if dim is None:
-        eqs, facets = _hrep_from_rows(ambient, hverts, rows, meets, full)
-        poly = Polytope(ambient, role, verts, eqs, facets, ambient - len(eqs))
+        equations, facets = _hrep_from_rows(ambient, hverts, rows, meets, full)
+        poly = Polytope(ambient, role, verts, equations, facets,
+                        ambient - len(equations))
     else:
         poly = Polytope(ambient, role, verts, None, None, dim,
-                        (hverts, rows, meets, full))
+                        (hverts, eqs, rows, meets, full))
     return _HULLS.setdefault((role, ambient, verts), poly)
 
 

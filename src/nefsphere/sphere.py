@@ -67,6 +67,17 @@ terms >= 0, so it is 0 on every row iff every s_i lies in C' & part_i =
 S_i(C') (the slice lemma on C'); and S_i(C') lies in S_i(C) & C'.  The
 part of delta on each facet of r times the parts hull is a face of delta
 (:func:`facet_region`).
+
+M(C') is built knowing its dimension, its grade in the face lattice of
+M(C), so it reads membership from M(C)'s rows and never its own
+H-representation (:meth:`polytope.Polytope.contains_ray`).  Its faces are
+read from M(C)'s face lattice too: the faces of a face G of a polytope M
+are the faces of M inside G (Ziegler, Lectures on Polytopes, Prop. 2.3).
+A face of M inside G is cut from M, so from G, by a hyperplane valid on M.
+Conversely let G = M & {a.x = a0} with a.x <= a0 on M, and H = G &
+{c.x = c0} with c.x <= c0 on G.  For large t, (c + t a).x <= c0 + t a0
+holds at every vertex of M (with equality exactly at those of H: a vertex
+off G has a.x < a0), so it holds on M and cuts out H.
 """
 
 from fractions import Fraction
@@ -326,7 +337,8 @@ def _minkowski_cells(cells, slices_by_cell, transversal, above, r, delta):
         for f_mask, row in zip(cell.facet_masks(), rows):
             if f_mask & face_mask == face_mask:
                 keep &= row
-        out[k] = out[m].face_polytope(_bits(keep))
+        face = frozenset(_bits(keep))
+        out[k] = out[m].face_polytope(face, out[m].face_sets()[face])
     return out
 
 
@@ -357,7 +369,11 @@ def minkowski_complex(poset, delta, r, parts_hull):
     isomorphism onto a face-closed complex, and the support equals the
     intersection of delta with the boundary of the r-fold dilation of
     nabla_vee (by exact volume bookkeeping facet by facet, on the regions
-    of :func:`facet_region`).  Each distinct vertex is read once, as its
+    of :func:`facet_region`).  A cell's faces are read from the face
+    lattice of the lowest maximal cell above it, as the faces of that cell
+    inside it (module docstring), and are not stored; a cell that is no
+    face of it fails the check, as its own key is then not among them.
+    Each distinct vertex is read once, as its
     integer ray and the mask of the facets of r*nabla_vee it lies on; a
     cell lies on the AND of its vertices' masks, and the order test skips
     a vertex whose mask does not hold that AND (:func:`containment_order`).
@@ -375,16 +391,16 @@ def minkowski_complex(poset, delta, r, parts_hull):
                 marks[v] = ray, sum(1 << t for t, f in enumerate(scaled.facets)
                                     if dot(f, ray) == 0)
     order_ok = containment_order(cells, marks) == poset._above
+    maximal = sum(1 << j for j in range(n) if poset._above[j] == 1 << j)
     face_ok = True
     for j in range(n):
         below = poset.below(j)
-        mj = cells[j]
-        face_keys = mj.face_keys()
-        if len(face_keys) != len(below):
+        over = poset._above[j] & maximal
+        face_keys = _face_keys_within(cells[(over & -over).bit_length() - 1],
+                                      cells[j])
+        if len(face_keys) != len(below) or any(
+                cells[i].key() not in face_keys for i in below):
             face_ok = False
-        for i in below:
-            if cells[i].key() not in face_keys:
-                face_ok = False
     checks["order_isomorphism"] = order_ok
     checks["face_lattices_match"] = face_ok
     # Support: every Minkowski cell lies on the boundary of r*nabla_vee ...
@@ -413,6 +429,19 @@ def minkowski_complex(poset, delta, r, parts_hull):
             cover_ok = False
     checks["support_covers_dilated_boundary"] = cover_ok
     return {"passed": all(checks.values()), "checks": checks}
+
+
+def _face_keys_within(top, face):
+    """The keys of the faces of `top` whose vertices are among face's.
+
+    When `face` is a face of top these are its faces, its own key among
+    them; otherwise its own key is not among them, as it is no face of
+    top.  Nothing is stored on `face`.
+    """
+    vertices = set(face.vertices)
+    inside = frozenset(i for i, v in enumerate(top.vertices) if v in vertices)
+    return {(top.role, tuple(top.vertices[i] for i in sorted(g)))
+            for g in top.face_sets() if g <= inside}
 
 
 def containment_order(cells, marks=None):

@@ -459,6 +459,65 @@ def test_faces_from_the_h_representation_match_hulls(points):
             assert got.dim == hull.dim == dim == p.ambient - len(got.equations)
 
 
+def deferred_membership_failures(parent):
+    """The faces of `parent` whose membership read from the parent's rows
+    differs from the one under their own H-representation.
+
+    Each face is built with its grade as dimension, in an empty table, so
+    its rows are unread; it answers first from the parent's rows, then
+    from its own, which it reads in between.  The test rays are the
+    parent's vertices, an interior point b of the face (the sum of its
+    vertex rays), b plus each parent vertex, and b plus and minus each
+    unit vector: a step off a flat parent's affine hull along an
+    equation's pivot column keeps every facet row's value.
+    """
+    from unittest import mock
+    from weakref import WeakValueDictionary
+    from nefsphere import polytope
+    from nefsphere.polytope import point_ray
+    failures = []
+    vrays = [point_ray(v) for v in parent.vertices]
+    for fs, dim in parent.face_sets().items():
+        with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
+            face = parent.face_polytope(fs, dim)
+        assert face._rows is not None
+        inner = tuple(map(sum, zip(*(vrays[i] for i in fs))))
+        rays = vrays + [inner]
+        rays += [tuple(map(sum, zip(inner, w))) for w in vrays]
+        for k in range(1, len(inner)):
+            for step in (inner[0], -inner[0]):
+                rays.append(tuple(x + step * (t == k)
+                                  for t, x in enumerate(inner)))
+        by_parent = [face.contains_ray(r) for r in rays]
+        assert face.equations is not None and face._rows is None
+        if [face.contains_ray(r) for r in rays] != by_parent:
+            failures.append(sorted(fs))
+    return failures
+
+
+@st.composite
+def flat_or_full_point_sets(draw):
+    """A lattice point set, often flat: points of Z^k lifted into
+    Z^(k+1) by a last coordinate a.x + c, so that their hull has an
+    equation."""
+    points = draw(lattice_point_sets())
+    if not draw(st.booleans()):
+        return points
+    k = len(points[0])
+    a = draw(st.tuples(*[st.integers(-2, 2)] * k))
+    c = draw(st.integers(-2, 2))
+    return [p + (dot(a, p) + c,) for p in points]
+
+
+@settings(max_examples=100, deadline=None)
+@given(flat_or_full_point_sets())
+def test_deferred_faces_read_membership_from_the_parent_rows(points):
+    # A face whose rows are unread decides membership from its parent's
+    # equations, its facet rows and their tight masks; the answers are
+    # those of its own H-representation, on full and flat parents alike.
+    assert deferred_membership_failures(convex_hull(points, ROLE_M)) == []
+
+
 @st.composite
 def bounded_h_systems(draw):
     """(equations, inequalities, ambient) of a nonempty bounded polytope.

@@ -1034,8 +1034,9 @@ def test_one_base_chart_per_cell(monkeypatch):
 
 
 def test_each_slice_point_is_read_once_per_run(monkeypatch):
-    # report --verify full reads each minimal cell's slice points once,
-    # across the charts, the transitions and every holonomy.
+    # report --verify full --dual reads each minimal cell's slice points
+    # once, across the charts, the transitions, every holonomy and the
+    # role-swapped run, whose posets hold the same cells.
     from nefsphere import Pipeline, monodromy
     from nefsphere.cli import load_input
     from test_cli import path
@@ -1048,7 +1049,8 @@ def test_each_slice_point_is_read_once_per_run(monkeypatch):
 
     monkeypatch.setattr(monodromy, "_lattice_slice_vertex", counted)
     nef, omega, nu = load_input(path("prism_pair_5d_kinked.json"))
-    Pipeline(nef, omega_spec=omega, nu_spec=nu).report(verify="full")
+    Pipeline(nef, omega_spec=omega, nu_spec=nu).report(verify="full",
+                                                       include_dual=True)
     assert calls
     assert len(calls) == len(set(calls))
 
@@ -1182,3 +1184,93 @@ def test_primary_loops_match_the_pair_scan_randomized(randomized_partitions):
         pipe = Pipeline(nef)
         _assert_loops_match_pair_scan(pipe)
         _assert_loops_match_pair_scan(pipe.dual_pipeline())
+
+
+@pytest.mark.parametrize("name", DATA_NAMES)
+def test_smith_form_of_the_distinct_logs_is_that_of_every_log(name):
+    # global_group takes the Smith form of the distinct logs: a repeated
+    # row leaves the row lattice, so the divisors and the rank, as they
+    # are.  Oracle: the Smith form of every log, repeats included, over
+    # the base component and per discriminant component.
+    from nefsphere.linalg import smith_normal_form
+    from nefsphere.monodromy import (_loop_discriminant_component,
+                                     transported_loops)
+    pipe = _data_pipe(name)
+    report = pipe.global_report()
+    graph = pipe.graph()
+    logs, per_comp = [], {}
+    if graph.p_nodes:
+        for loop, m in transported_loops(graph, pipe.loops(),
+                                         pipe.transitions(),
+                                         pipe.base_charts(),
+                                         pipe.slice_points()):
+            flat = tuple(v for row in _nilpotent(m) for v in row)
+            if any(flat):
+                logs.append(flat)
+                comp = _loop_discriminant_component(pipe.sigma(), loop,
+                                                    pipe.discriminant())
+                if comp is not None:
+                    per_comp.setdefault(comp, []).append(flat)
+    divisors, rank = smith_normal_form(logs) if logs else ((), 0)
+    assert report["divisors"] == list(divisors)
+    assert report.get("log_rank", 0) == rank
+    assert report["component_divisors"] == {
+        comp: list(smith_normal_form(vecs)[0])
+        for comp, vecs in sorted(per_comp.items())}
+    if name.startswith("prism_pair"):
+        assert len(set(logs)) < len(logs)
+
+
+def _tangent_coordinates(basis, y):
+    """u with sum_b u_b B_b the orthogonal projection of y onto the span
+    of the basis rows B: the solution of (B B^T) u = B y."""
+    gram = [[dot(a, b) for b in basis] for a in basis]
+    return solve_rational(gram, [dot(b, y) for b in basis])
+
+
+@pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
+def test_a_linear_shear_of_omega_moves_only_the_translations(name):
+    # Replacing omega by omega + <., y> leaves the subdivisions, and so the
+    # full+dual report but for input.omega, as they are.  On chart sigma0
+    # the base point moves by the part of y normal to the tangent space,
+    # so c_j = <m_j(sigma1), x0> - omega(m_j(sigma1)) drops by
+    # <dm_j, y_T>, y_T = sum_b u_b B_b the tangent part of y: every loop
+    # keeps its basis and linear part A, and its translation t becomes
+    # t - L sum_j <dm_j, y_T> dn_j = t - (A - I) u.  The shift is read from
+    # the loop's corners, so a translation that is always 0 or a dn of the
+    # wrong sign fails here; no golden pins a translation.
+    import random
+    from nefsphere import Pipeline
+    pipe = _data_pipe(name)
+    rng = random.Random(26)
+    y = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+              for _ in range(pipe.nef.ambient))
+    table = [(pt, v + dot(pt, y))
+             for pt, v in sorted(pipe.omega().values.items())]
+    sheared = Pipeline(pipe.nef, omega_spec=table, nu_spec=pipe.nu_spec)
+    want = pipe.report(verify="full", include_dual=True)
+    got = sheared.report(verify="full", include_dual=True)
+    assert got["input"]["omega"] != want["input"]["omega"]
+    got["input"]["omega"] = want["input"]["omega"]
+    assert got == want
+    points = pipe.slice_points()
+    moved = 0
+    for a, b in zip(pipe.monodromies(), sheared.monodromies(), strict=True):
+        loop = a.loop
+        assert (b.loop, b.basis, b.linear) == (loop, a.basis, a.linear)
+        u = _tangent_coordinates(a.basis, y)
+        y_t = [sum(c * v[k] for c, v in zip(u, a.basis))
+               for k in range(len(y))]
+        m0, n0, m1, n1 = (points(node) for node in (
+            ("P", loop.p0), ("Q", loop.q0), ("P", loop.p1), ("Q", loop.q1)))
+        dm = [[p - q for p, q in zip(a1, a0)] for a0, a1 in zip(m0, m1)]
+        dn = [[p - q for p, q in zip(b1, b0)] for b0, b1 in zip(n0, n1)]
+        shift = [sum(dot(dm_j, y_t) * dn_j[k] for dm_j, dn_j in zip(dm, dn))
+                 for k in range(len(y))]
+        shift = tuple(dot(row, shift)
+                      for row in pipe.base_charts()(loop.p0).inverse)
+        assert shift == tuple(dot(row, u) for row in _nilpotent(a.linear))
+        assert b.translation == tuple(exact(t - s) for t, s in
+                                      zip(a.translation, shift))
+        moved += any(shift)
+    assert moved

@@ -1,6 +1,8 @@
 import glob
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -15,8 +17,10 @@ from nefsphere.linalg import dot
 from nefsphere.polytope import (as_fractions, convex_hull, dilate, intersect,
                                 is_minkowski_sum, minkowski_sum_all)
 from nefsphere.sphere import projection_images
-from test_cli import DATA, path
+from test_cli import BASE, DATA, path
 from test_exact_kernel import contains_by_fractions
+from test_geometry import deferred_membership_failures
+from test_monodromy import _data_pipe
 from test_order_masks import sigma_leq, sigma_successors
 
 INPUTS = ["triangle", "square_sum", "pentagon_pair", "simplex3",
@@ -199,6 +203,101 @@ def test_minkowski_cells_equal_both_old_routes(name):
                 assert e.minkowski.key() == oracle.key()
                 assert e.minkowski.equations == oracle.equations
                 assert e.minkowski.facets == oracle.facets
+
+
+def _maximal_above(poset, j):
+    """The maximal elements of the poset above element j."""
+    return [m for m in poset.above(j) if poset.above(m) == [m]]
+
+
+# P^7's boundary cells are 6-dimensional, with 10^4 faces in all, and are
+# left out for time; their Minkowski cells are kept.
+@pytest.mark.parametrize("name", ALL_INPUTS)
+def test_deferred_faces_read_membership_from_their_parent_rows(name):
+    # Every face of every boundary cell is a face of a maximal one, and
+    # every Minkowski cell, with its faces, is a face of a maximal one.
+    # Each such face, with its rows unread, answers membership from the
+    # maximal cell's rows as under its own H-representation.
+    pipe = _data_pipe(name)
+    parents = [e.minkowski for poset in (pipe.p_poset(), pipe.q_poset())
+               for j, e in enumerate(poset.elements)
+               if poset.above(j) == [j]]
+    if not name.startswith("simplex_p7"):
+        parents += pipe.s_boundary().maximal_cells
+        parents += pipe.t_boundary().maximal_cells
+    for parent in parents:
+        assert deferred_membership_failures(parent) == []
+
+
+@pytest.mark.parametrize("name", ALL_INPUTS)
+def test_face_keys_read_from_a_maximal_cell_are_the_cell_face_keys(name):
+    # minkowski_complex reads a Minkowski cell's faces from the face
+    # lattice of a maximal cell above it: the faces of a face G of M are
+    # the faces of M inside G.  Every maximal cell above gives the keys the
+    # cell's own face lattice gives.
+    pipe = _data_pipe(name)
+    for poset in (pipe.p_poset(), pipe.q_poset()):
+        cells = [e.minkowski for e in poset.elements]
+        for j, cell in enumerate(cells):
+            for m in _maximal_above(poset, j):
+                assert sphere._face_keys_within(cells[m], cell) == \
+                    cell.face_keys()
+
+
+def test_building_the_prism_minkowski_complexes_reads_no_face_rows():
+    # The posets and both Minkowski complexes of the prism read the
+    # H-representation of no non-maximal Minkowski cell: each is a face of
+    # a maximal one, which answers its membership and its faces.  A fresh
+    # process, so no face comes read from the intern table.
+    script = (
+        "import sys\n"
+        "from nefsphere import Pipeline\n"
+        "from nefsphere.cli import load_input\n"
+        "nef, omega, nu = load_input(sys.argv[1])\n"
+        "pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)\n"
+        "assert pipe.p_minkowski_complex()['passed']\n"
+        "assert pipe.q_minkowski_complex()['passed']\n"
+        "faces = [e.minkowski for poset in (pipe.p_poset(), pipe.q_poset())\n"
+        "         for j, e in enumerate(poset.elements)\n"
+        "         if poset.above(j) != [j]]\n"
+        "print(len(faces), sum(c._rows is not None for c in faces))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, path("prism_pair_5d.json")],
+        capture_output=True, text=True, cwd=BASE,
+        env={**os.environ, "PYTHONPATH": os.path.join(BASE, "src")})
+    assert proc.returncode == 0, proc.stderr
+    faces, unread = map(int, proc.stdout.split())
+    assert faces > 0 and unread == faces
+
+
+@pytest.mark.parametrize("swap", ["off_the_maximal_cell", "not_a_face"])
+def test_a_cell_that_is_not_a_face_of_its_maximal_cell_fails_the_check(swap):
+    # The face check reads a cell's faces from a maximal cell above it.  A
+    # cell swapped for a polytope with a vertex off that maximal cell, or
+    # for the hull of two of its vertices that span no edge, makes
+    # face_lattices_match false rather than raise.
+    pipe = _data_pipe("prism_pair_5d")
+    poset, nef = pipe.p_poset(), pipe.nef
+    j = next(j for j in range(len(poset)) if poset.above(j) != [j])
+    top = poset.elements[_maximal_above(poset, j)[0]].minkowski
+    if swap == "off_the_maximal_cell":
+        w = top.vertices[0]
+        fake = convex_hull([w, tuple(2 * x for x in w)], top.role)
+    else:
+        diagonal = next(
+            (a, b) for a, b in combinations(range(len(top.vertices)), 2)
+            if not top.is_face([a, b]))
+        fake = convex_hull([top.vertices[k] for k in diagonal], top.role)
+    elements = list(poset.elements)
+    e = elements[j]
+    elements[j] = sphere.TransversalCell(e.cell, e.slices, fake)
+    doctored = sphere.TransversalPoset(pipe.s_boundary(), poset.parts,
+                                       elements, poset.slices)
+    report = sphere.minkowski_complex(doctored, nef.sum_polytope, nef.r,
+                                      nef.parts_hull)
+    assert report["checks"]["face_lattices_match"] is False
+    assert sphere.minkowski_complex(poset, nef.sum_polytope, nef.r,
+                                    nef.parts_hull)["passed"]
 
 
 def _corrupt_one_slice(monkeypatch, target):
