@@ -51,8 +51,16 @@ monodromy`` on those inputs: every loop's triviality verdict and the global
 group, on integral charts, on rational translations (1 080 loops) and at
 r = 3 (2 160 loops).  They were frozen while each loop's holonomy was still
 read by pushing the base chart's frame through the loop's transitions,
-before it was read from the closed formula.  Any refactor of the arithmetic
-or the stages must reproduce them exactly.
+before it was read from the closed formula.  ``simplex3_tropical.json`` and
+``prism_pair_5d_kinked_tropical.json`` are the stdout of ``nefsphere
+tropical`` (the bounded tropical complex's cells, their vertices and rays,
+and the amoeba's size), and ``cube_split_r3_full_dual.json`` is the
+``--verify full --dual`` report of ``cube_split_r3.json``, the cube's polar
+split into three parts by its rays (an r = 3 ray split, a box and two
+segments).  All three were frozen while every tropical cell was still the
+H->V solution of one inequality per lattice point of its support and the
+bounded-cells check still met every combination of part cells.  Any
+refactor of the arithmetic or the stages must reproduce them exactly.
 """
 
 import os
@@ -67,6 +75,7 @@ GOLDEN = os.path.join(DATA, "golden")
 NAMES = ["triangle", "square_sum", "pentagon_pair", "simplex3",
          "segment_weighted"]
 SIMPLEX_FAMILY = ["simplex_p5_222", "simplex_p6_223", "simplex_p7_2222"]
+RAY_SPLITS = ["cube_split_r3"]
 
 
 def _assert_report_matches(input_name, golden_name, *flags,
@@ -130,7 +139,18 @@ def test_simplex_family_full_dual_report_matches_golden(name):
                            "--verify", "full", "--dual")
 
 
+@pytest.mark.parametrize("name", RAY_SPLITS)
+def test_ray_split_full_dual_report_matches_golden(name):
+    _assert_report_matches(name, f"{name}_full_dual",
+                           "--verify", "full", "--dual")
+
+
 @pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked",
                                   "product_triangles_6d"])
 def test_monodromy_command_matches_golden(name):
     _assert_report_matches(name, f"{name}_monodromy", command="monodromy")
+
+
+@pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
+def test_tropical_command_matches_golden(name):
+    _assert_report_matches(name, f"{name}_tropical", command="tropical")
