@@ -1,20 +1,48 @@
 """Tropical cells, amoebas, and the bounded tropical complex.
 
-A cell of the lifted lower hull determines the locus where its lattice
-points simultaneously realize the maximum of <m, y> - w(m); cells of
-positive dimension assemble into the amoeba.  The bounded subcomplex indexed
-by the coned transversal cells is the tropical model of the dual sphere.
-A sliced cone is read as the cone over the poset's slice (the coned slice
-lemma of :mod:`nefsphere.sphere`), with no intersection.
+A cell C of the lifted lower hull is dual to the locus T(C) where all its
+vertices attain the maximum of <m, y> - w(m) over the support's lattice
+points; cells of positive dimension assemble into the amoeba.  The bounded
+cells dual to the coned transversal cells are the tropical model of the
+dual sphere.  A sliced cone is read as the cone over the poset's slice (the
+coned slice lemma of :mod:`nefsphere.sphere`), with no intersection.
+
+T(C) is read by duality (Maclagan-Sturmfels, *Introduction to Tropical
+Geometry*, 3.1), with no double description.  Star lemma: C's equations
+and one inequality per vertex of its star, the maximal cells holding C,
+cut out T(C).  Proof: let g be the convex lower envelope of the lifted
+points and H = <m, y> - h the affine function equal to w at C's vertices.
+g - H vanishes on C and is >= 0 on each star cell D, where g is affine and
+equal to w at the vertices.  The star is a neighbourhood of relint C, so
+the convex g - H is >= 0 along every segment from relint C: H <= g <= w at
+every lattice point.  T(C) has as vertices the tropical vertices y_D of
+its star (<m, y_D> - w(m) constant on D), as rays the outer normals of the
+support's facets holding C, and as lineality the normals of the support's
+equations.  The refinement only intersects part cells, so it reads their
+rows and no generators.  The zero cell stays a double description, an
+independent check of the duality reading.
+
+The refinement of the part amoebas is built depth-first (Huber-Sturmfels,
+*Math. Comp.* 64, 1995): a prefix with an empty meet is dropped with its
+extensions.  Two mixed cells are not intersected when a facet row of one
+is <= 0 at every vertex of the other: the row separates them, so their
+interiors are disjoint.
 """
 
 from fractions import Fraction
 
 from .errors import FalsificationError
-from .linalg import clear_denominators
+from .linalg import (
+    clear_denominators,
+    dot,
+    from_numerators,
+    hermite_normal_form,
+    solve_rational,
+)
 from .polytope import (
     GeometryError,
     Polyhedron,
+    _reduce_mod_equations,
     intersect,
     minkowski_sum_all,
     opposite_role,
@@ -46,47 +74,86 @@ class TropicalCell:
         return self.poly.key()
 
 
-def tropical_cell(cone_cell, weight, support):
-    """The locus where all vertices of the cell realize the tropical maximum."""
-    verts = cone_cell.vertices
-    m0 = verts[0]
-    eqs = []
-    for m in verts[1:]:
-        u = tuple(a - b for a, b in zip(m, m0))
-        c = weight(m0) - weight(m)
-        eqs.append(clear_denominators((c,) + u))
-    ineqs = []
-    for mpp in support.lattice_points():
-        u = tuple(a - b for a, b in zip(m0, mpp))
-        c = weight(mpp) - weight(m0)
-        row = clear_denominators((c,) + u)
-        if any(row):
-            ineqs.append(row)
-    poly = Polyhedron.from_hrep(eqs, ineqs, opposite_role(support.role),
-                                support.ambient)
-    if poly is None:
-        raise GeometryError("not a lower-hull cell for these weights")
-    return TropicalCell(cone_cell, poly)
+def star_rows(subdivision, cell, star):
+    """T(C)'s rows: <m0, y> - w(m0) = <m, y> - w(m) at C's vertices m, and
+    >= at the vertices of the maximal cells `star` (star lemma)."""
+    w = subdivision.weight
+    m0 = cell.vertices[0]
+
+    def row(m):
+        return clear_denominators((w(m) - w(m0),)
+                                  + tuple(a - b for a, b in zip(m0, m)))
+
+    verts = sorted({m for d in star for m in d.vertices})
+    return (tuple(row(m) for m in cell.vertices[1:]),
+            tuple(r for r in map(row, verts) if any(r)))
+
+
+def tropical_vertex(subdivision, maximal_cell):
+    """y_D: <m, y_D> - w(m) takes one value at the vertices m of D."""
+    w = subdivision.weight
+    m0, *rest = maximal_cell.vertices
+    return solve_rational([tuple(a - b for a, b in zip(m, m0)) for m in rest],
+                          [w(m) - w(m0) for m in rest])
+
+
+def tropical_cell(subdivision, cell, rows, vertices):
+    """T(C) read by duality from the tropical vertices of its star and the
+    outer normals of the support's facets holding C, reduced modulo the
+    lineality (the normals of the support's equations) as H->V reduces."""
+    support = subdivision.support
+    lin = hermite_normal_form([(0,) + e[1:] for e in support.equations])
+    verts = [_reduce_mod_equations(clear_denominators((1,) + y), lin)
+             for y in vertices]
+    rays = [_reduce_mod_equations((0,) + tuple(-u for u in f[1:]), lin)[1:]
+            for f in support.facets
+            if all(dot(f, (1,) + v) == 0 for v in cell.vertices)]
+    return TropicalCell(cell, Polyhedron(
+        support.ambient, opposite_role(support.role),
+        tuple(sorted({from_numerators(r[1:], r[0]) for r in verts})),
+        tuple(sorted(rays)), tuple(l[1:] for l in lin), *rows))
 
 
 class TropicalCells:
-    """:func:`tropical_cell` of subdivision cells, built once per
-    (support, cell).
-
-    Every subdivision passed to one memo must carry a restriction of one
-    weight function (a run's omega on its support and on the parts), so
-    the support and the cell fix the tropical cell.
-    """
+    """Tropical cells read once per (support, cell): :meth:`rows` gives the
+    star rows, a call the cell with its generators.  Every subdivision
+    passed to one memo carries a restriction of one weight function (a
+    run's omega on its support and on the parts)."""
 
     def __init__(self):
         self._memo = {}
 
-    def __call__(self, subdivision, cell):
-        key = (subdivision.support, cell)
+    def _get(self, key, make):
         if key not in self._memo:
-            self._memo[key] = tropical_cell(cell, subdivision.weight,
-                                            subdivision.support)
+            self._memo[key] = make()
         return self._memo[key]
+
+    def _star(self, sub, cell):
+        """The maximal cells holding all of the cell's vertices, read from
+        each vertex's mask of the maximal cells holding it."""
+        masks = self._memo.get((sub.support, "masks"))
+        if masks is None:
+            masks = self._memo[sub.support, "masks"] = {}
+            for k, d in enumerate(sub.maximal_cells):
+                for v in d.vertices:
+                    masks[v] = masks.get(v, 0) | 1 << k
+        common = -1
+        for v in cell.vertices:
+            common &= masks.get(v, 0)
+        if not common:
+            raise GeometryError("not a cell of the subdivision")
+        return [d for k, d in enumerate(sub.maximal_cells) if common >> k & 1]
+
+    def rows(self, sub, cell):
+        return self._get((sub.support, cell, "rows"), lambda: star_rows(
+            sub, cell, self._star(sub, cell)))
+
+    def __call__(self, sub, cell):
+        return self._get((sub.support, cell), lambda: tropical_cell(
+            sub, cell, self.rows(sub, cell),
+            {self._get((sub.support, d, "vertex"),
+                       lambda: tropical_vertex(sub, d))
+             for d in self._star(sub, cell)}))
 
 
 def amoeba(subdivision, tropical_cells):
@@ -203,12 +270,19 @@ def bounded_cells_check(part_subdivisions, boundary, p_poset,
 
     Checks cell-wise F_cone = intersection of the per-part tropical cells of
     the sliced cones, and that every bounded refinement cell lands inside a
-    single complex cell.  `tropical_cells` is the :class:`TropicalCells`
-    memo of the run.
+    single complex cell, on the refinement built depth-first.
+    `tropical_cells` is the :class:`TropicalCells` memo of the run.
     """
     ambient = boundary.parent.support.ambient
+    role = opposite_role(boundary.parent.support.role)
     report = {"cellwise_equal": True, "refinement_inside_complex": True,
               "complex_cells_realized": True, "sliced_cones_are_cells": True}
+
+    def meet(pieces):
+        return Polyhedron.from_hrep([r for p in pieces for r in p[0]],
+                                    [r for p in pieces for r in p[1]],
+                                    role, ambient)
+
     part_cells = [set(sub.cells()) for sub in part_subdivisions]
     # Cell-wise equality over transversal cells.
     for k, e in enumerate(p_poset.elements):
@@ -216,35 +290,36 @@ def bounded_cells_check(part_subdivisions, boundary, p_poset,
         if any(c not in cells for c, cells in zip(sliced, part_cells)):
             report["sliced_cones_are_cells"] = False
             continue
-        pieces = [tropical_cells(sub, c)
-                  for sub, c in zip(part_subdivisions, sliced)]
-        eqs = [row for t in pieces for row in t.poly.eq_rows]
-        ineqs = [row for t in pieces for row in t.poly.ineq_rows]
-        meet = Polyhedron.from_hrep(eqs, ineqs, pieces[0].poly.role, ambient)
-        if meet is None or meet.key() != tropical_cplx.cells[k].poly.key():
+        found = meet([tropical_cells.rows(sub, c)
+                      for sub, c in zip(part_subdivisions, sliced)])
+        if found is None or found.key() != tropical_cplx.cells[k].poly.key():
             report["cellwise_equal"] = False
     # Refinement side: every bounded intersection of positive-dimension part
     # cells lies inside some complex cell.
-    tropical_by_part = [[tropical_cells(sub, c) for c in sub.cells()
-                         if c.dim > 0] for sub in part_subdivisions]
-    tuples = [()]
-    for cells_i in tropical_by_part:
-        tuples = [t + (c,) for t in tuples for c in cells_i]
+    rows_by_part = [[tropical_cells.rows(sub, c) for c in sub.cells()
+                     if c.dim > 0] for sub in part_subdivisions]
     realized = set()
     complex_keys = {c.poly.key(): idx
                     for idx, c in enumerate(tropical_cplx.cells)}
-    for combo in tuples:
-        eqs = [row for t in combo for row in t.poly.eq_rows]
-        ineqs = [row for t in combo for row in t.poly.ineq_rows]
-        meet = Polyhedron.from_hrep(eqs, ineqs, combo[0].poly.role, ambient)
-        if meet is None or not meet.is_bounded():
-            continue
-        if meet.key() in complex_keys:
-            realized.add(complex_keys[meet.key()])
-        rays = [point_ray(v) for v in meet.vertices]
-        if not any(all(c.poly.contains_ray(ray) for ray in rays)
-                   for c in tropical_cplx.cells):
-            report["refinement_inside_complex"] = False
+    prefixes = [[]]  # depth-first: a prefix is extended by the next part
+    while prefixes:
+        prefix = prefixes.pop()
+        for rows in rows_by_part[len(prefix)]:
+            pieces = prefix + [rows]
+            last = len(pieces) == len(rows_by_part)
+            # One part's cell is a tropical cell, never empty.
+            found = meet(pieces) if len(pieces) > 1 or last else True
+            if found is None:
+                continue
+            if not last:
+                prefixes.append(pieces)
+            elif found.key() in complex_keys:
+                realized.add(complex_keys[found.key()])
+            elif found.is_bounded():
+                rays = [point_ray(v) for v in found.vertices]
+                if not any(all(c.poly.contains_ray(ray) for ray in rays)
+                           for c in tropical_cplx.cells):
+                    report["refinement_inside_complex"] = False
     if len(realized) != len(tropical_cplx.cells):
         report["complex_cells_realized"] = False
     report["passed"] = all(v for k, v in report.items() if k != "passed")
@@ -271,8 +346,12 @@ def mixed_subdivision_check(boundary, poset, delta):
         total += cell_sum.volume_in_chart(chart)
     if total != delta.volume_in_chart(chart):
         report["volume_matches"] = False
+    rays = [[point_ray(v) for v in c.vertices] for c in mixed]
     for i in range(len(mixed)):
         for j in range(i + 1, len(mixed)):
+            if any(all(dot(f, r) <= 0 for r in rays[b])
+                   for a, b in ((i, j), (j, i)) for f in mixed[a].facets):
+                continue
             meet = intersect(mixed[i], mixed[j])
             if meet is not None and meet.dim == delta.dim:
                 report["interiors_disjoint"] = False

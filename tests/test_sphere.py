@@ -300,6 +300,24 @@ def test_a_cell_that_is_not_a_face_of_its_maximal_cell_fails_the_check(swap):
                                     nef.parts_hull)["passed"]
 
 
+def test_a_cell_with_a_face_that_is_no_poset_element_fails_the_check():
+    # Drop one minimal transversal cell from the poset: every Minkowski
+    # cell above it keeps that face, which is now no element's Minkowski
+    # cell, so each has one face too many.  Every face an element below it
+    # has is still among its faces and the order is still inclusion, so
+    # only the count of faces against the elements below sees it.
+    pipe = _data_pipe("prism_pair_5d")
+    poset, nef = pipe.p_poset(), pipe.nef
+    i = next(i for i in poset.minimal if poset.above(i) != [i])
+    elements = [e for k, e in enumerate(poset.elements) if k != i]
+    doctored = sphere.TransversalPoset(pipe.s_boundary(), poset.parts,
+                                       elements, poset.slices)
+    report = sphere.minkowski_complex(doctored, nef.sum_polytope, nef.r,
+                                      nef.parts_hull)
+    assert report["checks"]["order_isomorphism"] is True
+    assert report["checks"]["face_lattices_match"] is False
+
+
 def _corrupt_one_slice(monkeypatch, target):
     """Make compute_slices replace a slice of the cell `target` that has
     two or more vertices by its first vertex."""

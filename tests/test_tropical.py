@@ -2,16 +2,65 @@ from fractions import Fraction
 
 import pytest
 
-from nefsphere.polytope import ROLE_M, convex_hull
+from nefsphere.linalg import clear_denominators
+from nefsphere.polytope import (ROLE_M, GeometryError, Polyhedron, convex_hull,
+                                opposite_role)
 from nefsphere.subdivision import WeightFunction, lower_hull_subdivision
 from nefsphere.tropical import (
     TropicalCells,
     amoeba,
     bounded_amoeba_matches_zero_cell,
-    tropical_cell,
     tropical_zero_cell,
 )
+from test_monodromy import DATA_NAMES, _data_pipe
 from test_sphere import DATA_INPUTS, _data_pipeline
+
+
+def lattice_point_tropical_cell(cone_cell, weight, support):
+    """Oracle: the locus where all vertices of the cell realize the tropical
+    maximum, as the H->V solution of one inequality per lattice point of
+    the support (the route the duality reading replaced)."""
+    verts = cone_cell.vertices
+    m0 = verts[0]
+    eqs = []
+    for m in verts[1:]:
+        u = tuple(a - b for a, b in zip(m, m0))
+        c = weight(m0) - weight(m)
+        eqs.append(clear_denominators((c,) + u))
+    ineqs = []
+    for mpp in support.lattice_points():
+        u = tuple(a - b for a, b in zip(m0, mpp))
+        c = weight(mpp) - weight(m0)
+        row = clear_denominators((c,) + u)
+        if any(row):
+            ineqs.append(row)
+    poly = Polyhedron.from_hrep(eqs, ineqs, opposite_role(support.role),
+                                support.ambient)
+    if poly is None:
+        raise GeometryError("not a lower-hull cell for these weights")
+    return poly
+
+
+def _oracle_failures(subdivision):
+    """Cells whose duality reading differs from the lattice-point oracle:
+    the star rows must cut out the oracle's polyhedron, and the cell read
+    by duality must equal it in key, boundedness, dimension and
+    membership."""
+    memo = TropicalCells()
+    support, weight = subdivision.support, subdivision.weight
+    bad = []
+    for cell in subdivision.cells():
+        want = lattice_point_tropical_cell(cell, weight, support)
+        eqs, ineqs = memo.rows(subdivision, cell)
+        by_rows = Polyhedron.from_hrep(eqs, ineqs, want.role, want.ambient)
+        if by_rows is None or by_rows.key() != want.key():
+            bad.append(("rows", cell.key()))
+        got = memo(subdivision, cell).poly
+        if (got.key() != want.key() or got.is_bounded() != want.is_bounded()
+                or got.dim() != want.dim()
+                or not all(got.contains(v) for v in want.vertices)):
+            bad.append(("generators", cell.key()))
+    return bad
 
 
 def test_tropical_cell_1d():
@@ -20,12 +69,14 @@ def test_tropical_cell_1d():
     # boundary vertex {1} is dual to the ray {y >= 1}.
     seg = convex_hull([(-1,), (1,)], ROLE_M)
     w = WeightFunction.all_ones(seg)
+    sub = lower_hull_subdivision(seg, w)
+    cells = TropicalCells()
     coned = convex_hull([(0,), (1,)], ROLE_M)
-    t = tropical_cell(coned, w, seg)
+    t = cells(sub, coned)
     assert t.poly.vertices == ((Fraction(1),),)
     assert t.bounded and t.dim() == 0
     vertex_cell = convex_hull([(1,)], ROLE_M)
-    t2 = tropical_cell(vertex_cell, w, seg)
+    t2 = cells(sub, vertex_cell)
     assert t2.poly.vertices == ((Fraction(1),),)
     assert t2.poly.rays == ((1,),)
     assert not t2.bounded
@@ -35,8 +86,9 @@ def test_tropical_cell_of_maximal_cone_is_vertex():
     seg = convex_hull([(-1,), (1,)], ROLE_M)
     w = WeightFunction.all_ones(seg)
     sub = lower_hull_subdivision(seg, w)
+    cells = TropicalCells()
     for cell in sub.maximal_cells:
-        t = tropical_cell(cell, w, seg)
+        t = cells(sub, cell)
         assert t.bounded and t.dim() == 0
 
 
@@ -120,36 +172,48 @@ def test_square_tropical_complex_is_point_set(square_pipe):
 
 
 def test_tropical_cell_rejects_non_cell():
-    # The whole segment is not a cell of the all-ones lower hull: the
-    # equality/inequality system is infeasible.
-    import pytest
-    from nefsphere.polytope import GeometryError
+    # The whole segment is not a cell of the all-ones lower hull: no
+    # maximal cell holds both its vertices, so it has no star.
     seg = convex_hull([(-1,), (1,)], ROLE_M)
     w = WeightFunction.all_ones(seg)
+    sub = lower_hull_subdivision(seg, w)
     with pytest.raises(GeometryError):
-        tropical_cell(seg, w, seg)
+        TropicalCells()(sub, seg)
+    with pytest.raises(GeometryError):
+        TropicalCells().rows(sub, seg)
+    with pytest.raises(GeometryError):
+        lattice_point_tropical_cell(seg, w, seg)
 
 
 def test_tropical_cells_built_once_per_support_and_cell(monkeypatch):
     # The amoeba, the bounded complex and both loops of bounded_cells_check
-    # share one tropical cell per (support, cell); with r = 1 the part
+    # share one tropical cell per (support, cell), and its rows and each
+    # maximal cell's tropical vertex are read once; with r = 1 the part
     # subdivision has the amoeba's support.
     from nefsphere import Pipeline, tropical
     from nefsphere.cli import load_input
     from test_cli import path
-    calls = []
-    real = tropical.tropical_cell
+    calls = {"rows": [], "cell": [], "vertex": []}
 
-    def counted(cone_cell, weight, support):
-        calls.append((support.key(), cone_cell.key()))
-        return real(cone_cell, weight, support)
+    def counted(name, real):
+        def wrapper(subdivision, cell, *args):
+            calls[name].append((subdivision.support.key(), cell.key()))
+            return real(subdivision, cell, *args)
+        return wrapper
 
-    monkeypatch.setattr(tropical, "tropical_cell", counted)
+    monkeypatch.setattr(tropical, "star_rows",
+                        counted("rows", tropical.star_rows))
+    monkeypatch.setattr(tropical, "tropical_cell",
+                        counted("cell", tropical.tropical_cell))
+    monkeypatch.setattr(tropical, "tropical_vertex",
+                        counted("vertex", tropical.tropical_vertex))
     nef, omega, nu = load_input(path("simplex3.json"))
     pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
     assert all(v["passed"] for v in pipe.tropical_suite().values())
-    assert calls
-    assert len(calls) == len(set(calls))
+    for seen in calls.values():
+        assert seen
+        assert len(seen) == len(set(seen))
+    assert set(calls["cell"]) <= set(calls["rows"])
 
 
 def test_tropical_cells_memo_tells_supports_apart():
@@ -268,3 +332,139 @@ def test_a_corrupted_slice_fails_the_mixed_subdivision_check(pentagon_pipe):
     report = mixed_subdivision_check(boundary,
                                      SimpleNamespace(slices=slices), delta)
     assert not report["full_dimensional"] and not report["passed"]
+
+
+def _oracle_subdivisions(pipe, swapped_coned=True):
+    """The coned supports' and the parts' subdivisions of a run and of its
+    role-swapped run."""
+    out = []
+    for side in (pipe, pipe.dual_pipeline()):
+        if side is pipe or swapped_coned:
+            out.append(side.s_coned())
+        out.extend(side.part_subdivisions())
+    return out
+
+
+@pytest.mark.parametrize("name", DATA_NAMES)
+def test_tropical_cells_by_duality_equal_the_lattice_point_oracle(name):
+    # The oracle runs one double description per cell over every lattice
+    # point of the support.  On the role-swapped coned supports of the P^6
+    # and P^7 inputs (669-4 261 cells, 138-293 lattice points) that takes
+    # 3.5-22 s each, so those five supports are left out; their parts and
+    # the other side's are checked.
+    swapped = not name.startswith(("simplex_p6", "simplex_p7"))
+    for sub in _oracle_subdivisions(_data_pipe(name), swapped):
+        assert _oracle_failures(sub) == []
+
+
+# The r = 3 ray splits of seed 1's benchmark corpus besides the cube's
+# (tests/data/cube_split_r3.json): the square's and the hexagon's.
+RAY_SPLITS_R3 = {
+    "square": [[(-1, 0), (-1, 1), (0, 0), (0, 1)], [(0, -1), (0, 0)],
+               [(0, 0), (1, 0)]],
+    "hexagon": [[(-1, 0), (0, 0)], [(0, 0), (1, -1)], [(0, 0), (0, 1)]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAY_SPLITS_R3))
+def test_tropical_cells_of_r3_splits_equal_the_lattice_point_oracle(name):
+    from nefsphere import NefPartition, Pipeline
+    pipe = Pipeline(NefPartition.from_vertex_lists(RAY_SPLITS_R3[name]))
+    assert len(pipe.part_subdivisions()) == 3
+    assert all(v["passed"] for v in pipe.tropical_suite().values())
+    for sub in _oracle_subdivisions(pipe):
+        assert _oracle_failures(sub) == []
+
+
+def test_tropical_cells_with_a_generic_weight_equal_the_oracle():
+    # ROADMAP's quadratic bump on simplex3: 0 at the origin and
+    # 1 + q(m)/64 elsewhere, on both sides.
+    from nefsphere import NefPartition, Pipeline
+    nef = NefPartition.from_vertex_lists(
+        [[(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]])
+    diag = [Fraction(3, 7), Fraction(5, 11), Fraction(7, 13)]
+    cross = {(0, 1): Fraction(1, 23), (0, 2): Fraction(1, 29),
+             (1, 2): Fraction(1, 41)}
+
+    def bump(pt):
+        q = sum(d * x * x for d, x in zip(diag, pt))
+        q += sum(c * pt[i] * pt[j] for (i, j), c in cross.items())
+        return 0 if not any(pt) else 1 + q / 64
+
+    pipe = Pipeline(nef,
+                    omega_spec=[(pt, bump(pt))
+                                for pt in nef.parts_hull.lattice_points()],
+                    nu_spec=[(pt, bump(pt))
+                             for pt in nef.sum_polar.lattice_points()])
+    assert all(v["passed"] for v in pipe.tropical_suite().values())
+    # Unit weights subdivide the N side into the 4 cones over its facets.
+    assert len(pipe.dual_pipeline().s_coned().maximal_cells) > 4
+    for sub in _oracle_subdivisions(pipe):
+        assert _oracle_failures(sub) == []
+
+
+def test_an_overlapping_mixed_pair_fails_the_mixed_subdivision_check(
+        pentagon_pipe):
+    # Give one maximal boundary cell the slices of another: their slice
+    # sums coincide, no facet row separates them, and the pair is
+    # intersected and found to overlap.
+    from types import SimpleNamespace
+    from nefsphere.tropical import mixed_subdivision_check
+    pipe = pentagon_pipe
+    boundary, poset = pipe.s_boundary(), pipe.p_poset()
+    delta = pipe.nef.sum_polytope
+    slices = dict(poset.slices)
+    first, second = boundary.maximal_cells[:2]
+    slices[second] = slices[first]
+    report = mixed_subdivision_check(boundary,
+                                     SimpleNamespace(slices=slices), delta)
+    assert report["full_dimensional"]
+    assert not report["interiors_disjoint"] and not report["passed"]
+
+
+@pytest.mark.parametrize("name", ["pentagon_pair", "simplex3", "cube_split_r3",
+                                  "prism_pair_5d_kinked"])
+def test_separated_mixed_pairs_meet_in_no_full_cell(name):
+    # The separation certificate (a facet row of one cell <= 0 at every
+    # vertex of the other) is checked against the intersection it skips.
+    from nefsphere.linalg import dot
+    from nefsphere.polytope import intersect, minkowski_sum_all, point_ray
+    pipe = _data_pipeline(name)
+    boundary, poset = pipe.s_boundary(), pipe.p_poset()
+    cells = [minkowski_sum_all([boundary.coned(s)
+                                for s in poset.slices[c] if s is not None])
+             for c in boundary.maximal_cells]
+    separated = 0
+    for i, p in enumerate(cells):
+        for q in cells[i + 1:]:
+            if any(all(dot(f, point_ray(v)) <= 0 for v in b.vertices)
+                   for a, b in ((p, q), (q, p)) for f in a.facets):
+                separated += 1
+                meet = intersect(p, q)
+                assert meet is None or meet.dim < p.dim
+    assert separated > 0
+
+
+def test_a_refinement_cell_outside_the_complex_fails_the_check(simplex3_pipe):
+    # Replace a complex cell that lies in no other by one of its faces: the
+    # meet of part cells that equals the old cell now lies in no complex
+    # cell.
+    from types import SimpleNamespace
+    from nefsphere.tropical import bounded_cells_check
+    pipe = simplex3_pipe
+    cplx = pipe.tropical_complex()
+    k = next(k for k in range(len(cplx))
+             if cplx.containment[k] == 1 << k and cplx.cells[k].dim() > 0)
+    face = next(c for j, c in enumerate(cplx.cells)
+                if j != k and cplx.containment[j] >> k & 1)
+    doctored = SimpleNamespace(cells=[face if j == k else c
+                                      for j, c in enumerate(cplx.cells)])
+
+    def check(complex_):
+        return bounded_cells_check(pipe.part_subdivisions(), pipe.s_boundary(),
+                                   pipe.p_poset(), complex_,
+                                   pipe.tropical_cells())
+
+    assert check(cplx)["passed"]
+    report = check(doctored)
+    assert not report["refinement_inside_complex"] and not report["passed"]
