@@ -77,11 +77,12 @@ class TropicalCell:
 def star_rows(subdivision, cell, star):
     """T(C)'s rows: <m0, y> - w(m0) = <m, y> - w(m) at C's vertices m, and
     >= at the vertices of the maximal cells `star` (star lemma)."""
-    w = subdivision.weight
+    w = subdivision.weight.values  # keyed by lattice points, as vertices are
     m0 = cell.vertices[0]
+    w0 = w[m0]
 
     def row(m):
-        return clear_denominators((w(m) - w(m0),)
+        return clear_denominators((w[m] - w0,)
                                   + tuple(a - b for a, b in zip(m0, m)))
 
     verts = sorted({m for d in star for m in d.vertices})
@@ -296,19 +297,21 @@ def bounded_cells_check(part_subdivisions, boundary, p_poset,
             report["cellwise_equal"] = False
     # Refinement side: every bounded intersection of positive-dimension part
     # cells lies inside some complex cell.
-    rows_by_part = [[tropical_cells.rows(sub, c) for c in sub.cells()
-                     if c.dim > 0] for sub in part_subdivisions]
+    cells_by_part = [[(sub, c) for c in sub.cells() if c.dim > 0]
+                     for sub in part_subdivisions]
     realized = set()
     complex_keys = {c.poly.key(): idx
                     for idx, c in enumerate(tropical_cplx.cells)}
     prefixes = [[]]  # depth-first: a prefix is extended by the next part
     while prefixes:
         prefix = prefixes.pop()
-        for rows in rows_by_part[len(prefix)]:
-            pieces = prefix + [rows]
-            last = len(pieces) == len(rows_by_part)
-            # One part's cell is a tropical cell, never empty.
-            found = meet(pieces) if len(pieces) > 1 or last else True
+        for sub, c in cells_by_part[len(prefix)]:
+            pieces = prefix + [tropical_cells.rows(sub, c)]
+            last = len(pieces) == len(cells_by_part)
+            if len(pieces) > 1:
+                found = meet(pieces)
+            else:  # one part's cell is its tropical cell, never empty
+                found = tropical_cells(sub, c).poly if last else True
             if found is None:
                 continue
             if not last:
