@@ -18,9 +18,9 @@ the convex g - H is >= 0 along every segment from relint C: H <= g <= w at
 every lattice point.  T(C) has as vertices the tropical vertices y_D of
 its star (<m, y_D> - w(m) constant on D), as rays the outer normals of the
 support's facets holding C, and as lineality the normals of the support's
-equations.  The refinement only intersects part cells, so it reads their
-rows and no generators.  The zero cell stays a double description, an
-independent check of the duality reading.
+equations.  With two or more parts the refinement only intersects part
+cells, so it reads their rows and no generators.  The zero cell stays a
+double description, an independent check of the duality reading.
 
 The refinement of the part amoebas is built depth-first (Huber-Sturmfels,
 *Math. Comp.* 64, 1995): a prefix with an empty meet is dropped with its
