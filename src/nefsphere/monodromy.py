@@ -7,14 +7,13 @@ sigma0 is y -> y + sum_j [<m_j(sigma1), y> - w(m_j(sigma1))] (n_j(tau1) -
 n_j(tau0)), and every holonomy is read from it (:func:`monodromy`); only
 global transport runs transitions, on the spanning tree's edges.
 
-Slice points, transitions and base charts read only the two transversal
-posets and the weight (:func:`slice_point_memo`, :func:`transition_memo`,
-:func:`base_chart_memo`), not Sigma.  The role-swapped run's posets are
-this run's, swapped, so the duality pairing reads the dual holonomy from
-them (:func:`duality_check`) and no second Sigma is built.
+A run's charts live in one :class:`ChartAtlas`, built from the two
+transversal posets and the weight, not Sigma.  The role-swapped run's
+posets hold this run's cells, swapped, so its atlas reads the slice points
+they hold, the duality pairing reads the dual holonomy from it
+(:func:`duality_check`), and no second Sigma is built.
 """
 
-from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from operator import itemgetter, sub
@@ -35,7 +34,7 @@ from .linalg import (
     to_numerators,
 )
 from .homology import order_complex_homology
-from .sphere import _bits, _cell_key, _point_key
+from .sphere import _bits, _cell_key, _or_all, _point_key
 
 
 # -- smoothness and the discriminant -----------------------------------------
@@ -133,43 +132,63 @@ def complement_homology(sigma, smooth):
 
 
 class ChartAtlas:
-    """Vertex sets of the chart covering, indexed by minimal transversal cells.
+    """The affine structure's atlas, built from the two transversal posets
+    and the weight, with no Sigma: a chart-graph node's slice points, read
+    from its cell (:meth:`points`), the :class:`BaseChart` of each minimal
+    P-cell (:meth:`base`) and the linear part of each chart change
+    (:meth:`transition`), each built once, on first use."""
 
-    A chart is the bitmask of Sigma's cells over its minimal cell: U_s is
-    Sigma's p_up[s], V_t its q_up[t].
-    """
+    def __init__(self, p_poset, q_poset, weight):
+        self.p_poset = p_poset
+        self.q_poset = q_poset
+        self.weight = weight
+        self._bases = {}
+        self._transitions = {}
 
-    def __init__(self, sigma):
-        self.sigma = sigma
-        self.u_charts = {s: sigma.p_up[s] for s in sigma.p_poset.minimal}
-        self.v_charts = {t: sigma.q_up[t] for t in sigma.q_poset.minimal}
+    def points(self, node):
+        """The slice points of chart-graph node ("P", i) or ("Q", j)."""
+        poset = self.p_poset if node[0] == "P" else self.q_poset
+        return poset.elements[node[1]].slice_points()
 
-    def covering_report(self):
-        full = (1 << len(self.sigma.pairs)) - 1
-        report = {"u_charts_cover": _or_all(self.u_charts.values()) == full,
-                  "v_charts_cover": _or_all(self.v_charts.values()) == full}
+    def base(self, i):
+        """The :class:`BaseChart` of minimal P-cell i."""
+        chart = self._bases.get(i)
+        if chart is None:
+            chart = self._bases[i] = base_chart_data(
+                self.p_poset.elements[i], self.points(("P", i)), self.weight)
+        return chart
+
+    def transition(self, i, j):
+        """:func:`chart_transition` into P-cell i through Q-cell j."""
+        step = self._transitions.get((i, j))
+        if step is None:
+            step = self._transitions[i, j] = chart_transition(
+                self.points(("P", i)), self.points(("Q", j)))
+        return step
+
+    def covering_report(self, sigma):
+        """The covering verdicts: chart U_s is Sigma's mask p_up[s] of the
+        cells over minimal P-cell s, V_t its q_up[t]."""
+        u_charts = {s: sigma.p_up[s] for s in sigma.p_poset.minimal}
+        v_charts = {t: sigma.q_up[t] for t in sigma.q_poset.minimal}
+        full = (1 << len(sigma.pairs)) - 1
+        report = {"u_charts_cover": _or_all(u_charts.values()) == full,
+                  "v_charts_cover": _or_all(v_charts.values()) == full}
         # U_s meets V_t exactly when (s, t) is an adjoint pair.
         report["chart_overlaps_match_adjacency"] = all(
-            bool(us & vs) == ((s, t) in self.sigma.pair_index)
-            for s, us in self.u_charts.items()
-            for t, vs in self.v_charts.items())
+            bool(us & vs) == ((s, t) in sigma.pair_index)
+            for s, us in u_charts.items()
+            for t, vs in v_charts.items())
         # Every chart intersection pattern is witnessed by a transversal cell.
-        p_poset = self.sigma.p_poset
-        hit = _or_all(1 << i for i, _ in self.sigma.pairs)
-        mins = sorted(self.u_charts)
+        p_poset = sigma.p_poset
+        hit = _or_all(1 << i for i, _ in sigma.pairs)
+        mins = sorted(u_charts)
         report["nerve_witnessed_by_poset"] = all(
-            bool(self.u_charts[a] & self.u_charts[b])
+            bool(u_charts[a] & u_charts[b])
             == bool(p_poset._above[a] & p_poset._above[b] & hit)
             for a_i, a in enumerate(mins) for b in mins[a_i + 1:])
         report["passed"] = all(v for k, v in report.items() if k != "passed")
         return report
-
-
-def _or_all(masks):
-    out = 0
-    for mask in masks:
-        out |= mask
-    return out
 
 
 class ChartGraph:
@@ -288,33 +307,6 @@ def _span_pairs(poset, minimal, boundary):
             if masks[i] | masks[j] in spans]
 
 
-def _lattice_slice_vertex(cell, j):
-    """The slice point j of a minimal transversal cell, which must be a
-    lattice point: the chart maps and lattices are built from it."""
-    v = cell.slice_vertex(j)
-    if any(type(x) is not int for x in v):
-        raise FalsificationError(
-            "slice point of a minimal transversal cell is not integral",
-            {"cell": _cell_key(cell.cell), "slice": j,
-             "point": _point_key(v)})
-    return v
-
-
-def slice_point_memo(p_poset, q_poset):
-    """The slice points of the minimal transversal cells by chart-graph
-    node, ("P", i) or ("Q", j), each cell's read once per run: the charts,
-    the transitions and every holonomy are built from them."""
-    elements = {"P": p_poset.elements, "Q": q_poset.elements}
-
-    @lru_cache(maxsize=None)
-    def points(node):
-        cell = elements[node[0]][node[1]]
-        return tuple(_lattice_slice_vertex(cell, j)
-                     for j in range(len(cell.slices)))
-
-    return points
-
-
 def chart_transition(dst, via):
     """The linear part I - sum_j n_j m_j^T of the chart change
     T(sigma, tau) y = y - sum_j [<m_j, y> - w(m_j)] n_j into minimal P-cell
@@ -323,18 +315,6 @@ def chart_transition(dst, via):
     d = len(dst[0])
     return tuple(tuple(int(a == b) - sum(n[a] * m[b] for m, n in zip(dst, via))
                        for b in range(d)) for a in range(d))
-
-
-def transition_memo(points):
-    """chart_transition by (destination P-index, via Q-index), built once
-    per pair from the :func:`slice_point_memo`; global transport reads it on
-    the spanning tree's edges only."""
-
-    @lru_cache(maxsize=None)
-    def transition(i, j):
-        return chart_transition(points(("P", i)), points(("Q", j)))
-
-    return transition
 
 
 class AffineMonodromy:
@@ -399,19 +379,7 @@ def base_chart_data(base_cell, rows, weight):
                      den // k)
 
 
-def base_chart_memo(p_poset, points, weight):
-    """base_chart_data by P-index, built once per minimal cell from the
-    :func:`slice_point_memo`."""
-    p_el = p_poset.elements
-
-    @lru_cache(maxsize=None)
-    def base_chart(i):
-        return base_chart_data(p_el[i], points(("P", i)), weight)
-
-    return base_chart
-
-
-def _loop_terms(loop, points):
+def _loop_terms(loop, atlas):
     """(m_j(sigma1), dm_j, dn_j) over the indices j that change on both
     sides of a primary loop: dm_j = m_j(sigma1) - m_j(sigma0) != 0 and
     dn_j = n_j(tau1) - n_j(tau0) != 0.  Other indices move nothing on chart
@@ -424,8 +392,8 @@ def _loop_terms(loop, points):
     N = U V^T (U = L dn, V = B dm) has N^2 = U (V^T U) V^T = 0, as B^T L
     fixes the tangent dn_j: the map is unipotent of order two, det one.
     """
-    corners = [points(node) for node in (("P", loop.p0), ("Q", loop.q0),
-                                         ("P", loop.p1), ("Q", loop.q1))]
+    corners = [atlas.points(node) for node in (("P", loop.p0), ("Q", loop.q0),
+                                               ("P", loop.p1), ("Q", loop.q1))]
     m0, n0, m1, n1 = corners
     dm = [tuple(map(sub, a, b)) for a, b in zip(m1, m0)]
     dn = [tuple(map(sub, a, b)) for a, b in zip(n1, n0)]
@@ -449,7 +417,7 @@ def _unipotent(frame, coords, terms):
                        for b in range(k)) for a in range(k)), us, vs
 
 
-def monodromy(loop, base_chart, points, weight):
+def monodromy(loop, atlas):
     """The affine holonomy of a primary loop (sigma0, tau0, sigma1, tau1)
     in chart sigma0's lattice coordinates, from the closed formula.
 
@@ -461,18 +429,18 @@ def monodromy(loop, base_chart, points, weight):
     vectors c_j = <dm_j, .>: the linear part is I + sum_j (L dn_j)(B dm_j)^T
     and the images B_b + sum_j <dm_j, B_b> dn_j; the translation L sum_j
     c_j dn_j at x0 is kept in integers over one denominator.  A degenerate
-    loop (dm = 0 or dn = 0) has no terms and is the identity.  `base_chart`
-    and `points` are :func:`base_chart_memo` and :func:`slice_point_memo`.
+    loop (dm = 0 or dn = 0) has no terms and is the identity.  Chart sigma0,
+    the slice points and the weight are read from `atlas`.
     """
-    chart = base_chart(loop.p0)
-    terms = _loop_terms(loop, points)
+    chart = atlas.base(loop.p0)
+    terms = _loop_terms(loop, atlas)
     linear, us, vs = _unipotent(chart.basis, chart.inverse, terms)
     images = tuple(tuple(x + sum(v[b] * n[a]
                                  for v, (_, _, n) in zip(vs, terms))
                          for a, x in enumerate(f))
                    for b, f in enumerate(chart.basis))
     # c_j = C_j / (x0_den s), s the common denominator of the w(m_j).
-    heights = [weight(m) for m, _, _ in terms]
+    heights = [atlas.weight(m) for m, _, _ in terms]
     s = denominator_lcm(heights)
     cs = [dot(m, chart.x0_num) * s - h * chart.x0_den
           for (m, _, _), h in zip(terms, to_numerators(heights, s))]
@@ -506,16 +474,11 @@ def triviality_equivalence_check(sigma, loop, mono, smooth):
                 _is_identity(mono)}
     cond1 = _is_identity(mono)
     cond2 = encloses_smooth_pair(sigma, loop, smooth)
-    common_changing_index = False
-    p0 = sigma.p_poset.elements[loop.p0]
-    p1 = sigma.p_poset.elements[loop.p1]
-    q0 = sigma.q_poset.elements[loop.q0]
-    q1 = sigma.q_poset.elements[loop.q1]
-    for j in range(sigma.r):
-        if p0.slice_vertex(j) != p1.slice_vertex(j) and \
-                q0.slice_vertex(j) != q1.slice_vertex(j):
-            common_changing_index = True
-            break
+    p_el, q_el = sigma.p_poset.elements, sigma.q_poset.elements
+    common_changing_index = any(
+        m0 != m1 and n0 != n1 for m0, m1, n0, n1 in zip(
+            p_el[loop.p0].slice_points(), p_el[loop.p1].slice_points(),
+            q_el[loop.q0].slice_points(), q_el[loop.q1].slice_points()))
     cond3 = not common_changing_index
     return {"degenerate": False, "trivial": cond1,
             "smooth_hull_pair": cond2,
@@ -529,21 +492,19 @@ def _is_identity(mono):
         all(t == 0 for t in mono.translation)
 
 
-def local_group(sigma, pair_idx, base_chart, points, weight):
+def local_group(sigma, pair_idx, atlas):
     """Monodromies of all loops inside the star of a single pair vertex.
 
     Verifies the abelian upper-triangular structure: commuting generators,
     image inside the tangent space of the tau-side Minkowski cell, and
-    vanishing on it.  `base_chart` and `points` are the
-    :func:`base_chart_memo` and :func:`slice_point_memo` of sigma's posets,
-    and `weight` their weight.
+    vanishing on it.  `atlas` is the :class:`ChartAtlas` of sigma's posets.
     """
     i, j = sigma.pairs[pair_idx]
     p_poset, q_poset = sigma.p_poset, sigma.q_poset
     p_min = p_poset.minimal_below(i)
     q_min = q_poset.minimal_below(j)
     base_idx = p_min[0]
-    chart = base_chart(base_idx)
+    chart = atlas.base(base_idx)
     d = p_poset.elements[base_idx].cell.ambient
     r = sigma.r
     mats = []
@@ -553,14 +514,13 @@ def local_group(sigma, pair_idx, base_chart, points, weight):
                 if a == b and pk == base_idx:
                     continue
                 loop = PrimaryLoop(base_idx, q_min[a], pk, q_min[b])
-                mats.append(monodromy(loop, base_chart, points,
-                                      weight).linear)
+                mats.append(monodromy(loop, atlas).linear)
     # W: span of the slice-point differences over the tau side.
     diffs = []
     for a in range(len(q_min)):
         for b in range(a + 1, len(q_min)):
-            for qa, qb in zip(points(("Q", q_min[a])),
-                              points(("Q", q_min[b]))):
+            for qa, qb in zip(atlas.points(("Q", q_min[a])),
+                              atlas.points(("Q", q_min[b]))):
                 diff = tuple(map(sub, qa, qb))
                 if any(diff):
                     diffs.append(diff)
@@ -615,28 +575,25 @@ def _mat_sub_identity(m):
 # -- global analysis -----------------------------------------------------------
 
 
-def global_group(sigma, graph, loops, transition, base_chart, points,
-                 discriminant_complex):
+def global_group(sigma, graph, loops, atlas, discriminant_complex):
     """Transport every primary loop to a fixed base chart and analyze the
     resulting subgroup: commutation, the Smith divisors of the log lattice,
     and per-discriminant-component sublattices.  A degenerate loop enters
     as the identity (dm = 0 or dn = 0 in :func:`monodromy`'s formula).
-    `transition`, `base_chart` and `points` are the
-    :func:`transition_memo`, :func:`base_chart_memo` and
-    :func:`slice_point_memo` of sigma's posets and the weight."""
+    `atlas` is the :class:`ChartAtlas` of sigma's posets."""
     if not graph.p_nodes:
         return {"trivial": True, "divisors": [], "commuting": True,
                 "component_divisors": {}, "graph_components": 0,
                 "transported": 0, "skipped_other_component": 0}
     nodes = graph.nodes()
-    seen = graph.spanning_tree(nodes[0])
-    base_component_size = len(seen)
+    parent = graph.spanning_tree(nodes[0])
+    seen = set(parent)
     components = 1
     for node in nodes:
         if node not in seen:
             seen.update(graph.spanning_tree(node))
             components += 1
-    moved = transported_loops(graph, loops, transition, base_chart, points)
+    moved = transported_loops(parent, loops, atlas)
     transported = [linear for _, linear in moved]
     skipped = len(loops) - len(moved)
     # The distinct logs, in first-seen order: a repeated row leaves the
@@ -665,13 +622,15 @@ def global_group(sigma, graph, loops, transition, base_chart, points,
         "graph_components": components,
         "transported": len(transported),
         "skipped_other_component": skipped,
-        "base_component_size": base_component_size,
+        "base_component_size": len(parent),
     }
 
 
-def transported_loops(graph, loops, transition, base_chart, points):
+def transported_loops(parent, loops, atlas):
     """(loop, linear part in the base chart) for every loop in the base
-    node's component of the chart graph, in order.
+    node's component of the chart graph, in order: `parent` is the base
+    node's BFS tree (:meth:`ChartGraph.spanning_tree`), whose first key is
+    the base.
 
     A loop at node n is transported as back_n o loop o fwd_n along the BFS
     tree.  With F_n and G_n of :func:`_tree_transport` (G_n F_n = I), it
@@ -681,9 +640,8 @@ def transported_loops(graph, loops, transition, base_chart, points):
     spans.  A degenerate loop is appended as the identity with nothing
     transported; ``--verify full`` still checks its own monodromy.
     """
-    base_node = graph.nodes()[0]
-    parent = graph.spanning_tree(base_node)
-    chart = base_chart(base_node[1])
+    base_node = next(iter(parent))
+    chart = atlas.base(base_node[1])
     one = identity(len(chart.basis))
     # node -> (F_n, M_n, G_n), once per P-node with a non-degenerate loop.
     transport = {base_node: (chart.basis, identity(len(chart.rows[0])),
@@ -696,14 +654,14 @@ def transported_loops(graph, loops, transition, base_chart, points):
         if loop.degenerate:
             out.append((loop, one))
             continue
-        frame, _, coords = _tree_transport(parent, transport, node,
-                                           transition, points, chart)
+        frame, _, coords = _tree_transport(parent, transport, node, atlas,
+                                           chart)
         out.append((loop, _unipotent(frame, coords,
-                                     _loop_terms(loop, points))[0]))
+                                     _loop_terms(loop, atlas))[0]))
     return out
 
 
-def _tree_transport(parent, transport, node, transition, points, chart):
+def _tree_transport(parent, transport, node, atlas, chart):
     """(F_n, M_n, G_n) at a P-node n: the base basis pushed to n along the
     spanning tree, the linear part of the way back, and G_n = L M_n.
 
@@ -722,10 +680,10 @@ def _tree_transport(parent, transport, node, transition, points, chart):
         grand = parent[parent[child]]
         frame, back, _ = transport[grand]
         via = parent[child][1]
-        step = transition(child[1], via)
+        step = atlas.transition(child[1], via)
         frame = tuple(tuple(dot(row, f) for row in step) for f in frame)
-        back = mat_mul(back, transition(grand[1], via))
-        rows = points(child)
+        back = mat_mul(back, atlas.transition(grand[1], via))
+        rows = atlas.points(child)
         if any(dot(m, f) for m in rows for f in frame) or \
                 tuple(tuple(dot(row, f) for row in back)
                       for f in frame) != chart.basis:
@@ -748,7 +706,7 @@ def _loop_discriminant_component(sigma, loop, disc):
 # -- duality -------------------------------------------------------------------
 
 
-def duality_check(loop, mono, dual_base_chart, dual_points, dual_weight):
+def duality_check(loop, mono, dual_atlas):
     """Transpose-inverse pairing of the primal and dual loop monodromies.
 
     The dual loop is (tau0, sigma1, tau1, sigma0), run through the dual
@@ -758,13 +716,10 @@ def duality_check(loop, mono, dual_base_chart, dual_points, dual_weight):
     duality swaps the roles of Delta and nabla, and the dual pipeline is
     seeded with this run's posets, swapped), so the dual loop has the same
     indices, read on the other side, and no dual Sigma is built.
-    `dual_base_chart`, `dual_points` and `dual_weight` are the
-    :func:`base_chart_memo`, :func:`slice_point_memo` and weight of the
-    dual run.
+    `dual_atlas` is the dual run's :class:`ChartAtlas`.
     """
     dual_loop = PrimaryLoop(loop.q0, loop.p1, loop.q1, loop.p0)
-    dual_mono = monodromy(dual_loop, dual_base_chart, dual_points,
-                          dual_weight)
+    dual_mono = monodromy(dual_loop, dual_atlas)
     b_sigma = mono.basis
     b_tau = dual_mono.basis
     pairing = [[dot(y, x) for x in b_sigma] for y in b_tau]

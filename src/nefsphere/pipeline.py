@@ -142,7 +142,10 @@ class Pipeline:
 
     @_cached
     def part_subdivisions(self):
-        return [tropical.part_subdivision(p, self.omega())
+        # With r = 1 the part is the parts hull (hulls are interned), whose
+        # subdivision s_coned holds.
+        return [self.s_coned() if p is self.nef.parts_hull
+                else tropical.part_subdivision(p, self.omega())
                 for p in self.nef.parts]
 
     @_cached
@@ -168,7 +171,7 @@ class Pipeline:
 
     @_cached
     def atlas(self):
-        return mono.ChartAtlas(self.sigma())
+        return mono.ChartAtlas(self.p_poset(), self.q_poset(), self.omega())
 
     @_cached
     def graph(self):
@@ -184,29 +187,14 @@ class Pipeline:
                                   self.t_boundary())
 
     @_cached
-    def slice_points(self):
-        return mono.slice_point_memo(self.p_poset(), self.q_poset())
-
-    @_cached
-    def transitions(self):
-        return mono.transition_memo(self.slice_points())
-
-    @_cached
-    def base_charts(self):
-        return mono.base_chart_memo(self.p_poset(), self.slice_points(),
-                                    self.omega())
-
-    @_cached
     def monodromies(self):
-        return [mono.monodromy(loop, self.base_charts(), self.slice_points(),
-                               self.omega())
-                for loop in self.loops()]
+        atlas = self.atlas()
+        return [mono.monodromy(loop, atlas) for loop in self.loops()]
 
     @_cached
     def global_report(self):
         return mono.global_group(self.sigma(), self.graph(), self.loops(),
-                                 self.transitions(), self.base_charts(),
-                                 self.slice_points(), self.discriminant())
+                                 self.atlas(), self.discriminant())
 
     @_cached
     def complement_homology(self):
@@ -219,9 +207,10 @@ class Pipeline:
 
         By Batyrev-Borisov duality it is this run with the roles of Delta
         and nabla swapped.  The duality equalities are checked by key, and
-        the dual run's subdivisions, posets and slice points are then this
-        run's, swapped.
-        The duality suite reads the dual holonomy from those posets; it
+        the dual run's subdivisions and posets are then this run's, swapped.
+        Its posets hold this run's cells, so its own atlas, built with its
+        omega (this run's nu), reads the slice points these cells hold.
+        The duality suite reads the dual holonomy from that atlas; it
         builds no dual Sigma.
         """
         back = self.double_dual()
@@ -245,11 +234,6 @@ class Pipeline:
                                   ("p_poset", "q_poset"),
                                   ("q_poset", "p_poset")):
             pipe._cache["_" + dual_stage] = getattr(self, stage)()
-        # Its posets hold this run's cells, so its slice points are these.
-        points = self.slice_points()
-        swap = {"P": "Q", "Q": "P"}
-        pipe._cache["_slice_points"] = \
-            lambda node: points((swap[node[0]], node[1]))
         return pipe
 
     # -- verification suites ---------------------------------------------------------
@@ -279,14 +263,13 @@ class Pipeline:
                 for loop, m in zip(self.loops(), self.monodromies())]
 
     def local_group_suite(self):
-        return {k: mono.local_group(self.sigma(), k, self.base_charts(),
-                                    self.slice_points(), self.omega())
+        return {k: mono.local_group(self.sigma(), k, self.atlas())
                 for k in self.discriminant().vertex_ids}
 
     def duality_suite(self):
         dual_pipe = self.dual_pipeline()
-        return [mono.duality_check(loop, m, dual_pipe.base_charts(),
-                                   dual_pipe.slice_points(), dual_pipe.omega())
+        # Read per loop, so a run with no loop builds no dual atlas.
+        return [mono.duality_check(loop, m, dual_pipe.atlas())
                 for loop, m in zip(self.loops(), self.monodromies())]
 
     # -- reporting --------------------------------------------------------------------
@@ -355,7 +338,7 @@ class Pipeline:
             "primary_loops": len(loops),
             "degenerate_loops": sum(1 for l in loops if l.degenerate),
             "global": self.global_report(),
-            "atlas": self.atlas().covering_report(),
+            "atlas": self.atlas().covering_report(sigma),
         }
         if verify == "full":
             stages["lemma_suite_failures"] = self.lemma_suite()

@@ -98,19 +98,36 @@ from .polytope import convex_hull as convex_hull  # for the bench tracer
 class TransversalCell:
     """A subdivision cell together with its part slices and Minkowski cell."""
 
-    __slots__ = ("cell", "slices", "minkowski")
+    __slots__ = ("cell", "slices", "minkowski", "_points")
 
     def __init__(self, cell, slices, minkowski):
         self.cell = cell
         self.slices = slices
         self.minkowski = minkowski
+        self._points = None
 
-    def slice_vertex(self, i):
-        """The single vertex of slice i (minimal transversal cells only)."""
-        verts = self.slices[i].vertices
-        if len(verts) != 1:
-            raise ValueError("slice is not a point")
-        return verts[0]
+    def slice_points(self):
+        """The single vertex of each slice (minimal transversal cells only),
+        read on first use.  Each must be a lattice point: the chart maps and
+        lattices are built from them."""
+        points = self._points
+        if points is None:
+            points = self._points = tuple(
+                _lattice_slice_point(self, j) for j in range(len(self.slices)))
+        return points
+
+
+def _lattice_slice_point(tcell, j):
+    verts = tcell.slices[j].vertices
+    if len(verts) != 1:
+        raise ValueError("slice is not a point")
+    v = verts[0]
+    if any(type(x) is not int for x in v):
+        raise FalsificationError(
+            "slice point of a minimal transversal cell is not integral",
+            {"cell": _cell_key(tcell.cell), "slice": j,
+             "point": _point_key(v)})
+    return v
 
 
 class TransversalPoset:
@@ -601,13 +618,13 @@ class SigmaComplex:
         for k, (i, j) in enumerate(self.pairs):
             p_row[i] |= 1 << k
             q_row[j] |= 1 << k
-        self.p_up = [_union(p_row, self.p_poset.above(i))
+        self.p_up = [_or_all(map(p_row.__getitem__, self.p_poset.above(i)))
                      for i in range(len(p_row))]
-        self.q_up = [_union(q_row, self.q_poset.above(j))
+        self.q_up = [_or_all(map(q_row.__getitem__, self.q_poset.above(j)))
                      for j in range(len(q_row))]
-        p_down = [_union(p_row, self.p_poset.below(i))
+        p_down = [_or_all(map(p_row.__getitem__, self.p_poset.below(i)))
                   for i in range(len(p_row))]
-        q_down = [_union(q_row, self.q_poset.below(j))
+        q_down = [_or_all(map(q_row.__getitem__, self.q_poset.below(j)))
                   for j in range(len(q_row))]
         self._above = [self.p_up[i] & self.q_up[j] for i, j in self.pairs]
         self._below = [p_down[i] & q_down[j] for i, j in self.pairs]
@@ -708,11 +725,12 @@ def is_closed_pseudomanifold(dims, below):
                for k, d in enumerate(dims) if d == top - 1)
 
 
-def _union(rows, indices):
-    mask = 0
-    for i in indices:
-        mask |= rows[i]
-    return mask
+def _or_all(masks):
+    """The union of bitmasks."""
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
 
 
 def _bits(mask):

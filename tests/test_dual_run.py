@@ -6,9 +6,11 @@ primal's subdivisions and posets after checking the duality equalities.  The
 seeded run must equal the one computed from scratch.
 """
 
+import json
+
 import pytest
 
-from nefsphere import Pipeline
+from nefsphere import NefPartition, Pipeline, cli
 from nefsphere import pipeline as pipeline_module
 from nefsphere.cli import load_input
 from nefsphere.monodromy import PrimaryLoop, duality_check
@@ -104,8 +106,7 @@ def test_dual_loop_is_the_cell_lookup_in_an_unseeded_run(name):
                            q_index[p_el[loop.p0].cell]) == \
             PrimaryLoop(loop.q0, loop.p1, loop.q1, loop.p0)
     assert primal.duality_suite() == [
-        duality_check(loop, m, fresh.base_charts(), fresh.slice_points(),
-                      fresh.omega())
+        duality_check(loop, m, fresh.atlas())
         for loop, m in zip(loops, primal.monodromies())]
 
 
@@ -137,3 +138,55 @@ def test_involution_reports_only_geometric_failures(monkeypatch):
                         failing(ZeroDivisionError("bug")))
     with pytest.raises(ZeroDivisionError):
         _pipeline("triangle")._involution_holds()
+
+
+# -- the duality claims dual_pipeline checks, each flipped by one fault ------
+
+
+def _planted(monkeypatch, capsys, name, plant):
+    """(exit code, falsified) of ``report --verify full --dual`` on an input
+    whose run is handed to `plant` just before its dual run is built."""
+    real = Pipeline.dual_pipeline
+
+    def dual_pipeline(self):
+        if "_dual_pipeline" not in self._cache:
+            plant(self)
+        return real(self)
+
+    monkeypatch.setattr(Pipeline, "dual_pipeline", dual_pipeline)
+    code = cli.main(["report", path(f"{name}.json"), "--verify", "full",
+                     "--dual"])
+    return code, json.loads(capsys.readouterr().out)["falsified"]
+
+
+def _claim(text):
+    return {"claim": f"dual_pipeline: {text}",
+            "certificate": {"stage": "dual_pipeline"}}
+
+
+def test_a_wrong_dual_parts_hull_fails_the_dual_run(monkeypatch, capsys):
+    def plant(pipe):
+        pipe.dual()._parts_hull = pipe.nef.parts_hull
+
+    assert _planted(monkeypatch, capsys, "simplex3", plant) == \
+        (3, _claim("the dual parts hull is not the polar of the sum"))
+
+
+def test_a_wrong_dual_sum_polar_fails_the_dual_run(monkeypatch, capsys):
+    def plant(pipe):
+        pipe.dual()._sum_polar = pipe.nef.sum_polar
+
+    assert _planted(monkeypatch, capsys, "simplex3", plant) == \
+        (3, _claim("the polar of the dual sum is not the parts hull"))
+
+
+def test_a_reordered_double_dual_fails_the_dual_run(monkeypatch, capsys):
+    # The sum of the parts is unchanged, so only the involution sees it.
+    def plant(pipe):
+        back = pipe.double_dual()
+        assert back.parts[0] != back.parts[1]
+        pipe._cache["_double_dual"] = NefPartition(back.parts[::-1],
+                                                   back.role)
+
+    assert _planted(monkeypatch, capsys, "pentagon_pair", plant) == \
+        (3, _claim("the double-dual parts are not the parts"))

@@ -115,8 +115,8 @@ def affine_transition(dst_cell, via_cell, weight, ambient):
     m = [list(row) for row in identity(ambient)]
     t = [0] * ambient
     for j in range(len(dst_cell.slices)):
-        dst_j = dst_cell.slice_vertex(j)
-        via_j = via_cell.slice_vertex(j)
+        dst_j = dst_cell.slice_points()[j]
+        via_j = via_cell.slice_points()[j]
         for a in range(ambient):
             for b in range(ambient):
                 m[a][b] -= via_j[a] * dst_j[b]
@@ -273,7 +273,7 @@ def test_discriminant_simplex3_isolated_points(simplex3_pipe):
 
 def test_atlas_covering(simplex3_pipe, triangle_pipe):
     for pipe in (simplex3_pipe, triangle_pipe):
-        report = ChartAtlas(pipe.sigma()).covering_report()
+        report = pipe.atlas().covering_report(pipe.sigma())
         assert report["passed"], report
 
 
@@ -474,7 +474,7 @@ def test_parallel_transport_roundtrip(simplex3_pipe):
              for s in range(0, len(path) - 1, 2)]
     steps += [transition(path[s - 2][1], path[s - 1][1])
               for s in range(len(path) - 1, 1, -2)]
-    chart = simplex3_pipe.base_charts()(base[1])
+    chart = simplex3_pipe.atlas().base(base[1])
     k = len(chart.basis)
     images, (image, den) = _push(_frame(chart), steps)
     linear, shift = _restrict(chart, images, image, den)
@@ -513,7 +513,7 @@ def test_holonomy_formula_matches_transition_composition(simplex3_pipe):
     d = simplex3_pipe.nef.ambient
     for loop in simplex3_pipe.loops()[:40]:
         maps = _loop_maps(loop, affine_transitions(simplex3_pipe))
-        chart = simplex3_pipe.base_charts()(loop.p0)
+        chart = simplex3_pipe.atlas().base(loop.p0)
         basis, x0 = chart.basis, _x0(chart)
         p1 = sigma.p_poset.elements[loop.p1]
         q0 = sigma.q_poset.elements[loop.q0]
@@ -522,9 +522,9 @@ def test_holonomy_formula_matches_transition_composition(simplex3_pipe):
         def formula(x, affine):
             want = list(x)
             for j in range(sigma.r):
-                s1 = p1.slice_vertex(j)
+                s1 = p1.slice_points()[j]
                 coeff = sum(a * b for a, b in zip(s1, x)) - affine * w(s1)
-                t0, t1 = q0.slice_vertex(j), q1.slice_vertex(j)
+                t0, t1 = q0.slice_points()[j], q1.slice_points()[j]
                 for a in range(d):
                     want[a] += coeff * (t1[a] - t0[a])
             return tuple(want)
@@ -554,7 +554,7 @@ def test_every_nonsmooth_vertex_obstructs_extension(simplex3_pipe,
                            if sigma.p_poset.leq(s, i))
             q_min = sorted(t for t in sigma.q_poset.minimal
                            if sigma.q_poset.leq(t, j))
-            chart = pipe.base_charts()(p_min[0])
+            chart = pipe.atlas().base(p_min[0])
             found = False
             for pk in p_min:
                 for a in q_min:
@@ -562,9 +562,7 @@ def test_every_nonsmooth_vertex_obstructs_extension(simplex3_pipe,
                         if a == b:
                             continue
                         lin = monodromy(PrimaryLoop(p_min[0], a, pk, b),
-                                        pipe.base_charts(),
-                                        pipe.slice_points(),
-                                        pipe.omega()).linear
+                                        pipe.atlas()).linear
                         if lin != identity(len(chart.basis)):
                             found = True
                             break
@@ -641,7 +639,7 @@ def test_memoized_tree_transport_matches_path_walk(simplex3_pipe):
         else:
             parent[w_next] = v
             stack.append(w_next)
-    chart = simplex3_pipe.base_charts()(base[1])
+    chart = simplex3_pipe.atlas().base(base[1])
     transport = {base: (chart.basis, identity(d), chart.inverse)}
     # Deepest first: one call fills the memo along a whole path.
     nodes = sorted((n for n in parent if n[0] == "P"),
@@ -651,8 +649,7 @@ def test_memoized_tree_transport_matches_path_walk(simplex3_pipe):
         fwd, back = _composed_tree_maps(graph, parent, node,
                                         affine_transitions(simplex3_pipe), d)
         frame, got_back, coords = _tree_transport(
-            parent, transport, node, simplex3_pipe.transitions(),
-            simplex3_pipe.slice_points(), chart)
+            parent, transport, node, simplex3_pipe.atlas(), chart)
         assert frame == tuple(fwd.apply_linear(b) for b in chart.basis)
         assert got_back == back.m
         assert coords == mat_mul(chart.inverse, back.m)
@@ -681,7 +678,7 @@ def test_one_chart_transition_per_pair(monkeypatch):
     pipe.report(verify="full", include_dual=True)
     assert calls
     assert len(calls) == len(set(calls))
-    graph, points = pipe.graph(), pipe.slice_points()
+    graph, points = pipe.graph(), pipe.atlas().points
     parent = graph.spanning_tree(graph.nodes()[0])
     tree_edges = set()
     for node, up in parent.items():
@@ -765,12 +762,11 @@ def test_transported_linears_match_compose_then_solve(name):
     from nefsphere.monodromy import transported_loops
     pipe = _data_pipe(name)
     graph = pipe.graph()
-    moved = transported_loops(graph, pipe.loops(), pipe.transitions(),
-                              pipe.base_charts(), pipe.slice_points())
-    assert moved
     base = min(("P", i) for i in graph.p_nodes)
     parent = graph.spanning_tree(base)
-    chart = pipe.base_charts()(base[1])
+    moved = transported_loops(parent, pipe.loops(), pipe.atlas())
+    assert moved
+    chart = pipe.atlas().base(base[1])
     transition = affine_transitions(pipe)
     want = []
     for loop in pipe.loops():
@@ -783,14 +779,14 @@ def test_transported_linears_match_compose_then_solve(name):
     assert moved == want
 
 
-def _pushed_loops(graph, loops, transition, base_chart):
+def _pushed_loops(graph, loops, transition, atlas):
     """Oracle for transported_loops that pushes the base frame along the
     spanning tree, around the loop and back through the affine chart
     transitions `transition`, for every loop in the base component,
-    degenerate ones included."""
+    degenerate ones included; `atlas` gives the base chart."""
     base = min(("P", i) for i in graph.p_nodes)
     parent = graph.spanning_tree(base)
-    chart = base_chart(base[1])
+    chart = atlas.base(base[1])
     transport = {base: (_frame(chart),
                         AffineMap.identity(len(chart.rows[0])))}
     out = []
@@ -810,10 +806,9 @@ def _assert_transport_matches_pushing(pipe):
     graph, loops = pipe.graph(), pipe.loops()
     if not graph.p_nodes:
         return
-    assert transported_loops(graph, loops, pipe.transitions(),
-                             pipe.base_charts(), pipe.slice_points()) == \
-        _pushed_loops(graph, loops, affine_transitions(pipe),
-                      pipe.base_charts())
+    parent = graph.spanning_tree(graph.nodes()[0])
+    assert transported_loops(parent, loops, pipe.atlas()) == \
+        _pushed_loops(graph, loops, affine_transitions(pipe), pipe.atlas())
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES)
@@ -843,13 +838,12 @@ def test_global_group_matches_pushing_every_loop(name, monkeypatch):
     assert any(l.p0 == l.p1 and l.q0 != l.q1 for l in based)
     assert any(l.q0 == l.q1 and l.p0 != l.p1 for l in based)
     assert any(not l.degenerate for l in based)
-    args = (sigma, graph, loops, pipe.transitions(), pipe.base_charts(),
-            pipe.slice_points(), pipe.discriminant())
+    args = (sigma, graph, loops, pipe.atlas(), pipe.discriminant())
     got = monodromy.global_group(*args)
     monkeypatch.setattr(
         monodromy, "transported_loops",
-        lambda graph, loops, transition, base_chart, points: _pushed_loops(
-            graph, loops, affine_transitions(pipe), base_chart))
+        lambda parent, loops, atlas: _pushed_loops(
+            graph, loops, affine_transitions(pipe), atlas))
     assert monodromy.global_group(*args) == got
 
 
@@ -862,7 +856,7 @@ def _assert_formula_matches_compose_then_solve(pipe):
     transition = affine_transitions(pipe)
     for loop, mono in zip(pipe.loops(), monos):
         assert mono.loop == loop
-        chart = pipe.base_charts()(loop.p0)
+        chart = pipe.atlas().base(loop.p0)
         amb = _composed_loop_map(loop, transition)
         assert (mono.linear, mono.translation) == \
             _restrict_by_solving(amb, chart)
@@ -899,9 +893,8 @@ def _image_in_w_by_solving(pipe, pair_idx, drop_last):
     i, j = sigma.pairs[pair_idx]
     p_min = sigma.p_poset.minimal_below(i)
     q_min = sigma.q_poset.minimal_below(j)
-    chart = pipe.base_charts()(p_min[0])
-    mats = [monodromy(PrimaryLoop(p_min[0], a, pk, b), pipe.base_charts(),
-                      pipe.slice_points(), pipe.omega()).linear
+    chart = pipe.atlas().base(p_min[0])
+    mats = [monodromy(PrimaryLoop(p_min[0], a, pk, b), pipe.atlas()).linear
             for pk in p_min for a in q_min for b in q_min
             if not (a == b and pk == p_min[0])]
     diffs = []
@@ -910,8 +903,8 @@ def _image_in_w_by_solving(pipe, pair_idx, drop_last):
             qa = sigma.q_poset.elements[a]
             qb = sigma.q_poset.elements[b]
             for jj in range(sigma.r):
-                diff = tuple(u - v for u, v in zip(qa.slice_vertex(jj),
-                                                   qb.slice_vertex(jj)))
+                diff = tuple(u - v for u, v in zip(qa.slice_points()[jj],
+                                                   qb.slice_points()[jj]))
                 if any(diff):
                     diffs.append(diff)
     d = sigma.p_poset.elements[i].cell.ambient
@@ -941,8 +934,7 @@ def test_local_group_rank_test_matches_per_column_solve(name, monkeypatch):
     vertices = pipe.discriminant().vertex_ids
     assert vertices
     for k in vertices:
-        report = monodromy.local_group(sigma, k, pipe.base_charts(),
-                                       pipe.slice_points(), pipe.omega())
+        report = monodromy.local_group(sigma, k, pipe.atlas())
         assert report["image_in_w"] is _image_in_w_by_solving(pipe, k, False)
         assert report["image_in_w"]
     real = monodromy.saturated_span_basis
@@ -950,8 +942,7 @@ def test_local_group_rank_test_matches_per_column_solve(name, monkeypatch):
                         lambda vectors, d: real(vectors, d)[:-1])
     missed = 0
     for k in vertices:
-        report = monodromy.local_group(sigma, k, pipe.base_charts(),
-                                       pipe.slice_points(), pipe.omega())
+        report = monodromy.local_group(sigma, k, pipe.atlas())
         want = _image_in_w_by_solving(pipe, k, True)
         assert report["image_in_w"] is want
         missed += not want
@@ -982,7 +973,6 @@ def test_rational_slice_point_is_refused():
     # point: the slice points every chart and transition is built from
     # refuse it, on either side, naming the cell, instead of truncating it.
     from types import SimpleNamespace
-    from nefsphere.monodromy import base_chart_data, slice_point_memo
     from nefsphere.polytope import convex_hull
     from nefsphere.sphere import TransversalCell
     half = (Fraction(1, 2), 0, 0)
@@ -994,19 +984,19 @@ def test_rational_slice_point_is_refused():
     good_cell = convex_hull([(1, 0, 0), (0, 1, 0)], "M")
     good = TransversalCell(good_cell, good_slices, good_cell)
     poset = SimpleNamespace(elements=(bad, good))
-    points = slice_point_memo(poset, poset)
 
     def weight(pt):
         return 1
 
+    atlas = ChartAtlas(poset, poset, weight)
     for node in (("P", 0), ("Q", 0)):
         with pytest.raises(FalsificationError) as err:
-            points(node)
+            atlas.points(node)
         assert "not integral" in err.value.claim
         assert err.value.certificate["cell"] == [["0", "1", "0"],
                                                  ["1/2", "0", "0"]]
         assert err.value.certificate["point"] == ["1/2", "0", "0"]
-    chart = base_chart_data(good, points(("P", 1)), weight)
+    chart = atlas.base(1)
     assert _x0(chart) == (1, 1, 0)
     assert chart.basis == ((0, 0, 1),)
 
@@ -1035,19 +1025,20 @@ def test_one_base_chart_per_cell(monkeypatch):
 
 def test_each_slice_point_is_read_once_per_run(monkeypatch):
     # report --verify full --dual reads each minimal cell's slice points
-    # once, across the charts, the transitions, every holonomy and the
-    # role-swapped run, whose posets hold the same cells.
-    from nefsphere import Pipeline, monodromy
+    # once, across the charts, the transitions, every holonomy, the
+    # triviality check and the role-swapped run, whose posets hold the same
+    # cells.
+    from nefsphere import Pipeline, sphere
     from nefsphere.cli import load_input
     from test_cli import path
     calls = []
-    real = monodromy._lattice_slice_vertex
+    real = sphere._lattice_slice_point
 
     def counted(cell, j):
         calls.append((id(cell), j))
         return real(cell, j)
 
-    monkeypatch.setattr(monodromy, "_lattice_slice_vertex", counted)
+    monkeypatch.setattr(sphere, "_lattice_slice_point", counted)
     nef, omega, nu = load_input(path("prism_pair_5d_kinked.json"))
     Pipeline(nef, omega_spec=omega, nu_spec=nu).report(verify="full",
                                                        include_dual=True)
@@ -1055,15 +1046,17 @@ def test_each_slice_point_is_read_once_per_run(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
-def _falsified(capsys, name, monkeypatch, attr, corrupt):
+def _falsified(capsys, name, monkeypatch, method, corrupt):
     """(exit code, certificate) of `nefsphere monodromy` on an input whose
-    run reads the monodromy memo `attr` through `corrupt`."""
+    run reads the ChartAtlas method `method` through `corrupt`, which gets
+    the atlas, the true value and the method's arguments."""
     import json
-    from nefsphere import cli, monodromy
+    from nefsphere import cli
     from test_cli import path
-    real = getattr(monodromy, attr)
-    monkeypatch.setattr(monodromy, attr,
-                        lambda *args: corrupt(real(*args), *args))
+    real = getattr(ChartAtlas, method)
+    monkeypatch.setattr(
+        ChartAtlas, method,
+        lambda atlas, *args: corrupt(atlas, real(atlas, *args), *args))
     code = cli.main(["monodromy", path(f"{name}.json")])
     return code, json.loads(capsys.readouterr().out)["falsified"]
 
@@ -1071,7 +1064,7 @@ def _falsified(capsys, name, monkeypatch, attr, corrupt):
 def test_corrupted_loop_corner_raises_the_pairing_certificate(
         monkeypatch, capsys):
     # Double the first slice point n_0 of a Q corner tau of a loop that no
-    # tree path runs through, in the run's slice points: no transition
+    # tree path runs through, as the run's atlas reads it: no transition
     # reads it, and every non-degenerate loop at it then has
     # <m_0(sigma0), dn_0> = +-<m_0(sigma0), n_0(tau)> = +-1.  The run stops
     # with exit 3 and the pairing certificate, naming the loop.
@@ -1083,17 +1076,14 @@ def test_corrupted_loop_corner_raises_the_pairing_certificate(
                 and ("P", l.p0) in parent and ("Q", l.q1) not in vias)
     target = pipe.q_poset().elements[loop.q1].cell.key()
 
-    def corrupt(points, p_poset, q_poset):
-        def read(node):
-            pts = points(node)
-            if node[0] == "Q" and \
-                    q_poset.elements[node[1]].cell.key() == target:
-                return (tuple(2 * x for x in pts[0]),) + pts[1:]
-            return pts
-        return read
+    def corrupt(atlas, pts, node):
+        if node[0] == "Q" and \
+                atlas.q_poset.elements[node[1]].cell.key() == target:
+            return (tuple(2 * x for x in pts[0]),) + pts[1:]
+        return pts
 
-    code, falsified = _falsified(capsys, "simplex3", monkeypatch,
-                                 "slice_point_memo", corrupt)
+    code, falsified = _falsified(capsys, "simplex3", monkeypatch, "points",
+                                 corrupt)
     assert code == 3
     assert falsified["claim"] == "monodromy does not preserve the base chart"
     cert = falsified["certificate"]
@@ -1107,12 +1097,11 @@ def test_corrupted_tree_transition_raises_the_transport_certificate(
     # Doubling every transition's linear part keeps the pushed frame
     # tangent but brings it back as 4 B: the node certificate fires, and
     # no loop certificate reads a transition.
-    def corrupt(transition, points):
-        return lambda i, j: tuple(tuple(2 * x for x in row)
-                                  for row in transition(i, j))
+    def corrupt(atlas, step, i, j):
+        return tuple(tuple(2 * x for x in row) for row in step)
 
     code, falsified = _falsified(capsys, "prism_pair_5d_kinked", monkeypatch,
-                                 "transition_memo", corrupt)
+                                 "transition", corrupt)
     assert code == 3
     assert falsified["claim"] == \
         "global transport does not carry the base frame to a chart and back"
@@ -1200,10 +1189,8 @@ def test_smith_form_of_the_distinct_logs_is_that_of_every_log(name):
     graph = pipe.graph()
     logs, per_comp = [], {}
     if graph.p_nodes:
-        for loop, m in transported_loops(graph, pipe.loops(),
-                                         pipe.transitions(),
-                                         pipe.base_charts(),
-                                         pipe.slice_points()):
+        parent = graph.spanning_tree(graph.nodes()[0])
+        for loop, m in transported_loops(parent, pipe.loops(), pipe.atlas()):
             flat = tuple(v for row in _nilpotent(m) for v in row)
             if any(flat):
                 logs.append(flat)
@@ -1253,7 +1240,7 @@ def test_a_linear_shear_of_omega_moves_only_the_translations(name):
     assert got["input"]["omega"] != want["input"]["omega"]
     got["input"]["omega"] = want["input"]["omega"]
     assert got == want
-    points = pipe.slice_points()
+    points = pipe.atlas().points
     moved = 0
     for a, b in zip(pipe.monodromies(), sheared.monodromies(), strict=True):
         loop = a.loop
@@ -1268,7 +1255,7 @@ def test_a_linear_shear_of_omega_moves_only_the_translations(name):
         shift = [sum(dot(dm_j, y_t) * dn_j[k] for dm_j, dn_j in zip(dm, dn))
                  for k in range(len(y))]
         shift = tuple(dot(row, shift)
-                      for row in pipe.base_charts()(loop.p0).inverse)
+                      for row in pipe.atlas().base(loop.p0).inverse)
         assert shift == tuple(dot(row, u) for row in _nilpotent(a.linear))
         assert b.translation == tuple(exact(t - s) for t, s in
                                       zip(a.translation, shift))

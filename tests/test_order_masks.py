@@ -17,7 +17,6 @@ from nefsphere.errors import FalsificationError
 from nefsphere.homology import order_complex_homology
 from nefsphere.linalg import dot
 from nefsphere.monodromy import (
-    ChartAtlas,
     _loop_discriminant_component,
     _span_pairs,
     complement_homology,
@@ -234,11 +233,10 @@ def test_mask_routes_match_the_scans(name):
     for loop in pipe.loops():
         assert _loop_discriminant_component(sigma, loop, disc) == \
             loop_component_by_scan(sigma, loop, disc)
-    atlas = ChartAtlas(sigma)
     want, u, v = covering_report_by_sets(sigma)
-    assert atlas.covering_report() == want
-    assert {s: _mask_bits(m) for s, m in atlas.u_charts.items()} == u
-    assert {t: _mask_bits(m) for t, m in atlas.v_charts.items()} == v
+    assert pipe.atlas().covering_report(sigma) == want
+    assert {s: _mask_bits(sigma.p_up[s]) for s in p.minimal} == u
+    assert {t: _mask_bits(sigma.q_up[t]) for t in q.minimal} == v
 
 
 @pytest.mark.parametrize("name", DATA_INPUTS)

@@ -38,3 +38,12 @@ def test_traced_method_resolves(mod, cls_name, meth):
 def test_traced_stage_resolves(stage):
     from nefsphere.pipeline import Pipeline
     assert callable(vars(Pipeline).get(stage)), stage
+
+
+def test_only_known_cached_stages_are_untraced():
+    # A new @_cached stage that CACHED_STAGES does not list would hide its
+    # time in its caller's self time; it is named here.
+    from nefsphere.pipeline import Pipeline
+    cached = {name for name, fn in vars(Pipeline).items()
+              if getattr(fn, "__qualname__", "") == "_cached.<locals>.wrapper"}
+    assert cached - set(CACHED_STAGES) == {"double_dual", "tropical_cells"}

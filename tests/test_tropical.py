@@ -216,6 +216,29 @@ def test_tropical_cells_built_once_per_support_and_cell(monkeypatch):
     assert set(calls["cell"]) <= set(calls["rows"])
 
 
+def test_each_support_is_subdivided_once_per_run(monkeypatch):
+    # With r = 1 the only part is the parts hull, whose lower hull s_coned
+    # already holds: report --verify full --dual builds one subdivision of
+    # each support, the role-swapped run reading this run's.
+    from nefsphere import Pipeline, pipeline, tropical
+    from nefsphere.cli import load_input
+    from test_cli import path
+    supports = []
+
+    def counted(support, weight):
+        supports.append(support.key())
+        return lower_hull_subdivision(support, weight)
+
+    for module in (pipeline, tropical):
+        monkeypatch.setattr(module, "lower_hull_subdivision", counted)
+    nef, omega, nu = load_input(path("simplex3.json"))
+    pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+    assert nef.r == 1
+    assert pipe.report(verify="full", include_dual=True)["passed"]
+    assert sorted(supports) == sorted({nef.parts_hull.key(),
+                                       nef.sum_polar.key()})
+
+
 def test_tropical_cells_memo_tells_supports_apart():
     # The edge [0, (1, 0)] is a cell of the triangle's fan (an interior
     # edge, bounded dual) and of a sub-triangle's trivial subdivision (a
