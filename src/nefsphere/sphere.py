@@ -84,7 +84,7 @@ from fractions import Fraction
 
 from .errors import FalsificationError
 from .homology import cellular_homology
-from .linalg import clear_denominators, dot, smith_normal_form
+from .linalg import dot, smith_normal_form
 from .polytope import (
     dilate,
     intersect,
@@ -766,8 +766,7 @@ def minimal_cells_unimodular(poset):
         ok = len(verts) == r and all(len(s.vertices) == 1 for s in e.slices)
         if ok and r > 1:
             base = verts[0]
-            rows = [clear_denominators(tuple(a - b for a, b in zip(v, base)))
-                    for v in verts[1:]]
+            rows = [tuple(a - b for a, b in zip(v, base)) for v in verts[1:]]
             divs, rank = smith_normal_form(rows)
             ok = rank == r - 1 and all(d == 1 for d in divs)
         if not ok:
