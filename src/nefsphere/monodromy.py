@@ -34,7 +34,7 @@ from .linalg import (
     to_numerators,
 )
 from .homology import order_complex_homology
-from .sphere import _bits, _cell_key, _or_all, _point_key
+from .sphere import _bits, _cell_key, _point_key
 
 
 # -- smoothness and the discriminant -----------------------------------------
@@ -136,7 +136,9 @@ class ChartAtlas:
     and the weight, with no Sigma: a chart-graph node's slice points, read
     from its cell (:meth:`points`), the :class:`BaseChart` of each minimal
     P-cell (:meth:`base`) and the linear part of each chart change
-    (:meth:`transition`), each built once, on first use."""
+    (:meth:`transition`), each built once, on first use.  The charts cover
+    Sigma, as every element lies above a minimal one, and U_s meets V_t
+    exactly when (s, t) is a cell, as Sigma is face-closed."""
 
     def __init__(self, p_poset, q_poset, weight):
         self.p_poset = p_poset
@@ -165,30 +167,6 @@ class ChartAtlas:
             step = self._transitions[i, j] = chart_transition(
                 self.points(("P", i)), self.points(("Q", j)))
         return step
-
-    def covering_report(self, sigma):
-        """The covering verdicts: chart U_s is Sigma's mask p_up[s] of the
-        cells over minimal P-cell s, V_t its q_up[t]."""
-        u_charts = {s: sigma.p_up[s] for s in sigma.p_poset.minimal}
-        v_charts = {t: sigma.q_up[t] for t in sigma.q_poset.minimal}
-        full = (1 << len(sigma.pairs)) - 1
-        report = {"u_charts_cover": _or_all(u_charts.values()) == full,
-                  "v_charts_cover": _or_all(v_charts.values()) == full}
-        # U_s meets V_t exactly when (s, t) is an adjoint pair.
-        report["chart_overlaps_match_adjacency"] = all(
-            bool(us & vs) == ((s, t) in sigma.pair_index)
-            for s, us in u_charts.items()
-            for t, vs in v_charts.items())
-        # Every chart intersection pattern is witnessed by a transversal cell.
-        p_poset = sigma.p_poset
-        hit = _or_all(1 << i for i, _ in sigma.pairs)
-        mins = sorted(u_charts)
-        report["nerve_witnessed_by_poset"] = all(
-            bool(u_charts[a] & u_charts[b])
-            == bool(p_poset._above[a] & p_poset._above[b] & hit)
-            for a_i, a in enumerate(mins) for b in mins[a_i + 1:])
-        report["passed"] = all(v for k, v in report.items() if k != "passed")
-        return report
 
 
 class ChartGraph:

@@ -245,8 +245,6 @@ class Pipeline:
 
     def tropical_suite(self):
         report = {}
-        report["order_complex"] = tropical.order_complex_check(
-            self.tropical_complex())
         report["bounded_amoeba_is_zero_cell_boundary"] = \
             tropical.bounded_amoeba_matches_zero_cell(self.amoeba(),
                                                       self.zero_cell())
@@ -275,7 +273,7 @@ class Pipeline:
     # -- reporting --------------------------------------------------------------------
 
     def report(self, verify="fast", include_dual=False):
-        rep = {"input": self._input_description(), "stages": {}}
+        rep = {"schema": 2, "input": self._input_description(), "stages": {}}
         stages = rep["stages"]
         stages["validation"] = self.validation().as_dict()
         irr, witness = self.irreducibility()
@@ -290,7 +288,8 @@ class Pipeline:
         stages["interior_vectors"] = {
             "v": [sphere._point_key(vec) for vec in iv.v],
             "w": [sphere._point_key(vec) for vec in iv.w],
-            "sign_pattern": _sign_pattern_holds(iv) if irr else None,
+            "sign_pattern": _sign_pattern_holds(iv)
+            if irr and self.nef.r > 1 else None,  # v_1 = w_1 = 0 when r = 1
         }
         stages["subdivisions"] = {
             "S": _boundary_stats(self.s_boundary()),
@@ -338,7 +337,6 @@ class Pipeline:
             "primary_loops": len(loops),
             "degenerate_loops": sum(1 for l in loops if l.degenerate),
             "global": self.global_report(),
-            "atlas": self.atlas().covering_report(sigma),
         }
         if verify == "full":
             stages["lemma_suite_failures"] = self.lemma_suite()
@@ -458,8 +456,7 @@ def _report_passed(rep):
              stages["sigma"]["pseudomanifold"],
              stages["sigma"]["projections"]["passed"],
              stages["minkowski_complexes"]["P_side"]["passed"],
-             stages["minkowski_complexes"]["Q_side"]["passed"],
-             stages["monodromy"]["atlas"]["passed"]]
+             stages["minkowski_complexes"]["Q_side"]["passed"]]
     if stages["irreducible"]["irreducible"]:
         flags.append(stages["sigma"]["euler"] ==
                      stages["sigma"]["expected_euler"])

@@ -27,6 +27,9 @@ The refinement of the part amoebas is built depth-first (Huber-Sturmfels,
 extensions.  Two mixed cells are not intersected when a facet row of one
 is <= 0 at every vertex of the other: the row separates them, so their
 interiors are disjoint.
+
+The bounded complex's face order is checked as it is built, and a
+failure raises (:func:`order_complex_check`), so no report key holds it.
 """
 
 from fractions import Fraction
@@ -202,8 +205,9 @@ def bounded_tropical_complex(p_poset, boundary, ambient_dim, tropical_cells):
     """Build the bounded tropical complex over the transversal poset.
 
     Verifies that every cell is bounded, that dimensions are complementary,
-    and that the face relation is opposite to the poset order.
-    `tropical_cells` is the :class:`TropicalCells` memo of the run.
+    and that the face relation is opposite to the poset order
+    (:func:`order_complex_check`).  `tropical_cells` is the
+    :class:`TropicalCells` memo of the run.
     """
     cells = []
     for e in p_poset.elements:
@@ -221,14 +225,14 @@ def bounded_tropical_complex(p_poset, boundary, ambient_dim, tropical_cells):
                 {"cell_dim": coned.dim, "dual_dim": tc.dim()})
         cells.append(tc)
     complex_ = TropicalComplex(p_poset, cells)
-    _verify_opposite_order(complex_)
+    order_complex_check(complex_)
     return complex_
 
 
-def _verify_opposite_order(complex_):
-    """Cell j lies in cell i iff i <= j: the containment relation is the
-    poset's transposed order.  The certificate is the first (i, j) in row
-    order where they differ."""
+def order_complex_check(complex_):
+    """Cell j lies in cell i iff i <= j: the barycenter map is an order
+    anti-isomorphism onto the poset, hence injective.  The certificate is
+    the first (i, j) in row order where the two relations differ."""
     poset = complex_.poset
     diff = [c ^ b for c, b in zip(complex_.containment, poset._below)]
     if not any(diff):
@@ -239,16 +243,6 @@ def _verify_opposite_order(complex_):
         "tropical face order is not opposite to the poset order",
         {"i": i, "j": j, "poset_leq": poset.leq(i, j),
          "geometric_containment": complex_.containment[j] >> i & 1 == 1})
-
-
-def order_complex_check(complex_):
-    """The barycenter map is an order anti-isomorphism onto the poset."""
-    poset = complex_.poset
-    keys = [c.key() for c in complex_.cells]
-    report = {"injective": len(set(keys)) == len(poset),
-              "anti_isomorphism": complex_.containment == poset._below}
-    report["passed"] = report["injective"] and report["anti_isomorphism"]
-    return report
 
 
 def bounded_amoeba_matches_zero_cell(amoeba_cells, f0):

@@ -61,6 +61,12 @@ segments).  All three were frozen while every tropical cell was still the
 H->V solution of one inequality per lattice point of its support and the
 bounded-cells check still met every combination of part cells.  Any
 refactor of the arithmetic or the stages must reproduce them exactly.
+
+Every report golden was refrozen once more for report schema 2, which
+dropped nine verdicts that no input could flip and reports
+``sign_pattern`` as null when r = 1; nothing else in them changed, and the
+``monodromy`` and ``tropical`` goldens did not change.
+``test_report_goldens_pin_schema_2`` names the dropped paths.
 """
 
 import os
@@ -154,3 +160,49 @@ def test_monodromy_command_matches_golden(name):
 @pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
 def test_tropical_command_matches_golden(name):
     _assert_report_matches(name, f"{name}_tropical", command="tropical")
+
+
+# Schema 2 dropped these report verdicts, which no input could flip, with
+# the code behind them; a v1 report carries them.
+V1_ONLY_PATHS = [
+    "stages.monodromy.atlas.u_charts_cover",
+    "stages.monodromy.atlas.v_charts_cover",
+    "stages.monodromy.atlas.chart_overlaps_match_adjacency",
+    "stages.monodromy.atlas.nerve_witnessed_by_poset",
+    "stages.monodromy.atlas.passed",
+    "stages.tropical.order_complex.injective",
+    "stages.tropical.order_complex.anti_isomorphism",
+    "stages.tropical.order_complex.passed",
+    "stages.sigma.projections.cells_project_to_their_factors",
+]
+
+
+def _has_path(report, dotted):
+    node = report
+    for key in dotted.split("."):
+        if not isinstance(node, dict) or key not in node:
+            return False
+        node = node[key]
+    return True
+
+
+def test_report_goldens_pin_schema_2():
+    import json
+    names = sorted(f for f in os.listdir(GOLDEN)
+                   if not f.endswith(("_monodromy.json", "_tropical.json")))
+    assert len(names) == 21
+    one_part = []
+    for name in names:
+        with open(os.path.join(GOLDEN, name)) as fh:
+            report = json.load(fh)
+        assert report["schema"] == 2, name
+        assert [p for p in V1_ONLY_PATHS if _has_path(report, p)] == [], name
+        sign = report["stages"]["interior_vectors"]["sign_pattern"]
+        if report["input"]["r"] == 1:
+            one_part.append(name)
+            assert sign is None, name  # v_1 = w_1 = 0 when r = 1
+        else:  # null only on a reducible partition
+            assert (sign is None) is \
+                (not report["stages"]["irreducible"]["irreducible"]), name
+    assert one_part == ["segment_weighted.json", "simplex3.json",
+                        "triangle.json"]

@@ -271,12 +271,6 @@ def test_discriminant_simplex3_isolated_points(simplex3_pipe):
     assert all(h == [(1, ())] for h in disc.component_homology)
 
 
-def test_atlas_covering(simplex3_pipe, triangle_pipe):
-    for pipe in (simplex3_pipe, triangle_pipe):
-        report = pipe.atlas().covering_report(pipe.sigma())
-        assert report["passed"], report
-
-
 def test_chart_graph_edges_are_adjoint_minimal_pairs(simplex3_pipe):
     sigma = simplex3_pipe.sigma()
     graph = simplex3_pipe.graph()
@@ -284,7 +278,7 @@ def test_chart_graph_edges_are_adjoint_minimal_pairs(simplex3_pipe):
     q_min = set(sigma.q_poset.minimal)
     for (i, j) in graph.edges:
         assert i in p_min and j in q_min
-        assert (i, j) in sigma.pair_index
+        assert (i, j) in sigma.pairs
 
 
 def test_degenerate_loops_are_trivial(simplex3_pipe):

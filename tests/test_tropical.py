@@ -273,28 +273,26 @@ def test_tropical_containment_is_the_pairwise_route(simplex3_pipe,
 
 
 def test_flipped_containment_bit_fails_the_order_checks(simplex3_pipe):
-    # One flipped bit of the stored relation fails both checks, and the
+    # One flipped bit of the stored relation fails the order check, and the
     # certificate is the first (i, j) in row order; a second flip later in
     # row order does not change it.
     import copy
     from nefsphere.errors import FalsificationError
-    from nefsphere.tropical import _verify_opposite_order, order_complex_check
+    from nefsphere.tropical import order_complex_check
     cplx = copy.copy(simplex3_pipe.tropical_complex())
+    assert order_complex_check(cplx) is None
     n = len(cplx)
     i, j = 2, n - 1
     cplx.containment = list(cplx.containment)
     cplx.containment[j] ^= 1 << i
     cplx.containment[0] ^= 1 << (n - 1)
     with pytest.raises(FalsificationError) as err:
-        _verify_opposite_order(cplx)
+        order_complex_check(cplx)
     assert err.value.claim == \
         "tropical face order is not opposite to the poset order"
     leq = cplx.poset.leq(i, j)
     assert err.value.certificate == {"i": i, "j": j, "poset_leq": leq,
                                      "geometric_containment": not leq}
-    report = order_complex_check(cplx)
-    assert report["injective"]
-    assert not report["anti_isomorphism"] and not report["passed"]
 
 
 @pytest.mark.parametrize("name", DATA_INPUTS)
