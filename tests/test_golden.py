@@ -69,6 +69,7 @@ dropped nine verdicts that no input could flip and reports
 ``test_report_goldens_pin_schema_2`` names the dropped paths.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -187,7 +188,6 @@ def _has_path(report, dotted):
 
 
 def test_report_goldens_pin_schema_2():
-    import json
     names = sorted(f for f in os.listdir(GOLDEN)
                    if not f.endswith(("_monodromy.json", "_tropical.json")))
     assert len(names) == 21

@@ -20,6 +20,7 @@ from nefsphere import monodromy as mono
 from nefsphere.linalg import identity, mat_mul
 from nefsphere.polytope import convex_hull, dilate
 
+from conftest import transpose
 from test_cli import path
 
 
@@ -29,15 +30,11 @@ def _feed(monkeypatch, module, name, doctor):
     monkeypatch.setattr(module, name, lambda *args: real(*doctor(*args)))
 
 
-def _report(capsys, name, *flags):
-    """Exit code and stdout of ``report`` on tests/data/NAME.json."""
-    code = cli.main(["report", path(f"{name}.json"), *flags])
-    return code, json.loads(capsys.readouterr().out)
-
-
 def _failed(capsys, name, *flags):
-    """The stages of a report that must have exited 3 with passed false."""
-    code, rep = _report(capsys, name, *flags)
+    """The stages of ``report`` on tests/data/NAME.json, which must exit 3
+    with passed false."""
+    code = cli.main(["report", path(f"{name}.json"), *flags])
+    rep = json.loads(capsys.readouterr().out)
     assert (code, rep["passed"]) == (3, False)
     return rep["stages"]
 
@@ -192,8 +189,8 @@ def test_a_complex_cell_swapped_for_a_larger_one_fails_realized(monkeypatch,
                                                                capsys):
     # A cell that lies in another is replaced by that larger cell: the
     # meet of part cells that gave it is still inside the complex, but no
-    # meet now lands on its index.  cellwise_equal fails with it, as it
-    # does whenever this key reads false.
+    # meet now lands on its index.  cellwise_equal fails with it: this key
+    # reads false only with cellwise_equal or sliced_cones_are_cells.
     def doctor(parts, boundary, p_poset, cplx, cells):
         k, j = next((k, j) for k, mask in enumerate(cplx.containment)
                     for j in range(len(cplx)) if j != k and mask >> j & 1)
@@ -273,14 +270,10 @@ def _local_logs(monkeypatch, make_change):
     monkeypatch.setattr(mono, "local_group", local_group)
 
 
-def _transpose(m):
-    return tuple(zip(*m))
-
-
 def test_a_log_that_moves_w_fails_vanishes_on_w(monkeypatch, capsys):
     # Each log N = u v^T becomes N N^T = |v|^2 u u^T: its image is still
     # in W = span(u) and the logs still commute, but u is no longer killed.
-    _local_logs(monkeypatch, lambda: lambda n: mat_mul(n, _transpose(n)))
+    _local_logs(monkeypatch, lambda: lambda n: mat_mul(n, transpose(n)))
     stages = _failed(capsys, "simplex3", "--verify", "full")
     assert stages["local_groups"]
     for report in stages["local_groups"].values():
@@ -301,7 +294,7 @@ def test_one_transposed_log_fails_commuting_and_image_in_w(monkeypatch,
             if done or not any(map(any, n)):
                 return n
             done.append(True)
-            return _transpose(n)
+            return transpose(n)
         return change
 
     _local_logs(monkeypatch, first_transposed)
