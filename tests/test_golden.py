@@ -67,6 +67,12 @@ dropped nine verdicts that no input could flip and reports
 ``sign_pattern`` as null when r = 1; nothing else in them changed, and the
 ``monodromy`` and ``tropical`` goldens did not change.
 ``test_report_goldens_pin_schema_2`` names the dropped paths.
+
+``NAME_complex.json``, ``NAME_discriminant.json``, ``NAME_dualize.json``
+and ``NAME_validate.json`` are the stdout of those four commands on
+simplex3 and the kinked prism, frozen before a face of a polytope became
+its vertex bitmask everywhere and the transversal posets were built in
+cell-key order, which reach the slices, Sigma and the loops beneath them.
 """
 
 import json
@@ -83,6 +89,8 @@ NAMES = ["triangle", "square_sum", "pentagon_pair", "simplex3",
          "segment_weighted"]
 SIMPLEX_FAMILY = ["simplex_p5_222", "simplex_p6_223", "simplex_p7_2222"]
 RAY_SPLITS = ["cube_split_r3"]
+# The commands whose stdout is not a report, each with its own goldens.
+COMMANDS = ["complex", "discriminant", "dualize", "validate"]
 
 
 def _assert_report_matches(input_name, golden_name, *flags,
@@ -163,6 +171,12 @@ def test_tropical_command_matches_golden(name):
     _assert_report_matches(name, f"{name}_tropical", command="tropical")
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
+def test_command_matches_golden(name, command):
+    _assert_report_matches(name, f"{name}_{command}", command=command)
+
+
 # Schema 2 dropped these report verdicts, which no input could flip, with
 # the code behind them; a v1 report carries them.
 V1_ONLY_PATHS = [
@@ -188,8 +202,8 @@ def _has_path(report, dotted):
 
 
 def test_report_goldens_pin_schema_2():
-    names = sorted(f for f in os.listdir(GOLDEN)
-                   if not f.endswith(("_monodromy.json", "_tropical.json")))
+    names = sorted(f for f in os.listdir(GOLDEN) if not f.endswith(tuple(
+        f"_{c}.json" for c in COMMANDS + ["monodromy", "tropical"])))
     assert len(names) == 21
     one_part = []
     for name in names:
