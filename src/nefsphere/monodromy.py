@@ -34,7 +34,8 @@ from .linalg import (
     to_numerators,
 )
 from .homology import order_complex_homology
-from .sphere import _bits, _cell_key, _point_key
+from .polytope import bits
+from .sphere import _cell_key, _point_key
 
 
 # -- smoothness and the discriminant -----------------------------------------
@@ -65,9 +66,9 @@ class DiscriminantComplex:
                  component_parts):
         self.sigma = sigma
         self.mask = mask  # the non-smooth cells
-        self.vertex_ids = tuple(_bits(mask))  # pair indices, sorted
+        self.vertex_ids = tuple(bits(mask))  # pair indices, sorted
         self.component_masks = component_masks
-        self.components = [tuple(_bits(m)) for m in component_masks]
+        self.components = [tuple(bits(m)) for m in component_masks]
         self.component_homology = component_homology
         self.component_parts = component_parts
 
@@ -89,17 +90,17 @@ def discriminant(sigma):
         while grow:
             comp |= grow
             reach = 0
-            for k in _bits(grow):
+            for k in bits(grow):
                 reach |= sigma._above[k] | sigma._below[k]
             grow = reach & rest & ~comp
         component_masks.append(comp)
         rest &= ~comp
     homs, parts = [], []
     for comp in component_masks:
-        cells = _bits(comp)
+        cells = bits(comp)
         pos = {k: t for t, k in enumerate(cells)}
         homs.append(order_complex_homology(
-            len(cells), [[pos[j] for j in _bits(sigma._above[k] & comp)
+            len(cells), [[pos[j] for j in bits(sigma._above[k] & comp)
                           if j != k] for k in cells]))
         parts.append(sorted({a for k in cells for a in pinched[k]}))
     return DiscriminantComplex(sigma, mask, component_masks, homs, parts)
@@ -117,7 +118,7 @@ def complement_homology(sigma, smooth):
     Algebraic Topology, Lemma 70.1), which is the barycentric subdivision
     of this subcomplex.
     """
-    for k in _bits(smooth):
+    for k in bits(smooth):
         bad = sigma._below[k] & ~smooth
         if bad:
             face = (bad & -bad).bit_length() - 1
@@ -170,10 +171,10 @@ class ChartAtlas:
 
 
 class ChartGraph:
-    """Bipartite graph on minimal transversal cells, edges = adjoint pairs."""
+    """Bipartite graph on minimal transversal cells, edges = adjoint pairs,
+    sorted by (i, j), so that each neighbour list is built ascending."""
 
     def __init__(self, sigma):
-        self.sigma = sigma
         self.p_nodes = tuple(sigma.p_poset.minimal)
         self.q_nodes = tuple(sigma.q_poset.minimal)
         p_set, q_set = set(self.p_nodes), set(self.q_nodes)
@@ -183,13 +184,6 @@ class ChartGraph:
         for i, j in self.edges:
             self._adj.setdefault(("P", i), []).append(("Q", j))
             self._adj.setdefault(("Q", j), []).append(("P", i))
-        for v in self._adj:
-            self._adj[v].sort(key=self._node_key)
-
-    def _node_key(self, node):
-        side, idx = node
-        poset = self.sigma.p_poset if side == "P" else self.sigma.q_poset
-        return (side, poset.elements[idx].cell.key())
 
     def nodes(self):
         """P nodes, then Q nodes, each ascending; the first P node is the
@@ -249,14 +243,11 @@ def primary_loops(sigma, s_boundary, t_boundary):
     partners[b], so each span pair (a, b) reads its loops from that meet,
     in the order of the span pairs of Q.
     """
-    p_min = sorted(sigma.p_poset.minimal,
-                   key=lambda i: sigma.p_poset.elements[i].cell.key())
-    q_min = sorted(sigma.q_poset.minimal,
-                   key=lambda j: sigma.q_poset.elements[j].cell.key())
-    p_pairs = _span_pairs(sigma.p_poset, p_min, s_boundary)
+    q_min = sigma.q_poset.minimal
+    p_pairs = _span_pairs(sigma.p_poset, sigma.p_poset.minimal, s_boundary)
     q_pairs = _span_pairs(sigma.q_poset, q_min, t_boundary)
     position = {j: x for x, j in enumerate(q_min)}
-    partners = dict.fromkeys(p_min, 0)
+    partners = dict.fromkeys(sigma.p_poset.minimal, 0)
     for a, j in sigma.pairs:
         if a in partners and j in position:
             partners[a] |= 1 << position[j]
@@ -266,8 +257,8 @@ def primary_loops(sigma, s_boundary, t_boundary):
     loops = []
     for a, b in p_pairs:
         meet = partners[a] & partners[b]
-        for x in _bits(meet):
-            for y in _bits(meet & later[x]):
+        for x in bits(meet):
+            for y in bits(meet & later[x]):
                 if a != b or x != y:
                     loops.append(PrimaryLoop(a, q_min[x], b, q_min[y]))
     return loops

@@ -25,7 +25,8 @@ intersection is computed in its own dimension.  A bounded H->V result
 (:func:`polytope_from_hrep`) then reads its facets from its own input rows,
 with no V->H hull of the vertices it has just computed.
 
-Faces of a known polytope take neither route.  The face lattice is the
+Faces of a known polytope take neither route.  Every method names a face
+by its vertex bitmask, bit i for vertex i.  The face lattice is the
 closure of the facet incidence masks under intersection, and a face's
 dimension is its grade in that lattice (0 for a vertex, else one more than
 its largest strict subface), so no rank is computed.  A face's polytope
@@ -162,6 +163,16 @@ class GeometryError(ValueError):
     pass
 
 
+def bits(mask):
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Polytope:
     """Bounded convex polytope with canonical V- and H-representations.
 
@@ -248,31 +259,27 @@ class Polytope:
 
     # -- faces ---------------------------------------------------------------
 
-    def face_sets(self):
-        """All nonempty faces as frozensets of vertex indices, with dims.
+    def faces(self):
+        """All nonempty faces as vertex bitmasks, with dims: {mask: dim}.
 
-        Returns a dict face -> dimension.  Faces are generated by closing the
-        facet incidence masks under intersection, which is exact for
-        polytopes.  Dimensions are read off the grading of the lattice: a
-        vertex has dimension 0, and any other face is one more than its
-        largest strict subface.  The facets of a face g are among its meets
-        g & s with the facet masks s, so that maximum runs over those meets.
+        Faces are generated by closing the facet incidence masks under
+        intersection, which is exact for polytopes.  Dimensions are read off
+        the grading of the lattice: a vertex has dimension 0, and any other
+        face is one more than its largest strict subface.  The facets of a
+        face g are among its meets g & s with the facet masks s, so that
+        maximum runs over those meets.
         """
         if self._faces is not None:
             return self._faces
         tight = self.facet_masks()
         full = (1 << len(self.vertices)) - 1
-        faces = {full}
-        frontier = [full]
-        while frontier:
-            new = []
-            for g in frontier:
-                for s in tight:
-                    h = g & s
-                    if h and h != g and h not in faces:
-                        faces.add(h)
-                        new.append(h)
-            frontier = new
+        faces, seen = [full], {full}
+        for g in faces:  # breadth-first: the list grows while it is read
+            for s in tight:
+                h = g & s
+                if h and h not in seen:
+                    seen.add(h)
+                    faces.append(h)
         dims = {}
         # Every strict subface has fewer vertices, so it is graded first.
         for g in sorted(faces, key=int.bit_count):
@@ -280,10 +287,8 @@ class Polytope:
                                if g & s and g & s != g), default=-1)
         if dims[full] != self.dim:
             raise GeometryError("face lattice grade differs from the dimension")
-        nv = len(self.vertices)
-        self._faces = {frozenset(i for i in range(nv) if g >> i & 1): d
-                       for g, d in dims.items()}
-        return self._faces
+        self._faces = dims
+        return dims
 
     def facet_masks(self):
         """Per facet row, the bitmask of the vertices tight on it."""
@@ -294,55 +299,43 @@ class Polytope:
                 for f in self.facets)
         return self._tight
 
-    def is_face(self, vset):
-        """Whether the vertex indices `vset` are the vertices of a face: a
-        nonempty set equal to the meet of the facet masks containing it."""
-        mask = sum(1 << i for i in set(vset))
+    def is_face(self, mask):
+        """Whether the vertex bitmask `mask` is a face: nonzero and equal to
+        the meet of the facet masks containing it."""
         closure = (1 << len(self.vertices)) - 1
         for m in self.facet_masks():
             if m & mask == mask:
                 closure &= m
         return mask != 0 and closure == mask
 
-    def face_polytope(self, vset, dim=None):
-        """Canonical sub-polytope of the face on the vertex indices `vset`.
+    def face_polytope(self, mask, dim=None):
+        """Canonical sub-polytope of the face with vertex bitmask `mask`.
 
         Read from this polytope's facet rows, with no double description
         (:func:`_polytope_from_rows`): every facet of a face F is a face
         F & G of the parent, so it is the meet of F with a parent facet
         row.  Given the face's dimension `dim`, the rows are read on first
-        use of its H-representation.  Raises GeometryError when `vset` is
+        use of its H-representation.  Raises GeometryError when `mask` is
         not a face (:meth:`is_face`).
         """
-        idx = sorted(vset)
-        verts = tuple(self.vertices[i] for i in idx)
+        verts = tuple(self.vertices[i] for i in bits(mask))
         key = (self.role, self.ambient, verts)
         face = _HULLS.get(key)
         if face is not None:
             return face
-        if not self.is_face(idx):
+        if not self.is_face(mask):
             raise GeometryError("vertex set is not a face")
-        mask = sum(1 << i for i in idx)
         return _polytope_from_rows(
             self.role, self.ambient, verts,
             [clear_denominators((1,) + v) for v in verts], self.equations,
             self.facets, [m & mask for m in self.facet_masks()], mask, dim)
 
-    def face_keys(self, proper=False):
-        """The set of ``face_polytope(fs).key()`` over all faces (only the
-        proper ones when `proper`), without building a hull: a face's
-        vertices are exactly the polytope's vertices it contains."""
-        return {(self.role, tuple(self.vertices[i] for i in sorted(fs)))
-                for fs, d in self.face_sets().items()
-                if not proper or d < self.dim}
-
-    def proper_face_polytopes(self):
-        out = []
-        for vset, d in sorted(self.face_sets().items(),
-                              key=lambda t: (t[1], sorted(t[0]))):
-            if d < self.dim:
-                out.append(self.face_polytope(vset, d))
-        return out
+    def face_keys(self, inside=-1):
+        """The keys ``face_polytope(mask).key()`` of the faces inside the
+        mask `inside` (all by default), read with no hull: a face's vertices
+        are the polytope's vertices it contains."""
+        return {(self.role, tuple(self.vertices[i] for i in bits(g)))
+                for g in self.faces() if g & inside == g}
 
     # -- lattice ---------------------------------------------------------------
 
@@ -382,31 +375,26 @@ class Polytope:
         return saturated_span_basis(dirs, self.ambient)
 
     def triangulation(self):
-        """Pulling triangulation; simplices as tuples of vertex indices."""
+        """Pulling triangulation; simplices as tuples of vertex indices.
+        A face is coned from its lowest vertex over its facets missing it,
+        taken in the order of their ascending vertex lists."""
         if self._triangulation is not None:
             return self._triangulation
-        faces = self.face_sets()
+        faces = self.faces()
         memo = {}
 
         def tri(face):
-            if face in memo:
-                return memo[face]
-            if len(face) == 1:
-                memo[face] = (tuple(face),)
-                return memo[face]
-            apex = min(face)
-            dim = faces[face]
-            subs = [g for g, dg in faces.items()
-                    if dg == dim - 1 and g < face and apex not in g]
-            out = []
-            for g in sorted(subs, key=sorted):
-                for s in tri(g):
-                    out.append(s + (apex,))
-            memo[face] = tuple(out)
+            if face not in memo:
+                low = face & -face
+                dim = faces[face]
+                subs = sorted((g for g, dg in faces.items() if dg == dim - 1
+                               and g & face == g and not g & low), key=bits)
+                apex = (low.bit_length() - 1,)
+                memo[face] = tuple(s + apex for g in subs
+                                   for s in tri(g)) or (apex,)
             return memo[face]
 
-        full = frozenset(range(len(self.vertices)))
-        self._triangulation = tri(full)
+        self._triangulation = tri((1 << len(self.vertices)) - 1)
         return self._triangulation
 
     def volume_in_chart(self, chart):

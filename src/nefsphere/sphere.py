@@ -86,6 +86,7 @@ from .errors import FalsificationError
 from .homology import cellular_homology
 from .linalg import dot, smith_normal_form
 from .polytope import (
+    bits,
     dilate,
     intersect,
     is_minkowski_sum,
@@ -135,6 +136,10 @@ class TransversalPoset:
 
     `slices` maps every cell of the subdivision, transversal or not, to its
     part slices (:func:`compute_slices`), for the checks that need them all.
+
+    Order invariant: the elements' ``cell.key()`` strictly increase, as
+    :func:`transversal_poset` takes them in the order of the subdivision's
+    cells, which are sorted by key.  So index order is cell-key order.
     """
 
     def __init__(self, subdivision, parts, elements, slices):
@@ -154,14 +159,14 @@ class TransversalPoset:
         return (self._above[i] >> j) & 1 == 1
 
     def below(self, i):
-        return _bits(self._below[i])
+        return bits(self._below[i])
 
     def above(self, i):
-        return _bits(self._above[i])
+        return bits(self._above[i])
 
     def minimal_below(self, i):
         """The minimal elements below element i, ascending."""
-        return _bits(self._below[i] & self._minimal_mask)
+        return bits(self._below[i] & self._minimal_mask)
 
 
 def _inclusion_masks(vertex_masks):
@@ -173,16 +178,16 @@ def _inclusion_masks(vertex_masks):
     """
     holders = {}
     for j, vm in enumerate(vertex_masks):
-        for v in _bits(vm):
+        for v in bits(vm):
             holders[v] = holders.get(v, 0) | 1 << j
     above = []
     below = [0] * len(vertex_masks)
     for i, vm in enumerate(vertex_masks):
         mask = -1
-        for v in _bits(vm):
+        for v in bits(vm):
             mask &= holders[v]
         above.append(mask)
-        for j in _bits(mask):
+        for j in bits(mask):
             below[j] |= 1 << i
     return above, below
 
@@ -271,7 +276,8 @@ class _Supports:
 def _cell_slices(cell, supports):
     """The cell's slices by the parts, as faces, after checking (iii): for
     each j one vertex of other-side part j attains psi_j at every vertex of
-    the cell, so psi_j is the affine pairing with it on the cell."""
+    the cell, so psi_j is the affine pairing with it on the cell.  Each
+    vertex lies in the one slice i with psi_i = 1 (the unit-psi corollary)."""
     at = [supports.at(v) for v in cell.vertices]
     for j in range(len(supports.others)):
         common = -1
@@ -281,11 +287,10 @@ def _cell_slices(cell, supports):
             raise FalsificationError(
                 "slice lemma (iii): psi_j is not affine on a cell",
                 {"cell": _cell_key(cell), "other_part": j})
-    out = []
-    for i in range(len(supports.parts)):
-        face = [k for k, (values, _) in enumerate(at) if values[i] == 1]
-        out.append(cell.face_polytope(face) if face else None)
-    return tuple(out)
+    faces = [0] * len(supports.parts)
+    for k, (values, _) in enumerate(at):
+        faces[values.index(1)] |= 1 << k
+    return tuple(cell.face_polytope(f) if f else None for f in faces)
 
 
 def transversal_poset(subdivision, parts, other_parts, delta):
@@ -307,8 +312,7 @@ def transversal_poset(subdivision, parts, other_parts, delta):
                                  r, delta)
     elements = [TransversalCell(cells[k], slices_by_cell[cells[k]],
                                 minkowski[k])
-                for k in _bits(transversal)]
-    elements.sort(key=lambda e: e.cell.key())
+                for k in bits(transversal)]
     return TransversalPoset(subdivision, parts, elements, slices_by_cell)
 
 
@@ -321,11 +325,11 @@ def _minkowski_cells(cells, slices_by_cell, transversal, above, r, delta):
     of the lowest-index maximal C above it, and its Minkowski cell is a
     face of C's, which inherits both formulas (module docstring).
     """
-    maximal = [k for k in _bits(transversal)
+    maximal = [k for k in bits(transversal)
                if above[k] & transversal == 1 << k]
     maximal_mask = sum(1 << k for k in maximal)
     out = {}
-    # Per maximal cell: its vertex positions and, per facet row of C, the
+    # Per maximal cell: its vertices' bits and, per facet row of C, the
     # mask of the vertices of M(C) tight on that row at scale r.
     cut = {}
     for k in maximal:
@@ -333,29 +337,27 @@ def _minkowski_cells(cells, slices_by_cell, transversal, above, r, delta):
         mink = intersect(dilate(cell, r), delta)
         _certify_minkowski(cell, slices_by_cell[cell], mink)
         out[k] = mink
-        cut[k] = ({v: i for i, v in enumerate(cell.vertices)},
+        cut[k] = ({v: 1 << i for i, v in enumerate(cell.vertices)},
                   [sum(1 << i for i, w in enumerate(mink.vertices)
                        if r * f[0] + dot(f[1:], w) == 0)
                    for f in cell.facets])
-    for k in _bits(transversal & ~maximal_mask):
+    for k in bits(transversal & ~maximal_mask):
         sub = cells[k]
         over = above[k] & maximal_mask
         m = (over & -over).bit_length() - 1
         cell = cells[m]
-        position, rows = cut[m]
-        face = [position[v] for v in sub.vertices]
+        bit, rows = cut[m]
+        face = sum(bit[v] for v in sub.vertices)
         if not cell.is_face(face):
             raise FalsificationError(
                 "transversal cell is not a face of the maximal transversal "
                 "cell above it",
                 {"cell": _cell_key(sub), "maximal_cell": _cell_key(cell)})
-        face_mask = sum(1 << i for i in face)
         keep = (1 << len(out[m].vertices)) - 1
         for f_mask, row in zip(cell.facet_masks(), rows):
-            if f_mask & face_mask == face_mask:
+            if f_mask & face == face:
                 keep &= row
-        face = frozenset(_bits(keep))
-        out[k] = out[m].face_polytope(face, out[m].face_sets()[face])
+        out[k] = out[m].face_polytope(keep, out[m].faces()[keep])
     return out
 
 
@@ -413,8 +415,10 @@ def minkowski_complex(poset, delta, r, parts_hull):
     for j in range(n):
         below = poset.below(j)
         over = poset._above[j] & maximal
-        face_keys = _face_keys_within(cells[(over & -over).bit_length() - 1],
-                                      cells[j])
+        top = cells[(over & -over).bit_length() - 1]
+        vertices = set(cells[j].vertices)
+        face_keys = top.face_keys(sum(1 << i for i, v in enumerate(top.vertices)
+                                      if v in vertices))
         if len(face_keys) != len(below) or any(
                 cells[i].key() not in face_keys for i in below):
             face_ok = False
@@ -446,19 +450,6 @@ def minkowski_complex(poset, delta, r, parts_hull):
             cover_ok = False
     checks["support_covers_dilated_boundary"] = cover_ok
     return {"passed": all(checks.values()), "checks": checks}
-
-
-def _face_keys_within(top, face):
-    """The keys of the faces of `top` whose vertices are among face's.
-
-    When `face` is a face of top these are its faces, its own key among
-    them; otherwise its own key is not among them, as it is no face of
-    top.  Nothing is stored on `face`.
-    """
-    vertices = set(face.vertices)
-    inside = frozenset(i for i, v in enumerate(top.vertices) if v in vertices)
-    return {(top.role, tuple(top.vertices[i] for i in sorted(g)))
-            for g in top.face_sets() if g <= inside}
 
 
 def containment_order(cells, marks=None):
@@ -517,7 +508,7 @@ def facet_region(f, delta):
     of delta on its vertices w with f.(1, w) = 0, or None.  A row negative
     on delta is refused, so delta lies on the row's valid side and this
     face is delta's meet with the facet."""
-    tight = []
+    tight = 0
     for k, w in enumerate(delta.vertices):
         value = dot(f, (1,) + w)
         if value < 0:
@@ -525,7 +516,7 @@ def facet_region(f, delta):
                 "the sum polytope leaves r times the parts hull",
                 {"facet": _point_key(f), "vertex": _point_key(w)})
         if value == 0:
-            tight.append(k)
+            tight |= 1 << k
     return delta.face_polytope(tight) if tight else None
 
 
@@ -648,11 +639,11 @@ class SigmaComplex:
         and Bruhat order", Europ. J. Combin. 1984), i.e. of the barycentric
         subdivision, which is therefore not built here.
         """
-        keep = range(len(self.dims)) if cells is None else _bits(cells)
+        keep = range(len(self.dims)) if cells is None else bits(cells)
         pos = {k: t for t, k in enumerate(keep)}
         facets = _facet_masks(self.dims, self._below)
         return cellular_homology([self.dims[k] for k in keep],
-                                 [[pos[f] for f in _bits(facets[k])]
+                                 [[pos[f] for f in bits(facets[k])]
                                   for k in keep])
 
     def is_closed_pseudomanifold(self):
@@ -695,7 +686,7 @@ def is_closed_pseudomanifold(dims, below):
     for k, d in enumerate(dims):
         strict = below[k] & ~(1 << k)
         covered = 0
-        for f in _bits(facets[k]):
+        for f in bits(facets[k]):
             covered |= below[f]
         if (d > 0 and not facets[k]) or strict & ~covered:
             return False
@@ -711,12 +702,12 @@ def is_closed_pseudomanifold(dims, below):
         if d == 1 and facets[k].bit_count() != 2:
             return False
         if d == top:
-            for f in _bits(facets[k]):
+            for f in bits(facets[k]):
                 ridge_count[f] = ridge_count.get(f, 0) + 1
         if d >= 2:
             count = {}
-            for f in _bits(facets[k]):
-                for g in _bits(facets[f]):
+            for f in bits(facets[k]):
+                for g in bits(facets[f]):
                     count[g] = count.get(g, 0) + 1
             if any(c != 2 for c in count.values()):
                 return False
@@ -729,16 +720,6 @@ def _or_all(masks):
     out = 0
     for mask in masks:
         out |= mask
-    return out
-
-
-def _bits(mask):
-    """The set bits of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
     return out
 
 

@@ -76,12 +76,27 @@ class ConedSubdivision:
         self.maximal_cells = tuple(sorted(maximal_cells))
         self.marked = marked  # cell -> tuple of lattice points on the lower hull
         self._cells = None
+        self._holders = {}  # vertex -> mask of the maximal cells holding it
+        for k, d in enumerate(self.maximal_cells):
+            for v in d.vertices:
+                self._holders[v] = self._holders.get(v, 0) | 1 << k
 
     def cells(self):
-        """All cells (faces of maximal cells), canonical order."""
+        """All cells (faces of maximal cells), sorted by key."""
         if self._cells is None:
             self._cells = _face_closure(self.maximal_cells)
         return self._cells
+
+    def star(self, cell):
+        """The bitmask over `maximal_cells` of the maximal cells holding
+        the cell, the AND of its vertices' holder masks; GeometryError when
+        it is 0."""
+        star = -1
+        for v in cell.vertices:
+            star &= self._holders.get(v, 0)
+        if not star:
+            raise GeometryError("not a cell of the subdivision")
+        return star
 
     def is_central(self):
         origin = (0,) * self.support.ambient
@@ -89,10 +104,10 @@ class ConedSubdivision:
 
 
 def _face_closure(maximal_cells):
-    """The cells and all their faces, in canonical order."""
+    """The cells and all their faces, sorted by key."""
     cells = set(maximal_cells)
-    for c in maximal_cells:
-        cells.update(c.proper_face_polytopes())
+    cells.update(c.face_polytope(g, d) for c in maximal_cells
+                 for g, d in c.faces().items() if d < c.dim)
     return tuple(sorted(cells))
 
 
@@ -143,7 +158,7 @@ class BoundarySubdivision:
         self.parent = parent
         self.side = side
         self.maximal_cells = tuple(sorted(maximal_cells))
-        self.cells = _face_closure(self.maximal_cells)
+        self.cells = _face_closure(self.maximal_cells)  # sorted by key
         self._vertex_id = {}
         self.vertex_masks = tuple(self.vertex_mask(c) for c in self.cells)
         self._coned = {}
@@ -158,18 +173,19 @@ class BoundarySubdivision:
         return mask
 
     def coned(self, cell):
-        """The cell F joined with the origin, read as a face of a maximal
-        coned cell holding it: that is the pyramid with apex 0 over a
-        boundary cell B, F is a face of B, so conv(0, F) is a pyramid face.
-        The apex lies off the affine hull of B, so the face has dimension
-        dim F + 1."""
+        """The cell F joined with the origin, read as a face of the lowest
+        maximal coned cell holding F (:meth:`ConedSubdivision.star`): that
+        is the pyramid with apex 0 over a boundary cell B, F is a face of
+        B, so conv(0, F) is a pyramid face.  The apex lies off the affine
+        hull of B, so the face has dimension dim F + 1."""
         if cell not in self._coned:
+            parent = self.parent
+            star = parent.star(cell)
+            pyramid = parent.maximal_cells[(star & -star).bit_length() - 1]
             verts = set(cell.vertices) | {(0,) * cell.ambient}
-            pyramid = next(c for c in self.parent.maximal_cells
-                           if verts <= set(c.vertices))
             self._coned[cell] = pyramid.face_polytope(
-                [k for k, v in enumerate(pyramid.vertices) if v in verts],
-                cell.dim + 1)
+                sum(1 << k for k, v in enumerate(pyramid.vertices)
+                    if v in verts), cell.dim + 1)
         return self._coned[cell]
 
     def f_vector(self):
@@ -197,8 +213,8 @@ def boundary_subdivision(subdivision):
         # A cell with the origin as a vertex whose other vertices form a
         # face B is the pyramid conv(B, 0): B misses 0, so dim B < dim c,
         # and c = conv(B + {0}) gives dim c <= dim B + 1.
-        base = [i for i, v in enumerate(c.vertices) if v != origin]
-        if len(base) == len(c.vertices) or not c.is_face(base):
+        base = sum(1 << i for i, v in enumerate(c.vertices) if v != origin)
+        if base == (1 << len(c.vertices)) - 1 or not c.is_face(base):
             raise GeometryError("subdivision is not a cone with apex 0 over "
                                 f"the boundary ({weight})")
         boundary_cells.append(c.face_polytope(base))

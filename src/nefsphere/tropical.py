@@ -43,9 +43,9 @@ from .linalg import (
     solve_rational,
 )
 from .polytope import (
-    GeometryError,
     Polyhedron,
     _reduce_mod_equations,
+    bits,
     intersect,
     minkowski_sum_all,
     opposite_role,
@@ -77,9 +77,9 @@ class TropicalCell:
         return self.poly.key()
 
 
-def star_rows(subdivision, cell, star):
+def star_rows(subdivision, cell):
     """T(C)'s rows: <m0, y> - w(m0) = <m, y> - w(m) at C's vertices m, and
-    >= at the vertices of the maximal cells `star` (star lemma)."""
+    >= at the vertices of its star (star lemma)."""
     w = subdivision.weight.values  # keyed by lattice points, as vertices are
     m0 = cell.vertices[0]
     w0 = w[m0]
@@ -88,7 +88,8 @@ def star_rows(subdivision, cell, star):
         return clear_denominators((w[m] - w0,)
                                   + tuple(a - b for a, b in zip(m0, m)))
 
-    verts = sorted({m for d in star for m in d.vertices})
+    verts = sorted({m for k in bits(subdivision.star(cell))
+                    for m in subdivision.maximal_cells[k].vertices})
     return (tuple(row(m) for m in cell.vertices[1:]),
             tuple(r for r in map(row, verts) if any(r)))
 
@@ -132,32 +133,17 @@ class TropicalCells:
             self._memo[key] = make()
         return self._memo[key]
 
-    def _star(self, sub, cell):
-        """The maximal cells holding all of the cell's vertices, read from
-        each vertex's mask of the maximal cells holding it."""
-        masks = self._memo.get((sub.support, "masks"))
-        if masks is None:
-            masks = self._memo[sub.support, "masks"] = {}
-            for k, d in enumerate(sub.maximal_cells):
-                for v in d.vertices:
-                    masks[v] = masks.get(v, 0) | 1 << k
-        common = -1
-        for v in cell.vertices:
-            common &= masks.get(v, 0)
-        if not common:
-            raise GeometryError("not a cell of the subdivision")
-        return [d for k, d in enumerate(sub.maximal_cells) if common >> k & 1]
-
     def rows(self, sub, cell):
-        return self._get((sub.support, cell, "rows"), lambda: star_rows(
-            sub, cell, self._star(sub, cell)))
+        return self._get((sub.support, cell, "rows"),
+                         lambda: star_rows(sub, cell))
 
     def __call__(self, sub, cell):
         return self._get((sub.support, cell), lambda: tropical_cell(
             sub, cell, self.rows(sub, cell),
             {self._get((sub.support, d, "vertex"),
                        lambda: tropical_vertex(sub, d))
-             for d in self._star(sub, cell)}))
+             for d in map(sub.maximal_cells.__getitem__,
+                          bits(sub.star(cell)))}))
 
 
 def amoeba(subdivision, tropical_cells):
@@ -167,12 +153,8 @@ def amoeba(subdivision, tropical_cells):
     support's weight function supplies the heights.  `tropical_cells` is
     the :class:`TropicalCells` memo of the run.
     """
-    out = []
-    for cell in subdivision.cells():
-        if cell.dim > 0:
-            out.append(tropical_cells(subdivision, cell))
-    out.sort(key=lambda t: t.generator.key())
-    return out
+    return [tropical_cells(subdivision, cell)
+            for cell in subdivision.cells() if cell.dim > 0]
 
 
 def tropical_zero_cell(support, weight):
@@ -251,7 +233,7 @@ def bounded_amoeba_matches_zero_cell(amoeba_cells, f0):
     A bounded cell's vertices are its extreme points, so its key starts
     with the key of the polytope on them (:meth:`Polyhedron.key`)."""
     bounded = {t.poly.key()[:2] for t in amoeba_cells if t.bounded}
-    faces = f0.face_keys(proper=True)
+    faces = f0.face_keys() - {f0.key()}
     return {
         "bounded_cells": len(bounded),
         "proper_zero_cell_faces": len(faces),

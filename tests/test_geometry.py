@@ -10,6 +10,7 @@ from nefsphere.polytope import (
     ROLE_M,
     ROLE_N,
     Vector,
+    bits,
     convex_hull,
     dilate,
     intersect,
@@ -27,8 +28,8 @@ TRI = [(1, 0), (0, 1), (-1, -1)]
 
 
 def facet_vertex_sets(p):
-    """The facets of p as sorted sets of vertex indices."""
-    return sorted(f for f, d in p.face_sets().items() if d == p.dim - 1)
+    """The facets of p as vertex bitmasks, ascending."""
+    return sorted(f for f, d in p.faces().items() if d == p.dim - 1)
 
 
 def assert_valid(p):
@@ -182,7 +183,7 @@ def test_face_lattice_eulerian():
                        for c in (-1, 1)], 3)]:
         p = convex_hull(pts, ROLE_M)
         counts = {}
-        for fs, d in p.face_sets().items():
+        for d in p.faces().values():
             counts[d] = counts.get(d, 0) + 1
         total = sum((-1) ** k * counts.get(k, 0) for k in range(dim))
         assert total == 1 - (-1) ** dim
@@ -287,7 +288,7 @@ def test_hull_is_interned():
     assert convex_hull(face + [(1, 0, 0)], ROLE_M) is \
         convex_hull(list(reversed(face)), ROLE_M)
     for fs in facet_vertex_sets(hull):
-        verts = [hull.vertices[i] for i in sorted(fs, reverse=True)]
+        verts = [hull.vertices[i] for i in reversed(bits(fs))]
         assert hull.face_polytope(fs) is convex_hull(verts, ROLE_M)
     # Hulls reached through other constructions are the same object.
     assert intersect(hull, hull) is hull
@@ -346,7 +347,7 @@ def test_volume_additivity_under_stellar_split():
     total = p.volume_in_chart(chart)
     pieces = []
     for fs in facet_vertex_sets(p):
-        piece = convex_hull([p.vertices[i] for i in sorted(fs)] + [(0, 0)],
+        piece = convex_hull([p.vertices[i] for i in bits(fs)] + [(0, 0)],
                             ROLE_M)
         pieces.append(piece.volume_in_chart(chart))
     assert sum(pieces) == total
@@ -441,8 +442,8 @@ def test_faces_from_the_h_representation_match_hulls(points):
     from nefsphere import polytope
     with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
         p = convex_hull(points, ROLE_M)
-    for fs, dim in p.face_sets().items():
-        verts = [p.vertices[i] for i in fs]
+    for fs, dim in p.faces().items():
+        verts = [p.vertices[i] for i in bits(fs)]
         assert dim == _affine_rank(verts)
         with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
             face = p.face_polytope(fs)
@@ -477,11 +478,11 @@ def deferred_membership_failures(parent):
     from nefsphere.polytope import point_ray
     failures = []
     vrays = [point_ray(v) for v in parent.vertices]
-    for fs, dim in parent.face_sets().items():
+    for fs, dim in parent.faces().items():
         with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
             face = parent.face_polytope(fs, dim)
         assert face._rows is not None
-        inner = tuple(map(sum, zip(*(vrays[i] for i in fs))))
+        inner = tuple(map(sum, zip(*(vrays[i] for i in bits(fs)))))
         rays = vrays + [inner]
         rays += [tuple(map(sum, zip(inner, w))) for w in vrays]
         for k in range(1, len(inner)):
@@ -491,7 +492,7 @@ def deferred_membership_failures(parent):
         by_parent = [face.contains_ray(r) for r in rays]
         assert face.equations is not None and face._rows is None
         if [face.contains_ray(r) for r in rays] != by_parent:
-            failures.append(sorted(fs))
+            failures.append(bits(fs))
     return failures
 
 
@@ -583,8 +584,8 @@ def test_polytope_from_hrep_matches_the_hull_of_its_vertices(system):
 
 def test_face_polytope_rejects_a_vertex_set_that_is_not_a_face():
     square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)], ROLE_M)
-    diagonal = [square.vertices.index(v) for v in ((0, 0), (1, 1))]
-    assert not square.is_face(diagonal) and not square.is_face([])
+    diagonal = sum(1 << square.vertices.index(v) for v in ((0, 0), (1, 1)))
+    assert not square.is_face(diagonal) and not square.is_face(0)
     with pytest.raises(GeometryError, match="not a face"):
         square.face_polytope(diagonal)
 
@@ -595,7 +596,7 @@ def test_face_lattice_grade_must_match_the_dimension():
     wrong = Polytope(tri.ambient, tri.role, tri.vertices, tri.equations,
                      tri.facets, tri.dim + 1)
     with pytest.raises(GeometryError, match="grade"):
-        wrong.face_sets()
+        wrong.faces()
 
 
 
@@ -634,7 +635,7 @@ def test_is_minkowski_sum_agrees_with_the_hull_of_the_sums(d, k, data):
     grown[j] = convex_hull(summands[j].vertices + (extra,), ROLE_M)
     agrees(total, grown)
     shrunk = list(summands)
-    shrunk[j] = summands[j].face_polytope([0])
+    shrunk[j] = summands[j].face_polytope(1)
     agrees(total, shrunk)
     # p the hull of a proper subset of the sums.
     sums = sorted({tuple(map(sum, zip(*vs)))

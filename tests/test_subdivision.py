@@ -203,12 +203,12 @@ def test_boundary_cells_intersect_in_common_faces():
             lower_hull_subdivision(p, WeightFunction.all_ones(p)))
         cells = boundary.cells
         for i, a in enumerate(cells):
-            faces_a = {a.face_polytope(fs) for fs in a.face_sets()}
+            faces_a = {a.face_polytope(fs) for fs in a.faces()}
             for b in cells[i + 1:]:
                 meet = intersect(a, b)
                 if meet is None:
                     continue
-                faces_b = {b.face_polytope(fs) for fs in b.face_sets()}
+                faces_b = {b.face_polytope(fs) for fs in b.faces()}
                 assert meet in faces_a and meet in faces_b
 
 

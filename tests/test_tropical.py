@@ -139,7 +139,7 @@ def test_tropical_complex_r1_circle(triangle_pipe):
     assert all(v["passed"] for v in suite.values())
     # r = 1: the complex support is the whole zero-cell boundary.
     zero = triangle_pipe.zero_cell()
-    faces = {zero.face_polytope(fs) for fs, d in zero.face_sets().items()
+    faces = {zero.face_polytope(fs) for fs, d in zero.faces().items()
              if d < zero.dim}
     cells = {convex_hull(c.poly.vertices, c.poly.role, c.poly.ambient)
              for c in cplx.cells}
@@ -322,7 +322,7 @@ def test_a_corrupted_coned_slice_fails_the_bounded_cells_check(simplex3_pipe):
              if len(e.slices[0].vertices) > 1)
     e = elements[k]
     elements[k] = TransversalCell(
-        e.cell, (e.slices[0].face_polytope([0]),) + e.slices[1:], e.minkowski)
+        e.cell, (e.slices[0].face_polytope(1),) + e.slices[1:], e.minkowski)
 
     def check(p_poset):
         return bounded_cells_check(pipe.part_subdivisions(), pipe.s_boundary(),
@@ -347,7 +347,7 @@ def test_a_corrupted_slice_fails_the_mixed_subdivision_check(pentagon_pipe):
     cell = next(c for c in boundary.maximal_cells
                 if any(s is not None and len(s.vertices) > 1
                        for s in slices[c]))
-    slices[cell] = tuple(s if s is None else s.face_polytope([0])
+    slices[cell] = tuple(s if s is None else s.face_polytope(1)
                          for s in slices[cell])
     assert mixed_subdivision_check(boundary, poset, delta)["passed"]
     report = mixed_subdivision_check(boundary,
