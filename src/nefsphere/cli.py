@@ -30,15 +30,37 @@ def _is_int(x):
     return type(x) is int
 
 
-def _parse_rational(x):
+def _parse_rational(x, name):
+    """A weight value as a Fraction.  A string whose numerator or
+    denominator would pass the int-to-string digit limit is refused before
+    it is built, which could take seconds; the report could not print it."""
     if _is_int(x):
         return Fraction(x)
     if isinstance(x, str):
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < _literal_digits(x):
+            raise ValueError(f"bad {name} value {x[:24]!r}: its numerator or "
+                             f"denominator would exceed {limit} digits")
         try:
             return Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     raise ValueError(f"not an exact rational: {json.dumps(x)}")
+
+
+def _literal_digits(text):
+    """The length, as written, of the longer of the numerator and the
+    denominator that Fraction builds from `text` before reducing them:
+    d.f with exponent e is (d f) 10^e / 10^len(f), and a/b is a / b."""
+    mantissa, _, exp = text.strip().lstrip("+-").lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    num, _, den = whole.partition("/")
+    try:
+        exp = int(exp or 0)
+    except ValueError:  # no literal: Fraction refuses it
+        return 0
+    return max(len(num + frac) + max(exp, 0),
+               len(den) or (1 + len(frac) + max(-exp, 0)))
 
 
 def load_input(path, omega_override=None, nu_override=None):
@@ -97,7 +119,7 @@ def load_input(path, omega_override=None, nu_override=None):
             if len(pt) != dim:
                 raise ValueError(f"bad weight table point {json.dumps(pt)}: "
                                  f"need {dim} coordinates")
-        return [(tuple(pt), _parse_rational(v)) for pt, v in table]
+        return [(tuple(pt), _parse_rational(v, name)) for pt, v in table]
 
     omega = weight_spec("omega", data.get("omega"), omega_override)
     nu = weight_spec("nu", data.get("nu"), nu_override)

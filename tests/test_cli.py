@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -304,6 +305,38 @@ def test_malformed_structure_exit_2(tmp_path, data, message):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("value, code", [
+    ("1e5000", 2), ("1e-5000", 2), ("1e10000000", 2), ("1e4200", 0)])
+def test_an_oversized_weight_value_exits_2_before_it_is_built(
+        tmp_path, capsys, value, code):
+    # simplex3 with omega 1 off the origin and one value replaced.  A value
+    # whose numerator or denominator would pass the interpreter's
+    # int-to-string digit limit is refused by name before it is built: built,
+    # 1e5000 could not be printed in the report (exit 4), and 1e10000000
+    # took seconds before that.
+    from nefsphere import cli
+    points = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+    table = [[[0, 0, 0], 0], [points[0], value]] + [[p, 1]
+                                                   for p in points[1:]]
+    bad = tmp_path / "weights.json"
+    bad.write_text(json.dumps({"dim": 3, "parts": [points],
+                               "omega": {"table": table}}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        start = time.perf_counter()
+        got = cli.main(["report", str(bad)])
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert got == code, err
+    if code == 2:
+        assert elapsed < 1 and out == ""
+        assert err == (f"input error: bad omega value {value!r}: its "
+                       "numerator or denominator would exceed 4300 digits\n")
 
 
 # The single triangle part with omega = |x_0 - 1| on its 10 lattice points:
