@@ -2,11 +2,17 @@
 
 Each test plants one targeted fault in what a verdict reads (a poset,
 Sigma, the parts hull, the sum polytope, a minimal cell, a part
-subdivision, the tropical complex, a monodromy) by rebinding the function
-that computes the verdict, so that this function alone is handed the
-doctored input.  It then runs ``nefsphere report`` in process and expects
-exit 3, the verdict false and ``"passed": false``.  Every other check of
-the run reads the true input.
+subdivision, the tropical complex, a monodromy, the validation's dual, the
+double dual, Sigma's cell order) by rebinding the function that computes
+the verdict, so that this function alone is handed the doctored input.  It
+then runs ``nefsphere report`` in process and expects exit 3, the verdict
+false and ``"passed": false``.  Every other check of the run reads the
+true input.
+
+``nefsphere validate``'s weight verdicts, ``central`` and
+``coned_over_boundary``, are flipped by weight tables instead: the weight is
+the input.  Its ``passed`` is the partition's verdict, so it stays true
+there while the exit code is 3.
 """
 
 import copy
@@ -15,13 +21,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from nefsphere import cli, sphere, tropical
+from nefsphere import cli, pipeline, sphere, tropical
 from nefsphere import monodromy as mono
 from nefsphere.linalg import identity, mat_mul
+from nefsphere.nef import NefPartition, NefPartitionError
 from nefsphere.polytope import convex_hull, dilate
 
-from conftest import transpose
-from test_cli import path
+from conftest import TRIANGLE, transpose
+from test_cli import NON_CENTRAL, SEGMENT, path
 
 
 def _feed(monkeypatch, module, name, doctor):
@@ -319,3 +326,83 @@ def test_an_identity_primal_monodromy_fails_the_duality_pairing(monkeypatch,
     stages = _failed(capsys, "simplex3", "--verify", "full", "--dual")
     assert stages["duality_monodromy"]["all_preserve_pairing"] is False
     assert stages["triviality"]["all_equivalent"] is True
+
+
+# -- the partition, the double dual and Sigma's cell order ---------------------
+
+
+def test_a_dual_that_cannot_be_formed_fails_the_validation(monkeypatch,
+                                                          capsys):
+    # The validation is handed a dualize that refuses the partition: its
+    # dual_partition_integral check, and so the validation, reads false.
+    def refuse(nef):
+        raise NefPartitionError("planted: no integral dual")
+
+    _feed(monkeypatch, pipeline, "validate_nef_partition",
+          lambda nef, dualize: (nef, refuse))
+    stages = _failed(capsys, "simplex3", "--verify", "fast")
+    checks = {c["name"]: c["passed"] for c in stages["validation"]["checks"]}
+    assert stages["validation"]["passed"] is False
+    assert checks["dual_partition_integral"] is False
+
+
+def test_a_reordered_double_dual_fails_the_involution(monkeypatch, capsys):
+    # The double dual comes back with its parts swapped; the dual itself,
+    # which the rest of the run reads, is the true one.
+    real = pipeline.dual_nef_partition
+
+    def dualize(nef):
+        out = real(nef)
+        if nef.role == "N":  # the dual's dual
+            return NefPartition(out.parts[::-1], out.role)
+        return out
+
+    monkeypatch.setattr(pipeline, "dual_nef_partition", dualize)
+    stages = _failed(capsys, "pentagon_pair", "--verify", "fast")
+    assert stages["dual_partition"]["involution"] is False
+    assert stages["validation"]["passed"] is True
+
+
+def test_a_doubled_top_cell_fails_the_pseudomanifold_check(monkeypatch,
+                                                           capsys):
+    # A copy of one top cell of Sigma over the same faces: each of its
+    # ridges then lies in three top cells.  Homology reads the true Sigma.
+    def doctor(dims, below):
+        k = dims.index(max(dims))
+        copy_below = below[k] & ~(1 << k) | 1 << len(dims)
+        return list(dims) + [dims[k]], list(below) + [copy_below]
+
+    _feed(monkeypatch, sphere, "is_closed_pseudomanifold", doctor)
+    stages = _failed(capsys, "simplex3", "--verify", "fast")
+    assert stages["sigma"]["pseudomanifold"] is False
+    assert stages["sigma"]["homology"] == [[1, []], [0, []], [1, []]]
+
+
+# -- nefsphere validate: the weights -------------------------------------------
+
+# The segment's omega or nu = x_0 is affine: the one cell holds the origin
+# in its interior, not as an apex.  On the triangle's polar, minus the
+# triangle part of NON_CENTRAL, NON_CENTRAL's omega mirrored through the
+# origin leaves cells that miss the origin.
+AFFINE = {"table": [[[-1], -1], [[0], 0], [[1], 1]]}
+MIRRORED = {"table": [[[-x for x in pt], value]
+                      for pt, value in NON_CENTRAL["omega"]["table"]]}
+
+
+@pytest.mark.parametrize("parts, weight, table, central, coned", [
+    (SEGMENT, "omega", AFFINE, True, False),
+    (SEGMENT, "nu", AFFINE, True, False),
+    ([[list(v) for v in TRIANGLE[0]]], "nu", MIRRORED, False, False),
+])
+def test_a_weight_fails_its_validate_verdicts(tmp_path, capsys, parts, weight,
+                                              table, central, coned):
+    # The other weight is all ones, and reads true.
+    data = tmp_path / "weights.json"
+    data.write_text(json.dumps({"dim": len(parts[0][0]), "parts": parts,
+                                weight: table}))
+    code = cli.main(["validate", str(data)])
+    out = json.loads(capsys.readouterr().out)
+    other = "nu" if weight == "omega" else "omega"
+    assert (code, out["passed"]) == (3, True)
+    assert out["central"] == {weight: central, other: True}
+    assert out["coned_over_boundary"] == {weight: coned, other: True}
