@@ -57,8 +57,8 @@ def _literal_digits(text):
     num, _, den = whole.partition("/")
     try:
         exp = int(exp or 0)
-    except ValueError:  # no literal: Fraction refuses it
-        return 0
+    except ValueError:  # no literal, or an exponent too long for int()
+        return len(exp)
     return max(len(num + frac) + max(exp, 0),
                len(den) or (1 + len(frac) + max(-exp, 0)))
 
