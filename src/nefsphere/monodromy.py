@@ -243,11 +243,11 @@ def primary_loops(sigma, s_boundary, t_boundary):
     partners[b], so each span pair (a, b) reads its loops from that meet,
     in the order of the span pairs of Q.
     """
-    q_min = sigma.q_poset.minimal
-    p_pairs = _span_pairs(sigma.p_poset, sigma.p_poset.minimal, s_boundary)
+    p_min, q_min = sigma.p_poset.minimal, sigma.q_poset.minimal
+    p_pairs = _span_pairs(sigma.p_poset, p_min, s_boundary)
     q_pairs = _span_pairs(sigma.q_poset, q_min, t_boundary)
     position = {j: x for x, j in enumerate(q_min)}
-    partners = dict.fromkeys(sigma.p_poset.minimal, 0)
+    partners = dict.fromkeys(p_min, 0)
     for a, j in sigma.pairs:
         if a in partners and j in position:
             partners[a] |= 1 << position[j]
