@@ -73,6 +73,15 @@ and ``NAME_validate.json`` are the stdout of those four commands on
 simplex3 and the kinked prism, frozen before a face of a polytope became
 its vertex bitmask everywhere and the transversal posets were built in
 cell-key order, which reach the slices, Sigma and the loops beneath them.
+
+``simplex3_generic_full_dual.json``, ``simplex_p4_5_full_dual.json``,
+``simplex_p5_33_full_dual.json`` and ``simplex_p5_24_full_dual.json`` are the
+``--verify full --dual`` reports of the quartic with the generic quadratic
+bump as both weights (``simplex3_generic.json``: 24 discriminant
+components, the first golden with a generic weight) and of the simplex
+family's quintic, P^5 as 3+3 and P^5 as 2+4.  They were frozen before each
+transversal poset's inclusion order was computed once, over its own cells,
+which the mixed subdivision, the tropical complex and the dual run read.
 """
 
 import json
@@ -148,7 +157,8 @@ def test_simplex_family_fast_report_matches_golden(name):
     _assert_report_matches(name, f"{name}_fast", "--verify", "fast")
 
 
-@pytest.mark.parametrize("name", SIMPLEX_FAMILY)
+@pytest.mark.parametrize("name", SIMPLEX_FAMILY + [
+    "simplex_p4_5", "simplex_p5_33", "simplex_p5_24", "simplex3_generic"])
 def test_simplex_family_full_dual_report_matches_golden(name):
     _assert_report_matches(name, f"{name}_full_dual",
                            "--verify", "full", "--dual")
@@ -204,7 +214,7 @@ def _has_path(report, dotted):
 def test_report_goldens_pin_schema_2():
     names = sorted(f for f in os.listdir(GOLDEN) if not f.endswith(tuple(
         f"_{c}.json" for c in COMMANDS + ["monodromy", "tropical"])))
-    assert len(names) == 21
+    assert len(names) == 25
     one_part = []
     for name in names:
         with open(os.path.join(GOLDEN, name)) as fh:
@@ -219,4 +229,5 @@ def test_report_goldens_pin_schema_2():
             assert (sign is None) is \
                 (not report["stages"]["irreducible"]["irreducible"]), name
     assert one_part == ["segment_weighted.json", "simplex3.json",
-                        "triangle.json"]
+                        "simplex3_generic_full_dual.json",
+                        "simplex_p4_5_full_dual.json", "triangle.json"]

@@ -1120,9 +1120,11 @@ def test_enclosing_smooth_pair_matches_pair_scan():
                        for i, j in smooth_cells)
             assert encloses_smooth_pair(sigma, loop, smooth) == scan
             checked += 1
-    # The last two terms are P^6 (3,4) and P^7 (4,4).
+    # The terms after P^7 (4,4)'s 1680 are generic simplex3, P^4 (5),
+    # P^5 (2,4) and P^5 (3,3); P^6 (3,4) is the 636 before it.
     assert checked == \
-        6 + 30 + 756 + 1080 + 2160 + 72 + 318 + 464 + 1170 + 636 + 1680
+        6 + 30 + 756 + 1080 + 2160 + 72 + 318 + 464 + 1170 + 636 + 1680 \
+        + 174 + 90 + 180 + 216
 
 
 # -- primary loops: the partner-mask join against the pair scan ---------------
