@@ -52,7 +52,9 @@ and c lies in S_i as above; conversely 0 and S_i lie in part_i.
 
 Upper set: a cell is transversal iff each psi_i is 1 at one of its
 vertices, and a cell above another has all of its vertices, so the
-transversal cells form an upper set with no check.
+transversal cells form an upper set with no check.  So the inclusion order
+among them alone holds every cell above each of them, and each poset's
+order is computed once, over its own cells (:func:`transversal_poset`).
 
 Minkowski cells take one double description per maximal transversal cell
 C: M(C) = r*C & delta, by H->V, certified equal to the sum of C's slices
@@ -136,19 +138,21 @@ class TransversalPoset:
 
     `slices` maps every cell of the subdivision, transversal or not, to its
     part slices (:func:`compute_slices`), for the checks that need them all.
+    `above` and `below` are the inclusion masks among the elements alone
+    (:func:`_inclusion_masks`).  As the transversal cells form an upper set
+    (module docstring), every cell above an element is an element.
 
     Order invariant: the elements' ``cell.key()`` strictly increase, as
     :func:`transversal_poset` takes them in the order of the subdivision's
     cells, which are sorted by key.  So index order is cell-key order.
     """
 
-    def __init__(self, subdivision, parts, elements, slices):
+    def __init__(self, parts, elements, slices, above, below):
         self.parts = parts
         self.elements = tuple(elements)
         self.slices = slices
-        self._above, self._below = _inclusion_masks(
-            [subdivision.vertex_mask(e.cell) for e in self.elements])
-        self.minimal = tuple(i for i, mask in enumerate(self._below)
+        self._above, self._below = above, below
+        self.minimal = tuple(i for i, mask in enumerate(below)
                              if mask == 1 << i)
         self._minimal_mask = sum(1 << i for i in self.minimal)
 
@@ -301,38 +305,37 @@ def transversal_poset(subdivision, parts, other_parts, delta):
     r*cell intersected with the sum polytope `delta`, are the sums of the
     slices (:func:`_minkowski_cells`).
     """
-    r = len(parts)
     slices_by_cell = compute_slices(subdivision, parts, other_parts)
-    cells = subdivision.cells
-    transversal = sum(
-        1 << k for k, c in enumerate(cells)
-        if all(s is not None for s in slices_by_cell[c]))
-    above, _ = _inclusion_masks(subdivision.vertex_masks)
-    minkowski = _minkowski_cells(cells, slices_by_cell, transversal, above,
-                                 r, delta)
-    elements = [TransversalCell(cells[k], slices_by_cell[cells[k]],
-                                minkowski[k])
-                for k in bits(transversal)]
-    return TransversalPoset(subdivision, parts, elements, slices_by_cell)
+    keep = [k for k, c in enumerate(subdivision.cells)
+            if all(s is not None for s in slices_by_cell[c])]
+    cells = [subdivision.cells[k] for k in keep]
+    above, below = _inclusion_masks(
+        [subdivision.vertex_masks[k] for k in keep])
+    minkowski = _minkowski_cells(cells, slices_by_cell, above, len(parts),
+                                 delta)
+    elements = [TransversalCell(c, slices_by_cell[c], m)
+                for c, m in zip(cells, minkowski)]
+    return TransversalPoset(parts, elements, slices_by_cell, above, below)
 
 
-def _minkowski_cells(cells, slices_by_cell, transversal, above, r, delta):
-    """Cell index -> Minkowski cell r*cell & delta of every transversal cell
-    (the mask `transversal`).
+def _minkowski_cells(cells, slices_by_cell, above, r, delta):
+    """The Minkowski cells r*cell & delta of the transversal `cells`, in
+    their order.  `above` holds their inclusion masks among themselves,
+    which hold every cell above each, as the transversal cells form an upper
+    set (module docstring).
 
     One double description runs per maximal transversal cell C, certified
     to be the sum of C's slices.  Every other transversal cell C' is a face
     of the lowest-index maximal C above it, and its Minkowski cell is a
     face of C's, which inherits both formulas (module docstring).
     """
-    maximal = [k for k in bits(transversal)
-               if above[k] & transversal == 1 << k]
-    maximal_mask = sum(1 << k for k in maximal)
-    out = {}
+    maximal_mask = sum(1 << k for k, mask in enumerate(above)
+                       if mask == 1 << k)
+    out = [None] * len(cells)
     # Per maximal cell: its vertices' bits and, per facet row of C, the
     # mask of the vertices of M(C) tight on that row at scale r.
     cut = {}
-    for k in maximal:
+    for k in bits(maximal_mask):
         cell = cells[k]
         mink = intersect(dilate(cell, r), delta)
         _certify_minkowski(cell, slices_by_cell[cell], mink)
@@ -341,8 +344,9 @@ def _minkowski_cells(cells, slices_by_cell, transversal, above, r, delta):
                   [sum(1 << i for i, w in enumerate(mink.vertices)
                        if r * f[0] + dot(f[1:], w) == 0)
                    for f in cell.facets])
-    for k in bits(transversal & ~maximal_mask):
-        sub = cells[k]
+    for k, sub in enumerate(cells):
+        if maximal_mask >> k & 1:
+            continue
         over = above[k] & maximal_mask
         m = (over & -over).bit_length() - 1
         cell = cells[m]

@@ -8,6 +8,11 @@ nothing, so these tests pin it on every ``tests/data`` input, on the run
 and on its role-swapped run.  :meth:`ConedSubdivision.star` is checked
 against the subset scan it replaced, on every cell of both weights'
 subdivisions and of each part subdivision.
+
+Each poset's inclusion order is computed once, over its own elements.  It
+is checked against the route it replaced, the inclusion masks over every
+cell of the subdivision restricted to the transversal cells, and a spy
+checks that it is computed once per poset.
 """
 
 import glob
@@ -15,8 +20,9 @@ import os
 
 import pytest
 
-from nefsphere import Pipeline
+from nefsphere import Pipeline, sphere
 from nefsphere.cli import load_input
+from nefsphere.polytope import bits
 from test_cli import DATA, path
 
 NAMES = sorted(os.path.basename(f)[:-len(".json")]
@@ -78,3 +84,48 @@ def test_star_is_the_subset_scan(runs):
             seen.add(id(sub))
             for cell in sub.cells():
                 assert sub.star(cell) == star_by_subset_scan(sub, cell)
+
+
+def inclusion_over_all_cells(boundary, poset):
+    """The poset's (above, below) masks read from the inclusion masks over
+    every cell of the subdivision, restricted to the poset's elements."""
+    above, below = sphere._inclusion_masks(boundary.vertex_masks)
+    index = {c: k for k, c in enumerate(boundary.cells)}
+    ks = [index[e.cell] for e in poset.elements]
+    position = {k: t for t, k in enumerate(ks)}
+    kept = sum(1 << k for k in ks)
+
+    def restrict(masks):
+        return [sum(1 << position[j] for j in bits(masks[k] & kept))
+                for k in ks]
+
+    return restrict(above), restrict(below)
+
+
+def test_poset_order_is_inclusion_over_all_cells_restricted(runs):
+    for pipe in runs:
+        for boundary, poset in ((pipe.s_boundary(), pipe.p_poset()),
+                                (pipe.t_boundary(), pipe.q_poset())):
+            assert (poset._above, poset._below) == \
+                inclusion_over_all_cells(boundary, poset)
+
+
+@pytest.mark.parametrize("name", ["pentagon_pair", "cube_split_r3",
+                                  "prism_pair_5d_kinked"])
+def test_each_poset_order_is_computed_once_over_its_elements(name,
+                                                            monkeypatch):
+    real = sphere._inclusion_masks
+    sizes = []
+
+    def spy(masks):
+        sizes.append(len(masks))
+        return real(masks)
+
+    monkeypatch.setattr(sphere, "_inclusion_masks", spy)
+    nef, omega, nu = load_input(path(f"{name}.json"))
+    pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+    for boundary, stage in ((pipe.s_boundary(), pipe.p_poset),
+                            (pipe.t_boundary(), pipe.q_poset)):
+        sizes.clear()
+        poset = stage()
+        assert sizes == [len(poset)] != [len(boundary.cells)]

@@ -293,8 +293,8 @@ def test_a_cell_that_is_not_a_face_of_its_maximal_cell_fails_the_check(swap):
     elements = list(poset.elements)
     e = elements[j]
     elements[j] = sphere.TransversalCell(e.cell, e.slices, fake)
-    doctored = sphere.TransversalPoset(pipe.s_boundary(), poset.parts,
-                                       elements, poset.slices)
+    doctored = sphere.TransversalPoset(poset.parts, elements, poset.slices,
+                                       poset._above, poset._below)
     report = sphere.minkowski_complex(doctored, nef.sum_polytope, nef.r,
                                       nef.parts_hull)
     assert report["checks"]["face_lattices_match"] is False
@@ -312,8 +312,10 @@ def test_a_cell_with_a_face_that_is_no_poset_element_fails_the_check():
     poset, nef = pipe.p_poset(), pipe.nef
     i = next(i for i in poset.minimal if poset.above(i) != [i])
     elements = [e for k, e in enumerate(poset.elements) if k != i]
-    doctored = sphere.TransversalPoset(pipe.s_boundary(), poset.parts,
-                                       elements, poset.slices)
+    boundary = pipe.s_boundary()
+    doctored = sphere.TransversalPoset(
+        poset.parts, elements, poset.slices, *sphere._inclusion_masks(
+            [boundary.vertex_mask(e.cell) for e in elements]))
     report = sphere.minkowski_complex(doctored, nef.sum_polytope, nef.r,
                                       nef.parts_hull)
     assert report["checks"]["order_isomorphism"] is True
