@@ -16,7 +16,6 @@ from .errors import FalsificationError
 from .nef import NefPartition, NefPartitionError
 from .pipeline import Pipeline
 from .polytope import GeometryError
-from .sphere import _cell_key
 from .tropical import scene_export
 
 
@@ -235,9 +234,7 @@ def _dispatch(args, pipe):
         pipe.dual()
     if cmd == "validate":
         report = pipe.validation().as_dict()
-        irr, witness = pipe.irreducibility()
-        report["irreducible"] = irr
-        report["witness"] = list(witness) if witness else None
+        report.update(pipe.irreducible_section())
         if not report["passed"]:
             # The weights' subdivisions need a valid partition's support.
             report["central"] = report["coned_over_boundary"] = None
@@ -256,26 +253,17 @@ def _dispatch(args, pipe):
                 report["coned_over_boundary"][name] = False
         ok = (all(report["central"].values())
               and all(report["coned_over_boundary"].values()))
-        if args.require_irreducible and not irr:
+        if args.require_irreducible and not report["irreducible"]:
             ok = False
         return report, 0 if ok else 3
     if cmd == "dualize":
-        dual = pipe.dual()
         out = {
-            "parts": [_cell_key(p) for p in dual.parts],
+            "parts": pipe.dual_parts(),
             "validation": pipe.validation().as_dict(),
         }
         return out, 0 if out["validation"]["passed"] else 3
     if cmd == "complex":
-        sigma = pipe.sigma()
-        out = {
-            "cells": len(sigma),
-            "dim": sigma.dim(),
-            "euler": sigma.euler_characteristic(),
-            "homology": [[b, list(t)] for b, t in pipe.sigma_homology()],
-            "pseudomanifold": sigma.is_closed_pseudomanifold(),
-        }
-        return out, 0
+        return pipe.complex_section(), 0
     if cmd == "tropical":
         cells = pipe.tropical_complex().cells
         out = {
@@ -285,14 +273,7 @@ def _dispatch(args, pipe):
         }
         return out, 0
     if cmd == "discriminant":
-        disc = pipe.discriminant()
-        out = {
-            "vertices": len(disc.vertex_ids),
-            "components": len(disc.components),
-            "component_homology": [[[b, list(t)] for b, t in h]
-                                   for h in disc.component_homology],
-        }
-        return out, 0
+        return pipe.discriminant_section(), 0
     if cmd == "monodromy":
         out = {
             "loops": len(pipe.loops()),

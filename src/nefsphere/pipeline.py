@@ -270,20 +270,40 @@ class Pipeline:
         return [mono.duality_check(loop, m, dual_pipe.atlas())
                 for loop, m in zip(self.loops(), self.monodromies())]
 
+    # -- output sections, each shared by the report and its own command ---------------
+
+    def irreducible_section(self):
+        irr, witness = self.irreducibility()
+        return {"irreducible": irr,
+                "witness": list(witness) if witness else None}
+
+    def dual_parts(self):
+        return [sphere._cell_key(p) for p in self.dual().parts]
+
+    def complex_section(self):
+        sigma = self.sigma()
+        return {"cells": len(sigma), "dim": sigma.dim(),
+                "euler": sigma.euler_characteristic(),
+                "homology": _homology_json(self.sigma_homology()),
+                "pseudomanifold": sigma.is_closed_pseudomanifold()}
+
+    def discriminant_section(self):
+        disc = self.discriminant()
+        return {"vertices": len(disc.vertex_ids),
+                "components": len(disc.components),
+                "component_homology": [_homology_json(h)
+                                       for h in disc.component_homology]}
+
     # -- reporting --------------------------------------------------------------------
 
     def report(self, verify="fast", include_dual=False):
         rep = {"schema": 2, "input": self._input_description(), "stages": {}}
         stages = rep["stages"]
         stages["validation"] = self.validation().as_dict()
-        irr, witness = self.irreducibility()
-        stages["irreducible"] = {"irreducible": irr,
-                                 "witness": list(witness) if witness else None}
-        dual = self.dual()
-        stages["dual_partition"] = {
-            "parts": [sphere._cell_key(p) for p in dual.parts],
-            "involution": self._involution_holds(),
-        }
+        stages["irreducible"] = self.irreducible_section()
+        irr = stages["irreducible"]["irreducible"]
+        stages["dual_partition"] = {"parts": self.dual_parts(),
+                                    "involution": self._involution_holds()}
         iv = self.interior_vectors()
         stages["interior_vectors"] = {
             "v": [sphere._point_key(vec) for vec in iv.v],
@@ -310,25 +330,17 @@ class Pipeline:
         for dim in sigma.dims:
             cells_by_dim[dim] = cells_by_dim.get(dim, 0) + 1
         stages["sigma"] = {
-            "cells": len(sigma),
+            **self.complex_section(),
             "cells_by_dim": {str(k): v for k, v in sorted(cells_by_dim.items())},
-            "dim": sigma.dim(),
-            "euler": sigma.euler_characteristic(),
             "expected_euler": 1 + (-1) ** (d - r) if irr else None,
-            "pseudomanifold": sigma.is_closed_pseudomanifold(),
-            "homology": _homology_json(self.sigma_homology()),
             "projections": sphere.projection_images(sigma),
             "sphericity_certificate":
                 "integral homology plus closed-pseudomanifold check; "
                 "homeomorphism type itself is not certified",
         }
-        disc = self.discriminant()
         stages["discriminant"] = {
-            "vertices": len(disc.vertex_ids),
-            "components": len(disc.components),
-            "component_homology": [_homology_json(h)
-                                   for h in disc.component_homology],
-            "component_parts": disc.component_parts,
+            **self.discriminant_section(),
+            "component_parts": self.discriminant().component_parts,
         }
         loops = self.loops()
         stages["monodromy"] = {
