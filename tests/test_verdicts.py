@@ -2,8 +2,9 @@
 
 Each test plants one targeted fault in what a verdict reads (a poset,
 Sigma, the parts hull, the sum polytope, a minimal cell, a part
-subdivision, the tropical complex, a monodromy, the validation's dual, the
-double dual, Sigma's cell order) by rebinding the function that computes
+subdivision, the tropical complex, a monodromy, the partition or the dual
+that the validation reads, the double dual, Sigma's cell order, Sigma's
+Euler count or homology) by rebinding the function that computes
 the verdict, so that this function alone is handed the doctored input.  It
 then runs ``nefsphere report`` in process and expects exit 3, the verdict
 false and ``"passed": false``.  Every other check of the run reads the
@@ -17,6 +18,7 @@ there while the exit code is 3.
 
 import copy
 import json
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -25,7 +27,7 @@ from nefsphere import cli, pipeline, sphere, tropical
 from nefsphere import monodromy as mono
 from nefsphere.linalg import identity, mat_mul
 from nefsphere.nef import NefPartition, NefPartitionError
-from nefsphere.polytope import convex_hull, dilate
+from nefsphere.polytope import convex_hull, dilate, polar_dual
 
 from conftest import TRIANGLE, transpose
 from test_cli import NON_CENTRAL, SEGMENT, path
@@ -107,15 +109,13 @@ def test_a_missing_maximal_cell_fails_the_support_cover(monkeypatch,
     # still inclusion and each cell's faces are still elements.
     def doctor(poset, delta, r, parts_hull):
         top = next(j for j, mask in enumerate(poset._above) if mask == 1 << j)
+        elements = poset.elements[:top] + poset.elements[top + 1:]
         ids = {}
-
-        def vertex_mask(cell):
-            return sum(1 << ids.setdefault(v, len(ids))
-                       for v in cell.vertices)
-
+        masks = [sum(1 << ids.setdefault(v, len(ids)) for v in e.cell.vertices)
+                 for e in elements]
         doctored = sphere.TransversalPoset(
-            SimpleNamespace(vertex_mask=vertex_mask), poset.parts,
-            poset.elements[:top] + poset.elements[top + 1:], poset.slices)
+            poset.parts, elements, poset.slices,
+            *sphere._inclusion_masks(masks))
         return doctored, delta, r, parts_hull
 
     _feed(monkeypatch, sphere, "minkowski_complex", doctor)
@@ -346,6 +346,119 @@ def test_a_dual_that_cannot_be_formed_fails_the_validation(monkeypatch,
     assert checks["dual_partition_integral"] is False
 
 
+def _validation_checks(stages):
+    """The validation's checks by name; the validation must have failed."""
+    assert stages["validation"]["passed"] is False
+    return {c["name"]: c["passed"] for c in stages["validation"]["checks"]}
+
+
+def test_a_part_off_the_origin_fails_origin_in_every_part(monkeypatch,
+                                                          capsys):
+    # The validation is handed simplex3's part moved by e_0, next to the
+    # point -e_0: the sum is the same reflexive simplex, but the point
+    # misses the origin.  The dual is not formed then, so this check reads
+    # false only together with dual_partition_integral ("skipped").
+    def doctor(nef, dualize):
+        part = nef.parts[0]
+        e0 = (1,) + (0,) * (nef.ambient - 1)
+        moved = convex_hull([tuple(x + y for x, y in zip(v, e0))
+                             for v in part.vertices], nef.role)
+        point = convex_hull([tuple(-x for x in e0)], nef.role)
+        return NefPartition([moved, point], nef.role), dualize
+
+    _feed(monkeypatch, pipeline, "validate_nef_partition", doctor)
+    checks = _validation_checks(_failed(capsys, "simplex3", "--verify",
+                                        "fast"))
+    assert checks == {"origin_in_every_part": False,
+                      "parts_are_lattice_polytopes": True,
+                      "sum_is_reflexive": True,
+                      "dual_partition_integral": False}
+
+
+def test_halved_parts_fail_parts_are_lattice_polytopes(monkeypatch, capsys):
+    # simplex3's part A is handed over as A/2 twice: the same sum, each
+    # half holds the origin, and its vertices are not integral.  As above,
+    # dual_partition_integral reads false with it.
+    def doctor(nef, dualize):
+        part = nef.parts[0]
+        half = convex_hull([tuple(Fraction(x, 2) for x in v)
+                            for v in part.vertices], nef.role)
+        return NefPartition([half, half], nef.role), dualize
+
+    _feed(monkeypatch, pipeline, "validate_nef_partition", doctor)
+    checks = _validation_checks(_failed(capsys, "simplex3", "--verify",
+                                        "fast"))
+    assert checks == {"origin_in_every_part": True,
+                      "parts_are_lattice_polytopes": False,
+                      "sum_is_reflexive": True,
+                      "dual_partition_integral": False}
+
+
+def _only_failing(checks, name):
+    assert [k for k, ok in checks.items() if not ok] == [name]
+
+
+def test_swapped_dual_parts_fail_psi_certificates(monkeypatch, capsys):
+    # The validation's dual comes back with its two parts swapped: their
+    # hull and their sum are unchanged, but psi_j is 1 on part i != j.
+    def doctor(nef, dualize):
+        def swapped(n):
+            dual = dualize(n)
+            return NefPartition(dual.parts[::-1], dual.role)
+        return nef, swapped
+
+    _feed(monkeypatch, pipeline, "validate_nef_partition", doctor)
+    stages = _failed(capsys, "pentagon_pair", "--verify", "fast")
+    _only_failing(_validation_checks(stages), "psi_certificates")
+
+
+def _with(nef, **cached):
+    """A copy of a partition with some cached polytopes replaced."""
+    out = copy.copy(nef)
+    for name, value in cached.items():
+        setattr(out, name, value)
+    return out
+
+
+def test_a_doubled_sum_polar_fails_sum_polar_equals_conv_of_dual_parts(
+        monkeypatch, capsys):
+    # Only this check reads the polar of the sum; the dual is the true one.
+    def doctor(nef, dualize):
+        return _with(nef, _sum_polar=dilate(nef.sum_polar, 2)), dualize
+
+    _feed(monkeypatch, pipeline, "validate_nef_partition", doctor)
+    stages = _failed(capsys, "pentagon_pair", "--verify", "fast")
+    _only_failing(_validation_checks(stages),
+                  "sum_polar_equals_conv_of_dual_parts")
+
+
+def test_a_doubled_parts_hull_fails_dual_sum_is_polar_of_parts_hull(
+        monkeypatch, capsys):
+    # Only this check reads the parts hull; the dual is the true one.
+    def doctor(nef, dualize):
+        return _with(nef, _parts_hull=dilate(nef.parts_hull, 2)), dualize
+
+    _feed(monkeypatch, pipeline, "validate_nef_partition", doctor)
+    stages = _failed(capsys, "pentagon_pair", "--verify", "fast")
+    _only_failing(_validation_checks(stages),
+                  "dual_sum_is_polar_of_parts_hull")
+
+
+def test_a_doubled_dual_sum_fails_dual_sum_is_reflexive(monkeypatch, capsys):
+    # The dual's sum is doubled, so its facets lie at lattice distance 2,
+    # and the parts hull is halved to stay its polar: only reflexivity is
+    # left to see it.
+    def doctor(nef, dualize):
+        dual = dualize(nef)
+        doubled = _with(dual, _sum=dilate(dual.sum_polytope, 2))
+        return (_with(nef, _parts_hull=polar_dual(doubled.sum_polytope)),
+                lambda n: doubled)
+
+    _feed(monkeypatch, pipeline, "validate_nef_partition", doctor)
+    stages = _failed(capsys, "pentagon_pair", "--verify", "fast")
+    _only_failing(_validation_checks(stages), "dual_sum_is_reflexive")
+
+
 def test_a_reordered_double_dual_fails_the_involution(monkeypatch, capsys):
     # The double dual comes back with its parts swapped; the dual itself,
     # which the rest of the run reads, is the true one.
@@ -376,6 +489,38 @@ def test_a_doubled_top_cell_fails_the_pseudomanifold_check(monkeypatch,
     stages = _failed(capsys, "simplex3", "--verify", "fast")
     assert stages["sigma"]["pseudomanifold"] is False
     assert stages["sigma"]["homology"] == [[1, []], [0, []], [1, []]]
+
+
+def test_a_doubled_top_cell_in_the_count_fails_the_euler_check(monkeypatch,
+                                                               capsys):
+    # Sigma's Euler characteristic is counted with one top cell twice;
+    # its homology reads the true Sigma.
+    real = sphere.SigmaComplex.euler_characteristic
+    monkeypatch.setattr(
+        sphere.SigmaComplex, "euler_characteristic",
+        lambda self: real(SimpleNamespace(
+            dims=self.dims + (max(self.dims),))))
+    stages = _failed(capsys, "simplex3", "--verify", "fast")
+    assert (stages["sigma"]["euler"], stages["sigma"]["expected_euler"]) == \
+        (3, 2)
+    assert stages["sigma"]["homology"] == [[1, []], [0, []], [1, []]]
+
+
+def test_a_missing_top_cell_fails_the_homology_check(monkeypatch, capsys):
+    # Sigma's homology is computed without one top cell, on a disc; its
+    # Euler characteristic counts the true Sigma.
+    real = sphere.SigmaComplex.homology
+
+    def homology(self, cells=None):
+        if cells is None:
+            top = self.dims.index(max(self.dims))
+            cells = (1 << len(self.dims)) - 1 & ~(1 << top)
+        return real(self, cells)
+
+    monkeypatch.setattr(sphere.SigmaComplex, "homology", homology)
+    stages = _failed(capsys, "simplex3", "--verify", "fast")
+    assert stages["sigma"]["homology"] == [[1, []], [0, []], [0, []]]
+    assert stages["sigma"]["euler"] == stages["sigma"]["expected_euler"]
 
 
 # -- nefsphere validate: the weights -------------------------------------------
