@@ -3,8 +3,10 @@
 A nef-partition is an ordered Minkowski decomposition Delta = sum of parts,
 each part a lattice polytope containing the origin, certified by integral
 convex PL functions taking value 1 on the nonzero vertices of their own part
-and 0 on the other parts.  The dual partition lives on the polar side and
-satisfies  nabla_vee = Conv(parts)  and  delta_vee = Conv(dual parts).
+and 0 on the other parts.  The dual partition lives on the polar side: its
+j-th part is the hull of 0 and the vertices of delta_vee = polar(Delta) on
+which phi_j is 1, read off those vertices without a double description,
+and it satisfies  nabla_vee = Conv(parts)  and  delta_vee = Conv(dual parts).
 The interior vectors write 0 as a strictly positive convex combination of
 the vertices of each of those hulls, in closed form, and split it by part.
 """
@@ -21,7 +23,6 @@ from .polytope import (
     minkowski_sum_all,
     opposite_role,
     polar_dual,
-    polytope_from_hrep,
 )
 from .linalg import dot, solve_rational
 
@@ -113,29 +114,30 @@ class ValidationReport:
 def dual_nef_partition(np_):
     """The dual nef-partition, a NefPartition of the opposite role.
 
-    The level set {phi_i = 1} inside delta_vee is assembled piecewise over
-    the linearity domains of phi_i: for every vertex y of the i-th part the
-    piece is delta_vee cut by <y,x> = 1 and <y,x> >= <y',x> for the other
-    vertices.  The i-th dual part is the hull of 0 and all piece vertices.
+    The i-th dual part is Conv(0, E_i), where E_i is the set of vertices v
+    of delta_vee with phi_i(v) = max over the i-th part of <y, v> = 1
+    (Batyrev-Borisov).  It equals the hull of 0 and the level set
+    {phi_i = 1}, which is the union over the part's vertices y of the
+    linearity pieces {<y,x> = 1, <y,x> >= <y',x> for the part's other
+    vertices y'} of delta_vee.  With 0 in every part, each part lies in
+    Delta, so <y, .> <= 1 on delta_vee; a piece is then exactly the face
+    F_y = delta_vee cut by <y,.> = 1, as a point of F_y has
+    <y',x> <= 1 = <y,x>.  The vertices of F_y are the vertices v of
+    delta_vee with <y, v> = 1, so the pieces' vertices make up E_i and no
+    H->V description is needed.  A part that misses the origin is refused
+    first: there <y, .> may exceed 1 on delta_vee, and a piece is a slice
+    with new vertices, not a face.
     """
     dv = np_.sum_polar
+    origin = (0,) * np_.ambient
+    if not all(p.contains(origin) for p in np_.parts):
+        raise NefPartitionError("input is not a valid nef-partition")
     role = opposite_role(np_.role)
     duals = []
-    for i, part in enumerate(np_.parts):
-        points = {(0,) * np_.ambient}
-        for y in part.vertices:
-            if not any(y):
-                continue
-            eqs = [(-1,) + tuple(y)]
-            ineqs = list(dv.facets)
-            for y2 in part.vertices:
-                if y2 != y:
-                    row = (0,) + tuple(a - b for a, b in zip(y, y2))
-                    ineqs.append(row)
-            piece = polytope_from_hrep(eqs, ineqs, role, np_.ambient)
-            if piece is not None:
-                points.update(piece.vertices)
-        dual = convex_hull(points, role, np_.ambient)
+    for part in np_.parts:
+        level = [v for v in dv.vertices
+                 if max(dot(v, y) for y in part.vertices) == 1]
+        dual = convex_hull([origin] + level, role, np_.ambient)
         if not dual.is_lattice_polytope():
             raise NefPartitionError("input is not a valid nef-partition")
         duals.append(dual)

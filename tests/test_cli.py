@@ -410,6 +410,27 @@ def test_a_non_reflexive_sum_is_named_by_every_command(tmp_path, capsys,
         cause
 
 
+def test_a_part_off_the_origin_is_rejected_by_every_command(tmp_path,
+                                                            capsys):
+    # pentagon_pair with part 0 moved by (-1, 0) and part 1 by (1, 0): the
+    # sum is unchanged and reflexive, but part 1 misses the origin.  That is
+    # bad input (exit 2) for every command that needs the dual, not a
+    # failed theorem (exit 3).
+    from nefsphere import cli
+    bad = tmp_path / "off_origin.json"
+    bad.write_text(json.dumps({"dim": 2, "parts": [
+        [[0, 0], [-1, 0]], [[1, 1], [1, 0], [0, -1]]]}))
+    for command in ("report", "complex", "tropical", "discriminant",
+                    "monodromy", "dualize"):
+        assert cli.main([command, str(bad)]) == 2, command
+        assert capsys.readouterr() == \
+            ("", "input rejected: input is not a valid nef-partition\n")
+    assert cli.main(["validate", str(bad)]) == 3
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"]: c["passed"] for c in checks}[
+        "origin_in_every_part"] is False
+
+
 def test_report_rejects_non_central_weight(tmp_path):
     bad = tmp_path / "non_central.json"
     bad.write_text(json.dumps(NON_CENTRAL))

@@ -11,8 +11,8 @@ from nefsphere.cli import load_input
 from nefsphere.linalg import dot
 from nefsphere.nef import InteriorVectors, NefPartitionError, \
     ValidationCheck, _strict_combination
-from nefsphere.polytope import ROLE_M, ROLE_N, Vector, convex_hull, pair, \
-    polar_dual, polytope_from_hrep
+from nefsphere.polytope import ROLE_M, ROLE_N, Vector, convex_hull, \
+    opposite_role, pair, polar_dual, polytope_from_hrep
 
 from conftest import PENTAGON, PRISM_PAIR_5D, PRISM_PAIR_DUALS, SQUARE_SUM, TRIANGLE
 from test_cli import DATA, path
@@ -335,3 +335,149 @@ def test_strict_combination_coefficients_off_the_barycentre():
             assert not hull.interior_contains([-t * x for x in c])
             checked += 1
     assert checked >= 20
+
+
+# -- the piecewise dual, kept as the vertex split's oracle --------------------
+
+def _piecewise_dual(np_):
+    """The dual partition assembled over the linearity domains of phi_i: for
+    every nonzero vertex y of the i-th part, delta_vee cut by <y,x> = 1 and
+    <y,x> >= <y',x> for the part's other vertices y', by one H->V double
+    description; the i-th dual part is the hull of 0 and all piece
+    vertices."""
+    dv = np_.sum_polar
+    role = opposite_role(np_.role)
+    duals = []
+    for part in np_.parts:
+        points = {(0,) * np_.ambient}
+        for y in part.vertices:
+            if not any(y):
+                continue
+            ineqs = list(dv.facets) + [
+                (0,) + tuple(a - b for a, b in zip(y, y2))
+                for y2 in part.vertices if y2 != y]
+            piece = polytope_from_hrep([(-1,) + tuple(y)], ineqs, role,
+                                       np_.ambient)
+            if piece is not None:
+                points.update(piece.vertices)
+        duals.append(convex_hull(points, role, np_.ambient))
+    return NefPartition(duals, role)
+
+
+DATA_INPUTS = sorted(f[:-len(".json")] for f in os.listdir(DATA)
+                     if f.endswith(".json") and f != "malformed.json")
+
+
+def _assert_dual_matches_piecewise(nef):
+    dual, oracle = dual_nef_partition(nef), _piecewise_dual(nef)
+    assert len(dual.parts) == len(oracle.parts) == nef.r
+    for got, want in zip(dual.parts, oracle.parts):
+        assert got is want
+    back, oracle_back = dual_nef_partition(dual), _piecewise_dual(oracle)
+    for got, want in zip(back.parts, oracle_back.parts):
+        assert got is want
+
+
+@pytest.mark.parametrize("name", DATA_INPUTS)
+def test_vertex_split_dual_matches_piecewise_oracle(name):
+    _assert_dual_matches_piecewise(load_input(path(f"{name}.json"))[0])
+
+
+def test_vertex_split_dual_matches_piecewise_oracle_on_randomized(
+        randomized_partitions):
+    for nef in randomized_partitions:
+        _assert_dual_matches_piecewise(nef)
+
+
+def test_dual_makes_no_double_description(monkeypatch):
+    # The dual parts are hulls of vertices of delta_vee: no H->V call.
+    import nefsphere
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = nefsphere.polytope.polytope_from_hrep
+    for module in (nefsphere.polytope, nefsphere.nef):
+        monkeypatch.setattr(module, "polytope_from_hrep", spy, raising=False)
+    dual_nef_partition(NefPartition.from_vertex_lists(PRISM_PAIR_5D))
+    assert calls == []
+
+
+# -- metamorphic relations of the dual ---------------------------------------
+
+def _shear(dim, rng):
+    """A unimodular A and its inverse: two elementary row operations with
+    coefficients +-1 (a line has no shear, so -1 there)."""
+    if dim == 1:
+        return [[-1]], [[-1]]
+    ops = []
+    for _ in range(2):
+        a, b = rng.sample(range(dim), 2)
+        ops.append((a, b, rng.choice((-1, 1))))
+
+    def apply(ops, sign):
+        m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for a, b, c in ops:
+            m[a] = [x + sign * c * y for x, y in zip(m[a], m[b])]
+        return m
+
+    shear, inverse = apply(ops, 1), apply(reversed(ops), -1)
+    assert [[dot(row, col) for col in zip(*inverse)] for row in shear] == \
+        [[int(i == j) for j in range(dim)] for i in range(dim)]
+    return shear, inverse
+
+
+def _sheared(nef, shear):
+    return NefPartition.from_vertex_lists(
+        [[tuple(dot(row, v) for row in shear) for v in p.vertices]
+         for p in nef.parts])
+
+
+def _assert_dual_follows_the_shear(nef, rng):
+    shear, inverse = _shear(nef.ambient, rng)
+    inverse_t = [list(col) for col in zip(*inverse)]
+    dual = dual_nef_partition(_sheared(nef, shear))
+    want = [convex_hull([tuple(dot(row, y) for row in inverse_t)
+                         for y in p.vertices], ROLE_N, nef.ambient)
+            for p in dual_nef_partition(nef).parts]
+    assert list(dual.parts) == want
+
+
+def _assert_dual_follows_part_order(nef):
+    reverse = NefPartition(list(reversed(nef.parts)), nef.role)
+    assert dual_nef_partition(reverse).parts == \
+        tuple(reversed(dual_nef_partition(nef).parts))
+
+
+@pytest.mark.parametrize("name", DATA_INPUTS)
+def test_dual_is_equivariant_under_shear_and_part_order(name):
+    nef = load_input(path(f"{name}.json"))[0]
+    _assert_dual_follows_the_shear(nef, random.Random(name))
+    _assert_dual_follows_part_order(nef)
+
+
+def test_dual_is_equivariant_on_randomized(randomized_partitions):
+    for k, nef in enumerate(randomized_partitions):
+        _assert_dual_follows_the_shear(nef, random.Random(k))
+        _assert_dual_follows_part_order(nef)
+
+
+def _shear_invariants(nef):
+    stages = Pipeline(nef).report(verify="fast")["stages"]
+    sigma, monodromy = stages["sigma"], stages["monodromy"]
+    return (sigma["cells"], sigma["cells_by_dim"], sigma["homology"],
+            sorted(stages["discriminant"]["component_homology"]),
+            monodromy["primary_loops"], monodromy["global"]["divisors"],
+            stages["subdivisions"])
+
+
+@pytest.mark.parametrize("name", ["simplex3", "pentagon_pair",
+                                  "simplex_p5_222", "prism_pair_5d"])
+def test_fast_report_invariants_survive_a_shear(name):
+    # The inputs use the all-ones weights, which a lattice automorphism
+    # carries to themselves.
+    nef = load_input(path(f"{name}.json"))[0]
+    shear, _ = _shear(nef.ambient, random.Random(name))
+    assert _shear_invariants(_sheared(nef, shear)) == _shear_invariants(nef)
