@@ -1,3 +1,4 @@
+import json
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -1102,29 +1103,36 @@ def test_corrupted_tree_transition_raises_the_transport_certificate(
     assert falsified["certificate"]["node"]
 
 
-def test_enclosing_smooth_pair_matches_pair_scan():
+def _golden_primary_loops(name):
+    """`stages.monodromy.primary_loops` in the input's first report golden."""
+    golden = os.path.join(DATA, "golden")
+    for suffix in ("", "_fast", "_full_dual", "_full"):
+        target = os.path.join(golden, f"{name}{suffix}.json")
+        if os.path.exists(target):
+            with open(target) as fh:
+                return json.load(fh)["stages"]["monodromy"]["primary_loops"]
+    raise AssertionError(f"no report golden for {name}")
+
+
+@pytest.mark.parametrize("name", DATA_NAMES)
+def test_enclosing_smooth_pair_matches_pair_scan(name):
     # The bitmask search gives the verdict of scanning every cell of Sigma
     # for a smooth pair above all four nodes of the loop.
     from nefsphere.monodromy import encloses_smooth_pair
+    pipe = _data_pipe(name)
+    sigma = pipe.sigma()
+    smooth = pipe.discriminant().smooth_mask()
+    pp, qp = sigma.p_poset, sigma.q_poset
+    smooth_cells = [(i, j) for k, (i, j) in enumerate(sigma.pairs)
+                    if smooth_pair(sigma, k)]
     checked = 0
-    for name in DATA_NAMES:
-        pipe = _data_pipe(name)
-        sigma = pipe.sigma()
-        smooth = pipe.discriminant().smooth_mask()
-        pp, qp = sigma.p_poset, sigma.q_poset
-        smooth_cells = [(i, j) for k, (i, j) in enumerate(sigma.pairs)
-                        if smooth_pair(sigma, k)]
-        for loop in pipe.loops():
-            scan = any(pp.leq(loop.p0, i) and pp.leq(loop.p1, i)
-                       and qp.leq(loop.q0, j) and qp.leq(loop.q1, j)
-                       for i, j in smooth_cells)
-            assert encloses_smooth_pair(sigma, loop, smooth) == scan
-            checked += 1
-    # The terms after P^7 (4,4)'s 1680 are generic simplex3, P^4 (5),
-    # P^5 (2,4) and P^5 (3,3); P^6 (3,4) is the 636 before it.
-    assert checked == \
-        6 + 30 + 756 + 1080 + 2160 + 72 + 318 + 464 + 1170 + 636 + 1680 \
-        + 174 + 90 + 180 + 216
+    for loop in pipe.loops():
+        scan = any(pp.leq(loop.p0, i) and pp.leq(loop.p1, i)
+                   and qp.leq(loop.q0, j) and qp.leq(loop.q1, j)
+                   for i, j in smooth_cells)
+        assert encloses_smooth_pair(sigma, loop, smooth) == scan
+        checked += 1
+    assert checked == _golden_primary_loops(name)
 
 
 # -- primary loops: the partner-mask join against the pair scan ---------------
