@@ -16,6 +16,7 @@ from nefsphere.polytope import ROLE_M, ROLE_N, Vector, convex_hull, \
 
 from conftest import PENTAGON, PRISM_PAIR_5D, PRISM_PAIR_DUALS, SQUARE_SUM, TRIANGLE
 from test_cli import DATA, path
+from test_monodromy import DATA_NAMES
 
 
 def support_value(nef, i, x):
@@ -364,10 +365,6 @@ def _piecewise_dual(np_):
     return NefPartition(duals, role)
 
 
-DATA_INPUTS = sorted(f[:-len(".json")] for f in os.listdir(DATA)
-                     if f.endswith(".json") and f != "malformed.json")
-
-
 def _assert_dual_matches_piecewise(nef):
     dual, oracle = dual_nef_partition(nef), _piecewise_dual(nef)
     assert len(dual.parts) == len(oracle.parts) == nef.r
@@ -378,7 +375,7 @@ def _assert_dual_matches_piecewise(nef):
         assert got is want
 
 
-@pytest.mark.parametrize("name", DATA_INPUTS)
+@pytest.mark.parametrize("name", DATA_NAMES)
 def test_vertex_split_dual_matches_piecewise_oracle(name):
     _assert_dual_matches_piecewise(load_input(path(f"{name}.json"))[0])
 
@@ -451,7 +448,7 @@ def _assert_dual_follows_part_order(nef):
         tuple(reversed(dual_nef_partition(nef).parts))
 
 
-@pytest.mark.parametrize("name", DATA_INPUTS)
+@pytest.mark.parametrize("name", DATA_NAMES)
 def test_dual_is_equivariant_under_shear_and_part_order(name):
     nef = load_input(path(f"{name}.json"))[0]
     _assert_dual_follows_the_shear(nef, random.Random(name))
