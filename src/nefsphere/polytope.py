@@ -186,7 +186,7 @@ class Polytope:
     """
 
     __slots__ = ("ambient", "role", "vertices", "equations", "facets", "dim",
-                 "_rows", "_faces", "_tight", "_lattice_points",
+                 "_rows", "_hverts", "_faces", "_tight", "_lattice_points",
                  "_triangulation", "__weakref__")
 
     def __init__(self, ambient, role, vertices, equations, facets, dim,
@@ -198,6 +198,7 @@ class Polytope:
             self.equations = equations
             self.facets = facets
         self._rows = rows
+        self._hverts = None if rows is None else rows[0]
         self.dim = dim
         self._faces = None
         self._tight = None
@@ -290,10 +291,18 @@ class Polytope:
         self._faces = dims
         return dims
 
+    def homogenized_vertices(self):
+        """The vertices' :func:`point_ray` rows, in vertex order, computed
+        once: a face slices them (:meth:`face_polytope`)."""
+        if self._hverts is None:
+            self._hverts = tuple(clear_denominators((1,) + v)
+                                 for v in self.vertices)
+        return self._hverts
+
     def facet_masks(self):
         """Per facet row, the bitmask of the vertices tight on it."""
         if self._tight is None:
-            hverts = [(1,) + v for v in self.vertices]
+            hverts = self.homogenized_vertices()
             self._tight = tuple(
                 sum(1 << i for i, hv in enumerate(hverts) if dot(f, hv) == 0)
                 for f in self.facets)
@@ -325,10 +334,11 @@ class Polytope:
             return face
         if not self.is_face(mask):
             raise GeometryError("vertex set is not a face")
+        hverts = self.homogenized_vertices()
         return _polytope_from_rows(
-            self.role, self.ambient, verts,
-            [clear_denominators((1,) + v) for v in verts], self.equations,
-            self.facets, [m & mask for m in self.facet_masks()], mask, dim)
+            self.role, self.ambient, verts, [hverts[i] for i in bits(mask)],
+            self.equations, self.facets,
+            [m & mask for m in self.facet_masks()], mask, dim)
 
     def face_keys(self, inside=-1):
         """The keys ``face_polytope(mask).key()`` of the faces inside the
@@ -607,6 +617,9 @@ def _polytope_from_rows(role, ambient, verts, hverts, eqs, rows, meets, full,
     reads them now, and the dimension is the ambient one minus the number
     of equations.
     """
+    poly = _HULLS.get((role, ambient, verts))
+    if poly is not None:
+        return poly
     if dim is None:
         equations, facets = _hrep_from_rows(ambient, hverts, rows, meets, full)
         poly = Polytope(ambient, role, verts, equations, facets,

@@ -56,19 +56,31 @@ transversal cells form an upper set with no check.  So the inclusion order
 among them alone holds every cell above each of them, and each poset's
 order is computed once, over its own cells (:func:`transversal_poset`).
 
-Minkowski cells take one double description per maximal transversal cell
-C: M(C) = r*C & delta, by H->V, certified equal to the sum of C's slices
-by support functions (:func:`polytope.is_minkowski_sum`), with no hull of
-the sums.  Every other transversal cell C' is checked to be a face of the
-lowest-index maximal C above it, so it is C cut by the facet rows (f0, u)
-of C tight on C'.  M(C') is the face of M(C) on its vertices w with
-r*f0 + u.w = 0 for all those rows, and it inherits both formulas.  Each
-row is valid on M(C), in r*C, so the face is M(C) & r*C' = r*C' & delta.
-For w = sum s_i, s_i in S_i(C), r*f0 + u.w = sum (f0 + u.s_i) is a sum of
-terms >= 0, so it is 0 on every row iff every s_i lies in C' & part_i =
-S_i(C') (the slice lemma on C'); and S_i(C') lies in S_i(C) & C'.  The
-part of delta on each facet of r times the parts hull is a face of delta
-(:func:`facet_region`).
+Cayley lemma: for a transversal cell C whose vertices the slices S_i
+partition, r*C & delta is the sum of the slices.  By (ii) and (iii) each
+psi_j is linear on the cone over C, so sum_j psi_j = r on r*C.  A point
+x = sum_i x_i of delta, x_i in part_i, has psi_j(x) <= sum_i psi_j(x_i)
+<= 1 by sublinearity and (i).  So x in r*C & delta has every psi_j(x) = 1.
+Write x = r * sum lambda_v v over C's vertices; by the unit-psi corollary
+psi_j(x) = r * sum lambda_v over the vertices of S_j, so each of those
+partial sums is 1/r and x is a sum of one point of each S_j.  Conversely
+S_i lies in C & part_i, so the sum lies in r*C and in delta.  The run builds M(C) of each maximal transversal cell C
+as that sum, with no double description: it checks the partition (the
+lemma's one hypothesis not checked before), reads M(C) from the sums of
+slice vertices and the facet rows of r*C (:func:`_sum_of_slices`), and
+certifies it to be the sum by support functions
+(:func:`polytope.is_minkowski_sum`).  Only a failure runs the H->V
+intersection, for its certificate.
+
+Every other transversal cell C' is checked to be a face of the lowest-index
+maximal C above it, so it is C cut by the facet rows (f0, u) of C tight on
+C'.  M(C') is the face of M(C) on its vertices w with r*f0 + u.w = 0 for all
+those rows, and it inherits both formulas.  Each row is valid on M(C), in
+r*C, so the face is M(C) & r*C' = r*C' & delta.  For w = sum s_i, s_i in
+S_i(C), r*f0 + u.w = sum (f0 + u.s_i) is a sum of terms >= 0, so it is 0 on
+every row iff every s_i lies in C' & part_i = S_i(C') (the slice lemma on
+C'); and S_i(C') lies in S_i(C) & C'.  The part of delta on each facet of r
+times the parts hull is a face of delta (:func:`facet_region`).
 
 M(C') is built knowing its dimension, its grade in the face lattice of
 M(C), so it reads membership from M(C)'s rows and never its own
@@ -83,11 +95,15 @@ off G has a.x < a0), so it holds on M and cuts out H.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import FalsificationError
 from .homology import cellular_homology
 from .linalg import dot, smith_normal_form
 from .polytope import (
+    _extreme_points,
+    _polytope_from_rows,
+    as_fractions,
     bits,
     dilate,
     intersect,
@@ -324,10 +340,11 @@ def _minkowski_cells(cells, slices_by_cell, above, r, delta):
     which hold every cell above each, as the transversal cells form an upper
     set (module docstring).
 
-    One double description runs per maximal transversal cell C, certified
-    to be the sum of C's slices.  Every other transversal cell C' is a face
-    of the lowest-index maximal C above it, and its Minkowski cell is a
-    face of C's, which inherits both formulas (module docstring).
+    A maximal transversal cell C's is the sum of its slices, by the Cayley
+    lemma (module docstring), certified by support functions.  Every other
+    transversal cell C' is a face of the lowest-index maximal C above it,
+    and its Minkowski cell is a face of C's, which inherits both formulas
+    (module docstring).
     """
     maximal_mask = sum(1 << k for k, mask in enumerate(above)
                        if mask == 1 << k)
@@ -337,13 +354,8 @@ def _minkowski_cells(cells, slices_by_cell, above, r, delta):
     cut = {}
     for k in bits(maximal_mask):
         cell = cells[k]
-        mink = intersect(dilate(cell, r), delta)
-        _certify_minkowski(cell, slices_by_cell[cell], mink)
-        out[k] = mink
-        cut[k] = ({v: 1 << i for i, v in enumerate(cell.vertices)},
-                  [sum(1 << i for i, w in enumerate(mink.vertices)
-                       if r * f[0] + dot(f[1:], w) == 0)
-                   for f in cell.facets])
+        out[k], rows = _sum_of_slices(cell, slices_by_cell[cell], r, delta)
+        cut[k] = ({v: 1 << i for i, v in enumerate(cell.vertices)}, rows)
     for k, sub in enumerate(cells):
         if maximal_mask >> k & 1:
             continue
@@ -365,15 +377,52 @@ def _minkowski_cells(cells, slices_by_cell, above, r, delta):
     return out
 
 
-def _certify_minkowski(cell, slices, mink):
-    """Raise unless `mink`, r*cell intersected with delta, is the sum of
-    the slices."""
-    if mink is None or not is_minkowski_sum(mink, slices):
-        raise FalsificationError(
-            "Minkowski cell differs from r*cell intersected with the sum",
-            {"cell": _cell_key(cell),
-             "sum_of_slices": _cell_key(minkowski_sum_all(list(slices))),
-             "dilated_intersection": _cell_key(mink) if mink else None})
+def _sum_of_slices(cell, slices, r, delta):
+    """(M(C), masks): the Minkowski cell of a maximal transversal cell C as
+    the sum of its slices, and per facet row of C the mask of M(C)'s
+    vertices tight on it at scale r.
+
+    The slices' vertex sets must partition C's, the one hypothesis of the
+    Cayley lemma not checked before.  The vertices are the sums of slice
+    vertices that are extreme against the facet rows of r*C
+    (:func:`polytope._extreme_points`): a sum w = sum s_i is tight on a row
+    iff every s_i is, so the rows tight at w cut out the face C' of C
+    spanned by the s_i and, in M(C), the face M(C') = sum S_i(C').  A vertex
+    w is the Cayley face of the s_i, which then span C' with one vertex per
+    slice, so no other sum is tight on all of w's rows; a sum that is no
+    vertex has a slice of C' with a second vertex, which gives another
+    sum.  M(C) = r*C & aff M(C), so its facets are among those rows
+    (:func:`polytope._polytope_from_rows`).  The result is certified to be
+    the sum by support functions (:func:`polytope.is_minkowski_sum`); only
+    a failure runs the H->V intersection r*C & delta, for the certificate.
+    """
+    if sorted(v for s in slices for v in s.vertices) != list(cell.vertices):
+        _refute_minkowski(cell, slices, r, delta)
+    scaled = [(r * f[0],) + f[1:] for f in cell.facets]
+    sums = sorted({as_fractions(map(sum, zip(*vs)))
+                   for vs in product(*(s.vertices for s in slices))})
+    verts = _extreme_points(sums, scaled)
+    hverts = [point_ray(w) for w in verts]
+    meets = [sum(1 << i for i, hw in enumerate(hverts) if dot(f, hw) == 0)
+             for f in scaled]
+    mink = _polytope_from_rows(
+        cell.role, cell.ambient, verts, hverts,
+        [(r * e[0],) + e[1:] for e in cell.equations], scaled, meets,
+        (1 << len(verts)) - 1)
+    if not is_minkowski_sum(mink, slices):
+        _refute_minkowski(cell, slices, r, delta)
+    return mink, meets
+
+
+def _refute_minkowski(cell, slices, r, delta):
+    """Raise the certificate that r*cell intersected with delta, by H->V,
+    is not taken to be the sum of the slices."""
+    mink = intersect(dilate(cell, r), delta)
+    raise FalsificationError(
+        "Minkowski cell differs from r*cell intersected with the sum",
+        {"cell": _cell_key(cell),
+         "sum_of_slices": _cell_key(minkowski_sum_all(list(slices))),
+         "dilated_intersection": _cell_key(mink) if mink else None})
 
 
 def _cell_key(poly):

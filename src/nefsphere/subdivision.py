@@ -9,8 +9,15 @@ the boundary subdivision (side tag S or T).
 
 from fractions import Fraction
 
-from .linalg import dot, exact
-from .polytope import GeometryError, as_fractions, convex_hull, is_integral
+from .linalg import clear_denominators, dot, exact
+from .polytope import (
+    GeometryError,
+    _polytope_from_rows,
+    as_fractions,
+    bits,
+    convex_hull,
+    is_integral,
+)
 
 
 class WeightFunction:
@@ -114,37 +121,69 @@ def _face_closure(maximal_cells):
 def lower_hull_subdivision(support, weight):
     """Project the lower hull of the lifted lattice points of the support.
 
-    Works for supports of any dimension (the lift happens inside the affine
-    hull); cells come back in ambient coordinates with their marked lattice
-    points.
+    Works for supports of any dimension k: the points are lifted in the
+    support's lattice chart, so the lifted hull has dimension k + 1, and
+    cells come back in ambient coordinates with their marked lattice
+    points.  That hull is the one double description; each maximal cell is
+    read from it (De Loera-Rambau-Santos, Triangulations, 2010, 2.3).  A
+    lower facet F (height coefficient f_h > 0) projects one to one onto the
+    cell, whose vertices are the points whose lifts are hull vertices on F.
+    Every facet of the cell is the projection of a ridge F & G, G another
+    hull facet, so G holds at least k vertices of F.  On F the height is
+    -(f_0 + f_u.t) / f_h, so the row f_h G - g_h F has no height term, is
+    f_h times G on the cell, hence valid there, and is tight exactly on the
+    projection of F & G.  The cell is then read from those rows
+    (:func:`polytope._polytope_from_rows`), field for field the hull of its
+    vertices.
     """
     pts = support.lattice_points()
     if not pts:
         raise GeometryError("support has no lattice points")
     chart = support.chart()
     k = chart.dim
-    lifted = []
-    for pt in pts:
-        t = chart.to_chart(pt)
-        lifted.append(tuple(t) + (weight(pt),))
-    hull = convex_hull(lifted, support.role, k + 1)
-    maximal = []
-    marked = {}
+    point_of = {tuple(chart.to_chart(pt)) + (weight(pt),): pt for pt in pts}
+    hull = convex_hull(point_of, support.role, k + 1)
     if hull.dim <= k:
         # Affine weight: the trivial subdivision.
         cell = convex_hull(pts, support.role, support.ambient)
+        return ConedSubdivision(support, weight, [cell],
+                                {cell: tuple(sorted(pts))})
+    rows = [_ambient_row(g, chart) for g in hull.facets]
+    masks = hull.facet_masks()
+    maximal = []
+    marked = {}
+    for f, row, mask in zip(hull.facets, rows, masks):
+        if f[-1] <= 0:
+            continue  # not a lower facet
+        on = bits(mask)
+        order = sorted(range(len(on)),
+                       key=lambda i: point_of[hull.vertices[on[i]]])
+        verts = tuple(point_of[hull.vertices[on[i]]] for i in order)
+        bit = {on[i]: 1 << n for n, i in enumerate(order)}
+        cuts, meets = [], []
+        for other, g_mask in zip(rows, masks):
+            common = g_mask & mask
+            if common != mask and common.bit_count() >= k:
+                cuts.append(tuple(row[-1] * a - other[-1] * b
+                                  for a, b in zip(other[:-1], row[:-1])))
+                meets.append(sum(bit[i] for i in bits(common)))
+        cell = _polytope_from_rows(
+            support.role, support.ambient, verts,
+            [clear_denominators((1,) + v) for v in verts], chart.equations,
+            cuts, meets, (1 << len(verts)) - 1, k)
         maximal.append(cell)
-        marked[cell] = tuple(sorted(pts))
-    else:
-        for f in hull.facets:
-            if f[-1] <= 0:
-                continue  # not a lower facet
-            members = [pt for pt, lp in zip(pts, lifted)
-                       if dot(f, (1,) + lp) == 0]
-            cell = convex_hull(members, support.role, support.ambient)
-            maximal.append(cell)
-            marked[cell] = tuple(sorted(members))
+        marked[cell] = tuple(sorted(pt for lp, pt in point_of.items()
+                                    if dot(f, (1,) + lp) == 0))
     return ConedSubdivision(support, weight, maximal, marked)
+
+
+def _ambient_row(row, chart):
+    """A row (c, u, h) on chart coordinates t and a height as an integer
+    row on ambient points and the height: with t = L (p - a), L the
+    chart's inverse and a its anchor, c + u.t = c - (u L).a + (u L).p."""
+    u = tuple(dot(row[1:-1], col) for col in zip(*chart.inverse))
+    return clear_denominators((row[0] - dot(u, chart.anchor),) + u
+                              + (row[-1],))
 
 
 def is_central(subdivision):
