@@ -101,8 +101,16 @@ def load_input(path, omega_override=None, nu_override=None):
         if source in (None, "all_ones", "all-ones"):
             return "all_ones"
         if isinstance(source, str):
-            with open(source) as fh:
-                source = json.load(fh)
+            try:
+                with open(source) as fh:
+                    source = json.load(fh)
+            except OSError as exc:
+                raise ValueError(f"bad {name} {json.dumps(source)}: cannot "
+                                 f"read the weight file ({exc.strerror})"
+                                 ) from None
+            except ValueError as exc:
+                raise ValueError(f"bad {name} {json.dumps(source)}: the "
+                                 f"weight file is not JSON ({exc})") from None
         table = source.get("table") if isinstance(source, dict) else source
         if not isinstance(table, list):
             raise ValueError(f"bad {name} {json.dumps(source)}: need all_ones, "

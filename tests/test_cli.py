@@ -451,3 +451,67 @@ def test_report_rejects_a_weight_that_is_no_pyramid(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "(omega)" in proc.stderr
+
+
+# -- weight files ---------------------------------------------------------------
+
+
+def _segment_with_omega(tmp_path, omega):
+    """segment_weighted.json with its omega field replaced, in a new file."""
+    with open(path("segment_weighted.json")) as fh:
+        data = json.load(fh)
+    data["omega"] = omega
+    out = tmp_path / f"segment_{len(list(tmp_path.iterdir()))}.json"
+    out.write_text(json.dumps(data))
+    return str(out)
+
+
+def test_a_weight_file_gives_the_report_of_its_table(tmp_path):
+    # segment_weighted's omega table, moved to a file named by the input's
+    # omega field or by --omega (over an all_ones field), either as the
+    # {"table": ...} object or as the bare table.
+    with open(path("segment_weighted.json")) as fh:
+        table = json.load(fh)["omega"]
+    want = run_cli("report", path("segment_weighted.json"))
+    assert want.returncode == 0, want.stderr
+    as_object = tmp_path / "omega.json"
+    as_object.write_text(json.dumps(table))
+    bare = tmp_path / "omega_table.json"
+    bare.write_text(json.dumps(table["table"]))
+    for weights in (as_object, bare):
+        for args in (
+                [_segment_with_omega(tmp_path, str(weights))],
+                [_segment_with_omega(tmp_path, "all_ones"),
+                 "--omega", str(weights)]):
+            proc = run_cli("report", *args)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == want.stdout
+
+
+def test_an_unreadable_weight_file_names_the_weight(tmp_path):
+    # A weight string other than all_ones is a file name; a file that is
+    # missing, or holds no JSON, exits 2 with a message naming the weight.
+    not_json = tmp_path / "weights.txt"
+    not_json.write_text("1/2")
+    missing = run_cli("validate", _segment_with_omega(tmp_path, "all_ones"),
+                      "--nu", "bogus")
+    garbled = run_cli("validate", _segment_with_omega(tmp_path,
+                                                      str(not_json)))
+    for proc, message in (
+            (missing, 'bad nu "bogus": cannot read the weight file '
+                      "(No such file or directory)"),
+            (garbled, f"bad omega {json.dumps(str(not_json))}: the weight "
+                      "file is not JSON (Extra data: line 1 column 2 "
+                      "(char 1))")):
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == f"input error: {message}\n"
+
+
+def test_a_missing_weight_file_in_the_input_names_the_weight(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 1, "parts": SEGMENT, "nu": "bogus"}))
+    proc = run_cli("report", str(bad))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ('input error: bad nu "bogus": cannot read the '
+                           "weight file (No such file or directory)\n")
