@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +37,43 @@ def lattice_volume(p):
 def smooth_pair(sigma, k):
     """Whether cell k of Sigma is smooth: pinched in no part."""
     return not pinched_parts(sigma, k)
+
+
+# -- the generic weight ------------------------------------------------------
+
+# The quadratic form of simplex3's generic weight: its diagonal and its
+# cross terms, as written into tests/data/simplex3_generic.json.
+SIMPLEX3_FORM = (
+    (Fraction(3, 7), Fraction(5, 11), Fraction(7, 13)),
+    {(0, 1): Fraction(1, 23), (0, 2): Fraction(1, 29), (1, 2): Fraction(1, 41)})
+
+
+def seeded_form(dim, seed):
+    """A positive quadratic form with seeded rational coefficients: diagonal
+    entries a/b (a in 1..97, b in 98..199) and cross terms 1/c (c in
+    20..97), drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    diag = tuple(Fraction(rng.randint(1, 97), rng.randint(98, 199))
+                 for _ in range(dim))
+    cross = {(i, j): Fraction(1, rng.randint(20, 97))
+             for i in range(dim) for j in range(i + 1, dim)}
+    return diag, cross
+
+
+def generic_weight(points, form=None, seed=None):
+    """The generic weight on `points` as [point, value] pairs: 0 at the
+    origin and 1 + q(m)/64 elsewhere, q the quadratic `form` (diagonal,
+    cross terms), or the :func:`seeded_form` of `seed`."""
+    points = list(points)
+    diag, cross = form if form is not None else seeded_form(
+        len(points[0]), seed)
+
+    def q(m):
+        return (sum(a * x * x for a, x in zip(diag, m))
+                + sum(c * m[i] * m[j] for (i, j), c in cross.items()))
+
+    return [(m, Fraction(1) + q(m) / 64 if any(m) else Fraction(0))
+            for m in points]
 
 
 def make_pipeline(lists, omega="all_ones", nu="all_ones"):

@@ -260,3 +260,36 @@ def test_report_goldens_pin_schema_2(name):
     else:  # null only on a reducible partition
         assert (sign is None) is \
             (not report["stages"]["irreducible"]["irreducible"])
+
+
+# -- metamorphic: the report does not depend on how the parts are written ------
+
+
+def _fast_report(input_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "nefsphere.cli", "report", input_path, *FAST],
+        capture_output=True, cwd=BASE,
+        env={**os.environ, "PYTHONPATH": os.path.join(BASE, "src")})
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", ["simplex3", "pentagon_pair",
+                                  "simplex_p5_222", "prism_pair_5d"])
+def test_fast_report_ignores_the_order_and_repeats_of_part_vertices(
+        tmp_path, name):
+    # Each part's vertex list is shuffled with a seed, one vertex repeated
+    # and the origin, which lies in every part, inserted: the same parts,
+    # so the same report bytes, whatever order the hulls and cells meet
+    # their points in.
+    import random
+    with open(path(f"{name}.json")) as fh:
+        data = json.load(fh)
+    rng = random.Random(name)
+    for part in data["parts"]:
+        rng.shuffle(part)
+        part.insert(rng.randrange(len(part) + 1), rng.choice(part))
+        part.insert(rng.randrange(len(part) + 1), [0] * data["dim"])
+    moved = tmp_path / f"{name}.json"
+    moved.write_text(json.dumps(data))
+    assert _fast_report(str(moved)) == _fast_report(path(f"{name}.json"))

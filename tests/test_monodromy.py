@@ -572,29 +572,15 @@ def test_generic_weight_simplex3_spreads_multiplicity():
     # With a generic coherent weight on the dual side the six multiplicity-4
     # points of the coarse model spread into the classical 24 primitive
     # focus-focus points; the sphere homology is unchanged.
-    from fractions import Fraction
+    from conftest import SIMPLEX3, SIMPLEX3_FORM, generic_weight
     from nefsphere import NefPartition, Pipeline
 
-    nef = NefPartition.from_vertex_lists(
-        [[(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]])
-    eps = Fraction(1, 64)
-    diag = [Fraction(3, 7), Fraction(5, 11), Fraction(7, 13)]
-    cross = {(0, 1): Fraction(1, 23), (0, 2): Fraction(1, 29),
-             (1, 2): Fraction(1, 41)}
-
-    def bump(pt):
-        s = Fraction(0)
-        for i in range(3):
-            s += diag[i] * pt[i] * pt[i]
-        for (i, j), c in cross.items():
-            s += c * pt[i] * pt[j]
-        return 1 + eps * s
-
-    omega = [(pt, Fraction(0) if not any(pt) else bump(pt))
-             for pt in nef.parts_hull.lattice_points()]
-    nu = [(pt, Fraction(0) if not any(pt) else bump(pt))
-          for pt in nef.sum_polar.lattice_points()]
-    pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+    nef = NefPartition.from_vertex_lists(SIMPLEX3)
+    pipe = Pipeline(
+        nef,
+        omega_spec=generic_weight(nef.parts_hull.lattice_points(),
+                                  SIMPLEX3_FORM),
+        nu_spec=generic_weight(nef.sum_polar.lattice_points(), SIMPLEX3_FORM))
     assert pipe.sigma_homology() == [(1, ()), (0, ()), (1, ())]
     disc = pipe.discriminant()
     assert len(disc.components) == 24
@@ -602,6 +588,18 @@ def test_generic_weight_simplex3_spreads_multiplicity():
     g = pipe.global_report()
     assert g["component_divisors"] == {i: [1] for i in range(24)}
     assert g["log_rank"] == 3
+
+
+def test_simplex3_generic_input_holds_the_generic_weight():
+    # tests/data/simplex3_generic.json is simplex3 with the generic weight
+    # of SIMPLEX3_FORM on both sides, table by table.
+    from conftest import SIMPLEX3_FORM, generic_weight
+    from nefsphere.cli import load_input
+    from test_cli import path
+    nef, omega, nu = load_input(path("simplex3_generic.json"))
+    for table, support in ((omega, nef.parts_hull), (nu, nef.sum_polar)):
+        assert dict(table) == dict(
+            generic_weight(support.lattice_points(), SIMPLEX3_FORM))
 
 
 def test_pairwise_commute_sees_pair_hidden_among_duplicates():

@@ -487,6 +487,63 @@ def test_transversal_facts_proved_by_construction_hold(name):
     _transversal_facts_hold(_data_pipeline(name))
 
 
+def test_the_minkowski_cells_of_p7_44_match_the_hrep_oracle():
+    # The one input the test above leaves out: the Minkowski cells of both
+    # posets against r*cell & delta by H->V, without Sigma.
+    pipe = _data_pipeline("simplex_p7_44")
+    for poset, nef in ((pipe.p_poset(), pipe.nef),
+                       (pipe.q_poset(), pipe.dual())):
+        assert minkowski_cell_failures(poset, nef.r, nef.sum_polytope) == []
+
+
+def test_transversal_posets_run_no_h_to_v(monkeypatch):
+    # The Minkowski cells are sums of slices: building the prism's two
+    # posets runs no H->V construction.
+    from nefsphere import polytope
+    pipe = _data_pipeline("prism_pair_5d")
+    pipe.s_boundary(), pipe.t_boundary(), pipe.dual()
+    calls = []
+    real = polytope.polytope_from_hrep
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytope, "polytope_from_hrep", spy)
+    assert len(pipe.p_poset()) and len(pipe.q_poset())
+    assert calls == []
+
+
+def test_a_maximal_cell_vertex_in_no_slice_falsifies_the_minkowski_cell(
+        monkeypatch, capsys):
+    # r = 1 on simplex3: the one slice of a maximal transversal cell, the
+    # triangle itself, is replaced by one of its edges, so its third vertex
+    # lies in no slice.  The edge is the sum of the slices, so only the
+    # check that the slices partition the cell's vertices refutes it.
+    from nefsphere import cli
+    poset = _data_pipeline("simplex3").p_poset()
+    target = next(e.cell for i, e in enumerate(poset.elements)
+                  if poset.above(i) == [i])
+    edge = target.face_polytope(0b011)
+    real = sphere.compute_slices
+
+    def corrupted(subdivision, parts, other_parts):
+        out = real(subdivision, parts, other_parts)
+        if target in out:
+            out[target] = (edge,)
+        return out
+
+    monkeypatch.setattr(sphere, "compute_slices", corrupted)
+    assert cli.main(["report", path("simplex3.json")]) == 3
+    out = json.loads(capsys.readouterr().out)["falsified"]
+    assert out["claim"] == ("Minkowski cell differs from r*cell intersected "
+                            "with the sum")
+    assert out["certificate"] == {
+        "cell": sphere._cell_key(target),
+        "sum_of_slices": sphere._cell_key(edge),
+        "dilated_intersection": sphere._cell_key(target)}
+
+
 def test_the_transversal_oracles_can_fail(simplex3_pipe):
     # Each oracle names a planted fault: a face's Minkowski cell swapped
     # for its maximal cell's, a dropped top cell, and a dropped pair below

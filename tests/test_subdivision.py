@@ -215,12 +215,15 @@ def test_boundary_cells_intersect_in_common_faces():
 # -- faces that read their H-representation on first use ----------------------
 
 
-def assert_is_the_hull_of_its_vertices(poly):
-    """`poly` is field for field the hull of its vertices, computed in an
-    empty table so that the hull cannot be `poly` itself."""
+def assert_is_the_hull_of_its_vertices(poly, points=None):
+    """`poly` is field for field the hull of its vertices, or of `points`,
+    computed in an empty table so that the hull cannot be `poly` itself."""
+    if points is None:
+        points = poly.vertices
     with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
-        hull = convex_hull(poly.vertices, poly.role, poly.ambient)
+        hull = convex_hull(points, poly.role, poly.ambient)
     assert hull is not poly
+    assert poly.vertices == hull.vertices
     assert poly.equations == hull.equations
     assert poly.facets == hull.facets
     assert poly.dim == hull.dim == poly.ambient - len(poly.equations)
@@ -238,6 +241,61 @@ def test_deferred_faces_are_the_hulls_of_their_vertices(name):
         for cell in boundary.cells:
             assert_is_the_hull_of_its_vertices(cell)
             assert_is_the_hull_of_its_vertices(boundary.coned(cell))
+
+
+# -- maximal cells read from the lifted hull -----------------------------------
+
+
+def assert_cells_are_the_hulls_of_their_points(subdivision):
+    """The oracle of :func:`lower_hull_subdivision`: every maximal cell is
+    field for field the V->H hull of its marked points."""
+    for cell in subdivision.maximal_cells:
+        assert_is_the_hull_of_its_vertices(cell, subdivision.marked[cell])
+
+
+@pytest.mark.parametrize("name", DATA_NAMES)
+def test_lower_hull_cells_are_the_hulls_of_their_points(name):
+    # Both coned subdivisions and, for r >= 2, each part's subdivision.
+    pipe = _data_pipe(name)
+    subdivisions = [pipe.s_coned(), pipe.t_coned()]
+    if pipe.nef.r > 1:
+        subdivisions.extend(pipe.part_subdivisions())
+    for subdivision in subdivisions:
+        assert_cells_are_the_hulls_of_their_points(subdivision)
+
+
+@pytest.mark.parametrize("name", ["simplex3", "simplex_p4_5"])
+def test_lower_hull_cells_with_a_generic_weight_are_the_hulls(name):
+    # The generic weight of seed 1 as omega and of seed 1001 as nu.
+    from conftest import generic_weight
+    nef = _data_pipe(name).nef
+    for support, seed in ((nef.parts_hull, 1), (nef.sum_polar, 1001)):
+        weight = WeightFunction.from_pairs(
+            support, generic_weight(support.lattice_points(), seed=seed))
+        subdivision = lower_hull_subdivision(support, weight)
+        assert len(subdivision.maximal_cells) > 1
+        assert_cells_are_the_hulls_of_their_points(subdivision)
+
+
+def test_a_lower_hull_subdivision_runs_one_double_description(monkeypatch):
+    # The lifted hull is the one double description: no maximal cell runs
+    # its own.  A seeded generic weight, so that no earlier test can have
+    # left the lifted hull in the intern table.
+    from conftest import generic_weight
+    support = _data_pipe("simplex3").nef.sum_polar
+    weight = WeightFunction.from_pairs(
+        support, generic_weight(support.lattice_points(), seed=33))
+    calls = []
+    real = polytope.cone_rays
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytope, "cone_rays", spy)
+    subdivision = lower_hull_subdivision(support, weight)
+    assert len(calls) == 1
+    assert len(subdivision.maximal_cells) > 1
 
 
 def test_building_the_prism_boundary_reads_no_face_rows():
