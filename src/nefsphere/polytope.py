@@ -617,9 +617,6 @@ def _polytope_from_rows(role, ambient, verts, hverts, eqs, rows, meets, full,
     reads them now, and the dimension is the ambient one minus the number
     of equations.
     """
-    poly = _HULLS.get((role, ambient, verts))
-    if poly is not None:
-        return poly
     if dim is None:
         equations, facets = _hrep_from_rows(ambient, hverts, rows, meets, full)
         poly = Polytope(ambient, role, verts, equations, facets,

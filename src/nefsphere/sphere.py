@@ -340,8 +340,8 @@ def _minkowski_cells(cells, slices_by_cell, above, r, delta):
     which hold every cell above each, as the transversal cells form an upper
     set (module docstring).
 
-    A maximal transversal cell C's is the sum of its slices, by the Cayley
-    lemma (module docstring), certified by support functions.  Every other
+    The Minkowski cell of a maximal transversal cell C is the sum of its
+    slices, by the Cayley lemma (module docstring).  Every other
     transversal cell C' is a face of the lowest-index maximal C above it,
     and its Minkowski cell is a face of C's, which inherits both formulas
     (module docstring).
@@ -385,16 +385,20 @@ def _sum_of_slices(cell, slices, r, delta):
     The slices' vertex sets must partition C's, the one hypothesis of the
     Cayley lemma not checked before.  The vertices are the sums of slice
     vertices that are extreme against the facet rows of r*C
-    (:func:`polytope._extreme_points`): a sum w = sum s_i is tight on a row
-    iff every s_i is, so the rows tight at w cut out the face C' of C
-    spanned by the s_i and, in M(C), the face M(C') = sum S_i(C').  A vertex
-    w is the Cayley face of the s_i, which then span C' with one vertex per
-    slice, so no other sum is tight on all of w's rows; a sum that is no
-    vertex has a slice of C' with a second vertex, which gives another
-    sum.  M(C) = r*C & aff M(C), so its facets are among those rows
-    (:func:`polytope._polytope_from_rows`).  The result is certified to be
-    the sum by support functions (:func:`polytope.is_minkowski_sum`); only
-    a failure runs the H->V intersection r*C & delta, for the certificate.
+    (:func:`polytope._extreme_points`).  A sum w = sum s_i is tight on a
+    row iff every s_i is, so the rows tight at w cut out the smallest face
+    C' of C holding the s_i, and M(C') = sum S_i(C') from M(C).  If w is a
+    vertex, some form g is least on each S_i at s_i alone; g - sum_i
+    (min g over S_i) psi_i is affine on C, >= 0 at its vertices and 0
+    exactly at the s_i, so C' is conv(s_i) and no other sum is tight on
+    all of w's rows.  If w is no vertex, M(C') is more than w, so some
+    S_i(C') has a second vertex, which gives another such sum.  Every
+    point of r*C with all psi_i = 1 is a sum of slice points (module
+    docstring), so M(C) = r*C & aff M(C), and its facets are among those
+    rows (:func:`polytope._polytope_from_rows`).  The result is certified
+    to be the sum by support functions (:func:`polytope.is_minkowski_sum`);
+    only a failure runs the H->V intersection r*C & delta, for the
+    certificate.
     """
     if sorted(v for s in slices for v in s.vertices) != list(cell.vertices):
         _refute_minkowski(cell, slices, r, delta)
@@ -415,8 +419,8 @@ def _sum_of_slices(cell, slices, r, delta):
 
 
 def _refute_minkowski(cell, slices, r, delta):
-    """Raise the certificate that r*cell intersected with delta, by H->V,
-    is not taken to be the sum of the slices."""
+    """Raise the falsification of M(cell) = sum of the slices, with
+    r*cell & delta read by H->V for its certificate."""
     mink = intersect(dilate(cell, r), delta)
     raise FalsificationError(
         "Minkowski cell differs from r*cell intersected with the sum",

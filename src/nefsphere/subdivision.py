@@ -155,11 +155,9 @@ def lower_hull_subdivision(support, weight):
     for f, row, mask in zip(hull.facets, rows, masks):
         if f[-1] <= 0:
             continue  # not a lower facet
-        on = bits(mask)
-        order = sorted(range(len(on)),
-                       key=lambda i: point_of[hull.vertices[on[i]]])
-        verts = tuple(point_of[hull.vertices[on[i]]] for i in order)
-        bit = {on[i]: 1 << n for n, i in enumerate(order)}
+        on = sorted((point_of[hull.vertices[i]], i) for i in bits(mask))
+        verts = tuple(pt for pt, _ in on)
+        bit = {i: 1 << n for n, (_, i) in enumerate(on)}
         cuts, meets = [], []
         for other, g_mask in zip(rows, masks):
             common = g_mask & mask
