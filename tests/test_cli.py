@@ -490,28 +490,23 @@ def test_a_weight_file_gives_the_report_of_its_table(tmp_path):
 
 def test_an_unreadable_weight_file_names_the_weight(tmp_path):
     # A weight string other than all_ones is a file name; a file that is
-    # missing, or holds no JSON, exits 2 with a message naming the weight.
+    # missing, in the input or after --omega, or that holds no JSON, exits
+    # 2 with a message naming the weight.
+    field = tmp_path / "bad.json"
+    field.write_text(json.dumps({"dim": 1, "parts": SEGMENT, "nu": "bogus"}))
     not_json = tmp_path / "weights.txt"
     not_json.write_text("1/2")
-    missing = run_cli("validate", _segment_with_omega(tmp_path, "all_ones"),
-                      "--nu", "bogus")
-    garbled = run_cli("validate", _segment_with_omega(tmp_path,
-                                                      str(not_json)))
-    for proc, message in (
-            (missing, 'bad nu "bogus": cannot read the weight file '
-                      "(No such file or directory)"),
-            (garbled, f"bad omega {json.dumps(str(not_json))}: the weight "
-                      "file is not JSON (Extra data: line 1 column 2 "
-                      "(char 1))")):
+    for args, message in (
+            (["report", str(field)],
+             'bad nu "bogus": cannot read the weight file '
+             "(No such file or directory)"),
+            (["validate", path("segment_weighted.json"), "--omega", "bogus"],
+             'bad omega "bogus": cannot read the weight file '
+             "(No such file or directory)"),
+            (["report", _segment_with_omega(tmp_path, str(not_json))],
+             f"bad omega {json.dumps(str(not_json))}: the weight file is "
+             "not JSON (Extra data: line 1 column 2 (char 1))")):
+        proc = run_cli(*args)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr == f"input error: {message}\n"
-
-
-def test_a_missing_weight_file_in_the_input_names_the_weight(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"dim": 1, "parts": SEGMENT, "nu": "bogus"}))
-    proc = run_cli("report", str(bad))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == ('input error: bad nu "bogus": cannot read the '
-                           "weight file (No such file or directory)\n")

@@ -86,6 +86,7 @@ which the mixed subdivision, the tropical complex and the dual run read.
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -282,7 +283,6 @@ def test_fast_report_ignores_the_order_and_repeats_of_part_vertices(
     # and the origin, which lies in every part, inserted: the same parts,
     # so the same report bytes, whatever order the hulls and cells meet
     # their points in.
-    import random
     with open(path(f"{name}.json")) as fh:
         data = json.load(fh)
     rng = random.Random(name)

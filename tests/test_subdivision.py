@@ -20,7 +20,7 @@ from nefsphere.subdivision import (
     lower_hull_subdivision,
 )
 
-from conftest import lattice_volume
+from conftest import generic_weight, lattice_volume
 from test_cli import BASE, path
 from test_monodromy import DATA_NAMES, _data_pipe
 
@@ -267,7 +267,6 @@ def test_lower_hull_cells_are_the_hulls_of_their_points(name):
 @pytest.mark.parametrize("name", ["simplex3", "simplex_p4_5"])
 def test_lower_hull_cells_with_a_generic_weight_are_the_hulls(name):
     # The generic weight of seed 1 as omega and of seed 1001 as nu.
-    from conftest import generic_weight
     nef = _data_pipe(name).nef
     for support, seed in ((nef.parts_hull, 1), (nef.sum_polar, 1001)):
         weight = WeightFunction.from_pairs(
@@ -281,7 +280,6 @@ def test_a_lower_hull_subdivision_runs_one_double_description(monkeypatch):
     # The lifted hull is the one double description: no maximal cell runs
     # its own.  A seeded generic weight, so that no earlier test can have
     # left the lifted hull in the intern table.
-    from conftest import generic_weight
     support = _data_pipe("simplex3").nef.sum_polar
     weight = WeightFunction.from_pairs(
         support, generic_weight(support.lattice_points(), seed=33))
