@@ -54,6 +54,12 @@ hold at the summed minima and maxima and its facet rows at the summed
 minima; and p lies in the sum iff, for each vertex w, the summed minima of
 g_w (the sum of the normals of the facets tight at w, which p attains only
 at w) equal g_w.w.
+
+Volumes are compared, never reported, so they are measured with no lattice
+basis.  A polytope's free coordinates are those that are not pivots of an
+echelon of its equation rows' direction parts; projecting onto them is one
+to one on its affine hull, an affine bijection, so it scales every volume
+inside that hull by one common factor (:meth:`Polytope.volume_in`).
 """
 
 from fractions import Fraction
@@ -67,15 +73,14 @@ from .linalg import (
     denominator_lcm,
     det,
     dot,
+    echelon,
     exact,
     from_numerators,
     hermite_normal_form,
     kernel_basis,
-    lattice_left_inverse,
     leading_column,
     reduce_row,
     row_rank,
-    saturated_span_basis,
     to_numerators,
 )
 
@@ -368,22 +373,6 @@ class Polytope:
     def is_lattice_polytope(self):
         return all(is_integral(v) for v in self.vertices)
 
-    # -- charts and volume ------------------------------------------------------
-
-    def chart(self):
-        """Integer lattice chart of the affine hull."""
-        return LatticeChart(self.vertices[0], self.directions_basis(),
-                            self.equations)
-
-    def directions_basis(self):
-        base = self.vertices[0]
-        dirs = [clear_denominators(tuple(a - b for a, b in zip(v, base)))
-                for v in self.vertices[1:]]
-        dirs = [d for d in dirs if any(d)]
-        if not dirs:
-            return ()
-        return saturated_span_basis(dirs, self.ambient)
-
     def triangulation(self):
         """Pulling triangulation; simplices as tuples of vertex indices.
         A face is coned from its lowest vertex over its facets missing it,
@@ -407,62 +396,40 @@ class Polytope:
         self._triangulation = tri((1 << len(self.vertices)) - 1)
         return self._triangulation
 
-    def volume_in_chart(self, chart):
-        """Exact dim-volume measured in the given chart's lattice basis."""
-        if self.dim == 0:
+    # -- volume ----------------------------------------------------------------
+
+    def free_coordinates(self):
+        """The coordinates that are not pivots of an echelon of the
+        equation rows' direction parts (:func:`linalg.echelon`), ascending.
+        On the affine hull the pivot coordinates are affine functions of
+        these ``dim`` free ones, so projecting onto them is one to one there
+        and scales every volume inside the hull by one common factor."""
+        pivots = {c for c, _ in echelon([e[1:] for e in self.equations])[0]}
+        return tuple(i for i in range(self.ambient) if i not in pivots)
+
+    def volume_in(self, region):
+        """Exact volume of the projection onto the free coordinates of
+        `region` (:meth:`free_coordinates`).  Volumes of polytopes inside one
+        region so compare as their lattice volumes do; a polytope of lower
+        dimension than the region has volume 0.  Raises GeometryError for a
+        vertex off the region's affine hull."""
+        if any(dot(e, hv) for e in region.equations
+               for hv in self.homogenized_vertices()):
+            raise GeometryError("vertex off the region's affine hull")
+        free = region.free_coordinates()
+        if self.dim < len(free):
             return Fraction(0)
         # Integer coordinates scaled by q: each simplex determinant is
-        # q^dim times the one in the chart's own coordinates.
-        coords, q = chart.scaled_coordinates(self.vertices)
+        # q^dim times the one of the projected vertices.
+        q = denominator_lcm(chain(*self.vertices))
+        coords = [to_numerators([v[i] for i in free], q)
+                  for v in self.vertices]
         total = 0
         for simplex in self.triangulation():
             base = coords[simplex[0]]
             total += abs(det([tuple(a - b for a, b in zip(coords[i], base))
                               for i in simplex[1:]]))
         return Fraction(total, q ** self.dim * factorial(self.dim))
-
-
-class LatticeChart:
-    """Integer coordinates on an affine subspace, adapted to its lattice.
-
-    A point p of the subspace has the coordinates L (p - anchor) in the
-    saturated lattice basis B of the subspace's directions, where L is the
-    integer left inverse of B (L B^T = I).  A point is on the chart when
-    it satisfies the homogeneous equation rows (c, u): c + u.p = 0.
-    """
-
-    __slots__ = ("anchor", "basis", "equations", "inverse")
-
-    def __init__(self, anchor, basis, equations):
-        self.anchor = as_fractions(anchor)
-        self.basis = tuple(tuple(b) for b in basis)
-        self.equations = tuple(equations)
-        self.inverse = lattice_left_inverse(self.basis, len(self.anchor)) \
-            if self.basis else ()
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def scaled_coordinates(self, points):
-        """(rows, q): q > 0 is the lcm of the denominators of the points and
-        the anchor, and each row is q times a point's chart coordinates, in
-        integers.  Raises GeometryError for a point off the chart."""
-        points = [as_fractions(p) for p in points]
-        q = denominator_lcm(chain(self.anchor, *points))
-        anchor = to_numerators(self.anchor, q)
-        rows = []
-        for p in points:
-            hp = (q,) + to_numerators(p, q)
-            if any(dot(e, hp) for e in self.equations):
-                raise GeometryError("point is off the chart")
-            diff = tuple(a - b for a, b in zip(hp[1:], anchor))
-            rows.append(tuple(dot(row, diff) for row in self.inverse))
-        return rows, q
-
-    def to_chart(self, point):
-        (row,), q = self.scaled_coordinates([point])
-        return from_numerators(row, q)
 
 
 # -- constructions ------------------------------------------------------------
@@ -495,7 +462,7 @@ def convex_hull(points, role, ambient=None):
         gens = [clear_denominators((1,) + p) for p in pts]
         eqs, rays = cone_rays(gens, ambient + 1)
         facets = _canonical_facets(rays, eqs, gens)
-        vertices = _extreme_points(pts, facets)
+        vertices = tuple(pts[i] for i in _extreme_points(gens, facets))
         hull = _HULLS.setdefault(
             (role, ambient, vertices),
             Polytope(ambient, role, vertices, eqs, facets, ambient - len(eqs)))
@@ -519,21 +486,18 @@ def _reduce_mod_equations(row, eqs):
     return reduce_row(row, [(leading_column(e), e) for e in eqs])
 
 
-def _extreme_points(pts, facets):
-    """The vertices among the distinct sorted points of a hull with these
-    facets.
+def _extreme_points(rays, facets):
+    """The indices of the vertices among the homogenized integer rays
+    (:func:`point_ray`) of the distinct points of a hull with these facets.
 
     A point is a vertex iff no other point is tight on every facet it is
     tight on: otherwise the smallest face containing it has positive
     dimension and so holds a second point.
     """
-    masks = []
-    for p in pts:
-        hp = (1,) + p
-        masks.append(sum(1 << k for k, f in enumerate(facets)
-                         if dot(f, hp) == 0))
-    return tuple(p for i, (p, m) in enumerate(zip(pts, masks))
-                 if not any(o & m == m for k, o in enumerate(masks) if k != i))
+    masks = [sum(1 << k for k, f in enumerate(facets) if dot(f, r) == 0)
+             for r in rays]
+    return [i for i, m in enumerate(masks)
+            if not any(o & m == m for k, o in enumerate(masks) if k != i)]
 
 
 def polyhedron_generators(eq_rows, ineq_rows, ambient):

@@ -405,8 +405,10 @@ def _sum_of_slices(cell, slices, r, delta):
     scaled = [(r * f[0],) + f[1:] for f in cell.facets]
     sums = sorted({as_fractions(map(sum, zip(*vs)))
                    for vs in product(*(s.vertices for s in slices))})
-    verts = _extreme_points(sums, scaled)
-    hverts = [point_ray(w) for w in verts]
+    rays = [point_ray(w) for w in sums]
+    keep = _extreme_points(rays, scaled)
+    verts = tuple(sums[i] for i in keep)
+    hverts = [rays[i] for i in keep]
     meets = [sum(1 << i for i, hw in enumerate(hverts) if dot(f, hw) == 0)
              for f in scaled]
     mink = _polytope_from_rows(
@@ -500,10 +502,8 @@ def minkowski_complex(poset, delta, r, parts_hull):
             if region not in members:
                 cover_ok = False
             continue
-        chart = region.chart()
-        total = sum((mk.volume_in_chart(chart) for mk in members),
-                    Fraction(0))
-        if total != region.volume_in_chart(chart):
+        total = sum((mk.volume_in(region) for mk in members), Fraction(0))
+        if total != region.volume_in(region):
             cover_ok = False
     checks["support_covers_dilated_boundary"] = cover_ok
     return {"passed": all(checks.values()), "checks": checks}

@@ -1,10 +1,12 @@
 """Regular central subdivisions induced by weight functions.
 
 Lifting the lattice points of a polytope by a weight and projecting the lower
-hull gives a regular subdivision.  For the weights used here every maximal
-cell must contain the origin (centrality) and in fact be a pyramid with apex
-0 over a unique boundary face; the boundary faces and all their faces form
-the boundary subdivision (side tag S or T).
+hull gives a regular subdivision.  The points are lifted from the polytope's
+free coordinates, since any affine bijection of its affine hull gives the
+same subdivision.  For the weights used here every maximal cell must contain
+the origin (centrality) and in fact be a pyramid with apex 0 over a unique
+boundary face; the boundary faces and all their faces form the boundary
+subdivision (side tag S or T).
 """
 
 from fractions import Fraction
@@ -17,6 +19,7 @@ from .polytope import (
     bits,
     convex_hull,
     is_integral,
+    point_ray,
 )
 
 
@@ -121,40 +124,48 @@ def _face_closure(maximal_cells):
 def lower_hull_subdivision(support, weight):
     """Project the lower hull of the lifted lattice points of the support.
 
-    Works for supports of any dimension k: the points are lifted in the
-    support's lattice chart, so the lifted hull has dimension k + 1, and
-    cells come back in ambient coordinates with their marked lattice
-    points.  That hull is the one double description; each maximal cell is
-    read from it (De Loera-Rambau-Santos, Triangulations, 2010, 2.3).  A
-    lower facet F (height coefficient f_h > 0) projects one to one onto the
-    cell, whose vertices are the points whose lifts are hull vertices on F.
+    Works for supports of any dimension k: each point is lifted as its
+    projection onto the support's free coordinates
+    (:meth:`polytope.Polytope.free_coordinates`), one to one on the affine
+    hull, and its weight, so the lifted hull has dimension k + 1 (k for an
+    affine weight), and cells come back in ambient coordinates with their
+    marked lattice points, read on the lifts' integer rays.  An affine
+    bijection of the affine hull leaves the regular subdivision as it is
+    (De Loera-Rambau-Santos, Triangulations, 2010, 2.3).  That hull is the
+    one double description; each maximal cell is read from it.  A lower
+    facet F (height coefficient f_h > 0) projects one to one onto the cell,
+    whose vertices are the points whose lifts are hull vertices on F.
     Every facet of the cell is the projection of a ridge F & G, G another
     hull facet, so G holds at least k vertices of F.  On F the height is
     -(f_0 + f_u.t) / f_h, so the row f_h G - g_h F has no height term, is
     f_h times G on the cell, hence valid there, and is tight exactly on the
-    projection of F & G.  The cell is then read from those rows
-    (:func:`polytope._polytope_from_rows`), field for field the hull of its
-    vertices.
+    projection of F & G.  An affine weight lifts to a hull of dimension k,
+    the one cell: its equation, oriented so its height entry is positive,
+    takes F's place.  A row on the free coordinates holds on the support's
+    affine hull as the ambient row with 0 on the other coordinates, and the
+    cell is read from those rows (:func:`polytope._polytope_from_rows`),
+    field for field the hull of its vertices.
     """
     pts = support.lattice_points()
     if not pts:
         raise GeometryError("support has no lattice points")
-    chart = support.chart()
-    k = chart.dim
-    point_of = {tuple(chart.to_chart(pt)) + (weight(pt),): pt for pt in pts}
+    free = support.free_coordinates()
+    k = len(free)
+    point_of = {tuple(pt[i] for i in free) + (weight(pt),): pt for pt in pts}
     hull = convex_hull(point_of, support.role, k + 1)
-    if hull.dim <= k:
-        # Affine weight: the trivial subdivision.
-        cell = convex_hull(pts, support.role, support.ambient)
-        return ConedSubdivision(support, weight, [cell],
-                                {cell: tuple(sorted(pts))})
-    rows = [_ambient_row(g, chart) for g in hull.facets]
     masks = hull.facet_masks()
+    if hull.equations:  # an affine weight: the trivial subdivision
+        (e,) = hull.equations
+        lower = [(e if e[-1] > 0 else tuple(-a for a in e),
+                  (1 << len(hull.vertices)) - 1)]
+    else:
+        lower = [(f, m) for f, m in zip(hull.facets, masks) if f[-1] > 0]
+    rows = [_ambient_row(g, free, support.ambient) for g in hull.facets]
+    lifts = [(point_ray(lp), pt) for lp, pt in point_of.items()]
     maximal = []
     marked = {}
-    for f, row, mask in zip(hull.facets, rows, masks):
-        if f[-1] <= 0:
-            continue  # not a lower facet
+    for f, mask in lower:
+        row = _ambient_row(f, free, support.ambient)
         on = sorted((point_of[hull.vertices[i]], i) for i in bits(mask))
         verts = tuple(pt for pt, _ in on)
         bit = {i: 1 << n for n, (_, i) in enumerate(on)}
@@ -167,21 +178,21 @@ def lower_hull_subdivision(support, weight):
                 meets.append(sum(bit[i] for i in bits(common)))
         cell = _polytope_from_rows(
             support.role, support.ambient, verts,
-            [clear_denominators((1,) + v) for v in verts], chart.equations,
+            [clear_denominators((1,) + v) for v in verts], support.equations,
             cuts, meets, (1 << len(verts)) - 1, k)
         maximal.append(cell)
-        marked[cell] = tuple(sorted(pt for lp, pt in point_of.items()
-                                    if dot(f, (1,) + lp) == 0))
+        marked[cell] = tuple(sorted(pt for ray, pt in lifts
+                                    if dot(f, ray) == 0))
     return ConedSubdivision(support, weight, maximal, marked)
 
 
-def _ambient_row(row, chart):
-    """A row (c, u, h) on chart coordinates t and a height as an integer
-    row on ambient points and the height: with t = L (p - a), L the
-    chart's inverse and a its anchor, c + u.t = c - (u L).a + (u L).p."""
-    u = tuple(dot(row[1:-1], col) for col in zip(*chart.inverse))
-    return clear_denominators((row[0] - dot(u, chart.anchor),) + u
-                              + (row[-1],))
+def _ambient_row(row, free, ambient):
+    """A row (c, u, h) on the free coordinates and a height as a row on
+    ambient points and the height, 0 on the other coordinates."""
+    u = [0] * ambient
+    for i, a in zip(free, row[1:-1]):
+        u[i] = a
+    return (row[0],) + tuple(u) + (row[-1],)
 
 
 def is_central(subdivision):

@@ -311,7 +311,6 @@ def mixed_subdivision_check(boundary, poset, delta):
     slices add only the origin."""
     report = {"full_dimensional": True, "volume_matches": True,
               "interiors_disjoint": True}
-    chart = delta.chart()
     total = Fraction(0)
     mixed = []
     for cell in boundary.maximal_cells:
@@ -322,8 +321,8 @@ def mixed_subdivision_check(boundary, poset, delta):
             report["full_dimensional"] = False
             continue
         mixed.append(cell_sum)
-        total += cell_sum.volume_in_chart(chart)
-    if total != delta.volume_in_chart(chart):
+        total += cell_sum.volume_in(delta)
+    if total != delta.volume_in(delta):
         report["volume_matches"] = False
     rays = [[point_ray(v) for v in c.vertices] for c in mixed]
     for i in range(len(mixed)):

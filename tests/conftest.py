@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nefsphere import NefPartition, Pipeline
+from nefsphere.linalg import clear_denominators, det, saturated_span_basis
 from nefsphere.monodromy import pinched_parts
 from nefsphere.nef import validate_nef_partition
 from nefsphere.polytope import convex_hull, polytope_from_hrep
@@ -30,8 +31,15 @@ def transpose(m):
 
 
 def lattice_volume(p):
-    """Volume normalized so a unimodular simplex has volume 1/dim!."""
-    return p.volume_in_chart(p.chart())
+    """Volume normalized so a unimodular simplex has volume 1/dim!: the
+    volume projected onto p's free coordinates (Polytope.volume_in) over
+    the projected volume of a saturated lattice basis of its directions."""
+    base = p.vertices[0]
+    dirs = [clear_denominators(tuple(a - b for a, b in zip(v, base)))
+            for v in p.vertices[1:]]
+    free = p.free_coordinates()
+    cell = [[b[i] for i in free] for b in saturated_span_basis(dirs, p.ambient)]
+    return p.volume_in(p) / abs(det(cell))
 
 
 def smooth_pair(sigma, k):

@@ -663,7 +663,7 @@ def test_incidence_mask_vertices_match_rank_criterion(cloud):
     gens = [clear_denominators((1,) + p) for p in pts]
     eqs, rays = cone_rays(gens, ambient + 1)
     facets = _canonical_facets(rays, eqs, gens)
-    got = _extreme_points(pts, facets)
+    got = tuple(pts[i] for i in _extreme_points(gens, facets))
     assert got == reference_extreme_points(pts, facets, eqs)
     assert got == convex_hull(points, "M").vertices
 

@@ -1,10 +1,17 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nefsphere.linalg import dot, row_rank, solve_rational
+from nefsphere.linalg import (
+    det,
+    dot,
+    row_rank,
+    saturated_span_basis,
+    solve_rational,
+)
 from nefsphere.polytope import (
     GeometryError,
     ROLE_M,
@@ -341,37 +348,34 @@ def test_lattice_points_against_naive_scan():
 
 def test_volume_additivity_under_stellar_split():
     # Splitting a polytope at an interior point preserves total volume.
-    from nefsphere.polytope import intersect
     p = convex_hull([(2, 0), (0, 2), (-2, -1), (1, -2)], ROLE_M)
-    chart = p.chart()
-    total = p.volume_in_chart(chart)
+    total = p.volume_in(p)
     pieces = []
     for fs in facet_vertex_sets(p):
         piece = convex_hull([p.vertices[i] for i in bits(fs)] + [(0, 0)],
                             ROLE_M)
-        pieces.append(piece.volume_in_chart(chart))
+        pieces.append(piece.volume_in(p))
     assert sum(pieces) == total
 
 
-def _gram_chart_oracle(chart, point):
-    """The Gram route: solve (B B^T) t = B (p - anchor) in Fractions and
-    keep t only when anchor + B^T t gives the point back."""
-    diff = [Fraction(a) - Fraction(b) for a, b in zip(point, chart.anchor)]
-    gram = [[dot(a, b) for b in chart.basis] for a in chart.basis]
-    t = solve_rational(gram, [dot(diff, b) for b in chart.basis]) \
-        if chart.basis else ()
-    back = [Fraction(a) for a in chart.anchor]
-    for c, b in zip(t, chart.basis):
-        back = [x + c * y for x, y in zip(back, b)]
-    return tuple(t) if back == [Fraction(x) for x in point] else None
+def _gram_lattice_volume(simplex, basis):
+    """Oracle: a simplex's lattice volume from the coordinates of its edges
+    in the lattice basis, each solved from (B B^T) t = B e in Fractions."""
+    gram = [[dot(a, b) for b in basis] for a in basis]
+    base = simplex.vertices[0]
+    rows = [solve_rational(gram, [dot([x - y for x, y in zip(v, base)], b)
+                                  for b in basis])
+            for v in simplex.vertices[1:]]
+    return Fraction(abs(det(rows)), factorial(len(basis)))
 
 
 @given(st.integers(1, 4), st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
-def test_lattice_chart_matches_gram_route(k, seed):
-    # A k-dimensional polytope with rational vertices inside Q^4: the
-    # integer chart's coordinates equal the Gram route's on its vertices and
-    # rational combinations of them; a point off its affine hull raises.
+def test_free_coordinates_scale_every_volume_by_one_factor(k, seed):
+    # A k-dimensional polytope with rational vertices inside Q^4: it has k
+    # free coordinates, which project its vertices one to one, and volume_in
+    # is one multiple of the lattice volume on it and on a simplex of its
+    # triangulation, whose lattice volume the Gram route gives as well.
     import random
     rng = random.Random(seed)
     d = 4
@@ -381,36 +385,49 @@ def test_lattice_chart_matches_gram_route(k, seed):
     if row_rank([v for v in dirs if any(v)] or [(0,) * d]) != k:
         return
     pts = [anchor]
-    for v in dirs:
-        c = Fraction(rng.randrange(1, 4), 2)
-        pts.append(tuple(a + c * x for a, x in zip(anchor, v)))
+    for _ in range(k + 2):
+        cs = [Fraction(rng.randrange(0, 4), 2) for _ in dirs]
+        pts.append(tuple(a + sum(c * v[j] for c, v in zip(cs, dirs))
+                         for j, a in enumerate(anchor)))
     poly = convex_hull(pts, ROLE_M)
-    chart = poly.chart()
-    assert chart.dim == poly.dim == k
-    samples = list(poly.vertices)
-    samples.append(tuple(sum(c, Fraction(0)) / len(poly.vertices)
-                         for c in zip(*poly.vertices)))
-    for p in samples:
-        got = chart.to_chart(p)
-        assert got == _gram_chart_oracle(chart, p)
-    if k < d:
-        off = tuple(a + b for a, b in zip(samples[-1], poly.equations[0][1:]))
-        assert _gram_chart_oracle(chart, off) is None
-        with pytest.raises(GeometryError):
-            chart.to_chart(off)
+    if poly.dim != k:
+        return
+    free = poly.free_coordinates()
+    assert len(free) == k
+    assert len({tuple(v[i] for i in free) for v in poly.vertices}) == \
+        len(poly.vertices)
+    simplex = convex_hull([poly.vertices[i] for i in poly.triangulation()[0]],
+                          ROLE_M)
+    assert simplex.dim == k
+    factor = poly.volume_in(poly) / lattice_volume(poly)
+    assert factor > 0
+    assert simplex.volume_in(poly) == factor * lattice_volume(simplex)
+    basis = saturated_span_basis(dirs, d)
+    assert lattice_volume(simplex) == _gram_lattice_volume(simplex, basis)
 
 
-def test_lattice_chart_of_a_point_and_a_segment():
+def test_volume_in_a_point_and_a_segment():
     point = convex_hull([(Fraction(1, 2), 3)], ROLE_M)
-    assert point.chart().to_chart((Fraction(1, 2), 3)) == ()
-    with pytest.raises(GeometryError):
-        point.chart().to_chart((0, 3))
+    assert point.free_coordinates() == ()
+    assert point.volume_in(point) == 1
     seg = convex_hull([(0, 0), (4, 6)], ROLE_M)
-    assert seg.chart().basis in (((2, 3),), ((-2, -3),))
-    assert abs(seg.chart().to_chart((4, 6))[0]) == 2
-    assert abs(seg.chart().to_chart((1, Fraction(3, 2)))[0]) == \
-        Fraction(1, 2)
+    assert len(seg.free_coordinates()) == 1
     assert lattice_volume(seg) == 2
+    half = convex_hull([(2, 3), (4, 6)], ROLE_M)
+    assert 2 * half.volume_in(seg) == seg.volume_in(seg)
+    assert convex_hull([(1, Fraction(3, 2))], ROLE_M).volume_in(seg) == 0
+
+
+def test_volume_in_refuses_a_polytope_off_the_region():
+    # Projected volumes compare only inside one affine hull.
+    seg = convex_hull([(0, 0), (4, 6)], ROLE_M)
+    for off in ([(0, 0), (1, 0)], [(1, 1), (5, 7)], [(Fraction(1, 2), 3)]):
+        with pytest.raises(GeometryError):
+            convex_hull(off, ROLE_M).volume_in(seg)
+    square = convex_hull([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], ROLE_M)
+    with pytest.raises(GeometryError):
+        convex_hull([(0, 0, 0), (1, 0, 1), (0, 1, 1)], ROLE_M).volume_in(
+            square)
 
 
 def _affine_rank(points):

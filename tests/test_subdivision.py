@@ -278,11 +278,19 @@ def test_lower_hull_cells_with_a_generic_weight_are_the_hulls(name):
 
 def test_a_lower_hull_subdivision_runs_one_double_description(monkeypatch):
     # The lifted hull is the one double description: no maximal cell runs
-    # its own.  A seeded generic weight, so that no earlier test can have
-    # left the lifted hull in the intern table.
+    # its own, and the one cell of an affine weight is read from it too,
+    # here on a slanted segment whose midpoint is a lattice point.  A
+    # seeded generic weight, so that no earlier test can have left its
+    # lifted hull in the intern table, and an empty table for the segment,
+    # so that its cell is read from the hull's rows and is not the segment
+    # itself.  The height entry of the segment's lifted equation is
+    # negative.
     support = _data_pipe("simplex3").nef.sum_polar
     weight = WeightFunction.from_pairs(
         support, generic_weight(support.lattice_points(), seed=33))
+    segment = convex_hull([(-2, -1), (2, 1)], ROLE_M)
+    affine = WeightFunction(segment, {pt: Fraction(5 * pt[0], 7)
+                                      for pt in segment.lattice_points()})
     calls = []
     real = polytope.cone_rays
 
@@ -294,6 +302,15 @@ def test_a_lower_hull_subdivision_runs_one_double_description(monkeypatch):
     subdivision = lower_hull_subdivision(support, weight)
     assert len(calls) == 1
     assert len(subdivision.maximal_cells) > 1
+    calls.clear()
+    with mock.patch.object(polytope, "_HULLS", WeakValueDictionary()):
+        trivial = lower_hull_subdivision(segment, affine)
+    assert len(calls) == 1
+    (cell,) = trivial.maximal_cells
+    assert cell == segment and cell is not segment
+    assert trivial.marked[cell] == ((-2, -1), (0, 0), (2, 1))
+    monkeypatch.undo()
+    assert_cells_are_the_hulls_of_their_points(trivial)
 
 
 def test_building_the_prism_boundary_reads_no_face_rows():
