@@ -30,21 +30,26 @@ def _is_int(x):
 
 
 def _parse_rational(x, name):
-    """A weight value as a Fraction.  A string whose numerator or
-    denominator would pass the int-to-string digit limit is refused before
-    it is built, which could take seconds; the report could not print it."""
+    """A weight value as a Fraction; every refusal names the weight.  A
+    string whose numerator or denominator would pass the int-to-string
+    digit limit is refused before it is built, which could take seconds;
+    the report could not print it."""
     if _is_int(x):
         return Fraction(x)
-    if isinstance(x, str):
-        limit = sys.get_int_max_str_digits()
-        if 0 < limit < _literal_digits(x):
-            raise ValueError(f"bad {name} value {x[:24]!r}: its numerator or "
-                             f"denominator would exceed {limit} digits")
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
-    raise ValueError(f"not an exact rational: {json.dumps(x)}")
+    if not isinstance(x, str):
+        raise ValueError(f"bad {name} value {json.dumps(x)}: not an exact "
+                         "rational")
+    bad = f"bad {name} value {x[:24]!r}"
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < _literal_digits(x):
+        raise ValueError(f"{bad}: its numerator or denominator would exceed "
+                         f"{limit} digits")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{bad}: zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{bad}: not a rational literal") from None
 
 
 def _literal_digits(text):

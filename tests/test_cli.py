@@ -252,7 +252,7 @@ SEGMENT = [[[1], [-1]]]
 @pytest.mark.parametrize("data, message", [
     ({"dim": 1, "parts": SEGMENT,
       "omega": {"table": [[[-1], "1/0"], [[0], 0], [[1], 2]]}},
-     "zero denominator in '1/0'"),
+     "bad omega value '1/0': zero denominator"),
     ({"dim": True, "parts": [[[1, 0], [-1, 0]]]},
      "bad dim true: need a positive integer"),
     ({"dim": 0, "parts": [[[], []]]}, "bad dim 0: need a positive integer"),
@@ -260,22 +260,49 @@ SEGMENT = [[[1], [-1]]]
      "bad vertex [true]: need 1 integers"),
     ({"dim": 1, "parts": SEGMENT,
       "omega": {"table": [[[-1], True], [[0], 0], [[1], 2]]}},
-     "not an exact rational: true"),
+     "bad omega value true: not an exact rational"),
     ({"dim": 1, "parts": SEGMENT,
       "nu": {"table": [[[True], 1], [[0], 0], [[-1], 2]]}},
      "bad weight table point [true]"),
     ({"dim": 1, "parts": []}, "no parts: need at least one part"),
     ({"dim": 1, "parts": [SEGMENT[0], []]}, "part 1 has no vertices"),
+    ({"dim": 1, "parts": SEGMENT,
+      "omega": {"table": [[[-1], "nan"], [[0], 0], [[1], 2]]}},
+     "bad omega value 'nan': not a rational literal"),
+    ({"dim": 1, "parts": SEGMENT,
+      "nu": {"table": [[[-1], 1], [[0], 0], [[1], "inf"]]}},
+     "bad nu value 'inf': not a rational literal"),
+    ({"dim": 1, "parts": SEGMENT,
+      "nu": {"table": [[[-1], "1/2/3"], [[0], 0], [[1], 2]]}},
+     "bad nu value '1/2/3': not a rational literal"),
+    ({"dim": 1, "parts": SEGMENT,
+      "omega": {"table": [[[-1], 1.5], [[0], 0], [[1], 2]]}},
+     "bad omega value 1.5: not an exact rational"),
 ])
 def test_malformed_values_exit_2(tmp_path, data, message):
     # JSON booleans are not integers, and a zero denominator or an empty
-    # part list is an input error, not a traceback.
+    # part list is an input error, not a traceback.  A bad weight value is
+    # named by its weight.
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     proc = run_cli("report", str(bad))
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"input error: {message}\n"
+
+
+def test_a_bad_value_in_a_weight_file_names_the_weight(tmp_path):
+    # The same message whether the table is in the input or in a weight
+    # file given by --nu.
+    weights = tmp_path / "nu.json"
+    weights.write_text(json.dumps(
+        {"table": [[[-1], "nan"], [[0], 0], [[1], 1]]}))
+    proc = run_cli("report", path("segment_weighted.json"), "--nu",
+                   str(weights))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("input error: bad nu value 'nan': not a rational "
+                           "literal\n")
 
 
 @pytest.mark.parametrize("data, message", [
