@@ -396,6 +396,11 @@ def test_free_coordinates_scale_every_volume_by_one_factor(k, seed):
     assert len(free) == k
     assert len({tuple(v[i] for i in free) for v in poly.vertices}) == \
         len(poly.vertices)
+    # One to one on the affine hull: the equations solve for the others.
+    pivots = [i for i in range(d) if i not in free]
+    if pivots:
+        assert row_rank([[e[1 + i] for i in pivots]
+                         for e in poly.equations]) == len(pivots)
     simplex = convex_hull([poly.vertices[i] for i in poly.triangulation()[0]],
                           ROLE_M)
     assert simplex.dim == k
