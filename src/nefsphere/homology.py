@@ -3,9 +3,9 @@
 Every homology goes through one kernel, :func:`chain_homology`, and the
 complexes reach it by two routes:
 
-* :func:`cellular_homology` takes a regular CW complex (a polytopal complex,
-  say) on its own cells, without subdividing, after orienting them
-  (:func:`oriented_boundaries`).
+* a regular CW complex (a polytopal complex, say) on its own cells, without
+  subdividing, at the incidences :func:`oriented_boundaries` fixes: Sigma
+  is oriented once, and its subcomplexes keep its signs.
 * :func:`order_complex_homology` takes the order complex of a finite poset:
   one simplex per chain, with the simplicial boundary.  A discriminant
   component is an upper set of Sigma's cells, not a subcomplex, so its
@@ -79,23 +79,6 @@ def order_complex_homology(n_elements, successors):
                                  for i in range(len(up))})
         level = nxt
     return chain_homology(dims, boundary)
-
-
-def cellular_homology(dims, facets):
-    """Integral homology of a regular CW complex from its face poset.
-
-    dims[c] is the dimension of cell c and facets[c] lists its codimension-
-    one faces.  Incidence numbers are fixed by :func:`oriented_boundaries`,
-    which raises a falsification certificate for a cell that is not a
-    regular cell; the chain complex they define is then reduced by
-    :func:`chain_homology`.  Returns [(betti_k, torsion_k)] like
-    :func:`order_complex_homology` on the face poset, whose order complex
-    (the barycentric subdivision) has the same homology for a regular
-    complex.
-    """
-    if not dims:
-        return []
-    return chain_homology(dims, oriented_boundaries(dims, facets))
 
 
 def oriented_boundaries(dims, facets):

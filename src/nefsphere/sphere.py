@@ -98,7 +98,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import FalsificationError
-from .homology import cellular_homology
+from .homology import chain_homology, oriented_boundaries
 from .linalg import dot, smith_normal_form
 from .polytope import (
     _extreme_points,
@@ -650,6 +650,7 @@ class SigmaComplex:
             p_poset.elements[i].minkowski.dim + q_poset.elements[j].minkowski.dim
             for i, j in self.pairs)
         self._product_order()
+        self._negative = None
 
     def _product_order(self):
         """_above[k] and _below[k]: bitmasks of the cells >= and <= cell k
@@ -695,13 +696,27 @@ class SigmaComplex:
         complex of its face poset (Bjorner, "Posets, regular CW complexes
         and Bruhat order", Europ. J. Combin. 1984), i.e. of the barycentric
         subdivision, which is therefore not built here.
+
+        Sigma is oriented once, on first use, by :func:`oriented_boundaries`
+        (its certificates name Sigma's own cells): bit t of _negative[k]
+        marks the t-th facet of cell k, by index, at incidence -1.  A
+        subcomplex closed under faces keeps its cells' incidences.
         """
-        keep = range(len(self.dims)) if cells is None else bits(cells)
-        pos = {k: t for t, k in enumerate(keep)}
         facets = _facet_masks(self.dims, self._below)
-        return cellular_homology([self.dims[k] for k in keep],
-                                 [[pos[f] for f in bits(facets[k])]
-                                  for k in keep])
+        if self._negative is None:
+            lists = [bits(mask) for mask in facets]
+            self._negative = [
+                sum(1 << t for t, f in enumerate(faces) if signs[f] < 0)
+                for faces, signs in zip(
+                    lists, oriented_boundaries(self.dims, lists))]
+        keep = range(len(self.dims)) if cells is None else bits(cells)
+        if not keep:
+            return []
+        pos = {k: t for t, k in enumerate(keep)}
+        return chain_homology(
+            [self.dims[k] for k in keep],
+            [{pos[f]: -1 if self._negative[k] >> t & 1 else 1
+              for t, f in enumerate(bits(facets[k]))} for k in keep])
 
     def is_closed_pseudomanifold(self):
         return is_closed_pseudomanifold(self.dims, self._below)

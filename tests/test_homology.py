@@ -1,25 +1,25 @@
 """Integral homology of literal spaces, through every route.
 
 Each space is the simplicial complex spanned by a list of simplices.  Its
-face poset feeds :func:`cellular_homology` (cells and their facets, reduced
-by coreductions) and :func:`order_complex_homology` (the chains, i.e. the
-barycentric subdivision, reduced by the same coreductions), and all must
-give the space's known groups.  Two oracles that share no reduction with
+face poset feeds :func:`chain_homology` twice: on its own cells, at the
+incidences :func:`oriented_boundaries` fixes (``cellular``), and through
+:func:`order_complex_homology` (the chains, i.e. the barycentric
+subdivision), and all must give the space's known groups.  Two oracles that share no reduction with
 :func:`chain_homology` are kept here: the heap-driven sparse elimination of
 each boundary matrix (``per_dimension_homology`` on the oriented cells) and
 the order complex built two chain levels at a time and eliminated the same
 way (``two_level_order_complex_homology``).
 """
 
+import copy
 from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nefsphere import homology
+from nefsphere import cli, homology, sphere
 from nefsphere.errors import FalsificationError
 from nefsphere.homology import (
-    cellular_homology,
     chain_homology,
     order_complex_homology,
     oriented_boundaries,
@@ -28,6 +28,7 @@ from nefsphere.homology import (
 from nefsphere.monodromy import complement_homology, discriminant
 from nefsphere.sphere import is_closed_pseudomanifold
 from conftest import smooth_pair
+from test_cli import path
 from test_monodromy import DATA_NAMES, _data_pipe
 
 TORUS = [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5),
@@ -187,6 +188,12 @@ def oracle_homology(dims, facets):
     return per_dimension_homology(dims, oriented_boundaries(dims, facets))
 
 
+def cellular(dims, facets):
+    """The cellular homology of a regular CW complex: its own cells, at the
+    incidences oriented_boundaries fixes, through the one kernel."""
+    return chain_homology(dims, oriented_boundaries(dims, facets))
+
+
 def face_poset(simplices):
     """(cells, dims, facets, below) of the face poset of the complex spanned
     by the simplices: cells in sorted order, facets[c] the codimension-one
@@ -230,7 +237,7 @@ def both_routes(simplices):
     """The cellular homology of the complex, after checking that the
     order complex of its face poset has the same."""
     _, dims, facets, below = face_poset(simplices)
-    hom = cellular_homology(dims, facets)
+    hom = cellular(dims, facets)
     assert oracle_homology(dims, facets) == hom
     succ = successors(below)
     assert order_complex_homology(len(dims), succ) == hom
@@ -279,7 +286,7 @@ def test_order_complex_homology_matches_bsd():
     _, dims, _, below = face_poset(TORUS)
     _, bsd_dims, bsd_facets, _ = face_poset(bsd(TORUS))
     assert order_complex_homology(len(dims), successors(below)) == \
-        cellular_homology(bsd_dims, bsd_facets) == [(1, ()), (2, ()), (1, ())]
+        cellular(bsd_dims, bsd_facets) == [(1, ()), (2, ()), (1, ())]
 
 
 def test_sparse_rank_and_divisors():
@@ -336,9 +343,10 @@ def test_cellular_homology_square_cell():
     # One square 2-cell on a 4-cycle (not a simplex): a disc.
     dims = [0, 0, 0, 0, 1, 1, 1, 1, 2]
     facets = [[], [], [], [], [0, 1], [1, 2], [2, 3], [0, 3], [4, 5, 6, 7]]
-    assert cellular_homology(dims, facets) == [(1, ()), (0, ()), (0, ())]
+    assert cellular(dims, facets) == [(1, ()), (0, ()), (0, ())]
     assert oracle_homology(dims, facets) == [(1, ()), (0, ()), (0, ())]
-    assert cellular_homology([], []) == oracle_homology([], []) == []
+    assert oriented_boundaries([], []) == []
+    assert oracle_homology([], []) == []
 
 
 def test_cellular_homology_rejects_broken_diamond():
@@ -347,7 +355,7 @@ def test_cellular_homology_rejects_broken_diamond():
     dims = [0, 0, 0, 0, 1, 1, 1, 1, 2]
     facets = [[], [], [], [], [0, 1], [1, 2], [0, 2], [0, 3], [4, 5, 6, 7]]
     with pytest.raises(FalsificationError) as err:
-        cellular_homology(dims, facets)
+        cellular(dims, facets)
     assert "diamond" in err.value.claim
     assert err.value.certificate["cell"] == 8
 
@@ -358,13 +366,13 @@ def test_cellular_homology_rejects_disconnected_facets():
     facets = [[]] * 6 + [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]] + \
         [list(range(6, 12))]
     with pytest.raises(FalsificationError) as err:
-        cellular_homology(dims, facets)
+        cellular(dims, facets)
     assert err.value.certificate["cell"] == 12
 
 
 def test_cellular_homology_rejects_bad_edge():
     with pytest.raises(FalsificationError) as err:
-        cellular_homology([0, 1], [[], [0]])
+        cellular([0, 1], [[], [0]])
     assert err.value.certificate["cell"] == 1
 
 
@@ -376,7 +384,7 @@ def test_cellular_homology_rejects_non_orientable_facets():
     dims.append(3)
     facets.append(triangles)
     with pytest.raises(FalsificationError) as err:
-        cellular_homology(dims, facets)
+        cellular(dims, facets)
     assert "inconsistent" in err.value.claim
     assert err.value.certificate["cell"] == len(dims) - 1
 
@@ -492,6 +500,92 @@ def test_reduction_matches_oracle_on_sigma(name):
         assert hom == oracle_homology(*sigma_cells(sigma, mask)), name
 
 
+# -- Sigma's one orientation --------------------------------------------------
+
+
+def sigma_chains(sigma, mask, monkeypatch):
+    """The cells (Sigma's indices) and boundary dicts, on Sigma's indices,
+    that Sigma.homology hands the kernel for its subcomplex on `mask`."""
+    handed = []
+    kernel = sphere.chain_homology
+
+    def recorded(dims, boundary):
+        handed.append([dict(b) for b in boundary])
+        return kernel(dims, boundary)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sphere, "chain_homology", recorded)
+        sigma.homology(mask)
+    (boundary,) = handed
+    cells = [k for k in range(len(sigma)) if mask >> k & 1]
+    return cells, [{cells[f]: u for f, u in b.items()} for b in boundary]
+
+
+def boundary_defects(sigma, cells, boundary):
+    """The cells whose boundary's boundary is not 0, or, for an edge,
+    whose two incidences do not sum to 0."""
+    by_cell = dict(zip(cells, boundary))
+    bad = []
+    for k, faces in by_cell.items():
+        twice = {}
+        for f, u in faces.items():
+            for g, v in by_cell[f].items():
+                twice[g] = twice.get(g, 0) + u * v
+        if any(twice.values()) or sigma.dims[k] == 1 and sum(faces.values()):
+            bad.append(k)
+    return bad
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_sigma_and_its_smooth_cells_read_one_orientation(name, monkeypatch):
+    # Every boundary of a boundary cancels, and the smooth subcomplex's
+    # cells carry Sigma's own incidences, not a second orientation's.
+    sigma = _data_pipe(name).sigma()
+    every = (1 << len(sigma)) - 1
+    smooth = sum(1 << k for k in range(len(sigma)) if smooth_pair(sigma, k))
+    cells, boundary = sigma_chains(sigma, every, monkeypatch)
+    assert boundary_defects(sigma, cells, boundary) == [], name
+    sub_cells, sub_boundary = sigma_chains(sigma, smooth, monkeypatch)
+    assert sub_boundary == [boundary[k] for k in sub_cells], name
+
+
+@pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked"])
+def test_a_planted_sign_flip_fails_the_boundary_check(name, monkeypatch):
+    # One facet of one top cell changes sign in Sigma's stored orientation:
+    # that cell's boundary no longer cancels.  The groups do not show it,
+    # since the coreductions never read a sign.
+    sigma = copy.copy(_data_pipe(name).sigma())
+    sigma.homology()
+    top = sigma.dims.index(max(sigma.dims))
+    sigma._negative = list(sigma._negative)
+    sigma._negative[top] ^= 1
+    every = (1 << len(sigma)) - 1
+    cells, boundary = sigma_chains(sigma, every, monkeypatch)
+    assert boundary_defects(sigma, cells, boundary) == [top]
+
+
+@pytest.mark.parametrize("name", ["simplex3", "simplex3_generic"])
+def test_one_full_dual_report_orients_sigma_once(name, monkeypatch, capsys):
+    # Sigma's homology and its smooth subcomplex's (complement_homology),
+    # in the run and in its role-swapped dual run, read one orientation.
+    calls = []
+
+    def counted(real):
+        def oriented(dims, facets):
+            calls.append(len(dims))
+            return real(dims, facets)
+        return oriented
+
+    for module in (homology, sphere):
+        monkeypatch.setattr(module, "oriented_boundaries",
+                            counted(module.oriented_boundaries))
+    code = cli.main(["report", path(f"{name}.json"), "--verify", "full",
+                     "--dual"])
+    assert code == 0
+    assert '"complement_homology"' in capsys.readouterr().out
+    assert calls == [len(_data_pipe(name).sigma())]
+
+
 def simplicial_complexes():
     """Complexes spanned by 1 to 20 simplices of dimension <= 3 on 7
     vertices: dense enough in triangles to carry 1- and 2-cycles."""
@@ -504,7 +598,7 @@ def simplicial_complexes():
 @given(simplicial_complexes())
 def test_reduction_matches_oracle_randomized(simplices):
     _, dims, facets, _ = face_poset(simplices)
-    assert cellular_homology(dims, facets) == oracle_homology(dims, facets)
+    assert cellular(dims, facets) == oracle_homology(dims, facets)
 
 
 # -- the order complex through the coreductions, against its oracle -----------
