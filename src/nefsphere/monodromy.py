@@ -467,6 +467,11 @@ def local_group(sigma, pair_idx, atlas):
     Verifies the abelian upper-triangular structure: commuting generators,
     image inside the tangent space of the tau-side Minkowski cell, and
     vanishing on it.  `atlas` is the :class:`ChartAtlas` of sigma's posets.
+
+    The last two imply the first: when every log N = A - I maps into W and
+    vanishes on W, N_a N_b = 0 = N_b N_a for any two logs, so
+    (I + N_a)(I + N_b) = I + N_a + N_b = (I + N_b)(I + N_a).  The matrix
+    products are taken only when one of the two fails.
     """
     i, j = sigma.pairs[pair_idx]
     p_poset, q_poset = sigma.p_poset, sigma.q_poset
@@ -498,7 +503,6 @@ def local_group(sigma, pair_idx, atlas):
     sigma_dim = p_poset.elements[i].cell.dim
     report = {
         "w_dimension_matches": len(w_basis) == tau_dim - r + 1,
-        "commuting": _pairwise_commute(mats),
         "image_in_w": True,
         "vanishes_on_w": True,
         "block_rows": len(w_basis),
@@ -526,6 +530,8 @@ def local_group(sigma, pair_idx, atlas):
                     report["vanishes_on_w"] = False
         report["image_in_w"] = \
             row_rank(w_coords + sorted(images)) == len(w_coords)
+    report["commuting"] = (report["image_in_w"] and report["vanishes_on_w"]
+                           or _pairwise_commute(mats))
     report["passed"] = (report["w_dimension_matches"] and report["commuting"]
                         and report["image_in_w"] and report["vanishes_on_w"])
     return report

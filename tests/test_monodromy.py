@@ -942,6 +942,33 @@ def test_local_group_rank_test_matches_per_column_solve(name, monkeypatch):
     assert missed > 0
 
 
+@pytest.mark.parametrize("name", ["simplex3", "simplex3_generic",
+                                  "prism_pair_5d_kinked", "simplex_p5_33"])
+def test_local_commuting_matches_the_pairwise_products(name, monkeypatch):
+    # local_group reads commuting from image_in_w and vanishes_on_w when
+    # both hold; the products of every pair of the group's matrices, taken
+    # here, must say the same.
+    from nefsphere import monodromy
+    pipe = _data_pipe(name)
+    sigma, atlas = pipe.sigma(), pipe.atlas()
+    real = monodromy.monodromy
+    mats = []
+
+    def recorded(loop, atlas):
+        m = real(loop, atlas)
+        mats.append(m.linear)
+        return m
+
+    monkeypatch.setattr(monodromy, "monodromy", recorded)
+    vertices = pipe.discriminant().vertex_ids
+    assert vertices
+    for k in vertices:
+        mats.clear()
+        report = monodromy.local_group(sigma, k, atlas)
+        assert mats and len(mats) == report["loops"]
+        assert report["commuting"] is monodromy._pairwise_commute(mats), k
+
+
 def test_component_parts_read_the_pinched_predicate(prism_pair_pipe):
     # The discriminant and the report's component_parts read one predicate:
     # a cell is off the smooth locus exactly when it is pinched in a part.
