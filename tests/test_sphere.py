@@ -14,6 +14,7 @@ from nefsphere.cli import load_input
 from nefsphere.errors import FalsificationError
 from nefsphere.homology import order_complex_homology
 from nefsphere.linalg import dot
+from nefsphere.nef import NefPartition
 from nefsphere.polytope import (as_fractions, convex_hull, dilate, intersect,
                                 is_minkowski_sum, minkowski_sum_all)
 from nefsphere.sphere import projection_images
@@ -614,6 +615,41 @@ def test_cellular_homology_matches_bsd_randomized(randomized_partitions):
         sigma = Pipeline(nef).sigma()
         assert sigma.homology() == _bsd_homology(sigma), \
             f"parts {[p.vertices for p in nef.parts]}"
+
+
+def _block_sum(a, b):
+    """The block sum of two tests/data inputs: a's parts in the first
+    coordinates, then b's in the last ones, each padded with zeros."""
+    na, nb = _data_pipeline(a).nef, _data_pipeline(b).nef
+    return NefPartition.from_vertex_lists(
+        [[v + (0,) * nb.ambient for v in p.vertices] for p in na.parts]
+        + [[(0,) * na.ambient + v for v in p.vertices] for p in nb.parts])
+
+
+@pytest.mark.parametrize("a, b, betti", [
+    ("segment_weighted", "triangle", [2, 2]),
+    ("triangle", "triangle", [1, 2, 1]),
+    ("square_sum", "segment_weighted", [8]),
+    ("triangle", "square_sum", [4, 4]),
+    ("pentagon_pair", "triangle", [2, 2]),
+    ("pentagon_pair", "segment_weighted", [4]),
+])
+def test_block_sum_homology_is_the_kunneth_product(a, b, betti):
+    # Sigma of a block sum (unit weights) is the product of the blocks'
+    # Sigmas, cell for cell.  The blocks' homology is free, so by Kunneth
+    # the Betti numbers convolve and there is no torsion.  None of these is
+    # a sphere, so Sigma's orientation is read beyond S^n.
+    factors = [Pipeline(_data_pipeline(name).nef).sigma() for name in (a, b)]
+    sigma = Pipeline(_block_sum(a, b)).sigma()
+    assert len(sigma) == len(factors[0]) * len(factors[1])
+    homs = [f.homology() for f in factors]
+    assert not [t for hom in homs for _, t in hom if t]
+    x, y = ([b_k for b_k, _ in hom] for hom in homs)
+    product = [sum(x[i] * y[n - i] for i in range(len(x))
+                   if 0 <= n - i < len(y))
+               for n in range(len(x) + len(y) - 1)]
+    assert product == betti
+    assert sigma.homology() == [(b_n, ()) for b_n in betti]
 
 
 @pytest.mark.parametrize("name", ["simplex3", "segment_weighted"])
