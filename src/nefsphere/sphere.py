@@ -702,13 +702,12 @@ class SigmaComplex:
         marks the t-th facet of cell k, by index, at incidence -1.  A
         subcomplex closed under faces keeps its cells' incidences.
         """
-        facets = _facet_masks(self.dims, self._below)
+        facets = [bits(mask) for mask in _facet_masks(self.dims, self._below)]
         if self._negative is None:
-            lists = [bits(mask) for mask in facets]
             self._negative = [
                 sum(1 << t for t, f in enumerate(faces) if signs[f] < 0)
                 for faces, signs in zip(
-                    lists, oriented_boundaries(self.dims, lists))]
+                    facets, oriented_boundaries(self.dims, facets))]
         keep = range(len(self.dims)) if cells is None else bits(cells)
         if not keep:
             return []
@@ -716,7 +715,7 @@ class SigmaComplex:
         return chain_homology(
             [self.dims[k] for k in keep],
             [{pos[f]: -1 if self._negative[k] >> t & 1 else 1
-              for t, f in enumerate(bits(facets[k]))} for k in keep])
+              for t, f in enumerate(facets[k])} for k in keep])
 
     def is_closed_pseudomanifold(self):
         return is_closed_pseudomanifold(self.dims, self._below)
