@@ -4,11 +4,12 @@ Each space is the simplicial complex spanned by a list of simplices.  Its
 face poset feeds :func:`chain_homology` twice: on its own cells, at the
 incidences :func:`oriented_boundaries` fixes (``cellular``), and through
 :func:`order_complex_homology` (the chains, i.e. the barycentric
-subdivision), and all must give the space's known groups.  Two oracles that share no reduction with
-:func:`chain_homology` are kept here: the heap-driven sparse elimination of
-each boundary matrix (``per_dimension_homology`` on the oriented cells) and
-the order complex built two chain levels at a time and eliminated the same
-way (``two_level_order_complex_homology``).
+subdivision), and all must give the space's known groups.  Two oracles
+that share no reduction with :func:`chain_homology` are kept here: the
+heap-driven sparse elimination of each boundary matrix
+(``per_dimension_homology`` on the oriented cells) and the order complex
+built two chain levels at a time and eliminated the same way
+(``two_level_order_complex_homology``).
 """
 
 import copy
