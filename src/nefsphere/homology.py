@@ -4,8 +4,8 @@ Every homology goes through one kernel, :func:`chain_homology`, and the
 complexes reach it by two routes:
 
 * a regular CW complex (a polytopal complex, say) on its own cells, without
-  subdividing, at the incidences :func:`oriented_boundaries` fixes: Sigma
-  is oriented once, and its subcomplexes keep its signs.
+  subdividing, at the signs :func:`facet_signs` returns: Sigma is oriented
+  once, and its subcomplexes keep its signs.
 * :func:`order_complex_homology` takes the order complex of a finite poset:
   one simplex per chain, with the simplicial boundary.  A discriminant
   component is an upper set of Sigma's cells, not a subcomplex, so its
@@ -81,35 +81,35 @@ def order_complex_homology(n_elements, successors):
     return chain_homology(dims, boundary)
 
 
-def oriented_boundaries(dims, facets):
-    """Boundary dicts {face: incidence} of a regular CW complex.
+def facet_signs(dims, facets):
+    """Facet signs of a regular CW complex, one int per cell: bit t of the
+    c-th marks facets[c][t] at incidence -1, the other facets are at +1.
 
-    Incidence numbers are fixed cell by cell, in increasing dimension: an
-    edge gets {v0: -1, v1: +1}, and a cell of dimension >= 2 signs its
-    facets by propagation across shared ridges, so that every ridge cancels
-    in the boundary of the boundary.  That needs every ridge of the cell in
-    exactly two of its facets (the diamond property), consistent signs, and
-    connected facets; a cell violating any of these raises a falsification
-    certificate naming it.
+    Signs are fixed cell by cell, in increasing dimension, from the lower
+    cells' ints: an edge gets -1 on its first vertex and +1 on its second,
+    and a cell of dimension >= 2 signs its facets by propagation across
+    shared ridges, so that every ridge cancels in the boundary of the
+    boundary.  That needs every ridge of the cell in exactly two of its
+    facets (the diamond property), consistent signs, and connected facets;
+    a cell violating any of these, or an edge without two vertices, raises
+    a falsification certificate naming it.
     """
-    boundary = [None] * len(dims)
+    negative = [0] * len(dims)
     for c in sorted(range(len(dims)), key=dims.__getitem__):
         d = dims[c]
         faces = facets[c]
         if any(dims[f] != d - 1 for f in faces):
             raise FalsificationError(
                 "cell face is not of codimension one", {"cell": c, "dim": d})
-        if d == 0:
-            boundary[c] = {}
-        elif d == 1:
+        if d == 1:
             if len(faces) != 2:
                 raise FalsificationError(
                     "edge does not have exactly two vertices",
                     {"cell": c, "faces": list(faces)})
-            boundary[c] = {faces[0]: -1, faces[1]: 1}
-        else:
-            boundary[c] = _orient_facets(c, faces, boundary)
-    return boundary
+            negative[c] = 1
+        elif d >= 2:
+            negative[c] = _orient_facets(c, faces, facets, negative)
+    return negative
 
 
 def chain_homology(dims, boundary):
@@ -259,14 +259,16 @@ def _fill_in_pivot(boundary, cofaces, heap):
     return None
 
 
-def _orient_facets(cell, faces, boundary):
-    """Facet signs of one cell with sum_F s_F * boundary(F) free of ridges."""
+def _orient_facets(cell, faces, facets, negative):
+    """The sign int of one cell: facet signs s_F, read from the facets'
+    own ints, with sum_F s_F * boundary(F) free of ridges."""
     if not faces:
         raise FalsificationError("cell has no facets", {"cell": cell})
     ridges = {}
     for f in faces:
-        for ridge, sign in boundary[f].items():
-            ridges.setdefault(ridge, []).append((f, sign))
+        neg = negative[f]
+        for t, ridge in enumerate(facets[f]):
+            ridges.setdefault(ridge, []).append((f, -1 if neg >> t & 1 else 1))
     for ridge, incident in ridges.items():
         if len(incident) != 2:
             raise FalsificationError(
@@ -278,10 +280,10 @@ def _orient_facets(cell, faces, boundary):
     stack = [faces[0]]
     while stack:
         f = stack.pop()
-        for ridge, sign in boundary[f].items():
+        for ridge in facets[f]:
             (f1, s1), (f2, s2) = ridges[ridge]
-            g, g_sign = (f2, s2) if f1 == f else (f1, s1)
-            want = -signs[f] * sign * g_sign
+            g = f2 if f1 == f else f1
+            want = -signs[f] * s1 * s2
             if g not in signs:
                 signs[g] = want
                 stack.append(g)
@@ -293,4 +295,4 @@ def _orient_facets(cell, faces, boundary):
         raise FalsificationError(
             "facets of a cell are not connected through ridges",
             {"cell": cell, "reached": sorted(signs), "facets": list(faces)})
-    return {f: signs[f] for f in faces}
+    return sum(1 << t for t, f in enumerate(faces) if signs[f] < 0)

@@ -7,12 +7,15 @@ of adjoint pairs of cells assemble into the sphere complex Sigma.
 
 Every order is kept as bitmasks: cells carry vertex masks, so faces are
 subset tests, and the posets and Sigma store the masks of the elements
-above and below each element.  Sigma's topology is read from those masks
-on its own cells, not from the chains of its barycentric subdivision: the
-homology of Sigma and of a subcomplex (the smooth cells, say) is cellular
+above and below each element.  Sigma's facet lists are read from those
+masks once, and its topology from them, on its own cells, not from the
+chains of its barycentric subdivision: one pass signs every facet
+(:func:`homology.facet_signs`), the homology of Sigma and of a subcomplex
+(the smooth cells, say) is cellular at those signs
 (:meth:`SigmaComplex.homology`), and for a face poset graded by dimension
 the pseudomanifold conditions on the order complex are conditions on cells
-and their facets (:func:`is_closed_pseudomanifold`).
+and their facets, the in-cell ones certified by that pass
+(:func:`is_closed_pseudomanifold`).
 
 Slices are read as faces, with no intersection.  Let psi_j be the support
 function of the other side's part j, psi_j(v) = max <v, x> over that part,
@@ -94,11 +97,12 @@ holds at every vertex of M (with equality exactly at those of H: a vertex
 off G has a.x < a0), so it holds on M and cuts out H.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 from .errors import FalsificationError
-from .homology import chain_homology, oriented_boundaries
+from .homology import chain_homology, facet_signs
 from .linalg import dot, smith_normal_form
 from .polytope import (
     _extreme_points,
@@ -650,6 +654,7 @@ class SigmaComplex:
             p_poset.elements[i].minkowski.dim + q_poset.elements[j].minkowski.dim
             for i, j in self.pairs)
         self._product_order()
+        self.facets = list(map(bits, _facet_masks(self.dims, self._below)))
         self._negative = None
 
     def _product_order(self):
@@ -697,28 +702,32 @@ class SigmaComplex:
         and Bruhat order", Europ. J. Combin. 1984), i.e. of the barycentric
         subdivision, which is therefore not built here.
 
-        Sigma is oriented once, on first use, by :func:`oriented_boundaries`
-        (its certificates name Sigma's own cells): bit t of _negative[k]
-        marks the t-th facet of cell k, by index, at incidence -1.  A
+        Sigma is oriented once, on first use (:meth:`_orient`).  A
         subcomplex closed under faces keeps its cells' incidences.
         """
-        facets = [bits(mask) for mask in _facet_masks(self.dims, self._below)]
-        if self._negative is None:
-            self._negative = [
-                sum(1 << t for t, f in enumerate(faces) if signs[f] < 0)
-                for faces, signs in zip(
-                    facets, oriented_boundaries(self.dims, facets))]
+        negative = self._orient()
         keep = range(len(self.dims)) if cells is None else bits(cells)
         if not keep:
             return []
         pos = {k: t for t, k in enumerate(keep)}
         return chain_homology(
             [self.dims[k] for k in keep],
-            [{pos[f]: -1 if self._negative[k] >> t & 1 else 1
-              for t, f in enumerate(facets[k])} for k in keep])
+            [{pos[f]: -1 if negative[k] >> t & 1 else 1
+              for t, f in enumerate(self.facets[k])} for k in keep])
+
+    def _orient(self):
+        """Sigma's orientation, fixed on first use by :func:`facet_signs`,
+        whose certificates name Sigma's own cells: bit t of _negative[k]
+        marks facets[k][t] at incidence -1."""
+        if self._negative is None:
+            self._negative = facet_signs(self.dims, self.facets)
+        return self._negative
 
     def is_closed_pseudomanifold(self):
-        return is_closed_pseudomanifold(self.dims, self._below)
+        """Sigma is oriented first, which certifies its in-cell thinness
+        or raises; :func:`is_closed_pseudomanifold` checks the rest."""
+        self._orient()
+        return is_closed_pseudomanifold(self.dims, self._below, self.facets)
 
 
 def _facet_masks(dims, below):
@@ -729,20 +738,23 @@ def _facet_masks(dims, below):
     return [below[k] & by_dim.get(d - 1, 0) for k, d in enumerate(dims)]
 
 
-def is_closed_pseudomanifold(dims, below):
-    """Whether the order complex of a cell poset is a closed pseudomanifold.
+def is_closed_pseudomanifold(dims, below, facets):
+    """Whether the order complex of an oriented cell poset is a closed
+    pseudomanifold.
 
-    `below[k]` is the bitmask of the cells <= cell k (k itself included) and
-    `dims[k]` its dimension.  The test is made on the cells, not on the
-    chains of the barycentric subdivision:
+    `below[k]` is the bitmask of the cells <= cell k (k itself included),
+    `dims[k]` its dimension and `facets[k]` the cells of dimension
+    dims[k] - 1 below it.  The test is made on the cells, not on the chains
+    of the barycentric subdivision, and the cells must have passed
+    :func:`homology.facet_signs` on the same facets, which certifies the
+    in-cell half of thinness: each edge has two vertices and each ridge
+    (codim-2 face) of a cell lies in exactly two of its facets.  Checked
+    here:
 
-    - graded: every cell of dim > 0 has facets (faces one dimension lower)
-      and each of its strict faces lies under one of them; a cell of dim 0
-      has no strict face;
+    - graded: every cell of dim > 0 has facets and each of its strict
+      faces lies under one of them; a cell of dim 0 has no strict face;
     - pure: every cell lies under a cell of top dimension D;
-    - thin: each edge has two vertices, each codim-2 face of a cell lies in
-      exactly two of its facets, and each (D-1)-cell lies in exactly two
-      D-cells.
+    - thin across top cells: each (D-1)-cell lies in exactly two D-cells.
 
     For a graded poset these are the conditions on the order complex.  Its
     maximal chains are the flags c_0 < ... < c_D with dim c_i = i, and every
@@ -753,37 +765,16 @@ def is_closed_pseudomanifold(dims, below):
     """
     if not dims:
         return True
-    facets = _facet_masks(dims, below)
     for k, d in enumerate(dims):
-        strict = below[k] & ~(1 << k)
-        covered = 0
-        for f in bits(facets[k]):
-            covered |= below[f]
-        if (d > 0 and not facets[k]) or strict & ~covered:
+        covered = _or_all(map(below.__getitem__, facets[k])) | 1 << k
+        if (d > 0 and not facets[k]) or below[k] & ~covered:
             return False
     top = max(dims)
-    covered = 0
-    for k, d in enumerate(dims):
-        if d == top:
-            covered |= below[k]
-    if covered != (1 << len(dims)) - 1:
+    tops = [k for k, d in enumerate(dims) if d == top]
+    if _or_all(map(below.__getitem__, tops)) != (1 << len(dims)) - 1:
         return False
-    ridge_count = {}
-    for k, d in enumerate(dims):
-        if d == 1 and facets[k].bit_count() != 2:
-            return False
-        if d == top:
-            for f in bits(facets[k]):
-                ridge_count[f] = ridge_count.get(f, 0) + 1
-        if d >= 2:
-            count = {}
-            for f in bits(facets[k]):
-                for g in bits(facets[f]):
-                    count[g] = count.get(g, 0) + 1
-            if any(c != 2 for c in count.values()):
-                return False
-    return all(ridge_count.get(k, 0) == 2
-               for k, d in enumerate(dims) if d == top - 1)
+    ridge_count = Counter(f for k in tops for f in facets[k])
+    return all(ridge_count[k] == 2 for k, d in enumerate(dims) if d == top - 1)
 
 
 def _or_all(masks):

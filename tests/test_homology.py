@@ -2,7 +2,7 @@
 
 Each space is the simplicial complex spanned by a list of simplices.  Its
 face poset feeds :func:`chain_homology` twice: on its own cells, at the
-incidences :func:`oriented_boundaries` fixes (``cellular``), and through
+incidences :func:`facet_signs` fixes (``cellular``), and through
 :func:`order_complex_homology` (the chains, i.e. the barycentric
 subdivision), and all must give the space's known groups.  Two oracles
 that share no reduction with :func:`chain_homology` are kept here: the
@@ -22,8 +22,8 @@ from nefsphere import cli, homology, sphere
 from nefsphere.errors import FalsificationError
 from nefsphere.homology import (
     chain_homology,
+    facet_signs,
     order_complex_homology,
-    oriented_boundaries,
     sparse_rank_and_divisors,
 )
 from nefsphere.monodromy import complement_homology, discriminant
@@ -185,14 +185,20 @@ def two_level_order_complex_homology(n_elements, successors):
     return out
 
 
+def signed_boundaries(dims, facets):
+    """Boundary dicts {face: incidence} at the signs facet_signs fixes."""
+    return [{f: -1 if neg >> t & 1 else 1 for t, f in enumerate(faces)}
+            for faces, neg in zip(facets, facet_signs(dims, facets))]
+
+
 def oracle_homology(dims, facets):
-    return per_dimension_homology(dims, oriented_boundaries(dims, facets))
+    return per_dimension_homology(dims, signed_boundaries(dims, facets))
 
 
 def cellular(dims, facets):
     """The cellular homology of a regular CW complex: its own cells, at the
-    incidences oriented_boundaries fixes, through the one kernel."""
-    return chain_homology(dims, oriented_boundaries(dims, facets))
+    incidences facet_signs fixes, through the one kernel."""
+    return chain_homology(dims, signed_boundaries(dims, facets))
 
 
 def face_poset(simplices):
@@ -261,14 +267,14 @@ def test_two_spheres_of_dims():
 
 def test_torus():
     assert both_routes(TORUS) == [(1, ()), (2, ()), (1, ())]
-    _, dims, _, below = face_poset(TORUS)
-    assert is_closed_pseudomanifold(dims, below)
+    _, dims, facets, below = face_poset(TORUS)
+    assert is_closed_pseudomanifold(dims, below, facets)
 
 
 def test_projective_plane_torsion():
     assert both_routes(RP2) == [(1, ()), (0, (2,)), (0, ())]
-    _, dims, _, below = face_poset(RP2)
-    assert is_closed_pseudomanifold(dims, below)
+    _, dims, facets, below = face_poset(RP2)
+    assert is_closed_pseudomanifold(dims, below, facets)
 
 
 def test_barycentric_subdivision_invariance():
@@ -346,7 +352,7 @@ def test_cellular_homology_square_cell():
     facets = [[], [], [], [], [0, 1], [1, 2], [2, 3], [0, 3], [4, 5, 6, 7]]
     assert cellular(dims, facets) == [(1, ()), (0, ()), (0, ())]
     assert oracle_homology(dims, facets) == [(1, ()), (0, ()), (0, ())]
-    assert oriented_boundaries([], []) == []
+    assert facet_signs([], []) == []
     assert oracle_homology([], []) == []
 
 
@@ -578,13 +584,44 @@ def test_one_full_dual_report_orients_sigma_once(name, monkeypatch, capsys):
         return oriented
 
     for module in (homology, sphere):
-        monkeypatch.setattr(module, "oriented_boundaries",
-                            counted(module.oriented_boundaries))
+        monkeypatch.setattr(module, "facet_signs",
+                            counted(module.facet_signs))
     code = cli.main(["report", path(f"{name}.json"), "--verify", "full",
                      "--dual"])
     assert code == 0
     assert '"complement_homology"' in capsys.readouterr().out
     assert calls == [len(_data_pipe(name).sigma())]
+
+
+@pytest.mark.parametrize("name, flags", [
+    pytest.param("simplex3", ["--verify", "fast"], id="simplex3-fast"),
+    pytest.param("simplex3", ["--verify", "full", "--dual"],
+                 id="simplex3-full-dual"),
+    pytest.param("simplex3_generic", ["--verify", "full", "--dual"],
+                 id="simplex3_generic-full-dual"),
+])
+def test_one_report_builds_sigmas_facet_table_once(name, flags, monkeypatch,
+                                                   capsys):
+    # The orientation, the kernel's boundary dicts of Sigma and of its
+    # smooth subcomplex, and the pseudomanifold test read the one facet
+    # table that Sigma builds with itself.
+    cells = len(_data_pipe(name).sigma())
+    sigmas, tables = [], []
+    init, masks = sphere.SigmaComplex.__init__, sphere._facet_masks
+
+    def counted_init(self, *posets):
+        sigmas.append(self)
+        init(self, *posets)
+
+    def counted_masks(dims, below):
+        tables.append(len(dims))
+        return masks(dims, below)
+
+    monkeypatch.setattr(sphere.SigmaComplex, "__init__", counted_init)
+    monkeypatch.setattr(sphere, "_facet_masks", counted_masks)
+    assert cli.main(["report", path(f"{name}.json"), *flags]) == 0
+    assert '"pseudomanifold": true' in capsys.readouterr().out
+    assert tables == [len(s) for s in sigmas] == [cells]
 
 
 def simplicial_complexes():

@@ -461,13 +461,24 @@ def test_dual_is_equivariant_on_randomized(randomized_partitions):
         _assert_dual_follows_part_order(nef)
 
 
-def _shear_invariants(nef):
-    stages = Pipeline(nef).report(verify="fast")["stages"]
+def _shear_invariants(nef, omega="all_ones", nu="all_ones", full=False):
+    """The parts of a report that a lattice automorphism leaves alone; with
+    `full`, of the ``--verify full --dual`` report."""
+    rep = Pipeline(nef, omega_spec=omega, nu_spec=nu).report(
+        verify="full" if full else "fast", include_dual=full)
+    stages = rep["stages"]
     sigma, monodromy = stages["sigma"], stages["monodromy"]
-    return (sigma["cells"], sigma["cells_by_dim"], sigma["homology"],
-            sorted(stages["discriminant"]["component_homology"]),
-            monodromy["primary_loops"], monodromy["global"]["divisors"],
-            stages["subdivisions"])
+    out = (sigma["cells"], sigma["cells_by_dim"], sigma["homology"],
+           sorted(stages["discriminant"]["component_homology"]),
+           monodromy["primary_loops"], monodromy["global"]["divisors"],
+           stages["subdivisions"])
+    if full:
+        out += (rep["passed"], stages["complement_homology"],
+                stages["triviality"], stages["duality_monodromy"],
+                sorted((g["loops"], g["passed"], g["block_rows"])
+                       for g in stages["local_groups"].values()),
+                stages["tropical"], stages["lemma_suite_failures"])
+    return out
 
 
 @pytest.mark.parametrize("name", ["simplex3", "pentagon_pair",
@@ -478,3 +489,23 @@ def test_fast_report_invariants_survive_a_shear(name):
     nef = load_input(path(f"{name}.json"))[0]
     shear, _ = _shear(nef.ambient, random.Random(name))
     assert _shear_invariants(_sheared(nef, shear)) == _shear_invariants(nef)
+
+
+def _moved(table, matrix):
+    """A weight table with each point moved by the matrix."""
+    return [(tuple(dot(row, pt) for row in matrix), v) for pt, v in table]
+
+
+@pytest.mark.parametrize("name", ["prism_pair_5d_kinked", "simplex3_generic",
+                                  "segment_weighted"])
+def test_report_invariants_survive_a_shear_of_a_weighted_input(name):
+    # The weights move with their supports: omega's table, on the M side,
+    # by the shear S, and nu's, on the N side, by S^-T.
+    nef, omega, nu = load_input(path(f"{name}.json"))
+    shear, inverse = _shear(nef.ambient, random.Random(name))
+    inverse_t = [list(col) for col in zip(*inverse)]
+    sheared = (_sheared(nef, shear), _moved(omega, shear),
+               _moved(nu, inverse_t))
+    for full in (False, True):
+        assert _shear_invariants(*sheared, full=full) == \
+            _shear_invariants(nef, omega, nu, full=full), full

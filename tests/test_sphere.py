@@ -368,6 +368,21 @@ def test_a_corrupted_slice_falsifies_the_minkowski_cell(monkeypatch, capsys,
     assert cert["dilated_intersection"] != cert["sum_of_slices"]
 
 
+def test_a_corrupted_slice_is_refused_by_the_pseudomanifold_test(monkeypatch):
+    # The pseudomanifold verdict is read only after Sigma's orientation,
+    # which certifies the diamond property that the corrupted face's cells
+    # break; the verdict alone checks thinness across top cells only.
+    poset = _data_pipeline("prism_pair_5d").p_poset()
+    target = next(
+        e.cell for i, e in enumerate(poset.elements)
+        if poset.above(i) != [i] and any(len(s.vertices) > 1 for s in e.slices))
+    _corrupt_one_slice(monkeypatch, target)
+    with pytest.raises(FalsificationError) as err:
+        _data_pipeline("prism_pair_5d").sigma().is_closed_pseudomanifold()
+    assert err.value.claim == ("ridge of a cell does not lie in exactly two "
+                               "of its facets (diamond property)")
+
+
 def test_a_transversal_cell_that_is_no_face_of_its_maximal_cell_is_refused():
     # r = 1 on the cube: a square facet and its diagonal, whose vertices lie
     # on the square but which is not a face of it.

@@ -480,10 +480,11 @@ def test_a_doubled_top_cell_fails_the_pseudomanifold_check(monkeypatch,
                                                            capsys):
     # A copy of one top cell of Sigma over the same faces: each of its
     # ridges then lies in three top cells.  Homology reads the true Sigma.
-    def doctor(dims, below):
+    def doctor(dims, below, facets):
         k = dims.index(max(dims))
         copy_below = below[k] & ~(1 << k) | 1 << len(dims)
-        return list(dims) + [dims[k]], list(below) + [copy_below]
+        return (list(dims) + [dims[k]], list(below) + [copy_below],
+                list(facets) + [facets[k]])
 
     _feed(monkeypatch, sphere, "is_closed_pseudomanifold", doctor)
     stages = _failed(capsys, "simplex3", "--verify", "fast")
