@@ -82,8 +82,8 @@ def order_complex_homology(n_elements, successors):
 
 
 def facet_signs(dims, facets):
-    """Facet signs of a regular CW complex, one int per cell: bit t of the
-    c-th marks facets[c][t] at incidence -1, the other facets are at +1.
+    """Facet signs of a regular CW complex, one int per cell: bit t of
+    cell c's int marks facets[c][t] at incidence -1, the others are at +1.
 
     Signs are fixed cell by cell, in increasing dimension, from the lower
     cells' ints: an edge gets -1 on its first vertex and +1 on its second,
