@@ -557,9 +557,10 @@ def global_group(sigma, graph, loops, atlas, discriminant_complex):
     as the identity (dm = 0 or dn = 0 in :func:`monodromy`'s formula).
     `atlas` is the :class:`ChartAtlas` of sigma's posets."""
     if not graph.p_nodes:
-        return {"trivial": True, "divisors": [], "commuting": True,
-                "component_divisors": {}, "graph_components": 0,
-                "transported": 0, "skipped_other_component": 0}
+        return {"trivial": True, "divisors": [], "log_rank": 0,
+                "commuting": True, "component_divisors": {},
+                "graph_components": 0, "transported": 0,
+                "skipped_other_component": 0, "base_component_size": 0}
     nodes = graph.nodes()
     parent = graph.spanning_tree(nodes[0])
     seen = set(parent)

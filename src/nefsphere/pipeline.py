@@ -332,7 +332,7 @@ class Pipeline:
         stages["sigma"] = {
             **self.complex_section(),
             "cells_by_dim": {str(k): v for k, v in sorted(cells_by_dim.items())},
-            "expected_euler": 1 + (-1) ** (d - r) if irr else None,
+            "expected_euler": 1 + (-1) ** ((d - r) % 2) if irr else None,
             "projections": sphere.projection_images(sigma),
             "sphericity_certificate":
                 "integral homology plus closed-pseudomanifold check; "

@@ -82,6 +82,12 @@ components, the first golden with a generic weight) and of the simplex
 family's quintic, P^5 as 3+3 and P^5 as 2+4.  They were frozen before each
 transversal poset's inclusion order was computed once, over its own cells,
 which the mixed subdivision, the tropical complex and the dual run read.
+
+``segment_split_full_dual.json`` and ``segment_split_monodromy.json`` are
+the ``--verify full --dual`` report and the ``monodromy`` output of the
+segment split into its two rays (``segment_split.json``: d = 1 and r = 2,
+so Sigma is empty), frozen after its expected Euler number became the int 0
+and its global section gained ``log_rank`` and ``base_component_size``.
 """
 
 import json
@@ -92,7 +98,7 @@ import sys
 
 import pytest
 
-from test_cli import BASE, DATA, path
+from test_cli import BASE, DATA, path, run_cli
 
 GOLDEN = os.path.join(DATA, "golden")
 NAMES = ["triangle", "square_sum", "pentagon_pair", "simplex3",
@@ -101,7 +107,8 @@ SIMPLEX_FAMILY = ["simplex_p5_222", "simplex_p6_223", "simplex_p7_2222"]
 SIMPLEX_FAST = SIMPLEX_FAMILY + ["simplex_p6_34", "simplex_p7_332"]
 SIMPLEX_FULL_DUAL = SIMPLEX_FAMILY + [
     "simplex_p4_5", "simplex_p5_33", "simplex_p5_24", "simplex3_generic"]
-RAY_SPLITS = ["cube_split_r3"]
+# segment_split is r = d + 1, where Sigma is empty.
+RAY_SPLITS = ["cube_split_r3", "segment_split"]
 # The commands whose stdout is not a report, each with its own goldens.
 COMMANDS = ["complex", "discriminant", "dualize", "validate"]
 FAST = ("--verify", "fast")
@@ -187,7 +194,7 @@ def test_ray_split_full_dual_report_matches_golden(name):
 
 
 @pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked",
-                                  "product_triangles_6d"])
+                                  "product_triangles_6d", "segment_split"])
 def test_monodromy_command_matches_golden(name):
     _assert_report_matches(name, f"{name}_monodromy", command="monodromy")
 
@@ -261,6 +268,61 @@ def test_report_goldens_pin_schema_2(name):
     else:  # null only on a reducible partition
         assert (sign is None) is \
             (not report["stages"]["irreducible"]["irreducible"])
+
+
+def _floats(node, at="$"):
+    """The paths of the floats in a parsed JSON document."""
+    if isinstance(node, float):
+        return [at]
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    return [p for k, v in items for p in _floats(v, f"{at}.{k}")]
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(GOLDEN)))
+def test_no_golden_holds_a_float(name):
+    with open(os.path.join(GOLDEN, name)) as fh:
+        assert _floats(json.load(fh)) == []
+
+
+def _cli_json(command, name, *flags):
+    proc = run_cli(command, path(f"{name}.json"), *flags)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_an_empty_sigma_reports_no_float():
+    # r = d + 1: 1 + (-1) ** (d - r) was the float 0.0.
+    report = _cli_json("report", "segment_split", *FULL_DUAL)
+    assert report["stages"]["sigma"]["cells"] == 0
+    assert _floats(report) == []
+    assert _floats(_cli_json("monodromy", "segment_split")) == []
+    expected = report["stages"]["sigma"]["expected_euler"]
+    assert type(expected) is int and expected == 0
+
+
+# The report paths whose bytes changed on r = d + 1 inputs, and only there:
+# the expected Euler number became an int, and the global section gained
+# the two keys that every other input already had.  The monodromy command's
+# "global" is the same section.
+EMPTY_SIGMA_PATHS = ["stages.sigma.expected_euler",
+                     "stages.monodromy.global.log_rank",
+                     "stages.monodromy.global.base_component_size"]
+
+
+def test_the_global_section_has_one_key_set():
+    report = _cli_json("report", "segment_split", *FAST)
+    command = _cli_json("monodromy", "segment_split")
+    assert report["stages"]["monodromy"]["graph_nodes"] == 0
+    assert all(_has_path(report, p) for p in EMPTY_SIGMA_PATHS)
+    assert (report["stages"]["monodromy"]["global"]["log_rank"],
+            report["stages"]["monodromy"]["global"]["base_component_size"]) \
+        == (0, 0)
+    keys = set(_golden_report("simplex3")["stages"]["monodromy"]["global"])
+    assert set(report["stages"]["monodromy"]["global"]) == keys
+    assert command["global"] == report["stages"]["monodromy"]["global"]
+    with open(os.path.join(GOLDEN, "simplex3_monodromy.json")) as fh:
+        assert set(json.load(fh)["global"]) == keys
 
 
 # -- metamorphic: the report does not depend on how the parts are written ------

@@ -523,6 +523,9 @@ def sigma_chains(sigma, mask, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(sphere, "chain_homology", recorded)
         sigma.homology(mask)
+    if not mask:  # an empty subcomplex has no chains to hand over
+        assert handed == []
+        return [], []
     (boundary,) = handed
     cells = [k for k in range(len(sigma)) if mask >> k & 1]
     return cells, [{cells[f]: u for f, u in b.items()} for b in boundary]
@@ -718,5 +721,6 @@ def test_no_unit_entry_reaches_the_smith_step(name, monkeypatch):
     sigma.homology()
     complement_homology(sigma, pipe.discriminant().smooth_mask())
     discriminant(sigma)
-    assert calls or sigma.dim() == 0  # a point pair has no boundary
+    # A point pair has no boundary, and an empty Sigma (r = d + 1) no chain.
+    assert calls or sigma.dim() in (0, -1)
     assert not [v for v in entries if v in (1, -1)], name

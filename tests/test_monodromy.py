@@ -1229,7 +1229,7 @@ def test_smith_form_of_the_distinct_logs_is_that_of_every_log(name):
                     per_comp.setdefault(comp, []).append(flat)
     divisors, rank = smith_normal_form(logs) if logs else ((), 0)
     assert report["divisors"] == list(divisors)
-    assert report.get("log_rank", 0) == rank
+    assert report["log_rank"] == rank
     assert report["component_divisors"] == {
         comp: list(smith_normal_form(vecs)[0])
         for comp, vecs in sorted(per_comp.items())}
