@@ -28,7 +28,6 @@ from .subdivision import (
     BoundarySubdivision,
     WeightFunction,
     boundary_subdivision,
-    is_central,
     lower_hull_subdivision,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "convex_hull",
     "dual_nef_partition",
     "interior_vectors",
-    "is_central",
     "is_irreducible",
     "is_reflexive",
     "lower_hull_subdivision",

@@ -278,7 +278,7 @@ def _dispatch(args, pipe):
     if cmd == "complex":
         return pipe.complex_section(), 0
     if cmd == "tropical":
-        cells = pipe.tropical_complex().cells
+        cells = pipe.tropical_complex()
         out = {
             "bounded_cells": len(cells),
             "scene": scene_export(cells, project=args.project),
@@ -325,7 +325,7 @@ def _emit_complexes(pipe, directory):
         })
     disc = pipe.discriminant()
     tropical_cells = []
-    for t in pipe.tropical_complex().cells:
+    for t in pipe.tropical_complex():
         tropical_cells.append({
             "dim": t.dim(),
             "vertices": sorted(point_id(v) for v in t.poly.vertices),

@@ -298,17 +298,13 @@ def lattice_left_inverse(basis, ncols):
     return tuple(inverse)
 
 
-def kernel_basis(rows, ncols=None):
+def kernel_basis(rows, ncols):
     """Canonical basis of the saturated integer kernel {x : A x = 0}.
 
     The result spans all integer solutions (it is saturated: any integer
     vector in the rational kernel is an integer combination of the basis).
     """
     rows = [tuple(r) for r in rows]
-    if ncols is None:
-        if not rows:
-            raise ValueError("kernel_basis needs ncols for an empty matrix")
-        ncols = len(rows[0])
     # The columns of U that A U sends to zero span the saturated kernel.
     nrows = len(rows)
     cols, _ = _column_echelon(rows, ncols)
@@ -330,13 +326,9 @@ def saturated_perp_basis(ms, ambient):
     return kernel_basis(rows, ambient)
 
 
-def saturated_span_basis(vectors, ncols=None):
+def saturated_span_basis(vectors, ncols):
     """Canonical basis of the saturation of the integer span of the vectors."""
     vectors = [tuple(v) for v in vectors if any(v)]
-    if ncols is None:
-        if not vectors:
-            raise ValueError("saturated_span_basis needs ncols when empty")
-        ncols = len(vectors[0])
     if not vectors:
         return ()
     perp = kernel_basis(vectors, ncols)

@@ -5,7 +5,11 @@ sum_j [<m_j(sigma), y> - w(m_j(sigma))] n_j(tau).  By the adjoint pairing
 the holonomy of a primary loop (sigma0, tau0, sigma1, tau1) on chart
 sigma0 is y -> y + sum_j [<m_j(sigma1), y> - w(m_j(sigma1))] (n_j(tau1) -
 n_j(tau0)), and every holonomy is read from it (:func:`monodromy`); only
-global transport runs transitions, on the spanning tree's edges.
+global transport runs transitions, on the spanning tree's edges.  A
+holonomy does not hold its loop: the loop list and the monodromy list of a
+run are parallel.  A loop's star, the cells of Sigma above its four
+corners, is one bitmask (:func:`loop_star`), which the triviality check
+and the per-component log lattices both read.
 
 A run's charts live in one :class:`ChartAtlas`, built from the two
 transversal posets and the weight, not Sigma.  The role-swapped run's
@@ -287,15 +291,14 @@ def chart_transition(dst, via):
 
 
 class AffineMonodromy:
-    """The affine holonomy of `loop`: `basis` rows are the canonical lattice
+    """The affine holonomy of a loop: `basis` rows are the canonical lattice
     basis of the tangent space, `linear` the (d-r) x (d-r) integer matrix
     and `translation` the (d-r) rationals of the map in that basis, and
     `images` the basis vectors' images under the loop's map."""
 
-    __slots__ = ("loop", "basis", "linear", "translation", "images")
+    __slots__ = ("basis", "linear", "translation", "images")
 
-    def __init__(self, loop, basis, linear, translation, images):
-        self.loop = loop
+    def __init__(self, basis, linear, translation, images):
         self.basis = basis
         self.linear = linear
         self.translation = translation
@@ -414,24 +417,25 @@ def monodromy(loop, atlas):
     cs = [dot(m, chart.x0_num) * s - h * chart.x0_den
           for (m, _, _), h in zip(terms, to_numerators(heights, s))]
     shift = [sum(c * u[a] for c, u in zip(cs, us)) for a in range(len(linear))]
-    return AffineMonodromy(loop, chart.basis, linear,
+    return AffineMonodromy(chart.basis, linear,
                            from_numerators(shift, chart.x0_den * s), images)
 
 
 # -- checks around loops -------------------------------------------------------
 
 
-def encloses_smooth_pair(sigma, loop, smooth):
-    """Whether a smooth cell (i, j) of Sigma has both P nodes of the loop
-    below i and both Q nodes below j; `smooth` is the bitmask of smooth
-    cells (:meth:`DiscriminantComplex.smooth_mask`)."""
-    return bool(sigma.p_up[loop.p0] & sigma.p_up[loop.p1]
-                & sigma.q_up[loop.q0] & sigma.q_up[loop.q1] & smooth)
+def loop_star(sigma, loop):
+    """The bitmask of the cells (i, j) of Sigma above the loop's four
+    corners: both P nodes below i and both Q nodes below j."""
+    return (sigma.p_up[loop.p0] & sigma.p_up[loop.p1]
+            & sigma.q_up[loop.q0] & sigma.q_up[loop.q1])
 
 
 def triviality_equivalence_check(sigma, loop, mono, smooth):
     """Equivalence of: trivial holonomy; existence of an enclosing smooth
-    pair; and the absence of an index changing on both sides of the loop.
+    pair, a cell of the loop's star in the mask `smooth`
+    (:meth:`DiscriminantComplex.smooth_mask`); and the absence of an index
+    changing on both sides of the loop.
 
     (A common changing index forces non-trivial holonomy: pairing a
     functional positive on the moved slice point against a vector positive
@@ -442,7 +446,7 @@ def triviality_equivalence_check(sigma, loop, mono, smooth):
         return {"degenerate": True, "trivial": _is_identity(mono), "passed":
                 _is_identity(mono)}
     cond1 = _is_identity(mono)
-    cond2 = encloses_smooth_pair(sigma, loop, smooth)
+    cond2 = bool(loop_star(sigma, loop) & smooth)
     p_el, q_el = sigma.p_poset.elements, sigma.q_poset.elements
     common_changing_index = any(
         m0 != m1 and n0 != n1 for m0, m1, n0, n1 in zip(
@@ -498,7 +502,7 @@ def local_group(sigma, pair_idx, atlas):
                 diff = tuple(map(sub, qa, qb))
                 if any(diff):
                     diffs.append(diff)
-    w_basis = saturated_span_basis(diffs, d) if diffs else ()
+    w_basis = saturated_span_basis(diffs, d)
     tau_dim = q_poset.elements[j].cell.dim
     sigma_dim = p_poset.elements[i].cell.dim
     report = {
@@ -671,9 +675,8 @@ def _tree_transport(parent, transport, node, atlas, chart):
 
 
 def _loop_discriminant_component(sigma, loop, disc):
-    """The discriminant component whose star contains the loop, if unique."""
-    star = (sigma.p_up[loop.p0] & sigma.p_up[loop.p1]
-            & sigma.q_up[loop.q0] & sigma.q_up[loop.q1])
+    """The discriminant component that meets the loop's star, if unique."""
+    star = loop_star(sigma, loop)
     hits = [ci for ci, mask in enumerate(disc.component_masks)
             if star & mask]
     return hits[0] if len(hits) == 1 else None

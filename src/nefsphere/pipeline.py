@@ -145,7 +145,7 @@ class Pipeline:
         # With r = 1 the part is the parts hull (hulls are interned), whose
         # subdivision s_coned holds.
         return [self.s_coned() if p is self.nef.parts_hull
-                else tropical.part_subdivision(p, self.omega())
+                else lower_hull_subdivision(p, self.omega().restrict(p))
                 for p in self.nef.parts]
 
     @_cached

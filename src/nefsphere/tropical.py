@@ -28,8 +28,9 @@ extensions.  Two mixed cells are not intersected when a facet row of one
 is <= 0 at every vertex of the other: the row separates them, so their
 interiors are disjoint.
 
-The bounded complex's face order is checked as it is built, and a
-failure raises (:func:`order_complex_check`), so no report key holds it.
+The bounded complex is the list of its cells, parallel to the transversal
+poset's elements.  Its face order is checked as it is built, and a failure
+raises (:func:`order_complex_check`), so no report key holds it.
 """
 
 from fractions import Fraction
@@ -54,7 +55,6 @@ from .polytope import (
 )
 from .polytope import convex_hull as convex_hull  # for the bench tracer
 from .sphere import _cell_key, _point_key, containment_order
-from .subdivision import lower_hull_subdivision
 
 
 class TropicalCell:
@@ -72,9 +72,6 @@ class TropicalCell:
 
     def dim(self):
         return self.poly.dim()
-
-    def key(self):
-        return self.poly.key()
 
 
 def star_rows(subdivision, cell):
@@ -167,24 +164,10 @@ def tropical_zero_cell(support, weight):
                               support.ambient)
 
 
-class TropicalComplex:
-    """The bounded cells dual to coned transversal cells (one per poset element).
-
-    `containment` is their inclusion relation (:func:`containment_order`):
-    bit i of entry j is set iff cell j lies in cell i.
-    """
-
-    def __init__(self, poset, cells):
-        self.poset = poset
-        self.cells = cells  # list parallel to poset.elements
-        self.containment = containment_order([c.poly for c in cells])
-
-    def __len__(self):
-        return len(self.cells)
-
-
 def bounded_tropical_complex(p_poset, boundary, ambient_dim, tropical_cells):
-    """Build the bounded tropical complex over the transversal poset.
+    """The bounded tropical complex over the transversal poset: the bounded
+    cells dual to the coned transversal cells, a list parallel to the
+    poset's elements.
 
     Verifies that every cell is bounded, that dimensions are complementary,
     and that the face relation is opposite to the poset order
@@ -206,17 +189,17 @@ def bounded_tropical_complex(p_poset, boundary, ambient_dim, tropical_cells):
                 "tropical cell dimension is not complementary",
                 {"cell_dim": coned.dim, "dual_dim": tc.dim()})
         cells.append(tc)
-    complex_ = TropicalComplex(p_poset, cells)
-    order_complex_check(complex_)
-    return complex_
+    order_complex_check(p_poset, containment_order([c.poly for c in cells]))
+    return cells
 
 
-def order_complex_check(complex_):
+def order_complex_check(poset, containment):
     """Cell j lies in cell i iff i <= j: the barycenter map is an order
-    anti-isomorphism onto the poset, hence injective.  The certificate is
-    the first (i, j) in row order where the two relations differ."""
-    poset = complex_.poset
-    diff = [c ^ b for c, b in zip(complex_.containment, poset._below)]
+    anti-isomorphism onto the poset, hence injective.  `containment` is the
+    cells' inclusion relation (:func:`containment_order`): bit i of entry j
+    is set iff cell j lies in cell i.  The certificate is the first (i, j)
+    in row order where the two relations differ."""
+    diff = [c ^ b for c, b in zip(containment, poset._below)]
     if not any(diff):
         return
     i = min((d & -d).bit_length() - 1 for d in diff if d)
@@ -224,7 +207,7 @@ def order_complex_check(complex_):
     raise FalsificationError(
         "tropical face order is not opposite to the poset order",
         {"i": i, "j": j, "poset_leq": poset.leq(i, j),
-         "geometric_containment": complex_.containment[j] >> i & 1 == 1})
+         "geometric_containment": containment[j] >> i & 1 == 1})
 
 
 def bounded_amoeba_matches_zero_cell(amoeba_cells, f0):
@@ -242,12 +225,13 @@ def bounded_amoeba_matches_zero_cell(amoeba_cells, f0):
 
 
 def bounded_cells_check(part_subdivisions, boundary, p_poset,
-                        tropical_cplx, tropical_cells):
+                        complex_cells, tropical_cells):
     """The bounded common refinement of the part amoebas equals the complex.
 
     Checks cell-wise F_cone = intersection of the per-part tropical cells of
     the sliced cones, and that every bounded refinement cell lands inside a
     single complex cell, on the refinement built depth-first.
+    `complex_cells` are the cells of :func:`bounded_tropical_complex` and
     `tropical_cells` is the :class:`TropicalCells` memo of the run.
     """
     ambient = boundary.parent.support.ambient
@@ -269,15 +253,14 @@ def bounded_cells_check(part_subdivisions, boundary, p_poset,
             continue
         found = meet([tropical_cells.rows(sub, c)
                       for sub, c in zip(part_subdivisions, sliced)])
-        if found is None or found.key() != tropical_cplx.cells[k].poly.key():
+        if found is None or found.key() != complex_cells[k].poly.key():
             report["cellwise_equal"] = False
     # Refinement side: every bounded intersection of positive-dimension part
     # cells lies inside some complex cell.
     cells_by_part = [[(sub, c) for c in sub.cells() if c.dim > 0]
                      for sub in part_subdivisions]
     realized = set()
-    complex_keys = {c.poly.key(): idx
-                    for idx, c in enumerate(tropical_cplx.cells)}
+    complex_keys = {c.poly.key(): idx for idx, c in enumerate(complex_cells)}
     prefixes = [[]]  # depth-first: a prefix is extended by the next part
     while prefixes:
         prefix = prefixes.pop()
@@ -297,9 +280,9 @@ def bounded_cells_check(part_subdivisions, boundary, p_poset,
             elif found.is_bounded():
                 rays = [point_ray(v) for v in found.vertices]
                 if not any(all(c.poly.contains_ray(ray) for ray in rays)
-                           for c in tropical_cplx.cells):
+                           for c in complex_cells):
                     report["refinement_inside_complex"] = False
-    if len(realized) != len(tropical_cplx.cells):
+    if len(realized) != len(complex_cells):
         report["complex_cells_realized"] = False
     report["passed"] = all(v for k, v in report.items() if k != "passed")
     return report
@@ -335,11 +318,6 @@ def mixed_subdivision_check(boundary, poset, delta):
                 report["interiors_disjoint"] = False
     report["passed"] = all(v for k, v in report.items() if k != "passed")
     return report
-
-
-def part_subdivision(part, weight):
-    """The lower-hull subdivision induced on a part by restricting the weight."""
-    return lower_hull_subdivision(part, weight.restrict(part))
 
 
 def scene_export(cells, project=None):

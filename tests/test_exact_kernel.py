@@ -259,7 +259,7 @@ def _cell_vertices(pipe):
     for i, j in sigma.pairs:
         cells.append(sigma.p_poset.elements[i].minkowski)
         cells.append(sigma.q_poset.elements[j].minkowski)
-    cells.extend(c.poly for c in pipe.tropical_complex().cells)
+    cells.extend(c.poly for c in pipe.tropical_complex())
     return [v for c in cells for v in c.vertices]
 
 

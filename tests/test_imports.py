@@ -1,6 +1,7 @@
 """Every import in src/nefsphere is read by its own module and stands at
-module level, every function it defines is used by the program, and no
-module imports a standard-library module only for declaration sugar.
+module level, every function it defines is used by the program, every
+field a class stores is read, and no module imports a standard-library
+module only for declaration sugar.
 
 A name bound by an import must be read somewhere in the same module or be
 re-exported, through its ``__all__`` or as ``import name as name``.  No
@@ -8,7 +9,11 @@ import stands inside a function, where a reader of the module's header
 would miss it.  A function or method that is
 not a dunder must be referenced somewhere in src/nefsphere outside its own
 body, or be listed in an ``__all__``; code that only the tests call lives
-in the tests.  The source is read with the standard library's ``ast``, so
+in the tests.  A field, a ``self.X = ...`` target or a ``__slots__``
+entry, must be loaded as ``.X`` somewhere in src/nefsphere or named in a
+``getattr`` or ``hasattr`` call; data that only the tests read is built
+by the tests.  These checks go by name, so a method or field that shares
+its name with another class's escapes them.  The source is read with the standard library's ``ast``, so
 the checks need no linter.
 
 ``dataclasses`` would pull ``inspect``, ``ast``, ``dis``, ``tokenize`` and
@@ -175,6 +180,83 @@ def test_an_unused_definition_is_found():
     }
     assert unused_definitions(sources) == [
         ("a.py", "recursive"), ("a.py", "method"), ("b.py", "dead")]
+
+
+def unread_fields(sources):
+    """The (class, field) of every field of a class in `sources` (module ->
+    source) that nothing reads, in module and source order.  A field is a
+    ``self.X = ...`` target or a ``__slots__`` entry (``__weakref__`` left
+    out); it is read when some source loads ``.X`` or names "X" as a string
+    constant in a ``getattr`` or ``hasattr`` call."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Name) and \
+                    node.func.id in ("getattr", "hasattr"):
+                read.update(a.value for a in node.args
+                            if isinstance(a, ast.Constant)
+                            and isinstance(a.value, str))
+    unread = []
+    for module, tree in sorted(trees.items()):
+        classes = sorted((node.lineno, node) for node in ast.walk(tree)
+                         if isinstance(node, ast.ClassDef))
+        for _, cls in classes:
+            fields = {}  # name -> None, in source order
+            assigns = sorted(((node.lineno, node.col_offset), node)
+                             for node in ast.walk(cls)
+                             if isinstance(node, ast.Assign))
+            for _, node in assigns:
+                for target in node.targets:
+                    for t in ast.walk(target):
+                        if isinstance(t, ast.Attribute) and \
+                                isinstance(t.value, ast.Name) and \
+                                t.value.id == "self":
+                            fields[t.attr] = None
+                    if isinstance(target, ast.Name) and \
+                            target.id == "__slots__":
+                        fields.update(dict.fromkeys(
+                            ast.literal_eval(node.value)))
+            unread.extend((cls.name, name) for name in fields
+                          if name != "__weakref__" and name not in read)
+    return unread
+
+
+def test_every_stored_field_is_read():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            sources[module] = fh.read()
+    assert unread_fields(sources) == []
+
+
+def test_an_unread_field_is_found():
+    sources = {
+        "a.py": ("class Record:\n"
+                 "    __slots__ = ('kept', 'dropped', '__weakref__')\n"
+                 "    def __init__(self, kept, dropped):\n"
+                 "        self.kept = kept\n"
+                 "        self.dropped = dropped\n"
+                 "class Tagged:\n"
+                 "    def __init__(self):\n"
+                 "        self.first, self.second = 1, 2\n"
+                 "        self.stage = None\n"
+                 "        self.count = 0\n"
+                 "    def bump(self):\n"
+                 "        self.count += 1\n"
+                 "        self.later = self.first\n"),
+        "b.py": ("from .a import Record, Tagged\n"
+                 "def use(exc):\n"
+                 "    t = Tagged()\n"
+                 "    return Record(1, 2).kept, hasattr(exc, 'stage')\n"),
+    }
+    assert unread_fields(sources) == [
+        ("Record", "dropped"), ("Tagged", "second"), ("Tagged", "count"),
+        ("Tagged", "later")]
 
 
 SUGAR = ("dataclasses", "inspect", "typing")

@@ -56,8 +56,8 @@ def test_snf_unimodular_invariance(seed):
 
 
 def test_kernel_basis_examples():
-    assert kernel_basis([(1, 1)]) == ((1, -1),)
-    assert kernel_basis([(2, 0, 0), (0, 1, 1)]) == ((0, 1, -1),)
+    assert kernel_basis([(1, 1)], 2) == ((1, -1),)
+    assert kernel_basis([(2, 0, 0), (0, 1, 1)], 3) == ((0, 1, -1),)
 
 
 def test_saturated_perp_basis_spec_examples():

@@ -335,10 +335,8 @@ def test_primary_loop_is_a_hashable_value():
 
 
 def test_affine_monodromy_fields():
-    loop = PrimaryLoop(0, 1, 2, 3)
-    m = AffineMonodromy(loop, ((1, 0), (0, 1)), ((1, 1), (0, 1)),
+    m = AffineMonodromy(((1, 0), (0, 1)), ((1, 1), (0, 1)),
                         (0, Fraction(1, 2)), ((1, 0), (1, 1)))
-    assert m.loop is loop
     assert m.basis == ((1, 0), (0, 1))
     assert m.linear == ((1, 1), (0, 1))
     assert m.translation == (0, Fraction(1, 2))
@@ -360,8 +358,7 @@ def test_nontrivial_degenerate_loop_fails_the_full_report():
     shear = tuple(tuple(int(i == j or (i, j) == (0, n - 1))
                         for j in range(n)) for i in range(n))
     m = monos[k]
-    monos[k] = AffineMonodromy(m.loop, m.basis, shear, m.translation,
-                               m.images)
+    monos[k] = AffineMonodromy(m.basis, shear, m.translation, m.images)
     rep = pipe.report(verify="full")
     assert not rep["stages"]["triviality"]["all_equivalent"]
     assert not rep["passed"]
@@ -848,7 +845,6 @@ def _assert_formula_matches_compose_then_solve(pipe):
     assert len(monos) == len(pipe.loops())
     transition = affine_transitions(pipe)
     for loop, mono in zip(pipe.loops(), monos):
-        assert mono.loop == loop
         chart = pipe.atlas().base(loop.p0)
         amb = _composed_loop_map(loop, transition)
         assert (mono.linear, mono.translation) == \
@@ -1141,9 +1137,9 @@ def _golden_primary_loops(name):
 
 @pytest.mark.parametrize("name", DATA_NAMES)
 def test_enclosing_smooth_pair_matches_pair_scan(name):
-    # The bitmask search gives the verdict of scanning every cell of Sigma
-    # for a smooth pair above all four nodes of the loop.
-    from nefsphere.monodromy import encloses_smooth_pair
+    # The loop's star meets the smooth cells exactly when scanning every
+    # cell of Sigma finds a smooth pair above all four nodes of the loop.
+    from nefsphere.monodromy import loop_star
     pipe = _data_pipe(name)
     sigma = pipe.sigma()
     smooth = pipe.discriminant().smooth_mask()
@@ -1155,7 +1151,7 @@ def test_enclosing_smooth_pair_matches_pair_scan(name):
         scan = any(pp.leq(loop.p0, i) and pp.leq(loop.p1, i)
                    and qp.leq(loop.q0, j) and qp.leq(loop.q1, j)
                    for i, j in smooth_cells)
-        assert encloses_smooth_pair(sigma, loop, smooth) == scan
+        assert bool(loop_star(sigma, loop) & smooth) == scan
         checked += 1
     assert checked == _golden_primary_loops(name)
 
@@ -1271,9 +1267,10 @@ def test_a_linear_shear_of_omega_moves_only_the_translations(name):
     assert got == want
     points = pipe.atlas().points
     moved = 0
-    for a, b in zip(pipe.monodromies(), sheared.monodromies(), strict=True):
-        loop = a.loop
-        assert (b.loop, b.basis, b.linear) == (loop, a.basis, a.linear)
+    assert sheared.loops() == pipe.loops()
+    for loop, a, b in zip(pipe.loops(), pipe.monodromies(),
+                          sheared.monodromies(), strict=True):
+        assert (b.basis, b.linear) == (a.basis, a.linear)
         u = _tangent_coordinates(a.basis, y)
         y_t = [sum(c * v[k] for c, v in zip(u, a.basis))
                for k in range(len(y))]

@@ -5,6 +5,7 @@ import pytest
 from nefsphere.linalg import clear_denominators
 from nefsphere.polytope import (ROLE_M, GeometryError, Polyhedron, convex_hull,
                                 opposite_role)
+from nefsphere.sphere import containment_order
 from nefsphere.subdivision import WeightFunction, lower_hull_subdivision
 from nefsphere.tropical import (
     TropicalCells,
@@ -134,7 +135,7 @@ def test_bounded_amoeba_is_zero_cell_boundary():
 def test_tropical_complex_r1_circle(triangle_pipe):
     cplx = triangle_pipe.tropical_complex()
     assert len(cplx) == len(triangle_pipe.p_poset())
-    assert all(c.bounded for c in cplx.cells)
+    assert all(c.bounded for c in cplx)
     suite = triangle_pipe.tropical_suite()
     assert all(v["passed"] for v in suite.values())
     # r = 1: the complex support is the whole zero-cell boundary.
@@ -142,7 +143,7 @@ def test_tropical_complex_r1_circle(triangle_pipe):
     faces = {zero.face_polytope(fs) for fs, d in zero.faces().items()
              if d < zero.dim}
     cells = {convex_hull(c.poly.vertices, c.poly.role, c.poly.ambient)
-             for c in cplx.cells}
+             for c in cplx}
     assert cells == faces
 
 
@@ -161,14 +162,14 @@ def test_dimension_complement(simplex3_pipe):
     boundary = simplex3_pipe.s_boundary()
     cplx = simplex3_pipe.tropical_complex()
     d = simplex3_pipe.nef.ambient
-    for e, t in zip(cplx.poset.elements, cplx.cells):
+    for e, t in zip(simplex3_pipe.p_poset().elements, cplx, strict=True):
         coned = boundary.coned(e.cell)
         assert t.dim() == d - coned.dim
 
 
 def test_square_tropical_complex_is_point_set(square_pipe):
     # d - r = 0: the bounded complex is a finite set of points.
-    assert [t.dim() for t in square_pipe.tropical_complex().cells] == [0, 0, 0, 0]
+    assert [t.dim() for t in square_pipe.tropical_complex()] == [0, 0, 0, 0]
 
 
 def test_tropical_cell_rejects_non_cell():
@@ -220,7 +221,7 @@ def test_each_support_is_subdivided_once_per_run(monkeypatch):
     # With r = 1 the only part is the parts hull, whose lower hull s_coned
     # already holds: report --verify full --dual builds one subdivision of
     # each support, the role-swapped run reading this run's.
-    from nefsphere import Pipeline, pipeline, tropical
+    from nefsphere import Pipeline, pipeline
     from nefsphere.cli import load_input
     from test_cli import path
     supports = []
@@ -229,8 +230,7 @@ def test_each_support_is_subdivided_once_per_run(monkeypatch):
         supports.append(support.key())
         return lower_hull_subdivision(support, weight)
 
-    for module in (pipeline, tropical):
-        monkeypatch.setattr(module, "lower_hull_subdivision", counted)
+    monkeypatch.setattr(pipeline, "lower_hull_subdivision", counted)
     nef, omega, nu = load_input(path("simplex3.json"))
     pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
     assert nef.r == 1
@@ -258,17 +258,18 @@ def test_tropical_cells_memo_tells_supports_apart():
 
 def test_tropical_containment_is_the_pairwise_route(simplex3_pipe,
                                                     pentagon_pipe):
-    # The stored relation is the vertex-by-vertex containment test of every
-    # pair of bounded cells, and it is the poset's order transposed.
+    # The relation the order check reads is the vertex-by-vertex
+    # containment test of every pair of bounded cells, and it is the
+    # poset's order transposed.
     for pipe in (simplex3_pipe, pentagon_pipe):
-        cplx = pipe.tropical_complex()
-        polys = [c.poly for c in cplx.cells]
+        polys = [c.poly for c in pipe.tropical_complex()]
+        containment = containment_order(polys)
         n = len(polys)
-        assert cplx.containment == [
+        assert containment == [
             sum(1 << i for i in range(n)
                 if all(polys[i].contains(v) for v in polys[j].vertices))
             for j in range(n)]
-        assert all(cplx.poset.leq(i, j) == bool(cplx.containment[j] >> i & 1)
+        assert all(pipe.p_poset().leq(i, j) == bool(containment[j] >> i & 1)
                    for i in range(n) for j in range(n))
 
 
@@ -276,21 +277,21 @@ def test_flipped_containment_bit_fails_the_order_checks(simplex3_pipe):
     # One flipped bit of the stored relation fails the order check, and the
     # certificate is the first (i, j) in row order; a second flip later in
     # row order does not change it.
-    import copy
     from nefsphere.errors import FalsificationError
     from nefsphere.tropical import order_complex_check
-    cplx = copy.copy(simplex3_pipe.tropical_complex())
-    assert order_complex_check(cplx) is None
-    n = len(cplx)
+    poset = simplex3_pipe.p_poset()
+    containment = containment_order(
+        [c.poly for c in simplex3_pipe.tropical_complex()])
+    assert order_complex_check(poset, containment) is None
+    n = len(containment)
     i, j = 2, n - 1
-    cplx.containment = list(cplx.containment)
-    cplx.containment[j] ^= 1 << i
-    cplx.containment[0] ^= 1 << (n - 1)
+    containment[j] ^= 1 << i
+    containment[0] ^= 1 << (n - 1)
     with pytest.raises(FalsificationError) as err:
-        order_complex_check(cplx)
+        order_complex_check(poset, containment)
     assert err.value.claim == \
         "tropical face order is not opposite to the poset order"
-    leq = cplx.poset.leq(i, j)
+    leq = poset.leq(i, j)
     assert err.value.certificate == {"i": i, "j": j, "poset_leq": leq,
                                      "geometric_containment": not leq}
 
@@ -470,20 +471,19 @@ def test_a_refinement_cell_outside_the_complex_fails_the_check(simplex3_pipe):
     # Replace a complex cell that lies in no other by one of its faces: the
     # meet of part cells that equals the old cell now lies in no complex
     # cell.
-    from types import SimpleNamespace
     from nefsphere.tropical import bounded_cells_check
     pipe = simplex3_pipe
     cplx = pipe.tropical_complex()
+    containment = containment_order([c.poly for c in cplx])
     k = next(k for k in range(len(cplx))
-             if cplx.containment[k] == 1 << k and cplx.cells[k].dim() > 0)
-    face = next(c for j, c in enumerate(cplx.cells)
-                if j != k and cplx.containment[j] >> k & 1)
-    doctored = SimpleNamespace(cells=[face if j == k else c
-                                      for j, c in enumerate(cplx.cells)])
+             if containment[k] == 1 << k and cplx[k].dim() > 0)
+    face = next(c for j, c in enumerate(cplx)
+                if j != k and containment[j] >> k & 1)
+    doctored = [face if j == k else c for j, c in enumerate(cplx)]
 
-    def check(complex_):
+    def check(complex_cells):
         return bounded_cells_check(pipe.part_subdivisions(), pipe.s_boundary(),
-                                   pipe.p_poset(), complex_,
+                                   pipe.p_poset(), complex_cells,
                                    pipe.tropical_cells())
 
     assert check(cplx)["passed"]

@@ -199,10 +199,10 @@ def test_a_complex_cell_swapped_for_a_larger_one_fails_realized(monkeypatch,
     # meet now lands on its index.  cellwise_equal fails with it: this key
     # reads false only with cellwise_equal or sliced_cones_are_cells.
     def doctor(parts, boundary, p_poset, cplx, cells):
-        k, j = next((k, j) for k, mask in enumerate(cplx.containment)
+        containment = sphere.containment_order([c.poly for c in cplx])
+        k, j = next((k, j) for k, mask in enumerate(containment)
                     for j in range(len(cplx)) if j != k and mask >> j & 1)
-        doctored = SimpleNamespace(cells=[cplx.cells[j] if i == k else c
-                                          for i, c in enumerate(cplx.cells)])
+        doctored = [cplx[j] if i == k else c for i, c in enumerate(cplx)]
         return parts, boundary, p_poset, doctored, cells
 
     _feed(monkeypatch, tropical, "bounded_cells_check", doctor)
@@ -267,7 +267,7 @@ def _local_logs(monkeypatch, make_change):
             log = change(mono._mat_sub_identity(m.linear))
             linear = tuple(tuple(int(i == j) + x for j, x in enumerate(row))
                            for i, row in enumerate(log))
-            return mono.AffineMonodromy(loop, m.basis, linear, m.translation,
+            return mono.AffineMonodromy(m.basis, linear, m.translation,
                                         m.images)
 
         with monkeypatch.context() as patch:
@@ -319,7 +319,7 @@ def test_an_identity_primal_monodromy_fails_the_duality_pairing(monkeypatch,
     # non-trivial dual monodromies no longer preserve the pairing.
     def doctor(loop, m, dual_atlas):
         k = len(m.basis)
-        return loop, mono.AffineMonodromy(loop, m.basis, identity(k),
+        return loop, mono.AffineMonodromy(m.basis, identity(k),
                                           m.translation, m.basis), dual_atlas
 
     _feed(monkeypatch, mono, "duality_check", doctor)
