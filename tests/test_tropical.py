@@ -296,6 +296,29 @@ def test_flipped_containment_bit_fails_the_order_checks(simplex3_pipe):
                                      "geometric_containment": not leq}
 
 
+def test_the_built_complex_runs_the_order_check(monkeypatch):
+    # The complex's stage hands its cells' containment to the order check:
+    # one flipped bit of it fails the stage with the check's claim.
+    from nefsphere import Pipeline, tropical
+    from nefsphere.cli import load_input
+    from nefsphere.errors import FalsificationError
+    from test_cli import path
+    real = tropical.containment_order
+
+    def flipped(polyhedra):
+        containment = real(polyhedra)
+        containment[-1] ^= 1 << 2
+        return containment
+
+    monkeypatch.setattr(tropical, "containment_order", flipped)
+    nef, omega, nu = load_input(path("simplex3.json"))
+    pipe = Pipeline(nef, omega_spec=omega, nu_spec=nu)
+    with pytest.raises(FalsificationError) as err:
+        pipe.tropical_complex()
+    assert err.value.claim == \
+        "tropical face order is not opposite to the poset order"
+
+
 @pytest.mark.parametrize("name", DATA_INPUTS)
 def test_bounded_amoeba_keys_equal_hull_keys(name):
     # Oracle: the V->H hull of a bounded amoeba cell's vertices, on both
