@@ -1,13 +1,12 @@
 """Regular central subdivisions induced by weight functions.
 
 Lifting the lattice points of a polytope by a weight and projecting the lower
-hull gives a regular subdivision, kept as its maximal cells; the other
-lattice points on a lower facet are not collected.  The points are lifted
-from the polytope's free coordinates, since any affine bijection of its
-affine hull gives the same subdivision.  For the weights used here every maximal cell must contain
-the origin (centrality) and in fact be a pyramid with apex 0 over a unique
-boundary face; the boundary faces and all their faces form the boundary
-subdivision (side tag S or T).
+hull gives a regular subdivision, kept as its maximal cells.  The points
+are lifted from the polytope's free coordinates, since any affine bijection
+of its affine hull gives the same subdivision.  For the weights used here
+every maximal cell must contain the origin (centrality) and in fact be a
+pyramid with apex 0 over a unique boundary face; the boundary faces and all
+their faces form the boundary subdivision (side tag S or T).
 """
 
 from fractions import Fraction
