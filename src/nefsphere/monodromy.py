@@ -5,11 +5,11 @@ sum_j [<m_j(sigma), y> - w(m_j(sigma))] n_j(tau).  By the adjoint pairing
 the holonomy of a primary loop (sigma0, tau0, sigma1, tau1) on chart
 sigma0 is y -> y + sum_j [<m_j(sigma1), y> - w(m_j(sigma1))] (n_j(tau1) -
 n_j(tau0)), and every holonomy is read from it (:func:`monodromy`); only
-global transport runs transitions, on the spanning tree's edges.  A
-holonomy does not hold its loop: the loop list and the monodromy list of a
-run are parallel.  A loop's star, the cells of Sigma above its four
-corners, is one bitmask (:func:`loop_star`), which the triviality check
-and the per-component log lattices both read.
+global transport runs transitions, on the spanning tree's edges.  The
+loop list and the monodromy list of a run are parallel.  A loop's star,
+the cells of Sigma above its four corners, is one bitmask
+(:func:`loop_star`), which the triviality check and the per-component log
+lattices both read.
 
 A run's charts live in one :class:`ChartAtlas`, built from the two
 transversal posets and the weight, not Sigma.  The role-swapped run's

@@ -1,17 +1,17 @@
 """Regular central subdivisions induced by weight functions.
 
 Lifting the lattice points of a polytope by a weight and projecting the lower
-hull gives a regular subdivision, kept as its maximal cells.  The points
-are lifted from the polytope's free coordinates, since any affine bijection
-of its affine hull gives the same subdivision.  For the weights used here
-every maximal cell must contain the origin (centrality) and in fact be a
-pyramid with apex 0 over a unique boundary face; the boundary faces and all
-their faces form the boundary subdivision (side tag S or T).
+hull gives a regular subdivision.  The points are lifted from the polytope's
+free coordinates, since any affine bijection of its affine hull gives the
+same subdivision.  For the weights used here every maximal cell must contain
+the origin (centrality) and in fact be a pyramid with apex 0 over a unique
+boundary face; the boundary faces and all their faces form the boundary
+subdivision (side tag S or T).
 """
 
 from fractions import Fraction
 
-from .linalg import clear_denominators, exact
+from .linalg import clear_denominators, dot, exact
 from .polytope import (
     GeometryError,
     _polytope_from_rows,
@@ -19,6 +19,7 @@ from .polytope import (
     bits,
     convex_hull,
     is_integral,
+    point_ray,
 )
 
 
@@ -79,10 +80,11 @@ def _point_str(pt):
 class ConedSubdivision:
     """The regular subdivision of a support polytope by a weight function."""
 
-    def __init__(self, support, weight, maximal_cells):
+    def __init__(self, support, weight, maximal_cells, marked):
         self.support = support
         self.weight = weight
         self.maximal_cells = tuple(sorted(maximal_cells))
+        self.marked = marked  # cell -> tuple of lattice points on the lower hull
         self._cells = None
         self._holders = {}  # vertex -> mask of the maximal cells holding it
         for k, d in enumerate(self.maximal_cells):
@@ -126,7 +128,8 @@ def lower_hull_subdivision(support, weight):
     projection onto the support's free coordinates
     (:meth:`polytope.Polytope.free_coordinates`), one to one on the affine
     hull, and its weight, so the lifted hull has dimension k + 1 (k for an
-    affine weight), and cells come back in ambient coordinates.  An affine
+    affine weight), and cells come back in ambient coordinates with their
+    marked lattice points, read on the lifts' integer rays.  An affine
     bijection of the affine hull leaves the regular subdivision as it is
     (De Loera-Rambau-Santos, Triangulations, 2010, 2.3).  That hull is the
     one double description; each maximal cell is read from it.  A lower
@@ -158,7 +161,9 @@ def lower_hull_subdivision(support, weight):
     else:
         lower = [(f, m) for f, m in zip(hull.facets, masks) if f[-1] > 0]
     rows = [_ambient_row(g, free, support.ambient) for g in hull.facets]
+    lifts = [(point_ray(lp), pt) for lp, pt in point_of.items()]
     maximal = []
+    marked = {}
     for f, mask in lower:
         row = _ambient_row(f, free, support.ambient)
         on = sorted((point_of[hull.vertices[i]], i) for i in bits(mask))
@@ -171,11 +176,14 @@ def lower_hull_subdivision(support, weight):
                 cuts.append(tuple(row[-1] * a - other[-1] * b
                                   for a, b in zip(other[:-1], row[:-1])))
                 meets.append(sum(bit[i] for i in bits(common)))
-        maximal.append(_polytope_from_rows(
+        cell = _polytope_from_rows(
             support.role, support.ambient, verts,
             [clear_denominators((1,) + v) for v in verts], support.equations,
-            cuts, meets, (1 << len(verts)) - 1, k))
-    return ConedSubdivision(support, weight, maximal)
+            cuts, meets, (1 << len(verts)) - 1, k)
+        maximal.append(cell)
+        marked[cell] = tuple(sorted(pt for ray, pt in lifts
+                                    if dot(f, ray) == 0))
+    return ConedSubdivision(support, weight, maximal, marked)
 
 
 def _ambient_row(row, free, ambient):

@@ -98,7 +98,7 @@ import sys
 
 import pytest
 
-from test_cli import BASE, DATA, path, run_cli
+from test_cli import BASE, DATA, path
 
 GOLDEN = os.path.join(DATA, "golden")
 NAMES = ["triangle", "square_sum", "pentagon_pair", "simplex3",
@@ -285,22 +285,6 @@ def test_no_golden_holds_a_float(name):
         assert _floats(json.load(fh)) == []
 
 
-def _cli_json(command, name, *flags):
-    proc = run_cli(command, path(f"{name}.json"), *flags)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def test_an_empty_sigma_reports_no_float():
-    # r = d + 1: 1 + (-1) ** (d - r) was the float 0.0.
-    report = _cli_json("report", "segment_split", *FULL_DUAL)
-    assert report["stages"]["sigma"]["cells"] == 0
-    assert _floats(report) == []
-    assert _floats(_cli_json("monodromy", "segment_split")) == []
-    expected = report["stages"]["sigma"]["expected_euler"]
-    assert type(expected) is int and expected == 0
-
-
 # The report paths whose bytes changed on r = d + 1 inputs, and only there:
 # the expected Euler number became an int, and the global section gained
 # the two keys that every other input already had.  The monodromy command's
@@ -310,19 +294,22 @@ EMPTY_SIGMA_PATHS = ["stages.sigma.expected_euler",
                      "stages.monodromy.global.base_component_size"]
 
 
-def test_the_global_section_has_one_key_set():
-    report = _cli_json("report", "segment_split", *FAST)
-    command = _cli_json("monodromy", "segment_split")
+def test_an_empty_sigma_has_an_int_euler_and_the_global_keys():
+    # The goldens are byte-compared with the CLI above.  1 + (-1) ** (d - r)
+    # was the float 0.0 on r = d + 1.
+    report = _golden_report("segment_split_full_dual")
+    command = _golden_report("segment_split_monodromy")
+    section = report["stages"]["monodromy"]["global"]
+    assert report["stages"]["sigma"]["cells"] == 0
+    expected = report["stages"]["sigma"]["expected_euler"]
+    assert type(expected) is int and expected == 0
     assert report["stages"]["monodromy"]["graph_nodes"] == 0
     assert all(_has_path(report, p) for p in EMPTY_SIGMA_PATHS)
-    assert (report["stages"]["monodromy"]["global"]["log_rank"],
-            report["stages"]["monodromy"]["global"]["base_component_size"]) \
-        == (0, 0)
+    assert (section["log_rank"], section["base_component_size"]) == (0, 0)
     keys = set(_golden_report("simplex3")["stages"]["monodromy"]["global"])
-    assert set(report["stages"]["monodromy"]["global"]) == keys
-    assert command["global"] == report["stages"]["monodromy"]["global"]
-    with open(os.path.join(GOLDEN, "simplex3_monodromy.json")) as fh:
-        assert set(json.load(fh)["global"]) == keys
+    assert set(section) == keys
+    assert set(_golden_report("simplex3_monodromy")["global"]) == keys
+    assert command["global"] == section
 
 
 # -- metamorphic: the report does not depend on how the parts are written ------

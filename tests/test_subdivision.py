@@ -55,20 +55,6 @@ def brute_force_lower_cells(points, weight):
     return maximal
 
 
-def marked_points(subdivision, cell):
-    """Oracle: the support's lattice points whose lift (point, weight) lies
-    on the cell's lifted hyperplane, the affine span of its vertices'
-    lifts, in lexicographic order."""
-    w = subdivision.weight
-
-    def lift(p):
-        return clear_denominators((1,) + tuple(p) + (w(p),))
-
-    normals = kernel_basis([lift(v) for v in cell.vertices], cell.ambient + 2)
-    return tuple(p for p in subdivision.support.lattice_points()
-                 if not any(dot(n, lift(p)) for n in normals))
-
-
 def test_segment_all_ones():
     seg = convex_hull([(-1,), (1,)], ROLE_M)
     w = WeightFunction.all_ones(seg)
@@ -91,7 +77,7 @@ def test_triangle_all_ones():
         assert cell.contains(origin)
     # Oracle agreement on the marked point sets.
     want = brute_force_lower_cells(list(tri.lattice_points()), w)
-    got = {frozenset(tuple(int(x) for x in p) for p in marked_points(sub, c))
+    got = {frozenset(tuple(int(x) for x in p) for p in sub.marked[c])
            for c in sub.maximal_cells}
     assert got == want
     boundary = boundary_subdivision(sub)
@@ -141,7 +127,7 @@ def test_all_ones_marks_every_boundary_point():
     sub = lower_hull_subdivision(tri, WeightFunction.all_ones(tri))
     marked = set()
     for c in sub.maximal_cells:
-        marked.update(marked_points(sub, c))
+        marked.update(sub.marked[c])
     nonzero = {p for p in tri.lattice_points() if any(p)}
     assert nonzero <= marked
 
@@ -166,14 +152,14 @@ def test_boundary_rejects_coned_cells_that_are_not_pyramids_over_it():
                               ([(-1,), (1,)], ROLE_M, "omega"),
                               ([(-1,), (1,)], ROLE_N, "nu")):
         cell = convex_hull(pts, role)
-        sub = ConedSubdivision(cell, None, [cell])
+        sub = ConedSubdivision(cell, None, [cell], {})
         assert sub.is_central()
         with pytest.raises(GeometryError, match="^subdivision is not a cone "
                            rf"with apex 0 over the boundary \({weight}\)$"):
             boundary_subdivision(sub)
     # A triangle with apex 0 is the pyramid over its opposite edge.
     tri = convex_hull([(0, 0), (1, 0), (0, 1)], ROLE_M)
-    boundary = boundary_subdivision(ConedSubdivision(tri, None, [tri]))
+    boundary = boundary_subdivision(ConedSubdivision(tri, None, [tri], {}))
     assert boundary.maximal_cells == (convex_hull([(1, 0), (0, 1)], ROLE_M),)
 
 
@@ -263,8 +249,7 @@ def assert_cells_are_the_hulls_of_their_points(subdivision):
     """The oracle of :func:`lower_hull_subdivision`: every maximal cell is
     field for field the V->H hull of its marked points."""
     for cell in subdivision.maximal_cells:
-        assert_is_the_hull_of_its_vertices(cell,
-                                           marked_points(subdivision, cell))
+        assert_is_the_hull_of_its_vertices(cell, subdivision.marked[cell])
 
 
 @pytest.mark.parametrize("name", DATA_NAMES)
@@ -322,7 +307,7 @@ def test_a_lower_hull_subdivision_runs_one_double_description(monkeypatch):
     assert len(calls) == 1
     (cell,) = trivial.maximal_cells
     assert cell == segment and cell is not segment
-    assert marked_points(trivial, cell) == ((-2, -1), (0, 0), (2, 1))
+    assert trivial.marked[cell] == ((-2, -1), (0, 0), (2, 1))
     monkeypatch.undo()
     assert_cells_are_the_hulls_of_their_points(trivial)
 
