@@ -275,7 +275,7 @@ def _span_pairs(poset, minimal, boundary):
     boundary subdivision iff some cell has exactly the vertices of both.
     """
     spans = set(boundary.vertex_masks)
-    masks = {i: boundary.vertex_mask(poset.elements[i].cell) for i in minimal}
+    masks = poset.masks
     return [(i, j) for x, i in enumerate(minimal) for j in minimal[x:]
             if masks[i] | masks[j] in spans]
 

@@ -345,12 +345,11 @@ class Polytope:
             self.equations, self.facets,
             [m & mask for m in self.facet_masks()], mask, dim)
 
-    def face_keys(self, inside=-1):
-        """The keys ``face_polytope(mask).key()`` of the faces inside the
-        mask `inside` (all by default), read with no hull: a face's vertices
-        are the polytope's vertices it contains."""
+    def face_keys(self):
+        """The keys ``face_polytope(mask).key()`` of all faces, read with no
+        hull: a face's vertices are the polytope's vertices it contains."""
         return {(self.role, tuple(self.vertices[i] for i in bits(g)))
-                for g in self.faces() if g & inside == g}
+                for g in self.faces()}
 
     # -- lattice ---------------------------------------------------------------
 

@@ -5,9 +5,9 @@ transversal ones (every slice nonempty) form an upper set P.  Their
 Minkowski cells tile part of the boundary of the sum polytope, and products
 of adjoint pairs of cells assemble into the sphere complex Sigma.
 
-Every order is kept as bitmasks: cells carry vertex masks, so faces are
-subset tests, and the posets and Sigma store the masks of the elements
-above and below each element.  Sigma's facet lists are read from those
+Every order is kept as bitmasks: cells carry masks over one numbering of
+their complex's vertices, so faces are subset tests, and the posets and
+Sigma store the masks of the elements above and below each element.  Sigma's facet lists are read from those
 masks once, and its topology from them, on its own cells, not from the
 chains of its barycentric subdivision: one pass signs every facet
 (:func:`homology.facet_signs`), the homology of Sigma and of a subcomplex
@@ -158,7 +158,8 @@ class TransversalPoset:
 
     `slices` maps every cell of the subdivision, transversal or not, to its
     part slices (:func:`compute_slices`), for the checks that need them all.
-    `above` and `below` are the inclusion masks among the elements alone
+    `masks` are the elements' masks in the subdivision's vertex numbering,
+    and `above` and `below` the inclusion masks among them alone
     (:func:`_inclusion_masks`).  As the transversal cells form an upper set
     (module docstring), every cell above an element is an element.
 
@@ -167,10 +168,11 @@ class TransversalPoset:
     cells, which are sorted by key.  So index order is cell-key order.
     """
 
-    def __init__(self, parts, elements, slices, above, below):
+    def __init__(self, parts, elements, slices, masks, above, below):
         self.parts = parts
         self.elements = tuple(elements)
         self.slices = slices
+        self.masks = tuple(masks)
         self._above, self._below = above, below
         self.minimal = tuple(i for i, mask in enumerate(below)
                              if mask == 1 << i)
@@ -193,23 +195,24 @@ class TransversalPoset:
         return bits(self._below[i] & self._minimal_mask)
 
 
-def _inclusion_masks(vertex_masks):
-    """(above, below) bitmasks of inclusion among vertex sets.
+def _inclusion_masks(vertex_masks, holding):
+    """(above, below) bitmasks of inclusion of the nonempty vertex sets
+    `vertex_masks` in the sets `holding`, over one vertex numbering.
 
     Bit j of above[i] (and bit i of below[j]) is set iff vertex set i is a
-    subset of vertex set j: above[i] is the AND, over the vertices of set
-    i, of the mask of sets holding that vertex.
+    subset of set j of `holding`: above[i] is the AND, over the vertices of
+    set i, of the mask of the sets of `holding` that hold that vertex.
     """
     holders = {}
-    for j, vm in enumerate(vertex_masks):
+    for j, vm in enumerate(holding):
         for v in bits(vm):
             holders[v] = holders.get(v, 0) | 1 << j
     above = []
-    below = [0] * len(vertex_masks)
+    below = [0] * len(holding)
     for i, vm in enumerate(vertex_masks):
         mask = -1
         for v in bits(vm):
-            mask &= holders[v]
+            mask &= holders.get(v, 0)
         above.append(mask)
         for j in bits(mask):
             below[j] |= 1 << i
@@ -329,13 +332,14 @@ def transversal_poset(subdivision, parts, other_parts, delta):
     keep = [k for k, c in enumerate(subdivision.cells)
             if all(s is not None for s in slices_by_cell[c])]
     cells = [subdivision.cells[k] for k in keep]
-    above, below = _inclusion_masks(
-        [subdivision.vertex_masks[k] for k in keep])
+    masks = [subdivision.vertex_masks[k] for k in keep]
+    above, below = _inclusion_masks(masks, masks)
     minkowski = _minkowski_cells(cells, slices_by_cell, above, len(parts),
                                  delta)
     elements = [TransversalCell(c, slices_by_cell[c], m)
                 for c, m in zip(cells, minkowski)]
-    return TransversalPoset(parts, elements, slices_by_cell, above, below)
+    return TransversalPoset(parts, elements, slices_by_cell, masks, above,
+                            below)
 
 
 def _minkowski_cells(cells, slices_by_cell, above, r, delta):
@@ -453,12 +457,13 @@ def minkowski_complex(poset, delta, r, parts_hull):
     nabla_vee (by exact volume bookkeeping facet by facet, on the regions
     of :func:`facet_region`).  A cell's faces are read from the face
     lattice of the lowest maximal cell above it, as the faces of that cell
-    inside it (module docstring), and are not stored; a cell that is no
-    face of it fails the check, as its own key is then not among them.
-    Each distinct vertex is read once, as its
-    integer ray and the mask of the facets of r*nabla_vee it lies on; a
-    cell lies on the AND of its vertices' masks, and the order test skips
-    a vertex whose mask does not hold that AND (:func:`containment_order`).
+    inside it (module docstring), and are not stored: the sorted vertex
+    masks over the top of the cells below must be its sorted faces inside
+    the cell's own mask, so a vertex off the top fails, as does a repeated
+    cell.  Each distinct vertex is read once, as its integer ray and the
+    mask of the facets of r*nabla_vee it lies on; a cell lies on the AND
+    of its vertices' masks, and the order test tests only the vertices
+    whose masks hold that AND (:func:`containment_order`).
     """
     checks = {}
     cells = [e.minkowski for e in poset.elements]
@@ -476,14 +481,16 @@ def minkowski_complex(poset, delta, r, parts_hull):
     maximal = sum(1 << j for j in range(n) if poset._above[j] == 1 << j)
     face_ok = True
     for j in range(n):
-        below = poset.below(j)
         over = poset._above[j] & maximal
         top = cells[(over & -over).bit_length() - 1]
-        vertices = set(cells[j].vertices)
-        face_keys = top.face_keys(sum(1 << i for i, v in enumerate(top.vertices)
-                                      if v in vertices))
-        if len(face_keys) != len(below) or any(
-                cells[i].key() not in face_keys for i in below):
+        bit = {v: 1 << k for k, v in enumerate(top.vertices)}
+        below = [cells[i].vertices for i in poset.below(j)]
+        if any(v not in bit for vs in below for v in vs):
+            face_ok = False  # a vertex off the top cell
+            continue
+        masks = sorted(sum(map(bit.__getitem__, vs)) for vs in below)
+        mine = sum(map(bit.__getitem__, cells[j].vertices))
+        if masks != sorted(g for g in top.faces() if g & mine == g):
             face_ok = False
     checks["order_isomorphism"] = order_ok
     checks["face_lattices_match"] = face_ok
@@ -518,42 +525,35 @@ def containment_order(cells, marks=None):
     i is set iff every vertex of cells[i] lies in cells[j].
 
     The distinct vertices of all cells are numbered, each is read once as
-    its integer ray (:func:`polytope.point_ray`), and each ray is tested
-    against each cell by the membership test both classes share
-    (``contains_ray``); then i <= j iff vmask[i] & inside[j] == vmask[i].
+    its integer ray (:func:`polytope.point_ray`), and each cell gets the
+    mask of the vertices in it by the membership test both classes share
+    (``contains_ray``), read as sets by :func:`_inclusion_masks`.
 
     `marks`, when given, maps each vertex to its ray and the mask of some
     homogeneous rows that vanish at it.  A row that vanishes at every
-    vertex of a cell vanishes on all of the cell, by linearity, so a
-    vertex whose mask misses a bit of the AND of the cell's vertex masks
-    is not in the cell and is not tested.
+    vertex of a cell vanishes on all of the cell, by linearity, so only
+    the vertices on every row of the AND of the cell's vertex masks are
+    tested: the AND, over that AND's bits, of the per-row masks of the
+    vertices on the row.
     """
     ids = {}
-    vmask = []
-    for c in cells:
-        mask = 0
-        for v in c.vertices:
-            mask |= 1 << ids.setdefault(v, len(ids))
-        vmask.append(mask)
+    vmask = [sum(1 << ids.setdefault(v, len(ids)) for v in c.vertices)
+             for c in cells]
     if marks is None:
         marks = {v: (point_ray(v), 0) for v in ids}
-    rays = [marks[v] for v in ids]
+    rays = [marks[v][0] for v in ids]
+    on_row = {}
+    for t, v in enumerate(ids):
+        for b in bits(marks[v][1]):
+            on_row[b] = on_row.get(b, 0) | 1 << t
     inside = []
     for c in cells:
-        need = _common_mask(c, marks)
-        mask = 0
-        for t, (ray, on) in enumerate(rays):
-            if on & need == need and c.contains_ray(ray):
-                mask |= 1 << t
-        inside.append(mask)
-    out = []
-    for vm in vmask:
-        mask = 0
-        for j, ins in enumerate(inside):
-            if vm & ins == vm:
-                mask |= 1 << j
-        out.append(mask)
-    return out
+        candidates = (1 << len(rays)) - 1
+        for b in bits(_common_mask(c, marks)):
+            candidates &= on_row[b]
+        inside.append(sum(1 << t for t in bits(candidates)
+                          if c.contains_ray(rays[t])))
+    return _inclusion_masks(vmask, inside)[0]
 
 
 def _common_mask(cell, marks):

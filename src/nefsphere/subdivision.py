@@ -94,7 +94,7 @@ class ConedSubdivision:
     def cells(self):
         """All cells (faces of maximal cells), sorted by key."""
         if self._cells is None:
-            self._cells = _face_closure(self.maximal_cells)
+            self._cells = _face_closure(self.maximal_cells)[0]
         return self._cells
 
     def star(self, cell):
@@ -114,11 +114,20 @@ class ConedSubdivision:
 
 
 def _face_closure(maximal_cells):
-    """The cells and all their faces, sorted by key."""
-    cells = set(maximal_cells)
-    cells.update(c.face_polytope(g, d) for c in maximal_cells
-                 for g, d in c.faces().items() if d < c.dim)
-    return tuple(sorted(cells))
+    """(cells, masks): the cells and all their faces, sorted by key, and
+    their vertex-id masks.  A vertex is numbered when the walk over the
+    maximal cells' faces first meets it; a face is keyed by its mask, and
+    built only the first time that mask appears."""
+    ids = {}
+    by_mask = {}
+    for c in maximal_cells:
+        bit = [1 << ids.setdefault(v, len(ids)) for v in c.vertices]
+        for g, d in c.faces().items():
+            mask = sum(bit[i] for i in bits(g))
+            if mask not in by_mask:
+                by_mask[mask] = c if d == c.dim else c.face_polytope(g, d)
+    order = sorted(by_mask, key=lambda mask: by_mask[mask].key())
+    return tuple(by_mask[mask] for mask in order), tuple(order)
 
 
 def lower_hull_subdivision(support, weight):
@@ -196,25 +205,16 @@ def _ambient_row(row, free, ambient):
 
 
 class BoundarySubdivision:
-    """The induced subdivision of the boundary of a central support."""
+    """The induced subdivision of the boundary of a central support:
+    `cells` sorted by key, and their `vertex_masks` over one numbering of
+    the complex's vertices (:func:`_face_closure`)."""
 
     def __init__(self, parent, side, maximal_cells):
         self.parent = parent
         self.side = side
         self.maximal_cells = tuple(sorted(maximal_cells))
-        self.cells = _face_closure(self.maximal_cells)  # sorted by key
-        self._vertex_id = {}
-        self.vertex_masks = tuple(self.vertex_mask(c) for c in self.cells)
+        self.cells, self.vertex_masks = _face_closure(self.maximal_cells)
         self._coned = {}
-
-    def vertex_mask(self, cell):
-        """Bitmask of the cell's vertices; every vertex of the complex gets
-        one bit, numbered when first seen."""
-        ids = self._vertex_id
-        mask = 0
-        for v in cell.vertices:
-            mask |= 1 << ids.setdefault(v, len(ids))
-        return mask
 
     def coned(self, cell):
         """The cell F joined with the origin, read as a face of the lowest

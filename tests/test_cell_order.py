@@ -89,7 +89,8 @@ def test_star_is_the_subset_scan(runs):
 def inclusion_over_all_cells(boundary, poset):
     """The poset's (above, below) masks read from the inclusion masks over
     every cell of the subdivision, restricted to the poset's elements."""
-    above, below = sphere._inclusion_masks(boundary.vertex_masks)
+    above, below = sphere._inclusion_masks(boundary.vertex_masks,
+                                           boundary.vertex_masks)
     index = {c: k for k, c in enumerate(boundary.cells)}
     ks = [index[e.cell] for e in poset.elements]
     position = {k: t for t, k in enumerate(ks)}
@@ -117,9 +118,9 @@ def test_each_poset_order_is_computed_once_over_its_elements(name,
     real = sphere._inclusion_masks
     sizes = []
 
-    def spy(masks):
+    def spy(masks, holding):
         sizes.append(len(masks))
-        return real(masks)
+        return real(masks, holding)
 
     monkeypatch.setattr(sphere, "_inclusion_masks", spy)
     nef, omega, nu = load_input(path(f"{name}.json"))

@@ -42,8 +42,7 @@ def _data_pipeline(name):
 def boundary_leq(boundary, a, b):
     """Face relation of a boundary subdivision: a is a face of b (cells of
     a complex share faces, so containment is vertex-set inclusion)."""
-    ma = boundary.vertex_mask(a)
-    return boundary.vertex_mask(b) & ma == ma
+    return set(a.vertices) <= set(b.vertices)
 
 
 def sigma_leq(sigma, a, b):

@@ -15,8 +15,9 @@ from nefsphere.errors import FalsificationError
 from nefsphere.homology import order_complex_homology
 from nefsphere.linalg import dot
 from nefsphere.nef import NefPartition
-from nefsphere.polytope import (as_fractions, convex_hull, dilate, intersect,
-                                is_minkowski_sum, minkowski_sum_all)
+from nefsphere.polytope import (as_fractions, bits, convex_hull, dilate,
+                                intersect, is_minkowski_sum,
+                                minkowski_sum_all)
 from nefsphere.sphere import projection_images
 from test_cli import BASE, DATA, path
 from test_exact_kernel import contains_by_fractions
@@ -244,7 +245,9 @@ def test_face_keys_read_from_a_maximal_cell_are_the_cell_face_keys(name):
                 top = cells[m]
                 inside = sum(1 << i for i, v in enumerate(top.vertices)
                              if v in cell.vertices)
-                assert top.face_keys(inside) == cell.face_keys()
+                assert {(top.role, tuple(top.vertices[i] for i in bits(g)))
+                        for g in top.faces() if g & inside == g} \
+                    == cell.face_keys()
 
 
 def test_building_the_prism_minkowski_complexes_reads_no_face_rows():
@@ -295,7 +298,7 @@ def test_a_cell_that_is_not_a_face_of_its_maximal_cell_fails_the_check(swap):
     e = elements[j]
     elements[j] = sphere.TransversalCell(e.cell, e.slices, fake)
     doctored = sphere.TransversalPoset(poset.parts, elements, poset.slices,
-                                       poset._above, poset._below)
+                                       poset.masks, poset._above, poset._below)
     report = sphere.minkowski_complex(doctored, nef.sum_polytope, nef.r,
                                       nef.parts_hull)
     assert report["checks"]["face_lattices_match"] is False
@@ -313,10 +316,10 @@ def test_a_cell_with_a_face_that_is_no_poset_element_fails_the_check():
     poset, nef = pipe.p_poset(), pipe.nef
     i = next(i for i in poset.minimal if poset.above(i) != [i])
     elements = [e for k, e in enumerate(poset.elements) if k != i]
-    boundary = pipe.s_boundary()
+    masks = [m for k, m in enumerate(poset.masks) if k != i]
     doctored = sphere.TransversalPoset(
-        poset.parts, elements, poset.slices, *sphere._inclusion_masks(
-            [boundary.vertex_mask(e.cell) for e in elements]))
+        poset.parts, elements, poset.slices, masks,
+        *sphere._inclusion_masks(masks, masks))
     report = sphere.minkowski_complex(doctored, nef.sum_polytope, nef.r,
                                       nef.parts_hull)
     assert report["checks"]["order_isomorphism"] is True

@@ -114,8 +114,8 @@ def test_a_missing_maximal_cell_fails_the_support_cover(monkeypatch,
         masks = [sum(1 << ids.setdefault(v, len(ids)) for v in e.cell.vertices)
                  for e in elements]
         doctored = sphere.TransversalPoset(
-            poset.parts, elements, poset.slices,
-            *sphere._inclusion_masks(masks))
+            poset.parts, elements, poset.slices, masks,
+            *sphere._inclusion_masks(masks, masks))
         return doctored, delta, r, parts_hull
 
     _feed(monkeypatch, sphere, "minkowski_complex", doctor)
