@@ -69,7 +69,10 @@ def _literal_digits(text):
 
 def load_input(path, omega_override=None, nu_override=None):
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("the input nests too deeply to read") from None
     if not isinstance(data, dict):
         raise ValueError("input is not a JSON object: need the fields dim "
                          "and parts")
@@ -116,6 +119,10 @@ def load_input(path, omega_override=None, nu_override=None):
             except ValueError as exc:
                 raise ValueError(f"bad {name} {json.dumps(source)}: the "
                                  f"weight file is not JSON ({exc})") from None
+            except RecursionError:
+                raise ValueError(f"bad {name} {json.dumps(source)}: the "
+                                 "weight file nests too deeply to read"
+                                 ) from None
         table = source.get("table") if isinstance(source, dict) else source
         if not isinstance(table, list):
             raise ValueError(f"bad {name} {json.dumps(source)}: need all_ones, "

@@ -291,6 +291,32 @@ def test_malformed_values_exit_2(tmp_path, data, message):
     assert proc.stderr == f"input error: {message}\n"
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("where, message", [
+    ("parts", "the input nests too deeply to read"),
+    ("omega", 'bad omega "w.json": the weight file nests too deeply to read'),
+])
+def test_deeply_nested_json_exits_2(tmp_path, where, message):
+    # JSON nested past the interpreter's recursion limit, in the input or
+    # in a weight file, is an input error, not a RecursionError traceback.
+    if where == "parts":
+        text = '{"dim": 1, "parts": ' + DEEP + "}"
+    else:
+        (tmp_path / "w.json").write_text(DEEP)
+        text = json.dumps({"dim": 1, "parts": SEGMENT, "omega": "w.json"})
+    (tmp_path / "deep.json").write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nefsphere.cli", "report", "deep.json"],
+        capture_output=True, text=True, timeout=RUN_CLI_TIMEOUT_S,
+        cwd=tmp_path, env={**os.environ,
+                           "PYTHONPATH": os.path.join(BASE, "src")})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: {message}\n"
+
+
 def test_a_bad_value_in_a_weight_file_names_the_weight(tmp_path):
     # The same message whether the table is in the input or in a weight
     # file given by --nu.
@@ -537,3 +563,4 @@ def test_an_unreadable_weight_file_names_the_weight(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr == f"input error: {message}\n"
+
