@@ -564,3 +564,30 @@ def test_an_unreadable_weight_file_names_the_weight(tmp_path):
         assert proc.stdout == ""
         assert proc.stderr == f"input error: {message}\n"
 
+
+def test_the_generic_quintic_input_has_generic_central_weights(tmp_path):
+    # tests/generic_input.py writes the generic-weight quintic that CI runs
+    # with --verify full --dual (it stays out of tests/data, whose inputs
+    # every data test runs).  Its tables, read as any input is, are
+    # generic_weight of both supports in lattice-point order, and validate
+    # finds both weights central and coned over the boundary.
+    from conftest import generic_weight
+    from nefsphere.cli import load_input
+    proc = subprocess.run(
+        [sys.executable, os.path.join(BASE, "tests", "generic_input.py"),
+         path("simplex_p4_5.json")],
+        capture_output=True, text=True, timeout=RUN_CLI_TIMEOUT_S, cwd=BASE,
+        env={**os.environ, "PYTHONPATH": os.path.join(BASE, "src")})
+    assert proc.returncode == 0, proc.stderr
+    quintic = tmp_path / "quintic.json"
+    quintic.write_text(proc.stdout)
+    nef, omega, nu = load_input(str(quintic))
+    assert omega == generic_weight(nef.parts_hull.lattice_points(), seed=1)
+    assert nu == generic_weight(nef.sum_polar.lattice_points(), seed=1001)
+    assert (len(omega), len(nu)) == (6, 126)
+    proc = run_cli("validate", str(quintic))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["passed"]
+    assert out["central"] == out["coned_over_boundary"] == {"omega": True,
+                                                           "nu": True}
