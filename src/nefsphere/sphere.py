@@ -7,14 +7,14 @@ of adjoint pairs of cells assemble into the sphere complex Sigma.
 
 Every order is kept as bitmasks: cells carry masks over one numbering of
 their complex's vertices, so faces are subset tests, and the posets and
-Sigma store the masks of the elements above and below each element.  Sigma's facet lists are read from those
-masks once, and its topology from them, on its own cells, not from the
-chains of its barycentric subdivision: one pass signs every facet
-(:func:`homology.facet_signs`), the homology of Sigma and of a subcomplex
-(the smooth cells, say) is cellular at those signs
-(:meth:`SigmaComplex.homology`), and for a face poset graded by dimension
-the pseudomanifold conditions on the order complex are conditions on cells
-and their facets, the in-cell ones certified by that pass
+Sigma store the masks of the elements above and below each element.
+Sigma's facet lists are read from those masks once, and its topology from
+them, on its own cells, not from the chains of its barycentric subdivision:
+one pass signs every facet (:func:`homology.facet_signs`), the homology of
+Sigma and of a subcomplex (the smooth cells, say) is cellular at those
+signs (:meth:`SigmaComplex.homology`), and for a face poset graded by
+dimension the pseudomanifold conditions on the order complex are conditions
+on cells and their facets, the in-cell ones certified by that pass
 (:func:`is_closed_pseudomanifold`).
 
 Slices are read as faces, with no intersection.  Let psi_j be the support

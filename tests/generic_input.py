@@ -38,4 +38,5 @@ def _rows(pairs):
 
 if __name__ == "__main__":
     with open(sys.argv[1]) as fh:
-        sys.stdout.write(json.dumps(with_generic_weights(json.load(fh))) + "\n")
+        data = json.load(fh)
+    sys.stdout.write(json.dumps(with_generic_weights(data)) + "\n")

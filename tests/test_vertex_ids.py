@@ -127,7 +127,7 @@ def inclusion(cells, masks):
             for j in bits(mask)}
 
 
-# -- the new routes against the oracles ----------------------------------------
+# -- the new routes against the oracles ---------------------------------------
 
 
 @pytest.mark.parametrize("name", ALL_INPUTS)
@@ -244,7 +244,7 @@ def test_a_repeated_cell_fails_the_face_check():
     assert checks["injective"] is False
 
 
-# -- metamorphic: the numbering is arbitrary -----------------------------------
+# -- metamorphic: the numbering is arbitrary ----------------------------------
 
 
 @pytest.mark.parametrize("name", ["simplex3", "prism_pair_5d_kinked",
