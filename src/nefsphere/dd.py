@@ -33,7 +33,6 @@ from math import lcm
 from .linalg import (
     dot,
     echelon,
-    identity,
     kernel_basis,
     leading_column,
     primitive,
@@ -48,8 +47,6 @@ def cone_rays(ineqs, dim):
     space and the sorted primitive extreme rays modulo lineality.
     """
     rows = sorted({tuple(r) for r in ineqs if any(r)})
-    if not rows:
-        return identity(dim), ()
     lineality = kernel_basis(rows, dim)
     if lineality:
         # Quotient out the lineality: inequalities vanish on it, so they

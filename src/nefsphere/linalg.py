@@ -10,10 +10,12 @@ description and reduction modulo equations: :func:`reduce_row` clears an
 echelon's pivot columns from a primitive integer row by positive integer
 steps, :func:`echelon` keeps the rows that raise the rank and
 :func:`reduced_echelon` adds the Gauss-Jordan back pass.  No Fraction is
-formed; only final quotients can be non-integral.  The lattice routines
-(Hermite and Smith normal forms, :func:`lattice_left_inverse`) take
-Euclidean steps instead, and :func:`det` is Bareiss elimination.  All normal
-forms are deterministic so downstream outputs are byte-reproducible.
+formed; only final quotients can be non-integral.  One Euclidean
+elimination, the Hermite normal form, serves the lattice routines: kernel
+bases and the left inverse :func:`lattice_left_inverse` are read from the
+HNF of [A^T | I], and Smith divisors from alternating row and column HNFs.
+:func:`det` is Bareiss elimination.  All normal forms are deterministic so
+downstream outputs are byte-reproducible.
 """
 
 from fractions import Fraction
@@ -198,13 +200,13 @@ def hermite_normal_form(rows):
 
     Returns the canonical basis of the row lattice: pivots positive, entries
     above each pivot reduced to [0, pivot), zero rows dropped, one row per
-    pivot column in order.
+    pivot column in order.  This is the one Euclidean elimination here:
+    kernels, the left inverse and Smith divisors are read from it.
     """
     m = [list(r) for r in rows if any(r)]
     if not m:
         return ()
     ncols = len(m[0])
-    out = []
     row = 0
     for col in range(ncols):
         piv = None
@@ -241,61 +243,35 @@ def hermite_normal_form(rows):
     return tuple(tuple(r) for r in m)
 
 
-def _column_echelon(rows, ncols):
-    """Column-style echelon form A U = [L 0] with U unimodular.
-
-    Euclidean column operations, row by row.  Returns (columns, rank): each
-    column j is the list (column j of A U) + (column j of U), and the first
-    `rank` columns hold the pivots of L.
-    """
-    nrows = len(rows)
-    cols = [[r[j] for r in rows] + [int(i == j) for i in range(ncols)]
-            for j in range(ncols)]
-    colpos = 0
-    for r in range(nrows):
-        piv = next((j for j in range(colpos, ncols) if cols[j][r]), None)
-        if piv is None:
-            continue
-        cols[colpos], cols[piv] = cols[piv], cols[colpos]
-        for j in range(colpos + 1, ncols):
-            while cols[j][r]:
-                q = cols[colpos][r] // cols[j][r]
-                cols[colpos], cols[j] = cols[j], [
-                    a - q * b for a, b in zip(cols[colpos], cols[j])]
-        colpos += 1
-        if colpos == ncols:
-            break
-    return cols, colpos
+def _augmented_hnf(rows, ncols):
+    """The Hermite normal form of [A^T | I] for the integer rows of A, each
+    of length ncols: U [A^T | I] for a unimodular U, so the I part of each
+    row is the row of U that gives its A^T part (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4)."""
+    return hermite_normal_form([
+        col + e for col, e in zip(zip(*rows) if rows else [()] * ncols,
+                                  identity(ncols))])
 
 
 def lattice_left_inverse(basis, ncols):
     """An integer k x ncols matrix L with L B^T = I for a saturated basis B.
 
     B (k rows of length ncols) must be linearly independent and span a
-    saturated sublattice.  Column echelon form gives B U = [T 0] with U
-    unimodular, and T is then unimodular too, so L = (U_k T^-1)^T is
-    integral, where U_k is the first k columns of U (Cohen, A Course in
-    Computational Algebraic Number Theory, 2.4).  For any p in the rational
-    span of the rows of B, L p is its coordinate vector in that basis.
+    saturated sublattice.  The first k rows of the HNF U [B^T | I] have
+    their pivots in columns 0..k-1 exactly when B has rank k, and their
+    B^T part T = U_k B^T is then the HNF of the lattice that the columns
+    of B span, which is Z^k exactly when B is saturated; an HNF with
+    pivots 1 has zeros above them, so T = I and L = U_k.  L is not unique,
+    but for any p in the rational span of the rows of B, L p is its
+    coordinate vector in that basis.
     """
     k = len(basis)
-    cols, rank = _column_echelon([tuple(b) for b in basis], ncols)
-    if rank != k:
+    h = _augmented_hnf(basis, ncols)[:k]
+    if [leading_column(r) for r in h] != list(range(k)):
         raise ValueError("rows are not linearly independent")
-    # T is lower triangular: T[r][c] = cols[c][r], zero for c > r.  Solve
-    # M T = U_k for M = L^T by back substitution over the columns c of T.
-    inverse = [None] * k
-    for c in range(k - 1, -1, -1):
-        row = cols[c][k:]
-        for r in range(c + 1, k):
-            f = cols[c][r]
-            if f:
-                row = [a - f * b for a, b in zip(row, inverse[r])]
-        p = cols[c][c]
-        if p not in (1, -1):
-            raise ValueError("basis is not saturated")
-        inverse[c] = tuple(p * a for a in row)
-    return tuple(inverse)
+    if tuple(r[:k] for r in h) != identity(k):
+        raise ValueError("basis is not saturated")
+    return tuple(r[k:] for r in h)
 
 
 def kernel_basis(rows, ncols):
@@ -303,13 +279,14 @@ def kernel_basis(rows, ncols):
 
     The result spans all integer solutions (it is saturated: any integer
     vector in the rational kernel is an integer combination of the basis).
+    The rows u of U with u A^T = 0 are the rows of the HNF U [A^T | I]
+    whose A^T part is zero: they span every integer solution, since the
+    other rows' A^T parts are independent.  They come last and are reduced
+    above their pivots, so their I parts already are the kernel's HNF.
     """
-    rows = [tuple(r) for r in rows]
-    # The columns of U that A U sends to zero span the saturated kernel.
     nrows = len(rows)
-    cols, _ = _column_echelon(rows, ncols)
-    basis = [tuple(c[nrows:]) for c in cols if not any(c[:nrows])]
-    return hermite_normal_form(basis)
+    return tuple(r[nrows:] for r in _augmented_hnf(rows, ncols)
+                 if not any(r[:nrows]))
 
 
 def saturated_perp_basis(ms, ambient):
@@ -320,21 +297,14 @@ def saturated_perp_basis(ms, ambient):
     rows = [tuple(m) for m in ms]
     if any(type(x) is not int for r in rows for x in r):
         raise ValueError("saturated_perp_basis needs integer vectors")
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return identity(ambient)
     return kernel_basis(rows, ambient)
 
 
 def saturated_span_basis(vectors, ncols):
-    """Canonical basis of the saturation of the integer span of the vectors."""
-    vectors = [tuple(v) for v in vectors if any(v)]
-    if not vectors:
-        return ()
-    perp = kernel_basis(vectors, ncols)
-    if not perp:
-        return identity(ncols)
-    return kernel_basis(perp, ncols)
+    """Canonical basis of the saturation of the integer span of the vectors:
+    the kernel of their kernel."""
+    return kernel_basis(kernel_basis([tuple(v) for v in vectors], ncols),
+                        ncols)
 
 
 def smith_normal_form(rows):
@@ -342,66 +312,24 @@ def smith_normal_form(rows):
 
     Returns (divisors, rank) where divisors is the full chain d1 | d2 | ...
     of nonzero invariant factors, all positive.
-    """
-    m = [list(r) for r in rows]
-    m = [r for r in m if r]
-    if not m or not m[0]:
-        return (), 0
-    nrows, ncols = len(m), len(m[0])
-    divisors = []
-    top = 0
-    while top < nrows and top < ncols:
-        # Find a pivot with minimal absolute value in the working block.
-        piv = None
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        m[top], m[pi] = m[pi], m[top]
-        for r in m:
-            r[top], r[pj] = r[pj], r[top]
-        while True:
-            # Clear the pivot column.
-            dirty = False
-            for i in range(top + 1, nrows):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-            # Clear the pivot row.
-            for j in range(top + 1, ncols):
-                if m[top][j]:
-                    q = m[top][j] // m[top][top]
-                    for r in m:
-                        r[j] -= q * r[top]
-                    if m[top][j]:
-                        for r in m:
-                            r[j], r[top] = r[top], r[j]
-                        dirty = True
-            if not dirty:
-                break
-        # Enforce divisibility of the remaining block by the pivot.
-        p = m[top][top]
-        bad = None
-        for i in range(top + 1, nrows):
-            for j in range(top + 1, ncols):
-                if m[i][j] % p:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            m[top] = [a + b for a, b in zip(m[top], m[bad])]
-            continue
-        divisors.append(abs(p))
-        top += 1
-    return tuple(divisors), len(divisors)
 
+    Row Hermite normal forms of the matrix and of its transpose alternate
+    until it is diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+    From the second round on no row or column is zero.  A round either
+    lowers the first pivot p that has a nonzero neighbour to a proper
+    divisor, the gcd of p and its row, or, when p divides its row, clears
+    p's row and column for good: (p, 0, ..., 0) is then in the transpose's
+    row lattice, and the HNF is unique.  Pivots are positive integers, so
+    the rounds end.  Replacing two diagonal entries by their gcd and lcm is
+    an equivalence, and the pairwise passes make the diagonal a
+    divisibility chain.
+    """
+    m = hermite_normal_form(rows)
+    while any(sum(map(bool, r)) > 1 for r in m):
+        m = hermite_normal_form(zip(*m))
+    divisors = [max(r) for r in m]
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            g = gcd(divisors[i], divisors[j])
+            divisors[i], divisors[j] = g, divisors[i] * divisors[j] // g
+    return tuple(divisors), len(divisors)

@@ -334,7 +334,7 @@ def base_chart_data(base_cell, rows, weight):
             "minimal transversal cell is not linearly independent",
             {"cell": _cell_key(base_cell.cell)})
     basis = saturated_perp_basis(rows, d)
-    inverse = lattice_left_inverse(basis, d) if basis else ()
+    inverse = lattice_left_inverse(basis, d)
     # x0 = S^T z with (S S^T) z = w(S), by Cramer's rule on the integer
     # system scaled by the weights' common denominator s: z = c / (g s).
     rhs = [weight(v) for v in rows]
