@@ -202,8 +202,7 @@ class ChartGraph:
         """BFS tree: node -> parent (None at the base)."""
         parent = {base: None}
         queue = [base]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:
             for w in self.neighbors(v):
                 if w not in parent:
                     parent[w] = v
@@ -471,6 +470,9 @@ def local_group(sigma, pair_idx, atlas):
     Verifies the abelian upper-triangular structure: commuting generators,
     image inside the tangent space of the tau-side Minkowski cell, and
     vanishing on it.  `atlas` is the :class:`ChartAtlas` of sigma's posets.
+    Each loop's linear part is read by the formula global transport uses,
+    :func:`_unipotent` over :func:`_loop_terms` in the base chart, without
+    the images and translation that :func:`monodromy` adds.
 
     The last two imply the first: when every log N = A - I maps into W and
     vanishes on W, N_a N_b = 0 = N_b N_a for any two logs, so
@@ -492,7 +494,8 @@ def local_group(sigma, pair_idx, atlas):
                 if a == b and pk == base_idx:
                     continue
                 loop = PrimaryLoop(base_idx, q_min[a], pk, q_min[b])
-                mats.append(monodromy(loop, atlas).linear)
+                mats.append(_unipotent(chart.basis, chart.inverse,
+                                       _loop_terms(loop, atlas))[0])
     # W: span of the slice-point differences over the tau side.
     diffs = []
     for a in range(len(q_min)):

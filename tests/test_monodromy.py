@@ -947,15 +947,15 @@ def test_local_commuting_matches_the_pairwise_products(name, monkeypatch):
     from nefsphere import monodromy
     pipe = _data_pipe(name)
     sigma, atlas = pipe.sigma(), pipe.atlas()
-    real = monodromy.monodromy
+    real = monodromy._unipotent
     mats = []
 
-    def recorded(loop, atlas):
-        m = real(loop, atlas)
-        mats.append(m.linear)
-        return m
+    def recorded(frame, coords, terms):
+        out = real(frame, coords, terms)
+        mats.append(out[0])
+        return out
 
-    monkeypatch.setattr(monodromy, "monodromy", recorded)
+    monkeypatch.setattr(monodromy, "_unipotent", recorded)
     vertices = pipe.discriminant().vertex_ids
     assert vertices
     for k in vertices:

@@ -257,21 +257,19 @@ def _local_logs(monkeypatch, make_change):
     """Inside each local group, read every loop's log N as change(N), with
     change = make_change() made afresh for the group.  The monodromies
     stage and every other suite read the true holonomy."""
-    real_monodromy, real_local_group = mono.monodromy, mono.local_group
+    real_unipotent, real_local_group = mono._unipotent, mono.local_group
 
     def local_group(sigma, k, atlas):
         change = make_change()
 
-        def changed(loop, atlas):
-            m = real_monodromy(loop, atlas)
-            log = change(mono._mat_sub_identity(m.linear))
-            linear = tuple(tuple(int(i == j) + x for j, x in enumerate(row))
-                           for i, row in enumerate(log))
-            return mono.AffineMonodromy(m.basis, linear, m.translation,
-                                        m.images)
+        def changed(frame, coords, terms):
+            linear, us, vs = real_unipotent(frame, coords, terms)
+            log = change(mono._mat_sub_identity(linear))
+            return (tuple(tuple(int(i == j) + x for j, x in enumerate(row))
+                          for i, row in enumerate(log)), us, vs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(mono, "monodromy", changed)
+            patch.setattr(mono, "_unipotent", changed)
             return real_local_group(sigma, k, atlas)
 
     monkeypatch.setattr(mono, "local_group", local_group)
