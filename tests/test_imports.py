@@ -1,7 +1,7 @@
 """Every import in src/nefsphere is read by its own module and stands at
 module level, every function it defines is used by the program, every
-field a class stores is read, and no module imports a standard-library
-module only for declaration sugar.
+field a class stores and every local a function stores is read, and no
+module imports a standard-library module only for declaration sugar.
 
 A name bound by an import must be read somewhere in the same module or be
 re-exported, through its ``__all__`` or as ``import name as name``.  No
@@ -12,7 +12,9 @@ body, or be listed in an ``__all__``; code that only the tests call lives
 in the tests.  A field, a ``self.X = ...`` target or a ``__slots__``
 entry, must be loaded as ``.X`` somewhere in src/nefsphere or named in a
 ``getattr`` or ``hasattr`` call; data that only the tests read is built
-by the tests.  These checks go by name, so a method or field that shares
+by the tests.  A name that a function stores must be loaded somewhere in
+that function, nested functions included; ``_`` is exempt.  These checks
+go by name, so a method or field that shares
 its name with another class's escapes them.  The source is read with the standard library's ``ast``, so
 the checks need no linter.
 
@@ -263,6 +265,49 @@ def test_an_unread_field_is_found():
     assert unread_fields(sources) == [
         ("Record", "dropped"), ("Tagged", "second"), ("Tagged", "count"),
         ("Tagged", "later")]
+
+
+def unread_locals(source):
+    """(function, name) for every name that a function stores as a plain
+    ``Name`` and loads nowhere in its body, nested functions included, in
+    source order of the first store; ``_`` is exempt."""
+    found = {}
+    funcs = sorted((node.lineno, node) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef)))
+    for _, func in funcs:
+        names = [n for n in ast.walk(func) if isinstance(n, ast.Name)]
+        loaded = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        for n in sorted(names, key=lambda n: (n.lineno, n.col_offset)):
+            if isinstance(n.ctx, ast.Store) and n.id != "_" and \
+                    n.id not in loaded:
+                found.setdefault((func.name, n.id), None)
+    return list(found)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_local_is_read(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert unread_locals(fh.read()) == []
+
+
+def test_an_unread_local_is_found():
+    source = ("def f(rows):\n"
+              "    out = []\n"
+              "    kept, dropped = rows\n"
+              "    for _, r in rows:\n"
+              "        total = r\n"
+              "        total += 1\n"
+              "    def g():\n"
+              "        inner = kept\n"
+              "        return inner\n"
+              "    return g, [0 for i in rows]\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        self.x = seen = 1\n"
+              "        return [seen]\n")
+    assert unread_locals(source) == [("f", "out"), ("f", "dropped"),
+                                     ("f", "total"), ("f", "i")]
 
 
 SUGAR = ("dataclasses", "inspect", "typing")
