@@ -303,8 +303,7 @@ def saturated_perp_basis(ms, ambient):
 def saturated_span_basis(vectors, ncols):
     """Canonical basis of the saturation of the integer span of the vectors:
     the kernel of their kernel."""
-    return kernel_basis(kernel_basis([tuple(v) for v in vectors], ncols),
-                        ncols)
+    return kernel_basis(kernel_basis(list(vectors), ncols), ncols)
 
 
 def smith_normal_form(rows):
